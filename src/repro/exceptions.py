@@ -94,6 +94,12 @@ class FrameTooLargeError(ProtocolError):
     which are ``ERR_MALFORMED``)."""
 
 
+class UnsupportedVersionError(ProtocolError):
+    """A peer's frame carried a protocol version this build does not
+    speak (answered with ``ERR_UNSUPPORTED_VERSION`` on the wire).  Never
+    retried: the same bytes would be refused again."""
+
+
 class AccessDeniedError(ProtocolError):
     """The querier's credential does not satisfy the access-control policy."""
 

@@ -1,8 +1,9 @@
 """Async clients for the SSI wire protocol.
 
-:class:`AsyncSSIClient` is the low-level RPC surface: one typed method
-per wire operation, with a configurable request timeout and bounded
-retries under jittered exponential backoff (:class:`RetryPolicy`).
+:class:`AsyncSSIClient` is the low-level RPC surface: one proxy per row
+of the operation table (:mod:`repro.net.ops`), with a configurable
+request timeout and bounded retries under jittered exponential backoff
+(:class:`RetryPolicy`).
 Transport failures (drops, timeouts) and ``ERR_BACKPRESSURE`` responses
 are retried; *typed* application errors (duplicate/unknown query ids,
 result-not-ready) are raised immediately as the matching exception from
@@ -28,27 +29,18 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Awaitable, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, Coroutine, Sequence, TypeVar
 
-from repro.core.messages import (
-    EncryptedPartial,
-    EncryptedTuple,
-    EncryptedTupleBlock,
-    QueryEnvelope,
-    QueryResult,
-)
+from repro.core.messages import EncryptedPartial, QueryResult
 from repro.exceptions import (
     AdmissionError,
     BackpressureError,
-    DuplicateQueryError,
     ProtocolError,
-    ResultNotReadyError,
     RollbackDetectedError,
     TransportError,
-    UnknownQueryError,
 )
-from repro.net import frames
-from repro.net.frames import QueryMeta, Reader, WorkUnit, Writer
+from repro.net import frames, ops
+from repro.net.frames import Reader, Writer
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import TraceContext
 from repro.store.commitment import Commitment
@@ -56,13 +48,7 @@ from repro.store.commitment import Commitment
 if TYPE_CHECKING:  # transport.py imports this module (RemoteSSI wiring)
     from repro.net.transport import Transport
 
-_CODE_TO_EXC: dict[int, type[ProtocolError]] = {
-    frames.ERR_DUPLICATE_QUERY: DuplicateQueryError,
-    frames.ERR_UNKNOWN_QUERY: UnknownQueryError,
-    frames.ERR_RESULT_NOT_READY: ResultNotReadyError,
-    frames.ERR_BACKPRESSURE: BackpressureError,
-    frames.ERR_ADMISSION: AdmissionError,
-}
+R = TypeVar("R")
 
 _RETRIES = obs_metrics.REGISTRY.counter(
     "repro_client_retries_total",
@@ -104,6 +90,18 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * rng.random())
 
 
+def _proxy(op: ops.Op[R]) -> Callable[..., Coroutine[Any, Any, R]]:
+    """The client method of one table row: arguments are the row's
+    request fields (positional or by field name), the result is its
+    response field."""
+
+    async def proxy(self: "AsyncSSIClient", *args: Any, **kwargs: Any) -> R:
+        return await self.call(op, *args, **kwargs)
+
+    proxy.__name__ = proxy.__qualname__ = op.name
+    return proxy
+
+
 class AsyncSSIClient:
     """One logical client connection to a (possibly remote) SSI."""
 
@@ -125,20 +123,8 @@ class AsyncSSIClient:
         # bytes of the original, so the server can drop replays.
         self._client_id = f"{self._rng.getrandbits(64):016x}"
         self._seq = 0
-        # Version negotiation state.  Until hello() has run, requests are
-        # encoded at the floor version (every supported peer parses it);
-        # hello upgrades the connection to min(ours, theirs) and learns
-        # the peer's capability bits — a pre-v4 peer answers hello with
-        # ERR_UNKNOWN_OP, which settles the connection on v3/no-caps.
-        self._wire_version = frames.MIN_PROTOCOL_VERSION
-        self._peer_caps = 0
-        self._hello_done = False
-        # Serializes the handshake: without it, two coroutines issuing
-        # their first request concurrently would both run hello() and the
-        # loser could clobber the winner's negotiated state.
-        self._hello_lock = asyncio.Lock()
-        #: trace context attached (as the v4 EXT_TRACE extension) to
-        #: every request once negotiated; None = no propagation.
+        #: trace context attached (as the EXT_TRACE extension) to every
+        #: request; None = no propagation.
         self.trace_context: TraceContext | None = None
         #: highest durable commitment observed on this connection, from
         #: EXT_COMMITMENT ack extensions or get_commitment() — the
@@ -148,104 +134,37 @@ class AsyncSSIClient:
     async def close(self) -> None:
         await self.transport.close()
 
-    # ------------------------------------------------------------------ #
-    # version/capability handshake (wire v4)
-    # ------------------------------------------------------------------ #
     def set_trace_context(self, context: TraceContext | None) -> None:
-        """Propagate *context* with every subsequent request.  Triggers a
-        lazy hello() on the next call so a v3 peer is never sent a v4
-        frame it cannot parse."""
+        """Propagate *context* with every subsequent request."""
         self.trace_context = context
 
-    async def hello(self) -> tuple[int, int]:
-        """Negotiate (version, capabilities) with the peer; idempotent."""
-        if self._hello_done:
-            return self._wire_version, self._peer_caps
-        async with self._hello_lock:
-            if self._hello_done:  # raced another first caller; it won
-                return self._wire_version, self._peer_caps
-            w = Writer()
-            frames.write_hello(w, frames.PROTOCOL_VERSION, frames.CAPABILITIES)
-            request = frames.pack_frame(
-                frames.MSG_HELLO, w.getvalue(), version=frames.MIN_PROTOCOL_VERSION
-            )
-            try:
-                r = await self._send(request)
-                peer_version, peer_caps = frames.read_hello(r)
-                r.expect_end()
-                self._wire_version = min(frames.PROTOCOL_VERSION, peer_version)
-                if self._wire_version < frames.MIN_PROTOCOL_VERSION:
-                    raise ProtocolError(
-                        f"peer speaks protocol {peer_version}, below our floor "
-                        f"{frames.MIN_PROTOCOL_VERSION}"
-                    )
-                self._peer_caps = peer_caps
-            except (UnknownQueryError, DuplicateQueryError, ResultNotReadyError):
-                raise  # impossible for hello; don't mask a server bug
-            except ProtocolError:
-                # ERR_UNKNOWN_OP from a pre-v4 peer: settle on the floor.
-                self._wire_version = frames.MIN_PROTOCOL_VERSION
-                self._peer_caps = 0
-            self._hello_done = True
-        return self._wire_version, self._peer_caps
-
-    async def get_stats(self) -> str:
-        """Fetch the SSI's metrics in Prometheus text form (v4 peers)."""
-        r = await self._call(frames.MSG_GET_STATS, b"")
-        text = r.text()
-        r.expect_end()
-        return text
-
-    async def get_health(self) -> dict:
-        """Fetch the SSI's rolling-window health verdict (CAP_HEALTH).
-
-        A server running without a monitor answers ``monitored=False``
-        with an ``ok`` verdict, so callers can poll unconditionally.
-        """
-        r = await self._call(frames.MSG_GET_HEALTH, b"")
-        monitored = r.boolean()
-        if not monitored:
-            r.expect_end()
-            return {
-                "monitored": False,
-                "status": "ok",
-                "reasons": [],
-                "eventloop_lag_seconds": 0.0,
-                "window_seconds": 0.0,
-            }
-        status = r.u8()
-        lag = r.f64()
-        window = r.f64()
-        reasons = [r.text() for _ in range(r.u32())]
-        r.expect_end()
-        return {
-            "monitored": True,
-            "status": {0: "ok", 1: "degraded", 2: "critical"}.get(
-                status, "critical"
-            ),
-            "reasons": reasons,
-            "eventloop_lag_seconds": lag,
-            "window_seconds": window,
-        }
-
     # ------------------------------------------------------------------ #
-    # core call loop: timeout -> typed error mapping -> bounded retry
+    # core call loop: encode -> timeout -> typed error mapping -> bounded
+    # retry -> decode
     # ------------------------------------------------------------------ #
-    async def _call(self, msg_type: int, payload: bytes) -> Reader:
+    async def call(self, op: ops.Op[R], *args: Any, **kwargs: Any) -> R:
+        """Run one operation of the table.
+
+        An idempotent operation is stamped with this client's key once
+        per logical call (not per attempt): retries resend the identical
+        bytes, so the dispatcher can recognise and drop a replay whose
+        first application succeeded but whose response was lost."""
+        if op.opcode is None:
+            raise ProtocolError(f"{op.name} is not a wire operation")
+        w = Writer()
+        if op.idem:
+            self._seq += 1
+            ops.IDEM.write(w, (self._client_id, self._seq))
+        op.write_request(w, op.bind(args, kwargs))
         extensions: tuple[tuple[int, bytes], ...] = ()
         if self.trace_context is not None:
-            if not self._hello_done:
-                await self.hello()
-            if self._wire_version >= 4 and (
-                self._peer_caps & frames.CAP_TRACE_CONTEXT
-            ):
-                extensions = (
-                    (frames.EXT_TRACE, self.trace_context.to_wire()),
-                )
-        request = frames.pack_frame(
-            msg_type, payload, version=self._wire_version, extensions=extensions
+            extensions = ((frames.EXT_TRACE, self.trace_context.to_wire()),)
+        r = await self._send(
+            frames.pack_frame(op.opcode, w.getvalue(), extensions=extensions)
         )
-        return await self._send(request)
+        result = op.response.read(r)
+        r.expect_end()
+        return result
 
     async def _send(self, request: bytes) -> Reader:
         attempt = 0
@@ -290,20 +209,8 @@ class AsyncSSIClient:
                 attempt += 1
                 self.retries += 1
 
-    def _idem(self, w: Writer) -> Writer:
-        """Stamp a mutating request with this client's idempotency key.
-
-        Called once per logical operation (not per attempt): retries
-        resend the identical bytes, so the dispatcher can recognise and
-        drop a replay whose first application succeeded but whose
-        response was lost."""
-        self._seq += 1
-        w.text(self._client_id)
-        w.i64(self._seq)
-        return w
-
     def _unwrap(self, body: bytes) -> Reader:
-        _version, msg_type, _corr, exts, reader = frames.unpack_frame_ext(body)
+        msg_type, _corr, exts, reader = frames.unpack_frame_ext(body)
         if msg_type == frames.MSG_OK:
             raw = exts.get(frames.EXT_COMMITMENT)
             if raw is not None:
@@ -318,7 +225,7 @@ class AsyncSSIClient:
                 # so the extension is compatible both ways).
                 retry_after = reader.f64() if reader.remaining() >= 8 else 0.0
                 raise AdmissionError(message, retry_after=retry_after)
-            raise _CODE_TO_EXC.get(code, ProtocolError)(message)
+            raise frames.ERROR_TYPES.get(code, ProtocolError)(message)
         raise ProtocolError(f"unexpected response type 0x{msg_type:02x}")
 
     def _observe_commitment(self, commitment: Commitment) -> None:
@@ -343,10 +250,72 @@ class AsyncSSIClient:
         self.last_commitment = commitment
 
     # ------------------------------------------------------------------ #
-    # wire operations
+    # wire operations: one proxy per table row
     # ------------------------------------------------------------------ #
-    async def ping(self) -> None:
-        (await self._call(frames.MSG_PING, b"")).expect_end()
+    ping = _proxy(ops.PING)
+    #: (protocol version, capability bits) the peer reports
+    hello = _proxy(ops.HELLO)
+    #: the SSI's metrics in Prometheus text form
+    get_stats = _proxy(ops.GET_STATS)
+    post_query = _proxy(ops.POST_QUERY)
+    fetch_query = _proxy(ops.FETCH_QUERY)
+    active_queries = _proxy(ops.ACTIVE_QUERIES)
+    submit_tuples = _proxy(ops.SUBMIT_TUPLES)
+    #: many tuples (a sequence or one EncryptedTupleBlock) as one columnar
+    #: frame: one lengths vector and one payload buffer instead of
+    #: per-tuple framing; semantically identical to submit_tuples
+    submit_tuples_batch = _proxy(ops.SUBMIT_TUPLES_BATCH)
+    submit_partials = _proxy(ops.SUBMIT_PARTIALS)
+    collected_count = _proxy(ops.COLLECTED_COUNT)
+    evaluate_size_clause = _proxy(ops.EVALUATE_SIZE)
+    close_collection = _proxy(ops.CLOSE_COLLECTION)
+    covering_result = _proxy(ops.COVERING_RESULT)
+    take_partials = _proxy(ops.TAKE_PARTIALS)
+    partial_count = _proxy(ops.PARTIAL_COUNT)
+    store_result_rows = _proxy(ops.STORE_RESULT_ROWS)
+    publish_result = _proxy(ops.PUBLISH_RESULT)
+    result_ready = _proxy(ops.RESULT_READY)
+    fetch_result = _proxy(ops.FETCH_RESULT)
+    #: (status, work unit when status is STATUS_WORK)
+    fetch_partition = _proxy(ops.FETCH_PARTITION)
+
+    async def submit_partition_result(
+        self,
+        query_id: str,
+        partition_id: int,
+        tds_id: str,
+        *,
+        partials: Sequence[EncryptedPartial] | None = None,
+        rows: Sequence[bytes] | None = None,
+    ) -> None:
+        if (partials is None) == (rows is None):
+            raise ProtocolError("submit exactly one of partials or rows")
+        result = (
+            (frames.RESULT_PARTIALS, partials)
+            if partials is not None
+            else (frames.RESULT_ROWS, rows)
+        )
+        await self.call(
+            ops.SUBMIT_PARTITION_RESULT, query_id, partition_id, tds_id, result
+        )
+
+    async def get_health(self) -> dict:
+        """Fetch the SSI's rolling-window health verdict (CAP_HEALTH).
+
+        A server running without a monitor answers ``monitored=False``
+        with an ``ok`` verdict, so callers can poll unconditionally.
+        """
+        verdict = await self.call(ops.GET_HEALTH)
+        status, lag, window, reasons = verdict or (0, 0.0, 0.0, [])
+        return {
+            "monitored": verdict is not None,
+            "status": {0: "ok", 1: "degraded", 2: "critical"}.get(
+                status, "critical"
+            ),
+            "reasons": reasons,
+            "eventloop_lag_seconds": lag,
+            "window_seconds": window,
+        }
 
     async def get_commitment(
         self, check: Commitment | None = None
@@ -360,20 +329,14 @@ class AsyncSSIClient:
         serves does not extend the one *check* was cut from — a rollback
         or selective drop of acknowledged state — and raises
         :class:`RollbackDetectedError`."""
-        w = Writer()
-        if check is None:
-            w.boolean(False)
-        else:
-            w.boolean(True)
-            w.i64(check.count)
-            w.blob(check.head)
-        r = await self._call(frames.MSG_GET_COMMITMENT, w.getvalue())
-        if not r.boolean():
-            r.expect_end()
+        attested = await self.call(
+            ops.GET_COMMITMENT,
+            None if check is None else (check.count, check.head),
+        )
+        if attested is None:
             return None
-        current = Commitment(count=r.i64(), head=r.blob())
-        proof = r.opt_blob()
-        r.expect_end()
+        count, head, proof = attested
+        current = Commitment(count=count, head=head)
         if check is not None:
             if current.count < check.count or proof != check.head:
                 raise RollbackDetectedError(
@@ -390,188 +353,6 @@ class AsyncSSIClient:
         Returns the server's current commitment, or None without a
         store; raises :class:`RollbackDetectedError` on rollback."""
         return await self.get_commitment(self.last_commitment)
-
-    async def post_query(
-        self,
-        envelope: QueryEnvelope,
-        tds_id: str | None = None,
-        meta: QueryMeta | None = None,
-    ) -> None:
-        w = self._idem(Writer())
-        frames.write_envelope(w, envelope)
-        w.opt_text(tds_id)
-        frames.write_meta(w, meta if meta is not None else QueryMeta())
-        (await self._call(frames.MSG_POST_QUERY, w.getvalue())).expect_end()
-
-    async def fetch_query(self, query_id: str) -> tuple[QueryEnvelope, QueryMeta]:
-        r = await self._call(frames.MSG_FETCH_QUERY, Writer().text(query_id).getvalue())
-        envelope = frames.read_envelope(r)
-        meta = frames.read_meta(r)
-        r.expect_end()
-        return envelope, meta
-
-    async def active_queries(self) -> list[tuple[QueryEnvelope, QueryMeta]]:
-        r = await self._call(frames.MSG_ACTIVE_QUERIES, b"")
-        result = []
-        for _ in range(r.count(limit=100_000)):
-            envelope = frames.read_envelope(r)
-            meta = frames.read_meta(r)
-            result.append((envelope, meta))
-        r.expect_end()
-        return result
-
-    async def submit_tuples(
-        self, query_id: str, tuples: Sequence[EncryptedTuple]
-    ) -> None:
-        w = self._idem(Writer()).text(query_id)
-        frames.write_items(w, list(tuples))
-        (await self._call(frames.MSG_SUBMIT_TUPLES, w.getvalue())).expect_end()
-
-    async def submit_tuples_batch(
-        self,
-        query_id: str,
-        tuples: Sequence[EncryptedTuple] | EncryptedTupleBlock,
-    ) -> None:
-        """Submit many tuples as one columnar ``MSG_SUBMIT_TUPLES_BATCH``
-        frame (the v3 fast path): one lengths vector and one payload
-        buffer instead of per-tuple framing.  Semantically identical to
-        :meth:`submit_tuples` — same idempotency key discipline, same
-        server-side observations."""
-        if isinstance(tuples, EncryptedTupleBlock):
-            block = tuples
-        else:
-            block = EncryptedTupleBlock.from_tuples(list(tuples))
-        w = self._idem(Writer()).text(query_id)
-        frames.write_tuple_block(w, block)
-        (
-            await self._call(frames.MSG_SUBMIT_TUPLES_BATCH, w.getvalue())
-        ).expect_end()
-
-    async def submit_partials(
-        self, query_id: str, partials: Sequence[EncryptedPartial]
-    ) -> None:
-        w = self._idem(Writer()).text(query_id)
-        frames.write_items(w, list(partials))
-        (await self._call(frames.MSG_SUBMIT_PARTIALS, w.getvalue())).expect_end()
-
-    async def collected_count(self, query_id: str) -> int:
-        r = await self._call(
-            frames.MSG_COLLECTED_COUNT, Writer().text(query_id).getvalue()
-        )
-        count = r.i64()
-        r.expect_end()
-        return count
-
-    async def evaluate_size_clause(
-        self, query_id: str, elapsed_seconds: float = 0.0
-    ) -> bool:
-        w = Writer().text(query_id)
-        w.f64(elapsed_seconds)
-        r = await self._call(frames.MSG_EVALUATE_SIZE, w.getvalue())
-        met = r.boolean()
-        r.expect_end()
-        return met
-
-    async def close_collection(self, query_id: str) -> None:
-        (
-            await self._call(
-                frames.MSG_CLOSE_COLLECTION, Writer().text(query_id).getvalue()
-            )
-        ).expect_end()
-
-    async def covering_result(self, query_id: str) -> list[EncryptedTuple]:
-        r = await self._call(
-            frames.MSG_COVERING_RESULT, Writer().text(query_id).getvalue()
-        )
-        items = frames.read_tuples(r)
-        r.expect_end()
-        return items
-
-    async def take_partials(self, query_id: str) -> list[EncryptedPartial]:
-        r = await self._call(
-            frames.MSG_TAKE_PARTIALS, Writer().text(query_id).getvalue()
-        )
-        items = frames.read_partials(r)
-        r.expect_end()
-        return items
-
-    async def partial_count(self, query_id: str) -> int:
-        r = await self._call(
-            frames.MSG_PARTIAL_COUNT, Writer().text(query_id).getvalue()
-        )
-        count = r.i64()
-        r.expect_end()
-        return count
-
-    async def store_result_rows(
-        self, query_id: str, rows: Sequence[bytes]
-    ) -> None:
-        w = self._idem(Writer()).text(query_id)
-        frames.write_rows(w, list(rows))
-        (await self._call(frames.MSG_STORE_RESULT_ROWS, w.getvalue())).expect_end()
-
-    async def publish_result(self, query_id: str) -> None:
-        (
-            await self._call(
-                frames.MSG_PUBLISH_RESULT, Writer().text(query_id).getvalue()
-            )
-        ).expect_end()
-
-    async def result_ready(self, query_id: str) -> bool:
-        r = await self._call(
-            frames.MSG_RESULT_READY, Writer().text(query_id).getvalue()
-        )
-        ready = r.boolean()
-        r.expect_end()
-        return ready
-
-    async def fetch_result(self, query_id: str) -> QueryResult:
-        r = await self._call(
-            frames.MSG_FETCH_RESULT, Writer().text(query_id).getvalue()
-        )
-        result = frames.read_result(r)
-        r.expect_end()
-        return result
-
-    async def fetch_partition(
-        self, query_id: str, tds_id: str
-    ) -> tuple[int, WorkUnit | None]:
-        w = Writer().text(query_id)
-        w.text(tds_id)
-        r = await self._call(frames.MSG_FETCH_PARTITION, w.getvalue())
-        status = r.u8()
-        if status == frames.STATUS_WORK:
-            unit = frames.read_work_unit(r)
-            r.expect_end()
-            return status, unit
-        if status not in (frames.STATUS_WAIT, frames.STATUS_DONE):
-            raise ProtocolError(f"unknown fetch_partition status 0x{status:02x}")
-        r.expect_end()
-        return status, None
-
-    async def submit_partition_result(
-        self,
-        query_id: str,
-        partition_id: int,
-        tds_id: str,
-        *,
-        partials: Sequence[EncryptedPartial] | None = None,
-        rows: Sequence[bytes] | None = None,
-    ) -> None:
-        if (partials is None) == (rows is None):
-            raise ProtocolError("submit exactly one of partials or rows")
-        w = Writer().text(query_id)
-        w.i64(partition_id)
-        w.text(tds_id)
-        if partials is not None:
-            w.u8(frames.RESULT_PARTIALS)
-            frames.write_items(w, list(partials))
-        else:
-            w.u8(frames.RESULT_ROWS)
-            frames.write_rows(w, list(rows or []))
-        (
-            await self._call(frames.MSG_SUBMIT_PARTITION_RESULT, w.getvalue())
-        ).expect_end()
 
 
 class TDSClient(AsyncSSIClient):

@@ -2,26 +2,31 @@
 
 Every message on the wire is one *frame*::
 
-    +----------------+---------+----------+--------------+---------+
-    | length (u32 BE)| version | msg type | corr id (u32)| payload |
-    +----------------+---------+----------+--------------+---------+
-          4 bytes      1 byte    1 byte       4 bytes     length-6
+    +----------------+---------+----------+--------------+------------+---------+
+    | length (u32 BE)| version | msg type | corr id (u32)| extensions | payload |
+    +----------------+---------+----------+--------------+------------+---------+
+          4 bytes      1 byte    1 byte       4 bytes      >= 1 byte
 
-``length`` covers the version byte, the type byte, the correlation id
-and the payload, and is capped by :data:`MAX_FRAME_BYTES` — a peer
-declaring more is cut off before a single payload byte is read.  The
-*correlation id* (v3) lets one connection carry a window of concurrent
-requests: a response echoes the id of the request it answers, so the
-transport routes it to the right waiter regardless of completion order.
-The id is routing state only — retried requests carry fresh ids while
-their idempotency key (the payload-level client-id + sequence) stays
-fixed.
+``length`` covers everything after itself and is capped by
+:data:`MAX_FRAME_BYTES` — a peer declaring more is cut off before a
+single payload byte is read.  There is one protocol version: a frame
+whose version byte is not :data:`PROTOCOL_VERSION` is refused with
+``ERR_UNSUPPORTED_VERSION``.  The *correlation id* lets one connection
+carry a window of concurrent requests: a response echoes the id of the
+request it answers, so the transport routes it to the right waiter
+regardless of completion order.  The id is routing state only — retried
+requests carry fresh ids while their idempotency key (the payload-level
+client-id + sequence) stays fixed.  The *extension block* is a u8 count,
+then per extension u8 type + u16 BE length + bytes — a single ``0`` byte
+on most frames.
 
 The payload encoding is a small hand-rolled struct layer (*not*
 :mod:`repro.core.codec`: that codec can express plaintext rows, and this
 module sits on the SSI side of the trust boundary — messages here carry
 only what the SSI may legitimately see: query envelopes, opaque
-ciphertext blobs and partition/query ids).
+ciphertext blobs and partition/query ids).  This module holds the frame
+layer and the field codecs; which fields each operation carries is
+declared once, in :mod:`repro.net.ops`.
 
 All malformed input raises :class:`~repro.exceptions.ProtocolError`.
 """
@@ -40,30 +45,33 @@ from repro.core.messages import (
     QueryEnvelope,
     QueryResult,
 )
-from repro.exceptions import FrameTooLargeError, ProtocolError
+from repro.exceptions import (
+    AdmissionError,
+    BackpressureError,
+    DuplicateQueryError,
+    FrameTooLargeError,
+    ProtocolError,
+    ResultNotReadyError,
+    UnknownQueryError,
+    UnsupportedVersionError,
+)
 
-#: protocol version spoken by this build; bumped on incompatible changes
-#: (v2: mutating requests carry a client-id + sequence idempotency key;
-#: v3: frames carry a correlation id for pipelined RPC, and tuples may
-#: travel as columnar MSG_SUBMIT_TUPLES_BATCH blocks;
-#: v4: an optional extension block follows the fixed header — currently
-#: carrying trace context — plus MSG_HELLO capability negotiation and
-#: MSG_GET_STATS)
+#: the one protocol version this build encodes and accepts; bumped on
+#: incompatible changes (v2: mutating requests carry a client-id +
+#: sequence idempotency key; v3: frames carry a correlation id for
+#: pipelined RPC, and tuples may travel as columnar
+#: MSG_SUBMIT_TUPLES_BATCH blocks; v4: an extension block follows the
+#: fixed header — trace context, durable commitments — plus the
+#: MSG_HELLO capability report and MSG_GET_STATS)
 PROTOCOL_VERSION = 4
-
-#: oldest version this build still accepts; peers speaking it simply
-#: never carry extensions.  MSG_HELLO is always encoded at this version
-#: so that *any* peer can parse the handshake frame itself.
-MIN_PROTOCOL_VERSION = 3
 
 #: bytes of the length prefix preceding every frame body
 LENGTH_PREFIX_BYTES = 4
 
 #: fixed body header: version (1) + msg type (1) + correlation id (4).
-#: In v4 an extension block (u8 count, then per-extension u8 type +
-#: u16 BE length + bytes) sits between this header and the payload; the
-#: correlation id stays at a fixed offset so response routing and the
-#: transport's in-place corr-id rewrite are version-independent.
+#: The extension block sits between this header and the payload, so the
+#: correlation id stays at a fixed offset for response routing and the
+#: transport's in-place corr-id rewrite.
 BODY_HEADER_BYTES = 6
 
 #: the smallest well-formed frame on the wire (prefix + body header)
@@ -112,10 +120,8 @@ MSG_GET_HEALTH = 0x17
 MSG_OK = 0x40
 MSG_ERROR = 0x41
 
-REQUEST_TYPES = frozenset(range(MSG_POST_QUERY, MSG_GET_HEALTH + 1))
-
 # --------------------------------------------------------------------- #
-# v4 frame extensions + capability flags
+# frame extensions + capability flags
 # --------------------------------------------------------------------- #
 #: extension carrying a 16-byte trace context (u64 trace id + u64 span
 #: id, big-endian); see repro.obs.spans.TraceContext
@@ -158,6 +164,18 @@ ERR_INTERNAL = 9
 #: a per-querier admission quota (active queries / in-flight bytes) was
 #: exhausted; the error payload carries a retry-after hint (f64 seconds)
 ERR_ADMISSION = 10
+
+#: the typed errors: the exception the SSI side raises travels as its
+#: code, and the client raises the same type again — callers cannot tell
+#: a remote SSI from a local one by its failures
+ERROR_TYPES: dict[int, type[ProtocolError]] = {
+    ERR_UNSUPPORTED_VERSION: UnsupportedVersionError,
+    ERR_DUPLICATE_QUERY: DuplicateQueryError,
+    ERR_UNKNOWN_QUERY: UnknownQueryError,
+    ERR_RESULT_NOT_READY: ResultNotReadyError,
+    ERR_BACKPRESSURE: BackpressureError,
+    ERR_ADMISSION: AdmissionError,
+}
 
 # fetch_partition statuses
 STATUS_WAIT = 0
@@ -366,43 +384,35 @@ def pack_frame(
     msg_type: int,
     payload: bytes,
     correlation_id: int = 0,
-    version: int = PROTOCOL_VERSION,
     extensions: tuple[tuple[int, bytes], ...] | list[tuple[int, bytes]] = (),
 ) -> bytes:
-    """Length-prefixed frame: header + version + type + corr id
-    [+ v4 extension block] + payload.
+    """Length-prefixed frame: header + version + type + corr id +
+    extension block + payload.
 
-    ``extensions`` is a sequence of ``(ext_type, raw_bytes)`` pairs;
-    only encodable at ``version >= 4`` (a v3 frame cannot carry them).
+    ``extensions`` is a sequence of ``(ext_type, raw_bytes)`` pairs.
     """
-    if not MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION:
-        raise ProtocolError(f"cannot encode protocol version {version}")
     if not 0 <= correlation_id <= MAX_CORRELATION_ID:
         raise ProtocolError(f"correlation id {correlation_id} out of range")
-    ext_block = b""
-    if version >= 4:
-        if len(extensions) > MAX_EXTENSIONS:
+    if len(extensions) > MAX_EXTENSIONS:
+        raise ProtocolError(
+            f"{len(extensions)} extensions exceed the per-frame limit"
+        )
+    parts = [struct.pack(">B", len(extensions))]
+    for ext_type, raw in extensions:
+        if not 0 <= ext_type <= 0xFF:
+            raise ProtocolError(f"extension type {ext_type} out of range")
+        if len(raw) > 0xFFFF:
             raise ProtocolError(
-                f"{len(extensions)} extensions exceed the per-frame limit"
+                f"extension of {len(raw)} bytes exceeds the u16 limit"
             )
-        parts = [struct.pack(">B", len(extensions))]
-        for ext_type, raw in extensions:
-            if not 0 <= ext_type <= 0xFF:
-                raise ProtocolError(f"extension type {ext_type} out of range")
-            if len(raw) > 0xFFFF:
-                raise ProtocolError(
-                    f"extension of {len(raw)} bytes exceeds the u16 limit"
-                )
-            parts.append(struct.pack(">BH", ext_type, len(raw)))
-            parts.append(raw)
-        ext_block = b"".join(parts)
-    elif extensions:
-        raise ProtocolError(f"protocol version {version} cannot carry extensions")
+        parts.append(struct.pack(">BH", ext_type, len(raw)))
+        parts.append(raw)
+    ext_block = b"".join(parts)
     body_len = BODY_HEADER_BYTES + len(ext_block) + len(payload)
     if body_len > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {body_len} bytes exceeds MAX_FRAME_BYTES")
     return (
-        struct.pack(">IBBI", body_len, version, msg_type, correlation_id)
+        struct.pack(">IBBI", body_len, PROTOCOL_VERSION, msg_type, correlation_id)
         + ext_block
         + payload
     )
@@ -415,9 +425,10 @@ _NO_EXTENSIONS: dict[int, bytes] = {}
 
 def unpack_frame_ext(
     body: bytes,
-) -> tuple[int, int, int, dict[int, bytes], Reader]:
-    """Split a frame body into (version, msg_type, correlation_id,
-    extensions, payload reader), checking the protocol version range.
+) -> tuple[int, int, dict[int, bytes], Reader]:
+    """Split a frame body into (msg_type, correlation_id, extensions,
+    payload reader).  A version byte other than
+    :data:`PROTOCOL_VERSION` raises :class:`UnsupportedVersionError`.
 
     Unknown extension types are length-validated and ignored (carried in
     the returned dict for the caller to consult); a duplicated extension
@@ -426,45 +437,37 @@ def unpack_frame_ext(
     if len(body) < 2:
         raise ProtocolError("frame body shorter than its fixed header")
     version, msg_type = body[0], body[1]
-    if not MIN_PROTOCOL_VERSION <= version <= PROTOCOL_VERSION:
-        raise ProtocolError(
+    if version != PROTOCOL_VERSION:
+        raise UnsupportedVersionError(
             f"unsupported protocol version {version} (speaking "
-            f"{MIN_PROTOCOL_VERSION}..{PROTOCOL_VERSION})",
+            f"{PROTOCOL_VERSION})",
         )
     if len(body) < BODY_HEADER_BYTES:
         raise ProtocolError("frame body shorter than its fixed header")
     correlation_id = int.from_bytes(body[2:BODY_HEADER_BYTES], "big")
     pos = BODY_HEADER_BYTES
     extensions = _NO_EXTENSIONS
-    if version >= 4:
-        if len(body) < pos + 1:
-            raise ProtocolError("v4 frame body missing its extension count")
-        ext_count = body[pos]
-        pos += 1
-        if ext_count:
-            extensions = {}
-        if ext_count > MAX_EXTENSIONS:
-            raise ProtocolError(
-                f"{ext_count} extensions exceed the per-frame limit"
-            )
-        for _ in range(ext_count):
-            if len(body) < pos + 3:
-                raise ProtocolError("truncated frame extension header")
-            ext_type = body[pos]
-            ext_len = int.from_bytes(body[pos + 1 : pos + 3], "big")
-            pos += 3
-            if len(body) < pos + ext_len:
-                raise ProtocolError("truncated frame extension body")
-            extensions.setdefault(ext_type, bytes(body[pos : pos + ext_len]))
-            pos += ext_len
-    return version, msg_type, correlation_id, extensions, Reader(body[pos:])
-
-
-def unpack_frame_body(body: bytes) -> tuple[int, int, Reader]:
-    """Back-compat view of :func:`unpack_frame_ext`: (msg_type,
-    correlation_id, payload reader), extensions dropped."""
-    _, msg_type, correlation_id, _, reader = unpack_frame_ext(body)
-    return msg_type, correlation_id, reader
+    if len(body) < pos + 1:
+        raise ProtocolError("frame body missing its extension count")
+    ext_count = body[pos]
+    pos += 1
+    if ext_count:
+        extensions = {}
+    if ext_count > MAX_EXTENSIONS:
+        raise ProtocolError(
+            f"{ext_count} extensions exceed the per-frame limit"
+        )
+    for _ in range(ext_count):
+        if len(body) < pos + 3:
+            raise ProtocolError("truncated frame extension header")
+        ext_type = body[pos]
+        ext_len = int.from_bytes(body[pos + 1 : pos + 3], "big")
+        pos += 3
+        if len(body) < pos + ext_len:
+            raise ProtocolError("truncated frame extension body")
+        extensions.setdefault(ext_type, bytes(body[pos : pos + ext_len]))
+        pos += ext_len
+    return msg_type, correlation_id, extensions, Reader(body[pos:])
 
 
 def peek_correlation_id(body: bytes) -> int:
@@ -636,7 +639,7 @@ def read_result(r: Reader) -> QueryResult:
 
 
 # --------------------------------------------------------------------- #
-# batched tuple submission (v3)
+# batched tuple submission
 # --------------------------------------------------------------------- #
 #: tag-length sentinel marking "no group tag" in the tag-lengths vector
 _NO_TAG = 0xFFFFFFFF
@@ -724,28 +727,4 @@ def pack_error(
         # Trailing-field extension is safe here: error payloads are the
         # one message clients never expect_end() on.
         w.f64(retry_after)
-    # Errors are encoded at the floor version: every peer must be able
-    # to parse a rejection, whatever version its request spoke.
-    return pack_frame(
-        MSG_ERROR, w.getvalue(), correlation_id, version=MIN_PROTOCOL_VERSION
-    )
-
-
-# --------------------------------------------------------------------- #
-# capability handshake (v4)
-# --------------------------------------------------------------------- #
-def write_hello(w: Writer, max_version: int, capabilities: int) -> None:
-    """HELLO payload: the sender's best version + capability bitmask.
-
-    The HELLO *frame* is always packed at :data:`MIN_PROTOCOL_VERSION`
-    so a peer of any supported vintage can parse it; a pre-v4 peer
-    answers ``ERR_UNKNOWN_OP`` for the unknown msg type, which the
-    client treats as "settle on v3, no capabilities"."""
-    w.u8(max_version)
-    w.u32(capabilities)
-
-
-def read_hello(r: Reader) -> tuple[int, int]:
-    max_version = r.u8()
-    capabilities = r.u32()
-    return max_version, capabilities
+    return pack_frame(MSG_ERROR, w.getvalue(), correlation_id)

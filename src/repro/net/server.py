@@ -24,32 +24,40 @@ its own writes.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import logging
 import time
-from typing import TYPE_CHECKING, Awaitable, Callable, Protocol, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Awaitable,
+    Callable,
+    NamedTuple,
+    Protocol,
+    TypeVar,
+)
 
 if TYPE_CHECKING:  # repro.store imports this module's siblings; keep lazy
     from repro.obs.health import HealthMonitor
     from repro.store.recovery import DurableStore
     from repro.store.snapshot import SnapshotState
 
-from repro.core.messages import EncryptedTupleBlock
+from repro.core.messages import EncryptedTupleBlock, QueryEnvelope
 from repro.exceptions import (
-    AdmissionError,
     BackpressureError,
-    DuplicateQueryError,
     FrameTooLargeError,
     ProtocolError,
-    ResultNotReadyError,
     UnknownQueryError,
+    UnsupportedVersionError,
 )
-from repro.net import frames
+from repro.net import frames, ops
 from repro.net.coordinator import SUPPORTED_PROTOCOLS, QueryCoordinator
-from repro.net.frames import QueryMeta, Reader, Writer
+from repro.net.frames import QueryMeta, WorkUnit, Writer
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.ssi.admission import AdmissionController, AdmissionPolicy, FairDrain
+from repro.ssi.idempotency import IdempotencyWindow
 from repro.ssi.server import SupportingServerInfrastructure
 
 logger = logging.getLogger(__name__)
@@ -142,90 +150,42 @@ _g_connections = _CONNECTIONS_OPEN.labels()
 _c_connections = _CONNECTIONS_TOTAL.labels()
 _g_inflight = _INFLIGHT.labels()
 
-#: msg-type byte -> stable lowercase label ("post_query", "ping", ...)
-_MSG_NAMES = {
-    value: name[len("MSG_") :].lower()
-    for name, value in vars(frames).items()
-    if name.startswith("MSG_") and isinstance(value, int)
-}
+#: the failures answered with their own wire error code
+_TYPED_ERRORS = tuple(frames.ERROR_TYPES.values())
 
 
-def _msg_name(msg_type: int) -> str:
-    return _MSG_NAMES.get(msg_type, f"0x{msg_type:02x}")
+class _Call(NamedTuple):
+    """What the handler of an idempotent operation gets besides the
+    decoded fields: the row it serves, the request's idempotency key,
+    and the raw request bytes after that key — byte-identical to the
+    operation's WAL record payload (the codec is canonical), so the hot
+    path journals without a second pass over the payload."""
 
-#: exception -> wire error code (the typed-error satellite)
-_ERROR_CODES: tuple[tuple[type[ProtocolError], int], ...] = (
-    (DuplicateQueryError, frames.ERR_DUPLICATE_QUERY),
-    (UnknownQueryError, frames.ERR_UNKNOWN_QUERY),
-    (ResultNotReadyError, frames.ERR_RESULT_NOT_READY),
-    (AdmissionError, frames.ERR_ADMISSION),
-    (BackpressureError, frames.ERR_BACKPRESSURE),
-)
-
-
-def _error_code(exc: ProtocolError) -> int:
-    for exc_type, code in _ERROR_CODES:
-        if isinstance(exc, exc_type):
-            return code
-    return frames.ERR_INTERNAL
+    op: ops.Op[Any]
+    key: tuple[str, int]
+    wire: memoryview
 
 
 class _SubmissionQueue:
     """Bounded buffer of not-yet-applied submissions for one query.
 
-    An entry is either a list of tuples/partials ("tuples"/"partials")
-    or one columnar :class:`~repro.core.messages.EncryptedTupleBlock`
-    ("block") — a whole batch frame counts as one pending entry.  Each
-    entry carries its request's idempotency key so a durable dispatcher
-    can journal the key atomically with the mutation it guarded."""
+    An entry is the submission's :class:`_Call` — its key travels with
+    it so a durable dispatcher can journal the key atomically with the
+    mutation it guarded — plus the decoded items: a list of
+    tuples/partials or one columnar block (a whole batch frame counts as
+    one pending entry)."""
 
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
-        self.pending: list[
-            tuple[
-                str,
-                list | EncryptedTupleBlock,
-                tuple[str, int],
-                bytes | None,
-                int,
-            ]
-        ] = []
+        self.pending: list[tuple[_Call, list | EncryptedTupleBlock]] = []
 
-    def push(
-        self,
-        kind: str,
-        items: list | EncryptedTupleBlock,
-        idem: tuple[str, int],
-        wire: bytes | memoryview | None = None,
-        nbytes: int = 0,
-    ) -> None:
+    def push(self, call: _Call, items: list | EncryptedTupleBlock) -> None:
         if len(self.pending) >= self.maxsize:
             raise BackpressureError(
                 f"submission queue full ({self.maxsize} batches pending); "
                 "back off and retry"
             )
-        self.pending.append((kind, items, idem, wire, nbytes))
-
-
-#: request types that mutate durable state: when a store is attached,
-#: their acks wait for the WAL fsync policy and carry an EXT_COMMITMENT
-#: extension.  MSG_FETCH_PARTITION is included because its auto-close /
-#: stage-advance side effects append records — a commitment observed via
-#: any response must never cover an unsynced record.
-_DURABLE_TYPES = frozenset({
-    frames.MSG_POST_QUERY,
-    frames.MSG_SUBMIT_TUPLES,
-    frames.MSG_SUBMIT_TUPLES_BATCH,
-    frames.MSG_SUBMIT_PARTIALS,
-    frames.MSG_EVALUATE_SIZE,
-    frames.MSG_CLOSE_COLLECTION,
-    frames.MSG_TAKE_PARTIALS,
-    frames.MSG_STORE_RESULT_ROWS,
-    frames.MSG_PUBLISH_RESULT,
-    frames.MSG_FETCH_PARTITION,
-    frames.MSG_SUBMIT_PARTITION_RESULT,
-    frames.MSG_GET_COMMITMENT,
-})
+        self.pending.append((call, items))
 
 
 class SSIDispatcher:
@@ -270,21 +230,11 @@ class SSIDispatcher:
         self._max_pending = max_pending_batches
         self._posted_at: dict[str, float] = {}
         self._clock = clock
-        # Idempotency bookkeeping: a contiguous watermark (every seq at
-        # or below it has been applied) plus an "ahead" set of applied
-        # seqs above it.  Pipelined clients have several requests in
-        # flight, so seqs can *apply* out of order — the ahead set keeps
-        # a late-arriving lower seq from being mistaken for a replay,
-        # and drains into the watermark as the gaps fill.
-        self._applied_seq: dict[str, int] = {}
-        self._applied_ahead: dict[str, set[int]] = {}
+        #: exactly-once application of keyed requests (journaled with
+        #: every keyed WAL record, captured in snapshots)
+        self.idempotency = IdempotencyWindow()
         #: test hook — while True, submissions buffer instead of applying
         self.drain_paused = False
-        #: query id of the request currently being decoded/handled;
-        #: written only inside the synchronous _handle call, so the
-        #: value is coherent when the error path reads it (the event
-        #: loop cannot interleave another dispatch in between).
-        self._ctx_query_id: str | None = None
 
     # ------------------------------------------------------------------ #
     def _now(self) -> float:
@@ -312,10 +262,9 @@ class SSIDispatcher:
         dispatcher = cls(recovered.ssi, **kwargs)  # type: ignore[arg-type]
         dispatcher.metas.update(recovered.metas)
         dispatcher.tds_ids.update(recovered.tds_ids)
-        dispatcher._applied_seq.update(recovered.applied_seq)
-        dispatcher._applied_ahead.update(
-            {k: set(v) for k, v in recovered.applied_ahead.items()}
-        )
+        dispatcher.idempotency.restore(*recovered.idempotency.snapshot())
+        # Journal from here on: recovery replayed with journaling off.
+        recovered.ssi.journal = store.journal
         for query_id, envelope in recovered.ssi.envelope_map().items():
             dispatcher._queues[query_id] = _SubmissionQueue(
                 dispatcher._max_pending
@@ -332,17 +281,13 @@ class SSIDispatcher:
                 continue  # finished: pollers get STATUS_DONE without one
             storage = recovered.ssi.storage_map()[query_id]
             if storage.partials or storage.result_rows:
-                store.journal.reset_aggregation(query_id)
-                storage.partials.clear()
-                storage.result_rows.clear()
+                recovered.ssi.reset_aggregation(query_id)
             dispatcher.coordinators[query_id] = QueryCoordinator(
                 recovered.ssi,
                 query_id,
                 meta,
                 partition_timeout=dispatcher.partition_timeout,
             )
-        # Journal from here on: recovery replayed with journaling off.
-        recovered.ssi.journal = store.journal
         dispatcher.store = store
         return dispatcher
 
@@ -352,7 +297,7 @@ class SSIDispatcher:
         between a mutation and its journal record), so what it sees
         always matches the WAL prefix written so far.  Submission queues
         are always empty here — a push and its flush happen inside one
-        ``_handle`` call (budgeted fair-drain, which can leave entries
+        handler call (budgeted fair-drain, which can leave entries
         queued, is disabled whenever a store is attached) — so they
         carry nothing to capture."""
         from repro.store.snapshot import QuerySnapshot, SnapshotState
@@ -375,44 +320,89 @@ class SSIDispatcher:
                     result_rows=list(storage.result_rows),
                 )
             )
+        applied_seq, applied_ahead = self.idempotency.snapshot()
         return SnapshotState(
-            applied_seq=dict(self._applied_seq),
-            applied_ahead={
-                k: set(v) for k, v in self._applied_ahead.items() if v
-            },
-            queries=queries,
+            applied_seq=applied_seq, applied_ahead=applied_ahead, queries=queries
         )
 
     async def dispatch(self, body: bytes) -> bytes:
-        """One request frame body in, one response frame out.  Responses
-        echo the request's correlation id *and protocol version* so a
-        pipelining client routes them and a v3 peer never sees a v4
-        body; a body too malformed to carry an id answers on the
+        """One request frame body in, one response frame out.  The
+        request's row in :mod:`repro.net.ops` says how to decode it,
+        what to run and how to encode the answer.  Responses echo the
+        request's correlation id so a pipelining client routes them; a
+        body too malformed to carry an id answers on the
         connection-scoped id 0."""
         started = time.perf_counter()
         try:
-            version, msg_type, corr, exts, reader = frames.unpack_frame_ext(body)
+            msg_type, corr, exts, reader = frames.unpack_frame_ext(body)
         except ProtocolError as exc:
-            _REQUESTS.labels(msg_type="unparsed", outcome="malformed").inc()
-            return frames.pack_error(
-                frames.ERR_MALFORMED, str(exc), frames.peek_correlation_id(body)
+            code = (
+                frames.ERR_UNSUPPORTED_VERSION
+                if isinstance(exc, UnsupportedVersionError)
+                else frames.ERR_MALFORMED
             )
-        name = _msg_name(msg_type)
-        if msg_type not in frames.REQUEST_TYPES:
-            _REQUESTS.labels(msg_type=name, outcome="unknown_op").inc()
+            outcome = "malformed" if code == frames.ERR_MALFORMED else f"err_{code}"
+            _REQUESTS.labels(msg_type="unparsed", outcome=outcome).inc()
+            return frames.pack_error(
+                code, str(exc), frames.peek_correlation_id(body)
+            )
+        op = ops.BY_OPCODE.get(msg_type)
+        if op is None:
+            _REQUESTS.labels(
+                msg_type=f"0x{msg_type:02x}", outcome="unknown_op"
+            ).inc()
             return frames.pack_error(
                 frames.ERR_UNKNOWN_OP,
                 f"unknown request type 0x{msg_type:02x}",
                 corr,
             )
+        name = op.name
         trace = obs_spans.TraceContext.from_wire(exts[frames.EXT_TRACE]) \
             if frames.EXT_TRACE in exts else None
-        self._ctx_query_id = None
+        store = self.store
+        seq_before = store.last_seq if store is not None else 0
+        #: the query this request targets, for error context and tracing
+        query_id: str | None = None
         try:
-            payload = self._handle(msg_type, reader)
-        except (DuplicateQueryError, UnknownQueryError, ResultNotReadyError,
-                AdmissionError, BackpressureError) as exc:
-            code = _error_code(exc)
+            key = ops.IDEM.read(reader) if op.idem else None
+            mark = reader.mark()
+            args = op.read_request(reader)
+            if op.request and op.request[0] is ops.QUERY_ID:
+                query_id = args[0]
+            elif op.request and op.request[0] is ops.ENVELOPE:
+                query_id = args[0].query_id
+            result: Any = None
+            if key is not None and self.idempotency.seen(*key):
+                _c_replays.inc()
+            elif op.handler:
+                handler = getattr(self, op.handler)
+                if key is not None:
+                    result = handler(_Call(op, key, reader.since(mark)), *args)
+                else:
+                    result = handler(*args)
+            elif op.method:
+                if op.flush:
+                    self._flush(args[0])
+                if key is not None:
+                    self._apply_keyed(key, op.method, *args)
+                    self.idempotency.mark(*key)
+                else:
+                    result = getattr(self.ssi, op.method)(*args)
+            # A commitment is attached to the ack only when this
+            # request's own synchronous handling appended a record: a
+            # poll that appended nothing has no new head to attest.
+            appended = store is not None and store.last_seq != seq_before
+            if inspect.iscoroutine(result):
+                result = await result
+            w = Writer()
+            op.response.write(w, result)
+            payload = w.getvalue()
+        except _TYPED_ERRORS as exc:
+            code = next(
+                code
+                for code, exc_type in frames.ERROR_TYPES.items()
+                if isinstance(exc, exc_type)
+            )
             if code == frames.ERR_BACKPRESSURE:
                 _c_backpressure.inc()
             _REQUESTS.labels(msg_type=name, outcome=f"err_{code}").inc()
@@ -439,7 +429,7 @@ class SSIDispatcher:
                 "server_internal_error",
                 level=logging.ERROR,
                 exc_info=True,
-                query_id=self._ctx_query_id,
+                query_id=query_id,
                 corr_id=corr,
                 msg_type=name,
             )
@@ -449,418 +439,190 @@ class SSIDispatcher:
         finally:
             _req_seconds(name).observe(time.perf_counter() - started)
         _req_ok(name).inc()
-        if trace is not None and self._ctx_query_id is not None:
-            # Exact cross-process parent link for wire-propagated traces
-            # (v4 peers); v3 peers fall back to the derived trace id.
-            self.ssi.lifecycle.adopt(self._ctx_query_id, trace)
+        if trace is not None and query_id is not None:
+            # Exact cross-process parent link for wire-propagated traces;
+            # clients without a trace context get the derived trace id.
+            self.ssi.lifecycle.adopt(query_id, trace)
         extensions: tuple[tuple[int, bytes], ...] = ()
-        if self.store is not None and msg_type in _DURABLE_TYPES:
+        if store is not None and op.durable:
             # Capture the commitment BEFORE syncing: sync() covers at
             # least everything appended so far, so a head this response
             # reports (extension or MSG_GET_COMMITMENT payload) is
             # always durable by the time the ack leaves — a pipelined
             # request landing during the fsync must not slip its
             # unsynced records into our reported head.
-            if version >= 4:
-                commitment = await self.store.commitment_async()
+            if appended:
+                commitment = await store.commitment_async()
                 extensions = (
                     (frames.EXT_COMMITMENT, commitment.to_wire()),
                 )
-            await self.store.sync()
-            await self.store.maybe_snapshot(self.capture_state)
-        return frames.pack_frame(
-            frames.MSG_OK, payload, corr, version=version, extensions=extensions
+            await store.sync()
+            await store.maybe_snapshot(self.capture_state)
+        return frames.pack_frame(frames.MSG_OK, payload, corr, extensions)
+
+    # ------------------------------------------------------------------ #
+    # handlers the op table names (everything not "call the facade")
+    # ------------------------------------------------------------------ #
+    def _hello(self, _peer_version: int, _peer_caps: int) -> tuple[int, int]:
+        # symmetric: the peer reports its own, we only advertise ours
+        return frames.PROTOCOL_VERSION, frames.CAPABILITIES
+
+    def _get_stats(self) -> str:
+        # The one canonical serialization: the same Prometheus text the
+        # --metrics-port endpoint serves, so the two surfaces can never
+        # disagree about a counter.
+        return obs_metrics.REGISTRY.render_prometheus()
+
+    def _get_health(self) -> tuple[int, float, float, list[str]] | None:
+        # Payload mirrors /healthz: a verdict drawn from a fixed reason
+        # vocabulary plus loop-lag/window scalars — nothing derived from
+        # request payloads, per PL006.
+        if self.health is None:
+            return None
+        verdict = self.health.verdict()
+        return (
+            verdict.status,
+            verdict.eventloop_lag,
+            verdict.window_seconds,
+            list(verdict.reasons[:16]),
         )
 
-    # ------------------------------------------------------------------ #
-    # request handlers
-    # ------------------------------------------------------------------ #
-    def _note_query(self, query_id: str) -> str:
-        """Record the query id a request targets, for error context."""
-        self._ctx_query_id = query_id
-        return query_id
-
-    def _handle(self, msg_type: int, r: Reader) -> bytes:
-        w = Writer()
-        if msg_type == frames.MSG_PING:
-            r.expect_end()
-            return w.getvalue()
-
-        if msg_type == frames.MSG_HELLO:
-            peer_version, peer_caps = frames.read_hello(r)
-            r.expect_end()
-            del peer_version, peer_caps  # symmetric: we only advertise ours
-            frames.write_hello(w, frames.PROTOCOL_VERSION, frames.CAPABILITIES)
-            return w.getvalue()
-
-        if msg_type == frames.MSG_GET_STATS:
-            r.expect_end()
-            # The one canonical serialization: the same Prometheus text
-            # the --metrics-port endpoint serves, so the two surfaces
-            # can never disagree about a counter.
-            w.text(obs_metrics.REGISTRY.render_prometheus())
-            return w.getvalue()
-
-        if msg_type == frames.MSG_GET_HEALTH:
-            r.expect_end()
-            # Payload mirrors /healthz: a verdict drawn from a fixed
-            # reason vocabulary plus loop-lag/window scalars — nothing
-            # derived from request payloads, per PL006.
-            if self.health is None:
-                w.boolean(False)
-                return w.getvalue()
-            verdict = self.health.verdict()
-            w.boolean(True)
-            w.u8(verdict.status)
-            w.f64(verdict.eventloop_lag)
-            w.f64(verdict.window_seconds)
-            reasons = verdict.reasons[:16]
-            w.u32(len(reasons))
-            for reason in reasons:
-                w.text(reason)
-            return w.getvalue()
-
-        if msg_type == frames.MSG_POST_QUERY:
-            client_id, seq = self._read_idem(r)
-            envelope = frames.read_envelope(r)
-            self._note_query(envelope.query_id)
-            tds_id = r.opt_text()
-            meta = frames.read_meta(r)
-            r.expect_end()
-            if meta.protocol and meta.protocol not in SUPPORTED_PROTOCOLS:
-                raise ProtocolError(
-                    f"no coordinator for protocol {meta.protocol!r}"
-                )
-            if self._replayed(client_id, seq):
-                return w.getvalue()
-            # Admission gate: after the replay check (a replayed post was
-            # already admitted once) and before any side effect, so a
-            # rejected post leaves its seq unapplied and the client's
-            # retry is executed, not dropped.
-            self.admission.admit_query(
-                envelope.credential.subject, self.ssi.result_ready
+    def _post_query(
+        self,
+        call: _Call,
+        envelope: QueryEnvelope,
+        tds_id: str | None,
+        meta: QueryMeta,
+    ) -> None:
+        if meta.protocol and meta.protocol not in SUPPORTED_PROTOCOLS:
+            raise ProtocolError(
+                f"no coordinator for protocol {meta.protocol!r}"
             )
-            if (
-                self.store is not None
-                and envelope.query_id not in self.ssi.envelope_map()
-            ):
-                # Journaled here, not in the SSI facade: the record must
-                # carry the scheduling meta the facade never sees.  The
-                # membership guard keeps a doomed duplicate post out of
-                # the log (post_query below would raise before applying).
-                self.store.journal.set_idem(client_id, seq)
-                self.store.journal.post_query(envelope, tds_id, meta)
-            self.ssi.post_query(envelope, tds_id)
-            self.admission.register_query(
-                envelope.query_id, envelope.credential.subject
+        # Admission gate: after the replay check (a replayed post was
+        # already admitted once) and before any side effect, so a
+        # rejected post leaves its seq unapplied and the client's
+        # retry is executed, not dropped.
+        self.admission.admit_query(
+            envelope.credential.subject, self.ssi.result_ready
+        )
+        if (
+            self.store is not None
+            and envelope.query_id not in self.ssi.envelope_map()
+        ):
+            # Journaled here, not in the SSI facade: the record must
+            # carry the scheduling meta the facade never sees.  The
+            # membership guard keeps a doomed duplicate post out of
+            # the log (post_query below would raise before applying).
+            self.store.journal.set_idem(*call.key)
+            self.store.journal.record("post_query", envelope, tds_id, meta)
+        self.ssi.post_query(envelope, tds_id)
+        self.admission.register_query(
+            envelope.query_id, envelope.credential.subject
+        )
+        self.metas[envelope.query_id] = meta
+        self.tds_ids[envelope.query_id] = tds_id
+        self._posted_at[envelope.query_id] = self._now()
+        self._queues[envelope.query_id] = _SubmissionQueue(self._max_pending)
+        if meta.protocol:
+            self.coordinators[envelope.query_id] = QueryCoordinator(
+                self.ssi,
+                envelope.query_id,
+                meta,
+                partition_timeout=self.partition_timeout,
             )
-            self.metas[envelope.query_id] = meta
-            self.tds_ids[envelope.query_id] = tds_id
-            self._posted_at[envelope.query_id] = self._now()
-            self._queues[envelope.query_id] = _SubmissionQueue(self._max_pending)
-            if meta.protocol:
-                self.coordinators[envelope.query_id] = QueryCoordinator(
-                    self.ssi,
-                    envelope.query_id,
-                    meta,
-                    partition_timeout=self.partition_timeout,
-                )
-            self._mark_applied(client_id, seq)
-            return w.getvalue()
+        self.idempotency.mark(*call.key)
 
-        if msg_type == frames.MSG_FETCH_QUERY:
-            query_id = self._note_query(r.text())
-            r.expect_end()
-            envelope = self.ssi.envelope(query_id)
-            frames.write_envelope(w, envelope)
-            frames.write_meta(w, self.metas.get(query_id, QueryMeta()))
-            return w.getvalue()
+    def _fetch_query(self, query_id: str) -> tuple[QueryEnvelope, QueryMeta]:
+        return self.ssi.envelope(query_id), self.metas.get(query_id, QueryMeta())
 
-        if msg_type == frames.MSG_ACTIVE_QUERIES:
-            r.expect_end()
-            active = self.ssi.active_queries()
-            w.u32(len(active))
-            for envelope in active:
-                frames.write_envelope(w, envelope)
-                frames.write_meta(w, self.metas.get(envelope.query_id, QueryMeta()))
-            return w.getvalue()
+    def _active_queries(self) -> list[tuple[QueryEnvelope, QueryMeta]]:
+        return [
+            (envelope, self.metas.get(envelope.query_id, QueryMeta()))
+            for envelope in self.ssi.active_queries()
+        ]
 
-        if msg_type == frames.MSG_SUBMIT_TUPLES:
-            client_id, seq = self._read_idem(r)
-            mark = r.mark()
-            query_id = self._note_query(r.text())
-            tuples = frames.read_tuples(r)
-            wire = r.since(mark)
-            r.expect_end()
-            self.ssi.envelope(query_id)  # typed error for unknown ids
-            if self._replayed(client_id, seq):
-                return w.getvalue()
-            self._enqueue(query_id, "tuples", tuples, (client_id, seq), wire)
-            self._mark_applied(client_id, seq)
-            self._maybe_flush(query_id)
-            return w.getvalue()
+    def _submit(
+        self, call: _Call, query_id: str, items: "list | EncryptedTupleBlock"
+    ) -> None:
+        """The three submission operations: charge the poster's byte
+        quota, queue the submission, then apply what the drain policy
+        allows.  An over-quota charge raises before any side effect; a
+        full queue returns the charge before re-raising, so rejected
+        requests leave the accounting untouched either way."""
+        self.ssi.envelope(query_id)  # typed error for unknown ids
+        # Ciphertext bytes the entry pins, by wire size — the SSI's
+        # sanctioned view — for the per-querier in-flight-bytes quota.
+        nbytes = len(call.wire)
+        self.admission.charge(query_id, nbytes)
+        try:
+            self._queue_for(query_id).push(call, items)
+        except BackpressureError:
+            self.admission.release(query_id, nbytes)
+            raise
+        self.idempotency.mark(*call.key)
+        self._maybe_flush(query_id)
 
-        if msg_type == frames.MSG_SUBMIT_TUPLES_BATCH:
-            client_id, seq = self._read_idem(r)
-            mark = r.mark()
-            query_id = self._note_query(r.text())
-            block = frames.read_tuple_block(r)
-            wire = r.since(mark)
-            r.expect_end()
-            self.ssi.envelope(query_id)  # typed error for unknown ids
-            if self._replayed(client_id, seq):
-                return w.getvalue()
-            self._enqueue(query_id, "block", block, (client_id, seq), wire)
-            self._mark_applied(client_id, seq)
-            self._maybe_flush(query_id)
-            return w.getvalue()
-
-        if msg_type == frames.MSG_SUBMIT_PARTIALS:
-            client_id, seq = self._read_idem(r)
-            mark = r.mark()
-            query_id = self._note_query(r.text())
-            partials = frames.read_partials(r)
-            wire = r.since(mark)
-            r.expect_end()
-            self.ssi.envelope(query_id)
-            if self._replayed(client_id, seq):
-                return w.getvalue()
-            self._enqueue(
-                query_id, "partials", partials, (client_id, seq), wire
-            )
-            self._mark_applied(client_id, seq)
-            self._maybe_flush(query_id)
-            return w.getvalue()
-
-        if msg_type == frames.MSG_COLLECTED_COUNT:
-            query_id = self._note_query(r.text())
-            r.expect_end()
-            self._flush(query_id)
-            w.i64(self.ssi.collected_count(query_id))
-            return w.getvalue()
-
-        if msg_type == frames.MSG_EVALUATE_SIZE:
-            query_id = self._note_query(r.text())
-            elapsed = r.f64()
-            r.expect_end()
-            self._flush(query_id)
-            w.boolean(self.ssi.evaluate_size_clause(query_id, elapsed))
-            return w.getvalue()
-
-        if msg_type == frames.MSG_CLOSE_COLLECTION:
-            query_id = self._note_query(r.text())
-            r.expect_end()
-            self._flush(query_id)
-            self.ssi.close_collection(query_id)
-            return w.getvalue()
-
-        if msg_type == frames.MSG_COVERING_RESULT:
-            query_id = self._note_query(r.text())
-            r.expect_end()
-            self._flush(query_id)
-            frames.write_items(w, list(self.ssi.covering_result(query_id)))
-            return w.getvalue()
-
-        if msg_type == frames.MSG_TAKE_PARTIALS:
-            query_id = self._note_query(r.text())
-            r.expect_end()
-            self._flush(query_id)
-            frames.write_items(w, self.ssi.take_partials(query_id))
-            return w.getvalue()
-
-        if msg_type == frames.MSG_PARTIAL_COUNT:
-            query_id = self._note_query(r.text())
-            r.expect_end()
-            self._flush(query_id)
-            w.i64(self.ssi.partial_count(query_id))
-            return w.getvalue()
-
-        if msg_type == frames.MSG_STORE_RESULT_ROWS:
-            client_id, seq = self._read_idem(r)
-            query_id = self._note_query(r.text())
-            rows = frames.read_rows(r)
-            r.expect_end()
-            if self._replayed(client_id, seq):
-                return w.getvalue()
-            if self.store is not None:
-                self.store.journal.set_idem(client_id, seq)
-            self.ssi.store_result_rows(query_id, rows)
-            if self.store is not None:
-                self.store.journal.clear_idem()
-            self._mark_applied(client_id, seq)
-            return w.getvalue()
-
-        if msg_type == frames.MSG_PUBLISH_RESULT:
-            query_id = self._note_query(r.text())
-            r.expect_end()
-            self.ssi.publish_result(query_id)
-            return w.getvalue()
-
-        if msg_type == frames.MSG_RESULT_READY:
-            query_id = self._note_query(r.text())
-            r.expect_end()
-            w.boolean(self.ssi.result_ready(query_id))
-            return w.getvalue()
-
-        if msg_type == frames.MSG_FETCH_RESULT:
-            query_id = self._note_query(r.text())
-            r.expect_end()
-            frames.write_result(w, self.ssi.fetch_result(query_id))
-            return w.getvalue()
-
-        if msg_type == frames.MSG_FETCH_PARTITION:
-            query_id = self._note_query(r.text())
-            tds_id = r.text()
-            r.expect_end()
-            return self._fetch_partition(query_id, tds_id)
-
-        if msg_type == frames.MSG_GET_COMMITMENT:
-            check: tuple[int, bytes] | None = None
-            if r.boolean():
-                check = (r.i64(), r.blob())
-            r.expect_end()
-            if self.store is None:
-                w.boolean(False)  # serving in-memory: nothing to attest
-                return w.getvalue()
-            w.boolean(True)
-            current = self.store.commitment()
-            w.i64(current.count)
-            w.blob(current.head)
-            if check is not None:
-                if check[0] < 0:
-                    raise ProtocolError(
-                        f"invalid commitment count {check[0]} in check"
-                    )
-                # Inclusion proof for the client's last observed
-                # commitment: the head our chain had at that count.
-                # None means the chain is *shorter* than the client saw
-                # — the rollback the client is probing for.
-                w.opt_blob(self.store.head_at(check[0]))
-            else:
-                w.opt_blob(None)
-            return w.getvalue()
-
-        if msg_type == frames.MSG_SUBMIT_PARTITION_RESULT:
-            query_id = self._note_query(r.text())
-            partition_id = r.i64()
-            tds_id = r.text()
-            result_kind = r.u8()
-            if result_kind == frames.RESULT_PARTIALS:
-                partials = frames.read_partials(r)
-                rows: list[bytes] = []
-            elif result_kind == frames.RESULT_ROWS:
-                partials = []
-                rows = frames.read_rows(r)
-            else:
-                raise ProtocolError(f"unknown result kind 0x{result_kind:02x}")
-            r.expect_end()
-            coordinator = self._coordinator(query_id)
-            coordinator.complete(partition_id, tds_id, result_kind, partials, rows)
-            return w.getvalue()
-
-        raise ProtocolError(f"unhandled request type 0x{msg_type:02x}")
-
-    # ------------------------------------------------------------------ #
-    # fleet-mode helpers
-    # ------------------------------------------------------------------ #
-    def _fetch_partition(self, query_id: str, tds_id: str) -> bytes:
-        w = Writer()
+    def _fetch_partition(
+        self, query_id: str, tds_id: str
+    ) -> tuple[int, WorkUnit | None]:
         self.ssi.envelope(query_id)  # typed error for unknown ids
         self._flush(query_id)
         coordinator = self.coordinators.get(query_id)
         if coordinator is None or coordinator.done():
-            w.u8(frames.STATUS_DONE)
-            return w.getvalue()
+            return frames.STATUS_DONE, None
         self._auto_close(query_id)
         unit = coordinator.next_work(tds_id, self._now())
         if coordinator.done():
-            w.u8(frames.STATUS_DONE)
-            return w.getvalue()
+            return frames.STATUS_DONE, None
         if unit is None:
-            w.u8(frames.STATUS_WAIT)
-            return w.getvalue()
-        w.u8(frames.STATUS_WORK)
-        frames.write_work_unit(w, unit)
-        return w.getvalue()
+            return frames.STATUS_WAIT, None
+        return frames.STATUS_WORK, unit
 
-    def _coordinator(self, query_id: str) -> QueryCoordinator:
+    def _submit_partition_result(
+        self,
+        query_id: str,
+        partition_id: int,
+        tds_id: str,
+        result: tuple[int, list],
+    ) -> None:
         coordinator = self.coordinators.get(query_id)
         if coordinator is None:
             raise UnknownQueryError(
                 f"query {query_id!r} has no server-side coordinator"
             )
-        return coordinator
+        kind, items = result
+        if kind == frames.RESULT_PARTIALS:
+            coordinator.complete(partition_id, tds_id, kind, items, [])
+        else:
+            coordinator.complete(partition_id, tds_id, kind, [], items)
+
+    async def _get_commitment(
+        self, check: tuple[int, bytes] | None
+    ) -> tuple[int, bytes, bytes | None] | None:
+        store = self.store
+        if store is None:
+            return None  # serving in-memory: nothing to attest
+        if check is not None and check[0] < 0:
+            raise ProtocolError(f"invalid commitment count {check[0]} in check")
+        # Waits for the hasher without blocking the loop (head_at()
+        # below then finds any count up to this one already hashed).
+        current = await store.commitment_async()
+        # Inclusion proof for the client's last observed commitment: the
+        # head our chain had at that count.  None means the chain is
+        # *shorter* than the client saw — the rollback the client is
+        # probing for.
+        proof = store.head_at(check[0]) if check is not None else None
+        return current.count, current.head, proof
 
     # ------------------------------------------------------------------ #
-    # idempotency (at-least-once transport, exactly-once application)
+    # submission queues (at-least-once transport, exactly-once application)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _read_idem(r: Reader) -> tuple[str, int]:
-        client_id = r.text()
-        seq = r.i64()
-        if seq < 1:
-            raise ProtocolError(f"invalid idempotency sequence {seq}")
-        return client_id, seq
-
-    def _replayed(self, client_id: str, seq: int) -> bool:
-        replayed = seq <= self._applied_seq.get(client_id, 0) or (
-            seq in self._applied_ahead.get(client_id, ())
-        )
-        if replayed:
-            _c_replays.inc()
-        return replayed
-
-    def _mark_applied(self, client_id: str, seq: int) -> None:
-        # Only called once the side effect landed; a request rejected
-        # with e.g. ERR_BACKPRESSURE keeps its seq unapplied so the
-        # client's retry (same bytes) is executed, not dropped.
-        ahead = self._applied_ahead.setdefault(client_id, set())
-        ahead.add(seq)
-        watermark = self._applied_seq.get(client_id, 0)
-        while watermark + 1 in ahead:
-            watermark += 1
-            ahead.discard(watermark)
-        self._applied_seq[client_id] = watermark
-
     def _queue_for(self, query_id: str) -> _SubmissionQueue:
         queue = self._queues.get(query_id)
         if queue is None:
             queue = _SubmissionQueue(self._max_pending)
             self._queues[query_id] = queue
         return queue
-
-    @staticmethod
-    def _entry_bytes(
-        items: list | EncryptedTupleBlock, wire: bytes | memoryview | None
-    ) -> int:
-        """Ciphertext bytes a queue entry pins, for the per-querier
-        in-flight-bytes quota (wire size when captured, payload sizes
-        otherwise — both are the SSI's sanctioned view)."""
-        if wire is not None:
-            return len(wire)
-        if isinstance(items, EncryptedTupleBlock):
-            return len(items.payloads)
-        return sum(len(getattr(item, "payload", b"")) for item in items)
-
-    def _enqueue(
-        self,
-        query_id: str,
-        kind: str,
-        items: list | EncryptedTupleBlock,
-        idem: tuple[str, int],
-        wire: bytes | memoryview | None,
-    ) -> None:
-        """Charge the poster's byte quota, then queue the submission.
-        An over-quota charge raises before any side effect; a full queue
-        returns the charge before re-raising, so rejected requests leave
-        the accounting untouched either way."""
-        nbytes = self._entry_bytes(items, wire)
-        self.admission.charge(query_id, nbytes)
-        try:
-            self._queue_for(query_id).push(kind, items, idem, wire, nbytes)
-        except BackpressureError:
-            self.admission.release(query_id, nbytes)
-            raise
 
     def _maybe_flush(self, query_id: str) -> None:
         if self.drain_paused:
@@ -907,7 +669,7 @@ class SSIDispatcher:
             return 0
         applied = 0
         while applied < budget and queue.pending:
-            self._apply_entry(query_id, queue.pending.pop(0))
+            self._apply_entry(query_id, *queue.pending.pop(0))
             applied += 1
         return applied
 
@@ -917,38 +679,39 @@ class SSIDispatcher:
         if queue is None or not queue.pending:
             return
         pending, queue.pending = queue.pending, []
-        for entry in pending:
-            self._apply_entry(query_id, entry)
+        for call, items in pending:
+            self._apply_entry(query_id, call, items)
 
     def _apply_entry(
-        self,
-        query_id: str,
-        entry: tuple[
-            str, list | EncryptedTupleBlock, tuple[str, int], bytes | None, int
-        ],
+        self, query_id: str, call: _Call, items: list | EncryptedTupleBlock
     ) -> None:
-        """Apply one queued submission.  With a store attached, the
-        entry's idempotency key is armed just before its apply (journaled
-        inside the mutation's WAL record) and cleared right after — a
-        submission the SSI drops without journaling (it arrived after the
-        collection closed) must not leak its key into the next record.
-        The poster's byte quota is released whether or not the SSI kept
-        the submission: either way it left the queue."""
-        kind, items, idem, wire, nbytes = entry
-        journal = self.store.journal if self.store is not None else None
+        """Apply one queued submission.  The poster's byte quota is
+        released whether or not the SSI kept the submission: either way
+        it left the queue."""
         try:
-            if journal is not None:
-                journal.set_idem(*idem)
-            if kind == "tuples":
-                self.ssi.submit_tuples(query_id, items, wire=wire)
-            elif kind == "block":
-                self.ssi.submit_tuple_block(query_id, items, wire=wire)
-            else:
-                self.ssi.submit_partials(query_id, items, wire=wire)
+            self._apply_keyed(
+                call.key, call.op.method, query_id, items, wire=call.wire
+            )
+        finally:
+            self.admission.release(query_id, len(call.wire))
+
+    def _apply_keyed(
+        self, key: tuple[str, int], method: str, *args: Any, **kwargs: Any
+    ) -> None:
+        """Run one keyed facade mutation.  With a store attached, the
+        idempotency key is armed just before the call (journaled inside
+        the mutation's WAL record) and cleared right after — a mutation
+        the SSI drops without journaling (a submission that arrived
+        after the collection closed) must not leak its key into the next
+        record."""
+        journal = self.store.journal if self.store is not None else None
+        if journal is not None:
+            journal.set_idem(*key)
+        try:
+            getattr(self.ssi, method)(*args, **kwargs)
+        finally:
             if journal is not None:
                 journal.clear_idem()
-        finally:
-            self.admission.release(query_id, nbytes)
 
     def _auto_close(self, query_id: str) -> None:
         """Fleet-mode queries with a SIZE clause close on the server's

@@ -22,16 +22,11 @@ from __future__ import annotations
 import asyncio
 import random
 import threading
-from typing import Awaitable, Callable, Coroutine, Iterable, TypeVar
+from typing import Any, Awaitable, Callable, Coroutine, TypeVar
 
-from repro.core.messages import (
-    EncryptedPartial,
-    EncryptedTuple,
-    QueryEnvelope,
-    QueryResult,
-)
+from repro.core.messages import QueryEnvelope
 from repro.exceptions import ProtocolError, TransportError
-from repro.net import frames
+from repro.net import frames, ops
 from repro.net.client import AsyncSSIClient, RetryPolicy
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import TraceContext
@@ -312,12 +307,23 @@ class SyncBridge:
         self._loop.close()
 
 
+def _mirror(op: ops.Op[T]) -> Callable[..., T]:
+    """The blocking twin of the client proxy of one table row."""
+
+    def mirror(self: "RemoteSSI", *args: Any, **kwargs: Any) -> T:
+        return self.call(op, *args, **kwargs)
+
+    mirror.__name__ = mirror.__qualname__ = op.name
+    return mirror
+
+
 class RemoteSSI:
     """Synchronous :class:`SupportingServerInfrastructure` look-alike.
 
-    Implements every SSI method the protocol drivers call, so
-    ``SAggProtocol(RemoteSSI.tcp(...), collectors, workers, rng)`` runs
-    the unmodified driver over a real wire."""
+    Mirrors every SSI method the protocol drivers call, under the
+    facade's method names, so ``SAggProtocol(RemoteSSI.tcp(...),
+    collectors, workers, rng)`` runs the unmodified driver over a real
+    wire."""
 
     def __init__(self, client: AsyncSSIClient, bridge: SyncBridge | None = None) -> None:
         self._client = client
@@ -352,49 +358,40 @@ class RemoteSSI:
         self._bridge.run(self._client.close())
         self._bridge.close()
 
-    # -- observability ---------------------------------------------------- #
-    def hello(self) -> tuple[int, int]:
-        """Negotiate wire version/capabilities with the peer SSI."""
-        return self._bridge.run(self._client.hello())
+    def call(self, op: ops.Op[T], *args: Any, **kwargs: Any) -> T:
+        """Run one operation of the table and block for its result."""
+        return self._bridge.run(self._client.call(op, *args, **kwargs))
 
-    def stats(self) -> str:
-        """The SSI's metrics in Prometheus text form (MSG_GET_STATS)."""
-        return self._bridge.run(self._client.get_stats())
+    # -- observability ---------------------------------------------------- #
+    #: (protocol version, capability bits) of the peer SSI
+    hello = _mirror(ops.HELLO)
+    #: the SSI's metrics in Prometheus text form (MSG_GET_STATS)
+    stats = _mirror(ops.GET_STATS)
 
     def set_trace_context(self, context: TraceContext | None) -> None:
         self._client.set_trace_context(context)
 
     # -- the SSI surface drivers use ------------------------------------- #
-    def post_query(self, envelope: QueryEnvelope, tds_id: str | None = None) -> None:
-        self._bridge.run(self._client.post_query(envelope, tds_id))
+    post_query = _mirror(ops.POST_QUERY)
+    submit_tuples = _mirror(ops.SUBMIT_TUPLES)
+    collected_count = _mirror(ops.COLLECTED_COUNT)
+    evaluate_size_clause = _mirror(ops.EVALUATE_SIZE)
+    close_collection = _mirror(ops.CLOSE_COLLECTION)
+    covering_result = _mirror(ops.COVERING_RESULT)
+    submit_partials = _mirror(ops.SUBMIT_PARTIALS)
+    take_partials = _mirror(ops.TAKE_PARTIALS)
+    partial_count = _mirror(ops.PARTIAL_COUNT)
+    store_result_rows = _mirror(ops.STORE_RESULT_ROWS)
+    publish_result = _mirror(ops.PUBLISH_RESULT)
+    result_ready = _mirror(ops.RESULT_READY)
+    fetch_result = _mirror(ops.FETCH_RESULT)
 
     def active_queries(self) -> list[QueryEnvelope]:
-        return [
-            envelope
-            for envelope, _meta in self._bridge.run(self._client.active_queries())
-        ]
+        return [envelope for envelope, _meta in self.call(ops.ACTIVE_QUERIES)]
 
     def envelope(self, query_id: str) -> QueryEnvelope:
-        envelope, _meta = self._bridge.run(self._client.fetch_query(query_id))
+        envelope, _meta = self.call(ops.FETCH_QUERY, query_id)
         return envelope
-
-    def submit_tuples(
-        self, query_id: str, tuples: Iterable[EncryptedTuple]
-    ) -> None:
-        self._bridge.run(self._client.submit_tuples(query_id, list(tuples)))
-
-    def collected_count(self, query_id: str) -> int:
-        return self._bridge.run(self._client.collected_count(query_id))
-
-    def evaluate_size_clause(
-        self, query_id: str, elapsed_seconds: float = 0.0
-    ) -> bool:
-        return self._bridge.run(
-            self._client.evaluate_size_clause(query_id, elapsed_seconds)
-        )
-
-    def close_collection(self, query_id: str) -> None:
-        self._bridge.run(self._client.close_collection(query_id))
 
     def collection_closed(self, query_id: str) -> bool:
         # Not wire-exposed separately: closed queries leave the global
@@ -403,29 +400,3 @@ class RemoteSSI:
         return all(
             envelope.query_id != query_id for envelope in self.active_queries()
         )
-
-    def covering_result(self, query_id: str) -> list[EncryptedTuple]:
-        return self._bridge.run(self._client.covering_result(query_id))
-
-    def submit_partials(
-        self, query_id: str, partials: Iterable[EncryptedPartial]
-    ) -> None:
-        self._bridge.run(self._client.submit_partials(query_id, list(partials)))
-
-    def take_partials(self, query_id: str) -> list[EncryptedPartial]:
-        return self._bridge.run(self._client.take_partials(query_id))
-
-    def partial_count(self, query_id: str) -> int:
-        return self._bridge.run(self._client.partial_count(query_id))
-
-    def store_result_rows(self, query_id: str, rows: Iterable[bytes]) -> None:
-        self._bridge.run(self._client.store_result_rows(query_id, list(rows)))
-
-    def publish_result(self, query_id: str) -> None:
-        self._bridge.run(self._client.publish_result(query_id))
-
-    def result_ready(self, query_id: str) -> bool:
-        return self._bridge.run(self._client.result_ready(query_id))
-
-    def fetch_result(self, query_id: str) -> QueryResult:
-        return self._bridge.run(self._client.fetch_result(query_id))

@@ -12,14 +12,15 @@ small span vocabulary used consistently on every process:
 
 Cross-process correlation works two ways, by design:
 
-1. **Wire propagation** (exact): a :class:`TraceContext` rides wire v4
+1. **Wire propagation** (exact): a :class:`TraceContext` rides request
    frames as the ``EXT_TRACE`` extension (see ``net/frames.py``), so a
    server span can record its true parent span id.
 2. **Derivation** (fallback): :func:`derive_trace_id` hashes the
    ``query_id`` into the same 64-bit id space deterministically, so the
    querier, the SSI and every fleet shard agree on a query's trace id
-   *without any propagation* — v3 peers and offline log merging still
-   yield a coherent timeline, just without parent links.
+   *without any propagation* — clients with no context set and offline
+   log merging still yield a coherent timeline, just without parent
+   links.
 
 Span ids are allocated from a per-process deterministic counter mixed
 with the process label, keeping ids unique across a merged multi-

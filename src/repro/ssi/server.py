@@ -37,41 +37,21 @@ class StateJournal(Protocol):
 
     Structural typing on purpose: the concrete implementation lives in
     :mod:`repro.store` (which imports the wire codec), and this module
-    must stay import-light on the SSI side of the trust boundary.  Every
-    method persists one mutation record and returns its WAL sequence.
+    must stay import-light on the SSI side of the trust boundary.
     """
 
-    def submit_tuples(
+    def record(
         self,
-        query_id: str,
-        tuples: Sequence[EncryptedTuple],
-        *,
+        method: str,
+        *args: object,
         wire: bytes | memoryview | None = None,
-    ) -> int: ...
-
-    def submit_tuple_block(
-        self,
-        query_id: str,
-        block: EncryptedTupleBlock,
-        *,
-        wire: bytes | memoryview | None = None,
-    ) -> int: ...
-
-    def submit_partials(
-        self,
-        query_id: str,
-        partials: Sequence[EncryptedPartial],
-        *,
-        wire: bytes | memoryview | None = None,
-    ) -> int: ...
-
-    def close_collection(self, query_id: str) -> int: ...
-
-    def take_partials(self, query_id: str) -> int: ...
-
-    def store_result_rows(self, query_id: str, rows: Iterable[bytes]) -> int: ...
-
-    def publish_result(self, query_id: str) -> int: ...
+    ) -> int:
+        """Persist the mutation the facade method named *method* is
+        about to apply with *args* (*wire*: the same arguments as the
+        request encoded them, when at hand) and return its WAL
+        sequence.  Which methods are journaled, and as what record, is
+        declared in :mod:`repro.net.ops`."""
+        ...
 
 
 class SupportingServerInfrastructure:
@@ -134,7 +114,7 @@ class SupportingServerInfrastructure:
             return  # late arrivals after the SIZE clause closed: dropped
         items = list(tuples)
         if self.journal is not None:
-            self.journal.submit_tuples(query_id, items, wire=wire)
+            self.journal.record("submit_tuples", query_id, items, wire=wire)
         for item in items:
             storage.append_tuple(item)
             self.observer.record(
@@ -157,7 +137,7 @@ class SupportingServerInfrastructure:
         if storage.collection_closed:
             return  # late arrivals after the SIZE clause closed: dropped
         if self.journal is not None:
-            self.journal.submit_tuple_block(query_id, block, wire=wire)
+            self.journal.record("submit_tuple_block", query_id, block, wire=wire)
         storage.append_block(block)
         self.observer.record_block(
             query_id, "collection", block.offsets, block.tags
@@ -180,7 +160,7 @@ class SupportingServerInfrastructure:
         # TDS has answered (the drivers stop after their collector list).
         if met:
             if self.journal is not None:
-                self.journal.close_collection(query_id)
+                self.journal.record("close_collection", query_id)
             storage.collection_closed = True
             self.global_querybox.close(query_id)
             self.lifecycle.collection_closed(query_id, collected=count)
@@ -191,7 +171,7 @@ class SupportingServerInfrastructure:
         if storage.collection_closed:
             return  # transition already happened; double-close is a no-op
         if self.journal is not None:
-            self.journal.close_collection(query_id)
+            self.journal.record("close_collection", query_id)
         storage.collection_closed = True
         self.global_querybox.close(query_id)
         self.lifecycle.collection_closed(
@@ -217,7 +197,7 @@ class SupportingServerInfrastructure:
         storage = self._require(query_id)
         items = list(partials)
         if self.journal is not None:
-            self.journal.submit_partials(query_id, items, wire=wire)
+            self.journal.record("submit_partials", query_id, items, wire=wire)
         self.lifecycle.partials_submitted(query_id)
         for item in items:
             storage.partials.append(item)
@@ -232,13 +212,24 @@ class SupportingServerInfrastructure:
         if not storage.partials:
             return []
         if self.journal is not None:
-            self.journal.take_partials(query_id)
+            self.journal.record("take_partials", query_id)
         partials, storage.partials = storage.partials, []
         self.lifecycle.partials_taken(query_id, count=len(partials))
         return partials
 
     def partial_count(self, query_id: str) -> int:
         return len(self._require(query_id).partials)
+
+    def reset_aggregation(self, query_id: str) -> None:
+        """Discard a half-finished aggregation's partials and result
+        rows: recovery calls this before a rebuilt coordinator re-runs
+        aggregation from the covering result (merging is associative,
+        so recomputing is always correct)."""
+        storage = self._require(query_id)
+        if self.journal is not None:
+            self.journal.record("reset_aggregation", query_id)
+        storage.partials.clear()
+        storage.result_rows.clear()
 
     # ------------------------------------------------------------------ #
     # partition tracking
@@ -255,7 +246,7 @@ class SupportingServerInfrastructure:
         storage = self._require(query_id)
         items = list(rows)
         if self.journal is not None:
-            self.journal.store_result_rows(query_id, items)
+            self.journal.record("store_result_rows", query_id, items)
         for row in items:
             storage.result_rows.append(row)
             self.observer.record(query_id, "filtering", len(row), None)
@@ -266,7 +257,7 @@ class SupportingServerInfrastructure:
         if storage.result_ready:
             return  # transition already happened; republish is a no-op
         if self.journal is not None:
-            self.journal.publish_result(query_id)
+            self.journal.record("publish_result", query_id)
         storage.result_ready = True
         self.lifecycle.published(query_id)
 

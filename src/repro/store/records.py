@@ -1,16 +1,18 @@
 """Typed WAL record encoding for SSI state mutations.
 
-One WAL record = one logical mutation of the SSI's query state.  The
-body reuses the wire codec (:mod:`repro.net.frames`): the same Writer/
-Reader primitives and composite encoders that frame these payloads on
-the network frame them on disk, so the store can never persist a shape
-the trust boundary does not already allow on the wire.
+One WAL record = one logical mutation of the SSI's query state.  Which
+mutations are journaled, their record type bytes and their payload
+fields are declared by the journaled rows of the operation table
+(:mod:`repro.net.ops`): a record's payload is the row's request fields,
+encoded by the same codecs that frame them on the network, so the store
+can never persist a shape the trust boundary does not already allow on
+the wire.
 
 Record body layout::
 
     u8 record type
     boolean has_idem [ text client_id | i64 seq ]
-    <type-specific payload>
+    <the row's request fields>
 
 The optional idempotency key journals the dispatcher's watermark/ahead
 dedup state *atomically with* the mutation it guarded: replaying the
@@ -21,62 +23,22 @@ of double-applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable
 
-from repro.core.messages import (
-    EncryptedPartial,
-    EncryptedTuple,
-    EncryptedTupleBlock,
-    QueryEnvelope,
-)
 from repro.exceptions import CorruptLogError, ProtocolError
-from repro.net import frames
-from repro.net.frames import QueryMeta, Reader, Writer
-
-# record types
-RT_POST_QUERY = 1
-RT_SUBMIT_TUPLES = 2
-RT_SUBMIT_BLOCK = 3
-RT_SUBMIT_PARTIALS = 4
-RT_CLOSE_COLLECTION = 5
-RT_TAKE_PARTIALS = 6
-RT_STORE_RESULT_ROWS = 7
-RT_PUBLISH_RESULT = 8
-#: written by recovery itself when it clears a coordinator query's
-#: leftover partials/result rows before the rebuilt coordinator re-runs
-#: aggregation from the covering result (see recovery.py)
-RT_RESET_AGGREGATION = 9
-
-RECORD_TYPES = frozenset(range(RT_POST_QUERY, RT_RESET_AGGREGATION + 1))
+from repro.net import ops
+from repro.net.frames import Reader, Writer
 
 
 @dataclass
 class WalRecord:
-    """One decoded WAL record."""
+    """One decoded WAL record: the journaled row, the idempotency key it
+    carried, and the row's request values in field order."""
 
-    rtype: int
-    idem: tuple[str, int] | None = None
-    query_id: str = ""
-    envelope: QueryEnvelope | None = None
-    tds_id: str | None = None
-    meta: QueryMeta | None = None
-    tuples: list[EncryptedTuple] = field(default_factory=list)
-    block: EncryptedTupleBlock | None = None
-    partials: list[EncryptedPartial] = field(default_factory=list)
-    rows: list[bytes] = field(default_factory=list)
-
-
-def _encode_prefix(rtype: int, idem: tuple[str, int] | None) -> Writer:
-    w = Writer()
-    w.u8(rtype)
-    if idem is None:
-        w.boolean(False)
-    else:
-        w.boolean(True)
-        w.text(idem[0])
-        w.i64(idem[1])
-    return w
+    op: ops.Op[Any]
+    idem: tuple[str, int] | None
+    args: list[Any]
 
 
 def decode_record(body: bytes) -> WalRecord:
@@ -86,48 +48,25 @@ def decode_record(body: bytes) -> WalRecord:
     try:
         r = Reader(body)
         rtype = r.u8()
-        if rtype not in RECORD_TYPES:
+        op = ops.BY_RECORD.get(rtype)
+        if op is None:
             raise ProtocolError(f"unknown record type 0x{rtype:02x}")
-        idem: tuple[str, int] | None = None
-        if r.boolean():
-            idem = (r.text(), r.i64())
-        record = WalRecord(rtype=rtype, idem=idem)
-        if rtype == RT_POST_QUERY:
-            record.envelope = frames.read_envelope(r)
-            record.query_id = record.envelope.query_id
-            record.tds_id = r.opt_text()
-            record.meta = frames.read_meta(r)
-        elif rtype == RT_SUBMIT_TUPLES:
-            record.query_id = r.text()
-            record.tuples = frames.read_tuples(r)
-        elif rtype == RT_SUBMIT_BLOCK:
-            record.query_id = r.text()
-            record.block = frames.read_tuple_block(r)
-        elif rtype == RT_SUBMIT_PARTIALS:
-            record.query_id = r.text()
-            record.partials = frames.read_partials(r)
-        elif rtype == RT_STORE_RESULT_ROWS:
-            record.query_id = r.text()
-            record.rows = frames.read_rows(r)
-        else:  # close / take / publish / reset: just the query id
-            record.query_id = r.text()
-        r.expect_end()
-        return record
+        return WalRecord(op, ops.RECORD_IDEM.read(r), op.read_request(r))
     except ProtocolError as exc:
         raise CorruptLogError(f"undecodable WAL record: {exc}") from None
 
 
 class StoreJournal:
-    """The mutation-facing half of the store: typed ``encode + append``
-    methods the SSI facade and dispatcher call as state changes.
+    """The mutation-facing half of the store: the SSI facade and the
+    dispatcher call :meth:`record` as state changes.
 
     ``set_idem`` arms the idempotency key of the mutation about to be
-    applied; the next idem-bearing record consumes it.  The dispatcher
-    calls ``clear_idem`` after each apply, so a mutation the SSI dropped
-    without journaling (a late submission after the collection closed)
-    cannot leak its key into the next record.  Lifecycle records
-    (close/take/publish/reset) never consume a key, so an auto-close
-    riding a submission cannot steal the submission's key.
+    applied; the next record of an idempotent operation consumes it.
+    The dispatcher calls ``clear_idem`` after each apply, so a mutation
+    the SSI dropped without journaling (a late submission after the
+    collection closed) cannot leak its key into the next record.
+    Lifecycle records (close/take/publish/reset) never consume a key, so
+    an auto-close riding a submission cannot steal the submission's key.
     """
 
     def __init__(
@@ -143,88 +82,25 @@ class StoreJournal:
     def clear_idem(self) -> None:
         self._pending_idem = None
 
-    def _take_idem(self) -> tuple[str, int] | None:
-        idem, self._pending_idem = self._pending_idem, None
-        return idem
-
     # -- mutations ----------------------------------------------------- #
-    def post_query(
+    def record(
         self,
-        envelope: QueryEnvelope,
-        tds_id: str | None = None,
-        meta: QueryMeta | None = None,
-    ) -> int:
-        w = _encode_prefix(RT_POST_QUERY, self._take_idem())
-        frames.write_envelope(w, envelope)
-        w.opt_text(tds_id)
-        frames.write_meta(w, meta if meta is not None else QueryMeta())
-        return self._append(w.getvalue())
-
-    def submit_tuples(
-        self,
-        query_id: str,
-        tuples: Sequence[EncryptedTuple],
-        *,
+        method: str,
+        *args: object,
         wire: bytes | memoryview | None = None,
     ) -> int:
-        w = _encode_prefix(RT_SUBMIT_TUPLES, self._take_idem())
+        """Append the record of facade mutation *method* applied with
+        *args*.  *wire* is the raw request bytes holding those same
+        arguments — byte-identical to re-encoding them (the codec is
+        canonical), so the hot path journals without a second pass over
+        the payload."""
+        op = ops.JOURNALED[method]
+        w = Writer().u8(op.record)
+        idem = None
+        if op.idem:
+            idem, self._pending_idem = self._pending_idem, None
+        ops.RECORD_IDEM.write(w, idem)
         if wire is not None:
             return self._append((w.getvalue(), wire))
-        w.text(query_id)
-        frames.write_items(w, list(tuples))
+        op.write_request(w, args)
         return self._append(w.getvalue())
-
-    def submit_tuple_block(
-        self,
-        query_id: str,
-        block: EncryptedTupleBlock,
-        *,
-        wire: bytes | memoryview | None = None,
-    ) -> int:
-        w = _encode_prefix(RT_SUBMIT_BLOCK, self._take_idem())
-        if wire is not None:
-            # The dispatcher hands us the raw request bytes from the
-            # query id onward — byte-identical to re-encoding (the codec
-            # is canonical), so the hot path journals without a second
-            # pass over the payload.
-            return self._append((w.getvalue(), wire))
-        w.text(query_id)
-        frames.write_tuple_block(w, block)
-        return self._append(w.getvalue())
-
-    def submit_partials(
-        self,
-        query_id: str,
-        partials: Sequence[EncryptedPartial],
-        *,
-        wire: bytes | memoryview | None = None,
-    ) -> int:
-        w = _encode_prefix(RT_SUBMIT_PARTIALS, self._take_idem())
-        if wire is not None:
-            return self._append((w.getvalue(), wire))
-        w.text(query_id)
-        frames.write_items(w, list(partials))
-        return self._append(w.getvalue())
-
-    def store_result_rows(self, query_id: str, rows: Iterable[bytes]) -> int:
-        w = _encode_prefix(RT_STORE_RESULT_ROWS, self._take_idem())
-        w.text(query_id)
-        frames.write_rows(w, list(rows))
-        return self._append(w.getvalue())
-
-    def _lifecycle(self, rtype: int, query_id: str) -> int:
-        w = _encode_prefix(rtype, None)
-        w.text(query_id)
-        return self._append(w.getvalue())
-
-    def close_collection(self, query_id: str) -> int:
-        return self._lifecycle(RT_CLOSE_COLLECTION, query_id)
-
-    def take_partials(self, query_id: str) -> int:
-        return self._lifecycle(RT_TAKE_PARTIALS, query_id)
-
-    def publish_result(self, query_id: str) -> int:
-        return self._lifecycle(RT_PUBLISH_RESULT, query_id)
-
-    def reset_aggregation(self, query_id: str) -> int:
-        return self._lifecycle(RT_RESET_AGGREGATION, query_id)

@@ -47,6 +47,8 @@ from repro.exceptions import (
 )
 from repro.net.frames import QueryMeta
 from repro.obs import metrics as obs_metrics
+from repro.net import ops
+from repro.ssi.idempotency import IdempotencyWindow
 from repro.ssi.server import SupportingServerInfrastructure
 from repro.store import records as store_records
 from repro.store import snapshot as store_snapshot
@@ -124,8 +126,7 @@ class RecoveredState:
     ssi: SupportingServerInfrastructure
     metas: dict[str, QueryMeta] = field(default_factory=dict)
     tds_ids: dict[str, str] = field(default_factory=dict)
-    applied_seq: dict[str, int] = field(default_factory=dict)
-    applied_ahead: dict[str, set[int]] = field(default_factory=dict)
+    idempotency: IdempotencyWindow = field(default_factory=IdempotencyWindow)
     #: True when the previous process shut down gracefully and nothing
     #: needed repair or replay
     clean: bool = False
@@ -138,22 +139,6 @@ def _resolve_waiter(fut: asyncio.Future) -> None:
     """Loop-thread half of the hasher's wake-up (call_soon_threadsafe)."""
     if not fut.done():
         fut.set_result(None)
-
-
-def _mark_applied(
-    applied_seq: dict[str, int],
-    applied_ahead: dict[str, set[int]],
-    client_id: str,
-    seq: int,
-) -> None:
-    """The dispatcher's watermark/ahead algorithm, re-run at replay."""
-    ahead = applied_ahead.setdefault(client_id, set())
-    ahead.add(seq)
-    watermark = applied_seq.get(client_id, 0)
-    while watermark + 1 in ahead:
-        watermark += 1
-        ahead.discard(watermark)
-    applied_seq[client_id] = watermark
 
 
 def _restore_snapshot(
@@ -178,44 +163,26 @@ def _restore_snapshot(
 def _apply_record(
     ssi: SupportingServerInfrastructure, record: WalRecord, out: RecoveredState
 ) -> None:
-    rt = store_records
+    """Replay one record through the facade method its row names."""
     try:
-        if record.rtype == rt.RT_POST_QUERY:
-            assert record.envelope is not None
+        if record.op is ops.POST_QUERY:
+            envelope, tds_id, meta = record.args
             try:
-                ssi.post_query(record.envelope, record.tds_id)
+                ssi.post_query(envelope, tds_id)
             except DuplicateQueryError:
                 pass  # replayed post after a snapshot race: already there
-            out.metas[record.query_id] = record.meta or QueryMeta()
-            if record.tds_id is not None:
-                out.tds_ids[record.query_id] = record.tds_id
-        elif record.rtype == rt.RT_SUBMIT_TUPLES:
-            ssi.submit_tuples(record.query_id, record.tuples)
-        elif record.rtype == rt.RT_SUBMIT_BLOCK:
-            assert record.block is not None
-            ssi.submit_tuple_block(record.query_id, record.block)
-        elif record.rtype == rt.RT_SUBMIT_PARTIALS:
-            ssi.submit_partials(record.query_id, record.partials)
-        elif record.rtype == rt.RT_CLOSE_COLLECTION:
-            ssi.close_collection(record.query_id)
-        elif record.rtype == rt.RT_TAKE_PARTIALS:
-            ssi.take_partials(record.query_id)
-        elif record.rtype == rt.RT_STORE_RESULT_ROWS:
-            ssi.store_result_rows(record.query_id, record.rows)
-        elif record.rtype == rt.RT_PUBLISH_RESULT:
-            ssi.publish_result(record.query_id)
-        elif record.rtype == rt.RT_RESET_AGGREGATION:
-            storage = ssi.storage_map().get(record.query_id)
-            if storage is not None:
-                storage.partials.clear()
-                storage.result_rows.clear()
-    except UnknownQueryError:
+            out.metas[envelope.query_id] = meta
+            if tds_id is not None:
+                out.tds_ids[envelope.query_id] = tds_id
+        else:
+            getattr(ssi, record.op.method)(*record.args)
+    except UnknownQueryError as exc:
         raise CorruptLogError(
-            f"WAL record references unknown query {record.query_id!r} "
-            "(its post_query record is missing — the log is not a prefix)"
+            f"WAL record references an unknown query ({exc}): its "
+            "post_query record is missing — the log is not a prefix"
         ) from None
     if record.idem is not None:
-        _mark_applied(out.applied_seq, out.applied_ahead, *record.idem)
+        out.idempotency.mark(*record.idem)
 
 
 class DurableStore:
@@ -327,11 +294,10 @@ class DurableStore:
         ssi = SupportingServerInfrastructure()
         out = RecoveredState(
             ssi=ssi,
-            applied_seq=dict(state.applied_seq),
-            applied_ahead={k: set(v) for k, v in state.applied_ahead.items()},
             snapshot_seq=state.wal_seq,
             truncated_bytes=scan.truncated_bytes,
         )
+        out.idempotency.restore(state.applied_seq, state.applied_ahead)
         _restore_snapshot(ssi, state, out)
         for seq, body in scan.records:
             if seq <= state.wal_seq:
@@ -508,7 +474,8 @@ class DurableStore:
             return self._chain.commitment()
 
     def head_at(self, count: int) -> bytes | None:
-        self._drain_hash()
+        if count > self._hashed_seq:  # else the chain already holds it
+            self._drain_hash()
         with self._chain_lock:
             return self._chain.head_at(count)
 

@@ -158,3 +158,28 @@ def test_injected_cross_function_leak_is_caught_and_syntactics_miss_it():
 def test_injected_leak_passes_once_encrypted():
     report = _lint_repo({INJECTED: SEALED})
     assert [f for f in report.findings if f.rule == "PL007"] == []
+
+
+# The client's RPC methods are class attributes derived from the op
+# table (``submit_tuples = _proxy(ops.SUBMIT_TUPLES)``), not ``def``s the
+# call graph can see — a call through one must still resolve to the
+# ssi-role facade method it mirrors and count as an SSI-visible sink.
+PROXY_LEAK = '''\
+"""Planted for the acceptance test: never ship anything shaped like this."""
+from repro.net.client import TDSClient
+
+
+async def contribute_in_the_clear(client: TDSClient, tds, envelope):
+    statement = tds.open_query(envelope)
+    await client.submit_tuples(envelope.query_id, [statement.table])
+'''
+
+
+def test_leak_through_a_table_derived_client_proxy_is_caught():
+    report = _lint_repo({INJECTED: PROXY_LEAK})
+    injected = [f for f in report.findings if f.path == INJECTED]
+    assert {f.rule for f in injected} == {"PL007"}, [f.render() for f in report.findings]
+    assert "submit_tuples" in injected[0].message
+    assert "open_query" in injected[0].message
+    sealed = PROXY_LEAK.replace("[statement.table]", "[encrypt_row(statement.table)]")
+    assert _lint_repo({INJECTED: sealed}).findings == []

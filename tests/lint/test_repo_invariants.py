@@ -49,6 +49,19 @@ def test_baseline_entries_all_still_match():
         assert key in live, f"dead baseline entry: {key}"
 
 
+def test_pl004_transfer_methods_are_the_op_table_rows_that_move_tds_bytes():
+    # The manifest stays a static list (the linter never imports the
+    # code it checks); this pins it to the rows flagged ``tds_bytes`` —
+    # under the client's name and the facade's — so a new byte-moving
+    # operation missing from PL004 fails here, not silently in LoadQ.
+    from repro.net import ops
+
+    flagged = {
+        name for op in ops.TABLE if op.tds_bytes for name in (op.name, op.method)
+    }
+    assert production_manifest().transfer_methods == flagged
+
+
 def test_cli_exit_zero_on_clean_tree(capsys):
     exit_code = lint_main([str(REPO_ROOT / "src" / "repro")])
     captured = capsys.readouterr()

@@ -1,0 +1,204 @@
+"""Capture golden wire and WAL bytes from a checkout's own encoders.
+
+Run against the commit whose bytes are the reference (the files next to
+this script were written by the parent of the op-table change)::
+
+    PYTHONPATH=<checkout>/src python tests/net/golden/capture.py
+
+:func:`scenario` touches every SSI operation once through the public
+client API only, so the same calls can be replayed against any later
+build (``tests/net/test_ops_table.py`` does) and must produce the same
+request frames, the same response frames and the same WAL records.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+import random
+import shutil
+from pathlib import Path
+
+from repro.core.messages import (
+    Credential,
+    EncryptedPartial,
+    EncryptedTuple,
+    QueryEnvelope,
+)
+from repro.exceptions import UnknownQueryError
+from repro.net import frames
+from repro.net.client import AsyncSSIClient
+from repro.net.frames import QueryMeta
+from repro.net.server import SSIDispatcher
+from repro.net.transport import LoopbackTransport
+from repro.store import DurableStore, scan_segments
+
+HERE = Path(__file__).parent
+WIRE_FILE = HERE / "ops_v4.json"
+DATA_DIR = HERE / "parent_data_dir"
+
+CLIENT_SEED = 7
+
+
+def envelope(query_id: str, **size: object) -> QueryEnvelope:
+    return QueryEnvelope(
+        query_id=query_id,
+        encrypted_query=b"\x01\x02enc:" + query_id.encode(),
+        credential=Credential("alice", frozenset({"analyst", "auditor"}), b"sig"),
+        **size,  # type: ignore[arg-type]
+    )
+
+
+async def scenario(client: AsyncSSIClient) -> None:
+    """Every operation once: a driver-mode query end to end, a personal
+    querybox post, a fleet-mode S_Agg query polled to completion, the
+    attestation/observability ops and one typed error."""
+    await client.ping()
+    await client.post_query(envelope("q-driver", size_tuples=3))
+    await client.post_query(envelope("q-personal", size_seconds=2.5), "tds-7")
+    await client.fetch_query("q-driver")
+    await client.active_queries()
+    await client.submit_tuples(
+        "q-driver", [EncryptedTuple(b"ct-1", None), EncryptedTuple(b"ct-2", b"tag")]
+    )
+    await client.submit_tuples_batch(
+        "q-driver", [EncryptedTuple(b"ct-3", b"g1"), EncryptedTuple(b"ct-4", None)]
+    )
+    assert await client.collected_count("q-driver") == 4
+    assert await client.evaluate_size_clause("q-personal", 1.0) is False
+    assert await client.evaluate_size_clause("q-driver", 1.5) is True
+    await client.close_collection("q-personal")
+    assert len(await client.covering_result("q-driver")) == 4
+    await client.submit_partials(
+        "q-driver", [EncryptedPartial(b"p-1", None), EncryptedPartial(b"p-2", b"g1")]
+    )
+    assert await client.partial_count("q-driver") == 2
+    assert len(await client.take_partials("q-driver")) == 2
+    await client.store_result_rows("q-driver", [b"row-1", b"row-2"])
+    assert await client.result_ready("q-driver") is False
+    await client.publish_result("q-driver")
+    assert (await client.fetch_result("q-driver")).encrypted_rows == (b"row-1", b"row-2")
+
+    await client.post_query(
+        envelope("q-fleet"), meta=QueryMeta("s_agg", {"alpha": 2.0})
+    )
+    await client.submit_tuples_batch(
+        "q-fleet", [EncryptedTuple(b"f-%d" % i, None) for i in range(3)]
+    )
+    status, _ = await client.fetch_partition("q-fleet", "tds-a")
+    assert status == frames.STATUS_WAIT
+    await client.close_collection("q-fleet")
+    while True:
+        status, unit = await client.fetch_partition("q-fleet", "tds-a")
+        if status == frames.STATUS_DONE:
+            break
+        assert unit is not None
+        if unit.kind == frames.WORK_FINALIZE:
+            await client.submit_partition_result(
+                "q-fleet", unit.partition_id, "tds-a", rows=[b"final-row"]
+            )
+        else:
+            await client.submit_partition_result(
+                "q-fleet",
+                unit.partition_id,
+                "tds-a",
+                partials=[EncryptedPartial(b"fold-%d" % unit.partition_id, None)],
+            )
+    assert await client.result_ready("q-fleet") is True
+
+    seen = await client.get_commitment()
+    if seen is not None:
+        await client.get_commitment(seen)
+    await client.get_health()
+    try:
+        await client.fetch_result("q-missing")
+    except UnknownQueryError:
+        pass
+    await client.get_stats()  # last: its response is live metrics text
+
+
+async def interrupted(client: AsyncSSIClient) -> None:
+    """A fleet-mode query abandoned mid-aggregation (one of its two
+    partitions folded): restarting on its data dir journals the
+    reset-aggregation record no wire operation writes."""
+    await client.post_query(
+        envelope("q-crashed"), meta=QueryMeta("s_agg", {"alpha": 2.0})
+    )
+    await client.submit_tuples_batch(
+        "q-crashed", [EncryptedTuple(b"c-%d" % i, None) for i in range(4)]
+    )
+    await client.close_collection("q-crashed")
+    status, unit = await client.fetch_partition("q-crashed", "tds-a")
+    assert status == frames.STATUS_WORK and unit is not None
+    await client.submit_partition_result(
+        "q-crashed",
+        unit.partition_id,
+        "tds-a",
+        partials=[EncryptedPartial(b"half-done", None)],
+    )
+
+
+class RecordingTransport(LoopbackTransport):
+    def __init__(self, dispatch) -> None:  # type: ignore[no-untyped-def]
+        super().__init__(dispatch)
+        self.exchanges: list[tuple[bytes, bytes]] = []
+
+    async def request(self, message: bytes) -> bytes:
+        response = await super().request(message)
+        self.exchanges.append((message, response))
+        return response
+
+
+async def record(
+    dispatcher: SSIDispatcher, *, crash: bool = False
+) -> list[tuple[bytes, bytes]]:
+    transport = RecordingTransport(dispatcher.dispatch)
+    client = AsyncSSIClient(transport, rng=random.Random(CLIENT_SEED))
+    await client.hello()  # at the parent this is what upgrades the client to v4
+    del transport.exchanges[:]  # the parent packs HELLO itself at v3
+    await scenario(client)
+    if crash:
+        await interrupted(client)
+    return transport.exchanges
+
+
+async def main() -> None:
+    in_memory = await record(SSIDispatcher(clock=lambda: 0.0))
+
+    if DATA_DIR.exists():
+        shutil.rmtree(DATA_DIR)
+    # snapshot_every=8 leaves a snapshot mid-run and records past it; no
+    # clean-shutdown snapshot, so reopening must replay the WAL tail.
+    store = DurableStore.open(DATA_DIR, fsync_policy="none", snapshot_every=8)
+    durable = await record(
+        SSIDispatcher.with_store(store, clock=lambda: 0.0), crash=True
+    )
+    store.close()
+    # "Restart": recovery replays the tail and resets q-crashed.
+    store = DurableStore.open(DATA_DIR, fsync_policy="none", snapshot_every=8)
+    SSIDispatcher.with_store(store, clock=lambda: 0.0)
+    head = store.commitment()
+    store.close()
+    records = scan_segments(DATA_DIR / "wal", mode="verify").records
+
+    WIRE_FILE.write_text(
+        json.dumps(
+            {
+                "client_seed": CLIENT_SEED,
+                # the last exchange is get_stats: keep its request only
+                "in_memory": [[q.hex(), a.hex()] for q, a in in_memory[:-1]]
+                + [[in_memory[-1][0].hex(), None]],
+                "durable_requests": [q.hex() for q, _ in durable],
+                "wal": [[seq, bytes(body).hex()] for seq, body in records],
+                "commitment": [head.count, head.head.hex()],
+            },
+            indent=1,
+        )
+        + "\n"
+    )
+    print(f"{len(in_memory)} exchanges, {len(records)} WAL records, "
+          f"chain at {head.count}")
+
+
+if __name__ == "__main__":
+    asyncio.run(main())

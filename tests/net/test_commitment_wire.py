@@ -1,22 +1,29 @@
 """Wire-level rollback detection: EXT_COMMITMENT acks, the
 MSG_GET_COMMITMENT probe with inclusion proofs, idempotent retries
-across a crash-restart, and the no-store fallback."""
+across a crash-restart, the no-store fallback — and the same detection
+on the connections a real fleet run leaves behind."""
 
+import asyncio
 import random
 import shutil
+import threading
+import time
 
 import pytest
 
 from repro.core.messages import Credential, EncryptedTuple, QueryEnvelope
 from repro.exceptions import ProtocolError, RollbackDetectedError
+from repro.net import fleet as fleet_mod
 from repro.net import frames
-from repro.net.client import AsyncSSIClient
-from repro.net.server import SSIDispatcher
-from repro.net.transport import LoopbackTransport
+from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy, TDSClient
+from repro.net.fleet import FleetRunner
+from repro.net.frames import QueryMeta
+from repro.net.server import SSIDispatcher, SSIServer
+from repro.net.transport import LoopbackTransport, TCPTransport
 from repro.store import DurableStore
 from repro.store.commitment import Commitment
 
-from .conftest import run_async
+from .conftest import GROUP_SQL, build_deployment, run_async, sorted_rows
 
 
 def make_envelope(query_id="q1"):
@@ -73,17 +80,6 @@ class TestAckCommitments:
 
         run_async(run())
 
-    def test_v3_clients_get_plain_acks(self, tmp_path):
-        async def run():
-            store, dispatcher = open_dispatcher(tmp_path)
-            client = durable_client(dispatcher)  # no hello(): stays on v3
-            await client.post_query(make_envelope())
-            assert client.last_commitment is None
-            assert store.commitment().count == 1  # journaled regardless
-            store.close()
-
-        run_async(run())
-
     def test_get_commitment_probe_and_freshness(self, tmp_path):
         async def run():
             store, dispatcher = open_dispatcher(tmp_path)
@@ -121,6 +117,38 @@ class TestAckCommitments:
             await client.hello()
             with pytest.raises(ProtocolError):
                 await client.get_commitment(Commitment(-1, bytes(32)))
+            store.close()
+
+        run_async(run())
+
+
+class TestProbeDoesNotBlockTheLoop:
+    def test_ping_completes_while_the_hasher_is_held(self, tmp_path):
+        """MSG_GET_COMMITMENT waits for the chain to cover the WAL; that
+        wait must be an await, not a blocked event loop."""
+
+        async def run():
+            store = DurableStore.open(tmp_path, hash_offload=True)
+            dispatcher = SSIDispatcher.with_store(store)
+            client = durable_client(dispatcher)
+            await client.post_query(make_envelope())
+            # Hold the hasher thread inside its next chain extension; a
+            # timer (not the loop) lets it go, so a blocked loop shows
+            # up as a late ping instead of a deadlock.
+            hold = 0.6
+            store._chain_lock.acquire()
+            threading.Timer(hold, store._chain_lock.release).start()
+            started = time.perf_counter()
+            submit = asyncio.create_task(
+                client.submit_tuples("q1", [EncryptedTuple(b"ct")])
+            )
+            probe = asyncio.create_task(client.get_commitment())
+            await asyncio.sleep(0.05)  # both now wait on the held hasher
+            await asyncio.wait_for(client.ping(), timeout=hold)
+            assert time.perf_counter() - started < hold
+            assert not probe.done() and not submit.done()
+            await submit
+            assert (await probe).count == 2
             store.close()
 
         run_async(run())
@@ -200,6 +228,100 @@ class TestRollbackDetection:
             client._observe_commitment(Commitment(5, b"\x03" * 32))
 
 
+class TestRollbackReachesTheFleet:
+    """The clients FleetRunner and a querier actually use — no hello(),
+    no hand-built anchor — observe commitments on their durable acks and
+    detect a server restarted from an older copy of its data dir."""
+
+    def test_fleet_and_querier_connections_detect_a_rollback(
+        self, tmp_path, monkeypatch
+    ):
+        fleet_clients = []
+
+        class RecordedTDSClient(TDSClient):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                fleet_clients.append(self)
+
+        monkeypatch.setattr(fleet_mod, "TDSClient", RecordedTDSClient)
+        live, stale = tmp_path / "live", tmp_path / "stale"
+
+        async def run():
+            dep = build_deployment(4)
+            store = DurableStore.open(live)
+            server = SSIServer(SSIDispatcher.with_store(store, partition_timeout=0.5))
+            await server.start()
+            port = server.port
+
+            def connect():
+                return TCPTransport("127.0.0.1", port)
+
+            fleet = FleetRunner(
+                dep.tds_list,
+                connect,
+                policy=RetryPolicy(backoff_base=0.01),
+                poll_interval=0.01,
+                rng=random.Random(5),
+            )
+            fleet_task = asyncio.create_task(fleet.run(until_queries_done=2))
+            querier = dep.make_querier()
+            querier_client = QuerierClient(connect())
+
+            async def query():
+                envelope = querier.make_envelope(GROUP_SQL)
+                await querier_client.post_query(
+                    envelope, meta=QueryMeta("s_agg", {"partition_timeout": 0.5})
+                )
+                result = await querier_client.wait_result(
+                    envelope.query_id, poll_interval=0.01, timeout=30.0
+                )
+                return sorted_rows(querier.decrypt_result(result))
+
+            try:
+                expected = sorted_rows(dep.reference_answer(GROUP_SQL))
+                assert await query() == expected
+                # The operator keeps a copy of the state after one query ...
+                await store.sync()
+                shutil.copytree(live, stale)
+                older = store.commitment().count
+                # ... while fleet and querier run a second one.
+                assert await query() == expected
+                await fleet_task
+            finally:
+                fleet.stop()
+
+            # Every connection that wrote saw the chain position of its
+            # writes: one per device (its contributions) + the closer.
+            clients = [*fleet_clients, querier_client]
+            assert len(fleet_clients) == len(dep.tds_list) + 1
+            for client in clients:
+                assert client.last_commitment is not None
+                assert client.last_commitment.count > older
+                current = await client.verify_freshness()
+                assert current.count == store.commitment().count
+                await client.close()  # the "process" dies: reconnect below
+
+            # Restart from the stale copy on the same port: the second
+            # query's acknowledged writes are silently gone.
+            await server.close()
+            store.close()
+            store2 = DurableStore.open(stale)
+            assert store2.commitment().count == older
+            server2 = SSIServer(SSIDispatcher.with_store(store2), port=port)
+            await server2.start()
+            try:
+                for client in clients:
+                    with pytest.raises(RollbackDetectedError, match="rolled back"):
+                        await client.verify_freshness()
+            finally:
+                for client in clients:
+                    await client.close()
+                await server2.close()
+                store2.close()
+
+        run_async(run())
+
+
 class TestCrashRetrySemantics:
     def test_retry_spanning_a_restart_is_not_double_applied(self, tmp_path):
         async def run():
@@ -217,7 +339,7 @@ class TestCrashRetrySemantics:
             transport2 = LoopbackTransport(dispatcher2.dispatch)
             # The client never saw the ack and retries the same bytes.
             response = await transport2.request(replay)
-            _v, msg_type, _corr, _exts, _r = frames.unpack_frame_ext(response)
+            msg_type, _corr, _exts, _r = frames.unpack_frame_ext(response)
             assert msg_type == frames.MSG_OK
             client.transport = transport2
             assert await client.collected_count("q1") == 1  # not 2

@@ -79,7 +79,7 @@ class TestPrimitives:
 class TestFrameLayer:
     def test_frame_roundtrip(self):
         frame = frames.pack_frame(frames.MSG_PING, b"\x00\x00\x00\x07payload")
-        msg_type, corr, reader = frames.unpack_frame_body(frame[4:])
+        msg_type, corr, _exts, reader = frames.unpack_frame_ext(frame[4:])
         assert msg_type == frames.MSG_PING
         assert corr == 0
         assert reader.blob() == b"payload"
@@ -87,7 +87,7 @@ class TestFrameLayer:
 
     def test_correlation_id_roundtrip(self):
         frame = frames.pack_frame(frames.MSG_PING, b"", correlation_id=0xDEADBEEF)
-        msg_type, corr, reader = frames.unpack_frame_body(frame[4:])
+        msg_type, corr, _exts, reader = frames.unpack_frame_ext(frame[4:])
         assert msg_type == frames.MSG_PING
         assert corr == 0xDEADBEEF
         reader.expect_end()
@@ -106,11 +106,11 @@ class TestFrameLayer:
         frame = bytearray(frames.pack_frame(frames.MSG_PING, b""))
         frame[4] = 99
         with pytest.raises(ProtocolError, match="version"):
-            frames.unpack_frame_body(bytes(frame[4:]))
+            frames.unpack_frame_ext(bytes(frame[4:]))
 
     def test_runt_body_rejected(self):
         with pytest.raises(ProtocolError, match="shorter"):
-            frames.unpack_frame_body(b"\x01")
+            frames.unpack_frame_ext(b"\x01")
 
     def test_oversized_frame_refused_at_pack_time(self):
         with pytest.raises(ProtocolError, match="MAX_FRAME_BYTES"):
@@ -232,6 +232,6 @@ class TestFuzz:
     @given(st.binary(max_size=64))
     def test_unpack_frame_body_total(self, body):
         try:
-            frames.unpack_frame_body(body)
+            frames.unpack_frame_ext(body)
         except ProtocolError:
             pass

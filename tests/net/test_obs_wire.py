@@ -1,14 +1,7 @@
-"""Wire v4 observability surface: extensions, handshake, stats, tracing.
-
-Interop matrix under test:
-
-* new client ↔ new server — hello upgrades the connection to v4 and
-  trace context rides the ``EXT_TRACE`` frame extension;
-* new client ↔ old (v3-only) server — hello answers ``ERR_UNKNOWN_OP``
-  and the client settles on v3 with no extensions, all ops still work;
-* old client ↔ new server — plain v3 frames keep working and responses
-  echo v3 (exercised implicitly: every pre-existing net test runs the
-  client at the v3 floor until hello()).
+"""Wire observability surface: frame extensions, the capability report,
+stats, tracing.  Every frame speaks the one protocol version; trace
+context rides the ``EXT_TRACE`` frame extension whenever a client has
+one set.
 """
 
 import logging
@@ -51,45 +44,39 @@ class TestFrameExtensions:
             frames.MSG_PING,
             payload,
             7,
-            version=4,
             extensions=((frames.EXT_TRACE, b"\x01" * 16), (0x7F, b"xy")),
         )[frames.LENGTH_PREFIX_BYTES :]
-        version, msg_type, corr, exts, reader = frames.unpack_frame_ext(body)
-        assert (version, msg_type, corr) == (4, frames.MSG_PING, 7)
+        msg_type, corr, exts, reader = frames.unpack_frame_ext(body)
+        assert (body[0], msg_type, corr) == (4, frames.MSG_PING, 7)
         assert exts == {frames.EXT_TRACE: b"\x01" * 16, 0x7F: b"xy"}
         # The payload reader starts exactly after the extension block.
         assert reader.blob() == b"payload"
         reader.expect_end()
 
     def test_v4_without_extensions_is_one_byte_overhead(self):
-        v3 = frames.pack_frame(frames.MSG_PING, b"", 1, version=3)
-        v4 = frames.pack_frame(frames.MSG_PING, b"", 1, version=4)
-        assert len(v4) == len(v3) + 1
-
-    def test_v3_cannot_carry_extensions(self):
-        with pytest.raises(ProtocolError, match="extensions"):
-            frames.pack_frame(
-                frames.MSG_PING, b"", 1, version=3,
-                extensions=((frames.EXT_TRACE, b"x"),),
-            )
+        frame = frames.pack_frame(frames.MSG_PING, b"", 1)
+        assert len(frame) == frames.MIN_FRAME_BYTES + 1
+        assert frame[-1] == 0  # the empty extension block
 
     def test_correlation_id_offset_is_version_independent(self):
         # The pipelined transport rewrites the corr id in place at a fixed
-        # byte offset; v4's extension block must sit *after* it.
-        for version in (3, 4):
-            framed = bytearray(
-                frames.pack_frame(frames.MSG_PING, b"p", 1, version=version)
+        # byte offset; the extension block must sit *after* it.
+        framed = bytearray(
+            frames.pack_frame(
+                frames.MSG_PING, b"p", 1,
+                extensions=((frames.EXT_TRACE, b"\x01" * 16),),
             )
-            framed[frames.LENGTH_PREFIX_BYTES + 2 : frames.MIN_FRAME_BYTES] = (
-                99
-            ).to_bytes(4, "big")
-            assert frames.peek_correlation_id(bytes(framed)[4:]) == 99
-            _, _, corr, _, _ = frames.unpack_frame_ext(bytes(framed)[4:])
-            assert corr == 99
+        )
+        framed[frames.LENGTH_PREFIX_BYTES + 2 : frames.MIN_FRAME_BYTES] = (
+            99
+        ).to_bytes(4, "big")
+        assert frames.peek_correlation_id(bytes(framed)[4:]) == 99
+        _, corr, _, _ = frames.unpack_frame_ext(bytes(framed)[4:])
+        assert corr == 99
 
     def test_truncated_extension_block_rejected(self):
         good = frames.pack_frame(
-            frames.MSG_PING, b"", 1, version=4,
+            frames.MSG_PING, b"", 1,
             extensions=((frames.EXT_TRACE, b"\x01" * 16),),
         )[frames.LENGTH_PREFIX_BYTES :]
         with pytest.raises(ProtocolError, match="truncated|missing"):
@@ -97,16 +84,16 @@ class TestFrameExtensions:
 
     def test_duplicate_extension_keeps_first(self):
         body = frames.pack_frame(
-            frames.MSG_PING, b"", 1, version=4,
+            frames.MSG_PING, b"", 1,
             extensions=((1, b"first"), (1, b"second")),
         )[frames.LENGTH_PREFIX_BYTES :]
-        _, _, _, exts, _ = frames.unpack_frame_ext(body)
+        _, _, exts, _ = frames.unpack_frame_ext(body)
         assert exts[1] == b"first"
 
     def test_extension_count_limit(self):
         too_many = tuple((i, b"") for i in range(frames.MAX_EXTENSIONS + 1))
         with pytest.raises(ProtocolError, match="limit"):
-            frames.pack_frame(frames.MSG_PING, b"", 1, version=4, extensions=too_many)
+            frames.pack_frame(frames.MSG_PING, b"", 1, extensions=too_many)
 
 
 class TestHello:
@@ -117,36 +104,8 @@ class TestHello:
             assert version == frames.PROTOCOL_VERSION
             assert caps & frames.CAP_TRACE_CONTEXT
             assert caps & frames.CAP_STATS
-            # idempotent: second call answers from cache
+            # an ordinary operation: asking again answers the same
             assert await client.hello() == (version, caps)
-
-        run_async(run())
-
-    def test_old_server_settles_on_v3_floor(self):
-        dispatcher = SSIDispatcher()
-
-        async def v3_only_dispatch(body):
-            # A pre-v4 server has no MSG_HELLO handler: unknown op.
-            _, msg_type, corr, _, _ = frames.unpack_frame_ext(body)
-            if msg_type in (frames.MSG_HELLO, frames.MSG_GET_STATS):
-                return frames.pack_error(
-                    frames.ERR_UNKNOWN_OP, "unknown request type", corr
-                )
-            return await dispatcher.dispatch(body)
-
-        async def run():
-            client = AsyncSSIClient(
-                LoopbackTransport(v3_only_dispatch), rng=random.Random(1)
-            )
-            client.set_trace_context(obs_spans.TraceContext(1234, 5678))
-            # Trace context forces the lazy hello; the old peer rejects it
-            # and the client silently downgrades — the query still runs.
-            await client.post_query(make_envelope("q-old"))
-            assert (client._wire_version, client._peer_caps) == (
-                frames.MIN_PROTOCOL_VERSION,
-                0,
-            )
-            await client.ping()
 
         run_async(run())
 
@@ -229,11 +188,11 @@ class TestTracePropagation:
         assert roots[0].trace_id == ctx.trace_id
         assert roots[0].parent_id == ctx.span_id
 
-    def test_v3_client_still_gets_derived_trace(self):
+    def test_client_without_trace_context_still_gets_derived_trace(self):
         dispatcher = SSIDispatcher()
 
         async def run():
-            client = loopback_client(dispatcher)  # never calls hello()
+            client = loopback_client(dispatcher)  # no set_trace_context()
             await client.post_query(make_envelope("q-derived"))
 
         run_async(run())

@@ -1,0 +1,346 @@
+"""The operation table is complete, byte-compatible and extensible.
+
+* every request opcode has exactly one row, and every row has the
+  surfaces derived from it: a dispatcher handler, a client proxy, a
+  ``RemoteSSI`` mirror (facade-backed rows) and a WAL record (journaled
+  rows);
+* the table-driven encoders produce the bytes ``golden/ops_v4.json``
+  holds — request frames, response frames and WAL records captured from
+  the parent commit's hand-written encoders by ``golden/capture.py`` —
+  and a data directory that commit wrote still recovers and verifies;
+* registering one more row is all a new operation takes.
+"""
+
+import json
+import random
+import shutil
+
+import pytest
+
+from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
+from repro.net import client as client_mod
+from repro.net import frames, ops
+from repro.net import transport as transport_mod
+from repro.net.client import AsyncSSIClient
+from repro.net.frames import Writer
+from repro.net.server import SSIDispatcher
+from repro.net.transport import LoopbackTransport, RemoteSSI, Transport
+from repro.obs import metrics as obs_metrics
+from repro.ssi.server import SupportingServerInfrastructure
+from repro.store import DurableStore, scan_segments, verify_data_dir
+from repro.store.commitment import Commitment
+
+from .conftest import run_async
+from .golden import capture
+
+GOLDEN = json.loads(capture.WIRE_FILE.read_text())
+
+WIRE_OPS = [op for op in ops.TABLE if op.opcode is not None]
+
+
+def golden_response(hexed):
+    """A recorded response body.  The parent packed MSG_ERROR frames at
+    its floor version 3 (no extension block) whatever the request spoke;
+    with one wire version the same error payload travels in a v4 frame."""
+    body = bytes.fromhex(hexed)
+    if body[0] == 3:
+        assert body[1] == frames.MSG_ERROR
+        body = bytes([frames.PROTOCOL_VERSION]) + body[1:6] + b"\x00" + body[6:]
+    return body
+
+
+# ---------------------------------------------------------------------- #
+# completeness
+# ---------------------------------------------------------------------- #
+class TestCompleteness:
+    def test_every_request_opcode_has_exactly_one_row(self):
+        declared = {
+            value: name[len("MSG_"):].lower()
+            for name, value in vars(frames).items()
+            if name.startswith("MSG_") and value < frames.MSG_OK
+        }
+        assert {op.opcode: op.name for op in WIRE_OPS} == declared
+        assert len(WIRE_OPS) == len(ops.BY_OPCODE) == len(declared)
+        assert len({op.name for op in ops.TABLE}) == len(ops.TABLE)
+
+    @pytest.mark.parametrize("op", WIRE_OPS, ids=lambda op: op.name)
+    def test_every_row_has_a_dispatcher_handler_and_a_client_proxy(self, op):
+        if op.handler:
+            assert callable(getattr(SSIDispatcher, op.handler))
+        if op.method:
+            assert callable(getattr(SupportingServerInfrastructure, op.method))
+        assert op.handler or op.method or op is ops.PING
+        assert any(
+            callable(getattr(AsyncSSIClient, name, None))
+            for name in (op.name, op.method)
+            if name
+        )
+
+    def test_remote_ssi_mirrors_every_facade_backed_row(self):
+        for op in WIRE_OPS:
+            # drivers submit per-TDS lists; only the fleet sends blocks
+            if op.method and op is not ops.SUBMIT_TUPLES_BATCH:
+                assert callable(getattr(RemoteSSI, op.method)), op.name
+        assert callable(RemoteSSI.envelope) and callable(RemoteSSI.active_queries)
+
+    def test_journaled_rows_cover_the_record_types(self):
+        journaled = [op for op in ops.TABLE if op.record]
+        assert sorted(op.record for op in journaled) == list(range(1, 10))
+        assert ops.BY_RECORD == {op.record: op for op in journaled}
+        assert ops.JOURNALED == {op.method: op for op in journaled}
+        for op in journaled:
+            assert callable(getattr(SupportingServerInfrastructure, op.method))
+            # the ack of a journaled wire operation must wait for the WAL
+            assert op.durable or op.opcode is None
+
+    def test_the_acks_that_wait_for_the_store_are_the_ones_that_always_did(self):
+        # the parent's hand-kept _DURABLE_TYPES set, by metric label
+        assert {op.name for op in ops.TABLE if op.durable} == {
+            "post_query", "submit_tuples", "submit_tuples_batch",
+            "submit_partials", "evaluate_size", "close_collection",
+            "take_partials", "store_result_rows", "publish_result",
+            "fetch_partition", "submit_partition_result", "get_commitment",
+        }
+        assert {op.name for op in ops.TABLE if op.idem} == {
+            "post_query", "submit_tuples", "submit_tuples_batch",
+            "submit_partials", "store_result_rows",
+        }
+
+    def test_the_facade_journals_exactly_what_the_rows_declare(self):
+        recorded = []
+
+        class Spy:
+            def record(self, method, *args, wire=None):
+                ops.JOURNALED[method].write_request(Writer(), args)
+                recorded.append(method)
+                return len(recorded)
+
+        ssi = SupportingServerInfrastructure()
+        ssi.post_query(capture.envelope("q", size_tuples=2))
+        ssi.journal = Spy()
+        ssi.submit_tuples("q", [EncryptedTuple(b"a", None)])
+        ssi.submit_tuple_block(
+            "q", EncryptedTupleBlock.from_tuples([EncryptedTuple(b"b", b"t")])
+        )
+        assert ssi.evaluate_size_clause("q") is True
+        ssi.close_collection("q")  # already closed: no second record
+        ssi.submit_partials("q", [EncryptedPartial(b"p", None)])
+        ssi.take_partials("q")
+        ssi.store_result_rows("q", [b"r"])
+        ssi.reset_aggregation("q")
+        ssi.publish_result("q")
+        assert recorded == [
+            "submit_tuples", "submit_tuple_block", "close_collection",
+            "submit_partials", "take_partials", "store_result_rows",
+            "reset_aggregation", "publish_result",
+        ]
+        # post_query is journaled by the dispatcher (it holds the meta)
+        assert set(ops.JOURNALED) - set(recorded) == {"post_query"}
+
+    def test_register_refuses_clashing_rows(self):
+        for clash in (
+            ops.Op(frames.MSG_PING, "ping_again", (), ops.NOTHING),
+            ops.Op(0x3E, "ping", (), ops.NOTHING),
+            ops.Op(frames.MSG_OK, "not_a_request", (), ops.NOTHING),
+            ops.Op(0x3E, "rejournaled", (), ops.NOTHING, record=2, method="submit_tuples"),
+            ops.Op(0x3E, "journaled_nowhere", (), ops.NOTHING, record=99),
+        ):
+            with pytest.raises(ValueError):
+                ops.register(clash)
+        assert 0x3E not in ops.BY_OPCODE and 99 not in ops.BY_RECORD
+
+
+# ---------------------------------------------------------------------- #
+# golden bytes
+# ---------------------------------------------------------------------- #
+class ReplayTransport(Transport):
+    """Answers each request with the recorded response, after checking
+    the request is byte-for-byte the recorded one."""
+
+    def __init__(self, exchanges):
+        self.exchanges = list(exchanges)
+        self.position = 0
+
+    async def request(self, message):
+        request, response = self.exchanges[self.position]
+        assert message.hex() == request, (
+            f"request {self.position} differs from the golden bytes"
+        )
+        self.position += 1
+        if response is None:  # get_stats: any text will do
+            return frames.pack_frame(
+                frames.MSG_OK, Writer().text("# no metrics").getvalue()
+            )[frames.LENGTH_PREFIX_BYTES:]
+        return golden_response(response)
+
+
+class TestGoldenBytes:
+    def test_client_proxies_encode_the_golden_requests(self):
+        transport = ReplayTransport(GOLDEN["in_memory"])
+        client = AsyncSSIClient(
+            transport, rng=random.Random(GOLDEN["client_seed"])
+        )
+        # decoding is checked by the scenario's own assertions
+        run_async(capture.scenario(client))
+        assert transport.position == len(GOLDEN["in_memory"])
+
+    def test_dispatcher_encodes_the_golden_responses(self):
+        async def run():
+            dispatcher = SSIDispatcher(clock=lambda: 0.0)
+            transport = LoopbackTransport(dispatcher.dispatch)
+            for index, (request, response) in enumerate(GOLDEN["in_memory"]):
+                answer = await transport.request(bytes.fromhex(request))
+                if response is not None:
+                    assert answer == golden_response(response), f"response {index}"
+
+        run_async(run())
+
+    def test_every_opcode_is_in_the_golden_file(self):
+        covered = {bytes.fromhex(q)[5] for q, _ in GOLDEN["in_memory"]}
+        covered |= {bytes.fromhex(q)[5] for q in GOLDEN["durable_requests"]}
+        # the parent packed HELLO at the old floor version on purpose
+        assert covered == set(ops.BY_OPCODE) - {frames.MSG_HELLO}
+        assert {bytes.fromhex(body)[0] for _, body in GOLDEN["wal"]} == set(
+            ops.BY_RECORD
+        )
+
+    def test_wal_records_and_chain_match_the_golden_bytes(self, tmp_path):
+        """Also the attach rule: an ack carries EXT_COMMITMENT exactly
+        when handling its request appended a record."""
+
+        async def run():
+            store = DurableStore.open(
+                tmp_path, fsync_policy="none", snapshot_every=8
+            )
+            dispatcher = SSIDispatcher.with_store(store, clock=lambda: 0.0)
+            transport = LoopbackTransport(dispatcher.dispatch)
+            attested = 0
+            for request in GOLDEN["durable_requests"]:
+                before = store.last_seq
+                answer = await transport.request(bytes.fromhex(request))
+                msg_type, _, exts, _ = frames.unpack_frame_ext(answer)
+                assert (frames.EXT_COMMITMENT in exts) == (
+                    store.last_seq != before
+                )
+                if frames.EXT_COMMITMENT in exts:
+                    assert msg_type == frames.MSG_OK
+                    seen = Commitment.from_wire(exts[frames.EXT_COMMITMENT])
+                    assert seen.count == store.last_seq
+                    attested += 1
+            assert attested >= 15
+            store.close()
+            # the restart that journals q-crashed's reset record
+            store = DurableStore.open(
+                tmp_path, fsync_policy="none", snapshot_every=8
+            )
+            SSIDispatcher.with_store(store, clock=lambda: 0.0)
+            head = store.commitment()
+            store.close()
+            return head
+
+        head = run_async(run())
+        records = scan_segments(tmp_path / "wal", mode="verify").records
+        assert [[seq, bytes(body).hex()] for seq, body in records] == GOLDEN["wal"]
+        assert [head.count, head.head.hex()] == GOLDEN["commitment"]
+
+    def test_a_data_dir_written_by_the_parent_commit_recovers(self, tmp_path):
+        data_dir = tmp_path / "data"
+        shutil.copytree(capture.DATA_DIR, data_dir)
+        report = verify_data_dir(data_dir)
+        assert report["commitment_count"] == GOLDEN["commitment"][0]
+        assert report["commitment_head"] == GOLDEN["commitment"][1]
+
+        async def run():
+            store = DurableStore.open(data_dir)
+            assert store.recovered.replayed_records == 1  # the reset record
+            dispatcher = SSIDispatcher.with_store(store)
+            client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
+            result = await client.fetch_result("q-driver")
+            assert result.encrypted_rows == (b"row-1", b"row-2")
+            assert await client.collected_count("q-crashed") == 4
+            assert await client.partial_count("q-crashed") == 0  # reset
+            assert not await client.result_ready("q-crashed")
+            # the parent client's keys are still recognised as applied
+            parent_id = f"{random.Random(GOLDEN['client_seed']).getrandbits(64):016x}"
+            assert dispatcher.idempotency.seen(parent_id, 1)
+            current = await client.get_commitment(
+                Commitment(GOLDEN["commitment"][0],
+                           bytes.fromhex(GOLDEN["commitment"][1]))
+            )
+            assert current.count == GOLDEN["commitment"][0]
+            store.close(dispatcher.capture_state())
+
+        run_async(run())
+        assert verify_data_dir(data_dir)["clean"] is True
+
+
+# ---------------------------------------------------------------------- #
+# one row is all a new operation takes
+# ---------------------------------------------------------------------- #
+@pytest.fixture
+def scratch_op():
+    op = ops.register(ops.Op(
+        0x3E, "scratch_count", (ops.QUERY_ID,), ops.I64,
+        flush=True, method="partial_count",
+    ))
+    try:
+        yield op
+    finally:
+        ops.TABLE.remove(op)
+        del ops.BY_OPCODE[op.opcode]
+
+
+class TestAddingARow:
+    def test_a_registered_row_is_dispatched_proxied_mirrored_and_labelled(
+        self, scratch_op
+    ):
+        class Client(AsyncSSIClient):
+            scratch_count = client_mod._proxy(scratch_op)
+
+        class Remote(RemoteSSI):
+            scratch_count = transport_mod._mirror(scratch_op)
+
+        dispatcher = SSIDispatcher()
+
+        async def run():
+            client = Client(LoopbackTransport(dispatcher.dispatch))
+            await client.post_query(capture.envelope("q"))
+            dispatcher.drain_paused = True
+            await client.submit_partials("q", [EncryptedPartial(b"p", None)])
+            dispatcher.drain_paused = False
+            # flush=True: the buffered submission is applied first
+            assert await client.scratch_count("q") == 1
+            assert await client.scratch_count(query_id="q") == 1
+            assert await client.call(scratch_op, "q") == 1
+            with pytest.raises(TypeError, match="query_id"):
+                await client.scratch_count()
+
+        run_async(run())
+        remote = Remote(AsyncSSIClient(LoopbackTransport(dispatcher.dispatch)))
+        try:
+            assert remote.scratch_count("q") == 1
+            assert remote.call(scratch_op, "q") == 1
+        finally:
+            remote.close()
+        samples = obs_metrics.REGISTRY.snapshot()["repro_ssi_requests_total"]
+        label = (("msg_type", "scratch_count"), ("outcome", "ok"))
+        assert samples[label] >= 5
+
+    def test_an_unregistered_opcode_is_an_unknown_op(self):
+        async def run():
+            response = await SSIDispatcher().dispatch(
+                frames.pack_frame(0x3E, b"")[frames.LENGTH_PREFIX_BYTES:]
+            )
+            msg_type, _, _, reader = frames.unpack_frame_ext(response[4:])
+            assert msg_type == frames.MSG_ERROR
+            assert reader.u8() == frames.ERR_UNKNOWN_OP
+
+        run_async(run())
+
+    def test_a_journal_only_row_is_not_a_wire_operation(self):
+        async def run():
+            client = AsyncSSIClient(LoopbackTransport(SSIDispatcher().dispatch))
+            with pytest.raises(Exception, match="not a wire operation"):
+                await client.call(ops.RESET_AGGREGATION, "q")
+
+        run_async(run())

@@ -18,6 +18,7 @@ from repro.exceptions import (
     ResultNotReadyError,
     TransportError,
     UnknownQueryError,
+    UnsupportedVersionError,
 )
 from repro.net import frames
 from repro.net.client import AsyncSSIClient, RetryPolicy
@@ -143,7 +144,7 @@ class TestWireDiscipline:
             response = await transport.request(
                 frames.pack_frame(frames.MSG_SUBMIT_TUPLES, b"\xff\xff")
             )
-            msg_type, _corr, reader = frames.unpack_frame_body(response)
+            msg_type, _corr, _exts, reader = frames.unpack_frame_ext(response)
             assert msg_type == frames.MSG_ERROR
             assert reader.u8() == frames.ERR_MALFORMED
 
@@ -154,7 +155,7 @@ class TestWireDiscipline:
             dispatcher = SSIDispatcher()
             transport = LoopbackTransport(dispatcher.dispatch)
             response = await transport.request(frames.pack_frame(0x3F, b""))
-            msg_type, _corr, reader = frames.unpack_frame_body(response)
+            msg_type, _corr, _exts, reader = frames.unpack_frame_ext(response)
             assert msg_type == frames.MSG_ERROR
             assert reader.u8() == frames.ERR_UNKNOWN_OP
 
@@ -165,10 +166,33 @@ class TestWireDiscipline:
             dispatcher = SSIDispatcher()
             body = bytes([99, frames.MSG_PING])
             response = await dispatcher.dispatch(body)
-            msg_type, _corr, reader = frames.unpack_frame_body(response[4:])
+            msg_type, _corr, _exts, reader = frames.unpack_frame_ext(response[4:])
             assert msg_type == frames.MSG_ERROR
-            assert reader.u8() == frames.ERR_MALFORMED
+            assert reader.u8() == frames.ERR_UNSUPPORTED_VERSION
             assert "version" in reader.text()
+
+        run_async(run())
+
+    def test_previous_wire_version_is_refused_with_a_typed_error(self):
+        """A well-formed v3 frame (no extension block) keeps its
+        correlation id in the refusal, and the client raises the
+        distinct exception instead of a generic malformed error."""
+
+        async def v3_peer(body):
+            return await SSIDispatcher().dispatch(bytes([3]) + body[1:6])
+
+        async def run():
+            dispatcher = SSIDispatcher()
+            ping = frames.pack_frame(frames.MSG_PING, b"", correlation_id=41)
+            response = await dispatcher.dispatch(b"\x03" + ping[5:10])
+            msg_type, corr, _exts, reader = frames.unpack_frame_ext(response[4:])
+            assert (msg_type, corr) == (frames.MSG_ERROR, 41)
+            assert reader.u8() == frames.ERR_UNSUPPORTED_VERSION
+
+            client = AsyncSSIClient(LoopbackTransport(v3_peer))
+            with pytest.raises(UnsupportedVersionError, match="version 3"):
+                await client.ping()
+            assert client.retries == 0  # the same bytes would be refused again
 
         run_async(run())
 
@@ -183,7 +207,7 @@ class TestWireDiscipline:
                 writer.write(b"\xff\xff\xff\xff")  # 4 GiB declared frame
                 await writer.drain()
                 body = await frames.read_frame(reader)
-                msg_type, _corr, r = frames.unpack_frame_body(body)
+                msg_type, _corr, _exts, r = frames.unpack_frame_ext(body)
                 assert msg_type == frames.MSG_ERROR
                 assert r.u8() == frames.ERR_TOO_LARGE
                 assert await reader.read(1) == b""  # server hung up
@@ -206,7 +230,7 @@ class TestWireDiscipline:
                 writer.write(b"\x00\x00\x00\x01\x00")
                 await writer.drain()
                 body = await frames.read_frame(reader)
-                msg_type, _corr, r = frames.unpack_frame_body(body)
+                msg_type, _corr, _exts, r = frames.unpack_frame_ext(body)
                 assert msg_type == frames.MSG_ERROR
                 assert r.u8() == frames.ERR_MALFORMED  # not ERR_TOO_LARGE
                 assert await reader.read(1) == b""  # server hung up

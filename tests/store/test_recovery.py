@@ -36,12 +36,14 @@ def populate(store, query_id="q1", tuples=3):
     """Journal one query's collection through the store's own journal,
     mirroring what the dispatcher does live."""
     journal = store.journal
-    journal.post_query(make_envelope(query_id), "tds-1", QueryMeta("s_agg"))
+    journal.record(
+        "post_query", make_envelope(query_id), "tds-1", QueryMeta("s_agg")
+    )
     store.recovered.ssi.post_query(make_envelope(query_id), "tds-1")
     for i in range(tuples):
         journal.set_idem("client-a", i + 1)
-        journal.submit_tuples(
-            query_id, [EncryptedTuple(f"ct-{i}".encode(), b"tag")]
+        journal.record(
+            "submit_tuples", query_id, [EncryptedTuple(f"ct-{i}".encode(), b"tag")]
         )
         store.recovered.ssi.submit_tuples(
             query_id, [EncryptedTuple(f"ct-{i}".encode(), b"tag")]
@@ -79,8 +81,9 @@ class TestCrashRecovery:
         reopened = DurableStore.open(tmp_path)
         # client-a applied seqs 1..3 before the crash; a post-restart
         # retry of any of them must be recognizable as already applied.
-        assert reopened.recovered.applied_seq["client-a"] == 3
-        assert reopened.recovered.applied_ahead.get("client-a", set()) == set()
+        assert reopened.recovered.idempotency.snapshot() == ({"client-a": 3}, {})
+        assert reopened.recovered.idempotency.seen("client-a", 3)
+        assert not reopened.recovered.idempotency.seen("client-a", 4)
         reopened.close()
 
     def test_clean_shutdown_snapshot_skips_replay(self, tmp_path):
@@ -116,7 +119,7 @@ class TestCrashRecovery:
         store = DurableStore.open(tmp_path)
         store.close()
         with pytest.raises(StoreError, match="closed"):
-            store.journal.close_collection("q1")
+            store.journal.record("close_collection", "q1")
 
 
 class TestSnapshotsAndGc:
@@ -129,7 +132,7 @@ class TestSnapshotsAndGc:
         def capture():
             ssi = store.recovered.ssi
             return store_snapshot.SnapshotState(
-                applied_seq=dict(store.recovered.applied_seq),
+                applied_seq=store.recovered.idempotency.snapshot()[0],
                 queries=[
                     store_snapshot.QuerySnapshot(
                         query_id="q1",
@@ -174,7 +177,7 @@ class TestSnapshotsAndGc:
             )
 
         assert run(store.maybe_snapshot(capture)) is True
-        store.journal.close_collection("q1")
+        store.journal.record("close_collection", "q1")
         store.recovered.ssi.close_collection("q1")
         assert run(store.maybe_snapshot(capture)) is True
         run(store.sync())
@@ -198,7 +201,9 @@ class TestVerifyDataDir:
     def test_intact_dir_verifies(self, tmp_path):
         store = DurableStore.open(tmp_path)
         populate(store, tuples=2)
-        store.journal.submit_partials("q1", [EncryptedPartial(b"cp", None)])
+        store.journal.record(
+            "submit_partials", "q1", [EncryptedPartial(b"cp", None)]
+        )
         store.close()
         report = verify_data_dir(tmp_path)
         assert report["wal_records"] == 4
@@ -307,8 +312,8 @@ class TestWirePassThrough:
         journal = store_records.StoreJournal(
             lambda body: captured.append(body) or len(captured)
         )
-        journal.submit_tuples("q1", tuples)
-        journal.submit_tuples("q1", tuples, wire=memoryview(wire))
+        journal.record("submit_tuples", "q1", tuples)
+        journal.record("submit_tuples", "q1", tuples, wire=memoryview(wire))
         reencoded = captured[0]
         prefix, raw = captured[1]
         assert prefix + bytes(raw) == reencoded

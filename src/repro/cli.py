@@ -837,7 +837,12 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--seed", type=int, default=0)
     fleet.add_argument("--buckets", type=int, default=2, help="ed_hist buckets")
     fleet.add_argument("--concurrency", type=int, default=8)
-    fleet.add_argument("--poll-interval", type=float, default=0.05)
+    fleet.add_argument(
+        "--poll-interval", type=float, default=0.05,
+        help="seconds a device pauses before asking again after a failed "
+        "exchange (transport error, timeout, typed error); paces nothing "
+        "while exchanges succeed — devices wait parked at the SSI",
+    )
     fleet.add_argument(
         "--shards",
         type=int,
@@ -878,8 +883,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--health-check-interval", type=float, default=0.0,
-        help="poll MSG_GET_HEALTH this often (seconds) and back off the "
-        "poll loop while the SSI self-reports degraded (0=off)",
+        help="probe MSG_GET_HEALTH this often (seconds) and stretch the "
+        "pause after a failed exchange while the SSI self-reports "
+        "degraded (0=off)",
     )
     fleet.set_defaults(func=cmd_fleet)
 

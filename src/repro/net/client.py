@@ -20,8 +20,8 @@ only a caller that gives up and later re-issues the operation as a *new*
 call reintroduces at-least-once behaviour.
 
 :class:`TDSClient` and :class:`QuerierClient` are role-named views of the
-same surface (a TDS polls queries/partitions and submits ciphertext; a
-querier posts queries and fetches results).
+same surface (a TDS waits for queries/partitions and submits ciphertext;
+a querier posts queries and waits for results).
 """
 
 from __future__ import annotations
@@ -276,8 +276,19 @@ class AsyncSSIClient:
     publish_result = _proxy(ops.PUBLISH_RESULT)
     result_ready = _proxy(ops.RESULT_READY)
     fetch_result = _proxy(ops.FETCH_RESULT)
-    #: (status, work unit when status is STATUS_WORK)
+    #: (status, work unit when status is STATUS_WORK): a one-shot probe
     fetch_partition = _proxy(ops.FETCH_PARTITION)
+    #: (new queries, a work unit or None, finished ids): the SSI parks
+    #: the request up to ``hold`` seconds while it has nothing to say
+    await_work = _proxy(ops.AWAIT_WORK)
+    #: the published result, or None when ``hold`` seconds passed first
+    await_result = _proxy(ops.AWAIT_RESULT)
+
+    @property
+    def hold(self) -> float:
+        """How long this client lets the SSI park one request: half its
+        own request timeout, so a parked request never trips it."""
+        return self.policy.request_timeout / 2
 
     async def submit_partition_result(
         self,
@@ -356,7 +367,8 @@ class AsyncSSIClient:
 
 
 class TDSClient(AsyncSSIClient):
-    """A TDS-side connection: poll queries and partitions, push ciphertext."""
+    """A TDS-side connection: wait for queries and partitions, push
+    ciphertext."""
 
 
 class QuerierClient(AsyncSSIClient):
@@ -365,14 +377,25 @@ class QuerierClient(AsyncSSIClient):
     async def wait_result(
         self, query_id: str, poll_interval: float = 0.05, timeout: float = 60.0
     ) -> QueryResult:
-        """Poll ``result_ready`` until the result is published, then fetch
-        it.  Raises :class:`TransportError` on overall timeout."""
-        deadline = asyncio.get_running_loop().time() + timeout
+        """Wait for the published result on parked ``await_result``
+        requests, re-armed when a hold expires.  *poll_interval* paces
+        nothing while exchanges succeed: it is the pause before
+        re-arming after one failed (transport error or timeout, retries
+        included).  Raises :class:`TransportError` on overall timeout."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
         while True:
-            if await self.result_ready(query_id):
-                return await self.fetch_result(query_id)
-            if asyncio.get_running_loop().time() >= deadline:
+            hold = min(self.hold, max(0.0, deadline - loop.time()))
+            try:
+                result = await self.await_result(query_id, hold)
+            except (TransportError, asyncio.TimeoutError):
+                if loop.time() >= deadline:
+                    raise
+                await self._sleep(poll_interval)
+                continue
+            if result is not None:
+                return result
+            if loop.time() >= deadline:
                 raise TransportError(
                     f"result of {query_id!r} not published within {timeout}s"
                 )
-            await self._sleep(poll_interval)

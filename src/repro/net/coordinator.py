@@ -6,7 +6,7 @@ reassigns timed-out partitions and publishes the result (§3.2).  The
 in-process :class:`~repro.protocols.base.ProtocolDriver` collapses that
 loop into synchronous calls; this module is the real-system counterpart —
 a :class:`QueryCoordinator` advances one query through its aggregation
-and filtering stages as TDS clients *poll* for work over the wire.
+and filtering stages as TDS clients ask for work over the wire.
 
 The coordinator only ever touches :class:`Partition` objects, opaque
 payload bytes and cleartext ``group_tag`` routing handles — exactly the
@@ -91,27 +91,36 @@ class QueryCoordinator:
         self._filter_size = int(self.meta.param("filter_partition_size", 64))
 
     # ------------------------------------------------------------------ #
-    # polling interface (called by the server dispatcher)
+    # scheduling interface (called by the server dispatcher)
     # ------------------------------------------------------------------ #
     def done(self) -> bool:
         return self._stage == _STAGE_DONE
 
-    def next_work(self, tds_id: str, now: float) -> WorkUnit | None:
-        """Hand the next pending partition to *tds_id*, or ``None`` when
-        there is nothing to do right now (collecting, everything assigned,
-        or the query is done).  Expired assignments are reclaimed first."""
+    def assignable(self, now: float) -> int:
+        """How many partitions :meth:`next_work` could hand out right
+        now — what the dispatcher releases parked devices by.  Aggregation
+        starts here once the collection is closed, and expired
+        assignments are reclaimed first."""
         if self._stage == _STAGE_COLLECTING:
             if not self.ssi.collection_closed(self.query_id):
-                return None
+                return 0
             self._start_aggregation()
         if self._stage == _STAGE_DONE or self._tracker is None:
-            return None
+            return 0
         expired = self._tracker.expire(now)
         if expired:
             self.stats.reassigned_partitions += len(expired)
-        partition = self._tracker.assign_next(tds_id, now)
-        if partition is None:
+        return self._tracker.pending_count()
+
+    def next_work(self, tds_id: str, now: float) -> WorkUnit | None:
+        """Hand the next pending partition to *tds_id*, or ``None`` when
+        there is nothing to do right now (collecting, everything assigned,
+        or the query is done)."""
+        if not self.assignable(now):
             return None
+        assert self._tracker is not None
+        partition = self._tracker.assign_next(tds_id, now)
+        assert partition is not None
         kind = self._work_kind()
         return WorkUnit(self.query_id, kind, partition.partition_id, partition.items)
 

@@ -1,12 +1,13 @@
 """An async fleet of TDS clients serving the SSI over the wire.
 
 Each :class:`TrustedDataServer` gets its own :class:`TDSClient` (own
-transport, own connection) and runs the paper's device loop: poll the
-global querybox, contribute encrypted tuples for new queries, then poll
-``fetch_partition`` and fold/finalize whatever work the SSI assigns —
-exactly the connect/contribute/disconnect cycle of §3.2, but concurrent
-and over real sockets.  A semaphore caps how many devices do heavy work
-simultaneously.
+transport, own connection) and runs the paper's device loop: connect and
+ask the SSI what it has (``await_work``, which the SSI parks while it has
+nothing), contribute encrypted tuples for the queries it names, fold or
+finalize the partition it hands over, ask again — the
+connect/contribute/disconnect cycle of §3.2 in pull mode (§3.1: the TDS
+initiates every exchange), concurrent and over real sockets.  A
+semaphore caps how many devices do heavy work simultaneously.
 
 Failure injection reuses the shapes in :mod:`repro.simulation.failures`:
 the same ``(tds_id, partition) -> bool`` injectors drive *network*
@@ -29,11 +30,10 @@ from typing import Awaitable, Callable, Sequence
 
 from repro.core.messages import Partition, QueryEnvelope
 from repro.crypto.pool import CryptoPool
-from repro.exceptions import ProtocolError, TransportError, UnknownQueryError
+from repro.exceptions import AccessDeniedError, ProtocolError, TransportError
 from repro.net import frames
 from repro.net.batch import TupleBatcher
 from repro.net.client import RetryPolicy, TDSClient
-from repro.net.coordinator import SUPPORTED_PROTOCOLS
 from repro.net.frames import QueryMeta, WorkUnit
 from repro.net.transport import TCPTransport, Transport
 from repro.obs import logs as obs_logs
@@ -63,9 +63,14 @@ _PARTITIONS = obs_metrics.REGISTRY.counter(
 )
 _PROTOCOL_ERRORS = obs_metrics.REGISTRY.counter(
     "repro_fleet_protocol_errors_total",
-    "ProtocolErrors absorbed by the per-device poll loop, by shard.",
+    "ProtocolErrors absorbed by the per-device loop, by shard.",
     ("shard",),
 )
+
+
+#: what one device holds per query id: the envelope, and the statement
+#: it opened from it (None until it had to, or when access was denied)
+_HeldQueries = dict[str, tuple[QueryEnvelope, SelectStatement | None]]
 
 
 @dataclass
@@ -99,7 +104,12 @@ class FleetStats:
 
 
 class FleetRunner:
-    """Drive N TDS clients concurrently against one SSI endpoint."""
+    """Drive N TDS clients concurrently against one SSI endpoint.
+
+    ``poll_interval`` paces nothing while exchanges succeed (devices
+    wait parked at the SSI): it is the pause before a device re-arms
+    after a failed exchange — transport error, timeout, typed protocol
+    error — times ``health_backoff`` while the SSI reports degraded."""
 
     def __init__(
         self,
@@ -147,11 +157,11 @@ class FleetRunner:
         self.close_no_size_queries = close_no_size_queries
         #: labels this runner's samples in the per-shard metric families
         self.shard_label = shard_label
-        #: > 0 polls MSG_GET_HEALTH on this cadence and, while the SSI
+        #: > 0 probes MSG_GET_HEALTH on this cadence and, while the SSI
         #: reports a degraded/critical verdict, stretches every worker's
-        #: poll interval by ``health_backoff`` — the fleet routes load
-        #: away from a struggling node instead of piling on.  0 (the
-        #: default) skips the probe entirely.
+        #: pause after a failed exchange by ``health_backoff`` — the
+        #: fleet retries a struggling node more slowly instead of piling
+        #: on.  0 (the default) skips the probe entirely.
         self.health_check_interval = health_check_interval
         self.health_backoff = max(1.0, health_backoff)
         self._degraded = False
@@ -166,11 +176,12 @@ class FleetRunner:
         self._semaphore: asyncio.Semaphore | None = None
         self._until: int | None = None
         self._batcher: TupleBatcher | None = None
-        # shared across workers
-        self._known: dict[str, tuple[QueryEnvelope, QueryMeta]] = {}
+        self._population = len({tds.tds_id for tds in self.tds_list})
+        #: per device, what it holds (see :meth:`_serve_tds`)
+        self._held: dict[str, _HeldQueries] = {}
+        #: shared across workers: who contributed to each no-SIZE query
+        #: still short of the whole population (dropped once complete)
         self._contributed: dict[str, set[str]] = {}
-        self._done: set[str] = set()
-        self._closed: set[str] = set()
 
     # ------------------------------------------------------------------ #
     def stop(self) -> None:
@@ -200,7 +211,6 @@ class FleetRunner:
         workers = [
             asyncio.create_task(self._serve_tds(tds)) for tds in self.tds_list
         ]
-        closer = asyncio.create_task(self._close_collections())
         prober: asyncio.Task[None] | None = None
         if self.health_check_interval > 0:
             prober = asyncio.create_task(self._health_loop())
@@ -208,7 +218,7 @@ class FleetRunner:
             await self._stop.wait()
         finally:
             self._stop.set()
-            tasks = [closer, *workers]
+            tasks = [*workers]
             if flusher is not None:
                 tasks.append(flusher)
             if prober is not None:
@@ -224,23 +234,33 @@ class FleetRunner:
     # per-device loop
     # ------------------------------------------------------------------ #
     async def _serve_tds(self, tds: TrustedDataServer) -> None:
+        """The device loop: leave one ``await_work`` request with the
+        SSI, serve its answer, ask again — no pause while exchanges
+        succeed."""
         client = TDSClient(
             self.transport_factory(),
             self.policy,
             rng=random.Random(self._rng.getrandbits(64)),
             sleep=self._sleep,
         )
-        statements: dict[str, SelectStatement] = {}
-        contributed: set[str] = set()
+        # The queries this device holds — contributed to, or handed a
+        # partition of — until the SSI reports them finished; the
+        # statement is the one it opened to contribute, kept for its
+        # first fold.
+        held = self._held[tds.tds_id] = {}
         try:
             while not self._stop.is_set():
                 try:
-                    await self._poll_once(tds, client, statements, contributed)
+                    answer = await client.await_work(
+                        tds.tds_id, list(held), client.hold
+                    )
+                    await self._serve_answer(tds, client, held, *answer)
                 except (TransportError, asyncio.TimeoutError):
-                    pass  # server briefly unreachable: back off and retry
+                    # server briefly unreachable: back off and re-arm
+                    await self._back_off()
                 except ProtocolError as exc:
                     # e.g. a typed server error outside the handled set;
-                    # log and keep polling — one bad exchange must not
+                    # log and keep serving — one bad exchange must not
                     # silently retire the worker for the whole run.  The
                     # structured fields (tds_id, cumulative retry count,
                     # shard) make a stalled shard diagnosable from one
@@ -256,17 +276,22 @@ class FleetRunner:
                         retries=client.retries,
                         error=str(exc),
                     )
-                interval = self.poll_interval
-                if self._degraded:
-                    # Back off while the SSI self-reports degraded: the
-                    # probe loop clears the flag when the verdict heals.
-                    interval *= self.health_backoff
-                await self._sleep(interval)
+                    await self._back_off()
         finally:
             await client.close()
 
+    async def _back_off(self) -> None:
+        """The pause before re-arming after a failed exchange — all that
+        ``poll_interval`` paces."""
+        interval = self.poll_interval
+        if self._degraded:
+            # Longer while the SSI self-reports degraded: the probe loop
+            # clears the flag when the verdict heals.
+            interval *= self.health_backoff
+        await self._sleep(interval)
+
     async def _health_loop(self) -> None:
-        """Poll MSG_GET_HEALTH; flag workers off a degraded node."""
+        """Probe MSG_GET_HEALTH; flag workers off a degraded node."""
         client = TDSClient(
             self.transport_factory(), self.policy, sleep=self._sleep
         )
@@ -294,83 +319,61 @@ class FleetRunner:
         finally:
             await client.close()
 
-    async def _poll_once(
+    async def _serve_answer(
         self,
         tds: TrustedDataServer,
         client: TDSClient,
-        statements: dict[str, SelectStatement],
-        contributed: set[str],
+        held: _HeldQueries,
+        queries: list[tuple[QueryEnvelope, QueryMeta]],
+        unit: WorkUnit | None,
+        done: list[str],
     ) -> None:
-        fresh: list[tuple[QueryEnvelope, QueryMeta]] = []
-        for envelope, meta in await client.active_queries():
-            query_id = envelope.query_id
-            if meta.protocol not in SUPPORTED_PROTOCOLS:
-                continue
-            self._known.setdefault(query_id, (envelope, meta))
-            if query_id not in contributed:
-                fresh.append((envelope, meta))
-        if fresh:
+        for query_id in done:
+            held.pop(query_id, None)
+            self._forget(query_id)
+        failure: BaseException | None = None
+        if queries:
             # One contribution pass serves every new query concurrently:
             # the submissions interleave on the multiplexed connection
             # (bounded by the semaphore), so N overlapping queries cost
-            # about one round trip instead of N.  Each query is marked
-            # contributed only once its own submission succeeded — if
-            # retries are exhausted mid-submit, the next poll must try
-            # again, or a no-SIZE query would never close.
+            # about one round trip instead of N.  A query is held only
+            # once its own submission succeeded — until then the SSI
+            # offers it again, or a no-SIZE query would never close.
             outcomes = await asyncio.gather(
                 *(
-                    self._contribute(tds, client, envelope, meta)
-                    for envelope, meta in fresh
+                    self._contribute(tds, client, held, envelope, meta)
+                    for envelope, meta in queries
                 ),
                 return_exceptions=True,
             )
-            failure: BaseException | None = None
-            for (envelope, _meta), outcome in zip(fresh, outcomes):
-                if isinstance(outcome, BaseException):
-                    if failure is None:
-                        failure = outcome
-                else:
-                    contributed.add(envelope.query_id)
-            if failure is not None:
-                raise failure
-        pending = [qid for qid in list(self._known) if qid not in self._done]
-        if not pending:
-            return
-        # Likewise one partition poll per round across all live queries.
-        polls = await asyncio.gather(
-            *(client.fetch_partition(qid, tds.tds_id) for qid in pending),
-            return_exceptions=True,
-        )
-        failure = None
-        for query_id, outcome in zip(pending, polls):
-            if isinstance(outcome, UnknownQueryError):
-                self._done.add(query_id)
-                continue
-            if isinstance(outcome, BaseException):
-                if failure is None:
-                    failure = outcome
-                continue
-            status, unit = outcome
-            if status == frames.STATUS_DONE:
-                self._done.add(query_id)
-                self.stats.queries_completed.add(query_id)
-                if self._until is not None and len(
-                    self.stats.queries_completed
-                ) >= self._until:
-                    self.stop()
-            elif status == frames.STATUS_WORK and unit is not None:
-                await self._process_unit(tds, client, unit, statements)
+            failure = next(
+                (o for o in outcomes if isinstance(o, BaseException)), None
+            )
+        if unit is not None:
+            await self._process_unit(tds, client, held, unit)
         if failure is not None:
             raise failure
+
+    def _forget(self, query_id: str) -> None:
+        """The SSI reported *query_id* finished (or no longer knows it)."""
+        self._contributed.pop(query_id, None)
+        self.stats.queries_completed.add(query_id)
+        if self._until is not None and len(
+            self.stats.queries_completed
+        ) >= self._until:
+            self.stop()
 
     async def _contribute(
         self,
         tds: TrustedDataServer,
         client: TDSClient,
+        held: _HeldQueries,
         envelope: QueryEnvelope,
         meta: QueryMeta,
     ) -> None:
         assert self._semaphore is not None
+        if meta.protocol == "ed_hist" and self.histogram is None:
+            raise ProtocolError("fleet has no histogram; ed_hist queries need one")
         span = obs_spans.RECORDER.start(
             "contribution",
             trace_id=obs_spans.derive_trace_id(envelope.query_id),
@@ -381,19 +384,13 @@ class FleetRunner:
         async with self._semaphore:
             queue_seconds = time.perf_counter() - queued
             crypto_started = time.perf_counter()
-            if meta.protocol == "s_agg":
-                frame_block = tds.collect_frames(envelope, "s_agg")
-            elif meta.protocol == "ed_hist":
-                if self.histogram is None:
-                    raise ProtocolError(
-                        "fleet has no histogram; ed_hist queries need one"
-                    )
-                frame_block = tds.collect_frames(
-                    envelope, "ed_hist", histogram=self.histogram
-                )
-            else:  # pragma: no cover - filtered by SUPPORTED_PROTOCOLS
-                span.finish()
-                return
+            try:
+                statement = tds.open_query(envelope)
+            except AccessDeniedError:
+                statement = None  # collect_frames answers for the denial
+            frame_block = tds.collect_frames(
+                envelope, meta.protocol, histogram=self.histogram, statement=statement
+            )
             if self.crypto_pool is not None:
                 # The event loop services other devices' sockets while a
                 # worker process encrypts this block.
@@ -410,6 +407,7 @@ class FleetRunner:
             # Awaited outside the semaphore: a waiter parked on a batch
             # ack must not pin a concurrency slot for up to max_delay.
             await self._batcher.submit_block(envelope.query_id, block)
+        held[envelope.query_id] = (envelope, statement)
         span.annotate(
             count=len(block),
             queue_seconds=round(queue_seconds, 6),
@@ -422,14 +420,14 @@ class FleetRunner:
         self.stats.participants.add(tds.tds_id)
         self._c_contributions.inc()
         self._c_tuples.inc(len(block))
-        self._contributed.setdefault(envelope.query_id, set()).add(tds.tds_id)
+        await self._close_when_complete(tds, client, envelope)
 
     async def _process_unit(
         self,
         tds: TrustedDataServer,
         client: TDSClient,
+        held: _HeldQueries,
         unit: WorkUnit,
-        statements: dict[str, SelectStatement],
     ) -> None:
         assert self._semaphore is not None
         partition = Partition(unit.partition_id, unit.items)
@@ -438,11 +436,14 @@ class FleetRunner:
         ):
             await self._inject_fault(client)
             return
-        envelope, _meta = self._known[unit.query_id]
-        statement = statements.get(unit.query_id)
+        if unit.query_id not in held:
+            # its collection closed before this device connected
+            envelope, _meta = await client.fetch_query(unit.query_id)
+            held[unit.query_id] = (envelope, None)
+        envelope, statement = held[unit.query_id]
         if statement is None:
             statement = tds.open_query(envelope)
-            statements[unit.query_id] = statement
+            held[unit.query_id] = (envelope, statement)
         span = obs_spans.RECORDER.start(
             "partition",
             trace_id=obs_spans.derive_trace_id(unit.query_id),
@@ -501,34 +502,31 @@ class FleetRunner:
     # ------------------------------------------------------------------ #
     # collection closing (queries without a SIZE clause)
     # ------------------------------------------------------------------ #
-    async def _close_collections(self) -> None:
+    async def _close_when_complete(
+        self, tds: TrustedDataServer, client: TDSClient, envelope: QueryEnvelope
+    ) -> None:
         """The drivers stop collection after their collector list; the
         fleet analogue closes a no-SIZE query once every device has
-        contributed (the SSI closes SIZE-clause queries itself)."""
-        if not self.close_no_size_queries:
+        contributed (the SSI closes SIZE-clause queries itself).  The
+        device whose acknowledged contribution completes the set sends
+        the close, and keeps at it until the SSI has it."""
+        if (
+            not self.close_no_size_queries
+            or envelope.size_tuples is not None
+            or envelope.size_seconds is not None
+        ):
             return
-        client = TDSClient(
-            self.transport_factory(), self.policy, sleep=self._sleep
-        )
-        all_ids = {tds.tds_id for tds in self.tds_list}
-        try:
-            while not self._stop.is_set():
-                for query_id, (envelope, _meta) in list(self._known.items()):
-                    if query_id in self._closed or query_id in self._done:
-                        continue
-                    if envelope.size_tuples is not None:
-                        continue
-                    if envelope.size_seconds is not None:
-                        continue
-                    if self._contributed.get(query_id) == all_ids:
-                        try:
-                            await client.close_collection(query_id)
-                            self._closed.add(query_id)
-                        except (TransportError, asyncio.TimeoutError):
-                            pass
-                await self._sleep(self.poll_interval)
-        finally:
-            await client.close()
+        contributors = self._contributed.setdefault(envelope.query_id, set())
+        contributors.add(tds.tds_id)
+        if len(contributors) < self._population:
+            return
+        del self._contributed[envelope.query_id]
+        while not self._stop.is_set():
+            try:
+                await client.close_collection(envelope.query_id)
+                return
+            except (TransportError, asyncio.TimeoutError):
+                await self._back_off()
 
 
 # ---------------------------------------------------------------------- #
@@ -558,6 +556,8 @@ class ShardSpec:
     crypto_workers: int = 0
     window: int = 32
     concurrency: int = 8
+    #: pause before a device re-arms after a failed exchange (see
+    #: :class:`FleetRunner`); paces nothing while exchanges succeed
     poll_interval: float = 0.02
     until_queries_done: int | None = None
     #: when set, the worker writes its span log to
@@ -712,8 +712,9 @@ class ShardedFleetRunner:
         """Run every shard worker to completion and merge their stats.
 
         Workers stop on their own once *until_queries_done* queries have
-        reported ``STATUS_DONE`` (every shard observes the same terminal
-        status from the SSI), so no cross-process signalling is needed."""
+        been reported finished (every shard's devices learn it from the
+        SSI with their next answer, at the latest when a hold expires),
+        so no cross-process signalling is needed."""
         from concurrent.futures import ProcessPoolExecutor
 
         loop = asyncio.get_running_loop()

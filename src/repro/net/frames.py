@@ -116,6 +116,10 @@ MSG_GET_STATS = 0x14
 MSG_HELLO = 0x15
 MSG_GET_COMMITMENT = 0x16
 MSG_GET_HEALTH = 0x17
+#: long polls: the server parks the request until it has an answer or
+#: the hold the request names expires (see repro.net.server)
+MSG_AWAIT_WORK = 0x18
+MSG_AWAIT_RESULT = 0x19
 
 MSG_OK = 0x40
 MSG_ERROR = 0x41

@@ -1,7 +1,7 @@
 """Concurrent querier-side execution: N queries over one connection.
 
-The fleet side already serves every active query per poll
-(:meth:`~repro.net.fleet.FleetRunner._poll_once`); this module is the
+The fleet side already serves every live query concurrently
+(:meth:`~repro.net.fleet.FleetRunner._serve_answer`); this module is the
 querier-side counterpart.  :class:`MultiQueryRunner` posts a batch of
 queries through one shared multiplexed :class:`QuerierClient` and awaits
 their results concurrently, so the wire round trips and the fleet's
@@ -9,7 +9,10 @@ collection/aggregation phases of different queries overlap instead of
 serializing.  A semaphore bounds how many queries are in flight at once
 — under a server-side admission policy the client's ERR_ADMISSION
 backoff handles the rest, so a runner whose concurrency exceeds its
-quota degrades to the quota rather than failing.
+quota degrades to the quota rather than failing.  Each in-flight query
+leaves one ``await_result`` request parked at the SSI, which occupies a
+slot of the connection's pipeline window until its hold expires: a
+concurrency above the window is slower, not stuck.
 
 Trust boundary: client role.  Decryption happens in the caller-supplied
 :class:`~repro.protocols.base.Querier`, never here against the SSI.
@@ -85,7 +88,10 @@ class MultiQueryStats:
 
 
 class MultiQueryRunner:
-    """Run batches of queries concurrently against one SSI endpoint."""
+    """Run batches of queries concurrently against one SSI endpoint.
+
+    ``poll_interval`` is handed to :meth:`QuerierClient.wait_result`:
+    the pause before re-arming after a failed exchange, nothing else."""
 
     def __init__(
         self,

@@ -194,14 +194,24 @@ TUPLE_BLOCK = Field("tuples", _write_block, frames.read_tuple_block)
 PARTIALS = Field("partials", _write_items, frames.read_partials)
 ROWS = Field("rows", _write_rows, frames.read_rows)
 RESULT: Field[QueryResult] = Field("result", frames.write_result, frames.read_result)
+UNIT = Field("unit", frames.write_work_unit, frames.read_work_unit)
 #: (status, work unit when status is STATUS_WORK else None)
 WORK = _tagged(
     "fetch_partition status",
-    {
-        frames.STATUS_WAIT: NOTHING,
-        frames.STATUS_WORK: Field("unit", frames.write_work_unit, frames.read_work_unit),
-        frames.STATUS_DONE: NOTHING,
-    },
+    {frames.STATUS_WAIT: NOTHING, frames.STATUS_WORK: UNIT, frames.STATUS_DONE: NOTHING},
+)
+#: seconds the SSI may park a request it has no answer for; always the
+#: last request field of a row whose handler parks
+HOLD = Field("hold", Writer.f64, Reader.f64)
+#: the query ids a device holds — ids the SSI itself served it
+KNOWN = _listing("known", QUERY_ID, limit=100_000)
+#: (queries new to the device, at most one work unit, the ids from
+#: ``known`` that are finished); all three empty when the hold expired
+WORK_ANSWER = _struct(
+    "answer",
+    _listing("queries", QUERY, limit=100_000),
+    _optional("unit", UNIT),
+    _listing("done", QUERY_ID, limit=100_000),
 )
 #: (RESULT_PARTIALS, partials) or (RESULT_ROWS, rows)
 PARTITION_RESULT = _tagged(
@@ -245,7 +255,11 @@ class Op(Generic[R]):
     ``method``    the :class:`SupportingServerInfrastructure` method the
                   operation runs (live and at replay) and is journaled as
     ``handler``   name of the ``SSIDispatcher`` method to run instead,
-                  for operations that need more than the facade call
+                  for operations that need more than the facade call; a
+                  coroutine when it waits, and one whose last request
+                  field is ``HOLD`` may park the request (it gets a
+                  ``_Hold`` first, which keeps parked time out of the
+                  operation's handling time)
     ``tds_bytes`` the operation moves TDS ciphertext (PL004 must see it
                   accounted in LoadQ)
     """
@@ -422,6 +436,17 @@ GET_COMMITMENT = register(Op(
 ))
 GET_HEALTH = register(Op(
     frames.MSG_GET_HEALTH, "get_health", (), HEALTH, handler="_get_health",
+))
+# The long polls (DESIGN §7 "Waiting for work").  await_work is durable
+# for the reason fetch_partition is: handing out work may auto-close a
+# collection or advance a stage, and that appends records.
+AWAIT_WORK = register(Op(
+    frames.MSG_AWAIT_WORK, "await_work", (TDS_ID, KNOWN, HOLD), WORK_ANSWER,
+    durable=True, handler="_await_work",
+))
+AWAIT_RESULT = register(Op(
+    frames.MSG_AWAIT_RESULT, "await_result", (QUERY_ID, HOLD),
+    _optional("result", RESULT), handler="_await_result",
 ))
 #: written by recovery itself when it clears a coordinator query's
 #: leftover partials/result rows before the rebuilt coordinator re-runs

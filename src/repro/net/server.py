@@ -19,6 +19,12 @@ Backpressure: tuple/partial submissions land in a bounded per-query
 queue.  A full queue answers ``ERR_BACKPRESSURE`` (clients back off and
 retry); reads force a flush first so a single connection always observes
 its own writes.
+
+Waiting: a TDS with nothing to do and a querier whose result is not out
+yet leave one request *parked* here (``await_work`` / ``await_result``)
+instead of asking again on a timer.  The request that changes what a
+parked request waits for releases it; DESIGN.md §7 "Waiting for work"
+has the rules.
 """
 
 from __future__ import annotations
@@ -27,11 +33,14 @@ import asyncio
 import inspect
 import logging
 import time
+import weakref
+from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Any,
     Awaitable,
     Callable,
+    Collection,
     NamedTuple,
     Protocol,
     TypeVar,
@@ -42,7 +51,7 @@ if TYPE_CHECKING:  # repro.store imports this module's siblings; keep lazy
     from repro.store.recovery import DurableStore
     from repro.store.snapshot import SnapshotState
 
-from repro.core.messages import EncryptedTupleBlock, QueryEnvelope
+from repro.core.messages import EncryptedTupleBlock, QueryEnvelope, QueryResult
 from repro.exceptions import (
     BackpressureError,
     FrameTooLargeError,
@@ -112,6 +121,12 @@ _INFLIGHT = obs_metrics.REGISTRY.gauge(
     "Requests currently being handled across all connections.",
 )
 
+_PARKED = obs_metrics.REGISTRY.gauge(
+    "repro_ssi_parked_requests",
+    "await_work / await_result requests currently parked (a subset of "
+    "the in-flight ones).",
+)
+
 _c_backpressure = _BACKPRESSURE.labels()
 _c_replays = _REPLAYS.labels()
 
@@ -149,6 +164,14 @@ _c_bytes_out = _BYTES.labels(direction="out")
 _g_connections = _CONNECTIONS_OPEN.labels()
 _c_connections = _CONNECTIONS_TOTAL.labels()
 _g_inflight = _INFLIGHT.labels()
+_g_parked = _PARKED.labels()
+
+#: ceiling on the hold a parking request may name, well below
+#: ``SSIServer.read_timeout`` so a parked connection never looks idle
+MAX_HOLD_SECONDS = 10.0
+
+#: parked requests, oldest first; the value says nothing
+_Waiters = OrderedDict["asyncio.Future[bool]", None]
 
 #: the failures answered with their own wire error code
 _TYPED_ERRORS = tuple(frames.ERROR_TYPES.values())
@@ -164,6 +187,45 @@ class _Call(NamedTuple):
     op: ops.Op[Any]
     key: tuple[str, int]
     wire: memoryview
+
+
+class _Hold:
+    """What the handler of a parking operation (last request field
+    ``ops.HOLD``) gets besides the decoded fields, and reports back
+    through: the seconds it spent parked — not handling time, so not
+    observed as such — and whether its own evaluations appended a WAL
+    record (others append plenty while it is parked)."""
+
+    __slots__ = ("parked", "appended")
+
+    def __init__(self) -> None:
+        self.parked = 0.0
+        self.appended = False
+
+
+def _expire(future: "asyncio.Future[bool]") -> None:
+    """A parked request's hold ran out: wake it to answer empty."""
+    if not future.done():
+        future.set_result(False)
+
+
+def _release(waiters: _Waiters, count: int) -> None:
+    """Wake the *count* oldest parked requests of *waiters*.  Costs what
+    it releases, however many are parked behind them."""
+    while count > 0 and waiters:
+        future, _ = waiters.popitem(last=False)
+        if not future.done():  # else its hold expired this very tick
+            future.set_result(True)
+            count -= 1
+
+
+def _deadline_passed(ref: "weakref.ref[SSIDispatcher]") -> None:
+    """Timer half of :meth:`SSIDispatcher._wake_at`.  Weak: a pending
+    deadline must not keep a dispatcher nobody serves any more — and
+    every ciphertext it stores — alive until it fires."""
+    dispatcher = ref()
+    if dispatcher is not None:
+        dispatcher._release_assignable()
 
 
 class _SubmissionQueue:
@@ -214,7 +276,17 @@ class SSIDispatcher:
         #: must be journaled before its ack leaves, so durable
         #: dispatchers always run the full-flush path regardless.
         self._drain_quantum = drain_quantum
+        #: every fleet-mode query this dispatcher ever scheduled (tests
+        #: and the benchmark read ``.stats`` off finished ones)
         self.coordinators: dict[str, QueryCoordinator] = {}
+        #: the unfinished ones, oldest first: what a request for work
+        #: walks, so it costs the live queries and not the history
+        self._live: dict[str, QueryCoordinator] = {}
+        #: parked await_work requests, and await_result ones per query
+        self._parked_work: _Waiters = OrderedDict()
+        self._result_waiters: dict[str, _Waiters] = {}
+        #: set by :meth:`release_parked`: answer at once, park nothing
+        self._draining = False
         self.metas: dict[str, QueryMeta] = {}
         #: durable store, when serving with ``--data-dir`` (see
         #: :meth:`with_store`); None keeps the in-memory behaviour
@@ -282,12 +354,7 @@ class SSIDispatcher:
             storage = recovered.ssi.storage_map()[query_id]
             if storage.partials or storage.result_rows:
                 recovered.ssi.reset_aggregation(query_id)
-            dispatcher.coordinators[query_id] = QueryCoordinator(
-                recovered.ssi,
-                query_id,
-                meta,
-                partition_timeout=dispatcher.partition_timeout,
-            )
+            dispatcher._schedule(query_id, meta)
         dispatcher.store = store
         return dispatcher
 
@@ -357,6 +424,7 @@ class SSIDispatcher:
                 corr,
             )
         name = op.name
+        held = _Hold() if op.request and op.request[-1] is ops.HOLD else None
         trace = obs_spans.TraceContext.from_wire(exts[frames.EXT_TRACE]) \
             if frames.EXT_TRACE in exts else None
         store = self.store
@@ -378,6 +446,8 @@ class SSIDispatcher:
                 handler = getattr(self, op.handler)
                 if key is not None:
                     result = handler(_Call(op, key, reader.since(mark)), *args)
+                elif held is not None:
+                    result = handler(held, *args)
                 else:
                     result = handler(*args)
             elif op.method:
@@ -388,12 +458,16 @@ class SSIDispatcher:
                     self.idempotency.mark(*key)
                 else:
                     result = getattr(self.ssi, op.method)(*args)
+            if query_id is not None and held is None:
+                self._settle(query_id)
             # A commitment is attached to the ack only when this
             # request's own synchronous handling appended a record: a
-            # poll that appended nothing has no new head to attest.
+            # probe that appended nothing has no new head to attest.
             appended = store is not None and store.last_seq != seq_before
             if inspect.iscoroutine(result):
                 result = await result
+            if held is not None and held.appended:
+                appended = True
             w = Writer()
             op.response.write(w, result)
             payload = w.getvalue()
@@ -437,7 +511,10 @@ class SSIDispatcher:
                 frames.ERR_INTERNAL, "internal server error (see SSI logs)", corr
             )
         finally:
-            _req_seconds(name).observe(time.perf_counter() - started)
+            elapsed = time.perf_counter() - started
+            if held is not None:
+                elapsed -= held.parked
+            _req_seconds(name).observe(elapsed)
         _req_ok(name).inc()
         if trace is not None and query_id is not None:
             # Exact cross-process parent link for wire-propagated traces;
@@ -524,12 +601,12 @@ class SSIDispatcher:
         self._posted_at[envelope.query_id] = self._now()
         self._queues[envelope.query_id] = _SubmissionQueue(self._max_pending)
         if meta.protocol:
-            self.coordinators[envelope.query_id] = QueryCoordinator(
-                self.ssi,
-                envelope.query_id,
-                meta,
-                partition_timeout=self.partition_timeout,
-            )
+            self._schedule(envelope.query_id, meta)
+            if tds_id is None:
+                # every waiting device has a query to contribute to
+                _release(self._parked_work, len(self._parked_work))
+            if envelope.size_seconds is not None:
+                self._wake_at(envelope.size_seconds)
         self.idempotency.mark(*call.key)
 
     def _fetch_query(self, query_id: str) -> tuple[QueryEnvelope, QueryMeta]:
@@ -565,13 +642,15 @@ class SSIDispatcher:
     def _fetch_partition(
         self, query_id: str, tds_id: str
     ) -> tuple[int, WorkUnit | None]:
+        """The one-shot probe of one query (drivers, tests); devices
+        that wait for work use :meth:`_await_work`."""
         self.ssi.envelope(query_id)  # typed error for unknown ids
         self._flush(query_id)
         coordinator = self.coordinators.get(query_id)
         if coordinator is None or coordinator.done():
             return frames.STATUS_DONE, None
         self._auto_close(query_id)
-        unit = coordinator.next_work(tds_id, self._now())
+        unit = self._next_work(coordinator, tds_id, self._now())
         if coordinator.done():
             return frames.STATUS_DONE, None
         if unit is None:
@@ -595,6 +674,168 @@ class SSIDispatcher:
             coordinator.complete(partition_id, tds_id, kind, items, [])
         else:
             coordinator.complete(partition_id, tds_id, kind, [], items)
+
+    # ------------------------------------------------------------------ #
+    # waiting for work and for results (DESIGN §7 "Waiting for work")
+    # ------------------------------------------------------------------ #
+    async def _await_work(
+        self, held: _Hold, tds_id: str, known: list[str], hold: float
+    ) -> tuple[list[tuple[QueryEnvelope, QueryMeta]], WorkUnit | None, list[str]]:
+        """Answer with what the SSI has for this device — queries it
+        does not hold yet, one partition, the ids it holds that are
+        finished — or park until there is something, at most *hold*
+        seconds.  Level-triggered: whoever is woken evaluates its own
+        answer again and parks again when someone else took the work."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + max(0.0, min(hold, MAX_HOLD_SECONDS))
+        held_ids = dict.fromkeys(known)  # O(1) lookups, the request's order
+        store = self.store
+        while True:
+            seq_before = store.last_seq if store is not None else 0
+            answer = self._work_for(tds_id, held_ids)
+            if store is not None and store.last_seq != seq_before:
+                held.appended = True
+            remaining = deadline - loop.time()
+            if any(answer) or self._draining or remaining <= 0:
+                return answer
+            await self._park(self._parked_work, remaining, held)
+
+    def _work_for(
+        self, tds_id: str, known: Collection[str]
+    ) -> tuple[list[tuple[QueryEnvelope, QueryMeta]], WorkUnit | None, list[str]]:
+        now = self._now()
+        queries: list[tuple[QueryEnvelope, QueryMeta]] = []
+        unit: WorkUnit | None = None
+        for query_id, coordinator in list(self._live.items()):
+            self._flush(query_id)
+            self._auto_close(query_id)
+            if unit is None:
+                # through next_work, so the scheduler's counters see
+                # exactly the calls a fetch_partition probe would make
+                unit = self._next_work(coordinator, tds_id, now)
+                if coordinator.done():
+                    self._retire(query_id)
+                    continue
+            if (
+                query_id not in known
+                and self.tds_ids.get(query_id) is None
+                and not self.ssi.collection_closed(query_id)
+            ):
+                queries.append((self.ssi.envelope(query_id), self.metas[query_id]))
+        # Finished queries are not broadcast: a device learns of them
+        # from the next answer it gets anyway.
+        done = [query_id for query_id in known if query_id not in self._live]
+        return queries, unit, done
+
+    async def _await_result(
+        self, held: _Hold, query_id: str, hold: float
+    ) -> QueryResult | None:
+        """The published result of *query_id*, or None once *hold*
+        seconds passed without one; parked in between, released by the
+        request that publishes."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + max(0.0, min(hold, MAX_HOLD_SECONDS))
+        while True:
+            if self.ssi.result_ready(query_id):  # typed error for unknown ids
+                return self.ssi.fetch_result(query_id)
+            remaining = deadline - loop.time()
+            if self._draining or remaining <= 0:
+                return None
+            waiters = self._result_waiters.setdefault(query_id, OrderedDict())
+            try:
+                await self._park(waiters, remaining, held)
+            finally:
+                if not waiters and self._result_waiters.get(query_id) is waiters:
+                    del self._result_waiters[query_id]
+
+    async def _park(self, waiters: _Waiters, timeout: float, held: _Hold) -> None:
+        """Wait in *waiters* for a release or for *timeout*.  The caller
+        registers in the same step in which it found nothing to answer,
+        so no release can fall between the two."""
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future[bool] = loop.create_future()
+        waiters[future] = None
+        timer = loop.call_later(timeout, _expire, future)
+        _g_parked.inc()
+        started = time.perf_counter()
+        try:
+            await future
+        except asyncio.CancelledError:
+            if future.done() and not future.cancelled() and future.result():
+                # Released, then gone (its connection dropped) before it
+                # could ask again: the release goes to the next in line.
+                _release(waiters, 1)
+            raise
+        finally:
+            timer.cancel()
+            waiters.pop(future, None)
+            _g_parked.dec()
+            held.parked += time.perf_counter() - started
+
+    def _next_work(
+        self, coordinator: QueryCoordinator, tds_id: str, now: float
+    ) -> WorkUnit | None:
+        unit = coordinator.next_work(tds_id, now)
+        if unit is not None:
+            # if this device goes silent, the partition becomes
+            # assignable again at its deadline with everyone else parked
+            self._wake_at(coordinator.partition_timeout)
+        return unit
+
+    def _wake_at(self, delay: float) -> None:
+        """Time alone will make work assignable *delay* seconds from now
+        (a partition deadline, a ``SIZE … SECONDS`` clause): release
+        parked devices for it then."""
+        asyncio.get_running_loop().call_later(
+            delay, _deadline_passed, weakref.ref(self)
+        )
+
+    def _release_assignable(self) -> None:
+        if not self._parked_work:
+            return  # whoever asks next evaluates for itself
+        now = self._now()
+        count = 0
+        for query_id, coordinator in list(self._live.items()):
+            self._auto_close(query_id)
+            count += coordinator.assignable(now)
+            if coordinator.done():
+                self._retire(query_id)
+        _release(self._parked_work, count)
+
+    def _settle(self, query_id: str) -> None:
+        """After a request that touched *query_id*: release what it made
+        answerable — as many parked devices as its coordinator can now
+        hand partitions to, and the queriers waiting for a result it
+        published."""
+        coordinator = self._live.get(query_id)
+        if coordinator is not None:
+            if self._parked_work:
+                _release(self._parked_work, coordinator.assignable(self._now()))
+            if coordinator.done():
+                self._retire(query_id)
+        elif query_id in self._result_waiters and self.ssi.result_ready(query_id):
+            self._retire(query_id)
+
+    def _retire(self, query_id: str) -> None:
+        """The query is published: off the live index, waiters out."""
+        self._live.pop(query_id, None)
+        waiters = self._result_waiters.pop(query_id, None)
+        if waiters:
+            _release(waiters, len(waiters))
+
+    def release_parked(self) -> None:
+        """Shutdown: answer every parked request now (empty unless its
+        answer just arrived) and park none from here on."""
+        self._draining = True
+        for waiters in (self._parked_work, *self._result_waiters.values()):
+            _release(waiters, len(waiters))
+
+    def _schedule(self, query_id: str, meta: QueryMeta) -> None:
+        coordinator = QueryCoordinator(
+            self.ssi, query_id, meta, partition_timeout=self.partition_timeout
+        )
+        self.coordinators[query_id] = coordinator
+        self._live[query_id] = coordinator
 
     async def _get_commitment(
         self, check: tuple[int, bytes] | None
@@ -777,12 +1018,15 @@ class SSIServer:
             self._idle.set()
 
     async def drain(self, timeout: float = 10.0) -> bool:
-        """Stop accepting new connections and wait for every in-flight
+        """Stop accepting new connections, answer every parked request
+        (and park none from here on) and wait for every in-flight
         request to finish (bounded by *timeout*).  Returns True when the
         server went idle — open connections stay up, so a peer that
         keeps sending can hold drain at the timeout, never beyond it."""
         if self._server is not None:
             self._server.close()
+        # parked requests are in flight too: they would sit out the timeout
+        self.dispatcher.release_parked()
         try:
             await asyncio.wait_for(self._idle.wait(), timeout)
             return True

@@ -23,6 +23,8 @@ Grammar (informal)::
 
 from __future__ import annotations
 
+import functools
+
 from repro.exceptions import SQLSyntaxError
 from repro.sql.ast import (
     AGGREGATE_FUNCTIONS,
@@ -348,8 +350,14 @@ class _Parser:
         return AggregateCall(function, argument, distinct=distinct)
 
 
+@functools.lru_cache(maxsize=256)
 def parse(text: str) -> SelectStatement:
     """Parse *text* into a :class:`SelectStatement`.
+
+    Memoised by statement text: every TDS of a fleet parses the text of
+    every query, and streaming windows re-post one text.  The AST is
+    frozen dataclasses over tuples, so sharing one is safe; syntax
+    errors are raised afresh each time.
 
     >>> stmt = parse("SELECT AVG(Cons) FROM Power GROUP BY district SIZE 100")
     >>> stmt.is_aggregate_query()

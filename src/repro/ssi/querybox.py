@@ -21,18 +21,21 @@ from repro.core.messages import QueryEnvelope
 class GlobalQuerybox:
     """Crowd-directed queries, newest last."""
 
-    _queries: list[QueryEnvelope] = field(default_factory=list)
+    #: the queries still collecting; closing one removes it, so listing
+    #: them costs what is open, not what was ever posted
+    _open: dict[str, QueryEnvelope] = field(default_factory=dict)
     _closed: set[str] = field(default_factory=set)
 
     def post(self, envelope: QueryEnvelope) -> None:
-        self._queries.append(envelope)
+        self._open[envelope.query_id] = envelope
 
     def active(self) -> list[QueryEnvelope]:
         """Queries still collecting (not closed by the SIZE clause)."""
-        return [q for q in self._queries if q.query_id not in self._closed]
+        return list(self._open.values())
 
     def close(self, query_id: str) -> None:
         """Stop advertising a query whose SIZE clause is satisfied."""
+        self._open.pop(query_id, None)
         self._closed.add(query_id)
 
     def is_closed(self, query_id: str) -> bool:

@@ -11,6 +11,7 @@ TDS after a given timeout" (§3.2, Correctness).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.core.messages import (
@@ -47,6 +48,10 @@ class PartitionTracker:
         # on every fetch_partition poll.
         self._pending = len(self._tracked)
         self._done = 0
+        # Lower bound on the deadlines of live assignments (a completed
+        # assignment may leave it stale, which costs one scan): lets
+        # expire() answer "nothing yet" without walking the partitions.
+        self._earliest_deadline = math.inf
 
     def assign_next(self, tds_id: str, now: float = 0.0) -> Partition | None:
         """Hand the next pending partition to *tds_id* (None when all are
@@ -58,6 +63,9 @@ class PartitionTracker:
                 tracked.state = PartitionState.ASSIGNED
                 tracked.assignee = tds_id
                 tracked.deadline = now + self.timeout
+                self._earliest_deadline = min(
+                    self._earliest_deadline, tracked.deadline
+                )
                 self._pending -= 1
                 return tracked.partition
         return None
@@ -81,18 +89,25 @@ class PartitionTracker:
     def expire(self, now: float) -> list[Partition]:
         """Return partitions whose assignee timed out, flipping them back
         to pending (they will be handed to another TDS)."""
+        if now < self._earliest_deadline:
+            return []
         expired = []
+        earliest = math.inf
         for tracked in self._tracked.values():
             if (
-                tracked.state is PartitionState.ASSIGNED
-                and tracked.deadline is not None
-                and now >= tracked.deadline
+                tracked.state is not PartitionState.ASSIGNED
+                or tracked.deadline is None
             ):
+                continue
+            if now >= tracked.deadline:
                 tracked.state = PartitionState.PENDING
                 tracked.assignee = None
                 tracked.deadline = None
                 self._pending += 1
                 expired.append(tracked.partition)
+            else:
+                earliest = min(earliest, tracked.deadline)
+        self._earliest_deadline = earliest
         return expired
 
     def fail(self, partition_id: int) -> None:

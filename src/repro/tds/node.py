@@ -168,6 +168,7 @@ class TrustedDataServer:
         *,
         noise: NoiseStrategy | None = None,
         histogram: EquiDepthHistogram | None = None,
+        statement: SelectStatement | None = None,
     ) -> TupleFrameBlock:
         """Build the *plaintext* tuple frames (plus routing tags) for one
         contribution, without encrypting yet — the TDS-side input of the
@@ -177,11 +178,16 @@ class TrustedDataServer:
 
         Tags are already in their final over-the-wire form (``None``,
         ``Det_Enc(group)`` or ``h(bucket)``) because the nDet pass does
-        not touch them."""
+        not touch them.
+
+        *statement*: what this TDS's own :meth:`open_query` returned for
+        *envelope*, when the caller already ran it and keeps the result
+        (the fleet's device loop does, for the query's first fold);
+        without it the query is opened here."""
         if protocol == "basic" or protocol == "s_agg":
             project = project_row if protocol == "basic" else reduced_row
             try:
-                statement = self.open_query(envelope)
+                statement = statement or self.open_query(envelope)
                 rows = local_matching_rows(self.database, statement)
             except AccessDeniedError:
                 rows = []
@@ -198,7 +204,7 @@ class TrustedDataServer:
             if noise is None:
                 raise ProtocolError("noise-based collection needs a NoiseStrategy")
             try:
-                statement = self.open_query(envelope)
+                statement = statement or self.open_query(envelope)
                 rows = local_matching_rows(self.database, statement)
             except AccessDeniedError:
                 statement, rows = None, []
@@ -224,7 +230,7 @@ class TrustedDataServer:
             if histogram is None:
                 raise ProtocolError("ED_Hist collection needs an EquiDepthHistogram")
             try:
-                statement = self.open_query(envelope)
+                statement = statement or self.open_query(envelope)
                 rows = local_matching_rows(self.database, statement)
             except AccessDeniedError:
                 return TupleFrameBlock.from_frames([])

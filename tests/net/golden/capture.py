@@ -5,6 +5,9 @@ this script were written by the parent of the op-table change)::
 
     PYTHONPATH=<checkout>/src python tests/net/golden/capture.py
 
+(``--await-only`` rewrites nothing but the ``await`` section, which pins
+the long-poll rows that commit did not have.)
+
 :func:`scenario` touches every SSI operation once through the public
 client API only, so the same calls can be replayed against any later
 build (``tests/net/test_ops_table.py`` does) and must produce the same
@@ -138,6 +141,40 @@ async def interrupted(client: AsyncSSIClient) -> None:
     )
 
 
+async def await_scenario(client: AsyncSSIClient) -> None:
+    """The two long-poll rows (added after the parent's capture, so they
+    live in their own ``await`` section): a hold, the empty answer, an
+    answer naming a new query, answers carrying a unit, finished ids,
+    and ``await_result`` with and without a result.  Holds are zero
+    where the answer would otherwise park."""
+    assert tuple(await client.await_work("tds-a", [], 0.0)) == ([], None, [])
+    await client.post_query(
+        envelope("q-await"), meta=QueryMeta("s_agg", {"alpha": 2.0})
+    )
+    queries, unit, done = await client.await_work("tds-a", [], 0.0)
+    assert [e.query_id for e, _ in queries] == ["q-await"] and unit is None
+    await client.submit_tuples_batch(
+        "q-await", [EncryptedTuple(b"a-%d" % i, None) for i in range(2)]
+    )
+    assert await client.await_result("q-await", 0.0) is None
+    await client.close_collection("q-await")
+    queries, unit, done = await client.await_work("tds-a", ["q-await"], 1.5)
+    assert queries == [] and unit is not None and unit.kind == frames.WORK_FOLD
+    await client.submit_partition_result(
+        "q-await", unit.partition_id, "tds-a",
+        partials=[EncryptedPartial(b"fold", None)],
+    )
+    _, unit, _ = await client.await_work("tds-a", ["q-await"], 0.25)
+    assert unit is not None and unit.kind == frames.WORK_FINALIZE
+    await client.submit_partition_result(
+        "q-await", unit.partition_id, "tds-a", rows=[b"final-row"]
+    )
+    answer = await client.await_work("tds-a", ["q-await", "q-gone"], 0.0)
+    assert tuple(answer) == ([], None, ["q-await", "q-gone"])
+    result = await client.await_result("q-await", 2.0)
+    assert result is not None and result.encrypted_rows == (b"final-row",)
+
+
 class RecordingTransport(LoopbackTransport):
     def __init__(self, dispatch) -> None:  # type: ignore[no-untyped-def]
         super().__init__(dispatch)
@@ -160,6 +197,17 @@ async def record(
     if crash:
         await interrupted(client)
     return transport.exchanges
+
+
+async def capture_await() -> None:
+    """Write only the ``await`` section; every other entry of the file
+    stays the parent's, byte for byte."""
+    transport = RecordingTransport(SSIDispatcher(clock=lambda: 0.0).dispatch)
+    await await_scenario(AsyncSSIClient(transport, rng=random.Random(CLIENT_SEED)))
+    golden = json.loads(WIRE_FILE.read_text())
+    golden["await"] = [[q.hex(), a.hex()] for q, a in transport.exchanges]
+    WIRE_FILE.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"{len(transport.exchanges)} await exchanges")
 
 
 async def main() -> None:
@@ -201,4 +249,6 @@ async def main() -> None:
 
 
 if __name__ == "__main__":
-    asyncio.run(main())
+    import sys
+
+    asyncio.run(capture_await() if "--await-only" in sys.argv else main())

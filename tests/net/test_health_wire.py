@@ -203,3 +203,63 @@ class TestFleetRoutesAroundDegradedSSI:
                     await prober
 
         run_async(run())
+
+
+class TestParkedFleetIsHealthy:
+    def test_an_idle_parked_fleet_reads_ok_on_both_surfaces(self):
+        """Devices with nothing to do wait parked at the SSI for whole
+        holds.  That time is not handling time: with a latency objective
+        far below the hold, the verdict stays ``ok`` — over the wire and
+        on /healthz — and a fleet probing it does not back itself off."""
+        from repro.net.client import RetryPolicy
+
+        async def run():
+            dispatcher = SSIDispatcher()
+            monitor = HealthMonitor(
+                window=30.0,
+                interval=10.0,
+                slo=SLOPolicy(latency_objective=0.05, min_requests=20),
+            )
+            dispatcher.health = monitor
+            server = SSIServer(dispatcher, host="127.0.0.1", port=0)
+            await server.start()
+            metrics_srv = await obs_http.start_metrics_server(
+                "127.0.0.1", 0, health=monitor
+            )
+            metrics_port = metrics_srv.sockets[0].getsockname()[1]
+            await monitor.start()
+            runner = FleetRunner(
+                build_deployment(num_tds=8).tds_list,
+                lambda: TCPTransport("127.0.0.1", server.port),
+                # holds of 0.15 s, three times the objective
+                policy=RetryPolicy(request_timeout=0.3),
+                health_check_interval=0.05,
+                rng=random.Random(4),
+            )
+            fleet_task = asyncio.create_task(runner.run())
+            try:
+                await asyncio.sleep(0.7)  # ~4 expired holds per device
+                seconds = obs_metrics.REGISTRY.snapshot()[
+                    "repro_ssi_request_seconds"
+                ][(("msg_type", "await_work"),)]
+                assert seconds["count"] >= 20  # enough for the SLO to bind
+                assert seconds["sum"] / seconds["count"] < 0.05
+
+                client = AsyncSSIClient(
+                    TCPTransport("127.0.0.1", server.port), rng=random.Random(3)
+                )
+                wire = await client.get_health()
+                assert (wire["status"], wire["reasons"]) == ("ok", [])
+                status, body = await fetch_healthz(metrics_port)
+                assert (status, body["status"]) == (200, "ok")
+                assert not runner._degraded
+                await client.close()
+            finally:
+                runner.stop()
+                await fleet_task
+                await monitor.stop()
+                metrics_srv.close()
+                await metrics_srv.wait_closed()
+                await server.close()
+
+        run_async(run())

@@ -11,6 +11,7 @@
 * registering one more row is all a new operation takes.
 """
 
+import asyncio
 import json
 import random
 import shutil
@@ -18,11 +19,12 @@ import shutil
 import pytest
 
 from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
+from repro.exceptions import UnknownQueryError
 from repro.net import client as client_mod
 from repro.net import frames, ops
 from repro.net import transport as transport_mod
 from repro.net.client import AsyncSSIClient
-from repro.net.frames import Writer
+from repro.net.frames import QueryMeta, Writer
 from repro.net.server import SSIDispatcher
 from repro.net.transport import LoopbackTransport, RemoteSSI, Transport
 from repro.obs import metrics as obs_metrics
@@ -94,13 +96,23 @@ class TestCompleteness:
             assert op.durable or op.opcode is None
 
     def test_the_acks_that_wait_for_the_store_are_the_ones_that_always_did(self):
-        # the parent's hand-kept _DURABLE_TYPES set, by metric label
+        # the parent's hand-kept _DURABLE_TYPES set, by metric label —
+        # plus await_work, durable for the reason fetch_partition is
+        # (handing out work can close a collection or advance a stage)
         assert {op.name for op in ops.TABLE if op.durable} == {
             "post_query", "submit_tuples", "submit_tuples_batch",
             "submit_partials", "evaluate_size", "close_collection",
             "take_partials", "store_result_rows", "publish_result",
             "fetch_partition", "submit_partition_result", "get_commitment",
+            "await_work",
         }
+        assert not ops.AWAIT_RESULT.durable  # like fetch_result
+        # the rows whose handler may park name their hold last
+        assert {op.name for op in ops.TABLE if ops.HOLD in op.request} == {
+            "await_work", "await_result",
+        }
+        assert all(op.request[-1] is ops.HOLD for op in ops.TABLE
+                   if ops.HOLD in op.request)
         assert {op.name for op in ops.TABLE if op.idem} == {
             "post_query", "submit_tuples", "submit_tuples_batch",
             "submit_partials", "store_result_rows",
@@ -195,11 +207,41 @@ class TestGoldenBytes:
 
         run_async(run())
 
+    def test_the_long_poll_rows_encode_their_pinned_bytes(self):
+        """``await``: the section of the two rows added after the
+        parent's capture — hold, empty answer, answers with a query, a
+        unit, finished ids, a result."""
+        transport = ReplayTransport(GOLDEN["await"])
+        client = AsyncSSIClient(
+            transport, rng=random.Random(GOLDEN["client_seed"])
+        )
+        run_async(capture.await_scenario(client))
+        assert transport.position == len(GOLDEN["await"])
+
+        async def run():
+            dispatcher = SSIDispatcher(clock=lambda: 0.0)
+            transport = LoopbackTransport(dispatcher.dispatch)
+            for index, (request, response) in enumerate(GOLDEN["await"]):
+                answer = await transport.request(bytes.fromhex(request))
+                assert answer.hex() == response, f"await response {index}"
+
+        run_async(run())
+        by_opcode = {}
+        for request, response in GOLDEN["await"]:
+            by_opcode.setdefault(bytes.fromhex(request)[5], []).append(response)
+        # distinct shapes of each row's answer are pinned, not one
+        assert len(set(by_opcode[frames.MSG_AWAIT_WORK])) == 5
+        assert len(set(by_opcode[frames.MSG_AWAIT_RESULT])) == 2
+
     def test_every_opcode_is_in_the_golden_file(self):
         covered = {bytes.fromhex(q)[5] for q, _ in GOLDEN["in_memory"]}
         covered |= {bytes.fromhex(q)[5] for q in GOLDEN["durable_requests"]}
+        parent = set(ops.BY_OPCODE) - {frames.MSG_AWAIT_WORK, frames.MSG_AWAIT_RESULT}
         # the parent packed HELLO at the old floor version on purpose
-        assert covered == set(ops.BY_OPCODE) - {frames.MSG_HELLO}
+        assert covered == parent - {frames.MSG_HELLO}
+        assert {bytes.fromhex(q)[5] for q, _ in GOLDEN["await"]} >= (
+            set(ops.BY_OPCODE) - parent
+        )
         assert {bytes.fromhex(body)[0] for _, body in GOLDEN["wal"]} == set(
             ops.BY_RECORD
         )
@@ -290,6 +332,45 @@ def scratch_op():
         del ops.BY_OPCODE[op.opcode]
 
 
+class TestRequestBudget:
+    def test_a_64_tds_sagg_query_costs_at_most_three_requests_per_device(self):
+        """The count that replaced the poll loop's timing: contribute,
+        ask again, and on average one more exchange per device for the
+        22 partitions — 536 requests at the parent, 192 allowed here."""
+        from repro.net.client import QuerierClient
+        from repro.net.fleet import FleetRunner
+
+        from .conftest import GROUP_SQL, build_deployment, sorted_rows
+
+        def requests_total():
+            samples = obs_metrics.REGISTRY.snapshot()["repro_ssi_requests_total"]
+            return sum(samples.values())
+
+        async def run():
+            dep = build_deployment(64)
+            dispatcher = SSIDispatcher(dep.ssi)
+            connect = lambda: LoopbackTransport(dispatcher.dispatch)  # noqa: E731
+            fleet = FleetRunner(dep.tds_list, connect, rng=random.Random(1))
+            fleet_task = asyncio.create_task(fleet.run(until_queries_done=1))
+            while len(dispatcher._parked_work) < 64:
+                await asyncio.sleep(0.005)
+            querier, client = dep.make_querier(), QuerierClient(connect())
+            before = requests_total()
+            query = querier.make_envelope(GROUP_SQL)
+            await client.post_query(query, meta=QueryMeta("s_agg"))
+            result = await client.wait_result(query.query_id)
+            await fleet_task
+            spent = requests_total() - before
+            assert sorted_rows(querier.decrypt_result(result)) == sorted_rows(
+                dep.reference_answer(GROUP_SQL)
+            )
+            stats = dispatcher.coordinators[query.query_id].stats
+            assert stats.partitions_processed >= 20
+            assert spent <= 192, spent
+
+        run_async(run())
+
+
 class TestAddingARow:
     def test_a_registered_row_is_dispatched_proxied_mirrored_and_labelled(
         self, scratch_op
@@ -325,6 +406,44 @@ class TestAddingARow:
         samples = obs_metrics.REGISTRY.snapshot()["repro_ssi_requests_total"]
         label = (("msg_type", "scratch_count"), ("outcome", "ok"))
         assert samples[label] >= 5
+
+    def test_a_row_with_an_async_parking_handler(self, monkeypatch):
+        """A handler may be a coroutine, and one whose last request
+        field is the hold gets a ``_Hold`` and may park."""
+        op = ops.register(ops.Op(
+            0x3D, "scratch_wait", (ops.QUERY_ID, ops.HOLD), ops.BOOL,
+            handler="_scratch_wait",
+        ))
+
+        async def _scratch_wait(self, held, query_id, hold):
+            await asyncio.sleep(hold)
+            held.parked += hold
+            return self.ssi.result_ready(query_id)
+
+        monkeypatch.setattr(
+            SSIDispatcher, "_scratch_wait", _scratch_wait, raising=False
+        )
+        try:
+            dispatcher = SSIDispatcher()
+
+            async def run():
+                client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
+                await client.post_query(capture.envelope("q"))
+                assert await client.call(op, "q", 0.05) is False
+                await client.publish_result("q")
+                assert await client.call(op, "q", 0.0) is True
+                with pytest.raises(UnknownQueryError):
+                    await client.call(op, "q-missing", 0.0)
+
+            run_async(run())
+            seconds = obs_metrics.REGISTRY.snapshot()["repro_ssi_request_seconds"]
+            sample = seconds[(("msg_type", "scratch_wait"),)]
+            # three requests handled; the 0.05 s one of them waited is
+            # reported as parked and left out of its handling time
+            assert sample["count"] >= 3 and sample["sum"] < 0.05
+        finally:
+            ops.TABLE.remove(op)
+            del ops.BY_OPCODE[op.opcode]
 
     def test_an_unregistered_opcode_is_an_unknown_op(self):
         async def run():

@@ -228,6 +228,28 @@ class TestStalePartitionResults:
         )
         assert coord.stats.partitions_processed == 1
 
+    def test_assignable_counts_what_next_work_would_hand_out(self):
+        """What the dispatcher releases parked devices by."""
+        ssi = SupportingServerInfrastructure()
+        ssi.post_query(make_envelope("q1"))
+        ssi.submit_tuples("q1", [EncryptedTuple(bytes([i]), None) for i in range(8)])
+        coord = QueryCoordinator(
+            ssi, "q1", QueryMeta("s_agg", {"alpha": 4.0}), partition_timeout=5.0
+        )
+        assert coord.assignable(now=0.0) == 0          # still collecting
+        assert coord.next_work("tds-a", now=0.0) is None
+        ssi.close_collection("q1")
+        assert coord.assignable(now=0.0) == 2          # starts aggregation
+        unit = coord.next_work("tds-a", now=0.0)
+        assert coord.assignable(now=4.9) == 1
+        assert coord.next_work("tds-b", now=4.9) is not None
+        assert coord.assignable(now=4.9) == 0
+        assert coord.next_work("tds-c", now=4.9) is None
+        assert coord.assignable(now=5.0) == 1          # tds-a timed out
+        assert coord.stats.reassigned_partitions == 1
+        again = coord.next_work("tds-c", now=5.0)
+        assert again.partition_id == unit.partition_id
+
     def test_completion_before_any_work_is_a_noop(self):
         ssi = SupportingServerInfrastructure()
         ssi.post_query(make_envelope("q1"))

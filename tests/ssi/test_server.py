@@ -191,3 +191,19 @@ class TestPartitionTracker:
             tracker.complete(99, "a")
         with pytest.raises(ProtocolError):
             tracker.fail(99)
+
+
+class TestGlobalQueryboxHistory:
+    def test_listing_costs_the_open_queries_not_the_history(self):
+        box = GlobalQuerybox()
+        for index in range(300):
+            box.post(make_envelope(f"q{index}"))
+            if index < 298:
+                box.close(f"q{index}")
+        assert [e.query_id for e in box.active()] == ["q298", "q299"]
+        assert len(box._open) == 2
+        assert box.is_closed("q0") and box.is_closed("q297")
+        assert not box.is_closed("q299") and not box.is_closed("never-posted")
+        box.close("q0")  # closing twice, or something never open: harmless
+        box.close("never-posted")
+        assert [e.query_id for e in box.active()] == ["q298", "q299"]

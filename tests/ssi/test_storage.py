@@ -107,3 +107,25 @@ class TestPartitionTrackerCounters:
         assert tracker.pending_count() == 1
         assert tracker.assign_next("tds-b", now=0.0) is not None
         assert tracker.pending_count() == 0
+
+    def test_expire_skips_the_scan_until_a_deadline_can_have_passed(self):
+        """expire() keeps a lower bound on live deadlines; the bound may
+        go stale (a completed assignment) but never hides an expiry."""
+        tracker = self.make_tracker(3, timeout=10.0)
+        assert tracker.expire(now=1e9) == []  # nothing assigned yet
+        p0 = tracker.assign_next("tds-a", now=0.0)   # deadline 10
+        p1 = tracker.assign_next("tds-b", now=5.0)   # deadline 15
+        assert tracker.expire(now=9.9) == []
+        tracker.complete(p0.partition_id, "tds-a")   # bound (10) is stale now
+        assert tracker.expire(now=12.0) == []        # one scan, bound -> 15
+        assert tracker._earliest_deadline == 15.0
+        assert tracker.expire(now=14.9) == []
+        assert [p.partition_id for p in tracker.expire(now=15.0)] == [
+            p1.partition_id
+        ]
+        assert tracker.pending_count() == 2
+        # reassigned: a new deadline, found again
+        again = tracker.assign_next("tds-c", now=20.0)
+        assert again.partition_id == p1.partition_id
+        assert tracker.expire(now=29.9) == []
+        assert len(tracker.expire(now=30.0)) == 1

@@ -91,6 +91,70 @@ class TestOpenQuery:
             setup["tds_a"].open_query(env)
 
 
+class TestStatementReuse:
+    """A TDS stops re-deriving what it already holds — without skipping
+    what it must do itself for every envelope."""
+
+    def test_parse_is_memoised_by_text_and_errors_are_not(self):
+        from repro.exceptions import SQLSyntaxError
+        from repro.sql import parser
+
+        parser.parse.cache_clear()
+        first = parser.parse(AGG_SQL)
+        assert parser.parse(AGG_SQL) is first
+        assert parser.parse(AGG_SQL + " ") is not first  # keyed by text
+        info = parser.parse.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+        assert info.maxsize is not None  # bounded
+        for _ in range(2):
+            with pytest.raises(SQLSyntaxError):
+                parser.parse("SELECT FROM")
+
+    def test_a_denied_credential_is_still_denied_on_a_cache_hit(self, setup):
+        from repro.core.messages import Credential
+        from repro.sql import parser
+
+        parser.parse.cache_clear()
+        env = setup["envelope"](AGG_SQL)
+        setup["tds_a"].open_query(env)  # the text is cached from here on
+        setup["tds_b"].open_query(env)
+        assert parser.parse.cache_info().hits == 1
+        forged = QueryEnvelope(
+            env.query_id,
+            env.encrypted_query,
+            Credential("q", frozenset({"public"}), b"forged-signature"),
+        )
+        unprivileged = QueryEnvelope(
+            env.query_id,
+            env.encrypted_query,
+            setup["authority"].issue("nobody", ["guest"]),
+        )
+        for denied in (forged, unprivileged):
+            with pytest.raises(AccessDeniedError):
+                setup["tds_a"].open_query(denied)
+            # and the device contributes a dummy, not its row
+            block = setup["tds_a"].collect_frames(denied, "s_agg")
+            assert len(block) == 1
+        assert parser.parse.cache_info().hits >= 3  # denied on hits, not misses
+
+    def test_collect_frames_takes_the_statement_the_caller_opened(
+        self, setup, monkeypatch
+    ):
+        tds = setup["tds_b"]
+        env = setup["envelope"](AGG_SQL)
+        statement = tds.open_query(env)
+        opened = []
+        monkeypatch.setattr(
+            TrustedDataServer, "open_query",
+            lambda self, envelope: opened.append(envelope) or statement,
+        )
+        with_it = tds.collect_frames(env, "s_agg", statement=statement)
+        assert opened == []
+        without = tds.collect_frames(env, "s_agg")
+        assert opened == [env]
+        assert bytes(with_it.frames) == bytes(without.frames)
+
+
 class TestCollectBasic:
     def test_matching_rows_encrypted(self, setup):
         env = setup["envelope"]("SELECT x FROM T WHERE x > 3")

@@ -31,6 +31,7 @@ REQUIRED_FAMILIES = (
     "repro_ssi_replays_total",
     "server_internal_errors_total",
     "repro_ssi_connections_open",
+    "repro_ssi_parked_requests",
     "repro_ssi_frames_total",
     "repro_ssi_bytes_total",
     # health monitor (PR 10): declared by repro.obs.health at serve time

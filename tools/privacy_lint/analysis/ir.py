@@ -16,7 +16,7 @@ Shape (see ``IR_VERSION`` for the schema revision):
 
 ``FunctionIR`` ::
 
-    {"qual": "repro.net.fleet::FleetRunner._poll_once",
+    {"qual": "repro.net.fleet::FleetRunner._serve_tds",
      "module": str, "path": str, "cls": str|None, "name": str,
      "kind": "function"|"method"|"static"|"class",
      "params": [str], "kwonly": [str], "ln": int, "is_async": bool,

@@ -14,12 +14,19 @@ codec is the canonical serialization underneath.  It is:
 Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``,
 ``bytes``, ``list``, ``tuple`` (decoded as list), ``dict`` (sorted by
 encoded key) and ``frozenset``/``set`` (sorted by encoded element).
+
+:func:`encode` / :func:`decode` define the format.  :class:`DictTemplate`
+is a shortcut through it for many dicts with one key set (the rows of a
+tuple block): it writes and recognises exactly the bytes :func:`encode`
+produces, and declines — leaving the value to the generic functions —
+whatever it does not recognise.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
-from typing import Any
+from typing import Any, Hashable
 
 from repro.exceptions import ReproError
 
@@ -83,6 +90,16 @@ def _encode_into(value: Any, out: bytearray) -> None:
             out += encoded
     else:
         raise CodecError(f"unsupported type for codec: {type(value).__name__}")
+
+
+def list_header(count: int) -> bytes:
+    """The bytes that open the encoding of a *count*-element list."""
+    return bytes([_TAG_LIST]) + struct.pack(">I", count)
+
+
+def dict_header(count: int) -> bytes:
+    """The bytes that open the encoding of a *count*-entry dict."""
+    return bytes([_TAG_DICT]) + struct.pack(">I", count)
 
 
 def encode(value: Any) -> bytes:
@@ -220,3 +237,96 @@ def decode_packed(buffer: bytes, offsets: list[int]) -> list[Any]:
                 f"{boundary - reader.pos} trailing bytes after codec payload"
             )
     return values
+
+
+# ---------------------------------------------------------------------- #
+# many dicts with one key set
+# ---------------------------------------------------------------------- #
+_TAGGED_F64 = struct.Struct(">Bd")
+_TAGGED_U32 = struct.Struct(">BI")
+_F64_AT = struct.Struct(">d").unpack_from
+_U32_AT = struct.Struct(">I").unpack_from
+
+
+def read_scalar(data: bytes, pos: int, end: int) -> tuple[Any, int]:
+    """Decode the scalar at ``data[pos:end]`` in place: the value and the
+    position after it.  :class:`CodecError` when what is there is not a
+    complete ``None``/bool/int/float/str/bytes inside *end* — the
+    caller then lets :func:`decode` judge the payload."""
+    if pos < end:
+        tag = data[pos]
+        if tag == _TAG_FLOAT:
+            if pos + 9 <= end:
+                return _F64_AT(data, pos + 1)[0], pos + 9
+        elif tag == _TAG_STR or tag == _TAG_INT or tag == _TAG_BYTES:
+            if pos + 5 <= end:
+                start = pos + 5
+                stop = start + _U32_AT(data, pos + 1)[0]
+                if stop <= end:
+                    if tag == _TAG_STR:
+                        return data[start:stop].decode("utf-8"), stop
+                    if tag == _TAG_BYTES:
+                        return data[start:stop], stop
+                    return int.from_bytes(data[start:stop], "big", signed=True), stop
+        elif tag == _TAG_NONE:
+            return None, pos + 1
+        elif tag == _TAG_TRUE:
+            return True, pos + 1
+        elif tag == _TAG_FALSE:
+            return False, pos + 1
+    raise CodecError("not a scalar the template reads")
+
+
+class DictTemplate:
+    """The canonical encoding of every dict whose key set is *keys*: the
+    entry order and the encoded keys are worked out once, then only the
+    values are written or read."""
+
+    def __init__(self, keys: tuple[Hashable, ...]) -> None:
+        entries = sorted(((encode(key), key) for key in keys), key=lambda e: e[0])
+        self._keys = tuple(key for _, key in entries)
+        self._encoded_keys = tuple(encoded for encoded, _ in entries)
+        self._head = dict_header(len(keys))
+
+    def encode_into(self, mapping: dict, out: bytearray) -> bool:
+        """Append ``encode(mapping)`` to *out*; False, with nothing
+        appended, when *mapping* has another key set."""
+        if len(mapping) != len(self._keys):
+            return False
+        try:
+            values = [mapping[key] for key in self._keys]
+        except KeyError:
+            return False
+        out += self._head
+        for encoded_key, value in zip(self._encoded_keys, values):
+            out += encoded_key
+            kind = type(value)
+            if kind is float:
+                out += _TAGGED_F64.pack(_TAG_FLOAT, value)
+            elif kind is str:
+                raw = value.encode("utf-8")
+                out += _TAGGED_U32.pack(_TAG_STR, len(raw))
+                out += raw
+            else:
+                _encode_into(value, out)
+        return True
+
+    def decode_from(self, data: bytes, pos: int, end: int) -> tuple[dict, int]:
+        """Decode the dict at ``data[pos:end]`` when it is this key set
+        in canonical order over scalar values; :class:`CodecError`
+        otherwise."""
+        if not data.startswith(self._head, pos):
+            raise CodecError("another shape than the template's")
+        pos += len(self._head)
+        result = {}
+        for key, encoded_key in zip(self._keys, self._encoded_keys):
+            if not data.startswith(encoded_key, pos):
+                raise CodecError("another key than the template's")
+            result[key], pos = read_scalar(data, pos + len(encoded_key), end)
+        return result, pos
+
+
+@functools.lru_cache(maxsize=64)
+def template_for(keys: tuple[Hashable, ...]) -> DictTemplate:
+    """The template of the key set *keys* (a dict's keys, in any order)."""
+    return DictTemplate(keys)

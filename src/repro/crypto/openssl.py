@@ -157,9 +157,10 @@ class OpenSSLAES128:
 
         With numpy available the batch runs in lockstep lanes: step *b*
         XORs block *b* of every still-unfinished message into its lane's
-        state and encrypts all lanes with one ECB call, so the per-call
-        EVP setup cost is paid per *step*, not per message.  The XOR is
-        byte-wise, so host endianness never enters."""
+        state and encrypts all lanes with one ECB update, so the EVP
+        setup cost is paid once per batch (ECB carries no state between
+        updates).  The XOR is byte-wise, so host endianness never
+        enters."""
         counts = [len(message) // BLOCK_SIZE for message in messages]
         if _np is None or len(messages) < 2:
             return [self.cbc_mac_words(message) for message in messages]
@@ -180,10 +181,10 @@ class OpenSSLAES128:
                 data[lane, : counts[lane], :] = w.reshape(-1, BLOCK_SIZE)
         state = _np.zeros((lanes, BLOCK_SIZE), dtype=_np.uint8)
         macs: list[bytes | None] = [None] * lanes
+        enc = self._ecb.encryptor()
         for block_index in range(max_blocks):
             state ^= data[:, block_index, :]
-            enc = self._ecb.encryptor()
-            out = enc.update(state.tobytes()) + enc.finalize()
+            out = enc.update(state.tobytes())
             state = _np.frombuffer(out, dtype=_np.uint8).reshape(
                 lanes, BLOCK_SIZE
             ).copy()
@@ -192,6 +193,7 @@ class OpenSSLAES128:
             for lane, count in enumerate(counts):
                 if count == block_index + 1:
                     macs[lane] = out[16 * lane : 16 * lane + 16]
+        enc.finalize()
         if uniform:
             flat = state.tobytes()
             return [flat[16 * i : 16 * i + 16] for i in range(lanes)]

@@ -971,6 +971,56 @@ class SSIDispatcher:
 DispatchFn = Callable[[bytes], Awaitable[bytes]]
 
 
+# What asyncio keeps of a connection that died badly is cyclic garbage:
+# the exception is stored on the stream reader and the protocol, and every
+# time it is re-raised — out of a read, a ``drain()``, ``wait_closed()``,
+# or ``wait_for``'s frame that holds the reading task — its traceback
+# grows by the frames it passes, frames that hold the reader again.  The
+# cycle collector frees that eventually; until then whatever those frames
+# reach stays alive.  So the three stream operations that can raise are
+# made here, in frames that hold a stream and nothing else, and report
+# what happened as a value; and asyncio gets a connection callback that
+# holds the server weakly (``SSIServer.start``).  No frame that holds the
+# server, its dispatcher or the SSI's retained ciphertexts is ever part
+# of such garbage, and a stopped server is freed by reference counting.
+async def _read_request(
+    reader: asyncio.StreamReader, max_frame_bytes: int, timeout: float
+) -> bytes | Exception:
+    """The next request frame body, or the exception that ended the read."""
+    try:
+        return await asyncio.wait_for(
+            frames.read_frame(reader, max_frame_bytes), timeout=timeout
+        )
+    except (
+        asyncio.TimeoutError,
+        asyncio.IncompleteReadError,
+        ConnectionError,
+        ProtocolError,
+    ) as exc:
+        return exc
+
+
+async def _send(
+    writer: asyncio.StreamWriter, write_lock: asyncio.Lock, frame: bytes
+) -> bool:
+    """Write one response frame; False when the peer went away."""
+    try:
+        async with write_lock:
+            writer.write(frame)
+            await writer.drain()
+    except ConnectionError:
+        return False
+    return True
+
+
+async def _hang_up(writer: asyncio.StreamWriter) -> None:
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, asyncio.CancelledError):
+        pass
+
+
 class SSIServer:
     """``asyncio.start_server``-based TCP front end for a dispatcher.
 
@@ -1034,8 +1084,18 @@ class SSIServer:
             return False
 
     async def start(self) -> None:
+        serve = weakref.WeakMethod(self._serve_connection)
+
+        async def on_connection(
+            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        ) -> None:
+            # asyncio keeps this callback on every connection's protocol
+            bound = serve()
+            if bound is not None:
+                await bound(reader, writer)
+
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+            on_connection, self.host, self.port
         )
         sockets = self._server.sockets or ()
         for sock in sockets:
@@ -1071,13 +1131,10 @@ class SSIServer:
             _g_inflight.inc()
             try:
                 response = await self.dispatcher.dispatch(body)
-                async with write_lock:
-                    writer.write(response)
-                    await writer.drain()
-                _c_frames_out.inc()
-                _c_bytes_out.inc(len(response))
-            except (ConnectionError, ConnectionResetError):
-                pass  # peer went away mid-response; the read loop exits too
+                # a peer gone mid-response ends the read loop too
+                if await _send(writer, write_lock, response):
+                    _c_frames_out.inc()
+                    _c_bytes_out.inc(len(response))
             finally:
                 _g_inflight.dec()
                 self._end_request()
@@ -1085,37 +1142,29 @@ class SSIServer:
 
         try:
             while True:
-                try:
-                    body = await asyncio.wait_for(
-                        frames.read_frame(reader, self.max_frame_bytes),
-                        timeout=self.read_timeout,
-                    )
-                except asyncio.TimeoutError:
+                got = await _read_request(
+                    reader, self.max_frame_bytes, self.read_timeout
+                )
+                if isinstance(got, asyncio.TimeoutError):
                     if tasks:
                         continue  # busy connection, not an idle one
                     return  # idle timeout: hang up
-                except (asyncio.IncompleteReadError, ConnectionError):
+                if isinstance(got, (asyncio.IncompleteReadError, ConnectionError)):
                     return  # clean EOF or peer drop: hang up
-                except FrameTooLargeError as exc:
-                    # Size-limit violation: answer once (on the
-                    # connection-scoped correlation id 0, the body was
-                    # never read), then hang up — the stream position
-                    # can no longer be trusted.
-                    async with write_lock:
-                        writer.write(
-                            frames.pack_error(frames.ERR_TOO_LARGE, str(exc))
-                        )
-                        await writer.drain()
+                if isinstance(got, ProtocolError):
+                    # A size-limit violation (the body was never read)
+                    # or any other framing violation (e.g. a frame too
+                    # short for its header): answer once, on the
+                    # connection-scoped correlation id 0, then hang up —
+                    # the stream position can no longer be trusted.
+                    code = (
+                        frames.ERR_TOO_LARGE
+                        if isinstance(got, FrameTooLargeError)
+                        else frames.ERR_MALFORMED
+                    )
+                    await _send(writer, write_lock, frames.pack_error(code, str(got)))
                     return
-                except ProtocolError as exc:
-                    # Any other framing violation (e.g. a frame too
-                    # short for its header): malformed, then hang up.
-                    async with write_lock:
-                        writer.write(
-                            frames.pack_error(frames.ERR_MALFORMED, str(exc))
-                        )
-                        await writer.drain()
-                    return
+                body = got
                 _c_frames_in.inc()
                 _c_bytes_in.inc(frames.LENGTH_PREFIX_BYTES + len(body))
                 # Bounded per-connection task group: when every slot is
@@ -1129,16 +1178,10 @@ class SSIServer:
                 task = asyncio.create_task(handle(body))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
-        except ConnectionError:
-            return
         finally:
             _g_connections.dec()
             for task in tasks:
                 task.cancel()
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+            await _hang_up(writer)

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.core.codec import decode
+from repro.core.codec import decode_packed
 from repro.core.messages import Partition, QueryEnvelope, QueryResult, fresh_query_id
 from repro.core.trace import ExecutionTrace
 from repro.crypto.keys import KeyBundle
@@ -92,11 +92,7 @@ class Querier:
         plain, plain_offsets = self._cipher().decrypt_block(
             b"".join(rows), offsets
         )
-        view = memoryview(plain)
-        return [
-            decode(bytes(view[plain_offsets[i] : plain_offsets[i + 1]]))
-            for i in range(len(rows))
-        ]
+        return decode_packed(plain, plain_offsets)
 
 
 @dataclass

@@ -15,6 +15,7 @@ Expression nodes are plain frozen dataclasses; evaluation lives in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -257,6 +258,13 @@ class SelectStatement:
     def aggregates(self) -> tuple[AggregateCall, ...]:
         """All aggregate calls appearing in SELECT or HAVING, in order of
         first appearance (deduplicated)."""
+        return self._aggregates
+
+    @functools.cached_property
+    def _aggregates(self) -> tuple[AggregateCall, ...]:
+        # Walked once per statement: callers ask per row and per message.
+        # cached_property writes the instance dict directly, which a
+        # frozen dataclass allows.
         found: list[AggregateCall] = []
 
         def walk(node: Expression | None) -> None:

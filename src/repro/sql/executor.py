@@ -12,7 +12,8 @@ for protocol correctness.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+import itertools
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.exceptions import PlanningError
 from repro.sql.aggregates import AggregateState, make_state
@@ -30,7 +31,7 @@ from repro.sql.ast import (
     SelectStatement,
     UnaryOp,
 )
-from repro.sql.expressions import evaluate, is_true
+from repro.sql.expressions import compile
 from repro.sql.schema import Database, Row
 
 
@@ -38,44 +39,173 @@ def bind_rows(database: Database, statement: SelectStatement) -> Iterator[Row]:
     """Produce the FROM-clause rows: the cartesian product of the referenced
     tables, with every column bound under its qualified name
     (``binding.column``)."""
-    bindings: list[tuple[str, list[Row]]] = []
+    tables: list[list[Row]] = []
     for table_ref in statement.from_tables:
         if not database.has_table(table_ref.name):
             raise PlanningError(f"unknown table {table_ref.name!r}")
-        table = database.table(table_ref.name)
-        bindings.append((table_ref.binding, list(table.rows())))
-    seen_bindings = [b for b, __ in bindings]
-    if len(set(seen_bindings)) != len(seen_bindings):
+        binding = table_ref.binding
+        # qualified once per table row, not once per combination
+        tables.append(
+            [
+                {f"{binding}.{column}": value for column, value in row.items()}
+                for row in database.table(table_ref.name).rows()
+            ]
+        )
+    bindings = [table_ref.binding for table_ref in statement.from_tables]
+    if len(set(bindings)) != len(bindings):
         raise PlanningError("duplicate table binding in FROM clause")
-
-    def product(index: int, partial: Row) -> Iterator[Row]:
-        if index == len(bindings):
-            yield dict(partial)
-            return
-        binding, rows = bindings[index]
-        for row in rows:
-            extended = dict(partial)
-            for column, value in row.items():
-                extended[f"{binding}.{column}"] = value
-            yield from product(index + 1, extended)
-
-    yield from product(0, {})
+    for parts in itertools.product(*tables):
+        joined: Row = {}
+        for part in parts:
+            joined.update(part)
+        yield joined
 
 
-def filter_where(rows: Iterable[Row], statement: SelectStatement) -> Iterator[Row]:
-    """Keep rows whose WHERE predicate is exactly TRUE."""
-    if statement.where is None:
-        yield from rows
-        return
-    for row in rows:
-        if is_true(evaluate(statement.where, row)):
-            yield row
+class StatementPlan:
+    """Everything a TDS derives from the statement alone, derived once:
+    the aggregate list, the columns the aggregation needs, and the WHERE
+    predicate, group key, aggregate arguments, SELECT projection and
+    HAVING as compiled closures.  Rows then only pass through it.
+
+    Get it from :func:`plan_of`; it lives as long as its statement, which
+    :func:`repro.sql.parser.parse` memoises by text."""
+
+    def __init__(self, statement: SelectStatement) -> None:
+        self.statement = statement
+        self.aggregates = statement.aggregates()
+        self._where = None if statement.where is None else compile(statement.where)
+        keys = [compile(expr) for expr in statement.group_by]
+        #: the GROUP BY expressions of one row, as a tuple; a query with
+        #: aggregates but no GROUP BY maps every row to the empty key
+        self.group_key: Callable[[Row], tuple[Any, ...]]
+        if len(keys) == 1:
+            (only,) = keys
+            self.group_key = lambda row: (only(row),)
+        else:
+            self.group_key = lambda row: tuple([key(row) for key in keys])
+        #: per aggregate, its compiled argument; None for COUNT(*)
+        self._arguments = [
+            None if call.argument is None else compile(call.argument)
+            for call in self.aggregates
+        ]
+        needed = {
+            str(ref)
+            for expr in (*statement.group_by, *(c.argument for c in self.aggregates))
+            for ref in column_refs(expr)
+        }
+        #: bound column name -> does the aggregation need it; filled as
+        #: names are met, so bounded by the local schema
+        self._needed = _NeededColumns(needed)
+        self._projection = [
+            (item.output_name, compile(item.expression))
+            for item in statement.select_items
+        ]
+        self._having = (
+            None
+            if statement.having is None
+            else compile(rewrite_grouped(statement.having, statement))
+        )
+        self._grouped_projection = [
+            (item.output_name, compile(rewrite_grouped(item.expression, statement)))
+            for item in statement.select_items
+        ]
+
+    def matching_rows(self, rows: Iterable[Row]) -> Iterator[Row]:
+        """Keep rows whose WHERE predicate is exactly TRUE."""
+        where = self._where
+        if where is None:
+            return iter(rows)
+        return (row for row in rows if where(row) is True)
+
+    def reduce(self, row: Row) -> Row:
+        """Project a bound row down to the columns the aggregation
+        actually needs (grouping attributes + aggregate arguments),
+        cutting tuple size st — the quantity the cost model charges for."""
+        needed = self._needed
+        return {key: value for key, value in row.items() if needed[key]}
+
+    def project(self, row: Row) -> Row:
+        """SELECT projection for non-aggregate queries."""
+        statement = self.statement
+        if statement.select_star:
+            if len(statement.from_tables) == 1:
+                return {_strip_binding(k): v for k, v in row.items()}
+            return dict(row)
+        return {name: value(row) for name, value in self._projection}
+
+    def new_states(self) -> list[AggregateState]:
+        """Fresh (empty) aggregate states for one group."""
+        return [make_state(call) for call in self.aggregates]
+
+    def update(self, states: list[AggregateState], row: Row) -> None:
+        """Fold one source row into a group's aggregate states."""
+        for argument, state in zip(self._arguments, states):
+            if argument is None:
+                state.update(1)  # COUNT(*)
+                continue
+            value = argument(row)
+            if value is not None:  # SQL aggregates ignore NULLs
+                state.update(value)
+
+    def finalize(
+        self, groups: Mapping[tuple[Any, ...], list[AggregateState]]
+    ) -> list[Row]:
+        """Apply HAVING and the SELECT projection to finished groups."""
+        having = self._having
+        output: list[Row] = []
+        for key, states in groups.items():
+            context = self._grouped_row(key, states)
+            if having is not None and having(context) is not True:
+                continue
+            output.append(
+                {name: value(context) for name, value in self._grouped_projection}
+            )
+        return output
+
+    def _grouped_row(self, key: tuple[Any, ...], states: list[AggregateState]) -> Row:
+        """The evaluation context of one finished group: group-by values
+        (bound under their expression text, and for plain column
+        references also under the column name) plus finalized aggregate
+        values."""
+        context: dict[str, Any] = {}
+        for expr, value in zip(self.statement.group_by, key):
+            context[str(expr)] = value
+            if isinstance(expr, ColumnRef):
+                context.setdefault(expr.name, value)
+        for call, state in zip(self.aggregates, states):
+            context[str(call)] = state.result()
+        return context
+
+
+class _NeededColumns(dict):
+    """``bound name -> bool``: the name, or its bare form, is a needed
+    column."""
+
+    def __init__(self, needed: set[str]) -> None:
+        super().__init__()
+        self._names = needed
+
+    def __missing__(self, key: str) -> bool:
+        keep = self[key] = key in self._names or _strip_binding(key) in self._names
+        return keep
+
+
+def plan_of(statement: SelectStatement) -> StatementPlan:
+    """The plan of *statement*, built on first use and kept on the
+    statement itself (a frozen dataclass, so it is stored past
+    ``__setattr__``, as ``functools.cached_property`` would).  Keyed by
+    identity on purpose: ``Literal(1) == Literal(True)``, so two equal
+    statements need not evaluate alike."""
+    plan = vars(statement).get("_plan")
+    if plan is None:
+        plan = vars(statement)["_plan"] = StatementPlan(statement)
+    return plan
 
 
 def local_matching_rows(database: Database, statement: SelectStatement) -> list[Row]:
     """FROM + WHERE on one local database — the collection-phase work of a
     single TDS (step 3 of Fig. 2)."""
-    return list(filter_where(bind_rows(database, statement), statement))
+    return list(plan_of(statement).matching_rows(bind_rows(database, statement)))
 
 
 def group_key(statement: SelectStatement, row: Row) -> tuple[Any, ...]:
@@ -83,7 +213,7 @@ def group_key(statement: SelectStatement, row: Row) -> tuple[Any, ...]:
 
     For a query without GROUP BY but with aggregates, every row maps to the
     single empty key (one global group)."""
-    return tuple(evaluate(expr, row) for expr in statement.group_by)
+    return plan_of(statement).group_key(row)
 
 
 def _strip_binding(key: str) -> str:
@@ -92,32 +222,7 @@ def _strip_binding(key: str) -> str:
 
 def project_row(statement: SelectStatement, row: Row) -> Row:
     """SELECT projection for non-aggregate queries."""
-    if statement.select_star:
-        if len(statement.from_tables) == 1:
-            return {_strip_binding(k): v for k, v in row.items()}
-        return dict(row)
-    return {
-        item.output_name: evaluate(item.expression, row)
-        for item in statement.select_items
-    }
-
-
-def grouped_row(
-    statement: SelectStatement,
-    key: tuple[Any, ...],
-    states: list[AggregateState],
-) -> Row:
-    """Build the evaluation context of one finished group: group-by values
-    (bound under their expression text, and for plain column references also
-    under the column name) plus finalized aggregate values."""
-    context: dict[str, Any] = {}
-    for expr, value in zip(statement.group_by, key):
-        context[str(expr)] = value
-        if isinstance(expr, ColumnRef):
-            context.setdefault(expr.name, value)
-    for call, state in zip(statement.aggregates(), states):
-        context[str(call)] = state.result()
-    return context
+    return plan_of(statement).project(row)
 
 
 def rewrite_grouped(expression: Expression, statement: SelectStatement) -> Expression:
@@ -157,46 +262,12 @@ def rewrite_grouped(expression: Expression, statement: SelectStatement) -> Expre
     return rewrite(expression)
 
 
-def update_states(
-    statement: SelectStatement, states: list[AggregateState], row: Row
-) -> None:
-    """Fold one source row into a group's aggregate states."""
-    for call, state in zip(statement.aggregates(), states):
-        if call.argument is None:
-            state.update(1)  # COUNT(*)
-            continue
-        value = evaluate(call.argument, row)
-        if value is None:
-            continue  # SQL aggregates ignore NULLs
-        state.update(value)
-
-
-def new_states(statement: SelectStatement) -> list[AggregateState]:
-    """Fresh (empty) aggregate states for one group."""
-    return [make_state(call) for call in statement.aggregates()]
-
-
 def finalize_groups(
     statement: SelectStatement,
-    groups: dict[tuple[Any, ...], list[AggregateState]],
+    groups: Mapping[tuple[Any, ...], list[AggregateState]],
 ) -> list[Row]:
     """Apply HAVING and the SELECT projection to finished groups."""
-    having = (
-        rewrite_grouped(statement.having, statement)
-        if statement.having is not None
-        else None
-    )
-    projections = [
-        (item.output_name, rewrite_grouped(item.expression, statement))
-        for item in statement.select_items
-    ]
-    output: list[Row] = []
-    for key, states in groups.items():
-        context = grouped_row(statement, key, states)
-        if having is not None and not is_true(evaluate(having, context)):
-            continue
-        output.append({name: evaluate(expr, context) for name, expr in projections})
-    return output
+    return plan_of(statement).finalize(groups)
 
 
 def execute(database: Database, statement: SelectStatement) -> list[Row]:
@@ -212,18 +283,18 @@ def execute(database: Database, statement: SelectStatement) -> list[Row]:
     [{'g': 'a', 's': 4}, {'g': 'b', 's': 5}]
     """
     validate_statement(statement, database)
-    rows = filter_where(bind_rows(database, statement), statement)
+    plan = plan_of(statement)
+    rows = plan.matching_rows(bind_rows(database, statement))
     if not statement.is_aggregate_query():
-        return [project_row(statement, row) for row in rows]
+        return [plan.project(row) for row in rows]
     groups: dict[tuple[Any, ...], list[AggregateState]] = {}
     for row in rows:
-        key = group_key(statement, row)
+        key = plan.group_key(row)
         states = groups.get(key)
         if states is None:
-            states = new_states(statement)
-            groups[key] = states
-        update_states(statement, states, row)
-    return finalize_groups(statement, groups)
+            states = groups[key] = plan.new_states()
+        plan.update(states, row)
+    return plan.finalize(groups)
 
 
 # ---------------------------------------------------------------------- #

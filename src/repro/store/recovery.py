@@ -34,6 +34,7 @@ import asyncio
 import os
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -210,7 +211,12 @@ class DurableStore:
         self.fsync_policy = fsync_policy
         self.snapshot_every = snapshot_every
         self.recovered = recovered
-        self.journal = StoreJournal(self.append_record)
+        # The journal reaches back weakly.  The SSI holds the journal and
+        # the store holds the recovered SSI (and the journal): with a
+        # strong reference here a closed store, and every ciphertext
+        # its SSI retains, would wait for the cycle collector.
+        append = weakref.WeakMethod(self.append_record)
+        self.journal = StoreJournal(lambda body: append()(body))
         self._wal = wal_writer
         self._chain = chain
         self._snap_dir = self.data_dir / SNAPSHOT_SUBDIR

@@ -14,9 +14,11 @@ uniform distribution of opaque tags.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro.core.codec import encode
 from repro.exceptions import ConfigurationError
 
 
@@ -101,11 +103,15 @@ class EquiDepthHistogram:
         """The bucket id of *value*; unseen values go to the bucket whose id
         is a stable hash of the value (they were absent from the discovered
         distribution, so any deterministic assignment preserves
-        correctness)."""
+        correctness).  Stable across processes: every TDS, in whichever
+        fleet shard it runs, must tag the same value alike — so a digest
+        of the value's canonical encoding, not ``hash()``, which is salted
+        per process."""
         bucket_id = self._value_to_bucket.get(value)
         if bucket_id is not None:
             return bucket_id
-        return hash(repr(value)) % len(self._buckets)
+        digest = hashlib.blake2b(encode(value), digest_size=8).digest()
+        return int.from_bytes(digest, "big") % len(self._buckets)
 
     def bucket(self, bucket_id: int) -> Bucket:
         return self._buckets[bucket_id]

@@ -14,9 +14,8 @@ filtering phases.
 from __future__ import annotations
 
 import random
-from typing import Any
 
-from repro.core.codec import encode
+from repro.core.codec import encode, encode_many
 from repro.core.messages import (
     EncryptedPartial,
     EncryptedTuple,
@@ -25,7 +24,12 @@ from repro.core.messages import (
     QueryEnvelope,
     TupleContent,
 )
-from repro.core.wire import decode_frame, encode_partial_frame, encode_tuple_frame
+from repro.core.wire import (
+    decode_frames,
+    encode_partial_frame,
+    encode_tuple_frame,
+    encode_tuple_frames,
+)
 from repro.crypto.det import DeterministicCipher
 from repro.crypto.hashing import BucketHasher
 from repro.crypto.keys import KeyBundle
@@ -37,13 +41,7 @@ from repro.exceptions import (
     ResourceExhaustedError,
 )
 from repro.sql.ast import SelectStatement
-from repro.sql.executor import (
-    column_refs,
-    finalize_groups,
-    group_key,
-    local_matching_rows,
-    project_row,
-)
+from repro.sql.executor import finalize_groups, local_matching_rows, plan_of
 from repro.sql.parser import parse
 from repro.sql.partial import PartialAggregation
 from repro.sql.schema import Database, Row
@@ -184,69 +182,55 @@ class TrustedDataServer:
         *envelope*, when the caller already ran it and keeps the result
         (the fleet's device loop does, for the query's first fold);
         without it the query is opened here."""
-        if protocol == "basic" or protocol == "s_agg":
-            project = project_row if protocol == "basic" else reduced_row
-            try:
-                statement = statement or self.open_query(envelope)
-                rows = local_matching_rows(self.database, statement)
-            except AccessDeniedError:
-                rows = []
-            if not rows:
-                return TupleFrameBlock.from_frames([self._dummy_frame()])
-            frames = [
-                encode_tuple_frame(
-                    TupleContent(TupleContent.KIND_DATA, project(statement, row))
-                )
-                for row in rows
-            ]
-            return TupleFrameBlock.from_frames(frames)
-        if protocol == "noise":
-            if noise is None:
-                raise ProtocolError("noise-based collection needs a NoiseStrategy")
-            try:
-                statement = statement or self.open_query(envelope)
-                rows = local_matching_rows(self.database, statement)
-            except AccessDeniedError:
-                statement, rows = None, []
-            frames = []
-            tag_plaintexts: list[bytes] = []
-            for row in rows:
-                assert statement is not None
-                key = group_key(statement, row)
-                content = TupleContent(
-                    TupleContent.KIND_DATA, reduced_row(statement, row)
-                )
-                frames.append(encode_tuple_frame(content))
-                tag_plaintexts.append(encode(list(key)))
-                for fake_value, fake_content in noise.fake_tuples(key):
-                    fake_key = (
-                        fake_value if isinstance(fake_value, tuple) else (fake_value,)
-                    )
-                    frames.append(encode_tuple_frame(fake_content))
-                    tag_plaintexts.append(encode(list(fake_key)))
-            tags = self._k2_det_cipher().encrypt_many(tag_plaintexts)
-            return TupleFrameBlock.from_frames(frames, tags)
+        if protocol not in ("basic", "s_agg", "noise", "ed_hist"):
+            raise ProtocolError(f"unknown collection protocol {protocol!r}")
+        if protocol == "noise" and noise is None:
+            raise ProtocolError("noise-based collection needs a NoiseStrategy")
+        if protocol == "ed_hist" and histogram is None:
+            raise ProtocolError("ED_Hist collection needs an EquiDepthHistogram")
+        try:
+            statement = statement or self.open_query(envelope)
+            rows = local_matching_rows(self.database, statement)
+        except AccessDeniedError:
+            rows = []
+        if not rows:
+            # the fully encrypted dataflows hide an empty answer behind a
+            # dummy; the tagged ones contribute nothing
+            dummies = [self._dummy_frame()] if protocol in ("basic", "s_agg") else []
+            return TupleFrameBlock.from_frames(dummies)
+        plan = plan_of(statement)
+        data = TupleContent.KIND_DATA
+        if protocol == "basic":
+            contents = [TupleContent(data, plan.project(row)) for row in rows]
+            return TupleFrameBlock.from_frames(encode_tuple_frames(contents))
+        contents = [TupleContent(data, plan.reduce(row)) for row in rows]
+        if protocol == "s_agg":
+            return TupleFrameBlock.from_frames(encode_tuple_frames(contents))
+        keys = [plan.group_key(row) for row in rows]
         if protocol == "ed_hist":
-            if histogram is None:
-                raise ProtocolError("ED_Hist collection needs an EquiDepthHistogram")
-            try:
-                statement = statement or self.open_query(envelope)
-                rows = local_matching_rows(self.database, statement)
-            except AccessDeniedError:
-                return TupleFrameBlock.from_frames([])
+            assert histogram is not None
             hasher = self._bucket_hasher()
-            frames = []
+            tag_of: dict[int, bytes] = {}  # one keyed hash per distinct bucket
             hash_tags: list[bytes | None] = []
-            for row in rows:
-                key = group_key(statement, row)
+            for key in keys:
                 bucket_id = histogram.bucket_of(key if len(key) > 1 else key[0])
-                content = TupleContent(
-                    TupleContent.KIND_DATA, reduced_row(statement, row)
-                )
-                frames.append(encode_tuple_frame(content))
-                hash_tags.append(hasher.hash_bucket(bucket_id))
-            return TupleFrameBlock.from_frames(frames, hash_tags)
-        raise ProtocolError(f"unknown collection protocol {protocol!r}")
+                tag = tag_of.get(bucket_id)
+                if tag is None:
+                    tag = tag_of[bucket_id] = hasher.hash_bucket(bucket_id)
+                hash_tags.append(tag)
+            return TupleFrameBlock.from_frames(encode_tuple_frames(contents), hash_tags)
+        assert noise is not None
+        noisy: list[TupleContent] = []
+        tag_plaintexts: list[bytes] = []
+        for content, key in zip(contents, keys):
+            noisy.append(content)
+            tag_plaintexts.append(encode(list(key)))
+            for fake_value, fake_content in noise.fake_tuples(key):
+                fake_key = fake_value if isinstance(fake_value, tuple) else (fake_value,)
+                noisy.append(fake_content)
+                tag_plaintexts.append(encode(list(fake_key)))
+        tags = self._k2_det_cipher().encrypt_many(tag_plaintexts)
+        return TupleFrameBlock.from_frames(encode_tuple_frames(noisy), tags)
 
     def seal_frames(self, frames: TupleFrameBlock) -> EncryptedTupleBlock:
         """nDet-encrypt a frame block under k2 in one packed pass — the
@@ -339,9 +323,8 @@ class TrustedDataServer:
         partial = self._fold_partition(statement, partition)
         frames: list[bytes] = []
         tag_plaintexts: list[bytes] = []
-        for key in partial.groups():
-            single = PartialAggregation(statement)
-            single.groups()[key] = partial.groups()[key]
+        for single in partial.split(partial.group_count()):
+            (key,) = single.groups()
             frames.append(encode_partial_frame(single.to_portable()))
             tag_plaintexts.append(encode(list(key)))
         payloads = self._k2_cipher().encrypt_many(frames)
@@ -360,9 +343,7 @@ class TrustedDataServer:
         device's RAM, otherwise :class:`ResourceExhaustedError`."""
         partial = PartialAggregation(statement)
         max_slots = self.device.ram_bytes // SLOT_BYTES
-        plaintexts = self._decrypt_partition(partition)
-        for plaintext in plaintexts:
-            kind, body = decode_frame(plaintext)
+        for kind, body in decode_frames(self._decrypt_partition(partition)):
             if kind == "tuple":
                 if body.is_real():
                     partial.add_row(body.row)
@@ -382,47 +363,30 @@ class TrustedDataServer:
     def filter_partition(self, partition: Partition) -> list[bytes]:
         """Basic protocol filtering: drop dummies, re-encrypt true rows
         under k1 for the querier."""
-        plaintexts = self._decrypt_partition(partition)
-        rows: list[bytes] = []
-        for plaintext in plaintexts:
-            kind, body = decode_frame(plaintext)
+        rows: list[Row] = []
+        for kind, body in decode_frames(self._decrypt_partition(partition)):
             if kind != "tuple":
                 raise ProtocolError("filtering phase expects tuple frames")
             if body.is_real():
-                rows.append(encode(body.row))
-        return self._k1_cipher().encrypt_many(rows)
+                rows.append(body.row)
+        return self._k1_cipher().encrypt_many(encode_many(rows))
 
     def finalize_partition(
         self, statement: SelectStatement, partition: Partition
     ) -> list[bytes]:
         """Aggregation filtering: merge final partials, evaluate HAVING and
         the SELECT projection, re-encrypt result rows under k1."""
-        plaintexts = self._decrypt_partition(partition)
         partial = PartialAggregation(statement)
-        for plaintext in plaintexts:
-            kind, body = decode_frame(plaintext)
+        for kind, body in decode_frames(self._decrypt_partition(partition)):
             if kind != "partial":
                 raise ProtocolError("finalization expects partial frames")
             partial.merge(PartialAggregation.from_portable(statement, body))
         rows = finalize_groups(statement, partial.groups())
-        return self._k1_cipher().encrypt_many([encode(row) for row in rows])
+        return self._k1_cipher().encrypt_many(encode_many(rows))
 
 
 def reduced_row(statement: SelectStatement, row: Row) -> Row:
     """Project a bound row down to the columns the aggregation actually
-    needs (grouping attributes + aggregate arguments + HAVING inputs),
-    cutting tuple size st — the quantity the cost model charges for."""
-    needed: set[str] = set()
-    expressions: list[Any] = list(statement.group_by)
-    for call in statement.aggregates():
-        if call.argument is not None:
-            expressions.append(call.argument)
-    for expression in expressions:
-        for ref in column_refs(expression):
-            needed.add(f"{ref.table}.{ref.name}" if ref.table else ref.name)
-    reduced = {}
-    for key, value in row.items():
-        bare = key.split(".", 1)[1] if "." in key else key
-        if key in needed or bare in needed:
-            reduced[key] = value
-    return reduced
+    needs (grouping attributes + aggregate arguments), cutting tuple size
+    st — the quantity the cost model charges for."""
+    return plan_of(statement).reduce(row)

@@ -1,5 +1,11 @@
 """Equi-depth histogram tests."""
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +16,8 @@ from repro.tds.histogram import (
     EquiDepthHistogram,
     frequencies_from_values,
 )
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestConstruction:
@@ -59,6 +67,27 @@ class TestMapping:
         first = hist.bucket_of("never-seen")
         assert first == hist.bucket_of("never-seen")
         assert 0 <= first < hist.bucket_count()
+
+    def test_unseen_values_get_the_same_bucket_in_every_process(self):
+        # two shards of a sharded fleet are two interpreters, each with
+        # its own hash() salt; both must tag an unseen value alike
+        script = (
+            "from repro.tds.histogram import EquiDepthHistogram\n"
+            "hist = EquiDepthHistogram.from_distribution("
+            "{f'v{i}': 1 for i in range(16)}, num_buckets=7)\n"
+            "unseen = [f'unseen-{i}' for i in range(40)] + [('x', 3), 17, 2.5, None]\n"
+            "print([hist.bucket_of(value) for value in unseen])\n"
+        )
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+        assert len(set(ast.literal_eval(outputs.pop()))) > 1  # not one constant bucket
 
     def test_collision_factor(self):
         hist = EquiDepthHistogram.from_distribution(

@@ -1,5 +1,6 @@
 """TrustedDataServer node tests: the TDS-side protocol primitives."""
 
+import functools
 import random
 
 import pytest
@@ -13,7 +14,11 @@ from repro.exceptions import (
     ProtocolError,
     ResourceExhaustedError,
 )
+from repro.crypto.hashing import BucketHasher
+from repro.sql import executor as sql_executor
+from repro.sql.ast import SelectStatement
 from repro.sql.parser import parse
+from repro.sql.partial import PartialAggregation
 from repro.sql.schema import Database, schema
 from repro.tds.access_control import Authority, permissive_policy
 from repro.tds.device import DeviceProfile
@@ -310,6 +315,111 @@ class TestAggregationPhase:
             tuples.extend(node.collect_for_sagg(env))
         with pytest.raises(ResourceExhaustedError):
             cramped.aggregate_partition(statement, Partition(0, tuple(tuples)))
+
+
+class TestPerStatementWork:
+    """What depends on the statement alone is done once per statement,
+    what depends on a bucket once per bucket — not once per row."""
+
+    def test_one_keyed_hash_per_distinct_bucket(self, setup, monkeypatch):
+        db = Database()
+        t = db.create_table(schema("T", g="TEXT", x="INTEGER"))
+        for i in range(12):
+            t.insert({"g": ["north", "south", "east"][i % 3], "x": i})
+        tds = TrustedDataServer(
+            "bulk", db, setup["provisioner"].bundle_for_tds(),
+            setup["tds_a"]._policy, setup["authority"], rng=random.Random(3),
+        )
+        histogram = EquiDepthHistogram.from_distribution(
+            {"north": 4, "south": 4, "east": 4}, num_buckets=2
+        )
+        hashed = []
+        hash_bucket = BucketHasher.hash_bucket
+
+        def counting(self, bucket_id):
+            hashed.append(bucket_id)
+            return hash_bucket(self, bucket_id)
+
+        monkeypatch.setattr(BucketHasher, "hash_bucket", counting)
+        block = tds.collect_frames(setup["envelope"](AGG_SQL), "ed_hist", histogram=histogram)
+        assert len(block) == 12
+        assert sorted(hashed) == [0, 1]
+        hasher = tds._bucket_hasher()
+        assert list(block.tags) == [
+            hash_bucket(hasher, histogram.bucket_of(["north", "south", "east"][i % 3]))
+            for i in range(12)
+        ]
+
+    def test_a_statement_is_walked_and_planned_once(self, setup, monkeypatch):
+        walks = []
+        walk = SelectStatement.__dict__["_aggregates"].func
+
+        def counting_walk(statement):
+            walks.append(statement)
+            return walk(statement)
+
+        counted = functools.cached_property(counting_walk)
+        counted.__set_name__(SelectStatement, "_aggregates")
+        monkeypatch.setattr(SelectStatement, "_aggregates", counted)
+        plans = []
+        plan_init = sql_executor.StatementPlan.__init__
+
+        def counting_init(plan, statement):
+            plans.append(statement)
+            plan_init(plan, statement)
+
+        monkeypatch.setattr(sql_executor.StatementPlan, "__init__", counting_init)
+        # a text no other test parses, so its plan cannot exist yet
+        sql = "SELECT g, SUM(x) AS planned_once, COUNT(*) FROM T GROUP BY g HAVING SUM(x) > 0"
+        env = setup["envelope"](sql)
+        tuples = []
+        for tds in (setup["tds_a"], setup["tds_b"]):
+            tuples.extend(tds.collect_for_sagg(env))
+        statement = setup["tds_a"].open_query(env)
+        folded = [
+            setup["tds_a"].aggregate_partition(statement, Partition(0, tuple(tuples[:2]))),
+            setup["tds_b"].aggregate_partition(statement, Partition(1, tuple(tuples[2:]))),
+        ]
+        rows = setup["tds_b"].finalize_partition(statement, Partition(2, tuple(folded)))
+        assert len(rows) == 2
+        assert plans == [statement]
+        assert walks == [statement]
+
+    def test_ram_bound_trips_at_the_first_overflowing_item(self, setup, monkeypatch):
+        tiny = DeviceProfile(
+            name="tiny", cpu_hz=1e6, crypto_cycles_per_block=167,
+            cpu_cycles_per_byte=30, link_bps=1e6, ram_bytes=64,
+        )
+        tds = setup["tds_a"]
+        cramped = TrustedDataServer(
+            "cramped", tds.database, setup["provisioner"].bundle_for_tds(),
+            tds._policy, setup["authority"], device=tiny, rng=random.Random(7),
+        )
+        env = setup["envelope"]("SELECT x, COUNT(*) FROM T GROUP BY x")
+        statement = tds.open_query(env)
+        tuples = []
+        for i in range(10):
+            db = Database()
+            t = db.create_table(schema("T", g="TEXT", x="INTEGER"))
+            t.insert({"g": "g", "x": i})
+            node = TrustedDataServer(
+                f"n{i}", db, setup["provisioner"].bundle_for_tds(),
+                tds._policy, setup["authority"], rng=random.Random(i),
+            )
+            tuples.extend(node.collect_for_sagg(env))
+        folded = []
+        add_row = PartialAggregation.add_row
+
+        def counting(self, row):
+            folded.append(row)
+            add_row(self, row)
+
+        monkeypatch.setattr(PartialAggregation, "add_row", counting)
+        with pytest.raises(ResourceExhaustedError):
+            cramped.aggregate_partition(statement, Partition(0, tuple(tuples)))
+        # 64 bytes are 4 slots; a group is its key plus one count: the
+        # third distinct group is the first item that does not fit
+        assert len(folded) == 3
 
 
 class TestFilteringPhase:

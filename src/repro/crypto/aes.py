@@ -27,22 +27,10 @@ Only the raw block transform lives here; chaining modes are built on top in
 from __future__ import annotations
 
 from struct import Struct
-from typing import Any, Protocol
+from typing import Any, Sequence
 
 from repro.exceptions import InvalidKeyError
 
-
-class CipherEngine(Protocol):
-    """The engine surface the chaining modes require.
-
-    Engines *may* additionally expose the bulk methods
-    (``ctr_keystream`` / ``ctr_keystream_many`` / ``ctr_keystream_packed``
-    / ``cbc_mac_words`` / ``cbc_mac_many``); :mod:`repro.crypto.modes`
-    discovers those by duck typing and falls back to per-block loops."""
-
-    def encrypt_block(self, block: bytes) -> bytes: ...
-
-    def decrypt_block(self, block: bytes) -> bytes: ...
 
 try:  # optional vectorized bulk engine; the scalar T-tables are the fallback
     import numpy as _np
@@ -52,6 +40,136 @@ except ImportError:  # pragma: no cover - environment without numpy
 BLOCK_SIZE = 16
 KEY_SIZE = 16
 _NUM_ROUNDS = 10
+
+
+def blocks_in(size: int) -> int:
+    """AES blocks covering *size* bytes (the CTR block count of a message)."""
+    return (size + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+
+def xor_bytes(data: bytes | memoryview, keystream: bytes) -> bytes:
+    """XOR *data* against the (at least as long) *keystream* in one shot."""
+    n = len(data)
+    if n == 0:
+        return b""
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")
+    ).to_bytes(n, "big")
+
+
+def xor_packed(
+    view: memoryview, offsets: Sequence[int], keystream: bytes
+) -> bytes:
+    """XOR the messages packed in *view* against a packed *keystream*
+    (message *i*'s stream starts block-aligned where *i - 1*'s ended, the
+    :meth:`CipherEngine.ctr_keystream_packed` layout)."""
+    if _np is not None and len(view) >= 512:
+        data = _np.frombuffer(view, dtype=_np.uint8)
+        stream = _np.frombuffer(keystream, dtype=_np.uint8)
+        if len(keystream) == len(view):
+            # Every message is block-aligned, so the packed keystream
+            # lines up byte-for-byte with the packed data: one flat XOR,
+            # no gather.
+            return (data ^ stream).tobytes()
+        # Per-byte keystream positions: message i's data byte j maps to
+        # keystream byte (16 * cum_blocks[i]) + (j - offsets[i]).
+        bounds = _np.array(offsets, dtype=_np.int64)
+        sizes = bounds[1:] - bounds[:-1]
+        counts = (sizes + (BLOCK_SIZE - 1)) // BLOCK_SIZE
+        ks_starts = (_np.cumsum(counts) - counts) * BLOCK_SIZE
+        positions = (
+            _np.repeat(ks_starts - bounds[:-1], sizes)
+            + _np.arange(len(view), dtype=_np.int64)
+        ).astype(_np.intp, copy=False)
+        return (data ^ stream[positions]).tobytes()
+    pieces = []
+    cursor = 0
+    for i in range(len(offsets) - 1):
+        segment = view[offsets[i] : offsets[i + 1]]
+        span = blocks_in(len(segment)) * BLOCK_SIZE
+        pieces.append(xor_bytes(segment, keystream[cursor : cursor + span]))
+        cursor += span
+    return b"".join(pieces)
+
+
+class CipherEngine:
+    """The engine surface the chaining modes call — declared, not probed.
+
+    An engine supplies the two block transforms.  Everything above them
+    has a default here: the message primitives (:meth:`ctr_transform`,
+    :meth:`cbc_mac_words`) fall back to per-block loops, and the batch
+    and packed forms are plain loops over the message primitives.  An
+    engine overrides what it can do better: OpenSSL the two message
+    primitives (the AES is native, so a loop of messages is already
+    optimal), the T-table engine the batch forms (its block function is
+    Python, so it fuses a whole batch into one numpy pass).
+    """
+
+    __slots__ = ()
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        raise NotImplementedError
+
+    def decrypt_block(self, block: bytes) -> bytes:
+        raise NotImplementedError
+
+    # -- message primitives -------------------------------------------- #
+    def ctr_keystream(self, nonce: bytes, num_blocks: int) -> bytes:
+        """The CTR keystream for counter blocks ``nonce || 0..num_blocks-1``."""
+        if len(nonce) != 8:
+            raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
+        return b"".join(
+            self.encrypt_block(nonce + counter.to_bytes(8, "big"))
+            for counter in range(num_blocks)
+        )
+
+    def ctr_transform(self, nonce: bytes, data: bytes | memoryview) -> bytes:
+        """Encrypt or decrypt one message in CTR mode (symmetric)."""
+        return xor_bytes(data, self.ctr_keystream(nonce, blocks_in(len(data))))
+
+    def cbc_mac_words(self, message: bytes) -> bytes:
+        """CBC-MAC core over a block-aligned *message* (zero IV)."""
+        if len(message) % BLOCK_SIZE:
+            raise ValueError("CBC-MAC core needs a block-aligned message")
+        mac = bytes(BLOCK_SIZE)
+        for offset in range(0, len(message), BLOCK_SIZE):
+            mac = self.encrypt_block(
+                xor_bytes(message[offset : offset + BLOCK_SIZE], mac)
+            )
+        return mac
+
+    # -- batch and packed forms ---------------------------------------- #
+    def ctr_keystream_packed(
+        self, nonces: Sequence[bytes], block_counts: Sequence[int]
+    ) -> bytes:
+        """Concatenated CTR keystreams for a batch of messages (message
+        *i* occupies ``block_counts[i] * 16`` bytes)."""
+        if len(nonces) != len(block_counts):
+            raise ValueError("one nonce per block count required")
+        return b"".join(map(self.ctr_keystream, nonces, block_counts))
+
+    def ctr_transform_many(
+        self, nonces: Sequence[bytes], messages: Sequence[bytes]
+    ) -> list[bytes]:
+        """CTR-transform a batch of messages."""
+        return list(map(self.ctr_transform, nonces, messages))
+
+    def ctr_transform_packed(
+        self, nonces: Sequence[bytes], view: memoryview, offsets: Sequence[int]
+    ) -> bytes:
+        """CTR-transform the messages packed in *view* (message *i* spans
+        ``offsets[i]:offsets[i + 1]``), returning them packed alike."""
+        return b"".join(
+            [
+                self.ctr_transform(nonce, view[offsets[i] : offsets[i + 1]])
+                for i, nonce in enumerate(nonces)
+            ]
+        )
+
+    def cbc_mac_many(self, messages: Sequence[bytes]) -> list[bytes]:
+        """CBC-MAC cores of a batch of block-aligned messages."""
+        return list(map(self.cbc_mac_words, messages))
+
 
 # FIPS-197 substitution box and its inverse.
 _SBOX = bytes.fromhex(
@@ -285,7 +403,7 @@ def evict_schedule(key: bytes) -> None:
     _SCHEDULE_CACHE.pop(bytes(key), None)
 
 
-class AES128:
+class AES128(CipherEngine):
     """AES-128 block cipher bound to a single key.
 
     >>> cipher = AES128(bytes(16))
@@ -392,7 +510,7 @@ class AES128:
         if len(nonce) != 8:
             raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
         if _np is not None and num_blocks >= _NP_MIN_BLOCKS:
-            return self.ctr_keystream_many([nonce], [num_blocks])[0]
+            return self.ctr_keystream_packed([nonce], [num_blocks])
         n0, n1 = (
             int.from_bytes(nonce[:4], "big"),
             int.from_bytes(nonce[4:], "big"),
@@ -409,15 +527,15 @@ class AES128:
         return bytes(out)
 
     def ctr_keystream_packed(
-        self, nonces: list[bytes], block_counts: list[int]
+        self, nonces: Sequence[bytes], block_counts: Sequence[int]
     ) -> bytes:
         """Concatenated CTR keystreams for a batch of messages.
 
-        Like :meth:`ctr_keystream_many` but the per-message streams come
-        back as one flat buffer (message *i* occupies
-        ``block_counts[i] * 16`` bytes starting where message *i - 1*
-        ended) — the shape the packed block APIs consume, with no
-        per-message slicing."""
+        One vectorized AES evaluation over the union of the batch's
+        counter blocks; the per-message streams come back as one flat
+        buffer (message *i* occupies ``block_counts[i] * 16`` bytes
+        starting where message *i - 1* ended) — the shape the packed
+        block APIs consume, with no per-message slicing."""
         if len(nonces) != len(block_counts):
             raise ValueError("one nonce per block count required")
         for nonce in nonces:
@@ -453,24 +571,39 @@ class AES128:
             out.byteswap(inplace=True)
         return out.tobytes()
 
-    def ctr_keystream_many(
-        self, nonces: list[bytes], block_counts: list[int]
+    def ctr_transform_many(
+        self, nonces: Sequence[bytes], messages: Sequence[bytes]
     ) -> list[bytes]:
-        """CTR keystreams for a whole batch of messages in one pass.
+        """CTR-transform a whole batch of messages in one pass.
 
         All messages share one vectorized AES evaluation over the union of
         their counter blocks — the engine behind ``encrypt_many`` /
         ``decrypt_many`` on the protocol ciphers."""
-        flat = self.ctr_keystream_packed(nonces, block_counts)
-        streams = []
+        if len(nonces) != len(messages):
+            raise ValueError("one nonce per message required")
+        counts = [blocks_in(len(message)) for message in messages]
+        flat = self.ctr_keystream_packed(nonces, counts)
+        out = []
         cursor = 0
-        for count in block_counts:
+        for message, count in zip(messages, counts):
             end = cursor + count * BLOCK_SIZE
-            streams.append(flat[cursor:end])
+            out.append(xor_bytes(message, flat[cursor:end]))
             cursor = end
-        return streams
+        return out
 
-    def cbc_mac_many(self, messages: list[bytes]) -> list[bytes]:
+    def ctr_transform_packed(
+        self, nonces: Sequence[bytes], view: memoryview, offsets: Sequence[int]
+    ) -> bytes:
+        """One packed keystream pass, one packed XOR."""
+        counts = [
+            blocks_in(offsets[i + 1] - offsets[i])
+            for i in range(len(offsets) - 1)
+        ]
+        return xor_packed(
+            view, offsets, self.ctr_keystream_packed(nonces, counts)
+        )
+
+    def cbc_mac_many(self, messages: Sequence[bytes]) -> list[bytes]:
         """CBC-MAC cores of a batch of block-aligned messages, computed in
         lockstep: step *b* encrypts block *b* of every still-unfinished
         message in one vectorized AES evaluation.  Ragged batches are fine

@@ -23,7 +23,8 @@ This is also where the **engine** is chosen.  Everything above the cache
 which block-cipher implementation the cache hands out:
 
 * ``cryptography`` — OpenSSL/AES-NI via the optional ``cryptography``
-  wheel (:mod:`repro.crypto.openssl`), the fastest path;
+  wheel (:mod:`repro.crypto.openssl`), the fastest path: persistent
+  per-thread contexts, so a call costs its AES and not its set-up;
 * ``ttable`` — the dependency-free T-table + numpy bulk engine
   (:class:`repro.crypto.aes.AES128`), the software stand-in for the
   paper's crypto-coprocessor;
@@ -31,9 +32,10 @@ which block-cipher implementation the cache hands out:
   for cross-checking only.
 
 ``auto`` (the default, also via the ``REPRO_CRYPTO_ENGINE`` environment
-variable) picks ``cryptography`` when importable and falls back to
-``ttable``.  All engines are byte-for-byte interchangeable — the parity
-fuzz in ``tests/crypto/test_block_api.py`` pins them to the reference.
+variable) picks ``cryptography`` when importable and recent enough
+(>= 43, for ``reset_nonce``) and falls back to ``ttable``.  All engines
+are byte-for-byte interchangeable — the parity fuzz in
+``tests/crypto/test_block_api.py`` pins them to the reference.
 
 The cache is bounded: when full, the **oldest-inserted** entry is evicted
 (dict insertion order) together with its expanded AES schedule, so a
@@ -84,15 +86,20 @@ def _resolve_engine(choice: str) -> tuple[str, Callable[[bytes], CipherEngine]]:
     """Map an engine *choice* to (canonical name, subkey → engine factory)."""
     if choice in ("auto", "cryptography", "openssl"):
         try:
-            from repro.crypto.openssl import OpenSSLAES128
-
-            return "cryptography", OpenSSLAES128
+            from repro.crypto import openssl
         except ImportError:
-            if choice != "auto":
-                raise ConfigurationError(
-                    "crypto engine 'cryptography' requested but the "
-                    "cryptography package is not installed"
-                ) from None
+            missing = "the cryptography package is not installed"
+        else:
+            if openssl.usable():
+                return "cryptography", openssl.OpenSSLAES128
+            missing = (
+                f"it needs cryptography >= {openssl.MIN_CRYPTOGRAPHY} "
+                "(CipherContext.reset_nonce)"
+            )
+        if choice != "auto":
+            raise ConfigurationError(
+                f"crypto engine 'cryptography' requested but {missing}"
+            )
     if choice in ("auto", "ttable"):
         return "ttable", AES128
     if choice == "reference":

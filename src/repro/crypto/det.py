@@ -12,8 +12,10 @@ the CTR nonce and as the authentication tag.
     ciphertext = SIV(16) || CTR(k_enc, SIV[:8], plaintext)
 
 Subkey derivation and key-schedule expansion go through the process-wide
-cipher cache (:mod:`repro.crypto.cache`); the batched ``*_many`` methods
-run whole covering results through the vectorized AES engine in one pass.
+cipher cache (:mod:`repro.crypto.cache`); the batched ``*_many`` and
+packed ``*_block`` methods hand whole covering results to the engine,
+which fuses them (T-tables) or loops its native message primitive
+(OpenSSL).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class DeterministicCipher:
     # batched interface (protocol hot path)
     # ------------------------------------------------------------------ #
     def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
-        """Encrypt a batch in two vectorized passes (SIV MACs, then CTR)."""
+        """Encrypt a batch in two engine passes (SIV MACs, then CTR)."""
         if not plaintexts:
             return []
         sivs = cbc_mac_many(self._mac, plaintexts)
@@ -81,7 +83,7 @@ class DeterministicCipher:
         return [siv + body for siv, body in zip(sivs, bodies)]
 
     def decrypt_many(self, ciphertexts: list[bytes]) -> list[bytes]:
-        """Decrypt then verify a batch in two vectorized passes.
+        """Decrypt then verify a batch in two engine passes.
 
         Raises :class:`DecryptionError` if *any* synthetic IV mismatches —
         a batch is one trust decision."""
@@ -96,14 +98,22 @@ class DeterministicCipher:
         plaintexts = ctr_transform_many(
             self._enc, [siv[:8] for siv in sivs], bodies
         )
-        expected = cbc_mac_many(self._mac, plaintexts)
+        self._verify(plaintexts, sivs)
+        return plaintexts
+
+    def _verify(
+        self,
+        plaintexts: Sequence[bytes | memoryview],
+        sivs: Sequence[bytes | memoryview],
+    ) -> None:
+        """One trust decision over a batch: every synthetic IV is
+        recomputed and compared (constant-time per IV, no early exit
+        across the batch) before any verdict is returned."""
         valid = True
-        for siv, want in zip(sivs, expected):
-            # constant-time per IV, and no early exit across the batch
+        for siv, want in zip(sivs, cbc_mac_many(self._mac, plaintexts)):
             valid = hmac.compare_digest(siv, want) and valid
         if not valid:
             raise DecryptionError("Det_Enc synthetic IV mismatch")
-        return plaintexts
 
     # ------------------------------------------------------------------ #
     # packed-block interface (the block crypto plane)
@@ -119,23 +129,20 @@ class DeterministicCipher:
         count = len(offsets) - 1
         view = memoryview(payloads)
         sivs = cbc_mac_many(
-            self._mac,
-            [bytes(view[offsets[i] : offsets[i + 1]]) for i in range(count)],
+            self._mac, [view[offsets[i] : offsets[i + 1]] for i in range(count)]
         )
-        bodies = ctr_transform_packed(
-            self._enc, [siv[:8] for siv in sivs], payloads, offsets
+        bodies = memoryview(
+            ctr_transform_packed(
+                self._enc, [siv[:8] for siv in sivs], view, offsets
+            )
         )
-        body_view = memoryview(bodies)
         pieces: list[bytes | memoryview] = []
-        out_offsets = [0] * (count + 1)
-        cursor = 0
-        for i in range(count):
-            segment = body_view[offsets[i] : offsets[i + 1]]
-            pieces.append(sivs[i])
-            pieces.append(segment)
-            cursor += _SIV_SIZE + len(segment)
-            out_offsets[i + 1] = cursor
-        return b"".join(pieces), tuple(out_offsets)
+        for i, siv in enumerate(sivs):
+            pieces.append(siv)
+            pieces.append(bodies[offsets[i] : offsets[i + 1]])
+        return b"".join(pieces), tuple(
+            offsets[i] + i * _SIV_SIZE for i in range(count + 1)
+        )
 
     def decrypt_block(
         self, payloads: bytes | memoryview, offsets: Sequence[int]
@@ -147,37 +154,32 @@ class DeterministicCipher:
         (constant-time) before any verdict is returned."""
         count = len(offsets) - 1
         view = memoryview(payloads)
-        sivs: list[bytes] = []
-        body_offsets = [0] * (count + 1)
-        cursor = 0
+        sivs: list[memoryview] = []
+        bodies: list[memoryview] = []
         for i in range(count):
             start, end = offsets[i], offsets[i + 1]
             if end - start < _SIV_SIZE:
                 raise DecryptionError("ciphertext too short for Det_Enc framing")
-            sivs.append(bytes(view[start : start + _SIV_SIZE]))
-            cursor += (end - start) - _SIV_SIZE
-            body_offsets[i + 1] = cursor
-        packed_bodies = b"".join(
-            bytes(view[offsets[i] + _SIV_SIZE : offsets[i + 1]])
-            for i in range(count)
+            sivs.append(view[start : start + _SIV_SIZE])
+            bodies.append(view[start + _SIV_SIZE : end])
+        body_offsets = tuple(
+            offsets[i] - offsets[0] - i * _SIV_SIZE for i in range(count + 1)
         )
         plain = ctr_transform_packed(
-            self._enc, [siv[:8] for siv in sivs], packed_bodies, body_offsets
+            self._enc,
+            [bytes(siv[:8]) for siv in sivs],
+            b"".join(bodies),
+            body_offsets,
         )
         plain_view = memoryview(plain)
-        expected = cbc_mac_many(
-            self._mac,
+        self._verify(
             [
-                bytes(plain_view[body_offsets[i] : body_offsets[i + 1]])
+                plain_view[body_offsets[i] : body_offsets[i + 1]]
                 for i in range(count)
             ],
+            sivs,
         )
-        valid = True
-        for siv, want in zip(sivs, expected):
-            valid = hmac.compare_digest(siv, want) and valid
-        if not valid:
-            raise DecryptionError("Det_Enc synthetic IV mismatch")
-        return plain, tuple(body_offsets)
+        return plain, body_offsets
 
     def ciphertext_overhead(self) -> int:
         """Bytes added on top of the plaintext length."""

@@ -10,13 +10,14 @@ Two modes are provided:
   ciphertext, which is exactly the property the noise-based protocols rely
   on for SSI-side grouping).
 
-Both are built for throughput: the whole keystream of a message is
-generated in one call and XORed in bulk via ``int.from_bytes`` /
-``int.to_bytes`` (no per-byte Python loops), and the ``*_many`` variants
-hand an entire batch of messages to the cipher at once so the vectorized
-engine in :mod:`repro.crypto.aes` can process every block of every message
-in one pass.  The seed's per-byte loops survive in
-:mod:`repro.crypto.reference` as the benchmark baseline.
+This module owns what is the mode's and not the engine's: argument
+checks, the MAC framing (length prefix + PKCS#7, built in one copy) and
+the packed-buffer conventions.  The AES work — per message, per batch or
+per packed buffer — is a method of the
+:class:`~repro.crypto.aes.CipherEngine` handed in, which decides for
+itself whether a batch is fused (T-tables) or looped (OpenSSL).  The
+seed's per-byte loops survive in :mod:`repro.crypto.reference` as the
+benchmark baseline.
 
 Padding helpers implement PKCS#7 so arbitrary-length tuples round-trip.
 """
@@ -25,13 +26,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.crypto.aes import BLOCK_SIZE, CipherEngine
+from repro.crypto.aes import BLOCK_SIZE, CipherEngine, blocks_in, xor_packed
 from repro.exceptions import DecryptionError
 
-try:  # vectorized packed-buffer XOR; per-message slices are the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
+#: PKCS#7 tails by pad length (index 0 unused)
+_PADS = tuple(bytes([n]) * n for n in range(BLOCK_SIZE + 1))
 
 
 def pkcs7_pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
@@ -52,35 +51,9 @@ def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
     return data[:-pad_len]
 
 
-def _counter_block(nonce: bytes, counter: int) -> bytes:
-    """Build the 16-byte counter block: 8-byte nonce || 8-byte counter."""
-    return nonce + counter.to_bytes(8, "big")
-
-
-def _xor_bulk(data: bytes, keystream: bytes) -> bytes:
-    """XOR *data* against the (at least as long) *keystream* in one shot."""
-    n = len(data)
-    if n == 0:
-        return b""
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")
-    ).to_bytes(n, "big")
-
-
-def _keystream(cipher: CipherEngine, nonce: bytes, num_blocks: int) -> bytes:
-    """Whole-message keystream; falls back to per-block ECB for foreign
-    cipher objects that only expose ``encrypt_block`` (e.g. the reference
-    implementation)."""
-    generate = getattr(cipher, "ctr_keystream", None)
-    if generate is not None:
-        return generate(nonce, num_blocks)
-    return b"".join(
-        cipher.encrypt_block(_counter_block(nonce, counter))
-        for counter in range(num_blocks)
-    )
-
-
-def ctr_transform(cipher: CipherEngine, nonce: bytes, data: bytes) -> bytes:
+def ctr_transform(
+    cipher: CipherEngine, nonce: bytes, data: bytes | memoryview
+) -> bytes:
     """Encrypt or decrypt *data* in CTR mode (the operation is symmetric).
 
     *nonce* must be exactly 8 bytes; the remaining 8 bytes of the counter
@@ -88,59 +61,37 @@ def ctr_transform(cipher: CipherEngine, nonce: bytes, data: bytes) -> bytes:
     """
     if len(nonce) != 8:
         raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
-    num_blocks = (len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE
-    return _xor_bulk(data, _keystream(cipher, nonce, num_blocks))
+    return cipher.ctr_transform(nonce, data)
 
 
 def ctr_transform_many(
-    cipher: CipherEngine, nonces: list[bytes], messages: list[bytes]
+    cipher: CipherEngine, nonces: Sequence[bytes], messages: Sequence[bytes]
 ) -> list[bytes]:
-    """CTR-transform a batch of messages in one vectorized keystream pass."""
+    """CTR-transform a batch of messages."""
     if len(nonces) != len(messages):
         raise ValueError("one nonce per message required")
-    block_counts = [
-        (len(message) + BLOCK_SIZE - 1) // BLOCK_SIZE for message in messages
-    ]
-    generate_many = getattr(cipher, "ctr_keystream_many", None)
-    if generate_many is not None:
-        streams = generate_many(nonces, block_counts)
-    else:
-        streams = [
-            _keystream(cipher, nonce, count)
-            for nonce, count in zip(nonces, block_counts)
-        ]
-    return [
-        _xor_bulk(message, stream)
-        for message, stream in zip(messages, streams)
-    ]
+    return cipher.ctr_transform_many(nonces, messages)
 
 
-def _mac_message(data: bytes) -> bytes:
+def _mac_message(data: bytes | memoryview) -> bytes:
     """Length-prefix then pad: the framing under every CBC-MAC."""
-    return pkcs7_pad(len(data).to_bytes(8, "big") + data)
+    size = len(data)
+    return b"".join(
+        (size.to_bytes(8, "big"), data, _PADS[BLOCK_SIZE - (size + 8) % BLOCK_SIZE])
+    )
 
 
-def cbc_mac(cipher: CipherEngine, data: bytes) -> bytes:
+def cbc_mac(cipher: CipherEngine, data: bytes | memoryview) -> bytes:
     """Compute a CBC-MAC over *data* (length-prefixed to avoid extension
     ambiguities between messages of different lengths)."""
-    message = _mac_message(data)
-    core = getattr(cipher, "cbc_mac_words", None)
-    if core is not None:
-        return core(message)
-    mac = bytes(BLOCK_SIZE)
-    for offset in range(0, len(message), BLOCK_SIZE):
-        block = _xor_bulk(message[offset : offset + BLOCK_SIZE], mac)
-        mac = cipher.encrypt_block(block)
-    return mac
+    return cipher.cbc_mac_words(_mac_message(data))
 
 
-def cbc_mac_many(cipher: CipherEngine, datas: list[bytes]) -> list[bytes]:
-    """CBC-MACs of a batch of messages, vectorized across the batch."""
-    messages = [_mac_message(data) for data in datas]
-    core_many = getattr(cipher, "cbc_mac_many", None)
-    if core_many is not None:
-        return core_many(messages)
-    return [cbc_mac(cipher, data) for data in datas]
+def cbc_mac_many(
+    cipher: CipherEngine, datas: Sequence[bytes | memoryview]
+) -> list[bytes]:
+    """CBC-MACs of a batch of messages."""
+    return cipher.cbc_mac_many([_mac_message(data) for data in datas])
 
 
 # ---------------------------------------------------------------------- #
@@ -148,17 +99,12 @@ def cbc_mac_many(cipher: CipherEngine, datas: list[bytes]) -> list[bytes]:
 # ---------------------------------------------------------------------- #
 
 
-def block_counts_for_sizes(sizes: Sequence[int]) -> list[int]:
-    """CTR block counts covering messages of the given byte *sizes*."""
-    return [(size + BLOCK_SIZE - 1) // BLOCK_SIZE for size in sizes]
-
-
 def keystream_packed(
     cipher: CipherEngine, nonces: Sequence[bytes], sizes: Sequence[int]
 ) -> bytes:
     """One flat CTR keystream buffer covering a batch of messages.
 
-    Message *i*'s keystream occupies ``block_counts[i] * 16`` bytes
+    Message *i*'s keystream occupies ``ceil(sizes[i] / 16) * 16`` bytes
     starting where message *i - 1*'s ended (block-aligned, so a message's
     stream is longer than the message unless its size is a multiple of
     16).  This is the precomputable half of :func:`ctr_transform_packed`:
@@ -166,14 +112,7 @@ def keystream_packed(
     and hand it in via the ``keystream`` parameter."""
     if len(nonces) != len(sizes):
         raise ValueError("one nonce per message size required")
-    counts = block_counts_for_sizes(sizes)
-    generate_packed = getattr(cipher, "ctr_keystream_packed", None)
-    if generate_packed is not None:
-        return generate_packed(list(nonces), counts)
-    return b"".join(
-        _keystream(cipher, nonce, count)
-        for nonce, count in zip(nonces, counts)
-    )
+    return cipher.ctr_keystream_packed(nonces, [blocks_in(size) for size in sizes])
 
 
 def ctr_transform_packed(
@@ -203,35 +142,8 @@ def ctr_transform_packed(
     view = memoryview(buffer)
     if offsets[0] != 0 or offsets[-1] != len(view):
         raise ValueError("offsets must span the packed buffer exactly")
-    sizes = [offsets[i + 1] - offsets[i] for i in range(count)]
-    if any(size < 0 for size in sizes):
+    if any(offsets[i] > offsets[i + 1] for i in range(count)):
         raise ValueError("offsets must be non-decreasing")
     if keystream is None:
-        keystream = keystream_packed(cipher, nonces, sizes)
-    if _np is not None and len(view) >= 512:
-        data = _np.frombuffer(view, dtype=_np.uint8)
-        stream = _np.frombuffer(keystream, dtype=_np.uint8)
-        if len(keystream) == len(view):
-            # Every message is block-aligned, so the packed keystream
-            # lines up byte-for-byte with the packed data: one flat XOR,
-            # no gather.
-            return (data ^ stream).tobytes()
-        # Per-byte keystream positions: message i's data byte j maps to
-        # keystream byte (16 * cum_blocks[i]) + (j - offsets[i]).
-        counts = _np.array(block_counts_for_sizes(sizes), dtype=_np.int64)
-        sizes_arr = _np.array(sizes, dtype=_np.int64)
-        ks_starts = (_np.cumsum(counts) - counts) * BLOCK_SIZE
-        msg_starts = _np.array(offsets[:-1], dtype=_np.int64)
-        positions = (
-            _np.repeat(ks_starts - msg_starts, sizes_arr)
-            + _np.arange(len(view), dtype=_np.int64)
-        ).astype(_np.intp, copy=False)
-        return (data ^ stream[positions]).tobytes()
-    pieces = []
-    cursor = 0
-    for i in range(count):
-        segment = bytes(view[offsets[i] : offsets[i + 1]])
-        span = len(segment) + (-len(segment) % BLOCK_SIZE)
-        pieces.append(_xor_bulk(segment, keystream[cursor : cursor + span]))
-        cursor += span
-    return b"".join(pieces)
+        return cipher.ctr_transform_packed(nonces, view, offsets)
+    return xor_packed(view, offsets, keystream)

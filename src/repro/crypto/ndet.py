@@ -14,9 +14,10 @@ cache (:mod:`repro.crypto.cache`), so constructing one of these objects is
 cheap enough to do per call — key rotation is picked up for free.
 
 The batched :meth:`NonDeterministicCipher.encrypt_many` /
-:meth:`~NonDeterministicCipher.decrypt_many` hand a whole covering result
-to the vectorized AES engine in one pass; protocol hot paths should prefer
-them over per-tuple calls.
+:meth:`~NonDeterministicCipher.decrypt_many` and the packed ``*_block``
+calls hand a whole covering result to the engine, which fuses it
+(T-tables) or loops its native message primitive (OpenSSL); protocol hot
+paths should prefer them over per-tuple calls.
 
 A seedable :class:`random.Random` may be injected for reproducible
 simulations; by default nonces come from :mod:`secrets`.
@@ -42,6 +43,7 @@ from repro.exceptions import DecryptionError
 
 _NONCE_SIZE = 8
 _TAG_SIZE = 16
+_OVERHEAD = _NONCE_SIZE + _TAG_SIZE
 
 
 class NonDeterministicCipher:
@@ -80,66 +82,69 @@ class NonDeterministicCipher:
     def encrypt(self, plaintext: bytes) -> bytes:
         """Encrypt *plaintext* under a fresh nonce."""
         nonce = self._fresh_nonce()
-        body = ctr_transform(self._enc, nonce, plaintext)
-        tag = cbc_mac(self._mac, nonce + body)
-        return nonce + body + tag
+        sealed = nonce + ctr_transform(self._enc, nonce, plaintext)
+        return sealed + cbc_mac(self._mac, sealed)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """Decrypt and authenticate; raises :class:`DecryptionError` on
         truncated or tampered input."""
-        if len(ciphertext) < _NONCE_SIZE + _TAG_SIZE:
+        if len(ciphertext) < _OVERHEAD:
             raise DecryptionError("ciphertext too short for nDet_Enc framing")
-        nonce = ciphertext[:_NONCE_SIZE]
-        body = ciphertext[_NONCE_SIZE:-_TAG_SIZE]
+        sealed = ciphertext[:-_TAG_SIZE]
         tag = ciphertext[-_TAG_SIZE:]
-        if not hmac.compare_digest(cbc_mac(self._mac, nonce + body), tag):
+        if not hmac.compare_digest(cbc_mac(self._mac, sealed), tag):
             raise DecryptionError("nDet_Enc authentication tag mismatch")
-        return ctr_transform(self._enc, nonce, body)
+        return ctr_transform(
+            self._enc, sealed[:_NONCE_SIZE], sealed[_NONCE_SIZE:]
+        )
 
     # ------------------------------------------------------------------ #
     # batched interface (protocol hot path)
     # ------------------------------------------------------------------ #
     def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
-        """Encrypt a batch in two vectorized passes (CTR, then MAC)."""
+        """Encrypt a batch in two engine passes (CTR, then MAC)."""
         if not plaintexts:
             return []
-        nonces = [self._fresh_nonce() for __ in plaintexts]
+        nonces = self.fresh_nonces(len(plaintexts))
         bodies = ctr_transform_many(self._enc, nonces, plaintexts)
-        tags = cbc_mac_many(
-            self._mac,
-            [nonce + body for nonce, body in zip(nonces, bodies)],
-        )
-        return [
-            nonce + body + tag
-            for nonce, body, tag in zip(nonces, bodies, tags)
-        ]
+        sealed = [nonce + body for nonce, body in zip(nonces, bodies)]
+        tags = cbc_mac_many(self._mac, sealed)
+        return [message + tag for message, tag in zip(sealed, tags)]
 
     def decrypt_many(self, ciphertexts: list[bytes]) -> list[bytes]:
-        """Authenticate then decrypt a batch in two vectorized passes.
+        """Authenticate then decrypt a batch in two engine passes.
 
         Raises :class:`DecryptionError` if *any* element is truncated or
         tampered — a batch is one trust decision."""
         if not ciphertexts:
             return []
-        nonces, bodies, tags = [], [], []
+        sealed, tags = [], []
         for ciphertext in ciphertexts:
-            if len(ciphertext) < _NONCE_SIZE + _TAG_SIZE:
+            if len(ciphertext) < _OVERHEAD:
                 raise DecryptionError("ciphertext too short for nDet_Enc framing")
-            nonces.append(ciphertext[:_NONCE_SIZE])
-            bodies.append(ciphertext[_NONCE_SIZE:-_TAG_SIZE])
+            sealed.append(ciphertext[:-_TAG_SIZE])
             tags.append(ciphertext[-_TAG_SIZE:])
-        expected = cbc_mac_many(
-            self._mac,
-            [nonce + body for nonce, body in zip(nonces, bodies)],
+        self._verify(sealed, tags)
+        return ctr_transform_many(
+            self._enc,
+            [message[:_NONCE_SIZE] for message in sealed],
+            [message[_NONCE_SIZE:] for message in sealed],
         )
+
+    def _verify(
+        self,
+        sealed: Sequence[bytes | memoryview],
+        tags: Sequence[bytes | memoryview],
+    ) -> None:
+        """One trust decision over a batch of ``nonce || body`` messages:
+        every tag is compared (constant-time per tag, no early exit, so
+        the work is independent of *where* a forgery sits) before any
+        verdict is returned."""
         valid = True
-        for tag, want in zip(tags, expected):
-            # constant-time per tag, and no early exit: the comparison
-            # work is independent of *where* a forgery sits in the batch
+        for tag, want in zip(tags, cbc_mac_many(self._mac, sealed)):
             valid = hmac.compare_digest(tag, want) and valid
         if not valid:
             raise DecryptionError("nDet_Enc authentication tag mismatch")
-        return ctr_transform_many(self._enc, nonces, bodies)
 
     # ------------------------------------------------------------------ #
     # packed-block interface (the block crypto plane)
@@ -175,28 +180,22 @@ class NonDeterministicCipher:
             nonces = self.fresh_nonces(count)
         elif len(nonces) != count:
             raise ValueError("one nonce per packed message required")
-        bodies = ctr_transform_packed(
-            self._enc, nonces, payloads, offsets, keystream=keystream
+        bodies = memoryview(
+            ctr_transform_packed(
+                self._enc, nonces, payloads, offsets, keystream=keystream
+            )
         )
-        view = memoryview(bodies)
-        tags = cbc_mac_many(
-            self._mac,
-            [
-                nonces[i] + bytes(view[offsets[i] : offsets[i + 1]])
-                for i in range(count)
-            ],
+        sealed = [
+            nonces[i] + bodies[offsets[i] : offsets[i + 1]]
+            for i in range(count)
+        ]
+        pieces: list[bytes] = []
+        for message, tag in zip(sealed, cbc_mac_many(self._mac, sealed)):
+            pieces.append(message)
+            pieces.append(tag)
+        return b"".join(pieces), tuple(
+            offsets[i] + i * _OVERHEAD for i in range(count + 1)
         )
-        pieces: list[bytes | memoryview] = []
-        out_offsets = [0] * (count + 1)
-        cursor = 0
-        for i in range(count):
-            segment = view[offsets[i] : offsets[i + 1]]
-            pieces.append(nonces[i])
-            pieces.append(segment)
-            pieces.append(tags[i])
-            cursor += _NONCE_SIZE + len(segment) + _TAG_SIZE
-            out_offsets[i + 1] = cursor
-        return b"".join(pieces), tuple(out_offsets)
 
     def decrypt_block(
         self, payloads: bytes | memoryview, offsets: Sequence[int]
@@ -209,35 +208,26 @@ class NonDeterministicCipher:
         compared (constant-time) before any verdict is returned."""
         count = len(offsets) - 1
         view = memoryview(payloads)
-        nonces: list[bytes] = []
-        bodies: list[memoryview] = []
-        tags: list[bytes] = []
-        body_offsets = [0] * (count + 1)
-        cursor = 0
+        sealed: list[memoryview] = []
+        tags: list[memoryview] = []
         for i in range(count):
             start, end = offsets[i], offsets[i + 1]
-            if end - start < _NONCE_SIZE + _TAG_SIZE:
+            if end - start < _OVERHEAD:
                 raise DecryptionError("ciphertext too short for nDet_Enc framing")
-            nonces.append(bytes(view[start : start + _NONCE_SIZE]))
-            bodies.append(view[start + _NONCE_SIZE : end - _TAG_SIZE])
-            tags.append(bytes(view[end - _TAG_SIZE : end]))
-            cursor += (end - start) - _NONCE_SIZE - _TAG_SIZE
-            body_offsets[i + 1] = cursor
-        expected = cbc_mac_many(
-            self._mac,
-            [nonce + bytes(body) for nonce, body in zip(nonces, bodies)],
+            sealed.append(view[start : end - _TAG_SIZE])
+            tags.append(view[end - _TAG_SIZE : end])
+        self._verify(sealed, tags)
+        body_offsets = tuple(
+            offsets[i] - offsets[0] - i * _OVERHEAD for i in range(count + 1)
         )
-        valid = True
-        for tag, want in zip(tags, expected):
-            valid = hmac.compare_digest(tag, want) and valid
-        if not valid:
-            raise DecryptionError("nDet_Enc authentication tag mismatch")
-        packed_bodies = b"".join(bytes(body) for body in bodies)
         plain = ctr_transform_packed(
-            self._enc, nonces, packed_bodies, body_offsets
+            self._enc,
+            [bytes(message[:_NONCE_SIZE]) for message in sealed],
+            b"".join([message[_NONCE_SIZE:] for message in sealed]),
+            body_offsets,
         )
-        return plain, tuple(body_offsets)
+        return plain, body_offsets
 
     def ciphertext_overhead(self) -> int:
         """Bytes added on top of the plaintext length."""
-        return _NONCE_SIZE + _TAG_SIZE
+        return _OVERHEAD

@@ -3,52 +3,68 @@
 The paper's TDS offloads AES to a crypto-coprocessor; on a development
 machine the closest analogue is the host's AES-NI path, reached through
 ``cryptography``'s OpenSSL bindings.  This module is an *engine* in the
-sense of :mod:`repro.crypto.modes`: it exposes the same duck-typed
-surface as :class:`repro.crypto.aes.AES128` (``encrypt_block`` /
-``decrypt_block`` plus the bulk ``ctr_keystream*`` / ``cbc_mac*``
-methods), so the chaining modes and the protocol ciphers above them are
-byte-for-byte oblivious to which engine is underneath.
+sense of :class:`repro.crypto.aes.CipherEngine`, so the chaining modes
+and the protocol ciphers above them are byte-for-byte oblivious to which
+engine is underneath.
 
-Importing this module raises :class:`ImportError` when ``cryptography``
-is not installed; :func:`repro.crypto.cache.use_engine` treats that as
-"fall through to the T-table engine".  Correctness is pinned by the
-parity fuzz in ``tests/crypto/test_block_api.py`` against
-:mod:`repro.crypto.reference`.
+The AES here is native, so a call should cost its AES and not its set-up:
+the engine keeps **persistent EVP contexts** and makes the single message
+the primitive (batches are the plain loops :class:`CipherEngine`
+provides).
 
-Construction detail: our CTR mode is ``nonce(8) || counter(8)`` starting
-at zero, which coincides with OpenSSL's 128-bit big-endian CTR over the
-initial block ``nonce || 0`` for any message shorter than 2**67 bytes,
-so :meth:`ctr_keystream` is a single EVP call.  CBC-MAC is the last
-block of a zero-IV CBC encryption.
+* CTR: our mode is ``nonce(8) || counter(8)`` starting at zero, which
+  coincides with OpenSSL's 128-bit big-endian CTR over the initial block
+  ``nonce || 0`` for any message shorter than 2**67 bytes — one
+  ``reset_nonce`` and one ``update`` straight over the data.
+* CBC-MAC: one long-lived CBC encryptor.  CBC encrypts block *b* as
+  ``E(b ^ chain)`` where ``chain`` is the previous ciphertext block, so
+  after a message the context carries that message's tag.  XOR-ing the
+  carried value into the first block of the next message cancels it
+  (``E(b ^ chain ^ chain) = E(b ^ 0)``): the zero-IV MAC, byte for byte,
+  with no context built per call.
+
+Contexts are **per thread** (``MultiQueryRunner`` decrypts results on
+``asyncio.to_thread`` while the loop thread's fleet uses the same cached
+engine) and a context whose call raised is **discarded**, never reused —
+its chaining state is unknown.  ``reset_nonce`` needs ``cryptography``
+>= 43; :func:`repro.crypto.cache.use_engine` probes :func:`usable` and
+falls through to the T-table engine without it, as it does when this
+module fails to import.  Correctness is pinned by the parity fuzz in
+``tests/crypto/test_block_api.py`` against :mod:`repro.crypto.reference`.
 """
 
 from __future__ import annotations
 
+import threading
+
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from cryptography.hazmat.primitives.ciphers import modes as _ossl_modes
 
+from repro.crypto.aes import BLOCK_SIZE, KEY_SIZE, CipherEngine
 from repro.exceptions import InvalidKeyError
 
-BLOCK_SIZE = 16
-KEY_SIZE = 16
-
-try:  # batch counter-block construction (the ECB fallback) is numpy-only
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None  # type: ignore[assignment]
+#: the first ``cryptography`` release whose CTR contexts have ``reset_nonce``
+MIN_CRYPTOGRAPHY = "43"
 
 _ZERO_IV = bytes(BLOCK_SIZE)
+_ZERO_COUNTER = bytes(8)
 
 
-class OpenSSLAES128:
-    """AES-128 engine delegating the block transform to OpenSSL.
+def usable() -> bool:
+    """True when the installed ``cryptography`` has ``reset_nonce``."""
+    context = Cipher(algorithms.AES(_ZERO_IV), _ossl_modes.CTR(_ZERO_IV)).encryptor()
+    return hasattr(context, "reset_nonce")
+
+
+class OpenSSLAES128(CipherEngine):
+    """AES-128 engine delegating whole messages to OpenSSL.
 
     Drop-in engine-level replacement for
     :class:`repro.crypto.aes.AES128`: same constructor contract, same
-    bulk surface, identical bytes out.
+    surface, identical bytes out.
     """
 
-    __slots__ = ("_key", "_ecb")
+    __slots__ = ("_cipher", "_local")
 
     def __init__(self, key: bytes) -> None:
         key = bytes(key)
@@ -56,8 +72,9 @@ class OpenSSLAES128:
             raise InvalidKeyError(
                 f"AES-128 key must be {KEY_SIZE} bytes, got {len(key)}"
             )
-        self._key = key
-        self._ecb = Cipher(algorithms.AES(key), _ossl_modes.ECB())
+        self._cipher = algorithms.AES(key)
+        #: this thread's contexts: ``ctr``, and ``cbc`` with its ``chain``
+        self._local = threading.local()
 
     # ------------------------------------------------------------------ #
     # public block interface
@@ -66,79 +83,38 @@ class OpenSSLAES128:
         """Encrypt exactly one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        enc = self._ecb.encryptor()
-        return enc.update(block) + enc.finalize()
+        return Cipher(self._cipher, _ossl_modes.ECB()).encryptor().update(block)
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        dec = self._ecb.decryptor()
-        return dec.update(block) + dec.finalize()
+        return Cipher(self._cipher, _ossl_modes.ECB()).decryptor().update(block)
 
     # ------------------------------------------------------------------ #
-    # bulk interface used by the chaining modes
+    # message primitives
     # ------------------------------------------------------------------ #
-    def ctr_keystream(self, nonce: bytes, num_blocks: int) -> bytes:
-        """The CTR keystream for counter blocks ``nonce || 0..num_blocks-1``."""
+    def ctr_transform(self, nonce: bytes, data: bytes | memoryview) -> bytes:
+        """Encrypt or decrypt one message in CTR mode (symmetric)."""
         if len(nonce) != 8:
             raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
-        if num_blocks <= 0:
-            return b""
-        enc = Cipher(
-            algorithms.AES(self._key), _ossl_modes.CTR(nonce + bytes(8))
-        ).encryptor()
-        return enc.update(bytes(num_blocks * BLOCK_SIZE)) + enc.finalize()
+        local = self._local
+        try:
+            context = local.ctr
+        except AttributeError:
+            context = local.ctr = Cipher(
+                self._cipher, _ossl_modes.CTR(_ZERO_IV)
+            ).encryptor()
+        try:
+            context.reset_nonce(nonce + _ZERO_COUNTER)
+            return context.update(data)
+        except BaseException:
+            del local.ctr
+            raise
 
-    def ctr_keystream_packed(
-        self, nonces: list[bytes], block_counts: list[int]
-    ) -> bytes:
-        """Concatenated CTR keystreams for a batch of messages.
-
-        When numpy is available the counter blocks of the whole batch are
-        materialized in one pass and pushed through a single ECB call
-        (ECB of the counter blocks *is* the CTR keystream), so the
-        per-message EVP setup cost disappears."""
-        if len(nonces) != len(block_counts):
-            raise ValueError("one nonce per block count required")
-        for nonce in nonces:
-            if len(nonce) != 8:
-                raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
-        if _np is None:
-            return b"".join(
-                self.ctr_keystream(nonce, count)
-                for nonce, count in zip(nonces, block_counts)
-            )
-        counts = _np.array(block_counts, dtype=_np.int64)
-        total_blocks = int(counts.sum())
-        if total_blocks == 0:
-            return b""
-        blocks = _np.empty((total_blocks, 2), dtype=_np.uint64)
-        nonce_words = _np.frombuffer(b"".join(nonces), dtype=">u8").astype(
-            _np.uint64
-        )
-        blocks[:, 0] = _np.repeat(nonce_words, counts)
-        starts = _np.repeat(_np.cumsum(counts) - counts, counts)
-        blocks[:, 1] = (
-            _np.arange(total_blocks, dtype=_np.int64) - starts
-        ).astype(_np.uint64)
-        if _np.little_endian:
-            blocks.byteswap(inplace=True)
-        enc = self._ecb.encryptor()
-        return enc.update(blocks.tobytes()) + enc.finalize()
-
-    def ctr_keystream_many(
-        self, nonces: list[bytes], block_counts: list[int]
-    ) -> list[bytes]:
-        """CTR keystreams for a whole batch of messages."""
-        flat = self.ctr_keystream_packed(nonces, block_counts)
-        streams = []
-        cursor = 0
-        for count in block_counts:
-            end = cursor + count * BLOCK_SIZE
-            streams.append(flat[cursor:end])
-            cursor = end
-        return streams
+    def ctr_keystream(self, nonce: bytes, num_blocks: int) -> bytes:
+        """The CTR keystream for counter blocks ``nonce || 0..num_blocks-1``."""
+        return self.ctr_transform(nonce, bytes(max(num_blocks, 0) * BLOCK_SIZE))
 
     def cbc_mac_words(self, message: bytes) -> bytes:
         """CBC-MAC core over a block-aligned *message* (zero IV)."""
@@ -146,55 +122,21 @@ class OpenSSLAES128:
             raise ValueError("CBC-MAC core needs a block-aligned message")
         if not message:
             return _ZERO_IV
-        enc = Cipher(
-            algorithms.AES(self._key), _ossl_modes.CBC(_ZERO_IV)
-        ).encryptor()
-        tail = enc.update(message) + enc.finalize()
-        return tail[-BLOCK_SIZE:]
-
-    def cbc_mac_many(self, messages: list[bytes]) -> list[bytes]:
-        """CBC-MAC cores of a batch of block-aligned messages.
-
-        With numpy available the batch runs in lockstep lanes: step *b*
-        XORs block *b* of every still-unfinished message into its lane's
-        state and encrypts all lanes with one ECB update, so the EVP
-        setup cost is paid once per batch (ECB carries no state between
-        updates).  The XOR is byte-wise, so host endianness never
-        enters."""
-        counts = [len(message) // BLOCK_SIZE for message in messages]
-        if _np is None or len(messages) < 2:
-            return [self.cbc_mac_words(message) for message in messages]
-        for message in messages:
-            if len(message) % BLOCK_SIZE:
-                raise ValueError("CBC-MAC core needs a block-aligned message")
-        lanes = len(messages)
-        max_blocks = max(counts, default=0)
-        uniform = lanes > 0 and min(counts) == max_blocks
-        if uniform:
-            data = _np.frombuffer(b"".join(messages), dtype=_np.uint8).reshape(
-                lanes, max_blocks, BLOCK_SIZE
-            )
-        else:
-            data = _np.zeros((lanes, max_blocks, BLOCK_SIZE), dtype=_np.uint8)
-            for lane, message in enumerate(messages):
-                w = _np.frombuffer(message, dtype=_np.uint8)
-                data[lane, : counts[lane], :] = w.reshape(-1, BLOCK_SIZE)
-        state = _np.zeros((lanes, BLOCK_SIZE), dtype=_np.uint8)
-        macs: list[bytes | None] = [None] * lanes
-        enc = self._ecb.encryptor()
-        for block_index in range(max_blocks):
-            state ^= data[:, block_index, :]
-            out = enc.update(state.tobytes())
-            state = _np.frombuffer(out, dtype=_np.uint8).reshape(
-                lanes, BLOCK_SIZE
-            ).copy()
-            if uniform:
-                continue
-            for lane, count in enumerate(counts):
-                if count == block_index + 1:
-                    macs[lane] = out[16 * lane : 16 * lane + 16]
-        enc.finalize()
-        if uniform:
-            flat = state.tobytes()
-            return [flat[16 * i : 16 * i + 16] for i in range(lanes)]
-        return [mac if mac is not None else _ZERO_IV for mac in macs]
+        local = self._local
+        try:
+            context = local.cbc
+        except AttributeError:
+            context = local.cbc = Cipher(
+                self._cipher, _ossl_modes.CBC(_ZERO_IV)
+            ).encryptor()
+            local.chain = 0
+        try:
+            first = int.from_bytes(message[:BLOCK_SIZE], "big") ^ local.chain
+            tag = context.update(
+                first.to_bytes(BLOCK_SIZE, "big") + message[BLOCK_SIZE:]
+            )[-BLOCK_SIZE:]
+            local.chain = int.from_bytes(tag, "big")
+            return tag
+        except BaseException:
+            del local.cbc
+            raise

@@ -27,6 +27,7 @@ from repro.crypto.aes import (
     _MUL14,
     _SBOX,
     BLOCK_SIZE,
+    CipherEngine,
     expand_key,
 )
 
@@ -83,8 +84,13 @@ def _inv_mix_columns(state: bytearray) -> None:
 _NUM_ROUNDS = 10
 
 
-class ReferenceAES128:
-    """The seed's per-byte AES-128 block cipher (oracle / baseline)."""
+class ReferenceAES128(CipherEngine):
+    """The seed's per-byte AES-128 block cipher (oracle / baseline).
+
+    As an engine it supplies the block transform only; every message and
+    batch method is :class:`CipherEngine`'s per-block default."""
+
+    __slots__ = ("_round_keys",)
 
     def __init__(self, key: bytes) -> None:
         self._round_keys = expand_key(key)

@@ -1057,6 +1057,9 @@ class SSIServer:
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
+        #: live connections: handler task -> its stream (close() hangs
+        #: these up and waits for the handlers)
+        self._connections: dict[asyncio.Task[None], asyncio.StreamWriter] = {}
 
     def _begin_request(self) -> None:
         self._inflight += 1
@@ -1110,11 +1113,24 @@ class SSIServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
+        """Stop listening, answer every parked request (and park none
+        from here on), hang up every connection and wait for its handler:
+        when this returns nothing of the server is left on the loop.
+        Requests still in flight are cancelled with their connection —
+        call :meth:`drain` first to let them finish."""
         # Swap before awaiting: a second concurrent close() must see None
         # rather than a server object another coroutine is mid-closing.
         server, self._server = self._server, None
         if server is not None:
             server.close()
+        self.dispatcher.release_parked()
+        handlers = list(self._connections)
+        for writer in self._connections.values():
+            # the handler's read sees EOF and leaves by its normal path
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers)
+        if server is not None:
             await server.wait_closed()
 
     # ------------------------------------------------------------------ #
@@ -1124,6 +1140,9 @@ class SSIServer:
         write_lock = asyncio.Lock()
         slots = asyncio.Semaphore(self.max_concurrent_requests)
         tasks: set[asyncio.Task[None]] = set()
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections[handler] = writer
         _c_connections.inc()
         _g_connections.inc()
 
@@ -1185,3 +1204,4 @@ class SSIServer:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
             await _hang_up(writer)
+            del self._connections[handler]

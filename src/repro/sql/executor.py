@@ -109,6 +109,10 @@ class StatementPlan:
             (item.output_name, compile(rewrite_grouped(item.expression, statement)))
             for item in statement.select_items
         ]
+        #: FROM table -> its columns referenced anywhere in SELECT / WHERE /
+        #: HAVING / GROUP BY (what access control checks grants against);
+        #: an unqualified reference counts when there is only one table
+        self.referenced_columns = _referenced_columns(statement)
 
     def matching_rows(self, rows: Iterable[Row]) -> Iterator[Row]:
         """Keep rows whose WHERE predicate is exactly TRUE."""
@@ -188,6 +192,20 @@ class _NeededColumns(dict):
     def __missing__(self, key: str) -> bool:
         keep = self[key] = key in self._names or _strip_binding(key) in self._names
         return keep
+
+
+def _referenced_columns(statement: SelectStatement) -> dict[str, set[str]]:
+    table_of = {ref.binding: ref.name for ref in statement.from_tables}
+    referenced: dict[str, set[str]] = {table: set() for table in table_of.values()}
+    only_table = next(iter(referenced)) if len(referenced) == 1 else None
+    expressions = [item.expression for item in statement.select_items]
+    expressions += [statement.where, statement.having, *statement.group_by]
+    for expression in expressions:
+        for ref in column_refs(expression):
+            table = only_table if ref.table is None else table_of.get(ref.table)
+            if table is not None:
+                referenced[table].add(ref.name)
+    return referenced
 
 
 def plan_of(statement: SelectStatement) -> StatementPlan:

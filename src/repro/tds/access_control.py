@@ -24,8 +24,8 @@ from typing import Iterable
 
 from repro.core.messages import Credential
 from repro.exceptions import AccessDeniedError
-from repro.sql.ast import ColumnRef, SelectStatement
-from repro.sql.executor import column_refs
+from repro.sql.ast import SelectStatement
+from repro.sql.executor import plan_of
 
 
 class Authority:
@@ -93,14 +93,15 @@ class AccessPolicy:
     # ------------------------------------------------------------------ #
     def authorize(self, credential: Credential, statement: SelectStatement) -> None:
         """Raise :class:`AccessDeniedError` unless *credential* may run
-        *statement*.  Checks, per referenced table:
+        *statement*.  Checks, per referenced table (the statement's plan
+        holds the per-table column sets, walked once per statement):
 
         1. some role of the querier has a rule for the table;
         2. every referenced column of that table is covered;
         3. ``aggregate_only`` rules reject non-aggregate queries.
         """
-        binding_to_table = {ref.binding: ref.name for ref in statement.from_tables}
-        for table_name in binding_to_table.values():
+        referenced = plan_of(statement).referenced_columns
+        for table_name, columns in referenced.items():
             applicable = [
                 rule
                 for rule in self.rules
@@ -121,36 +122,12 @@ class AccessPolicy:
                     raise AccessDeniedError(
                         f"SELECT * not allowed on aggregate-only table {table_name!r}"
                     )
-            referenced = self._columns_for_table(statement, table_name, binding_to_table)
-            for column in referenced:
+            for column in columns:
                 if not any(rule.covers_column(column) for rule in applicable):
                     raise AccessDeniedError(
                         f"column {column!r} of table {table_name!r} not granted "
                         f"to querier {credential.subject!r}"
                     )
-
-    @staticmethod
-    def _columns_for_table(
-        statement: SelectStatement,
-        table_name: str,
-        binding_to_table: dict[str, str],
-    ) -> set[str]:
-        """Columns of *table_name* referenced anywhere in the statement."""
-        bindings = {
-            binding for binding, table in binding_to_table.items() if table == table_name
-        }
-        only_table = len(set(binding_to_table.values())) == 1
-        referenced: set[str] = set()
-        expressions = [item.expression for item in statement.select_items]
-        expressions += [statement.where, statement.having, *statement.group_by]
-        for expression in expressions:
-            for ref in column_refs(expression):
-                assert isinstance(ref, ColumnRef)
-                if ref.table is not None and ref.table in bindings:
-                    referenced.add(ref.name)
-                elif ref.table is None and only_table:
-                    referenced.add(ref.name)
-        return referenced
 
 
 def permissive_policy(tables: Iterable[str], role: str = "public") -> AccessPolicy:

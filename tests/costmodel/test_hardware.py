@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto import cache
 from repro.costmodel.hardware import (
     calibrate_software_crypto,
     unit_test_breakdown,
@@ -40,9 +41,21 @@ class TestUnitTestBreakdown:
 
 class TestSoftwareCalibration:
     def test_calibration_runs_and_reports_slowdown(self):
-        calibration = calibrate_software_crypto(sample_bytes=1024, repetitions=1)
-        assert calibration.python_seconds_per_kb > 0
-        assert calibration.device_seconds_per_kb > 0
-        # pure Python is much slower than a hardware coprocessor — this is
-        # exactly why concrete simulation timing uses the device model
-        assert calibration.slowdown > 1
+        # whatever engine an earlier test (or the deployment) left selected,
+        # the calibration measures the pure-Python one and puts the
+        # selection back
+        try:
+            for selected in ("auto", "ttable", "reference"):
+                before = cache.use_engine(selected)
+                calibration = calibrate_software_crypto(
+                    sample_bytes=1024, repetitions=1
+                )
+                assert cache.selected_engine() == before
+                assert calibration.python_seconds_per_kb > 0
+                assert calibration.device_seconds_per_kb > 0
+                # pure Python is much slower than a hardware coprocessor —
+                # this is exactly why concrete simulation timing uses the
+                # device model
+                assert calibration.slowdown > 1
+        finally:
+            cache.use_engine("auto")

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.messages import EncryptedPartial, EncryptedTuple
-from repro.exceptions import UnknownQueryError
+from repro.exceptions import TransportError, UnknownQueryError
 from repro.net import frames
 from repro.net import server as server_mod
 from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy, TDSClient
@@ -67,7 +67,7 @@ async def serving(kind, dispatcher):
     try:
         yield connect
     finally:
-        for transport in transports:  # close() leaves accepted connections up
+        for transport in transports:
             await transport.close()
         await server.close()
 
@@ -598,5 +598,35 @@ class TestDrain:
             for client in (*clients, querier):
                 await client.close()
             await server.close()
+
+        run_async(run())
+
+    def test_close_releases_parked_hangs_up_peers_and_waits_for_handlers(self):
+        async def run():
+            dispatcher = SSIDispatcher()
+            server = SSIServer(dispatcher)
+            await server.start()
+            device = TDSClient(
+                TCPTransport("127.0.0.1", server.port),
+                RetryPolicy(max_retries=0),
+            )
+            parked = asyncio.create_task(device.await_work("tds-0", [], 10.0))
+            await until(lambda: len(dispatcher._parked_work) == 1)
+            # a peer that never hangs up by itself
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            await until(lambda: len(server._connections) == 2)
+            started = time.monotonic()
+            await server.close()
+            # nothing to poll for: the handlers are gone when close() returns
+            assert server._connections == {}
+            assert not dispatcher._parked_work
+            assert await asyncio.wait_for(reader.read(), 1.0) == b""
+            try:
+                assert tuple(await asyncio.wait_for(parked, 1.0)) == EMPTY
+            except TransportError:
+                pass  # the hang-up may overtake the released answer
+            assert time.monotonic() - started < 1.0
+            writer.close()
+            await device.close()
 
         run_async(run())

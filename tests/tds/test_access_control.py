@@ -121,3 +121,31 @@ class TestPolicy:
         )
         with pytest.raises(AccessDeniedError):
             policy.authorize(self._cred(authority, ["x"]), statement)
+
+    def test_statement_walked_once_however_many_devices_authorize(
+        self, policy, authority, monkeypatch
+    ):
+        # Every device of a fleet opens the same (parse-memoised) statement;
+        # the referenced-column walk belongs to the statement's plan, not
+        # to each authorize call.
+        from repro.sql import executor
+
+        walks = []
+        real = executor.column_refs
+
+        def counting(expression):
+            walks.append(expression)
+            return real(expression)
+
+        monkeypatch.setattr(executor, "column_refs", counting)
+        statement = parse(
+            "SELECT C.district, MAX(P.cons) FROM Power P, Consumer C "
+            "WHERE C.cid = P.cid AND P.cons > 17 GROUP BY C.district"
+        )
+        credential = self._cred(authority, ["energy-provider"])
+        policy.authorize(credential, statement)
+        after_first = len(walks)
+        assert after_first > 0
+        for __ in range(64):
+            policy.authorize(credential, statement)
+        assert len(walks) == after_first

@@ -37,9 +37,10 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Three real processes over localhost TCP: an SSI server (with its
-# Prometheus endpoint up), a fleet of TDS clients and one querier.  After
-# the queries, the metrics endpoint is scraped and asserted on, and
-# `repro stats` fetches the same registry over the wire protocol.
+# Prometheus endpoint up), a fleet of TDS clients and one querier running
+# four of the five protocols.  After the queries, the metrics endpoint is
+# scraped and asserted on, and `repro stats` fetches the same registry
+# over the wire protocol.
 SERVE_DEMO_PORT ?= 7464
 SERVE_DEMO_METRICS_PORT ?= 9464
 serve-demo:
@@ -49,15 +50,18 @@ serve-demo:
 	SERVE_PID=$$!; \
 	trap 'kill $$SERVE_PID 2>/dev/null || true' EXIT; \
 	sleep 1.5; \
-	PYTHONPATH=src python -m repro fleet --port $(SERVE_DEMO_PORT) --tds 8 --seed 3 --queries 2 & \
+	PYTHONPATH=src python -m repro fleet --port $(SERVE_DEMO_PORT) --tds 8 --seed 3 --queries 4 & \
 	FLEET_PID=$$!; \
 	sleep 0.5; \
 	PYTHONPATH=src python -m repro query --port $(SERVE_DEMO_PORT) --tds 8 --seed 3 --protocol s_agg; \
 	PYTHONPATH=src python -m repro query --port $(SERVE_DEMO_PORT) --tds 8 --seed 3 --protocol ed_hist; \
+	PYTHONPATH=src python -m repro query --port $(SERVE_DEMO_PORT) --tds 8 --seed 3 --protocol c_noise; \
+	PYTHONPATH=src python -m repro query --port $(SERVE_DEMO_PORT) --tds 8 --seed 3 --protocol basic \
+		--query "SELECT cid, district FROM Consumer WHERE cid < 4"; \
 	wait $$FLEET_PID; \
 	python tools/check_metrics_endpoint.py --port $(SERVE_DEMO_METRICS_PORT) --min-requests 10 --check-healthz; \
-	PYTHONPATH=src python -m repro stats --port $(SERVE_DEMO_PORT) | grep -q 'repro_ssi_requests_total{msg_type="post_query",outcome="ok"} 2' \
-		&& echo "ok: repro stats sees both demo queries"
+	PYTHONPATH=src python -m repro stats --port $(SERVE_DEMO_PORT) | grep -q 'repro_ssi_requests_total{msg_type="post_query",outcome="ok"} 4' \
+		&& echo "ok: repro stats sees all four demo queries"
 
 examples:
 	@for script in examples/*.py; do \

@@ -43,16 +43,12 @@ from repro.bench import (
 )
 from repro.costmodel import PAPER_DEFAULTS, all_protocol_metrics
 from repro.protocols import (
-    CNoiseProtocol,
+    DRIVERS,
     Deployment,
     DiscoveryCache,
-    EDHistProtocol,
     PCEHR_TOKEN_PRIORITIES,
     Priorities,
-    RnfNoiseProtocol,
-    SAggProtocol,
     SMART_METER_PRIORITIES,
-    SelectWhereProtocol,
     build_histogram,
     cached_domain,
     cached_histogram,
@@ -66,41 +62,41 @@ _DEFAULT_QUERY = (
     "FROM Power P, Consumer C WHERE C.cid = P.cid GROUP BY district"
 )
 
-PROTOCOL_CHOICES = ("s_agg", "rnf_noise", "c_noise", "ed_hist", "basic")
+#: every protocol runs in every mode: in process (``demo``) and over the
+#: wire (``query`` / ``multiquery``)
+PROTOCOL_CHOICES = tuple(DRIVERS)
 
 
 def _build_driver(name, deployment, workers, rng, nf, cache=None):
-    """Instantiate the requested protocol, running discovery when the
-    protocol needs domain/distribution knowledge.  With a
+    """Instantiate the requested protocol, running discovery when its
+    devices need domain/distribution knowledge.  With a
     :class:`~repro.protocols.DiscoveryCache`, repeated builds reuse one
     discovery run per dataset epoch instead of re-running S_Agg."""
-    common = dict(
-        collectors=deployment.tds_list, workers=workers, rng=rng
-    )
-    if name == "s_agg":
-        return SAggProtocol(deployment.ssi, **common)
-    if name == "basic":
-        return SelectWhereProtocol(deployment.ssi, **common)
+    knowledge: dict = {}
     if name in ("rnf_noise", "c_noise"):
         if cache is not None:
             values = cached_domain(cache, deployment, "Consumer", "district")
         else:
             values = discover_domain(deployment, "Consumer", "district")
-        domain = [(d,) for d in values]
+        knowledge["domain"] = [(d,) for d in values]
         if name == "rnf_noise":
-            return RnfNoiseProtocol(deployment.ssi, domain=domain, nf=nf, **common)
-        return CNoiseProtocol(deployment.ssi, domain=domain, **common)
-    if name == "ed_hist":
+            knowledge["nf"] = nf
+    elif name == "ed_hist":
         if cache is not None:
-            histogram = cached_histogram(
+            knowledge["histogram"] = cached_histogram(
                 cache, deployment, "Consumer", "district", num_buckets=2
             )
         else:
-            histogram = build_histogram(
+            knowledge["histogram"] = build_histogram(
                 deployment, "Consumer", "district", num_buckets=2
             )
-        return EDHistProtocol(deployment.ssi, histogram=histogram, **common)
-    raise SystemExit(f"unknown protocol {name!r}")
+    return DRIVERS[name](
+        deployment.ssi,
+        collectors=deployment.tds_list,
+        workers=workers,
+        rng=rng,
+        **knowledge,
+    )
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -215,8 +211,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 _FLEET_QUERY = "SELECT district, COUNT(*) AS meters FROM Consumer GROUP BY district"
-
-NET_PROTOCOLS = ("s_agg", "ed_hist")
 
 
 def _fleet_deployment(args: argparse.Namespace) -> Deployment:
@@ -500,7 +494,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     from repro.net.frames import QueryMeta
     from repro.net.transport import TCPTransport
     from repro.obs import spans as obs_spans
-    from repro.protocols import ALPHA_OPTIMAL
 
     obs_spans.set_process_label("querier")
     deployment = _fleet_deployment(args)
@@ -509,15 +502,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     # processes hitting one served SSI need globally unique ids.
     query_id = args.query_id or f"q-{uuid.uuid4().hex[:12]}"
     envelope = querier.make_envelope(args.query, query_id=query_id)
-    meta = QueryMeta(
-        args.protocol,
-        {
-            "alpha": ALPHA_OPTIMAL,
-            "first_step_partition_size": 64.0,
-            "filter_partition_size": 64.0,
-            "partition_timeout": args.partition_timeout,
-        },
-    )
+    # the protocol's row supplies every other scheduling default
+    meta = QueryMeta(args.protocol, {"partition_timeout": args.partition_timeout})
     trace_id = obs_spans.derive_trace_id(query_id)
     root = obs_spans.RECORDER.start(
         "query", trace_id=trace_id, query_id=query_id, protocol=args.protocol
@@ -559,7 +545,6 @@ def cmd_multiquery(args: argparse.Namespace) -> int:
     from repro.net.multiquery import MultiQueryRunner, QuerySpec
     from repro.net.transport import TCPTransport
     from repro.obs import spans as obs_spans
-    from repro.protocols import ALPHA_OPTIMAL
 
     obs_spans.set_process_label("querier")
     deployment = _fleet_deployment(args)
@@ -567,12 +552,7 @@ def cmd_multiquery(args: argparse.Namespace) -> int:
     sql = args.query
     if args.size_tuples > 0 and "SIZE" not in sql.upper():
         sql = f"{sql} SIZE {args.size_tuples} TUPLES"
-    params = {
-        "alpha": ALPHA_OPTIMAL,
-        "first_step_partition_size": 64.0,
-        "filter_partition_size": 64.0,
-        "partition_timeout": args.partition_timeout,
-    }
+    params = {"partition_timeout": args.partition_timeout}
     specs = [
         QuerySpec(sql, protocol=args.protocol, params=params)
         for _ in range(args.count)
@@ -894,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--host", default="127.0.0.1")
     query.add_argument("--port", type=int, default=7464)
-    query.add_argument("--protocol", choices=NET_PROTOCOLS, default="s_agg")
+    query.add_argument("--protocol", choices=PROTOCOL_CHOICES, default="s_agg")
     query.add_argument("--query", default=_FLEET_QUERY)
     query.add_argument("--tds", type=int, default=16, help="population size")
     query.add_argument("--districts", type=int, default=4)
@@ -918,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     multiquery.add_argument("--host", default="127.0.0.1")
     multiquery.add_argument("--port", type=int, default=7464)
-    multiquery.add_argument("--protocol", choices=NET_PROTOCOLS, default="s_agg")
+    multiquery.add_argument("--protocol", choices=PROTOCOL_CHOICES, default="s_agg")
     multiquery.add_argument("--query", default=_FLEET_QUERY)
     multiquery.add_argument("--count", type=int, default=4, help="queries to run")
     multiquery.add_argument(

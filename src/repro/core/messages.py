@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,6 +166,22 @@ class Partition:
 
     def byte_size(self) -> int:
         return sum(len(item.payload) for item in self.items)
+
+
+#: what a TDS is asked to do with a partition it is handed (steps 6-12)
+WORK_FOLD = 1  # S_Agg: fold to a single partial
+WORK_FOLD_PER_GROUP = 2  # tagged protocols: fold to per-group partials
+WORK_FINALIZE = 3  # filtering: merge, HAVING, re-encrypt under k1
+WORK_FILTER = 4  # basic protocol filtering: drop dummies, re-encrypt under k1
+
+#: what it hands back: encrypted partials (aggregation) or k1 result rows
+RESULT_PARTIALS = 1
+RESULT_ROWS = 2
+
+#: Failure injector: called before a TDS processes a partition; returning
+#: True makes the TDS "go offline mid-partition" (§3.2).  The factories
+#: live in :mod:`repro.simulation.failures`.
+FailureInjector = Callable[[str, Partition], bool]
 
 
 @dataclass(slots=True)

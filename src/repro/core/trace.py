@@ -73,3 +73,39 @@ class ExecutionTrace:
 
     def total_bytes(self) -> int:
         return sum(e.total_bytes() for e in self.events)
+
+
+@dataclass
+class ProtocolStats:
+    """Concrete execution metrics (one query run), kept by the
+    :class:`~repro.net.coordinator.QueryCoordinator` in every mode.
+
+    * ``participants`` — distinct TDS ids that did any work (≈ PTDS);
+    * ``aggregation_rounds`` — iterations of the aggregation phase;
+    * ``bytes_processed`` — total payload bytes downloaded+uploaded by all
+      TDSs across all phases (≈ LoadQ); charged by the in-process driver,
+      which sees both directions of every transfer;
+    * ``tuples_collected`` — Covering Result size, including dummies/fakes;
+    * ``per_tds_bytes`` — per-TDS byte totals (max/mean ≈ Tlocal shape).
+    """
+
+    participants: set[str] = field(default_factory=set)
+    aggregation_rounds: int = 0
+    bytes_processed: int = 0
+    tuples_collected: int = 0
+    partitions_processed: int = 0
+    reassigned_partitions: int = 0
+    per_tds_bytes: dict[str, int] = field(default_factory=dict)
+
+    def charge(self, tds_id: str, num_bytes: int) -> None:
+        self.participants.add(tds_id)
+        self.bytes_processed += num_bytes
+        self.per_tds_bytes[tds_id] = self.per_tds_bytes.get(tds_id, 0) + num_bytes
+
+    def max_tds_bytes(self) -> int:
+        return max(self.per_tds_bytes.values(), default=0)
+
+    def mean_tds_bytes(self) -> float:
+        if not self.per_tds_bytes:
+            return 0.0
+        return sum(self.per_tds_bytes.values()) / len(self.per_tds_bytes)

@@ -1,31 +1,40 @@
-"""SSI-side query scheduling for fleet-mode execution.
+"""The protocol table and the one stage machine that interprets it.
 
-In the paper the SSI itself drives the data flow of steps 5-13: it forms
-partitions of opaque items, hands them to whichever TDSs are connected,
-reassigns timed-out partitions and publishes the result (§3.2).  The
-in-process :class:`~repro.protocols.base.ProtocolDriver` collapses that
-loop into synchronous calls; this module is the real-system counterpart —
-a :class:`QueryCoordinator` advances one query through its aggregation
-and filtering stages as TDS clients ask for work over the wire.
+The paper has *one* protocol (§4: collection → aggregation → filtering);
+its five variants differ in how a TDS encodes its tuples at collection
+(device-side, see :meth:`TrustedDataServer.collect_frames`) and in what
+the SSI does with the opaque items afterwards: cut partitions blindly or
+by cleartext tag, how large, and when aggregation stops.  That second
+half is :data:`PROTOCOLS` — one row of :class:`Stage` cells per protocol
+— and :class:`QueryCoordinator` advances one query through its row as
+TDSs ask for work.  Who asks differs by mode, the machine does not: the
+:class:`~repro.net.server.SSIDispatcher` for a fleet over the wire, the
+in-process :class:`~repro.protocols.base.ProtocolDriver` loop inline, a
+driver over :class:`~repro.net.transport.RemoteSSI` client-side.
 
 The coordinator only ever touches :class:`Partition` objects, opaque
 payload bytes and cleartext ``group_tag`` routing handles — exactly the
-SSI's legitimate view.  Which partitioner to use (random vs. by-tag) is
-derived from the cleartext protocol name in the query's
+SSI's legitimate view (§3.2: it forms partitions, hands them to whichever
+TDSs are connected, reassigns timed-out ones and publishes the result).
+The row is chosen by the cleartext protocol name in the query's
 :class:`~repro.net.frames.QueryMeta`, knowledge the paper's SSI holds by
 construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.messages import EncryptedPartial, Partition
+from repro.core.trace import ProtocolStats
 from repro.exceptions import ProtocolError
 from repro.net.frames import (
     RESULT_PARTIALS,
     RESULT_ROWS,
+    WORK_FILTER,
     WORK_FINALIZE,
     WORK_FOLD,
     WORK_FOLD_PER_GROUP,
@@ -36,29 +45,61 @@ from repro.ssi.partitioner import Item, RandomPartitioner, TagPartitioner
 from repro.ssi.server import SupportingServerInfrastructure
 from repro.ssi.storage import PartitionTracker
 
+
+@dataclass(frozen=True)
+class Stage:
+    """One step of a protocol, as the SSI runs it.
+
+    ``kind`` is what a TDS does with a partition; ``by_tag`` cuts
+    partitions by cleartext group tag (else shuffled, blind chunks);
+    ``size_param`` names the :class:`QueryMeta` param sizing a partition
+    (``None``, or a value of 0, leaves a tag group — or the whole input —
+    unsplit) and ``default_size`` its default; a stage that ``repeats``
+    runs again on its own output until one item is left."""
+
+    kind: int
+    by_tag: bool
+    size_param: str | None
+    default_size: float = 64
+    repeats: bool = False
+
+
+#: work kind → the result kind a TDS answers it with; a stage answered
+#: with partials is an aggregation round, one answered with rows filters
+RESULT_OF = {
+    WORK_FOLD: RESULT_PARTIALS,
+    WORK_FOLD_PER_GROUP: RESULT_PARTIALS,
+    WORK_FINALIZE: RESULT_ROWS,
+    WORK_FILTER: RESULT_ROWS,
+}
+
+_FINALIZE = Stage(WORK_FINALIZE, False, "filter_partition_size")
+#: §4.3/§4.4: fold same-tag tuples to per-group partials, merge same-group
+#: partials (one partition per Det_Enc(group) tag), finalize
+_TAGGED = (
+    Stage(WORK_FOLD_PER_GROUP, True, "first_step_partition_size"),
+    Stage(WORK_FOLD_PER_GROUP, True, None),
+    _FINALIZE,
+)
+
+#: protocol name → its stages after collection
+PROTOCOLS: dict[str, tuple[Stage, ...]] = {
+    # §3.2: no aggregation, the Covering Result is filtered in blind chunks
+    "basic": (Stage(WORK_FILTER, False, "partition_size"),),
+    # §4.2: blind partitions of ~alpha items shrink the input by alpha per
+    # round (3.6 = ALPHA_OPTIMAL, §6.1.1) until one partial holds it all
+    "s_agg": (Stage(WORK_FOLD, False, "alpha", 3.6, repeats=True), _FINALIZE),
+    "rnf_noise": _TAGGED,
+    "c_noise": _TAGGED,
+    "ed_hist": _TAGGED,
+}
+
 #: protocols the coordinator knows how to schedule
-SUPPORTED_PROTOCOLS = ("s_agg", "ed_hist")
-
-_STAGE_COLLECTING = "collecting"
-_STAGE_FOLD = "fold"
-_STAGE_MERGE = "merge"  # ed_hist second step
-_STAGE_FINALIZE = "finalize"
-_STAGE_DONE = "done"
-
-
-@dataclass
-class CoordinatorStats:
-    """Observable scheduling counters (mirrors ProtocolStats fields the
-    fleet tests assert on)."""
-
-    aggregation_rounds: int = 0
-    partitions_processed: int = 0
-    reassigned_partitions: int = 0
-    participants: set[str] = field(default_factory=set)
+SUPPORTED_PROTOCOLS = tuple(PROTOCOLS)
 
 
 class QueryCoordinator:
-    """Scheduler for one fleet-mode query on the SSI."""
+    """Scheduler for one query: the SSI side of steps 5-13."""
 
     def __init__(
         self,
@@ -66,50 +107,50 @@ class QueryCoordinator:
         query_id: str,
         meta: QueryMeta,
         partition_timeout: float = 5.0,
-        seed: int = 0,
+        rng: random.Random | None = None,
     ) -> None:
-        if meta.protocol not in SUPPORTED_PROTOCOLS:
+        if meta.protocol not in PROTOCOLS:
             raise ProtocolError(
                 f"no coordinator for protocol {meta.protocol!r}; supported: "
-                f"{', '.join(SUPPORTED_PROTOCOLS)}"
+                f"{', '.join(PROTOCOLS)}"
             )
         self.ssi = ssi
         self.query_id = query_id
         self.meta = meta
         self.partition_timeout = meta.param("partition_timeout", partition_timeout)
-        self.stats = CoordinatorStats()
+        self.stats = ProtocolStats()
         # Partition shapes never affect aggregate results (merging is
-        # associative); the seed only fixes the shuffle for replayability.
-        self._rng = random.Random(seed)
-        self._stage = _STAGE_COLLECTING
+        # associative); the rng only fixes the shuffle for replayability.
+        self._rng = rng if rng is not None else random.Random(0)
+        self._stages = PROTOCOLS[meta.protocol]
+        #: index of the running stage: -1 while collecting, len(stages)
+        #: once the result is published
+        self._position = -1
         self._tracker: PartitionTracker | None = None
-        self._round_outputs: list[EncryptedPartial] = []
-        self._round_items: list[Item] = []
-        self._next_partition_id = 0
-        self._sagg_partition_size = max(2, round(self.meta.param("alpha", 3.6)))
-        self._first_step_size = int(self.meta.param("first_step_partition_size", 64))
-        self._filter_size = int(self.meta.param("filter_partition_size", 64))
+        self._outputs: list[EncryptedPartial] = []
+        self._partition_ids = itertools.count()
 
     # ------------------------------------------------------------------ #
-    # scheduling interface (called by the server dispatcher)
+    # scheduling interface
     # ------------------------------------------------------------------ #
     def done(self) -> bool:
-        return self._stage == _STAGE_DONE
+        return self._position == len(self._stages)
 
     def assignable(self, now: float) -> int:
         """How many partitions :meth:`next_work` could hand out right
-        now — what the dispatcher releases parked devices by.  Aggregation
-        starts here once the collection is closed, and expired
+        now — what the dispatcher releases parked devices by.  The first
+        stage opens here once the collection is closed, and expired
         assignments are reclaimed first."""
-        if self._stage == _STAGE_COLLECTING:
+        if self._position < 0:
             if not self.ssi.collection_closed(self.query_id):
                 return 0
-            self._start_aggregation()
-        if self._stage == _STAGE_DONE or self._tracker is None:
+            items = self.ssi.covering_result(self.query_id)
+            self.stats.tuples_collected = len(items)
+            self._open(0, items)
+        if self._tracker is None:
             return 0
         expired = self._tracker.expire(now)
-        if expired:
-            self.stats.reassigned_partitions += len(expired)
+        self.stats.reassigned_partitions += len(expired)
         return self._tracker.pending_count()
 
     def next_work(self, tds_id: str, now: float) -> WorkUnit | None:
@@ -121,7 +162,7 @@ class QueryCoordinator:
         assert self._tracker is not None
         partition = self._tracker.assign_next(tds_id, now)
         assert partition is not None
-        kind = self._work_kind()
+        kind = self._stages[self._position].kind
         return WorkUnit(self.query_id, kind, partition.partition_id, partition.items)
 
     def complete(
@@ -136,102 +177,66 @@ class QueryCoordinator:
         current tracker drains.  Duplicate completions (a reassignment
         race) are dropped — partial folding is idempotent per partition.
         So are *stale* completions: partition ids are coordinator-unique
-        across rounds (:meth:`_renumber`), so an id the current tracker
-        never issued is a timed-out TDS finally replying after the round
+        across rounds (:meth:`_open`), so an id the current tracker never
+        issued is a timed-out TDS finally replying after the round
         advanced — dropping it (rather than erroring) keeps slow-but-
-        healthy workers polling."""
-        if self._tracker is None or not self._tracker.knows(partition_id):
-            return
-        if self._tracker.is_done(partition_id):
-            return
-        expected = RESULT_ROWS if self._stage == _STAGE_FINALIZE else RESULT_PARTIALS
+        healthy workers serving."""
+        tracker = self._tracker
+        if tracker is None or not tracker.knows(partition_id):
+            return  # stale
+        if tracker.is_done(partition_id):
+            return  # duplicate
+        stage = self._stages[self._position]
+        expected = RESULT_OF[stage.kind]
         if result_kind != expected:
             raise ProtocolError(
-                f"stage {self._stage!r} expects result kind {expected}, "
-                f"got {result_kind}"
+                f"stage {self._position} of {self.meta.protocol!r} expects "
+                f"result kind {expected}, got {result_kind}"
             )
-        self._tracker.complete(partition_id, tds_id)
+        tracker.complete(partition_id, tds_id)
         self.stats.partitions_processed += 1
         self.stats.participants.add(tds_id)
-        if self._stage == _STAGE_FINALIZE:
+        if expected == RESULT_ROWS:
             self.ssi.store_result_rows(self.query_id, rows)
         else:
-            self._round_outputs.extend(partials)
+            self._outputs.extend(partials)
             self.ssi.submit_partials(self.query_id, partials)
-        if self._tracker.all_done():
-            self._advance()
+        if not tracker.all_done():
+            return
+        outputs, self._outputs = self._outputs, []
+        if expected == RESULT_PARTIALS:
+            self.ssi.take_partials(self.query_id)  # drained into the next stage
+            self.stats.aggregation_rounds += 1
+        again = stage.repeats and len(outputs) > 1
+        self._open(self._position + (0 if again else 1), outputs)
 
     # ------------------------------------------------------------------ #
     # stage machine
     # ------------------------------------------------------------------ #
-    def _work_kind(self) -> int:
-        if self._stage == _STAGE_FINALIZE:
-            return WORK_FINALIZE
-        if self.meta.protocol == "s_agg":
-            return WORK_FOLD
-        return WORK_FOLD_PER_GROUP
-
-    def _start_aggregation(self) -> None:
-        items: list[Item] = list(self.ssi.covering_result(self.query_id))
-        if not items:
-            # Nothing was collected: publish an empty result rather than
-            # stalling every poller forever.
+    def _open(self, position: int, items: Sequence[Item]) -> None:
+        """Cut *items* into the partitions of stage *position*.  Past the
+        last stage — or with nothing to cut (an empty collection,
+        partitions that held only dummies or fakes) — the result the SSI
+        holds is published instead of stalling every waiter forever."""
+        if position == len(self._stages) or not items:
             self.ssi.publish_result(self.query_id)
-            self._stage = _STAGE_DONE
-            return
-        self._stage = _STAGE_FOLD
-        self._open_round(items)
-
-    def _open_round(self, items: list[Item]) -> None:
-        if not items:
-            # A stage produced nothing to process (e.g. partitions that
-            # held only dummies): publish what the SSI has instead of
-            # stalling every poller forever.
-            self.ssi.publish_result(self.query_id)
-            self._stage = _STAGE_DONE
+            self._position = len(self._stages)
             self._tracker = None
             return
-        self._round_items = items
-        self._round_outputs = []
-        if self._stage == _STAGE_FINALIZE:
-            partitioner: RandomPartitioner | TagPartitioner = RandomPartitioner(
-                self._filter_size, self._rng
-            )
-        elif self.meta.protocol == "s_agg":
-            partitioner = RandomPartitioner(self._sagg_partition_size, self._rng)
-        elif self._stage == _STAGE_FOLD:
-            partitioner = TagPartitioner(max_partition_size=self._first_step_size)
-        else:  # ed_hist merge step
-            partitioner = TagPartitioner()
-        partitions = self._renumber(partitioner.partition(items))
+        self._position = position
+        stage = self._stages[position]
+        size = 0  # unsplit
+        if stage.size_param is not None:
+            size = round(self.meta.param(stage.size_param, stage.default_size))
+        # a repeating stage must shrink its input, so never 1-item chunks
+        size = max(size or len(items), 2 if stage.repeats else 1)
+        partitioner = (
+            TagPartitioner(size) if stage.by_tag else RandomPartitioner(size, self._rng)
+        )
+        # Coordinator-unique partition ids across all rounds, so a stale
+        # submit from a previous round can never alias a live partition.
+        partitions = [
+            Partition(next(self._partition_ids), partition.items)
+            for partition in partitioner.partition(items)
+        ]
         self._tracker = PartitionTracker(partitions, self.partition_timeout)
-
-    def _renumber(self, partitions: list[Partition]) -> list[Partition]:
-        """Coordinator-unique partition ids across all rounds, so a stale
-        submit from a previous round can never alias a live partition."""
-        renumbered = []
-        for partition in partitions:
-            renumbered.append(Partition(self._next_partition_id, partition.items))
-            self._next_partition_id += 1
-        return renumbered
-
-    def _advance(self) -> None:
-        outputs = list(self._round_outputs)
-        self.ssi.take_partials(self.query_id)  # drained into the next stage
-        if self._stage == _STAGE_FINALIZE:
-            self.ssi.publish_result(self.query_id)
-            self._stage = _STAGE_DONE
-            self._tracker = None
-            return
-        self.stats.aggregation_rounds += 1
-        if self.meta.protocol == "s_agg":
-            if len(outputs) <= 1:
-                self._stage = _STAGE_FINALIZE
-            self._open_round(list(outputs))
-            return
-        # ed_hist: fold -> merge -> finalize
-        if self._stage == _STAGE_FOLD:
-            self._stage = _STAGE_MERGE
-        elif self._stage == _STAGE_MERGE:
-            self._stage = _STAGE_FINALIZE
-        self._open_round(list(outputs))

@@ -9,11 +9,12 @@ connect/contribute/disconnect cycle of §3.2 in pull mode (§3.1: the TDS
 initiates every exchange), concurrent and over real sockets.  A
 semaphore caps how many devices do heavy work simultaneously.
 
-Failure injection reuses the shapes in :mod:`repro.simulation.failures`:
-the same ``(tds_id, partition) -> bool`` injectors drive *network*
-faults here — a firing injector makes the client drop its connection (or
-stall past the partition timeout) instead of submitting, so the SSI-side
-tracker must detect the timeout and reassign, end-to-end.
+Failure injection takes the same ``(tds_id, partition) -> bool``
+injectors as the in-process driver (:mod:`repro.simulation.failures`
+builds the usual shapes) and manifests them as *network* faults — a
+firing injector makes the client drop its connection (or stall past the
+partition timeout) instead of submitting, so the SSI-side tracker must
+detect the timeout and reassign, end-to-end.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Sequence
 
-from repro.core.messages import Partition, QueryEnvelope
+from repro.core.messages import FailureInjector, Partition, QueryEnvelope
 from repro.crypto.pool import CryptoPool
 from repro.exceptions import AccessDeniedError, ProtocolError, TransportError
-from repro.net import frames
+from repro.net import ops
 from repro.net.batch import TupleBatcher
 from repro.net.client import RetryPolicy, TDSClient
 from repro.net.frames import QueryMeta, WorkUnit
@@ -39,10 +40,10 @@ from repro.net.transport import TCPTransport, Transport
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.simulation.failures import FailureInjector
 from repro.sql.ast import SelectStatement
 from repro.tds.histogram import EquiDepthHistogram
 from repro.tds.node import TrustedDataServer
+from repro.tds.noise import ComplementaryNoise, NoiseStrategy, RandomNoise
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +70,8 @@ _PROTOCOL_ERRORS = obs_metrics.REGISTRY.counter(
 
 
 #: what one device holds per query id: the envelope, and the statement
-#: it opened from it (None until it had to, or when access was denied)
+#: it read from it (None until it has: its policy denied the query, or
+#: it never contributed to it)
 _HeldQueries = dict[str, tuple[QueryEnvelope, SelectStatement | None]]
 
 
@@ -141,7 +143,14 @@ class FleetRunner:
             raise ProtocolError("batch flush interval must be > 0")
         self.tds_list = list(tds_list)
         self.transport_factory = transport_factory
+        #: the discovered distribution every device holds: ED_Hist's
+        #: buckets (§4.4) and, as its value set, the noise protocols'
+        #: domain (§4.3) — discovery is one COUNT … GROUP BY for both
         self.histogram = histogram
+        self._domain = [
+            value if isinstance(value, tuple) else (value,)
+            for value in (histogram.values() if histogram is not None else ())
+        ]
         self.fault_plan = fault_plan
         self.policy = policy if policy is not None else RetryPolicy()
         self.concurrency = concurrency
@@ -372,55 +381,68 @@ class FleetRunner:
         meta: QueryMeta,
     ) -> None:
         assert self._semaphore is not None
-        if meta.protocol == "ed_hist" and self.histogram is None:
-            raise ProtocolError("fleet has no histogram; ed_hist queries need one")
-        span = obs_spans.RECORDER.start(
+        with obs_spans.RECORDER.span(
             "contribution",
             trace_id=obs_spans.derive_trace_id(envelope.query_id),
             tds_id=tds.tds_id,
             shard=self.shard_label,
-        )
-        queued = time.perf_counter()
-        async with self._semaphore:
-            queue_seconds = time.perf_counter() - queued
-            crypto_started = time.perf_counter()
-            try:
-                statement = tds.open_query(envelope)
-            except AccessDeniedError:
-                statement = None  # collect_frames answers for the denial
-            frame_block = tds.collect_frames(
-                envelope, meta.protocol, histogram=self.histogram, statement=statement
-            )
-            if self.crypto_pool is not None:
-                # The event loop services other devices' sockets while a
-                # worker process encrypts this block.
-                block = await tds.seal_frames_async(frame_block, self.crypto_pool)
-            else:
-                block = tds.seal_frames(frame_block)
-            crypto_seconds = time.perf_counter() - crypto_started
-            wire_started = time.perf_counter()
-            if self._batcher is None:
-                await client.submit_tuples(
-                    envelope.query_id, list(block.tuples())
+        ) as span:
+            queued = time.perf_counter()
+            async with self._semaphore:
+                queue_seconds = time.perf_counter() - queued
+                crypto_started = time.perf_counter()
+                try:
+                    statement = tds.open_query(envelope)
+                except AccessDeniedError:
+                    statement = None  # collect_frames answers for the denial
+                frame_block = tds.collect_frames(
+                    envelope,
+                    meta.protocol,
+                    noise=self._noise(meta),
+                    histogram=self.histogram,
+                    statement=statement,
                 )
-        if self._batcher is not None:
-            # Awaited outside the semaphore: a waiter parked on a batch
-            # ack must not pin a concurrency slot for up to max_delay.
-            await self._batcher.submit_block(envelope.query_id, block)
-        held[envelope.query_id] = (envelope, statement)
-        span.annotate(
-            count=len(block),
-            queue_seconds=round(queue_seconds, 6),
-            crypto_seconds=round(crypto_seconds, 6),
-            wire_seconds=round(time.perf_counter() - wire_started, 6),
-        )
-        span.finish()
+                if self.crypto_pool is not None:
+                    # The event loop services other devices' sockets while a
+                    # worker process encrypts this block.
+                    block = await tds.seal_frames_async(frame_block, self.crypto_pool)
+                else:
+                    block = tds.seal_frames(frame_block)
+                crypto_seconds = time.perf_counter() - crypto_started
+                wire_started = time.perf_counter()
+                if self._batcher is None:
+                    await client.submit_tuples(
+                        envelope.query_id, list(block.tuples())
+                    )
+            if self._batcher is not None:
+                # Awaited outside the semaphore: a waiter parked on a batch
+                # ack must not pin a concurrency slot for up to max_delay.
+                await self._batcher.submit_block(envelope.query_id, block)
+            held[envelope.query_id] = (envelope, statement)
+            span.annotate(
+                count=len(block),
+                queue_seconds=round(queue_seconds, 6),
+                crypto_seconds=round(crypto_seconds, 6),
+                wire_seconds=round(time.perf_counter() - wire_started, 6),
+            )
         self.stats.contributions += 1
         self.stats.tuples_submitted += len(block)
         self.stats.participants.add(tds.tds_id)
         self._c_contributions.inc()
         self._c_tuples.inc(len(block))
         await self._close_when_complete(tds, client, envelope)
+
+    def _noise(self, meta: QueryMeta) -> NoiseStrategy | None:
+        """The fakes a noise protocol has this contribution add (§4.3);
+        without a discovered domain there are none to draw, and the TDS
+        refuses the protocol."""
+        if not self._domain:
+            return None
+        if meta.protocol == "rnf_noise":
+            return RandomNoise(self._domain, int(meta.param("nf", 2)), self._rng)
+        if meta.protocol == "c_noise":
+            return ComplementaryNoise(self._domain)
+        return None
 
     async def _process_unit(
         self,
@@ -442,48 +464,40 @@ class FleetRunner:
             held[unit.query_id] = (envelope, None)
         envelope, statement = held[unit.query_id]
         if statement is None:
-            statement = tds.open_query(envelope)
+            # Credential and policy gate what a device contributes, not
+            # whether it may serve a partition: k1 authenticates the
+            # envelope, and refusing here would tell the SSI (by a
+            # partition that times out) exactly who denied (§3.2).
+            statement = tds.decrypt_query(envelope)
             held[unit.query_id] = (envelope, statement)
-        span = obs_spans.RECORDER.start(
+        with obs_spans.RECORDER.span(
             "partition",
             trace_id=obs_spans.derive_trace_id(unit.query_id),
             tds_id=tds.tds_id,
             shard=self.shard_label,
             partition_id=unit.partition_id,
             kind=unit.kind,
-        )
-        queued = time.perf_counter()
-        async with self._semaphore:
-            queue_seconds = time.perf_counter() - queued
-            crypto_started = time.perf_counter()
-            if unit.kind == frames.WORK_FOLD:
-                partials = [tds.aggregate_partition(statement, partition)]
-                rows = None
-            elif unit.kind == frames.WORK_FOLD_PER_GROUP:
-                partials = tds.aggregate_partition_per_group(statement, partition)
-                rows = None
-            elif unit.kind == frames.WORK_FINALIZE:
-                partials = None
-                rows = tds.finalize_partition(statement, partition)
-            else:  # pragma: no cover - validated at decode time
-                span.finish()
-                raise ProtocolError(f"unknown work kind {unit.kind}")
-            crypto_seconds = time.perf_counter() - crypto_started
-            wire_started = time.perf_counter()
-            await client.submit_partition_result(
-                unit.query_id,
-                unit.partition_id,
-                tds.tds_id,
-                partials=partials,
-                rows=rows,
+        ) as span:
+            queued = time.perf_counter()
+            async with self._semaphore:
+                queue_seconds = time.perf_counter() - queued
+                crypto_started = time.perf_counter()
+                result = tds.serve_partition(unit.kind, statement, partition)
+                crypto_seconds = time.perf_counter() - crypto_started
+                wire_started = time.perf_counter()
+                await client.call(
+                    ops.SUBMIT_PARTITION_RESULT,
+                    unit.query_id,
+                    unit.partition_id,
+                    tds.tds_id,
+                    result,
+                )
+            span.annotate(
+                count=len(partition.items),
+                queue_seconds=round(queue_seconds, 6),
+                crypto_seconds=round(crypto_seconds, 6),
+                wire_seconds=round(time.perf_counter() - wire_started, 6),
             )
-        span.annotate(
-            count=len(partition.items),
-            queue_seconds=round(queue_seconds, 6),
-            crypto_seconds=round(crypto_seconds, 6),
-            wire_seconds=round(time.perf_counter() - wire_started, 6),
-        )
-        span.finish()
         self.stats.partitions_processed += 1
         self.stats.participants.add(tds.tds_id)
         self._c_partitions.inc()

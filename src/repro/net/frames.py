@@ -37,7 +37,13 @@ import asyncio
 import struct
 from dataclasses import dataclass
 
-from repro.core.messages import (
+from repro.core.messages import (  # noqa: F401 - re-exports the WORK_*/RESULT_* kinds
+    RESULT_PARTIALS,
+    RESULT_ROWS,
+    WORK_FILTER,
+    WORK_FINALIZE,
+    WORK_FOLD,
+    WORK_FOLD_PER_GROUP,
     Credential,
     EncryptedPartial,
     EncryptedTuple,
@@ -186,14 +192,9 @@ STATUS_WAIT = 0
 STATUS_WORK = 1
 STATUS_DONE = 2
 
-# work-unit kinds (what a fleet TDS should do with the partition)
-WORK_FOLD = 1  # S_Agg: fold to a single partial
-WORK_FOLD_PER_GROUP = 2  # tagged protocols: fold to per-group partials
-WORK_FINALIZE = 3  # filtering: merge, HAVING, re-encrypt under k1
-
-# partition-result kinds
-RESULT_PARTIALS = 1
-RESULT_ROWS = 2
+# work-unit kinds (WORK_*) and partition-result kinds (RESULT_*) travel as
+# u8 and are declared beside Partition in repro.core.messages, where the
+# TDS that serves them can name them without importing the wire layer
 
 _ITEM_TUPLE = 0
 _ITEM_PARTIAL = 1
@@ -624,7 +625,7 @@ def write_work_unit(w: Writer, unit: WorkUnit) -> None:
 def read_work_unit(r: Reader) -> WorkUnit:
     query_id = r.text()
     kind = r.u8()
-    if kind not in (WORK_FOLD, WORK_FOLD_PER_GROUP, WORK_FINALIZE):
+    if kind not in (WORK_FOLD, WORK_FOLD_PER_GROUP, WORK_FINALIZE, WORK_FILTER):
         raise ProtocolError(f"unknown work-unit kind 0x{kind:02x}")
     partition_id = r.i64()
     items = tuple(read_items(r))

@@ -40,9 +40,23 @@ from repro.protocols.streaming import (
 from repro.protocols.tagged import TaggedAggregationProtocol
 from repro.protocols.verification import SpotChecker, verify_partition
 
+#: protocol name (a row of :data:`repro.net.coordinator.PROTOCOLS`) → the
+#: driver class that runs it in process
+DRIVERS: dict[str, type[ProtocolDriver]] = {
+    cls.name: cls
+    for cls in (
+        SelectWhereProtocol,
+        SAggProtocol,
+        RnfNoiseProtocol,
+        CNoiseProtocol,
+        EDHistProtocol,
+    )
+}
+
 __all__ = [
     "ALPHA_OPTIMAL",
     "CNoiseProtocol",
+    "DRIVERS",
     "Deployment",
     "DiscoveryCache",
     "DiscoveryKey",

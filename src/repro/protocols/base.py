@@ -1,7 +1,7 @@
-"""Generic protocol machinery: querier, execution statistics, driver base.
+"""Generic protocol machinery: querier and the one in-process engine.
 
-Every concrete protocol (basic, S_Agg, Rnf_Noise, C_Noise, ED_Hist) is a
-:class:`ProtocolDriver` composing the three phases of Fig. 2:
+Every concrete protocol (basic, S_Agg, Rnf_Noise, C_Noise, ED_Hist) runs
+the three phases of Fig. 2:
 
 1. **collection** — connected TDSs download the query and push encrypted
    tuples to the SSI until the SIZE clause closes the query;
@@ -11,43 +11,49 @@ Every concrete protocol (basic, S_Agg, Rnf_Noise, C_Noise, ED_Hist) is a
 3. **filtering** — TDSs drop dummies / evaluate HAVING, and re-encrypt the
    final rows under k1 for the querier.
 
-Drivers run synchronously in "logical rounds"; the discrete-event
-simulator (:mod:`repro.simulation`) wraps the same primitives with timing
-and connectivity.  Drivers also accumulate :class:`ProtocolStats`, the
-concrete counterparts of the cost-model metrics (PTDS, LoadQ, Tlocal).
+What differs between them is data: a row of
+:data:`repro.net.coordinator.PROTOCOLS` (how the SSI cuts partitions, when
+aggregation stops) and what a device must know to encode its tuples at
+collection.  :class:`ProtocolDriver` runs all five: collectors contribute,
+then the workers serve, inline, the partitions the query's
+:class:`~repro.net.coordinator.QueryCoordinator` hands out — the same
+coordinator the SSI dispatcher drives for a fleet over the wire.  The
+named subclasses carry their row's name, parameter validation and that
+device-side knowledge, nothing else.
+
+Drivers run synchronously on a logical clock; the simulator
+(:mod:`repro.simulation`) replays their :class:`ExecutionTrace` with
+timing and connectivity.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.codec import decode_packed
-from repro.core.messages import Partition, QueryEnvelope, QueryResult, fresh_query_id
-from repro.core.trace import ExecutionTrace
+from repro.core.messages import (
+    RESULT_PARTIALS,
+    WORK_FOLD,
+    FailureInjector,
+    Partition,
+    QueryEnvelope,
+    QueryResult,
+    fresh_query_id,
+)
+from repro.core.trace import ExecutionTrace, ProtocolStats
 from repro.crypto.keys import KeyBundle
 from repro.crypto.ndet import NonDeterministicCipher
 from repro.exceptions import ProtocolError, QueryAbortedError
-from repro.obs import metrics as obs_metrics
-from repro.obs import spans as obs_spans
-from repro.sql.ast import SelectStatement
+from repro.net.coordinator import QueryCoordinator
+from repro.net.frames import QueryMeta
 from repro.sql.parser import parse
 from repro.sql.schema import Row
 from repro.ssi.server import SupportingServerInfrastructure
-from repro.ssi.storage import PartitionTracker
 from repro.tds.node import TrustedDataServer
 
-#: wall time per protocol phase, on top of the logical ExecutionTrace —
-#: the trace stays the accounting ledger (bytes, rounds); this histogram
-#: is the operational view (where did the seconds go).
-_PHASE_SECONDS = obs_metrics.REGISTRY.histogram(
-    "repro_protocol_phase_seconds",
-    "Wall time spent per driver phase, by protocol.",
-    ("protocol", "phase"),
-)
-
+if TYPE_CHECKING:
+    from repro.protocols.verification import SpotChecker
 
 class Querier:
     """The query issuer: holds k1 (never k2) and a signed credential."""
@@ -95,50 +101,16 @@ class Querier:
         return decode_packed(plain, plain_offsets)
 
 
-@dataclass
-class ProtocolStats:
-    """Concrete execution metrics (one query run).
-
-    * ``participants`` — distinct TDS ids that did any work (≈ PTDS);
-    * ``aggregation_rounds`` — iterations of the aggregation phase;
-    * ``bytes_processed`` — total payload bytes downloaded+uploaded by all
-      TDSs across all phases (≈ LoadQ);
-    * ``tuples_collected`` — Covering Result size, including dummies/fakes;
-    * ``per_tds_bytes`` — per-TDS byte totals (max/mean ≈ Tlocal shape).
-    """
-
-    participants: set[str] = field(default_factory=set)
-    aggregation_rounds: int = 0
-    bytes_processed: int = 0
-    tuples_collected: int = 0
-    partitions_processed: int = 0
-    reassigned_partitions: int = 0
-    per_tds_bytes: dict[str, int] = field(default_factory=dict)
-
-    def charge(self, tds_id: str, num_bytes: int) -> None:
-        self.participants.add(tds_id)
-        self.bytes_processed += num_bytes
-        self.per_tds_bytes[tds_id] = self.per_tds_bytes.get(tds_id, 0) + num_bytes
-
-    def max_tds_bytes(self) -> int:
-        return max(self.per_tds_bytes.values(), default=0)
-
-    def mean_tds_bytes(self) -> float:
-        if not self.per_tds_bytes:
-            return 0.0
-        return sum(self.per_tds_bytes.values()) / len(self.per_tds_bytes)
-
-
-#: Optional failure injector: called before a TDS processes a partition;
-#: returning True makes the TDS "go offline mid-partition" (§3.2).
-FailureInjector = Callable[[str, Partition], bool]
-
-
 class ProtocolDriver:
-    """Shared mechanics for all querying protocols."""
+    """The in-process engine: collectors contribute, then the workers
+    serve the partitions the query's coordinator hands out."""
 
-    #: protocol name used in reports and the registry
+    #: the driver's row of :data:`repro.net.coordinator.PROTOCOLS`
     name = "abstract"
+    #: optional :class:`~repro.protocols.verification.SpotChecker`: when
+    #: set, every single-partial fold is audited and corrected if
+    #: tampered (the §8 compromised-TDS countermeasure)
+    spot_checker: "SpotChecker | None" = None
 
     def __init__(
         self,
@@ -163,37 +135,33 @@ class ProtocolDriver:
         #: logical seconds between consecutive collector connections; the
         #: clock a ``SIZE n SECONDS`` clause is evaluated against
         self.collection_interval = collection_interval
+        #: the stage machine of the query in flight (set by :meth:`collect`)
+        #: and its stats, into which the driver charges the bytes TDSs move
+        self.coordinator: QueryCoordinator | None = None
         self.stats = ProtocolStats()
         #: what happened, for the timed simulator to replay
         self.trace = ExecutionTrace()
-        #: query id of the run in flight, so phases after collection can
-        #: tag their spans with the query's trace id
-        self._query_id: str | None = None
 
-    # ------------------------------------------------------------------ #
-    # subclass interface
-    # ------------------------------------------------------------------ #
+    # -- what a protocol adds to its row --------------------------------- #
+    def params(self) -> dict[str, float]:
+        """Values for the :class:`QueryMeta` params the row's stages read."""
+        return {}
+
+    def device_knowledge(self) -> dict[str, Any]:
+        """What collection needs a device to know beforehand — keyword
+        arguments of :meth:`TrustedDataServer.collect_frames`, asked for
+        once per collector."""
+        return {}
+
+    # -- the engine ------------------------------------------------------ #
     def execute(self, envelope: QueryEnvelope) -> None:
         """Run the full protocol; afterwards the SSI holds the published
         result."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # shared helpers
-    # ------------------------------------------------------------------ #
-    def open_statement(self, envelope: QueryEnvelope) -> SelectStatement:
-        """A worker TDS opens the query (needed to drive later phases).
-
-        Uses the first worker; any TDS yields the same statement."""
-        return self.workers[0].open_query(envelope)
+        self.collect(envelope)
+        self.process(envelope)
 
     def account(
-        self,
-        phase: str,
-        round_index: int,
-        tds_id: str,
-        bytes_down: int,
-        bytes_up: int,
+        self, phase: str, round_index: int, tds_id: str, bytes_down: int, bytes_up: int
     ) -> None:
         """Charge one unit of TDS work to the stats *and* the trace.
 
@@ -203,132 +171,91 @@ class ProtocolDriver:
         self.stats.charge(tds_id, bytes_down + bytes_up)
         self.trace.record(phase, round_index, tds_id, bytes_down, bytes_up)
 
-    def record_collection(self, envelope: QueryEnvelope, tds_id: str, bytes_up: int) -> None:
-        """Account one collector's contribution (query download + tuple
-        upload)."""
-        self.account(
-            "collection", -1, tds_id, len(envelope.encrypted_query), bytes_up
-        )
-
-    def run_collection(
-        self,
-        envelope: QueryEnvelope,
-        collect: Callable[[TrustedDataServer, QueryEnvelope], Sequence[Any]],
-    ) -> None:
-        """Shared collection phase: collectors connect one by one until the
-        SIZE clause closes the query (or every collector has answered).
+    def collect(self, envelope: QueryEnvelope) -> None:
+        """Collection phase: collectors connect one by one until the SIZE
+        clause closes the query (or every collector has answered).
 
         Collector *i* connects at logical time ``i * collection_interval``
         seconds; a ``SIZE n SECONDS`` clause is evaluated against that
         clock *before* each contribution (so ``SIZE 0 SECONDS`` closes
         with zero tuples) and the tuple-count clause immediately after
         each upload."""
-        self._query_id = envelope.query_id
-        span = obs_spans.RECORDER.start(
-            "driver:collection",
-            trace_id=obs_spans.derive_trace_id(envelope.query_id),
-            protocol=self.name,
+        query_id = envelope.query_id
+        self.coordinator = QueryCoordinator(
+            self.ssi, query_id, QueryMeta(self.name, self.params()), rng=self.rng
         )
-        started = time.perf_counter()
-        try:
-            for index, tds in enumerate(self.collectors):
-                elapsed = index * self.collection_interval
-                if self.ssi.evaluate_size_clause(envelope.query_id, elapsed):
-                    break
-                tuples = collect(tds, envelope)
-                self.ssi.submit_tuples(envelope.query_id, tuples)
-                uploaded = sum(len(t.payload) for t in tuples)
-                self.record_collection(envelope, tds.tds_id, uploaded)
-                if self.ssi.evaluate_size_clause(envelope.query_id, elapsed):
-                    break
-            self.ssi.close_collection(envelope.query_id)
-            self.stats.tuples_collected = self.ssi.collected_count(envelope.query_id)
-        finally:
-            span.annotate(count=self.stats.tuples_collected)
-            span.finish()
-            _PHASE_SECONDS.labels(protocol=self.name, phase="collection").observe(
-                time.perf_counter() - started
+        self.stats = self.coordinator.stats
+        for index, tds in enumerate(self.collectors):
+            elapsed = index * self.collection_interval
+            if self.ssi.evaluate_size_clause(query_id, elapsed):
+                break
+            block = tds.collect_block(envelope, self.name, **self.device_knowledge())
+            tuples = list(block.tuples())
+            self.ssi.submit_tuples(query_id, tuples)
+            uploaded = sum(len(t.payload) for t in tuples)
+            self.account(
+                "collection", -1, tds.tds_id, len(envelope.encrypted_query), uploaded
             )
+            if self.ssi.evaluate_size_clause(query_id, elapsed):
+                break
+        self.ssi.close_collection(query_id)
 
-    def run_partitions(
-        self,
-        partitions: Sequence[Partition],
-        handler: Callable[[TrustedDataServer, Partition], int | None],
-        phase: str = "aggregation",
-        round_index: int = 0,
-        timeout: float = 60.0,
-    ) -> None:
-        """Dispatch *partitions* to worker TDSs round-robin, honouring the
-        timeout/reassignment discipline: a worker that "goes offline"
-        (failure injector) never completes, and the tracker re-issues the
-        partition to the next worker.  *handler* returns the bytes it
-        uploaded (None → 0), which feeds the execution trace."""
-        trace_id = (
-            obs_spans.derive_trace_id(self._query_id)
-            if self._query_id is not None
-            else 0
-        )
-        span = obs_spans.RECORDER.start(
-            f"driver:{phase}",
-            trace_id=trace_id,
-            protocol=self.name,
-            round=round_index,
-            count=len(partitions),
-        )
-        started = time.perf_counter()
-        try:
-            tracker = PartitionTracker(list(partitions), timeout)
-            now = 0.0
-            worker_cycle = 0
-            max_attempts = len(partitions) * (len(self.workers) + 2) + 10
-            attempts = 0
-            while not tracker.all_done():
-                attempts += 1
-                if attempts > max_attempts:
-                    raise QueryAbortedError(
-                        "partition processing did not converge (all workers failing?)"
-                    )
-                worker = self.workers[worker_cycle % len(self.workers)]
-                worker_cycle += 1
-                partition = tracker.assign_next(worker.tds_id, now)
-                if partition is None:
-                    # Everything assigned but not done: simulate timeouts firing.
-                    now += tracker.timeout
-                    expired = tracker.expire(now)
-                    if expired:
-                        self.stats.reassigned_partitions += len(expired)
-                    continue
-                if self.failure_injector is not None and self.failure_injector(
-                    worker.tds_id, partition
-                ):
-                    tracker.fail(partition.partition_id)
-                    self.stats.reassigned_partitions += 1
-                    continue
-                bytes_up = handler(worker, partition) or 0
-                tracker.complete(partition.partition_id, worker.tds_id)
-                self.stats.partitions_processed += 1
-                self.account(
-                    phase, round_index, worker.tds_id, partition.byte_size(), bytes_up
+    def process(self, envelope: QueryEnvelope) -> None:
+        """Aggregation and filtering: the workers take turns asking the
+        coordinator for a partition and serving it, until the result is
+        published.  Each round starts over at the first worker (a round
+        is a barrier: everyone is idle again).
+
+        A worker the failure injector fires on has gone offline
+        mid-partition: it says nothing.  Once nothing is assignable the
+        logical clock jumps one partition timeout, so the coordinator's
+        own expiry re-issues what went silent — the code path a fleet
+        exercises over the wire."""
+        coordinator = self.coordinator
+        if coordinator is None or coordinator.query_id != envelope.query_id:
+            raise ProtocolError("collect() a query before processing it")
+        now = 0.0
+        turn = fruitless = 0
+        while not coordinator.done():
+            if fruitless > 2 * len(self.workers) + 10:
+                raise QueryAbortedError(
+                    "partition processing did not converge (all workers failing?)"
                 )
-        finally:
-            span.finish()
-            _PHASE_SECONDS.labels(protocol=self.name, phase=phase).observe(
-                time.perf_counter() - started
+            fruitless += 1
+            worker = self.workers[turn % len(self.workers)]
+            unit = coordinator.next_work(worker.tds_id, now)
+            if unit is None:
+                now += coordinator.partition_timeout
+                continue
+            turn += 1
+            partition = Partition(unit.partition_id, unit.items)
+            if self.failure_injector is not None and self.failure_injector(
+                worker.tds_id, partition
+            ):
+                continue
+            # Credential and policy gated what each device contributed;
+            # serving a partition takes only the query (§3.2).
+            statement = worker.decrypt_query(envelope)
+            kind, outputs = worker.serve_partition(unit.kind, statement, partition)
+            if self.spot_checker is not None and unit.kind == WORK_FOLD:
+                outputs = [
+                    self.spot_checker.audit_and_correct(
+                        statement, partition, outputs[0], worker.tds_id
+                    )
+                ]
+            folded = kind == RESULT_PARTIALS
+            partials, rows = (outputs, []) if folded else ([], outputs)
+            rounds = self.stats.aggregation_rounds
+            coordinator.complete(
+                unit.partition_id, worker.tds_id, kind, partials, rows
             )
-
-    def publish(self, envelope: QueryEnvelope, encrypted_rows: Sequence[bytes]) -> None:
-        span = obs_spans.RECORDER.start(
-            "driver:publish",
-            trace_id=obs_spans.derive_trace_id(envelope.query_id),
-            protocol=self.name,
-            count=len(encrypted_rows),
-        )
-        started = time.perf_counter()
-        try:
-            self.ssi.store_result_rows(envelope.query_id, encrypted_rows)
-            self.ssi.publish_result(envelope.query_id)
-        finally:
-            span.finish()
-            _PHASE_SECONDS.labels(protocol=self.name, phase="publish").observe(
-                time.perf_counter() - started
+            self.account(
+                "aggregation" if folded else "filtering",
+                rounds if folded else 0,
+                worker.tds_id,
+                partition.byte_size(),
+                sum(len(p.payload) for p in partials) + sum(len(r) for r in rows),
             )
+            if self.stats.aggregation_rounds != rounds:
+                turn = 0
+            fruitless = 0

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.messages import EncryptedTuple, QueryEnvelope
 from repro.exceptions import ConfigurationError
 from repro.protocols.tagged import TaggedAggregationProtocol
 from repro.tds.histogram import EquiDepthHistogram
-from repro.tds.node import TrustedDataServer
 
 
 class EDHistProtocol(TaggedAggregationProtocol):
@@ -35,7 +33,5 @@ class EDHistProtocol(TaggedAggregationProtocol):
             raise ConfigurationError("histogram must have at least one bucket")
         self.histogram = histogram
 
-    def collect_from(
-        self, tds: TrustedDataServer, envelope: QueryEnvelope
-    ) -> list[EncryptedTuple]:
-        return tds.collect_for_histogram(envelope, self.histogram)
+    def device_knowledge(self) -> dict[str, Any]:
+        return {"histogram": self.histogram}

@@ -19,10 +19,8 @@ from __future__ import annotations
 import random
 from typing import Any, Sequence
 
-from repro.core.messages import EncryptedTuple, QueryEnvelope
 from repro.exceptions import ConfigurationError
 from repro.protocols.tagged import TaggedAggregationProtocol
-from repro.tds.node import TrustedDataServer
 from repro.tds.noise import ComplementaryNoise, RandomNoise
 
 
@@ -41,13 +39,10 @@ class RnfNoiseProtocol(TaggedAggregationProtocol):
         self.nf = nf
         self.domain = list(domain)
 
-    def collect_from(
-        self, tds: TrustedDataServer, envelope: QueryEnvelope
-    ) -> list[EncryptedTuple]:
-        noise = RandomNoise(
-            self.domain, self.nf, random.Random(self.rng.getrandbits(64))
-        )
-        return tds.collect_with_noise(envelope, noise)
+    def device_knowledge(self) -> dict[str, Any]:
+        # each device draws its fakes from its own stream
+        rng = random.Random(self.rng.getrandbits(64))
+        return {"noise": RandomNoise(self.domain, self.nf, rng)}
 
 
 class CNoiseProtocol(TaggedAggregationProtocol):
@@ -66,7 +61,5 @@ class CNoiseProtocol(TaggedAggregationProtocol):
             raise ConfigurationError("C_Noise needs the full grouping domain")
         self.domain = list(domain)
 
-    def collect_from(
-        self, tds: TrustedDataServer, envelope: QueryEnvelope
-    ) -> list[EncryptedTuple]:
-        return tds.collect_with_noise(envelope, ComplementaryNoise(self.domain))
+    def device_knowledge(self) -> dict[str, Any]:
+        return {"noise": ComplementaryNoise(self.domain)}

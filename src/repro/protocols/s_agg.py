@@ -17,12 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.core.messages import EncryptedPartial, EncryptedTuple, Partition, QueryEnvelope
 from repro.exceptions import ProtocolError
 from repro.protocols.base import ProtocolDriver
-from repro.sql.ast import SelectStatement
-from repro.ssi.partitioner import RandomPartitioner
-from repro.tds.node import TrustedDataServer
 
 if TYPE_CHECKING:
     from repro.protocols.verification import SpotChecker
@@ -48,75 +44,7 @@ class SAggProtocol(ProtocolDriver):
         if alpha < 2:
             raise ProtocolError("the reduction factor alpha must be >= 2")
         self.alpha = alpha
-        #: optional :class:`~repro.protocols.verification.SpotChecker`: when
-        #: set, every partial is audited and corrected if tampered (the §8
-        #: compromised-TDS countermeasure)
         self.spot_checker = spot_checker
 
-    def execute(self, envelope: QueryEnvelope) -> None:
-        statement = self.open_statement(envelope)
-        if not statement.is_aggregate_query():
-            raise ProtocolError("S_Agg runs Group-By queries; use the basic "
-                                "protocol for plain Select-From-Where")
-        self._collection_phase(envelope)
-        final_partial = self._aggregation_phase(envelope, statement)
-        self._filtering_phase(envelope, statement, final_partial)
-
-    # ------------------------------------------------------------------ #
-    def _collection_phase(self, envelope: QueryEnvelope) -> None:
-        self.run_collection(envelope, lambda tds, env: tds.collect_for_sagg(env))
-
-    def _aggregation_phase(
-        self, envelope: QueryEnvelope, statement: SelectStatement
-    ) -> EncryptedPartial:
-        """Iterate: random partitions of size ⌈α⌉ → one partial per
-        partition → repeat on the partials until one remains."""
-        items: list[EncryptedTuple | EncryptedPartial] = list(
-            self.ssi.covering_result(envelope.query_id)
-        )
-        partition_size = max(2, round(self.alpha))
-        round_index = 0
-        while True:
-            round_outputs: list[EncryptedPartial] = []
-            partitioner = RandomPartitioner(partition_size, self.rng)
-            partitions = partitioner.partition(items)
-
-            def handle(worker: TrustedDataServer, partition: Partition) -> int:
-                partial = worker.aggregate_partition(statement, partition)
-                if self.spot_checker is not None:
-                    partial = self.spot_checker.audit_and_correct(
-                        statement, partition, partial, worker.tds_id
-                    )
-                round_outputs.append(partial)
-                self.ssi.submit_partials(envelope.query_id, [partial])
-                return len(partial.payload)
-
-            self.run_partitions(partitions, handle, round_index=round_index)
-            self.ssi.take_partials(envelope.query_id)  # drained into next round
-            self.stats.aggregation_rounds += 1
-            round_index += 1
-            if len(round_outputs) <= 1:
-                if not round_outputs:
-                    raise ProtocolError("aggregation produced no output")
-                return round_outputs[0]
-            items = list(round_outputs)
-
-    def _filtering_phase(
-        self,
-        envelope: QueryEnvelope,
-        statement: SelectStatement,
-        final_partial: EncryptedPartial,
-    ) -> None:
-        """One TDS evaluates HAVING + projection on the final aggregation
-        and re-encrypts the result under k1 (steps 9-12)."""
-        partition = Partition(partition_id=-1, items=(final_partial,))
-        worker = self.workers[self.rng.randrange(len(self.workers))]
-        rows = worker.finalize_partition(statement, partition)
-        self.account(
-            "filtering",
-            0,
-            worker.tds_id,
-            partition.byte_size(),
-            sum(len(r) for r in rows),
-        )
-        self.publish(envelope, rows)
+    def params(self) -> dict[str, float]:
+        return {"alpha": self.alpha}

@@ -14,11 +14,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.messages import Partition, QueryEnvelope
 from repro.exceptions import ProtocolError
 from repro.protocols.base import ProtocolDriver
-from repro.ssi.partitioner import RandomPartitioner
-from repro.tds.node import TrustedDataServer
 
 
 class SelectWhereProtocol(ProtocolDriver):
@@ -32,32 +29,5 @@ class SelectWhereProtocol(ProtocolDriver):
             raise ProtocolError("partition_size must be >= 1")
         self.partition_size = partition_size
 
-    def execute(self, envelope: QueryEnvelope) -> None:
-        statement = self.open_statement(envelope)
-        if statement.is_aggregate_query():
-            raise ProtocolError(
-                "the basic protocol cannot run Group-By queries; use S_Agg, "
-                "a noise-based protocol or ED_Hist"
-            )
-        self._collection_phase(envelope)
-        self._filtering_phase(envelope)
-
-    # ------------------------------------------------------------------ #
-    def _collection_phase(self, envelope: QueryEnvelope) -> None:
-        """TDSs connect one by one until the SIZE clause closes the query
-        (or every collector has answered)."""
-        self.run_collection(envelope, lambda tds, env: tds.collect_basic(env))
-
-    def _filtering_phase(self, envelope: QueryEnvelope) -> None:
-        covering_result = self.ssi.covering_result(envelope.query_id)
-        partitioner = RandomPartitioner(self.partition_size, self.rng)
-        partitions = partitioner.partition(covering_result)
-        result_rows: list[bytes] = []
-
-        def handle(worker: TrustedDataServer, partition: Partition) -> int:
-            rows = worker.filter_partition(partition)
-            result_rows.extend(rows)
-            return sum(len(r) for r in rows)
-
-        self.run_partitions(partitions, handle, phase="filtering")
-        self.publish(envelope, result_rows)
+    def params(self) -> dict[str, float]:
+        return {"partition_size": self.partition_size}

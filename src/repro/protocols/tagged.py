@@ -1,4 +1,4 @@
-"""Shared aggregation machinery for the *tagged* protocols.
+"""What the *tagged* protocols share: two aggregation steps, two knobs.
 
 The noise-based protocols (§4.3) and ED_Hist (§4.4) differ only in how
 collection tags tuples (Det_Enc of the grouping value + fakes, vs. keyed
@@ -18,21 +18,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.messages import (
-    EncryptedPartial,
-    EncryptedTuple,
-    Partition,
-    QueryEnvelope,
-)
-from repro.exceptions import ProtocolError
 from repro.protocols.base import ProtocolDriver
-from repro.ssi.partitioner import RandomPartitioner, TagPartitioner
-from repro.sql.ast import SelectStatement
-from repro.tds.node import TrustedDataServer
 
 
 class TaggedAggregationProtocol(ProtocolDriver):
-    """Base class: collection is protocol-specific, aggregation shared."""
+    """Base class: collection is protocol-specific, the row shared."""
 
     def __init__(
         self,
@@ -45,75 +35,9 @@ class TaggedAggregationProtocol(ProtocolDriver):
         self.first_step_partition_size = first_step_partition_size
         self.filter_partition_size = filter_partition_size
 
-    # -- subclass hook --------------------------------------------------- #
-    def collect_from(
-        self, tds: TrustedDataServer, envelope: QueryEnvelope
-    ) -> list[EncryptedTuple]:
-        raise NotImplementedError
-
-    # -- template -------------------------------------------------------- #
-    def execute(self, envelope: QueryEnvelope) -> None:
-        statement = self.open_statement(envelope)
-        if not statement.is_aggregate_query():
-            raise ProtocolError(
-                f"{self.name} runs Group-By queries; use the basic protocol"
-            )
-        self._collection_phase(envelope)
-        final_partials = self._aggregation_phase(envelope, statement)
-        self._filtering_phase(envelope, statement, final_partials)
-
-    def _collection_phase(self, envelope: QueryEnvelope) -> None:
-        self.run_collection(envelope, self.collect_from)
-
-    def _aggregation_phase(
-        self, envelope: QueryEnvelope, statement: SelectStatement
-    ) -> list[EncryptedPartial]:
-        # Step 1: partition tuples by tag, fold to per-group partials.
-        covering_result = self.ssi.covering_result(envelope.query_id)
-        step1 = TagPartitioner(max_partition_size=self.first_step_partition_size)
-        partitions = step1.partition(covering_result)
-
-        def fold(worker: TrustedDataServer, partition: Partition) -> int:
-            partials = worker.aggregate_partition_per_group(statement, partition)
-            self.ssi.submit_partials(envelope.query_id, partials)
-            return sum(len(p.payload) for p in partials)
-
-        self.run_partitions(partitions, fold, round_index=0)
-        self.stats.aggregation_rounds += 1
-
-        # Step 2: partition partials by Det_Enc(group) tag, merge per group.
-        intermediate = self.ssi.take_partials(envelope.query_id)
-        step2 = TagPartitioner()
-        merge_partitions = step2.partition(intermediate)
-        final_partials: list[EncryptedPartial] = []
-
-        def merge(worker: TrustedDataServer, partition: Partition) -> int:
-            merged = worker.aggregate_partition_per_group(statement, partition)
-            final_partials.extend(merged)
-            self.ssi.submit_partials(envelope.query_id, merged)
-            return sum(len(p.payload) for p in merged)
-
-        self.run_partitions(merge_partitions, merge, round_index=1)
-        self.stats.aggregation_rounds += 1
-        self.ssi.take_partials(envelope.query_id)
-        return final_partials
-
-    def _filtering_phase(
-        self,
-        envelope: QueryEnvelope,
-        statement: SelectStatement,
-        final_partials: list[EncryptedPartial],
-    ) -> None:
-        """Each final partial holds exactly one complete group, so HAVING
-        and the projection can run on arbitrary chunks in parallel."""
-        partitioner = RandomPartitioner(self.filter_partition_size, self.rng)
-        partitions = partitioner.partition(final_partials)
-        result_rows: list[bytes] = []
-
-        def finalize(worker: TrustedDataServer, partition: Partition) -> int:
-            rows = worker.finalize_partition(statement, partition)
-            result_rows.extend(rows)
-            return sum(len(r) for r in rows)
-
-        self.run_partitions(partitions, finalize, phase="filtering")
-        self.publish(envelope, result_rows)
+    def params(self) -> dict[str, float]:
+        return {
+            # None leaves a tag group unsplit, which the table spells 0
+            "first_step_partition_size": self.first_step_partition_size or 0,
+            "filter_partition_size": self.filter_partition_size,
+        }

@@ -15,12 +15,10 @@ factories build the common shapes:
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable
+from typing import Iterable
 
-from repro.core.messages import Partition
+from repro.core.messages import FailureInjector, Partition
 from repro.exceptions import ConfigurationError
-
-FailureInjector = Callable[[str, Partition], bool]
 
 
 def random_failures(probability: float, rng: random.Random) -> FailureInjector:

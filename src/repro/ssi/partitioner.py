@@ -9,7 +9,7 @@ protocol provides one:
   chunks of bytes" — tuples from the same group land in random partitions.
 * :class:`TagPartitioner` — noise-based & ED_Hist: "SSI groups tup with
   the same E(AG)" — one partition per distinct tag, optionally splitting
-  oversized tag groups and packing small ones together.
+  oversized tag groups.
 """
 
 from __future__ import annotations
@@ -48,60 +48,32 @@ class TagPartitioner:
     """Group items by their cleartext tag.
 
     ``max_partition_size`` splits very popular tags across several
-    partitions (they will be re-merged by the next aggregation step);
-    ``pack_small`` bins several rare tags into one partition to avoid a
-    long tail of tiny downloads.  Both knobs only touch *which* encrypted
-    items travel together — never their content.
+    partitions (they will be re-merged by the next aggregation step).  It
+    only touches *which* encrypted items travel together — never their
+    content.
     """
 
-    def __init__(
-        self,
-        max_partition_size: int | None = None,
-        pack_small: bool = False,
-        pack_target: int | None = None,
-    ) -> None:
+    def __init__(self, max_partition_size: int | None = None) -> None:
         if max_partition_size is not None and max_partition_size < 1:
             raise ConfigurationError("max_partition_size must be >= 1")
         self.max_partition_size = max_partition_size
-        self.pack_small = pack_small
-        self.pack_target = pack_target or (max_partition_size or 0)
         self._next_id = 0
 
     def partition(self, items: Sequence[Item]) -> list[Partition]:
         by_tag: dict[bytes, list[Item]] = {}
-        untagged: list[Item] = []
         for item in items:
             if item.group_tag is None:
-                untagged.append(item)
-            else:
-                by_tag.setdefault(item.group_tag, []).append(item)
-        if untagged:
-            raise ConfigurationError(
-                "TagPartitioner received untagged items; use RandomPartitioner"
-            )
+                raise ConfigurationError(
+                    "TagPartitioner received untagged items; use RandomPartitioner"
+                )
+            by_tag.setdefault(item.group_tag, []).append(item)
 
         partitions: list[Partition] = []
-        small_buffer: list[Item] = []
         for tag in sorted(by_tag):  # deterministic order
             group = by_tag[tag]
-            if self.max_partition_size is None:
-                partitions.append(self._emit(group))
-                continue
-            if self.pack_small and len(group) < self.max_partition_size:
-                small_buffer.extend(group)
-                if len(small_buffer) >= self.pack_target:
-                    partitions.append(self._emit(small_buffer))
-                    small_buffer = []
-                continue
-            for start in range(0, len(group), self.max_partition_size):
-                partitions.append(
-                    self._emit(group[start : start + self.max_partition_size])
-                )
-        if small_buffer:
-            partitions.append(self._emit(small_buffer))
+            size = self.max_partition_size or len(group)
+            for start in range(0, len(group), size):
+                chunk = tuple(group[start : start + size])
+                partitions.append(Partition(self._next_id, chunk))
+                self._next_id += 1
         return partitions
-
-    def _emit(self, items: Sequence[Item]) -> Partition:
-        partition = Partition(self._next_id, tuple(items))
-        self._next_id += 1
-        return partition

@@ -11,13 +11,12 @@ suite asserts this boundary by attacking the observer log.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Protocol
 
 from repro.core.messages import (
     EncryptedPartial,
     EncryptedTuple,
     EncryptedTupleBlock,
-    Partition,
     QueryEnvelope,
     QueryResult,
 )
@@ -29,7 +28,7 @@ from repro.exceptions import (
 from repro.obs.spans import QueryLifecycle
 from repro.ssi.observer import Observer
 from repro.ssi.querybox import GlobalQuerybox, PersonalQuerybox
-from repro.ssi.storage import PartitionTracker, QueryStorage
+from repro.ssi.storage import QueryStorage
 
 
 class StateJournal(Protocol):
@@ -149,8 +148,7 @@ class SupportingServerInfrastructure:
     def evaluate_size_clause(self, query_id: str, elapsed_seconds: float = 0.0) -> bool:
         """Cleartext SIZE evaluation (§3.1); closes collection when met."""
         envelope = self.envelope(query_id)
-        storage = self._require(query_id)
-        count = storage.collected_count()
+        count = self._require(query_id).collected_count()
         met = False
         if envelope.size_tuples is not None and count >= envelope.size_tuples:
             met = True
@@ -159,11 +157,7 @@ class SupportingServerInfrastructure:
         # With no SIZE clause the query stays active until every targeted
         # TDS has answered (the drivers stop after their collector list).
         if met:
-            if self.journal is not None:
-                self.journal.record("close_collection", query_id)
-            storage.collection_closed = True
-            self.global_querybox.close(query_id)
-            self.lifecycle.collection_closed(query_id, collected=count)
+            self.close_collection(query_id)
         return met
 
     def close_collection(self, query_id: str) -> None:
@@ -230,14 +224,6 @@ class SupportingServerInfrastructure:
             self.journal.record("reset_aggregation", query_id)
         storage.partials.clear()
         storage.result_rows.clear()
-
-    # ------------------------------------------------------------------ #
-    # partition tracking
-    # ------------------------------------------------------------------ #
-    def track(
-        self, partitions: Sequence[Partition], timeout: float = 60.0
-    ) -> PartitionTracker:
-        return PartitionTracker(list(partitions), timeout)
 
     # ------------------------------------------------------------------ #
     # result delivery (step 13)

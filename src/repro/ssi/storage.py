@@ -110,18 +110,6 @@ class PartitionTracker:
         self._earliest_deadline = earliest
         return expired
 
-    def fail(self, partition_id: int) -> None:
-        """Explicitly mark an assigned partition as abandoned (the
-        simulator calls this when it kills a TDS mid-partition)."""
-        tracked = self._tracked.get(partition_id)
-        if tracked is None:
-            raise ProtocolError(f"unknown partition {partition_id}")
-        if tracked.state is PartitionState.ASSIGNED:
-            tracked.state = PartitionState.PENDING
-            tracked.assignee = None
-            tracked.deadline = None
-            self._pending += 1
-
     def knows(self, partition_id: int) -> bool:
         """Whether this tracker ever issued *partition_id* — false for
         stale ids from a previous round's tracker."""

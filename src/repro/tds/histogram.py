@@ -116,6 +116,12 @@ class EquiDepthHistogram:
     def bucket(self, bucket_id: int) -> Bucket:
         return self._buckets[bucket_id]
 
+    def values(self) -> list[Any]:
+        """The grouping values of the discovered distribution — also the
+        noise protocols' domain (§4.3) — in an order every process
+        agrees on."""
+        return sorted(self._value_to_bucket, key=lambda v: (str(type(v)), str(v)))
+
     def bucket_count(self) -> int:
         return len(self._buckets)
 

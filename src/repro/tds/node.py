@@ -14,9 +14,16 @@ filtering phases.
 from __future__ import annotations
 
 import random
+from typing import Any
 
 from repro.core.codec import encode, encode_many
 from repro.core.messages import (
+    RESULT_PARTIALS,
+    RESULT_ROWS,
+    WORK_FILTER,
+    WORK_FINALIZE,
+    WORK_FOLD,
+    WORK_FOLD_PER_GROUP,
     EncryptedPartial,
     EncryptedTuple,
     EncryptedTupleBlock,
@@ -114,13 +121,20 @@ class TrustedDataServer:
     # ------------------------------------------------------------------ #
     # query opening (steps 2-3 of Fig. 2)
     # ------------------------------------------------------------------ #
+    def decrypt_query(self, envelope: QueryEnvelope) -> SelectStatement:
+        """Decrypt and parse the query — all a TDS needs to *serve a
+        partition* of it: k1 authenticates the envelope, and the data in
+        the partition was contributed under each owner's own policy."""
+        plaintext = self._k1_cipher().decrypt(envelope.encrypted_query)
+        return parse(plaintext.decode("utf-8"))
+
     def open_query(self, envelope: QueryEnvelope) -> SelectStatement:
-        """Decrypt, parse and authorize the query.
+        """Decrypt, parse and authorize the query — the gate on what this
+        TDS *contributes* from its own database.
 
         Raises :class:`AccessDeniedError` when the credential fails
         verification or the policy denies the statement."""
-        plaintext = self._k1_cipher().decrypt(envelope.encrypted_query)
-        statement = parse(plaintext.decode("utf-8"))
+        statement = self.decrypt_query(envelope)
         if not self._authority.verify(envelope.credential):
             raise AccessDeniedError(
                 f"credential of {envelope.credential.subject!r} failed verification"
@@ -146,9 +160,9 @@ class TrustedDataServer:
     ) -> list[EncryptedTuple]:
         """Noise-based collection: Det_Enc tag on the grouping value so the
         SSI can group tuples, plus *noise* fake tuples hiding the real
-        distribution (§4.3).  Denied/empty TDSs still contribute their fake
-        tuples only."""
-        return list(self.collect_block(envelope, "noise", noise=noise).tuples())
+        distribution (§4.3).  Rnf_Noise and C_Noise share this dataflow;
+        *noise* is the whole difference."""
+        return list(self.collect_block(envelope, "c_noise", noise=noise).tuples())
 
     def collect_for_histogram(
         self, envelope: QueryEnvelope, histogram: EquiDepthHistogram
@@ -182,14 +196,20 @@ class TrustedDataServer:
         *envelope*, when the caller already ran it and keeps the result
         (the fleet's device loop does, for the query's first fold);
         without it the query is opened here."""
-        if protocol not in ("basic", "s_agg", "noise", "ed_hist"):
+        if protocol not in ("basic", "s_agg", "rnf_noise", "c_noise", "ed_hist"):
             raise ProtocolError(f"unknown collection protocol {protocol!r}")
-        if protocol == "noise" and noise is None:
+        if protocol in ("rnf_noise", "c_noise") and noise is None:
             raise ProtocolError("noise-based collection needs a NoiseStrategy")
         if protocol == "ed_hist" and histogram is None:
             raise ProtocolError("ED_Hist collection needs an EquiDepthHistogram")
         try:
             statement = statement or self.open_query(envelope)
+            if statement.is_aggregate_query() == (protocol == "basic"):
+                raise ProtocolError(
+                    "the basic protocol runs plain Select-From-Where queries, "
+                    f"the aggregation protocols Group-By queries; {protocol!r} "
+                    "cannot run this one"
+                )
             rows = local_matching_rows(self.database, statement)
         except AccessDeniedError:
             rows = []
@@ -278,8 +298,29 @@ class TrustedDataServer:
     def _dummy_frame(self) -> bytes:
         return encode_tuple_frame(TupleContent(TupleContent.KIND_DUMMY))
 
-    def _dummy_tuple(self) -> EncryptedTuple:
-        return EncryptedTuple(self._k2_cipher().encrypt(self._dummy_frame()))
+    # ------------------------------------------------------------------ #
+    # serving a handed-out partition (steps 6-12)
+    # ------------------------------------------------------------------ #
+    def serve_partition(
+        self, kind: int, statement: SelectStatement, partition: Partition
+    ) -> tuple[int, list[Any]]:
+        """Do the work a unit of *kind* asks for on *partition* and return
+        ``(result kind, outputs)`` — encrypted partials or k1 result rows,
+        as the result kind says.  The one entry the fleet's device loop
+        and the in-process driver reach TDS work through; the primitives
+        are looked up on ``self`` per call, so a subclass (or a wrapper
+        installed on the class) that changes one is honoured."""
+        if kind == WORK_FOLD:
+            return RESULT_PARTIALS, [self.aggregate_partition(statement, partition)]
+        if kind == WORK_FOLD_PER_GROUP:
+            return RESULT_PARTIALS, self.aggregate_partition_per_group(
+                statement, partition
+            )
+        if kind == WORK_FINALIZE:
+            return RESULT_ROWS, self.finalize_partition(statement, partition)
+        if kind == WORK_FILTER:
+            return RESULT_ROWS, self.filter_partition(partition)
+        raise ProtocolError(f"unknown work kind {kind}")
 
     # ------------------------------------------------------------------ #
     # aggregation phase (steps 6-8)

@@ -69,8 +69,7 @@ class TestRotation:
             deployment.ssi, deployment.tds_list, deployment.tds_list,
             random.Random(0),
         )
-        driver._collection_phase(envelope)
+        driver.collect(envelope)
         deployment.provisioner.rotate_k2()
-        statement = deployment.tds_list[0].open_query(envelope)
         with pytest.raises(DecryptionError):
-            driver._aggregation_phase(envelope, statement)
+            driver.process(envelope)

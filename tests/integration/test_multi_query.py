@@ -46,12 +46,10 @@ class TestConcurrentQueries:
             random.Random(1),
         )
         # interleave: collect for both, then finish both
-        driver_a._collection_phase(env_a)
-        driver_b._collection_phase(env_b)
-        statement_a = deployment.tds_list[0].open_query(env_a)
-        final = driver_a._aggregation_phase(env_a, statement_a)
-        driver_a._filtering_phase(env_a, statement_a, final)
-        driver_b._filtering_phase(env_b)
+        driver_a.collect(env_a)
+        driver_b.collect(env_b)
+        driver_a.process(env_a)
+        driver_b.process(env_b)
 
         rows_a = querier.decrypt_result(deployment.ssi.fetch_result(env_a.query_id))
         rows_b = querier.decrypt_result(deployment.ssi.fetch_result(env_b.query_id))

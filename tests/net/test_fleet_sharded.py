@@ -71,7 +71,7 @@ class TestShardSpecs:
         with pytest.raises(ProtocolError, match="cannot resolve"):
             resolve_builder("repro.cli:not_a_function")
         with pytest.raises(ProtocolError, match="not callable"):
-            resolve_builder("repro.cli:NET_PROTOCOLS")
+            resolve_builder("repro.cli:PROTOCOL_CHOICES")
         with pytest.raises(ProtocolError):
             ShardedFleetRunner("127.0.0.1", 1, "nope", shards=1)
 

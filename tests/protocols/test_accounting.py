@@ -101,10 +101,13 @@ class TestSizeSeconds:
         assert len(driver.trace.events_in("collection")) == 6
 
     def test_explicit_zero_closes_before_first_tuple(self, deployment):
-        with pytest.raises(Exception) as exc_info:
-            run_protocol(deployment, SAggProtocol, GROUP_SQL + " SIZE 0 SECONDS")
-        # zero tuples collected → aggregation cannot produce output
-        assert "no output" in str(exc_info.value)
+        rows, driver = run_protocol(
+            deployment, SAggProtocol, GROUP_SQL + " SIZE 0 SECONDS"
+        )
+        # zero tuples collected → an empty result, as in every other mode
+        assert driver.stats.tuples_collected == 0
+        assert driver.trace.events == []
+        assert rows == []
 
     def test_explicit_zero_collects_nothing_basic(self, deployment):
         rows, driver = run_protocol(

@@ -64,15 +64,6 @@ class TestTagPartitioner:
         assert len(parts) == 3
         assert sorted(len(p.items) for p in parts) == [2, 4, 4]
 
-    def test_pack_small_tags(self):
-        # 6 tags with 1 item each, packed toward a target of 3
-        items = make_items(6, tag_fn=lambda i: bytes([i]))
-        parts = TagPartitioner(
-            max_partition_size=3, pack_small=True, pack_target=3
-        ).partition(items)
-        assert len(parts) == 2
-        assert all(len(p.items) == 3 for p in parts)
-
     def test_untagged_items_rejected(self):
         with pytest.raises(ConfigurationError):
             TagPartitioner().partition(make_items(3))

@@ -172,12 +172,6 @@ class TestPartitionTracker:
         tracker.complete(p2.partition_id, "healthy-tds")
         assert tracker.all_done()
 
-    def test_explicit_fail(self):
-        tracker = PartitionTracker(self._partitions(1))
-        p = tracker.assign_next("tds-1")
-        tracker.fail(p.partition_id)
-        assert tracker.pending_count() == 1
-
     def test_duplicate_completion_ignored(self):
         tracker = PartitionTracker(self._partitions(1))
         p = tracker.assign_next("a")
@@ -189,8 +183,6 @@ class TestPartitionTracker:
         tracker = PartitionTracker(self._partitions(1))
         with pytest.raises(ProtocolError):
             tracker.complete(99, "a")
-        with pytest.raises(ProtocolError):
-            tracker.fail(99)
 
 
 class TestGlobalQueryboxHistory:

@@ -100,14 +100,6 @@ class TestPartitionTrackerCounters:
         assert tracker.done_count() == 1
         assert tracker.pending_count() == 1
 
-    def test_fail_requeues_assigned_partition(self):
-        tracker = self.make_tracker(1)
-        p = tracker.assign_next("tds-a", now=0.0)
-        tracker.fail(p.partition_id)
-        assert tracker.pending_count() == 1
-        assert tracker.assign_next("tds-b", now=0.0) is not None
-        assert tracker.pending_count() == 0
-
     def test_expire_skips_the_scan_until_a_deadline_can_have_passed(self):
         """expire() keeps a lower bound on live deadlines; the bound may
         go stale (a completed assignment) but never hides an expiry."""

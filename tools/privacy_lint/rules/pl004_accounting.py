@@ -9,9 +9,8 @@ class impossible to reintroduce.
 Mechanics: within ``protocol``-role modules, any function whose body
 (nested handlers included) calls a *transfer* endpoint — the SSI methods
 that move covering-result/partial/result bytes — must also call an
-*accounting* method (``account`` itself or the helpers that wrap it:
-``record_collection``, ``run_collection``, ``run_partitions``).  Both sets
-come from the manifest.  Transfer calls at module scope are always
+*accounting* method (``account`` itself, or a helper the manifest names
+as wrapping it).  Both sets come from the manifest.  Transfer calls at module scope are always
 flagged: there is no enclosing function to account for them.
 """
 
@@ -42,7 +41,7 @@ class AccountingChokePoint:
         if not transfer:
             return
         # Outermost functions own their nested handlers: a transfer inside
-        # a closure handed to run_partitions() is charged by the caller.
+        # a closure is charged by the function that defines it.
         tree = self.context.tree
         module_body = getattr(tree, "body", [])
         outer_functions: list[ast.AST] = []
@@ -89,8 +88,7 @@ class AccountingChokePoint:
             rule=self.code,
             message=(
                 f"transfer call {name}() {where} bypasses the LoadQ choke "
-                "point — charge it via ProtocolDriver.account() (or the "
-                "record_collection/run_collection/run_partitions helpers) so "
+                "point — charge it via ProtocolDriver.account() so "
                 "stats.bytes_processed == trace.total_bytes() holds"
             ),
             source_line=self.context.line_text(call.lineno),

@@ -272,7 +272,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 SupportingServerInfrastructure(),
                 partition_timeout=args.partition_timeout,
                 admission=admission,
-                drain_quantum=args.drain_quantum,
             )
         # Rolling-window SLO verdicts: answers MSG_GET_HEALTH, drives
         # the repro_health_status gauge and upgrades /healthz to a JSON
@@ -777,16 +776,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-pending-bytes", type=int, default=0,
-        help="per-querier quota of queued submission bytes (0 = unlimited)",
+        help="refuse a submission whose wire size exceeds this many bytes "
+        "(0 = unlimited; submissions are applied on arrival, none queue)",
     )
     serve.add_argument(
         "--admission-retry-after", type=float, default=0.05,
         help="backoff hint (seconds) carried on ERR_ADMISSION rejections",
-    )
-    serve.add_argument(
-        "--drain-quantum", type=int, default=0,
-        help="weighted round-robin drain: max queued submissions applied "
-        "per querier per round (0 = flush fully; in-memory serving only)",
     )
     serve.add_argument(
         "--health-window", type=float, default=30.0,

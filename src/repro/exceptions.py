@@ -65,18 +65,12 @@ class ResultNotReadyError(ProtocolError):
     """The result of a query was fetched before it was published."""
 
 
-class BackpressureError(ProtocolError):
-    """The SSI refused a submission because a bounded per-query queue is
-    full; the submitter should back off and retry."""
-
-
 class AdmissionError(ProtocolError):
     """The SSI refused to admit work because a per-querier quota (active
-    queries or in-flight submission bytes) is exhausted.  Unlike
-    :class:`BackpressureError` — which is per-query and transient — this
-    is a *policy* rejection: the querier holds too much of the SSI
-    already.  ``retry_after`` is the server's backoff hint in seconds
-    (carried on the ``ERR_ADMISSION`` wire error)."""
+    queries or in-flight submission bytes) is exhausted — a *policy*
+    rejection: the querier holds too much of the SSI already.
+    ``retry_after`` is the server's backoff hint in seconds (carried on
+    the ``ERR_ADMISSION`` wire error)."""
 
     def __init__(self, message: str, retry_after: float = 0.0) -> None:
         super().__init__(message)

@@ -4,7 +4,7 @@
 of the operation table (:mod:`repro.net.ops`), with a configurable
 request timeout and bounded retries under jittered exponential backoff
 (:class:`RetryPolicy`).
-Transport failures (drops, timeouts) and ``ERR_BACKPRESSURE`` responses
+Transport failures (drops, timeouts) and ``ERR_ADMISSION`` responses
 are retried; *typed* application errors (duplicate/unknown query ids,
 result-not-ready) are raised immediately as the matching exception from
 :mod:`repro.exceptions` — the same types the in-process SSI raises, so
@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Any, Awaitable, Callable, Coroutine, Sequence,
 from repro.core.messages import EncryptedPartial, QueryResult
 from repro.exceptions import (
     AdmissionError,
-    BackpressureError,
     ProtocolError,
     RollbackDetectedError,
     TransportError,
@@ -62,7 +61,6 @@ _TIMEOUTS = obs_metrics.REGISTRY.counter(
 )
 _c_retry_timeout = _RETRIES.labels(reason="timeout")
 _c_retry_transport = _RETRIES.labels(reason="transport")
-_c_retry_backpressure = _RETRIES.labels(reason="backpressure")
 _c_retry_admission = _RETRIES.labels(reason="admission")
 _c_timeouts = _TIMEOUTS.labels()
 
@@ -175,12 +173,7 @@ class AsyncSSIClient:
                     timeout=self.policy.request_timeout,
                 )
                 return self._unwrap(body)
-            except (
-                TransportError,
-                asyncio.TimeoutError,
-                AdmissionError,
-                BackpressureError,
-            ) as exc:
+            except (TransportError, asyncio.TimeoutError, AdmissionError) as exc:
                 if isinstance(exc, asyncio.TimeoutError):
                     # The request was abandoned mid-flight.  On the
                     # pipelined TCP transport the timed-out correlation
@@ -201,8 +194,6 @@ class AsyncSSIClient:
                     # exponential schedule knows nothing about.
                     _c_retry_admission.inc()
                     delay = max(delay, exc.retry_after)
-                elif isinstance(exc, BackpressureError):
-                    _c_retry_backpressure.inc()
                 else:
                     _c_retry_transport.inc()
                 await self._sleep(delay)

@@ -53,7 +53,6 @@ from repro.core.messages import (  # noqa: F401 - re-exports the WORK_*/RESULT_*
 )
 from repro.exceptions import (
     AdmissionError,
-    BackpressureError,
     DuplicateQueryError,
     FrameTooLargeError,
     ProtocolError,
@@ -168,7 +167,7 @@ ERR_UNKNOWN_OP = 3
 ERR_DUPLICATE_QUERY = 4
 ERR_UNKNOWN_QUERY = 5
 ERR_RESULT_NOT_READY = 6
-ERR_BACKPRESSURE = 7
+# 7 was ERR_BACKPRESSURE (retired with the submission queues; never reused)
 ERR_TOO_LARGE = 8
 ERR_INTERNAL = 9
 #: a per-querier admission quota (active queries / in-flight bytes) was
@@ -183,7 +182,6 @@ ERROR_TYPES: dict[int, type[ProtocolError]] = {
     ERR_DUPLICATE_QUERY: DuplicateQueryError,
     ERR_UNKNOWN_QUERY: UnknownQueryError,
     ERR_RESULT_NOT_READY: ResultNotReadyError,
-    ERR_BACKPRESSURE: BackpressureError,
     ERR_ADMISSION: AdmissionError,
 }
 

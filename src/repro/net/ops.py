@@ -250,8 +250,6 @@ class Op(Generic[R]):
                   policy (and the snapshot check), and carries the
                   commitment when the operation appended a record
     ``record``    WAL record type byte (0: the operation is not journaled)
-    ``flush``     buffered submissions of the query are applied first,
-                  so a connection reads its own writes
     ``method``    the :class:`SupportingServerInfrastructure` method the
                   operation runs (live and at replay) and is journaled as
     ``handler``   name of the ``SSIDispatcher`` method to run instead,
@@ -271,7 +269,6 @@ class Op(Generic[R]):
     idem: bool = False
     durable: bool = False
     record: int = 0
-    flush: bool = False
     method: str = ""
     handler: str = ""
     tds_bytes: bool = False
@@ -362,19 +359,19 @@ SUBMIT_TUPLES = register(Op(
 ))
 COLLECTED_COUNT = register(Op(
     frames.MSG_COLLECTED_COUNT, "collected_count", (QUERY_ID,), I64,
-    flush=True, method="collected_count",
+    method="collected_count",
 ))
 EVALUATE_SIZE = register(Op(
     frames.MSG_EVALUATE_SIZE, "evaluate_size", (QUERY_ID, ELAPSED), BOOL,
-    durable=True, flush=True, method="evaluate_size_clause",
+    durable=True, method="evaluate_size_clause",
 ))
 CLOSE_COLLECTION = register(Op(
     frames.MSG_CLOSE_COLLECTION, "close_collection", (QUERY_ID,), NOTHING,
-    durable=True, record=5, flush=True, method="close_collection",
+    durable=True, record=5, method="close_collection",
 ))
 COVERING_RESULT = register(Op(
     frames.MSG_COVERING_RESULT, "covering_result", (QUERY_ID,), TUPLES,
-    flush=True, method="covering_result", tds_bytes=True,
+    method="covering_result", tds_bytes=True,
 ))
 SUBMIT_PARTIALS = register(Op(
     frames.MSG_SUBMIT_PARTIALS, "submit_partials", (QUERY_ID, PARTIALS), NOTHING,
@@ -383,11 +380,11 @@ SUBMIT_PARTIALS = register(Op(
 ))
 TAKE_PARTIALS = register(Op(
     frames.MSG_TAKE_PARTIALS, "take_partials", (QUERY_ID,), PARTIALS,
-    durable=True, record=6, flush=True, method="take_partials", tds_bytes=True,
+    durable=True, record=6, method="take_partials", tds_bytes=True,
 ))
 PARTIAL_COUNT = register(Op(
     frames.MSG_PARTIAL_COUNT, "partial_count", (QUERY_ID,), I64,
-    flush=True, method="partial_count",
+    method="partial_count",
 ))
 STORE_RESULT_ROWS = register(Op(
     frames.MSG_STORE_RESULT_ROWS, "store_result_rows", (QUERY_ID, ROWS), NOTHING,

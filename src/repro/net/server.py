@@ -15,10 +15,10 @@ cleartext (SIZE clause, credentials, protocol shape).
 Error discipline: SSI-side failures are mapped to *typed* wire error
 codes; Python tracebacks never cross the transport.
 
-Backpressure: tuple/partial submissions land in a bounded per-query
-queue.  A full queue answers ``ERR_BACKPRESSURE`` (clients back off and
-retry); reads force a flush first so a single connection always observes
-its own writes.
+Writes: a submission is applied in the call that accepted it (with a
+store, journaled before its ack), so a read sees every acked write and
+the observer log is the arrival order.  Overload lands on the peer's
+socket: :class:`SSIServer` bounds the handlers per connection.
 
 Waiting: a TDS with nothing to do and a querier whose result is not out
 yet leave one request *parked* here (``await_work`` / ``await_result``)
@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # repro.store imports this module's siblings; keep lazy
 
 from repro.core.messages import EncryptedTupleBlock, QueryEnvelope, QueryResult
 from repro.exceptions import (
-    BackpressureError,
     FrameTooLargeError,
     ProtocolError,
     UnknownQueryError,
@@ -65,7 +64,7 @@ from repro.net.frames import QueryMeta, WorkUnit, Writer
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.ssi.admission import AdmissionController, AdmissionPolicy, FairDrain
+from repro.ssi.admission import AdmissionController, AdmissionPolicy
 from repro.ssi.idempotency import IdempotencyWindow
 from repro.ssi.server import SupportingServerInfrastructure
 
@@ -84,10 +83,6 @@ _REQUEST_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_ssi_request_seconds",
     "Wall time spent inside SSIDispatcher.dispatch, by message type.",
     ("msg_type",),
-)
-_BACKPRESSURE = obs_metrics.REGISTRY.counter(
-    "repro_ssi_backpressure_total",
-    "Submissions rejected because a per-query queue was full.",
 )
 _REPLAYS = obs_metrics.REGISTRY.counter(
     "repro_ssi_replays_total",
@@ -127,7 +122,6 @@ _PARKED = obs_metrics.REGISTRY.gauge(
     "the in-flight ones).",
 )
 
-_c_backpressure = _BACKPRESSURE.labels()
 _c_replays = _REPLAYS.labels()
 
 
@@ -228,28 +222,6 @@ def _deadline_passed(ref: "weakref.ref[SSIDispatcher]") -> None:
         dispatcher._release_assignable()
 
 
-class _SubmissionQueue:
-    """Bounded buffer of not-yet-applied submissions for one query.
-
-    An entry is the submission's :class:`_Call` — its key travels with
-    it so a durable dispatcher can journal the key atomically with the
-    mutation it guarded — plus the decoded items: a list of
-    tuples/partials or one columnar block (a whole batch frame counts as
-    one pending entry)."""
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self.pending: list[tuple[_Call, list | EncryptedTupleBlock]] = []
-
-    def push(self, call: _Call, items: list | EncryptedTupleBlock) -> None:
-        if len(self.pending) >= self.maxsize:
-            raise BackpressureError(
-                f"submission queue full ({self.maxsize} batches pending); "
-                "back off and retry"
-            )
-        self.pending.append((call, items))
-
-
 class SSIDispatcher:
     """Decode request frames, execute them against the SSI, encode the
     response.  One dispatcher instance == one logical SSI."""
@@ -258,24 +230,14 @@ class SSIDispatcher:
         self,
         ssi: SupportingServerInfrastructure | None = None,
         *,
-        max_pending_batches: int = 256,
         partition_timeout: float = 5.0,
         clock: Callable[[], float] | None = None,
         admission: AdmissionPolicy | None = None,
-        drain_quantum: int = 0,
     ) -> None:
         self.ssi = ssi if ssi is not None else SupportingServerInfrastructure()
         #: per-querier quotas; the default policy enforces nothing, so a
         #: dispatcher built without one behaves exactly as before
         self.admission = AdmissionController(admission)
-        self._fair = FairDrain(self.admission.policy)
-        #: >0 enables weighted round-robin draining: each submission
-        #: drains at most quantum×weight queued entries per querier per
-        #: round instead of flushing the touched query to empty.
-        #: In-memory mode only — with a store attached every mutation
-        #: must be journaled before its ack leaves, so durable
-        #: dispatchers always run the full-flush path regardless.
-        self._drain_quantum = drain_quantum
         #: every fleet-mode query this dispatcher ever scheduled (tests
         #: and the benchmark read ``.stats`` off finished ones)
         self.coordinators: dict[str, QueryCoordinator] = {}
@@ -298,15 +260,11 @@ class SSIDispatcher:
         #: reposts to the same box)
         self.tds_ids: dict[str, str | None] = {}
         self.partition_timeout = partition_timeout
-        self._queues: dict[str, _SubmissionQueue] = {}
-        self._max_pending = max_pending_batches
-        self._posted_at: dict[str, float] = {}
+        self._clock_starts: dict[str, float] = {}
         self._clock = clock
         #: exactly-once application of keyed requests (journaled with
         #: every keyed WAL record, captured in snapshots)
         self.idempotency = IdempotencyWindow()
-        #: test hook — while True, submissions buffer instead of applying
-        self.drain_paused = False
 
     # ------------------------------------------------------------------ #
     def _now(self) -> float:
@@ -321,14 +279,15 @@ class SSIDispatcher:
     def with_store(cls, store: "DurableStore", **kwargs: object) -> "SSIDispatcher":
         """Build a dispatcher serving the recovered state of *store*.
 
-        Resumes every live query: re-arms its submission queue, and for
-        fleet-mode queries not yet published, discards any half-round
-        aggregation leftovers (journaled as a reset record so a second
-        crash replays the same clear) and rebuilds a coordinator that
-        re-runs aggregation from the durable covering result — the
-        coordinator's partition trackers died with the process, and
-        merging is associative, so recomputing is always correct.
-        Elapsed-time SIZE clauses restart their clock at the restart.
+        Resumes every live query: for fleet-mode queries not yet
+        published, discards any half-round aggregation leftovers
+        (journaled as a reset record so a second crash replays the same
+        clear) and rebuilds a coordinator that re-runs aggregation from
+        the durable covering result — the coordinator's partition
+        trackers died with the process, and merging is associative, so
+        recomputing is always correct.  An elapsed-time SIZE clause
+        starts its clock again at the first request that evaluates it
+        after the restart (:meth:`_clock_start`).
         """
         recovered = store.recovered
         dispatcher = cls(recovered.ssi, **kwargs)  # type: ignore[arg-type]
@@ -338,9 +297,6 @@ class SSIDispatcher:
         # Journal from here on: recovery replayed with journaling off.
         recovered.ssi.journal = store.journal
         for query_id, envelope in recovered.ssi.envelope_map().items():
-            dispatcher._queues[query_id] = _SubmissionQueue(
-                dispatcher._max_pending
-            )
             # Re-own recovered queries so per-querier quotas survive a
             # restart (published ones prune lazily at the next admit).
             dispatcher.admission.register_query(
@@ -362,11 +318,7 @@ class SSIDispatcher:
         """One consistent view of the dispatcher's durable state, for
         the store's snapshot writer.  Runs synchronously (no awaits
         between a mutation and its journal record), so what it sees
-        always matches the WAL prefix written so far.  Submission queues
-        are always empty here — a push and its flush happen inside one
-        handler call (budgeted fair-drain, which can leave entries
-        queued, is disabled whenever a store is attached) — so they
-        carry nothing to capture."""
+        always matches the WAL prefix written so far."""
         from repro.store.snapshot import QuerySnapshot, SnapshotState
 
         storage_map = self.ssi.storage_map()
@@ -451,11 +403,8 @@ class SSIDispatcher:
                 else:
                     result = handler(*args)
             elif op.method:
-                if op.flush:
-                    self._flush(args[0])
                 if key is not None:
                     self._apply_keyed(key, op.method, *args)
-                    self.idempotency.mark(*key)
                 else:
                     result = getattr(self.ssi, op.method)(*args)
             if query_id is not None and held is None:
@@ -477,8 +426,6 @@ class SSIDispatcher:
                 for code, exc_type in frames.ERROR_TYPES.items()
                 if isinstance(exc, exc_type)
             )
-            if code == frames.ERR_BACKPRESSURE:
-                _c_backpressure.inc()
             _REQUESTS.labels(msg_type=name, outcome=f"err_{code}").inc()
             return frames.pack_error(
                 code,
@@ -598,15 +545,12 @@ class SSIDispatcher:
         )
         self.metas[envelope.query_id] = meta
         self.tds_ids[envelope.query_id] = tds_id
-        self._posted_at[envelope.query_id] = self._now()
-        self._queues[envelope.query_id] = _SubmissionQueue(self._max_pending)
         if meta.protocol:
             self._schedule(envelope.query_id, meta)
+            self._clock_start(envelope)
             if tds_id is None:
                 # every waiting device has a query to contribute to
                 _release(self._parked_work, len(self._parked_work))
-            if envelope.size_seconds is not None:
-                self._wake_at(envelope.size_seconds)
         self.idempotency.mark(*call.key)
 
     def _fetch_query(self, query_id: str) -> tuple[QueryEnvelope, QueryMeta]:
@@ -621,23 +565,21 @@ class SSIDispatcher:
     def _submit(
         self, call: _Call, query_id: str, items: "list | EncryptedTupleBlock"
     ) -> None:
-        """The three submission operations: charge the poster's byte
-        quota, queue the submission, then apply what the drain policy
-        allows.  An over-quota charge raises before any side effect; a
-        full queue returns the charge before re-raising, so rejected
-        requests leave the accounting untouched either way."""
+        """The three submission operations, applied in the call that
+        accepted them.  The poster's byte quota is charged by wire size
+        — the SSI's sanctioned view of a ciphertext — around the apply:
+        an over-quota charge raises before any side effect, and the
+        charge is returned whether or not the apply went through."""
         self.ssi.envelope(query_id)  # typed error for unknown ids
-        # Ciphertext bytes the entry pins, by wire size — the SSI's
-        # sanctioned view — for the per-querier in-flight-bytes quota.
         nbytes = len(call.wire)
         self.admission.charge(query_id, nbytes)
         try:
-            self._queue_for(query_id).push(call, items)
-        except BackpressureError:
+            self._apply_keyed(
+                call.key, call.op.method, query_id, items, wire=call.wire
+            )
+        finally:
             self.admission.release(query_id, nbytes)
-            raise
-        self.idempotency.mark(*call.key)
-        self._maybe_flush(query_id)
+        self._auto_close(query_id)
 
     def _fetch_partition(
         self, query_id: str, tds_id: str
@@ -645,7 +587,6 @@ class SSIDispatcher:
         """The one-shot probe of one query (drivers, tests); devices
         that wait for work use :meth:`_await_work`."""
         self.ssi.envelope(query_id)  # typed error for unknown ids
-        self._flush(query_id)
         coordinator = self.coordinators.get(query_id)
         if coordinator is None or coordinator.done():
             return frames.STATUS_DONE, None
@@ -707,7 +648,6 @@ class SSIDispatcher:
         queries: list[tuple[QueryEnvelope, QueryMeta]] = []
         unit: WorkUnit | None = None
         for query_id, coordinator in list(self._live.items()):
-            self._flush(query_id)
             self._auto_close(query_id)
             if unit is None:
                 # through next_work, so the scheduler's counters see
@@ -856,95 +796,19 @@ class SSIDispatcher:
         return current.count, current.head, proof
 
     # ------------------------------------------------------------------ #
-    # submission queues (at-least-once transport, exactly-once application)
+    # keyed writes (at-least-once transport, exactly-once application)
     # ------------------------------------------------------------------ #
-    def _queue_for(self, query_id: str) -> _SubmissionQueue:
-        queue = self._queues.get(query_id)
-        if queue is None:
-            queue = _SubmissionQueue(self._max_pending)
-            self._queues[query_id] = queue
-        return queue
-
-    def _maybe_flush(self, query_id: str) -> None:
-        if self.drain_paused:
-            return
-        if self._drain_quantum > 0 and self.store is None:
-            # Budgeted fair drain is in-memory only: with a store
-            # attached, a mutation must be journaled (and fsynced per
-            # policy) before its ack leaves, which the full-flush path
-            # below guarantees and a deferred drain would not.
-            self._drain_round()
-            return
-        self._flush(query_id)
-        self._auto_close(query_id)
-
-    def _drain_round(self) -> None:
-        """One weighted round-robin drain pass over every query with
-        pending submissions.  Each querier applies at most
-        ``drain_quantum × weight`` entries per pass, and who goes first
-        rotates across passes — a heavy querier's flood costs everyone
-        else at most one bounded turn, never the whole backlog.  Entries
-        a pass leaves queued are picked up by later submissions or by
-        the full flush every read path forces."""
-        by_subject: dict[str, list[str]] = {}
-        for query_id, queue in self._queues.items():
-            if queue.pending:
-                subject = self.admission.subject_of(query_id)
-                by_subject.setdefault(subject, []).append(query_id)
-        touched: list[str] = []
-        for subject in self._fair.order(by_subject):
-            budget = self._drain_quantum * self._fair.weight(subject)
-            for query_id in by_subject[subject]:
-                if budget <= 0:
-                    break
-                applied = self._drain_some(query_id, budget)
-                budget -= applied
-                if applied:
-                    touched.append(query_id)
-        for query_id in touched:
-            self._auto_close(query_id)
-
-    def _drain_some(self, query_id: str, budget: int) -> int:
-        queue = self._queues.get(query_id)
-        if queue is None:
-            return 0
-        applied = 0
-        while applied < budget and queue.pending:
-            self._apply_entry(query_id, *queue.pending.pop(0))
-            applied += 1
-        return applied
-
-    def _flush(self, query_id: str) -> None:
-        """Apply buffered submissions in arrival order."""
-        queue = self._queues.get(query_id)
-        if queue is None or not queue.pending:
-            return
-        pending, queue.pending = queue.pending, []
-        for call, items in pending:
-            self._apply_entry(query_id, call, items)
-
-    def _apply_entry(
-        self, query_id: str, call: _Call, items: list | EncryptedTupleBlock
-    ) -> None:
-        """Apply one queued submission.  The poster's byte quota is
-        released whether or not the SSI kept the submission: either way
-        it left the queue."""
-        try:
-            self._apply_keyed(
-                call.key, call.op.method, query_id, items, wire=call.wire
-            )
-        finally:
-            self.admission.release(query_id, len(call.wire))
-
     def _apply_keyed(
         self, key: tuple[str, int], method: str, *args: Any, **kwargs: Any
     ) -> None:
-        """Run one keyed facade mutation.  With a store attached, the
-        idempotency key is armed just before the call (journaled inside
-        the mutation's WAL record) and cleared right after — a mutation
-        the SSI drops without journaling (a submission that arrived
-        after the collection closed) must not leak its key into the next
-        record."""
+        """Run one keyed facade mutation, then mark its key applied: a
+        mutation that raised leaves the key unmarked, so the client's
+        retry (same bytes) is executed, not acked as a replay.  With a
+        store attached, the key is armed just before the call (journaled
+        inside the mutation's WAL record) and cleared right after — a
+        mutation the SSI drops without journaling (a submission that
+        arrived after the collection closed) must not leak its key into
+        the next record."""
         journal = self.store.journal if self.store is not None else None
         if journal is not None:
             journal.set_idem(*key)
@@ -953,6 +817,7 @@ class SSIDispatcher:
         finally:
             if journal is not None:
                 journal.clear_idem()
+        self.idempotency.mark(*key)
 
     def _auto_close(self, query_id: str) -> None:
         """Fleet-mode queries with a SIZE clause close on the server's
@@ -964,8 +829,20 @@ class SSIDispatcher:
         envelope = self.ssi.envelope(query_id)
         if envelope.size_tuples is None and envelope.size_seconds is None:
             return
-        elapsed = self._now() - self._posted_at.get(query_id, self._now())
-        self.ssi.evaluate_size_clause(query_id, elapsed)
+        started = self._clock_start(envelope)
+        self.ssi.evaluate_size_clause(query_id, self._now() - started)
+
+    def _clock_start(self, envelope: QueryEnvelope) -> float:
+        """When this dispatcher first held the fleet-mode query of
+        *envelope*: at its post, or — recovered from a store — at the
+        first evaluation of its SIZE clause.  Whichever came first also
+        armed the one wake-up a ``SIZE … SECONDS`` clause needs."""
+        started = self._clock_starts.get(envelope.query_id)
+        if started is None:
+            started = self._clock_starts[envelope.query_id] = self._now()
+            if envelope.size_seconds is not None:
+                self._wake_at(envelope.size_seconds)
+        return started
 
 
 DispatchFn = Callable[[bytes], Awaitable[bytes]]

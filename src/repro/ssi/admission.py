@@ -1,33 +1,29 @@
-"""Per-querier admission control and fair drain scheduling for the SSI.
+"""Per-querier admission control for the SSI.
 
 The paper's SSI serves *many* queriers at once (§2.1, §6); nothing in the
 protocols bounds how much of the SSI one querier may occupy.  This module
 adds that bound, on exactly the cleartext the SSI legitimately holds: the
 credential subject on every query envelope and the *sizes* of the opaque
-submissions queued for each query.  Two quotas per querier:
+submissions made to each query.  Two quotas per querier:
 
 * **active queries** — posted and not yet published.  A post over quota
   answers ``ERR_ADMISSION`` with a retry-after hint; nothing is applied,
   so the client's retry (same idempotency key) is executed, not dropped.
-* **in-flight bytes** — ciphertext bytes sitting in the bounded
-  submission queues of that querier's queries, charged at enqueue and
-  released at apply.  This caps the *memory* one tenant can pin, where
-  the per-query queue depth (``ERR_BACKPRESSURE``) only caps one query.
-
-:class:`FairDrain` is the scheduling half: a weighted round-robin cursor
-over the queriers that currently have pending submissions, so the
-dispatcher drains entry budgets fairly instead of letting one heavy
-querier's flood delay everyone else's applies.
+* **in-flight bytes** — ciphertext bytes of that querier's queries the
+  dispatcher is applying, charged before the apply and released after
+  it.  A submission is applied in the call that accepted it, on one
+  event loop, so no backlog forms: all this quota ever does is refuse
+  one submission whose wire size alone exceeds it.
 
 Trust boundary: this module is ssi-role.  It sees subjects (sanctioned
-envelope cleartext), query ids, byte counts and weights — never payload
-bytes or plaintext.
+envelope cleartext), query ids and byte counts — never payload bytes or
+plaintext.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.exceptions import AdmissionError
 from repro.obs import metrics as obs_metrics
@@ -48,28 +44,21 @@ _REJECTIONS = obs_metrics.REGISTRY.counter(
 )
 _PENDING_BYTES = obs_metrics.REGISTRY.gauge(
     "repro_ssi_admission_pending_bytes",
-    "Ciphertext bytes currently queued across a querier's queries.",
+    "Ciphertext bytes of a querier's submissions being applied.",
     ("querier",),
 )
 
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Quotas and scheduling weights, per querier subject.
+    """Quotas, per querier subject.
 
     ``0`` disables a quota (unlimited) — the default, so an SSI without
-    an explicit policy behaves exactly as before this module existed.
-    ``weights`` gives specific subjects a larger share of each fair-drain
-    round; everyone else drains ``default_weight`` entries per turn."""
+    an explicit policy behaves exactly as before this module existed."""
 
     max_active_queries: int = 0
     max_pending_bytes: int = 0
     retry_after: float = 0.05
-    default_weight: int = 1
-    weights: Mapping[str, int] = field(default_factory=dict)
-
-    def weight(self, subject: str) -> int:
-        return max(1, int(self.weights.get(subject, self.default_weight)))
 
     @property
     def enforcing(self) -> bool:
@@ -92,7 +81,7 @@ class AdmissionController:
         self._subjects: dict[str, str] = {}
         #: subject -> ids of its not-yet-pruned queries
         self._queries: dict[str, set[str]] = {}
-        #: subject -> bytes currently queued (charged, not yet applied)
+        #: subject -> bytes charged and not yet released
         self._pending_bytes: dict[str, int] = {}
         # pre-resolved metric children, one per subject seen
         self._g_active: dict[str, obs_metrics.GaugeChild] = {}
@@ -171,10 +160,10 @@ class AdmissionController:
         return len(queries)
 
     # ------------------------------------------------------------------ #
-    # in-flight-bytes quota (submission enqueue/apply)
+    # in-flight-bytes quota (charged and released around each apply)
     # ------------------------------------------------------------------ #
     def charge(self, query_id: str, nbytes: int) -> None:
-        """Charge *nbytes* of queued ciphertext to the query's poster.
+        """Charge *nbytes* of submitted ciphertext to the query's poster.
         Raises :class:`AdmissionError` when the charge would push the
         subject past ``max_pending_bytes`` (nothing is charged then)."""
         subject = self.subject_of(query_id)
@@ -183,7 +172,7 @@ class AdmissionController:
         if limit > 0 and held + nbytes > limit:
             self._rejected(subject, "byte_quota").inc()
             raise AdmissionError(
-                f"querier {subject!r} has {held} submission bytes queued "
+                f"querier {subject!r} has {held} submission bytes in flight "
                 f"(+{nbytes} would exceed quota {limit}); back off",
                 retry_after=self.policy.retry_after,
             )
@@ -191,8 +180,8 @@ class AdmissionController:
         self._bytes_gauge(subject).set(held + nbytes)
 
     def release(self, query_id: str, nbytes: int) -> None:
-        """Return *nbytes* of quota after the queued entry was applied
-        (or rejected after a successful charge)."""
+        """Return *nbytes* of quota once the charged submission was
+        applied (or its apply raised)."""
         subject = self.subject_of(query_id)
         held = max(0, self._pending_bytes.get(subject, 0) - nbytes)
         self._pending_bytes[subject] = held
@@ -200,37 +189,3 @@ class AdmissionController:
 
     def pending_bytes(self, subject: str) -> int:
         return self._pending_bytes.get(subject, 0)
-
-
-class FairDrain:
-    """Weighted round-robin cursor over queriers with pending work.
-
-    :meth:`order` returns the subjects of *buckets* starting just past
-    the subject served first last time, so repeated drain rounds rotate
-    who goes first; within a round each subject may apply up to its
-    policy weight before the turn passes on.  The cursor is the only
-    state — the dispatcher owns the queues."""
-
-    def __init__(self, policy: AdmissionPolicy | None = None) -> None:
-        self.policy = policy if policy is not None else AdmissionPolicy()
-        self._last_first: str | None = None
-
-    def order(self, subjects: Iterable[str]) -> list[str]:
-        ordered = sorted(set(subjects))
-        if not ordered:
-            return ordered
-        if self._last_first is not None:
-            # rotate: start just past last round's first subject
-            idx = 0
-            for i, subject in enumerate(ordered):
-                if subject > self._last_first:
-                    idx = i
-                    break
-            else:
-                idx = 0
-            ordered = ordered[idx:] + ordered[:idx]
-        self._last_first = ordered[0]
-        return ordered
-
-    def weight(self, subject: str) -> int:
-        return self.policy.weight(subject)

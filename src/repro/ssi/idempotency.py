@@ -31,7 +31,7 @@ class IdempotencyWindow:
 
     def mark(self, client_id: str, seq: int) -> None:
         """Record *seq* as applied.  Call only once the side effect
-        landed: a request rejected with e.g. ``ERR_BACKPRESSURE`` keeps
+        landed: a request rejected with e.g. ``ERR_ADMISSION`` keeps
         its seq unapplied so the client's retry (same bytes) is
         executed, not dropped."""
         ahead = self.ahead.setdefault(client_id, set())

@@ -1,12 +1,13 @@
-"""Admission control and fair drain at the wire level.
+"""Admission control at the wire level.
 
 The quota must be enforced where untrusted queriers actually arrive —
 the dispatcher — not in library code a client could skip: an over-quota
 ``post_query`` is answered with ``ERR_ADMISSION`` carrying the server's
 ``retry_after`` hint, the client backs off at least that long before
 retrying, and a retry after a result publishes succeeds (the quota frees
-lazily).  The weighted round-robin drain bounds how long a flooding
-querier can delay anyone else's submissions.
+lazily).  The byte quota is charged and released around each apply —
+a submission is applied in the call that accepted it, so all the quota
+can do is refuse one submission whose wire size alone exceeds it.
 """
 
 import asyncio
@@ -15,7 +16,7 @@ import random
 import pytest
 
 from repro.core.messages import Credential, EncryptedTuple, QueryEnvelope
-from repro.exceptions import AdmissionError
+from repro.exceptions import AdmissionError, ProtocolError
 from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import LoopbackTransport, TCPTransport
@@ -159,25 +160,30 @@ class TestQueryQuotaOverTheWire:
 
 class TestByteQuotaOverTheWire:
     def test_pending_bytes_quota_rejects_submission(self):
+        """Nothing is ever left charged, so what the quota bounds is the
+        wire size of one submission."""
+
         async def run():
             dispatcher = SSIDispatcher(
-                admission=AdmissionPolicy(max_pending_bytes=64)
+                admission=AdmissionPolicy(max_pending_bytes=64, retry_after=0.07)
             )
-            dispatcher.drain_paused = True  # hold charges on the books
             client = loopback_client(dispatcher)
             await client.post_query(envelope_for("alice", "q1"))
             await client.submit_tuples("q1", [EncryptedTuple(b"x" * 30, None)])
-            with pytest.raises(AdmissionError):
+            with pytest.raises(AdmissionError) as excinfo:
                 await client.submit_tuples(
                     "q1", [EncryptedTuple(b"y" * 60, None)]
                 )
+            assert excinfo.value.retry_after == pytest.approx(0.07)
+            # the one before it was applied and released: 30 + 30 fits
+            await client.submit_tuples("q1", [EncryptedTuple(b"z" * 30, None)])
+            assert dispatcher.ssi.collected_count("q1") == 2
 
         run_async(run())
 
     def test_applied_submissions_release_their_bytes(self):
-        """Once drained into the SSI, a submission's bytes come off the
-        quota — steady-state throughput is unlimited, only the *pending*
-        backlog is bounded."""
+        """The charge comes off with the apply, whether it went through
+        or raised — steady-state throughput is unlimited."""
 
         async def run():
             dispatcher = SSIDispatcher(
@@ -189,111 +195,47 @@ class TestByteQuotaOverTheWire:
                 await client.submit_tuples(
                     "q1", [EncryptedTuple(bytes([i]) * 40, None)]
                 )
-            assert await client.collected_count("q1") == 5
+                assert dispatcher.admission.pending_bytes("alice") == 0
+            assert dispatcher.ssi.collected_count("q1") == 5
+
+            def failing(*args, **kwargs):
+                raise OSError("disk full")
+
+            dispatcher.ssi.submit_tuples = failing
+            with pytest.raises(ProtocolError, match="internal server error"):
+                await client.submit_tuples("q1", [EncryptedTuple(b"f" * 40, None)])
             assert dispatcher.admission.pending_bytes("alice") == 0
 
         run_async(run())
 
     def test_rejected_submission_is_not_applied(self):
-        """An over-quota submission leaves no trace: not queued, not
-        charged, and its idempotency seq unapplied — the client's later
-        retry is a real execution, not a dropped replay."""
+        """An over-quota submission leaves no trace: not applied, not
+        charged, and its idempotency key unmarked — the client's retry
+        (the same bytes) is a real execution once the limit allows."""
 
         async def run():
             dispatcher = SSIDispatcher(
                 admission=AdmissionPolicy(max_pending_bytes=64)
             )
-            dispatcher.drain_paused = True
-            client = loopback_client(dispatcher)
-            await client.post_query(envelope_for("alice", "q1"))
-            await client.submit_tuples("q1", [EncryptedTuple(b"x" * 30, None)])
-            with pytest.raises(AdmissionError):
-                await client.submit_tuples(
-                    "q1", [EncryptedTuple(b"y" * 30, None)]
-                )
-            dispatcher.drain_paused = False
-            # the read path force-flushes, so the acked tuple (and only
-            # it) is what the SSI holds
-            assert await client.collected_count("q1") == 1
 
-        run_async(run())
+            async def raising_the_limit(_delay):
+                assert dispatcher.ssi.collected_count("q1") == 0
+                assert dispatcher.admission.pending_bytes("alice") == 0
+                assert not dispatcher.idempotency.seen(client._client_id, 2)
+                dispatcher.admission.policy = AdmissionPolicy(max_pending_bytes=128)
 
-
-class TestFairDrainBoundsStarvation:
-    """Regression: before the weighted round-robin drain, submissions
-    applied strictly in arrival order — a querier flooding one query
-    could park everyone else's work behind its entire backlog."""
-
-    FLOOD = 20
-
-    async def _backlogged_dispatcher(self):
-        dispatcher = SSIDispatcher(drain_quantum=1)
-        heavy = loopback_client(dispatcher)
-        light = loopback_client(dispatcher)
-        await heavy.post_query(envelope_for("heavy", "hq"))
-        await light.post_query(envelope_for("light", "lq"))
-        dispatcher.drain_paused = True
-        for i in range(self.FLOOD):  # heavy's backlog arrives first...
-            await heavy.submit_tuples("hq", [EncryptedTuple(bytes([i]), None)])
-        await light.submit_tuples("lq", [EncryptedTuple(b"l", None)])
-        dispatcher.drain_paused = False
-        return dispatcher
-
-    def test_light_querier_applies_within_one_round(self):
-        async def run():
-            dispatcher = await self._backlogged_dispatcher()
-            dispatcher._drain_round()
-            # One round: the light querier's single tuple landed even
-            # though 20 heavy entries were queued ahead of it — heavy
-            # got exactly its quantum, not the whole pass.
-            assert dispatcher.ssi.collected_count("lq") == 1
-            assert dispatcher.ssi.collected_count("hq") == 1
-
-        run_async(run())
-
-    def test_backlog_drains_fully_across_rounds(self):
-        async def run():
-            dispatcher = await self._backlogged_dispatcher()
-            for _ in range(self.FLOOD):
-                dispatcher._drain_round()
-            assert dispatcher.ssi.collected_count("hq") == self.FLOOD
-            assert dispatcher.ssi.collected_count("lq") == 1
-
-        run_async(run())
-
-    def test_weights_scale_the_quantum(self):
-        async def run():
-            dispatcher = SSIDispatcher(
-                admission=AdmissionPolicy(weights={"gold": 4}),
-                drain_quantum=1,
+            client = loopback_client(
+                dispatcher,
+                RetryPolicy(max_retries=1, backoff_base=0.0, jitter=0.0),
+                sleep=raising_the_limit,
             )
-            gold = loopback_client(dispatcher)
-            iron = loopback_client(dispatcher)
-            await gold.post_query(envelope_for("gold", "gq"))
-            await iron.post_query(envelope_for("iron", "iq"))
-            dispatcher.drain_paused = True
-            for i in range(8):
-                await gold.submit_tuples(
-                    "gq", [EncryptedTuple(bytes([i]), None)]
-                )
-                await iron.submit_tuples(
-                    "iq", [EncryptedTuple(bytes([i]), None)]
-                )
-            dispatcher.drain_paused = False
-            dispatcher._drain_round()
-            assert dispatcher.ssi.collected_count("gq") == 4
-            assert dispatcher.ssi.collected_count("iq") == 1
-
-        run_async(run())
-
-    def test_read_path_flushes_leftover_entries(self):
-        """A read must see every submission that was acked, including
-        entries a budgeted round left queued (read-your-writes)."""
-
-        async def run():
-            dispatcher = await self._backlogged_dispatcher()
-            client = loopback_client(dispatcher)
-            dispatcher._drain_round()  # applies 1 of heavy's 20
-            assert await client.collected_count("hq") == self.FLOOD
+            await client.post_query(envelope_for("alice", "q1"))  # seq 1
+            await client.submit_tuples(  # seq 2, both attempts
+                "q1", [EncryptedTuple(b"y" * 60, None)]
+            )
+            assert client.retries == 1
+            assert dispatcher.ssi.collected_count("q1") == 1
+            assert dispatcher.idempotency.seen(client._client_id, 2)
+            assert dispatcher.admission.pending_bytes("alice") == 0
 
         run_async(run())

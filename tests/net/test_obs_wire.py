@@ -143,7 +143,6 @@ class TestGetStats:
             # even before first use — the CI scrape check relies on this.
             for family in (
                 "repro_ssi_request_seconds",
-                "repro_ssi_backpressure_total",
                 "repro_ssi_replays_total",
                 "server_internal_errors_total",
                 "repro_ssi_connections_open",

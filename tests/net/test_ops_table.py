@@ -12,6 +12,7 @@
 """
 
 import asyncio
+import dataclasses
 import json
 import random
 import shutil
@@ -117,6 +118,18 @@ class TestCompleteness:
             "post_query", "submit_tuples", "submit_tuples_batch",
             "submit_partials", "store_result_rows",
         }
+
+    def test_the_rows_that_are_only_a_facade_call_are_these(self):
+        """Decode, call the facade, encode — no dispatcher code, and no
+        column that orders a read after writes: a write is applied
+        before its ack.  A row that grows a handler shows up here."""
+        assert {op.name for op in WIRE_OPS if not op.handler} == {
+            "collected_count", "evaluate_size", "close_collection",
+            "covering_result", "take_partials", "partial_count",
+            "store_result_rows", "publish_result", "result_ready",
+            "fetch_result", "ping",
+        }
+        assert "flush" not in {field.name for field in dataclasses.fields(ops.Op)}
 
     def test_the_facade_journals_exactly_what_the_rows_declare(self):
         recorded = []
@@ -323,7 +336,7 @@ class TestGoldenBytes:
 def scratch_op():
     op = ops.register(ops.Op(
         0x3E, "scratch_count", (ops.QUERY_ID,), ops.I64,
-        flush=True, method="partial_count",
+        method="partial_count",
     ))
     try:
         yield op
@@ -386,10 +399,7 @@ class TestAddingARow:
         async def run():
             client = Client(LoopbackTransport(dispatcher.dispatch))
             await client.post_query(capture.envelope("q"))
-            dispatcher.drain_paused = True
             await client.submit_partials("q", [EncryptedPartial(b"p", None)])
-            dispatcher.drain_paused = False
-            # flush=True: the buffered submission is applied first
             assert await client.scratch_count("q") == 1
             assert await client.scratch_count(query_id="q") == 1
             assert await client.call(scratch_op, "q") == 1

@@ -1,4 +1,4 @@
-"""Typed wire errors, traceback hygiene, backpressure and retries.
+"""Typed wire errors, traceback hygiene and retries.
 
 The satellite requirements: a duplicate or unknown ``query_id`` must
 surface as a *typed* wire-level error (and the same exception type the
@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.exceptions import (
-    BackpressureError,
     DuplicateQueryError,
     ProtocolError,
     ResultNotReadyError,
@@ -259,39 +258,6 @@ class TestWireDiscipline:
 
 
 class TestBackpressureAndRetry:
-    def test_backpressure_without_retries_raises(self):
-        async def run():
-            dispatcher = SSIDispatcher(max_pending_batches=1)
-            dispatcher.drain_paused = True
-            client = loopback_client(dispatcher, max_retries=0)
-            # post goes around the queue; two submissions overflow it
-            dispatcher.drain_paused = False
-            await client.post_query(make_envelope("q1"))
-            dispatcher.drain_paused = True
-            await client.submit_tuples("q1", [])
-            with pytest.raises(BackpressureError):
-                await client.submit_tuples("q1", [])
-
-        run_async(run())
-
-    def test_backpressure_retry_succeeds_after_drain(self):
-        async def run():
-            dispatcher = SSIDispatcher(max_pending_batches=1)
-            client = loopback_client(dispatcher, max_retries=3, backoff_base=0.001)
-            await client.post_query(make_envelope("q1"))
-            dispatcher.drain_paused = True
-            await client.submit_tuples("q1", [])
-
-            async def unpausing_sleep(delay):
-                dispatcher.drain_paused = False
-                await client.collected_count("q1")  # forces a flush
-
-            client._sleep = unpausing_sleep
-            await client.submit_tuples("q1", [])  # retried, then applied
-            assert client.retries >= 1
-
-        run_async(run())
-
     def test_retry_backoff_is_deterministic_under_a_seed(self):
         class FlakyTransport(Transport):
             def __init__(self, failures):

@@ -1,9 +1,9 @@
-"""AdmissionController and FairDrain unit behaviour (no wire)."""
+"""AdmissionController unit behaviour (no wire)."""
 
 import pytest
 
 from repro.exceptions import AdmissionError
-from repro.ssi.admission import AdmissionController, AdmissionPolicy, FairDrain
+from repro.ssi.admission import AdmissionController, AdmissionPolicy
 
 
 def never_ready(_query_id: str) -> bool:
@@ -14,16 +14,6 @@ class TestAdmissionPolicy:
     def test_default_policy_enforces_nothing(self):
         policy = AdmissionPolicy()
         assert not policy.enforcing
-
-    def test_weight_floor_is_one(self):
-        policy = AdmissionPolicy(default_weight=0, weights={"heavy": -3})
-        assert policy.weight("heavy") == 1
-        assert policy.weight("anyone") == 1
-
-    def test_explicit_weights_override_default(self):
-        policy = AdmissionPolicy(default_weight=1, weights={"gold": 4})
-        assert policy.weight("gold") == 4
-        assert policy.weight("silver") == 1
 
 
 class TestActiveQueryQuota:
@@ -104,28 +94,3 @@ class TestByteQuota:
         controller.release("q0", 999)
         assert controller.pending_bytes("alice") == 0
 
-
-class TestFairDrain:
-    def test_rotation_changes_who_goes_first(self):
-        drain = FairDrain()
-        first_round = drain.order(["a", "b", "c"])
-        second_round = drain.order(["a", "b", "c"])
-        assert set(first_round) == {"a", "b", "c"}
-        assert set(second_round) == {"a", "b", "c"}
-        assert second_round[0] != first_round[0]
-
-    def test_every_subject_leads_eventually(self):
-        drain = FairDrain()
-        leaders = {drain.order(["a", "b", "c"])[0] for _ in range(6)}
-        assert leaders == {"a", "b", "c"}
-
-    def test_empty_and_singleton(self):
-        drain = FairDrain()
-        assert drain.order([]) == []
-        assert drain.order(["only"]) == ["only"]
-        assert drain.order(["only"]) == ["only"]
-
-    def test_weight_comes_from_policy(self):
-        drain = FairDrain(AdmissionPolicy(default_weight=2, weights={"vip": 5}))
-        assert drain.weight("vip") == 5
-        assert drain.weight("other") == 2

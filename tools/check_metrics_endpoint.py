@@ -27,7 +27,6 @@ import urllib.request
 REQUIRED_FAMILIES = (
     "repro_ssi_requests_total",
     "repro_ssi_request_seconds",
-    "repro_ssi_backpressure_total",
     "repro_ssi_replays_total",
     "server_internal_errors_total",
     "repro_ssi_connections_open",

@@ -15,7 +15,7 @@ Two claims of the multi-query engine, measured instead of asserted:
   query.
 
 Running the module directly writes ``BENCH_multiq.json`` at the repo
-root (BENCH_net-style schema) and publishes a table under
+root (BENCH_crypto-style schema) and publishes a table under
 ``benchmarks/results/``.  ``--smoke`` is the CI entry: a small batch
 over real TCP, asserting concurrent aggregate q/s beats the serial
 baseline.
@@ -294,10 +294,7 @@ def main(argv):
     serial = levels[0]["queries_per_s"]
     top = levels[-1]
     speedup_16 = top["queries_per_s"] / serial if serial else 0.0
-    notes = [
-        "concurrency rows share one schema with BENCH_net.json sections: "
-        "metric values are seconds or queries/second as named",
-    ]
+    notes = ["metric values are seconds or queries/second as named"]
     if speedup_16 < 3.0:
         notes.append(
             f"16-concurrent speedup {speedup_16:.2f}x is below the 3x "

@@ -14,7 +14,7 @@ loopback into four dispatcher configurations:
 
 The acceptance bar from the issue: *batch* throughput within 15% of
 the in-memory baseline on this loopback bench.  Running the module
-directly writes ``BENCH_store.json`` at the repo root (BENCH_net-style
+directly writes ``BENCH_store.json`` at the repo root (BENCH_crypto-style
 schema) and publishes a table under ``benchmarks/results/``; the
 pytest entry re-runs a light version so the durable path stays under
 observation in ``make bench``.

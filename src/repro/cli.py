@@ -42,6 +42,7 @@ from repro.bench import (
     tq_vs_g,
 )
 from repro.costmodel import PAPER_DEFAULTS, all_protocol_metrics
+from repro.exceptions import ProtocolError
 from repro.protocols import (
     DRIVERS,
     Deployment,
@@ -55,6 +56,7 @@ from repro.protocols import (
     discover_domain,
     recommend_protocol,
 )
+from repro.sql.parser import parse
 from repro.workloads import smart_meter_factory
 
 _DEFAULT_QUERY = (
@@ -65,6 +67,18 @@ _DEFAULT_QUERY = (
 #: every protocol runs in every mode: in process (``demo``) and over the
 #: wire (``query`` / ``multiquery``)
 PROTOCOL_CHOICES = tuple(DRIVERS)
+
+
+def _mismatched(args: argparse.Namespace) -> bool:
+    """Whether ``--protocol`` cannot run ``--query`` (said on stderr).
+    Checked before anything is posted: every device would refuse to
+    contribute, and nothing can fail a posted query."""
+    try:
+        parse(args.query).check_protocol(args.protocol)
+    except ProtocolError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def _build_driver(name, deployment, workers, rng, nf, cache=None):
@@ -100,6 +114,8 @@ def _build_driver(name, deployment, workers, rng, nf, cache=None):
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    if _mismatched(args):
+        return 2
     deployment = Deployment.build(
         args.tds,
         smart_meter_factory(num_districts=args.districts),
@@ -494,6 +510,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     from repro.net.transport import TCPTransport
     from repro.obs import spans as obs_spans
 
+    if _mismatched(args):
+        return 2
     obs_spans.set_process_label("querier")
     deployment = _fleet_deployment(args)
     querier = deployment.make_querier()
@@ -545,6 +563,8 @@ def cmd_multiquery(args: argparse.Namespace) -> int:
     from repro.net.transport import TCPTransport
     from repro.obs import spans as obs_spans
 
+    if _mismatched(args):
+        return 2
     obs_spans.set_process_label("querier")
     deployment = _fleet_deployment(args)
     querier = deployment.make_querier()

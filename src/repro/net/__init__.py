@@ -3,9 +3,9 @@
 Serves the :class:`~repro.ssi.server.SupportingServerInfrastructure`
 over a length-prefixed binary wire protocol (:mod:`repro.net.frames`),
 with an asyncio TCP server (:mod:`repro.net.server`), retrying clients
-(:mod:`repro.net.client`), pluggable transports plus the synchronous
-``RemoteSSI`` driver adapter (:mod:`repro.net.transport`), fleet-mode
-scheduling (:mod:`repro.net.coordinator`) and an async TDS client fleet
+(:mod:`repro.net.client`), pluggable transports
+(:mod:`repro.net.transport`), fleet-mode scheduling
+(:mod:`repro.net.coordinator`) and an async TDS client fleet
 (:mod:`repro.net.fleet`).
 """
 
@@ -19,13 +19,7 @@ from repro.net.coordinator import QueryCoordinator
 from repro.net.fleet import FaultPlan, FleetRunner, FleetStats
 from repro.net.frames import PROTOCOL_VERSION, QueryMeta, WorkUnit
 from repro.net.server import SSIDispatcher, SSIServer
-from repro.net.transport import (
-    LoopbackTransport,
-    RemoteSSI,
-    SyncBridge,
-    TCPTransport,
-    Transport,
-)
+from repro.net.transport import LoopbackTransport, TCPTransport, Transport
 
 __all__ = [
     "AsyncSSIClient",
@@ -37,11 +31,9 @@ __all__ = [
     "QuerierClient",
     "QueryCoordinator",
     "QueryMeta",
-    "RemoteSSI",
     "RetryPolicy",
     "SSIDispatcher",
     "SSIServer",
-    "SyncBridge",
     "TCPTransport",
     "TDSClient",
     "Transport",

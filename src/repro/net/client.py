@@ -1,7 +1,7 @@
 """Async clients for the SSI wire protocol.
 
-:class:`AsyncSSIClient` is the low-level RPC surface: one proxy per row
-of the operation table (:mod:`repro.net.ops`), with a configurable
+:class:`AsyncSSIClient` is the low-level RPC surface: one proxy per wire
+row of the operation table (:mod:`repro.net.ops`), with a configurable
 request timeout and bounded retries under jittered exponential backoff
 (:class:`RetryPolicy`).
 Transport failures (drops, timeouts) and ``ERR_ADMISSION`` responses
@@ -10,11 +10,11 @@ result-not-ready) are raised immediately as the matching exception from
 :mod:`repro.exceptions` — the same types the in-process SSI raises, so
 callers cannot tell a remote SSI from a local one by its failures.
 
-Mutating requests (post_query, tuple/partial submissions, result rows)
-carry an idempotency key — a per-client id plus a sequence number baked
-into the request bytes once per *logical* call — so a retry after a lost
-response replays the identical request and the dispatcher drops the
-duplicate instead of applying it twice.  Semantics are therefore
+Mutating requests (post_query, tuple submissions) carry an idempotency
+key — a per-client id plus a sequence number baked into the request
+bytes once per *logical* call — so a retry after a lost response
+replays the identical request and the dispatcher drops the duplicate
+instead of applying it twice.  Semantics are therefore
 exactly-once per logical client call while the client keeps retrying;
 only a caller that gives up and later re-issues the operation as a *new*
 call reintroduces at-least-once behaviour.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Awaitable, Callable, Coroutine, Sequence, TypeVar
+from typing import Any, Awaitable, Callable, Coroutine, Sequence, TypeVar
 
 from repro.core.messages import EncryptedPartial, QueryResult
 from repro.exceptions import (
@@ -40,12 +40,10 @@ from repro.exceptions import (
 )
 from repro.net import frames, ops
 from repro.net.frames import Reader, Writer
+from repro.net.transport import Transport
 from repro.obs import metrics as obs_metrics
 from repro.obs.spans import TraceContext
 from repro.store.commitment import Commitment
-
-if TYPE_CHECKING:  # transport.py imports this module (RemoteSSI wiring)
-    from repro.net.transport import Transport
 
 R = TypeVar("R")
 
@@ -241,7 +239,7 @@ class AsyncSSIClient:
         self.last_commitment = commitment
 
     # ------------------------------------------------------------------ #
-    # wire operations: one proxy per table row
+    # wire operations: one proxy per table row with an opcode
     # ------------------------------------------------------------------ #
     ping = _proxy(ops.PING)
     #: (protocol version, capability bits) the peer reports
@@ -250,25 +248,14 @@ class AsyncSSIClient:
     get_stats = _proxy(ops.GET_STATS)
     post_query = _proxy(ops.POST_QUERY)
     fetch_query = _proxy(ops.FETCH_QUERY)
-    active_queries = _proxy(ops.ACTIVE_QUERIES)
     submit_tuples = _proxy(ops.SUBMIT_TUPLES)
     #: many tuples (a sequence or one EncryptedTupleBlock) as one columnar
     #: frame: one lengths vector and one payload buffer instead of
     #: per-tuple framing; semantically identical to submit_tuples
     submit_tuples_batch = _proxy(ops.SUBMIT_TUPLES_BATCH)
-    submit_partials = _proxy(ops.SUBMIT_PARTIALS)
     collected_count = _proxy(ops.COLLECTED_COUNT)
-    evaluate_size_clause = _proxy(ops.EVALUATE_SIZE)
     close_collection = _proxy(ops.CLOSE_COLLECTION)
-    covering_result = _proxy(ops.COVERING_RESULT)
-    take_partials = _proxy(ops.TAKE_PARTIALS)
-    partial_count = _proxy(ops.PARTIAL_COUNT)
-    store_result_rows = _proxy(ops.STORE_RESULT_ROWS)
-    publish_result = _proxy(ops.PUBLISH_RESULT)
-    result_ready = _proxy(ops.RESULT_READY)
     fetch_result = _proxy(ops.FETCH_RESULT)
-    #: (status, work unit when status is STATUS_WORK): a one-shot probe
-    fetch_partition = _proxy(ops.FETCH_PARTITION)
     #: (new queries, a work unit or None, finished ids): the SSI parks
     #: the request up to ``hold`` seconds while it has nothing to say
     await_work = _proxy(ops.AWAIT_WORK)

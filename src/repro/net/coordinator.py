@@ -9,8 +9,7 @@ half is :data:`PROTOCOLS` — one row of :class:`Stage` cells per protocol
 — and :class:`QueryCoordinator` advances one query through its row as
 TDSs ask for work.  Who asks differs by mode, the machine does not: the
 :class:`~repro.net.server.SSIDispatcher` for a fleet over the wire, the
-in-process :class:`~repro.protocols.base.ProtocolDriver` loop inline, a
-driver over :class:`~repro.net.transport.RemoteSSI` client-side.
+in-process :class:`~repro.protocols.base.ProtocolDriver` loop inline.
 
 The coordinator only ever touches :class:`Partition` objects, opaque
 payload bytes and cleartext ``group_tag`` routing handles — exactly the

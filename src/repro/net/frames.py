@@ -98,22 +98,15 @@ MAX_ITEMS = 1_000_000
 # --------------------------------------------------------------------- #
 # message types
 # --------------------------------------------------------------------- #
+# 0x03, 0x06, 0x08-0x0E and 0x10 were the SSI's own steps and the one-shot
+# probes as remote procedures (retired with the client-side coordinator;
+# answered ERR_UNKNOWN_OP, never reused)
 MSG_POST_QUERY = 0x01
 MSG_FETCH_QUERY = 0x02
-MSG_ACTIVE_QUERIES = 0x03
 MSG_SUBMIT_TUPLES = 0x04
 MSG_COLLECTED_COUNT = 0x05
-MSG_EVALUATE_SIZE = 0x06
 MSG_CLOSE_COLLECTION = 0x07
-MSG_COVERING_RESULT = 0x08
-MSG_SUBMIT_PARTIALS = 0x09
-MSG_TAKE_PARTIALS = 0x0A
-MSG_PARTIAL_COUNT = 0x0B
-MSG_STORE_RESULT_ROWS = 0x0C
-MSG_PUBLISH_RESULT = 0x0D
-MSG_RESULT_READY = 0x0E
 MSG_FETCH_RESULT = 0x0F
-MSG_FETCH_PARTITION = 0x10
 MSG_SUBMIT_PARTITION_RESULT = 0x11
 MSG_PING = 0x12
 MSG_SUBMIT_TUPLES_BATCH = 0x13
@@ -184,11 +177,6 @@ ERROR_TYPES: dict[int, type[ProtocolError]] = {
     ERR_RESULT_NOT_READY: ResultNotReadyError,
     ERR_ADMISSION: AdmissionError,
 }
-
-# fetch_partition statuses
-STATUS_WAIT = 0
-STATUS_WORK = 1
-STATUS_DONE = 2
 
 # work-unit kinds (WORK_*) and partition-result kinds (RESULT_*) travel as
 # u8 and are declared beside Partition in repro.core.messages, where the

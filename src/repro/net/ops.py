@@ -10,13 +10,20 @@ and the flags the layers around it act on.  From the rows are derived:
 * :meth:`SSIDispatcher.dispatch <repro.net.server.SSIDispatcher.dispatch>`
   — decode the request fields, run the facade method or the named
   handler, encode the response field;
-* the :class:`~repro.net.client.AsyncSSIClient` proxies and the
-  synchronous :class:`~repro.net.transport.RemoteSSI` mirror;
+* the :class:`~repro.net.client.AsyncSSIClient` proxies;
 * the WAL records of :mod:`repro.store.records` (a journaled row's
   record payload *is* its request fields) and their replay.
 
 **To add an SSI operation, add a row** — plus a dispatcher handler only
 when the operation is not "decode fields → call facade → encode result".
+
+The rows with an opcode are the whole remote surface: what a TDS or a
+querier may say to the SSI (paper §3.2 steps 1–4, 6–13).  What the SSI
+does *itself* in between — keep partials, drain them into the next
+round, store and publish the result rows — is journaled, not callable:
+those rows have a record type and no opcode, and only the
+:class:`~repro.net.coordinator.QueryCoordinator` beside the SSI runs
+them, through the facade.
 
 This module sits on the SSI side of the trust boundary with
 :mod:`repro.net.frames`: rows name ciphertext blobs, ids and
@@ -183,7 +190,6 @@ QUERY_ID = Field("query_id", Writer.text, Reader.text)
 TDS_ID = Field("tds_id", Writer.text, Reader.text)
 PERSONAL_TDS_ID = Field("tds_id", Writer.opt_text, Reader.opt_text, default=None)
 PARTITION_ID = Field("partition_id", Writer.i64, Reader.i64)
-ELAPSED = Field("elapsed_seconds", Writer.f64, Reader.f64, default=0.0)
 ENVELOPE: Field[QueryEnvelope] = Field(
     "envelope", frames.write_envelope, frames.read_envelope
 )
@@ -195,11 +201,6 @@ PARTIALS = Field("partials", _write_items, frames.read_partials)
 ROWS = Field("rows", _write_rows, frames.read_rows)
 RESULT: Field[QueryResult] = Field("result", frames.write_result, frames.read_result)
 UNIT = Field("unit", frames.write_work_unit, frames.read_work_unit)
-#: (status, work unit when status is STATUS_WORK else None)
-WORK = _tagged(
-    "fetch_partition status",
-    {frames.STATUS_WAIT: NOTHING, frames.STATUS_WORK: UNIT, frames.STATUS_DONE: NOTHING},
-)
 #: seconds the SSI may park a request it has no answer for; always the
 #: last request field of a row whose handler parks
 HOLD = Field("hold", Writer.f64, Reader.f64)
@@ -347,11 +348,6 @@ FETCH_QUERY = register(Op(
     frames.MSG_FETCH_QUERY, "fetch_query", (QUERY_ID,), QUERY,
     handler="_fetch_query",
 ))
-ACTIVE_QUERIES = register(Op(
-    frames.MSG_ACTIVE_QUERIES, "active_queries", (),
-    _listing("queries", QUERY, limit=100_000),
-    handler="_active_queries",
-))
 SUBMIT_TUPLES = register(Op(
     frames.MSG_SUBMIT_TUPLES, "submit_tuples", (QUERY_ID, TUPLES), NOTHING,
     idem=True, durable=True, record=2, method="submit_tuples", handler="_submit",
@@ -361,53 +357,13 @@ COLLECTED_COUNT = register(Op(
     frames.MSG_COLLECTED_COUNT, "collected_count", (QUERY_ID,), I64,
     method="collected_count",
 ))
-EVALUATE_SIZE = register(Op(
-    frames.MSG_EVALUATE_SIZE, "evaluate_size", (QUERY_ID, ELAPSED), BOOL,
-    durable=True, method="evaluate_size_clause",
-))
 CLOSE_COLLECTION = register(Op(
     frames.MSG_CLOSE_COLLECTION, "close_collection", (QUERY_ID,), NOTHING,
     durable=True, record=5, method="close_collection",
 ))
-COVERING_RESULT = register(Op(
-    frames.MSG_COVERING_RESULT, "covering_result", (QUERY_ID,), TUPLES,
-    method="covering_result", tds_bytes=True,
-))
-SUBMIT_PARTIALS = register(Op(
-    frames.MSG_SUBMIT_PARTIALS, "submit_partials", (QUERY_ID, PARTIALS), NOTHING,
-    idem=True, durable=True, record=4, method="submit_partials", handler="_submit",
-    tds_bytes=True,
-))
-TAKE_PARTIALS = register(Op(
-    frames.MSG_TAKE_PARTIALS, "take_partials", (QUERY_ID,), PARTIALS,
-    durable=True, record=6, method="take_partials", tds_bytes=True,
-))
-PARTIAL_COUNT = register(Op(
-    frames.MSG_PARTIAL_COUNT, "partial_count", (QUERY_ID,), I64,
-    method="partial_count",
-))
-STORE_RESULT_ROWS = register(Op(
-    frames.MSG_STORE_RESULT_ROWS, "store_result_rows", (QUERY_ID, ROWS), NOTHING,
-    idem=True, durable=True, record=7, method="store_result_rows", tds_bytes=True,
-))
-PUBLISH_RESULT = register(Op(
-    frames.MSG_PUBLISH_RESULT, "publish_result", (QUERY_ID,), NOTHING,
-    durable=True, record=8, method="publish_result",
-))
-RESULT_READY = register(Op(
-    frames.MSG_RESULT_READY, "result_ready", (QUERY_ID,), BOOL,
-    method="result_ready",
-))
 FETCH_RESULT = register(Op(
     frames.MSG_FETCH_RESULT, "fetch_result", (QUERY_ID,), RESULT,
     method="fetch_result",
-))
-# Durable although it journals nothing itself: its auto-close and
-# stage-advance side effects append records, and a commitment observed
-# via any response must never cover an unsynced record.
-FETCH_PARTITION = register(Op(
-    frames.MSG_FETCH_PARTITION, "fetch_partition", (QUERY_ID, TDS_ID), WORK,
-    durable=True, handler="_fetch_partition",
 ))
 SUBMIT_PARTITION_RESULT = register(Op(
     frames.MSG_SUBMIT_PARTITION_RESULT, "submit_partition_result",
@@ -435,8 +391,9 @@ GET_HEALTH = register(Op(
     frames.MSG_GET_HEALTH, "get_health", (), HEALTH, handler="_get_health",
 ))
 # The long polls (DESIGN §7 "Waiting for work").  await_work is durable
-# for the reason fetch_partition is: handing out work may auto-close a
-# collection or advance a stage, and that appends records.
+# although it journals nothing itself: handing out work may auto-close a
+# collection or advance a stage, that appends records, and a commitment
+# observed via any response must never cover an unsynced record.
 AWAIT_WORK = register(Op(
     frames.MSG_AWAIT_WORK, "await_work", (TDS_ID, KNOWN, HOLD), WORK_ANSWER,
     durable=True, handler="_await_work",
@@ -444,6 +401,25 @@ AWAIT_WORK = register(Op(
 AWAIT_RESULT = register(Op(
     frames.MSG_AWAIT_RESULT, "await_result", (QUERY_ID, HOLD),
     _optional("result", RESULT), handler="_await_result",
+))
+# The SSI's own steps (paper §3.2 steps 5–12 as the SSI sees them):
+# journaled when the coordinator runs them through the facade, replayed
+# from the log, never sent.
+SUBMIT_PARTIALS = register(Op(
+    None, "submit_partials", (QUERY_ID, PARTIALS), NOTHING,
+    record=4, method="submit_partials", tds_bytes=True,
+))
+TAKE_PARTIALS = register(Op(
+    None, "take_partials", (QUERY_ID,), NOTHING,
+    record=6, method="take_partials", tds_bytes=True,
+))
+STORE_RESULT_ROWS = register(Op(
+    None, "store_result_rows", (QUERY_ID, ROWS), NOTHING,
+    record=7, method="store_result_rows", tds_bytes=True,
+))
+PUBLISH_RESULT = register(Op(
+    None, "publish_result", (QUERY_ID,), NOTHING,
+    record=8, method="publish_result",
 ))
 #: written by recovery itself when it clears a coordinator query's
 #: leftover partials/result rows before the rebuilt coordinator re-runs

@@ -25,6 +25,12 @@ yet leave one request *parked* here (``await_work`` / ``await_result``)
 instead of asking again on a timer.  The request that changes what a
 parked request waits for releases it; DESIGN.md §7 "Waiting for work"
 has the rules.
+
+Who may ask for what: the rows of :mod:`repro.net.ops` that have an
+opcode are the whole remote surface.  Partitioning, partials and
+publication are the per-query coordinator's, so a query posted without
+a protocol row (empty ``QueryMeta``) is collected and counted, never
+scheduled and never published.
 """
 
 from __future__ import annotations
@@ -304,9 +310,9 @@ class SSIDispatcher:
             )
             meta = dispatcher.metas.get(query_id)
             if meta is None or not meta.protocol:
-                continue  # driver-mode: the client owns aggregation state
+                continue  # no protocol row: collected, never scheduled
             if recovered.ssi.result_ready(query_id):
-                continue  # finished: pollers get STATUS_DONE without one
+                continue  # published: nothing left to schedule
             storage = recovered.ssi.storage_map()[query_id]
             if storage.partials or storage.result_rows:
                 recovered.ssi.reset_aggregation(query_id)
@@ -403,15 +409,12 @@ class SSIDispatcher:
                 else:
                     result = handler(*args)
             elif op.method:
-                if key is not None:
-                    self._apply_keyed(key, op.method, *args)
-                else:
-                    result = getattr(self.ssi, op.method)(*args)
+                result = getattr(self.ssi, op.method)(*args)
             if query_id is not None and held is None:
                 self._settle(query_id)
             # A commitment is attached to the ack only when this
             # request's own synchronous handling appended a record: a
-            # probe that appended nothing has no new head to attest.
+            # request that appended nothing has no new head to attest.
             appended = store is not None and store.last_seq != seq_before
             if inspect.iscoroutine(result):
                 result = await result
@@ -556,47 +559,35 @@ class SSIDispatcher:
     def _fetch_query(self, query_id: str) -> tuple[QueryEnvelope, QueryMeta]:
         return self.ssi.envelope(query_id), self.metas.get(query_id, QueryMeta())
 
-    def _active_queries(self) -> list[tuple[QueryEnvelope, QueryMeta]]:
-        return [
-            (envelope, self.metas.get(envelope.query_id, QueryMeta()))
-            for envelope in self.ssi.active_queries()
-        ]
-
     def _submit(
         self, call: _Call, query_id: str, items: "list | EncryptedTupleBlock"
     ) -> None:
-        """The three submission operations, applied in the call that
-        accepted them.  The poster's byte quota is charged by wire size
-        — the SSI's sanctioned view of a ciphertext — around the apply:
-        an over-quota charge raises before any side effect, and the
-        charge is returned whether or not the apply went through."""
+        """The two submission operations, applied in the call that
+        accepted them and marked once applied: a mutation that raised
+        leaves its key unmarked, so the client's retry (same bytes) is
+        executed, not acked as a replay.  The poster's byte quota is
+        charged by wire size — the SSI's sanctioned view of a ciphertext
+        — around the apply: an over-quota charge raises before any side
+        effect, and the charge is returned whether or not the apply went
+        through.  With a store attached, the key is armed just before
+        the apply (journaled inside the mutation's WAL record) and
+        cleared right after — a submission the SSI drops without
+        journaling (it arrived after the collection closed) must not
+        leak its key into the next record."""
         self.ssi.envelope(query_id)  # typed error for unknown ids
         nbytes = len(call.wire)
+        journal = self.store.journal if self.store is not None else None
         self.admission.charge(query_id, nbytes)
         try:
-            self._apply_keyed(
-                call.key, call.op.method, query_id, items, wire=call.wire
-            )
+            if journal is not None:
+                journal.set_idem(*call.key)
+            getattr(self.ssi, call.op.method)(query_id, items, wire=call.wire)
         finally:
+            if journal is not None:
+                journal.clear_idem()
             self.admission.release(query_id, nbytes)
+        self.idempotency.mark(*call.key)
         self._auto_close(query_id)
-
-    def _fetch_partition(
-        self, query_id: str, tds_id: str
-    ) -> tuple[int, WorkUnit | None]:
-        """The one-shot probe of one query (drivers, tests); devices
-        that wait for work use :meth:`_await_work`."""
-        self.ssi.envelope(query_id)  # typed error for unknown ids
-        coordinator = self.coordinators.get(query_id)
-        if coordinator is None or coordinator.done():
-            return frames.STATUS_DONE, None
-        self._auto_close(query_id)
-        unit = self._next_work(coordinator, tds_id, self._now())
-        if coordinator.done():
-            return frames.STATUS_DONE, None
-        if unit is None:
-            return frames.STATUS_WAIT, None
-        return frames.STATUS_WORK, unit
 
     def _submit_partition_result(
         self,
@@ -650,8 +641,6 @@ class SSIDispatcher:
         for query_id, coordinator in list(self._live.items()):
             self._auto_close(query_id)
             if unit is None:
-                # through next_work, so the scheduler's counters see
-                # exactly the calls a fetch_partition probe would make
                 unit = self._next_work(coordinator, tds_id, now)
                 if coordinator.done():
                     self._retire(query_id)
@@ -748,12 +737,11 @@ class SSIDispatcher:
         hand partitions to, and the queriers waiting for a result it
         published."""
         coordinator = self._live.get(query_id)
-        if coordinator is not None:
-            if self._parked_work:
-                _release(self._parked_work, coordinator.assignable(self._now()))
-            if coordinator.done():
-                self._retire(query_id)
-        elif query_id in self._result_waiters and self.ssi.result_ready(query_id):
+        if coordinator is None:
+            return
+        if self._parked_work:
+            _release(self._parked_work, coordinator.assignable(self._now()))
+        if coordinator.done():
             self._retire(query_id)
 
     def _retire(self, query_id: str) -> None:
@@ -794,30 +782,6 @@ class SSIDispatcher:
         # probing for.
         proof = store.head_at(check[0]) if check is not None else None
         return current.count, current.head, proof
-
-    # ------------------------------------------------------------------ #
-    # keyed writes (at-least-once transport, exactly-once application)
-    # ------------------------------------------------------------------ #
-    def _apply_keyed(
-        self, key: tuple[str, int], method: str, *args: Any, **kwargs: Any
-    ) -> None:
-        """Run one keyed facade mutation, then mark its key applied: a
-        mutation that raised leaves the key unmarked, so the client's
-        retry (same bytes) is executed, not acked as a replay.  With a
-        store attached, the key is armed just before the call (journaled
-        inside the mutation's WAL record) and cleared right after — a
-        mutation the SSI drops without journaling (a submission that
-        arrived after the collection closed) must not leak its key into
-        the next record."""
-        journal = self.store.journal if self.store is not None else None
-        if journal is not None:
-            journal.set_idem(*key)
-        try:
-            getattr(self.ssi, method)(*args, **kwargs)
-        finally:
-            if journal is not None:
-                journal.clear_idem()
-        self.idempotency.mark(*key)
 
     def _auto_close(self, query_id: str) -> None:
         """Fleet-mode queries with a SIZE clause close on the server's

@@ -1,4 +1,4 @@
-"""Transports and the driver-facing ``RemoteSSI`` adapter.
+"""Transports.
 
 A :class:`Transport` moves one request frame to the SSI and returns one
 response frame.  Two implementations:
@@ -9,29 +9,16 @@ response frame.  Two implementations:
   reconnect-on-drop; every failure surfaces as
   :class:`~repro.exceptions.TransportError` so the client layer can
   retry.
-
-:class:`RemoteSSI` is the bridge back to the synchronous world: it
-satisfies the exact SSI surface the five protocol drivers in
-:mod:`repro.protocols` use (``post_query`` ... ``fetch_result``), routing
-every call over a transport via a private event loop.  Drivers execute
-unchanged against it — over loopback or over real TCP.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
-import threading
-from typing import Any, Awaitable, Callable, Coroutine, TypeVar
+from typing import Awaitable, Callable
 
-from repro.core.messages import QueryEnvelope
 from repro.exceptions import ProtocolError, TransportError
-from repro.net import frames, ops
-from repro.net.client import AsyncSSIClient, RetryPolicy
+from repro.net import frames
 from repro.obs import metrics as obs_metrics
-from repro.obs.spans import TraceContext
-
-T = TypeVar("T")
 
 _CONNECTS = obs_metrics.REGISTRY.counter(
     "repro_transport_connects_total",
@@ -275,128 +262,3 @@ class TCPTransport(Transport):
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-
-
-class SyncBridge:
-    """A private event loop on a daemon thread, for synchronous callers.
-
-    The protocol drivers are synchronous; the network runtime is async.
-    The bridge runs coroutines on its own loop so a driver can block on
-    network calls without owning (or interfering with) any caller loop."""
-
-    def __init__(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-net-bridge", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    def run(self, coro: Coroutine[object, object, T]) -> T:
-        if not self._thread.is_alive():
-            raise TransportError("bridge loop is closed")
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
-    def close(self) -> None:
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5.0)
-        self._loop.close()
-
-
-def _mirror(op: ops.Op[T]) -> Callable[..., T]:
-    """The blocking twin of the client proxy of one table row."""
-
-    def mirror(self: "RemoteSSI", *args: Any, **kwargs: Any) -> T:
-        return self.call(op, *args, **kwargs)
-
-    mirror.__name__ = mirror.__qualname__ = op.name
-    return mirror
-
-
-class RemoteSSI:
-    """Synchronous :class:`SupportingServerInfrastructure` look-alike.
-
-    Mirrors every SSI method the protocol drivers call, under the
-    facade's method names, so ``SAggProtocol(RemoteSSI.tcp(...),
-    collectors, workers, rng)`` runs the unmodified driver over a real
-    wire."""
-
-    def __init__(self, client: AsyncSSIClient, bridge: SyncBridge | None = None) -> None:
-        self._client = client
-        self._bridge = bridge if bridge is not None else SyncBridge()
-
-    # -- construction ---------------------------------------------------- #
-    @classmethod
-    def loopback(
-        cls,
-        dispatch: DispatchFn,
-        policy: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-    ) -> "RemoteSSI":
-        client = AsyncSSIClient(LoopbackTransport(dispatch), policy, rng)
-        return cls(client)
-
-    @classmethod
-    def tcp(
-        cls,
-        host: str,
-        port: int,
-        policy: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        window: int = 32,
-    ) -> "RemoteSSI":
-        client = AsyncSSIClient(
-            TCPTransport(host, port, window=window), policy, rng
-        )
-        return cls(client)
-
-    def close(self) -> None:
-        self._bridge.run(self._client.close())
-        self._bridge.close()
-
-    def call(self, op: ops.Op[T], *args: Any, **kwargs: Any) -> T:
-        """Run one operation of the table and block for its result."""
-        return self._bridge.run(self._client.call(op, *args, **kwargs))
-
-    # -- observability ---------------------------------------------------- #
-    #: (protocol version, capability bits) of the peer SSI
-    hello = _mirror(ops.HELLO)
-    #: the SSI's metrics in Prometheus text form (MSG_GET_STATS)
-    stats = _mirror(ops.GET_STATS)
-
-    def set_trace_context(self, context: TraceContext | None) -> None:
-        self._client.set_trace_context(context)
-
-    # -- the SSI surface drivers use ------------------------------------- #
-    post_query = _mirror(ops.POST_QUERY)
-    submit_tuples = _mirror(ops.SUBMIT_TUPLES)
-    collected_count = _mirror(ops.COLLECTED_COUNT)
-    evaluate_size_clause = _mirror(ops.EVALUATE_SIZE)
-    close_collection = _mirror(ops.CLOSE_COLLECTION)
-    covering_result = _mirror(ops.COVERING_RESULT)
-    submit_partials = _mirror(ops.SUBMIT_PARTIALS)
-    take_partials = _mirror(ops.TAKE_PARTIALS)
-    partial_count = _mirror(ops.PARTIAL_COUNT)
-    store_result_rows = _mirror(ops.STORE_RESULT_ROWS)
-    publish_result = _mirror(ops.PUBLISH_RESULT)
-    result_ready = _mirror(ops.RESULT_READY)
-    fetch_result = _mirror(ops.FETCH_RESULT)
-
-    def active_queries(self) -> list[QueryEnvelope]:
-        return [envelope for envelope, _meta in self.call(ops.ACTIVE_QUERIES)]
-
-    def envelope(self, query_id: str) -> QueryEnvelope:
-        envelope, _meta = self.call(ops.FETCH_QUERY, query_id)
-        return envelope
-
-    def collection_closed(self, query_id: str) -> bool:
-        # Not wire-exposed separately: closed queries leave the global
-        # querybox, which active_queries reflects; drivers do not call
-        # this, it exists for interface parity with the local SSI.
-        return all(
-            envelope.query_id != query_id for envelope in self.active_queries()
-        )

@@ -19,6 +19,8 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.exceptions import ProtocolError
+
 
 class Expression:
     """Base class for expression nodes."""
@@ -302,6 +304,17 @@ class SelectStatement:
         """True when the query needs the Group-By protocols (§4) rather
         than the basic Select-From-Where protocol (§3.2)."""
         return bool(self.group_by) or bool(self.aggregates())
+
+    def check_protocol(self, protocol: str) -> None:
+        """Raise :class:`ProtocolError` unless *protocol* runs this kind
+        of query.  The rule every TDS applies at collection; a querier,
+        who holds the plaintext too, applies it before posting."""
+        if self.is_aggregate_query() == (protocol == "basic"):
+            raise ProtocolError(
+                "the basic protocol runs plain Select-From-Where queries, "
+                f"the aggregation protocols Group-By queries; {protocol!r} "
+                "cannot run this one"
+            )
 
     def __str__(self) -> str:
         select_list = "*" if self.select_star else ", ".join(str(i) for i in self.select_items)

@@ -45,7 +45,7 @@ class PartitionTracker:
         self._tracked = {p.partition_id: _TrackedPartition(p) for p in partitions}
         # Maintained on every state transition so pending_count /
         # done_count / all_done are O(1) — the dispatcher consults them
-        # on every fetch_partition poll.
+        # on every request for work.
         self._pending = len(self._tracked)
         self._done = 0
         # Lower bound on the deadlines of live assignments (a completed

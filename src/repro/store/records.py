@@ -65,8 +65,9 @@ class StoreJournal:
     The dispatcher calls ``clear_idem`` after each apply, so a mutation
     the SSI dropped without journaling (a late submission after the
     collection closed) cannot leak its key into the next record.
-    Lifecycle records (close/take/publish/reset) never consume a key, so
-    an auto-close riding a submission cannot steal the submission's key.
+    The records of the SSI's own steps (close, partials, take, result
+    rows, publish, reset) never consume a key, so an auto-close riding a
+    submission cannot steal the submission's key.
     """
 
     def __init__(

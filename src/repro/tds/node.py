@@ -204,12 +204,7 @@ class TrustedDataServer:
             raise ProtocolError("ED_Hist collection needs an EquiDepthHistogram")
         try:
             statement = statement or self.open_query(envelope)
-            if statement.is_aggregate_query() == (protocol == "basic"):
-                raise ProtocolError(
-                    "the basic protocol runs plain Select-From-Where queries, "
-                    f"the aggregation protocols Group-By queries; {protocol!r} "
-                    "cannot run this one"
-                )
+            statement.check_protocol(protocol)
             rows = local_matching_rows(self.database, statement)
         except AccessDeniedError:
             rows = []

@@ -36,6 +36,45 @@ class TestDemo:
         assert "2 distinct grouping tag(s)" in out
 
 
+class TestProtocolMatchesTheQuery:
+    """``basic`` runs Select-From-Where, the other four Group-By: the
+    querier checks before posting, with the devices' own rule.  In
+    process a mismatch used to be a traceback out of ``collect_frames``;
+    over the wire, a query no device would ever contribute to."""
+
+    GROUP_BY = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
+    SELECT_WHERE = "SELECT cid, district FROM Consumer WHERE cid < 4"
+
+    @pytest.mark.parametrize("command", ["demo", "query", "multiquery"])
+    @pytest.mark.parametrize(
+        "protocol, query",
+        [("basic", None), ("basic", GROUP_BY), ("s_agg", SELECT_WHERE),
+         ("ed_hist", SELECT_WHERE)],
+        ids=["basic-default", "basic-group_by", "s_agg-select_where",
+             "ed_hist-select_where"],
+    )
+    def test_a_mismatch_exits_2_with_one_line_and_posts_nothing(
+        self, capsys, monkeypatch, command, protocol, query
+    ):
+        from repro.net.transport import TCPTransport
+        from repro.ssi.server import SupportingServerInfrastructure
+
+        def posted(*args, **kwargs):
+            raise AssertionError("the query left the querier")
+
+        monkeypatch.setattr(TCPTransport, "request", posted)
+        monkeypatch.setattr(SupportingServerInfrastructure, "post_query", posted)
+        argv = [command, "--protocol", protocol, "--tds", "4"]
+        if query is not None:  # else the default query, a Group-By
+            argv += ["--query", query]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"{command}: ")
+        assert f"{protocol!r} cannot run this one" in line
+
+
 class TestFigures:
     def test_all_figures(self, capsys):
         assert main(["figures"]) == 0

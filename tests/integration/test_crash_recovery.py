@@ -12,6 +12,7 @@ from pathlib import Path
 
 from repro.core.messages import Credential, EncryptedTuple, QueryEnvelope
 from repro.net.client import AsyncSSIClient
+from repro.net.frames import QueryMeta
 from repro.net.transport import TCPTransport
 from repro.store import verify_data_dir
 
@@ -74,7 +75,9 @@ class TestKillDashNine:
             client = AsyncSSIClient(TCPTransport("127.0.0.1", port))
             try:
                 await client.hello()
-                await client.post_query(make_envelope("q-crash"))
+                await client.post_query(
+                    make_envelope("q-crash"), meta=QueryMeta("basic")
+                )
                 for i in range(3):
                     await client.submit_tuples(
                         "q-crash", [EncryptedTuple(f"ct-{i}".encode(), b"g")]
@@ -100,15 +103,19 @@ class TestKillDashNine:
                 # (an honest restart is not a rollback).
                 current = await client2.get_commitment(anchor)
                 assert current.count >= anchor.count
-                # The query completes normally after the restart.
+                # The query completes normally after the restart, on
+                # the coordinator recovery rebuilt for it.
                 await client2.submit_tuples(
                     "q-crash", [EncryptedTuple(b"ct-3", b"g")]
                 )
                 await client2.close_collection("q-crash")
                 assert await client2.collected_count("q-crash") == 4
-                await client2.store_result_rows("q-crash", [b"row-1"])
-                await client2.publish_result("q-crash")
-                result = await client2.fetch_result("q-crash")
+                _, unit, _ = await client2.await_work("tds-1", ["q-crash"], 0.0)
+                assert len(unit.items) == 4
+                await client2.submit_partition_result(
+                    "q-crash", unit.partition_id, "tds-1", rows=[b"row-1"]
+                )
+                result = await client2.await_result("q-crash", 1.0)
                 assert result.encrypted_rows == (b"row-1",)
             finally:
                 await client2.close()

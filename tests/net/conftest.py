@@ -88,3 +88,14 @@ def run_async(coro, timeout=60.0):
         return await asyncio.wait_for(coro, timeout=timeout)
 
     return asyncio.run(guarded())
+
+
+async def finish_query(client, query_id, rows, tds_id="tds-x"):
+    """Publish *rows* as the result of a ``QueryMeta("basic")`` query
+    holding at least one tuple, the way a device does: close the
+    collection, take its one filter partition, answer it."""
+    await client.close_collection(query_id)
+    _, unit, _ = await client.await_work(tds_id, [query_id], 0.0)
+    await client.submit_partition_result(
+        query_id, unit.partition_id, tds_id, rows=rows
+    )

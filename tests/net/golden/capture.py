@@ -1,14 +1,18 @@
 """Capture golden wire and WAL bytes from a checkout's own encoders.
 
-Run against the commit whose bytes are the reference (the files next to
-this script were written by the parent of the op-table change)::
+Run against the commit whose bytes are the reference::
 
     PYTHONPATH=<checkout>/src python tests/net/golden/capture.py
 
-(``--await-only`` rewrites nothing but the ``await`` section, which pins
-the long-poll rows that commit did not have.)
+rewrites the ``in_memory`` / ``durable_requests`` / ``wal`` /
+``commitment`` sections of ``ops_v4.json`` and nothing else:
+``--await-only`` rewrites the ``await`` section instead (its own
+dispatcher and client), and ``parent_data_dir`` with its
+``parent_data_dir_commitment`` stays what the parent of the op-table
+change wrote — a log whose aggregation records (types 4 and 7) still
+carry the idempotency keys of the wire rows that commit had.
 
-:func:`scenario` touches every SSI operation once through the public
+:func:`scenario` touches every wire operation once through the public
 client API only, so the same calls can be replayed against any later
 build (``tests/net/test_ops_table.py`` does) and must produce the same
 request frames, the same response frames and the same WAL records.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-import shutil
+import tempfile
 from pathlib import Path
 
 from repro.core.messages import (
@@ -28,7 +32,7 @@ from repro.core.messages import (
     EncryptedTuple,
     QueryEnvelope,
 )
-from repro.exceptions import UnknownQueryError
+from repro.exceptions import ResultNotReadyError, UnknownQueryError
 from repro.net import frames
 from repro.net.client import AsyncSSIClient
 from repro.net.frames import QueryMeta
@@ -53,14 +57,15 @@ def envelope(query_id: str, **size: object) -> QueryEnvelope:
 
 
 async def scenario(client: AsyncSSIClient) -> None:
-    """Every operation once: a driver-mode query end to end, a personal
-    querybox post, a fleet-mode S_Agg query polled to completion, the
-    attestation/observability ops and one typed error."""
+    """Every wire operation once: a query posted without a protocol row
+    (collected and counted, never published), a personal querybox post,
+    a fleet-mode S_Agg query worked to completion by one device, the
+    attestation/observability ops and two typed errors.  Holds are zero:
+    nothing parks."""
     await client.ping()
     await client.post_query(envelope("q-driver", size_tuples=3))
     await client.post_query(envelope("q-personal", size_seconds=2.5), "tds-7")
     await client.fetch_query("q-driver")
-    await client.active_queries()
     await client.submit_tuples(
         "q-driver", [EncryptedTuple(b"ct-1", None), EncryptedTuple(b"ct-2", b"tag")]
     )
@@ -68,19 +73,11 @@ async def scenario(client: AsyncSSIClient) -> None:
         "q-driver", [EncryptedTuple(b"ct-3", b"g1"), EncryptedTuple(b"ct-4", None)]
     )
     assert await client.collected_count("q-driver") == 4
-    assert await client.evaluate_size_clause("q-personal", 1.0) is False
-    assert await client.evaluate_size_clause("q-driver", 1.5) is True
     await client.close_collection("q-personal")
-    assert len(await client.covering_result("q-driver")) == 4
-    await client.submit_partials(
-        "q-driver", [EncryptedPartial(b"p-1", None), EncryptedPartial(b"p-2", b"g1")]
-    )
-    assert await client.partial_count("q-driver") == 2
-    assert len(await client.take_partials("q-driver")) == 2
-    await client.store_result_rows("q-driver", [b"row-1", b"row-2"])
-    assert await client.result_ready("q-driver") is False
-    await client.publish_result("q-driver")
-    assert (await client.fetch_result("q-driver")).encrypted_rows == (b"row-1", b"row-2")
+    try:
+        await client.fetch_result("q-driver")
+    except ResultNotReadyError:
+        pass
 
     await client.post_query(
         envelope("q-fleet"), meta=QueryMeta("s_agg", {"alpha": 2.0})
@@ -88,12 +85,11 @@ async def scenario(client: AsyncSSIClient) -> None:
     await client.submit_tuples_batch(
         "q-fleet", [EncryptedTuple(b"f-%d" % i, None) for i in range(3)]
     )
-    status, _ = await client.fetch_partition("q-fleet", "tds-a")
-    assert status == frames.STATUS_WAIT
+    assert tuple(await client.await_work("tds-a", ["q-fleet"], 0.0)) == ([], None, [])
     await client.close_collection("q-fleet")
     while True:
-        status, unit = await client.fetch_partition("q-fleet", "tds-a")
-        if status == frames.STATUS_DONE:
+        _, unit, done = await client.await_work("tds-a", ["q-fleet"], 0.0)
+        if done:
             break
         assert unit is not None
         if unit.kind == frames.WORK_FINALIZE:
@@ -107,7 +103,7 @@ async def scenario(client: AsyncSSIClient) -> None:
                 "tds-a",
                 partials=[EncryptedPartial(b"fold-%d" % unit.partition_id, None)],
             )
-    assert await client.result_ready("q-fleet") is True
+    assert (await client.fetch_result("q-fleet")).encrypted_rows == (b"final-row",)
 
     seen = await client.get_commitment()
     if seen is not None:
@@ -131,8 +127,8 @@ async def interrupted(client: AsyncSSIClient) -> None:
         "q-crashed", [EncryptedTuple(b"c-%d" % i, None) for i in range(4)]
     )
     await client.close_collection("q-crashed")
-    status, unit = await client.fetch_partition("q-crashed", "tds-a")
-    assert status == frames.STATUS_WORK and unit is not None
+    _, unit, _ = await client.await_work("tds-a", ["q-crashed"], 0.0)
+    assert unit is not None
     await client.submit_partition_result(
         "q-crashed",
         unit.partition_id,
@@ -142,8 +138,8 @@ async def interrupted(client: AsyncSSIClient) -> None:
 
 
 async def await_scenario(client: AsyncSSIClient) -> None:
-    """The two long-poll rows (added after the parent's capture, so they
-    live in their own ``await`` section): a hold, the empty answer, an
+    """The two long-poll rows in their own ``await`` section, captured
+    when they were added and not since: a hold, the empty answer, an
     answer naming a new query, answers carrying a unit, finished ids,
     and ``await_result`` with and without a result.  Holds are zero
     where the answer would otherwise park."""
@@ -191,8 +187,6 @@ async def record(
 ) -> list[tuple[bytes, bytes]]:
     transport = RecordingTransport(dispatcher.dispatch)
     client = AsyncSSIClient(transport, rng=random.Random(CLIENT_SEED))
-    await client.hello()  # at the parent this is what upgrades the client to v4
-    del transport.exchanges[:]  # the parent packs HELLO itself at v3
     await scenario(client)
     if crash:
         await interrupted(client)
@@ -213,37 +207,34 @@ async def capture_await() -> None:
 async def main() -> None:
     in_memory = await record(SSIDispatcher(clock=lambda: 0.0))
 
-    if DATA_DIR.exists():
-        shutil.rmtree(DATA_DIR)
-    # snapshot_every=8 leaves a snapshot mid-run and records past it; no
-    # clean-shutdown snapshot, so reopening must replay the WAL tail.
-    store = DurableStore.open(DATA_DIR, fsync_policy="none", snapshot_every=8)
-    durable = await record(
-        SSIDispatcher.with_store(store, clock=lambda: 0.0), crash=True
-    )
-    store.close()
-    # "Restart": recovery replays the tail and resets q-crashed.
-    store = DurableStore.open(DATA_DIR, fsync_policy="none", snapshot_every=8)
-    SSIDispatcher.with_store(store, clock=lambda: 0.0)
-    head = store.commitment()
-    store.close()
-    records = scan_segments(DATA_DIR / "wal", mode="verify").records
-
-    WIRE_FILE.write_text(
-        json.dumps(
-            {
-                "client_seed": CLIENT_SEED,
-                # the last exchange is get_stats: keep its request only
-                "in_memory": [[q.hex(), a.hex()] for q, a in in_memory[:-1]]
-                + [[in_memory[-1][0].hex(), None]],
-                "durable_requests": [q.hex() for q, _ in durable],
-                "wal": [[seq, bytes(body).hex()] for seq, body in records],
-                "commitment": [head.count, head.head.hex()],
-            },
-            indent=1,
+    with tempfile.TemporaryDirectory() as scratch:
+        data_dir = Path(scratch)
+        # snapshot_every=8 leaves a snapshot mid-run and records past it; no
+        # clean-shutdown snapshot, so reopening must replay the WAL tail.
+        store = DurableStore.open(data_dir, fsync_policy="none", snapshot_every=8)
+        durable = await record(
+            SSIDispatcher.with_store(store, clock=lambda: 0.0), crash=True
         )
-        + "\n"
+        store.close()
+        # "Restart": recovery replays the tail and resets q-crashed.
+        store = DurableStore.open(data_dir, fsync_policy="none", snapshot_every=8)
+        SSIDispatcher.with_store(store, clock=lambda: 0.0)
+        head = store.commitment()
+        store.close()
+        records = scan_segments(data_dir / "wal", mode="verify").records
+
+    golden = json.loads(WIRE_FILE.read_text())
+    golden.update(
+        {
+            # the last exchange is get_stats: keep its request only
+            "in_memory": [[q.hex(), a.hex()] for q, a in in_memory[:-1]]
+            + [[in_memory[-1][0].hex(), None]],
+            "durable_requests": [q.hex() for q, _ in durable],
+            "wal": [[seq, bytes(body).hex()] for seq, body in records],
+            "commitment": [head.count, head.head.hex()],
+        }
     )
+    WIRE_FILE.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"{len(in_memory)} exchanges, {len(records)} WAL records, "
           f"chain at {head.count}")
 

@@ -5,7 +5,6 @@ For each row of :data:`repro.net.coordinator.PROTOCOLS` and the seeded
 integer-valued deployment of ``conftest.py``, the query runs
 
 * through the in-process driver,
-* through the driver over a loopback :class:`RemoteSSI`,
 * through a fleet over loopback transports,
 * through a fleet over localhost TCP, unbatched and batched,
 
@@ -31,7 +30,7 @@ from repro.net.coordinator import PROTOCOLS
 from repro.net.fleet import FaultPlan, FleetRunner
 from repro.net.frames import QueryMeta
 from repro.net.server import SSIDispatcher, SSIServer
-from repro.net.transport import LoopbackTransport, RemoteSSI, TCPTransport
+from repro.net.transport import LoopbackTransport, TCPTransport
 from repro.protocols import DRIVERS
 from repro.simulation.failures import failure_budget
 
@@ -105,31 +104,25 @@ def sizes(collection):
     return Counter(size for size, _tag in collection.elements())
 
 
-def run_driver(protocol, sql, *, remote=False, failure_injector=None):
-    """The in-process engine, against the local SSI or — same driver,
-    same coordinator, client-side — a loopback RemoteSSI."""
+def run_driver(protocol, sql, *, failure_injector=None):
+    """The in-process engine, against the local SSI."""
     dep = build_deployment()
-    ssi = RemoteSSI.loopback(SSIDispatcher(dep.ssi).dispatch) if remote else dep.ssi
-    try:
-        querier = dep.make_querier()
-        envelope = querier.make_envelope(sql)
-        ssi.post_query(envelope)
-        driver = DRIVERS[protocol](
-            ssi,
-            collectors=dep.tds_list,
-            workers=dep.tds_list,
-            rng=random.Random(7),
-            failure_injector=failure_injector,
-            **driver_knowledge(protocol, dep),
-        )
-        driver.execute(envelope)
-        assert driver.stats is driver.coordinator.stats
-        assert driver.stats.bytes_processed == driver.trace.total_bytes()
-        result = ssi.fetch_result(envelope.query_id)
-        return outcome(dep, querier, envelope.query_id, protocol, driver.stats, result)
-    finally:
-        if remote:
-            ssi.close()
+    querier = dep.make_querier()
+    envelope = querier.make_envelope(sql)
+    dep.ssi.post_query(envelope)
+    driver = DRIVERS[protocol](
+        dep.ssi,
+        collectors=dep.tds_list,
+        workers=dep.tds_list,
+        rng=random.Random(7),
+        failure_injector=failure_injector,
+        **driver_knowledge(protocol, dep),
+    )
+    driver.execute(envelope)
+    assert driver.stats is driver.coordinator.stats
+    assert driver.stats.bytes_processed == driver.trace.total_bytes()
+    result = dep.ssi.fetch_result(envelope.query_id)
+    return outcome(dep, querier, envelope.query_id, protocol, driver.stats, result)
 
 
 async def run_fleet(
@@ -204,7 +197,7 @@ class TestOneTable:
 
 
 # --------------------------------------------------------------------- #
-# five rows × five modes
+# five rows × four modes
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))
 class TestEveryModeAgrees:
@@ -213,7 +206,7 @@ class TestEveryModeAgrees:
         inproc = run_driver(protocol, sql)
         assert inproc.rows == sorted_rows(build_deployment().reference_answer(sql))
         assert inproc.rows and inproc.findings == ()
-        others = {"driver over RemoteSSI": run_driver(protocol, sql, remote=True)}
+        others = {}
         for transport, batch_size in FLEET_MODES:
             others[f"{transport.__name__} fleet, batch {batch_size}"] = run_async(
                 run_fleet(protocol, sql, transport=transport, batch_size=batch_size)
@@ -235,7 +228,6 @@ class TestEveryModeAgrees:
         sql = sql_for(protocol) + " SIZE 0 SECONDS"
         outcomes = {
             "in process": run_driver(protocol, sql),
-            "driver over RemoteSSI": run_driver(protocol, sql, remote=True),
             "loopback fleet": run_async(
                 run_fleet(protocol, sql, transport=LoopbackTransport)
             ),

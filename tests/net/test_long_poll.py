@@ -223,9 +223,9 @@ class TestParkAndRelease:
                 await open_sagg_query(control, "q1", tuples=0)
                 await open_sagg_query(control, "q2", tuples=1)
                 await control.close_collection("q1")
-                # the probe finds the empty collection and publishes
-                status, _ = await control.fetch_partition("q1", "tds-x")
-                assert status == frames.STATUS_DONE
+                # whoever asks next finds the empty collection and publishes
+                assert tuple(await control.await_work("tds-x", ["q2"], 0.0)) == EMPTY
+                assert dispatcher.ssi.result_ready("q1")
                 queries, unit, done = await asyncio.wait_for(
                     device.await_work("tds-0", ["q1", "q2", "q-lost"], 5.0), 1.0
                 )
@@ -240,19 +240,23 @@ class TestParkAndRelease:
                 control, querier = AsyncSSIClient(connect()), QuerierClient(connect())
                 with pytest.raises(UnknownQueryError):
                     await querier.await_result("q-missing", 1.0)
-                await control.post_query(envelope("q1"))
+                await control.post_query(envelope("q1"), meta=QueryMeta("basic"))
+                await control.submit_tuples("q1", [EncryptedTuple(b"t", None)])
                 assert await querier.await_result("q1", 0.05) is None
                 assert dispatcher._result_waiters == {}
                 waiting = asyncio.create_task(querier.wait_result("q1", timeout=10.0))
                 await until(lambda: "q1" in dispatcher._result_waiters)
-                await control.store_result_rows("q1", [b"row"])
+                # finish_query, with a look in between
+                await control.close_collection("q1")
+                _, unit, _ = await control.await_work("tds-x", ["q1"], 0.0)
                 await asyncio.sleep(0.05)
                 assert not waiting.done()
-                await control.publish_result("q1")
+                await control.submit_partition_result(
+                    "q1", unit.partition_id, "tds-x", rows=[b"row"]
+                )
                 result = await asyncio.wait_for(waiting, 1.0)
                 assert result.encrypted_rows == (b"row",)
                 assert dispatcher._result_waiters == {}
-                assert _requests("result_ready") == 0
 
         run_async(run())
 
@@ -274,6 +278,11 @@ class TestParkAndRelease:
 def _requests(name, outcome="ok"):
     samples = obs_metrics.REGISTRY.snapshot().get("repro_ssi_requests_total", {})
     return samples.get((("msg_type", name), ("outcome", outcome)), 0)
+
+
+def _request_names():
+    samples = obs_metrics.REGISTRY.snapshot().get("repro_ssi_requests_total", {})
+    return {dict(key)["msg_type"] for key, count in samples.items() if count}
 
 
 # ---------------------------------------------------------------------- #
@@ -412,8 +421,10 @@ class TestParkedFleet:
                 query_id, rows = await run_query(stack, GROUP_SQL)
                 assert time.monotonic() - started < 3.0
                 assert rows == sorted_rows(stack.dep.reference_answer(GROUP_SQL))
-                for name in ("active_queries", "fetch_partition", "result_ready"):
-                    assert _requests(name) == 0
+                assert _request_names() == {
+                    "post_query", "await_work", "submit_tuples", "close_collection",
+                    "submit_partition_result", "await_result",
+                }
                 # the device that sent the last partition learnt it from
                 # its next answer; nobody was woken to be told
                 await until(lambda: stack.fleet.stats.queries_completed == {query_id})

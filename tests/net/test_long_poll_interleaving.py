@@ -1,7 +1,6 @@
-"""Long polls under seeded chaos, against the one-shot probes, and over
-a long history — all on a virtual clock (``virtual_time.py``), so holds,
-partition timeouts and back-offs cost nothing and a run is a function of
-its seed.
+"""Long polls under seeded chaos and over a long history — all on a
+virtual clock (``virtual_time.py``), so holds, partition timeouts and
+back-offs cost nothing and a run is a function of its seed.
 
 * **Interleaving**: the real ``FleetRunner`` and ``QuerierClient`` over a
   transport that delays requests, loses responses and kills requests in
@@ -9,9 +8,6 @@ its seed.
   request finished (the release-then-die window).  Whatever the order of
   post / submit / complete / park / cancel / hold-expiry, every query
   must end published with the plaintext answer.
-* **Differential**: the same query driven by the kept one-shot probes
-  (``active_queries`` + ``fetch_partition``) yields the same rows, the
-  same scheduling counters and the same SSI observer log.
 * **History**: after 200 queries nothing per-request or per-device has
   grown with them.
 """
@@ -21,10 +17,9 @@ import random
 
 import pytest
 
-from repro.core.messages import Partition
 from repro.exceptions import TransportError
 from repro.net import frames
-from repro.net.client import QuerierClient, RetryPolicy, TDSClient
+from repro.net.client import QuerierClient, RetryPolicy
 from repro.net.coordinator import QueryCoordinator
 from repro.net.fleet import FaultPlan, FleetRunner
 from repro.net.frames import QueryMeta
@@ -149,98 +144,6 @@ def test_every_seeded_interleaving_ends_published_and_correct():
     # reassignments happen on partition deadlines, not on expired holds
     # or retries piling up: nothing took anywhere near the 300 s allowed
     assert max(virtual_seconds) < 60.0
-
-
-# ---------------------------------------------------------------------- #
-# differential: parked devices vs the one-shot probes
-# ---------------------------------------------------------------------- #
-async def _by_fleet(dep, dispatcher, protocol):
-    connect = lambda: LoopbackTransport(dispatcher.dispatch)  # noqa: E731
-    fleet = FleetRunner(
-        dep.tds_list, connect, histogram=make_histogram(dep),
-        concurrency=1, rng=random.Random(3),
-    )
-    fleet_task = asyncio.create_task(fleet.run(until_queries_done=1))
-    while len(dispatcher._parked_work) < len(dep.tds_list):
-        await asyncio.sleep(0.001)
-    querier = dep.make_querier()
-    query = querier.make_envelope(GROUP_SQL, query_id="q-diff")
-    client = QuerierClient(connect())
-    await client.post_query(query, meta=QueryMeta(protocol))
-    result = await client.wait_result("q-diff")
-    await fleet_task
-    return querier.decrypt_result(result)
-
-
-async def _by_probes(dep, dispatcher, protocol):
-    """What the poll loop did, one device after the other."""
-    client = TDSClient(LoopbackTransport(dispatcher.dispatch))
-    querier = dep.make_querier()
-    await client.post_query(
-        querier.make_envelope(GROUP_SQL, query_id="q-diff"), meta=QueryMeta(protocol)
-    )
-    [(query, meta)] = await client.active_queries()
-    assert meta.protocol == protocol
-    histogram = make_histogram(dep)
-    for tds in dep.tds_list:
-        block = tds.seal_frames(
-            tds.collect_frames(query, protocol, histogram=histogram)
-        )
-        await client.submit_tuples("q-diff", list(block.tuples()))
-    await client.close_collection("q-diff")
-    while True:
-        for tds in dep.tds_list:
-            status, unit = await client.fetch_partition("q-diff", tds.tds_id)
-            if status == frames.STATUS_DONE:
-                result = await client.fetch_result("q-diff")
-                return querier.decrypt_result(result)
-            if status == frames.STATUS_WAIT:
-                continue
-            statement = tds.open_query(query)
-            partition = Partition(unit.partition_id, unit.items)
-            if unit.kind == frames.WORK_FINALIZE:
-                await client.submit_partition_result(
-                    "q-diff", unit.partition_id, tds.tds_id,
-                    rows=tds.finalize_partition(statement, partition),
-                )
-                continue
-            if unit.kind == frames.WORK_FOLD:
-                partials = [tds.aggregate_partition(statement, partition)]
-            else:
-                partials = tds.aggregate_partition_per_group(statement, partition)
-            await client.submit_partition_result(
-                "q-diff", unit.partition_id, tds.tds_id, partials=partials
-            )
-
-
-@pytest.mark.parametrize("protocol", ["s_agg", "ed_hist"])
-def test_parked_devices_and_one_shot_probes_agree(protocol):
-    def outcome(drive):
-        dep = build_deployment(8, seed=11)
-        dispatcher = SSIDispatcher(dep.ssi)
-        rows = run_virtual(drive(dep, dispatcher, protocol))
-        stats = dispatcher.coordinators["q-diff"].stats
-        log = [
-            (seen.phase, seen.payload_size, seen.group_tag)
-            for seen in dep.ssi.observer.observations
-            if seen.query_id == "q-diff"
-        ]
-        return sorted_rows(rows), stats, log
-
-    fleet_rows, fleet_stats, fleet_log = outcome(_by_fleet)
-    probe_rows, probe_stats, probe_log = outcome(_by_probes)
-    assert fleet_rows == probe_rows == sorted_rows(
-        build_deployment(8, seed=11).reference_answer(GROUP_SQL)
-    )
-    assert fleet_stats.aggregation_rounds == probe_stats.aggregation_rounds
-    assert fleet_stats.partitions_processed == probe_stats.partitions_processed
-    assert len(fleet_stats.participants) == len(probe_stats.participants)
-    assert fleet_stats.reassigned_partitions == probe_stats.reassigned_partitions == 0
-    # what the SSI saw: sizes and tags (there is no nonce in its log)
-    assert [entry for entry in fleet_log if entry[0] == "collection"] == [
-        entry for entry in probe_log if entry[0] == "collection"
-    ]
-    assert sorted(fleet_log, key=repr) == sorted(probe_log, key=repr)
 
 
 # ---------------------------------------------------------------------- #

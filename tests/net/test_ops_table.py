@@ -1,13 +1,13 @@
 """The operation table is complete, byte-compatible and extensible.
 
 * every request opcode has exactly one row, and every row has the
-  surfaces derived from it: a dispatcher handler, a client proxy, a
-  ``RemoteSSI`` mirror (facade-backed rows) and a WAL record (journaled
-  rows);
+  surfaces derived from it: a dispatcher handler and a client proxy
+  (wire rows) and a WAL record (journaled rows); the rows without an
+  opcode — the SSI's own steps — cannot be sent;
 * the table-driven encoders produce the bytes ``golden/ops_v4.json``
-  holds — request frames, response frames and WAL records captured from
-  the parent commit's hand-written encoders by ``golden/capture.py`` —
-  and a data directory that commit wrote still recovers and verifies;
+  holds — request frames, response frames and WAL records captured by
+  ``golden/capture.py`` — and a data directory written by the commit
+  before the table existed still recovers and verifies;
 * registering one more row is all a new operation takes.
 """
 
@@ -20,14 +20,13 @@ import shutil
 import pytest
 
 from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
-from repro.exceptions import UnknownQueryError
+from repro.exceptions import ProtocolError, UnknownQueryError
 from repro.net import client as client_mod
 from repro.net import frames, ops
-from repro.net import transport as transport_mod
 from repro.net.client import AsyncSSIClient
 from repro.net.frames import QueryMeta, Writer
 from repro.net.server import SSIDispatcher
-from repro.net.transport import LoopbackTransport, RemoteSSI, Transport
+from repro.net.transport import LoopbackTransport, Transport
 from repro.obs import metrics as obs_metrics
 from repro.ssi.server import SupportingServerInfrastructure
 from repro.store import DurableStore, scan_segments, verify_data_dir
@@ -39,17 +38,7 @@ from .golden import capture
 GOLDEN = json.loads(capture.WIRE_FILE.read_text())
 
 WIRE_OPS = [op for op in ops.TABLE if op.opcode is not None]
-
-
-def golden_response(hexed):
-    """A recorded response body.  The parent packed MSG_ERROR frames at
-    its floor version 3 (no extension block) whatever the request spoke;
-    with one wire version the same error payload travels in a v4 frame."""
-    body = bytes.fromhex(hexed)
-    if body[0] == 3:
-        assert body[1] == frames.MSG_ERROR
-        body = bytes([frames.PROTOCOL_VERSION]) + body[1:6] + b"\x00" + body[6:]
-    return body
+JOURNAL_ONLY = [op for op in ops.TABLE if op.opcode is None]
 
 
 # ---------------------------------------------------------------------- #
@@ -79,12 +68,23 @@ class TestCompleteness:
             if name
         )
 
-    def test_remote_ssi_mirrors_every_facade_backed_row(self):
-        for op in WIRE_OPS:
-            # drivers submit per-TDS lists; only the fleet sends blocks
-            if op.method and op is not ops.SUBMIT_TUPLES_BATCH:
-                assert callable(getattr(RemoteSSI, op.method)), op.name
-        assert callable(RemoteSSI.envelope) and callable(RemoteSSI.active_queries)
+    def test_the_remote_surface_is_what_a_tds_and_a_querier_say(self):
+        assert [op.name for op in WIRE_OPS] == [
+            "post_query", "fetch_query", "submit_tuples", "collected_count",
+            "close_collection", "fetch_result", "submit_partition_result",
+            "ping", "submit_tuples_batch", "get_stats", "hello",
+            "get_commitment", "get_health", "await_work", "await_result",
+        ]
+        # the SSI's own steps: journaled, replayed, never callable
+        assert [(op.name, op.record) for op in JOURNAL_ONLY] == [
+            ("submit_partials", 4), ("take_partials", 6),
+            ("store_result_rows", 7), ("publish_result", 8),
+            ("reset_aggregation", 9),
+        ]
+        for op in JOURNAL_ONLY:
+            assert not (op.idem or op.durable or op.handler), op.name
+        # a keyed write is applied by a handler (dispatch has no keyed arm)
+        assert all(op.handler for op in ops.TABLE if op.idem)
 
     def test_journaled_rows_cover_the_record_types(self):
         journaled = [op for op in ops.TABLE if op.record]
@@ -97,14 +97,12 @@ class TestCompleteness:
             assert op.durable or op.opcode is None
 
     def test_the_acks_that_wait_for_the_store_are_the_ones_that_always_did(self):
-        # the parent's hand-kept _DURABLE_TYPES set, by metric label —
-        # plus await_work, durable for the reason fetch_partition is
-        # (handing out work can close a collection or advance a stage)
+        # what is left of the hand-kept _DURABLE_TYPES set, by metric
+        # label — plus await_work (handing out work can close a
+        # collection or advance a stage)
         assert {op.name for op in ops.TABLE if op.durable} == {
             "post_query", "submit_tuples", "submit_tuples_batch",
-            "submit_partials", "evaluate_size", "close_collection",
-            "take_partials", "store_result_rows", "publish_result",
-            "fetch_partition", "submit_partition_result", "get_commitment",
+            "close_collection", "submit_partition_result", "get_commitment",
             "await_work",
         }
         assert not ops.AWAIT_RESULT.durable  # like fetch_result
@@ -116,7 +114,6 @@ class TestCompleteness:
                    if ops.HOLD in op.request)
         assert {op.name for op in ops.TABLE if op.idem} == {
             "post_query", "submit_tuples", "submit_tuples_batch",
-            "submit_partials", "store_result_rows",
         }
 
     def test_the_rows_that_are_only_a_facade_call_are_these(self):
@@ -124,10 +121,7 @@ class TestCompleteness:
         column that orders a read after writes: a write is applied
         before its ack.  A row that grows a handler shows up here."""
         assert {op.name for op in WIRE_OPS if not op.handler} == {
-            "collected_count", "evaluate_size", "close_collection",
-            "covering_result", "take_partials", "partial_count",
-            "store_result_rows", "publish_result", "result_ready",
-            "fetch_result", "ping",
+            "collected_count", "close_collection", "fetch_result", "ping",
         }
         assert "flush" not in {field.name for field in dataclasses.fields(ops.Op)}
 
@@ -196,7 +190,7 @@ class ReplayTransport(Transport):
             return frames.pack_frame(
                 frames.MSG_OK, Writer().text("# no metrics").getvalue()
             )[frames.LENGTH_PREFIX_BYTES:]
-        return golden_response(response)
+        return bytes.fromhex(response)
 
 
 class TestGoldenBytes:
@@ -216,14 +210,14 @@ class TestGoldenBytes:
             for index, (request, response) in enumerate(GOLDEN["in_memory"]):
                 answer = await transport.request(bytes.fromhex(request))
                 if response is not None:
-                    assert answer == golden_response(response), f"response {index}"
+                    assert answer.hex() == response, f"response {index}"
 
         run_async(run())
 
     def test_the_long_poll_rows_encode_their_pinned_bytes(self):
-        """``await``: the section of the two rows added after the
-        parent's capture — hold, empty answer, answers with a query, a
-        unit, finished ids, a result."""
+        """``await``: the section of the two parking rows, untouched
+        since they were added — hold, empty answer, answers with a
+        query, a unit, finished ids, a result."""
         transport = ReplayTransport(GOLDEN["await"])
         client = AsyncSSIClient(
             transport, rng=random.Random(GOLDEN["client_seed"])
@@ -249,12 +243,14 @@ class TestGoldenBytes:
     def test_every_opcode_is_in_the_golden_file(self):
         covered = {bytes.fromhex(q)[5] for q, _ in GOLDEN["in_memory"]}
         covered |= {bytes.fromhex(q)[5] for q in GOLDEN["durable_requests"]}
-        parent = set(ops.BY_OPCODE) - {frames.MSG_AWAIT_WORK, frames.MSG_AWAIT_RESULT}
-        # the parent packed HELLO at the old floor version on purpose
-        assert covered == parent - {frames.MSG_HELLO}
-        assert {bytes.fromhex(q)[5] for q, _ in GOLDEN["await"]} >= (
-            set(ops.BY_OPCODE) - parent
-        )
+        # hello answers the same in every state; await_result is pinned
+        # with await_work in the ``await`` section
+        assert covered == set(ops.BY_OPCODE) - {
+            frames.MSG_HELLO, frames.MSG_AWAIT_RESULT,
+        }
+        assert {bytes.fromhex(q)[5] for q, _ in GOLDEN["await"]} >= {
+            frames.MSG_AWAIT_WORK, frames.MSG_AWAIT_RESULT,
+        }
         assert {bytes.fromhex(body)[0] for _, body in GOLDEN["wal"]} == set(
             ops.BY_RECORD
         )
@@ -282,7 +278,7 @@ class TestGoldenBytes:
                     seen = Commitment.from_wire(exts[frames.EXT_COMMITMENT])
                     assert seen.count == store.last_seq
                     attested += 1
-            assert attested >= 15
+            assert attested >= 12
             store.close()
             # the restart that journals q-crashed's reset record
             store = DurableStore.open(
@@ -301,9 +297,10 @@ class TestGoldenBytes:
     def test_a_data_dir_written_by_the_parent_commit_recovers(self, tmp_path):
         data_dir = tmp_path / "data"
         shutil.copytree(capture.DATA_DIR, data_dir)
+        count, head = GOLDEN["parent_data_dir_commitment"]
         report = verify_data_dir(data_dir)
-        assert report["commitment_count"] == GOLDEN["commitment"][0]
-        assert report["commitment_head"] == GOLDEN["commitment"][1]
+        assert report["commitment_count"] == count
+        assert report["commitment_head"] == head
 
         async def run():
             store = DurableStore.open(data_dir)
@@ -313,16 +310,15 @@ class TestGoldenBytes:
             result = await client.fetch_result("q-driver")
             assert result.encrypted_rows == (b"row-1", b"row-2")
             assert await client.collected_count("q-crashed") == 4
-            assert await client.partial_count("q-crashed") == 0  # reset
-            assert not await client.result_ready("q-crashed")
+            assert dispatcher.ssi.partial_count("q-crashed") == 0  # reset
+            assert not dispatcher.ssi.result_ready("q-crashed")
             # the parent client's keys are still recognised as applied
             parent_id = f"{random.Random(GOLDEN['client_seed']).getrandbits(64):016x}"
             assert dispatcher.idempotency.seen(parent_id, 1)
             current = await client.get_commitment(
-                Commitment(GOLDEN["commitment"][0],
-                           bytes.fromhex(GOLDEN["commitment"][1]))
+                Commitment(count, bytes.fromhex(head))
             )
-            assert current.count == GOLDEN["commitment"][0]
+            assert current.count == count
             store.close(dispatcher.capture_state())
 
         run_async(run())
@@ -385,21 +381,18 @@ class TestRequestBudget:
 
 
 class TestAddingARow:
-    def test_a_registered_row_is_dispatched_proxied_mirrored_and_labelled(
+    def test_a_registered_row_is_dispatched_proxied_and_labelled(
         self, scratch_op
     ):
         class Client(AsyncSSIClient):
             scratch_count = client_mod._proxy(scratch_op)
-
-        class Remote(RemoteSSI):
-            scratch_count = transport_mod._mirror(scratch_op)
 
         dispatcher = SSIDispatcher()
 
         async def run():
             client = Client(LoopbackTransport(dispatcher.dispatch))
             await client.post_query(capture.envelope("q"))
-            await client.submit_partials("q", [EncryptedPartial(b"p", None)])
+            dispatcher.ssi.submit_partials("q", [EncryptedPartial(b"p", None)])
             assert await client.scratch_count("q") == 1
             assert await client.scratch_count(query_id="q") == 1
             assert await client.call(scratch_op, "q") == 1
@@ -407,15 +400,9 @@ class TestAddingARow:
                 await client.scratch_count()
 
         run_async(run())
-        remote = Remote(AsyncSSIClient(LoopbackTransport(dispatcher.dispatch)))
-        try:
-            assert remote.scratch_count("q") == 1
-            assert remote.call(scratch_op, "q") == 1
-        finally:
-            remote.close()
         samples = obs_metrics.REGISTRY.snapshot()["repro_ssi_requests_total"]
         label = (("msg_type", "scratch_count"), ("outcome", "ok"))
-        assert samples[label] >= 5
+        assert samples[label] >= 3
 
     def test_a_row_with_an_async_parking_handler(self, monkeypatch):
         """A handler may be a coroutine, and one whose last request
@@ -440,7 +427,7 @@ class TestAddingARow:
                 client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
                 await client.post_query(capture.envelope("q"))
                 assert await client.call(op, "q", 0.05) is False
-                await client.publish_result("q")
+                dispatcher.ssi.publish_result("q")
                 assert await client.call(op, "q", 0.0) is True
                 with pytest.raises(UnknownQueryError):
                     await client.call(op, "q-missing", 0.0)
@@ -469,7 +456,8 @@ class TestAddingARow:
     def test_a_journal_only_row_is_not_a_wire_operation(self):
         async def run():
             client = AsyncSSIClient(LoopbackTransport(SSIDispatcher().dispatch))
-            with pytest.raises(Exception, match="not a wire operation"):
-                await client.call(ops.RESET_AGGREGATION, "q")
+            for op in JOURNAL_ONLY:
+                with pytest.raises(ProtocolError, match="not a wire operation"):
+                    await client.call(op, "q")
 
         run_async(run())

@@ -22,6 +22,7 @@ from repro.net.server import SSIDispatcher
 from repro.net.transport import LoopbackTransport
 from repro.store import DurableStore
 
+from .conftest import finish_query
 from .golden.capture import envelope
 from .virtual_time import run_virtual
 
@@ -78,10 +79,11 @@ def test_a_finished_query_starts_no_clock(tmp_path):
         store, dispatcher = reopen(tmp_path)
         querier = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
         await querier.post_query(
-            envelope("q", size_seconds=SIZE_SECONDS), meta=QueryMeta("s_agg")
+            envelope("q", size_seconds=SIZE_SECONDS), meta=QueryMeta("basic")
         )
-        await querier.store_result_rows("q", [b"row"])
-        await querier.publish_result("q")
+        await querier.submit_tuples("q", [EncryptedTuple(b"ct", None)])
+        await finish_query(querier, "q", [b"row"])
+        assert dispatcher.ssi.result_ready("q")
         store.close()
 
         store, dispatcher = reopen(tmp_path)

@@ -159,28 +159,6 @@ class TestIdempotentReplays:
 
         run_async(run())
 
-    def test_submit_partials_replay_is_not_double_applied(self):
-        async def run():
-            __, transport, client = lossy_loopback_client()
-            await client.post_query(make_envelope("q1"))
-            transport.arm = True
-            await client.submit_partials("q1", [EncryptedPartial(b"p", None)])
-            assert await client.partial_count("q1") == 1
-
-        run_async(run())
-
-    def test_store_result_rows_replay_is_not_double_applied(self):
-        async def run():
-            __, transport, client = lossy_loopback_client()
-            await client.post_query(make_envelope("q1"))
-            transport.arm = True
-            await client.store_result_rows("q1", [b"row"])
-            await client.publish_result("q1")
-            result = await client.fetch_result("q1")
-            assert result.encrypted_rows == (b"row",)
-
-        run_async(run())
-
     def test_replay_ok_but_fresh_duplicate_post_still_errors(self):
         async def run():
             __, transport, client = lossy_loopback_client()

@@ -3,7 +3,9 @@
 The satellite requirements: a duplicate or unknown ``query_id`` must
 surface as a *typed* wire-level error (and the same exception type the
 in-process SSI raises) on both the loopback and the TCP path, and no
-Python traceback may ever cross the transport.
+Python traceback may ever cross the transport.  And the remote surface
+is the op table's wire rows, nothing else: the SSI's own steps, which
+used to have opcodes, are an unknown operation to any peer.
 """
 
 import asyncio
@@ -20,12 +22,16 @@ from repro.exceptions import (
     UnsupportedVersionError,
 )
 from repro.net import frames
-from repro.net.client import AsyncSSIClient, RetryPolicy
+from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy
+from repro.net.fleet import FleetRunner
+from repro.net.frames import QueryMeta
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import LoopbackTransport, TCPTransport, Transport
 
-from .conftest import build_deployment, run_async
+from .conftest import GROUP_SQL, build_deployment, run_async, sorted_rows
 from .test_frames import make_envelope
+from .test_keyed_writes import backing
+from .test_long_poll import serving, until
 
 
 def loopback_client(dispatcher, **policy_kw):
@@ -124,10 +130,10 @@ class TestTypedErrors:
             def boom(*args, **kwargs):
                 raise RuntimeError(secret)
 
-            dispatcher.ssi.result_ready = boom
+            dispatcher.ssi.collected_count = boom
             client = loopback_client(dispatcher)
             with pytest.raises(ProtocolError) as info:
-                await client.result_ready("q1")
+                await client.collected_count("q1")
             assert secret not in str(info.value)
             assert "internal server error" in str(info.value)
 
@@ -336,28 +342,110 @@ class TestBackpressureAndRetry:
         run_async(run())
 
 
-class TestRemoteSSIParity:
-    """RemoteSSI raises the same typed exceptions as the local SSI."""
+#: retired opcode -> the request frame the last build that served it
+#: sent (its golden conversation: client seed 7, queries "q-driver" and
+#: "q-fleet"), the state-changing ones first
+RETIRED_REQUESTS = {
+    # publish_result
+    0x0D: "00000013040d000000000000000008712d647269766572",
+    # take_partials
+    0x0A: "00000013040a000000000000000008712d647269766572",
+    # store_result_rows
+    0x0C: (
+        "00000045040c0000000000000000106632613734646534353265366234333800"
+        "0000000000000600000008712d6472697665720000000200000005726f772d31"
+        "00000005726f772d32"
+    ),
+    # submit_partials
+    0x09: (
+        "0000004b04090000000000000000106632613734646534353265366234333800"
+        "0000000000000500000008712d647269766572000000020100000003702d3100"
+        "0100000003702d3201000000026731"
+    ),
+    # covering_result, partial_count, result_ready
+    0x08: "000000130408000000000000000008712d647269766572",
+    0x0B: "00000013040b000000000000000008712d647269766572",
+    0x0E: "00000013040e000000000000000008712d647269766572",
+    # evaluate_size, 1.5 s elapsed
+    0x06: "0000001b0406000000000000000008712d6472697665723ff8000000000000",
+    # active_queries
+    0x03: "0000000704030000000000",
+    # the one-shot partition probe, for "tds-a"
+    0x10: "0000001b0410000000000000000007712d666c656574000000057464732d61",
+}
 
-    def test_driver_visible_errors_match(self, deployment):
-        from repro.net.transport import RemoteSSI
 
-        dispatcher = SSIDispatcher(deployment.ssi)
-        remote = RemoteSSI.loopback(dispatcher.dispatch)
-        try:
-            querier = deployment.make_querier()
-            envelope = querier.make_envelope(
-                "SELECT COUNT(*) AS n FROM Consumer"
+@pytest.mark.parametrize("stored", [False, True], ids=["memory", "store"])
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+class TestRetiredOpcodes:
+    def test_a_stranger_cannot_publish_drain_or_fill_a_query(
+        self, kind, stored, tmp_path
+    ):
+        """Two fleet-mode queries in collection, a querier parked on
+        each, and a third connection that sends what used to publish,
+        drain and fill them.  When ``publish_result`` had an opcode the
+        first frame handed the querier ``encrypted_rows == ()`` for a
+        query whose collection was still open."""
+
+        def state(dispatcher, store):
+            ssi = dispatcher.ssi
+            return (
+                {
+                    query_id: (
+                        ssi.result_ready(query_id),
+                        storage.collection_closed,
+                        len(storage.collected) + len(storage.collected_blocks),
+                        len(storage.partials),
+                        len(storage.result_rows),
+                    )
+                    for query_id, storage in ssi.storage_map().items()
+                },
+                dispatcher.idempotency.snapshot(),
+                store.last_seq if store is not None else None,
             )
-            remote.post_query(envelope)
-            with pytest.raises(DuplicateQueryError):
-                remote.post_query(envelope)
-            with pytest.raises(UnknownQueryError):
-                remote.envelope("missing")
-            with pytest.raises(ResultNotReadyError):
-                remote.fetch_result(envelope.query_id)
-        finally:
-            remote.close()
+
+        async def run():
+            dep = build_deployment()
+            querier = dep.make_querier()
+            async with backing(stored, tmp_path) as (dispatcher, store):
+                async with serving(kind, dispatcher) as connect:
+                    client = QuerierClient(connect())
+                    waiting = {}
+                    for query_id in ("q-driver", "q-fleet"):
+                        await client.post_query(
+                            querier.make_envelope(GROUP_SQL, query_id=query_id),
+                            meta=QueryMeta("s_agg"),
+                        )
+                        waiting[query_id] = asyncio.create_task(
+                            client.wait_result(query_id)
+                        )
+                    await until(lambda: len(dispatcher._result_waiters) == 2)
+                    before = state(dispatcher, store)
+                    stranger = connect()
+                    for opcode, request in RETIRED_REQUESTS.items():
+                        sent = bytes.fromhex(request)
+                        assert sent[5] == opcode
+                        response = await stranger.request(sent)
+                        msg_type, _, _, reader = frames.unpack_frame_ext(response)
+                        assert msg_type == frames.MSG_ERROR, hex(opcode)
+                        assert reader.u8() == frames.ERR_UNKNOWN_OP, hex(opcode)
+                        assert state(dispatcher, store) == before, hex(opcode)
+                        assert len(dispatcher._result_waiters) == 2, hex(opcode)
+                        assert not any(task.done() for task in waiting.values())
+                    # ... and both complete through a real device exchange
+                    fleet = FleetRunner(dep.tds_list, connect, rng=random.Random(1))
+                    await fleet.run(until_queries_done=2)
+                    for query_id, task in waiting.items():
+                        result = await asyncio.wait_for(task, 5.0)
+                        assert sorted_rows(querier.decrypt_result(result)) == (
+                            sorted_rows(dep.reference_answer(GROUP_SQL))
+                        ), query_id
+
+        run_async(run())
+
+
+class TestLocalParity:
+    """The in-process SSI raises the types the wire errors map to."""
 
     def test_local_ssi_raises_the_same_types(self, deployment):
         querier = deployment.make_querier()

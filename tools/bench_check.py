@@ -5,8 +5,8 @@ repo root — a nested dict of named scalars (seconds, rows/s, speedups)
 plus an ``environment`` section.  This tool makes those files act as a
 *gate* instead of a diary: run the benchmark at HEAD, then
 
-    python tools/bench_check.py --baseline BENCH_net.json \\
-        --candidate /tmp/BENCH_net.json --tolerance 0.25
+    python tools/bench_check.py --baseline BENCH_store.json \\
+        --candidate /tmp/BENCH_store.json --tolerance 0.25
 
 fails (exit 1) when any metric regressed beyond the tolerance band.
 

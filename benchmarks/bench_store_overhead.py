@@ -164,8 +164,7 @@ def measure_durability_ablation(total, batch, rounds):
     """The acceptance criterion bounds *durability* overhead.  The full
     configuration also pays the tamper-evidence tax — the blake2b leaf
     over every record body, mandated by the commitment-chain design —
-    which is pure CPU and only overlaps with codec work when a second
-    core exists.  This ablation patches the leaf digest to a constant
+    which is pure CPU on the loop thread.  This ablation patches the leaf digest to a constant
     (clearly not a deployable configuration) so the paired comparison
     isolates what the WAL + batched fsync themselves cost."""
     from repro.store import commitment as _commitment
@@ -291,9 +290,8 @@ def main(argv):
                 "constant — isolates WAL + fsync (the durability cost "
                 "the acceptance bar bounds) from tamper-evidence CPU; "
                 "the blake2b leaf (~0.7 GB/s CPython) is pure compute "
-                "that the store's hasher thread overlaps with codec "
-                "work only when a second core exists (cpu_count is "
-                "recorded under environment)"
+                "on the loop thread, inline with the append (cpu_count "
+                "is recorded under environment)"
             ),
         },
         "modes": {
@@ -305,10 +303,9 @@ def main(argv):
             for row in rows
         },
         "notes": (
-            "On a single-core host (environment.cpu_count=1) neither "
-            "the chain digest nor kernel writeback can overlap with "
-            "codec work: the hasher thread and executor fsyncs only "
-            "buy concurrency when a second core exists, so the "
+            "On a single-core host (environment.cpu_count=1) kernel "
+            "writeback cannot overlap with codec work: executor fsyncs "
+            "only buy concurrency when a second core exists, so the "
             "measured overhead here is the serialized sum of codec + "
             "hash + writeback sharing one CPU.  The ablation shows "
             "the floor is the disk path itself, not the store's "

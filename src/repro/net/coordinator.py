@@ -192,14 +192,17 @@ class QueryCoordinator:
                 f"stage {self._position} of {self.meta.protocol!r} expects "
                 f"result kind {expected}, got {result_kind}"
             )
-        tracker.complete(partition_id, tds_id)
-        self.stats.partitions_processed += 1
-        self.stats.participants.add(tds_id)
+        # Journal-and-apply first, then mark: an append that raised
+        # leaves the partition open, so the device's retry is executed,
+        # not dropped as a duplicate.
         if expected == RESULT_ROWS:
             self.ssi.store_result_rows(self.query_id, rows)
         else:
-            self._outputs.extend(partials)
             self.ssi.submit_partials(self.query_id, partials)
+            self._outputs.extend(partials)
+        tracker.complete(partition_id, tds_id)
+        self.stats.partitions_processed += 1
+        self.stats.participants.add(tds_id)
         if not tracker.all_done():
             return
         outputs, self._outputs = self._outputs, []

@@ -247,9 +247,21 @@ class Op(Generic[R]):
     ``response``  the one field of the MSG_OK payload
     ``idem``      request is headed by an idempotency key; a replayed
                   key is acked without running the operation again
-    ``durable``   with a store attached the ack waits for the fsync
-                  policy (and the snapshot check), and carries the
-                  commitment when the operation appended a record
+    ``durable``   no ack leaves before this is on disk (under the
+                  store's fsync policy).  On a journaled row: a record
+                  of this type is one acks wait for.  On a wire row: its
+                  ack waits.  The ack of a *journaled request*
+                  (``record != 0``) says "this mutation is on disk"
+                  whether this copy of the request or an earlier one
+                  made it — a replayed key and a second close append
+                  nothing and must still not overtake the original's
+                  fsync — so it waits for the last durable record anyone
+                  appended (``journal.durable_seq``).  The ack of any
+                  other durable row promises nothing about other
+                  requests' records: it waits only when its own handling
+                  appended a durable record.  Either carries the
+                  commitment exactly then, and never leaves before the
+                  count it attests is on disk
     ``record``    WAL record type byte (0: the operation is not journaled)
     ``method``    the :class:`SupportingServerInfrastructure` method the
                   operation runs (live and at replay) and is journaled as
@@ -392,8 +404,9 @@ GET_HEALTH = register(Op(
 ))
 # The long polls (DESIGN §7 "Waiting for work").  await_work is durable
 # although it journals nothing itself: handing out work may auto-close a
-# collection or advance a stage, that appends records, and a commitment
-# observed via any response must never cover an unsynced record.
+# collection or publish an empty result, that appends durable records,
+# and a commitment observed via any response must never cover an
+# unsynced record.  One that appended nothing waits for nothing.
 AWAIT_WORK = register(Op(
     frames.MSG_AWAIT_WORK, "await_work", (TDS_ID, KNOWN, HOLD), WORK_ANSWER,
     durable=True, handler="_await_work",
@@ -404,7 +417,11 @@ AWAIT_RESULT = register(Op(
 ))
 # The SSI's own steps (paper §3.2 steps 5–12 as the SSI sees them):
 # journaled when the coordinator runs them through the facade, replayed
-# from the log, never sent.
+# from the log, never sent.  The two partials rows are not durable:
+# recovery discards what they rebuild and re-runs aggregation from the
+# covering result (SSIDispatcher.with_store), so a TDS whose partial
+# was acked and lost has lost nothing — and the next durable record's
+# fsync covers them anyway.
 SUBMIT_PARTIALS = register(Op(
     None, "submit_partials", (QUERY_ID, PARTIALS), NOTHING,
     record=4, method="submit_partials", tds_bytes=True,
@@ -415,16 +432,16 @@ TAKE_PARTIALS = register(Op(
 ))
 STORE_RESULT_ROWS = register(Op(
     None, "store_result_rows", (QUERY_ID, ROWS), NOTHING,
-    record=7, method="store_result_rows", tds_bytes=True,
+    durable=True, record=7, method="store_result_rows", tds_bytes=True,
 ))
 PUBLISH_RESULT = register(Op(
     None, "publish_result", (QUERY_ID,), NOTHING,
-    record=8, method="publish_result",
+    durable=True, record=8, method="publish_result",
 ))
 #: written by recovery itself when it clears a coordinator query's
 #: leftover partials/result rows before the rebuilt coordinator re-runs
 #: aggregation from the covering result (see SSIDispatcher.with_store)
 RESET_AGGREGATION = register(Op(
     None, "reset_aggregation", (QUERY_ID,), NOTHING,
-    record=9, method="reset_aggregation",
+    durable=True, record=9, method="reset_aggregation",
 ))

@@ -15,10 +15,17 @@ cleartext (SIZE clause, credentials, protocol shape).
 Error discipline: SSI-side failures are mapped to *typed* wire error
 codes; Python tracebacks never cross the transport.
 
-Writes: a submission is applied in the call that accepted it (with a
-store, journaled before its ack), so a read sees every acked write and
-the observer log is the arrival order.  Overload lands on the peer's
-socket: :class:`SSIServer` bounds the handlers per connection.
+Writes: a submission is applied in the call that accepted it, so a
+read sees every acked write and the observer log is the arrival order.
+With a store, the mutation is journaled before it is applied, and which
+acks wait for the disk is the ``durable`` column of :mod:`repro.net.ops`:
+the ack of a journaled request (post, submission, close) waits until the
+last durable record anyone appended is synced — a replay must not
+overtake its original — and the ack of ``await_work`` or
+``submit_partition_result`` only for durable records its own handling
+appended; partials are journaled and not waited for (recovery recomputes
+them).  Overload lands on the peer's socket: :class:`SSIServer` bounds
+the handlers per connection.
 
 Waiting: a TDS with nothing to do and a querier whose result is not out
 yet leave one request *parked* here (``await_work`` / ``await_result``)
@@ -193,8 +200,8 @@ class _Hold:
     """What the handler of a parking operation (last request field
     ``ops.HOLD``) gets besides the decoded fields, and reports back
     through: the seconds it spent parked — not handling time, so not
-    observed as such — and whether its own evaluations appended a WAL
-    record (others append plenty while it is parked)."""
+    observed as such — and whether its own evaluations appended a
+    durable WAL record (others append plenty while it is parked)."""
 
     __slots__ = ("parked", "appended")
 
@@ -386,7 +393,7 @@ class SSIDispatcher:
         trace = obs_spans.TraceContext.from_wire(exts[frames.EXT_TRACE]) \
             if frames.EXT_TRACE in exts else None
         store = self.store
-        seq_before = store.last_seq if store is not None else 0
+        durable_before = store.journal.durable_seq if store is not None else 0
         #: the query this request targets, for error context and tracing
         query_id: str | None = None
         try:
@@ -412,10 +419,13 @@ class SSIDispatcher:
                 result = getattr(self.ssi, op.method)(*args)
             if query_id is not None and held is None:
                 self._settle(query_id)
-            # A commitment is attached to the ack only when this
-            # request's own synchronous handling appended a record: a
-            # request that appended nothing has no new head to attest.
-            appended = store is not None and store.last_seq != seq_before
+            # Whether this request's own synchronous handling appended
+            # a durable record: only then has its ack a head to attest
+            # and, unless it is a journaled request, anything to wait for.
+            appended = (
+                store is not None
+                and store.journal.durable_seq != durable_before
+            )
             if inspect.iscoroutine(result):
                 result = await result
             if held is not None and held.appended:
@@ -472,18 +482,21 @@ class SSIDispatcher:
             self.ssi.lifecycle.adopt(query_id, trace)
         extensions: tuple[tuple[int, bytes], ...] = ()
         if store is not None and op.durable:
-            # Capture the commitment BEFORE syncing: sync() covers at
-            # least everything appended so far, so a head this response
-            # reports (extension or MSG_GET_COMMITMENT payload) is
-            # always durable by the time the ack leaves — a pipelined
-            # request landing during the fsync must not slip its
-            # unsynced records into our reported head.
+            # The two kinds of durable ack (``ops.Op``): a journaled
+            # request waits for the last durable record anyone appended,
+            # any other only for its own.  The head is read in the loop
+            # step that appended (no await since the handler returned;
+            # only an await_work that appended and then parked reads a
+            # later one) and the ack waits for the count it attests, so
+            # no head leaves covering a neighbour's unsynced record.
+            upto = store.journal.durable_seq if op.record else 0
             if appended:
-                commitment = await store.commitment_async()
+                commitment = store.commitment()
                 extensions = (
                     (frames.EXT_COMMITMENT, commitment.to_wire()),
                 )
-            await store.sync()
+                upto = commitment.count
+            await store.sync(upto)
             await store.maybe_snapshot(self.capture_state)
         return frames.pack_frame(frames.MSG_OK, payload, corr, extensions)
 
@@ -621,11 +634,11 @@ class SSIDispatcher:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + max(0.0, min(hold, MAX_HOLD_SECONDS))
         held_ids = dict.fromkeys(known)  # O(1) lookups, the request's order
-        store = self.store
+        journal = self.store.journal if self.store is not None else None
         while True:
-            seq_before = store.last_seq if store is not None else 0
+            before = journal.durable_seq if journal is not None else 0
             answer = self._work_for(tds_id, held_ids)
-            if store is not None and store.last_seq != seq_before:
+            if journal is not None and journal.durable_seq != before:
                 held.appended = True
             remaining = deadline - loop.time()
             if any(answer) or self._draining or remaining <= 0:
@@ -773,9 +786,9 @@ class SSIDispatcher:
             return None  # serving in-memory: nothing to attest
         if check is not None and check[0] < 0:
             raise ProtocolError(f"invalid commitment count {check[0]} in check")
-        # Waits for the hasher without blocking the loop (head_at()
-        # below then finds any count up to this one already hashed).
-        current = await store.commitment_async()
+        # The head reported must be on disk before it leaves.
+        current = store.commitment()
+        await store.sync(current.count)
         # Inclusion proof for the client's last observed commitment: the
         # head our chain had at that count.  None means the chain is
         # *shorter* than the client saw — the rollback the client is

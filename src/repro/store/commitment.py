@@ -131,9 +131,7 @@ class CommitmentChain:
         return self.append_leaf(record_digest(seq, body))
 
     def append_leaf(self, leaf: bytes) -> bytes:
-        """Extend the chain with a precomputed leaf digest (lets the
-        store hash record bodies off the event-loop thread and take the
-        chain lock only for this O(1) step)."""
+        """Extend the chain with a precomputed leaf digest."""
         head = chain_step(self.head, leaf)
         self._heads.append(head)
         return head

@@ -68,6 +68,11 @@ class StoreJournal:
     The records of the SSI's own steps (close, partials, take, result
     rows, publish, reset) never consume a key, so an auto-close riding a
     submission cannot steal the submission's key.
+
+    ``durable_seq`` is the sequence of the last record whose row is
+    ``durable`` — what an ack that answers for a mutation waits to see
+    on disk (0 until this process appends one: whatever recovery
+    replayed was read from the disk).
     """
 
     def __init__(
@@ -75,6 +80,7 @@ class StoreJournal:
     ) -> None:
         self._append = append
         self._pending_idem: tuple[str, int] | None = None
+        self.durable_seq = 0
 
     # -- idempotency context ------------------------------------------- #
     def set_idem(self, client_id: str, seq: int) -> None:
@@ -102,6 +108,10 @@ class StoreJournal:
             idem, self._pending_idem = self._pending_idem, None
         ops.RECORD_IDEM.write(w, idem)
         if wire is not None:
-            return self._append((w.getvalue(), wire))
-        op.write_request(w, args)
-        return self._append(w.getvalue())
+            seq = self._append((w.getvalue(), wire))
+        else:
+            op.write_request(w, args)
+            seq = self._append(w.getvalue())
+        if op.durable:
+            self.durable_seq = seq
+        return seq

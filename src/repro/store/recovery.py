@@ -31,11 +31,8 @@ Recovery invariants:
 from __future__ import annotations
 
 import asyncio
-import os
-import threading
 import time
 import weakref
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -84,6 +81,16 @@ _WAL_FSYNC_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_store_wal_fsync_seconds",
     "Wall time of WAL fsync batches (each covers all pending appends).",
 )
+_FSYNC_COVERED = obs_metrics.REGISTRY.histogram(
+    "repro_store_fsync_covered_records",
+    "Records one WAL fsync made durable that no earlier one had.",
+    buckets=obs_metrics.SIZE_BUCKETS,
+)
+_ACK_WAIT_SECONDS = obs_metrics.REGISTRY.histogram(
+    "repro_store_ack_wait_seconds",
+    "Time an ack waited in sync() for the fsync covering the records "
+    "it answers for (nothing observed when they were already synced).",
+)
 _SNAPSHOT_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_store_snapshot_seconds",
     "Wall time spent writing one state snapshot.",
@@ -113,6 +120,8 @@ _SNAPSHOT_FALLBACKS = obs_metrics.REGISTRY.counter(
 _c_wal_appends = _WAL_APPENDS.labels()
 _c_wal_bytes = _WAL_BYTES.labels()
 _h_fsync = _WAL_FSYNC_SECONDS.labels()
+_h_fsync_covered = _FSYNC_COVERED.labels()
+_h_ack_wait = _ACK_WAIT_SECONDS.labels()
 _h_snapshot = _SNAPSHOT_SECONDS.labels()
 _c_snapshots = _SNAPSHOTS.labels()
 _c_recovered_records = _RECOVERED_RECORDS.labels()
@@ -134,12 +143,6 @@ class RecoveredState:
     replayed_records: int = 0
     truncated_bytes: int = 0
     snapshot_seq: int = 0
-
-
-def _resolve_waiter(fut: asyncio.Future) -> None:
-    """Loop-thread half of the hasher's wake-up (call_soon_threadsafe)."""
-    if not fut.done():
-        fut.set_result(None)
 
 
 def _restore_snapshot(
@@ -191,8 +194,11 @@ class DurableStore:
 
     Created via :meth:`open`, which performs recovery.  The dispatcher
     then routes every state mutation through :attr:`journal`, awaits
-    :meth:`sync` before acking durable ops, and calls
-    :meth:`maybe_snapshot` after them.
+    :meth:`sync` up to the records an ack answers for, and calls
+    :meth:`maybe_snapshot` after a request that appended.  Everything
+    but ``os.fsync`` and the snapshot file write runs on the loop
+    thread — the chain included, so a commitment read in the step that
+    appended a record covers that record and no later one.
     """
 
     def __init__(
@@ -205,7 +211,6 @@ class DurableStore:
         fsync_policy: str = "group",
         snapshot_every: int = 4096,
         batch_interval: float = 0.05,
-        hash_offload: bool | None = None,
     ) -> None:
         self.data_dir = Path(data_dir)
         self.fsync_policy = fsync_policy
@@ -227,28 +232,6 @@ class DurableStore:
         self._batch_interval = batch_interval
         self._flusher: asyncio.Task[None] | None = None
         self._closed = False
-        # Commitment-chain extension runs on a dedicated hasher thread:
-        # hashlib releases the GIL for large updates, so leaf digests of
-        # big submission bodies overlap with the event loop's codec work
-        # instead of stalling it.  ``_hash_lock`` (a Condition) guards
-        # the queue/counter; ``_chain_lock`` guards the chain itself.
-        # Offloading only pays when a second core can actually run the
-        # hash — on a single-CPU host the thread hand-off is two context
-        # switches per record for zero overlap, so the chain is extended
-        # inline instead (auto-detected; tests pin both modes).
-        if hash_offload is None:
-            hash_offload = (os.cpu_count() or 1) > 1
-        self._hash_offload = hash_offload
-        self._chain_lock = threading.Lock()
-        self._hash_lock = threading.Condition()
-        self._hash_queue: deque[tuple[int, tuple[bytes, ...]]] = deque()
-        self._hashed_seq = wal_writer.last_seq
-        self._hash_waiters: list[
-            tuple[int, asyncio.AbstractEventLoop, asyncio.Future]
-        ] = []
-        self._hasher: threading.Thread | None = None
-        self._hash_stop = False
-        self._hash_error: BaseException | None = None
 
     # ------------------------------------------------------------------ #
     # startup / recovery
@@ -262,7 +245,6 @@ class DurableStore:
         segment_bytes: int = store_wal.DEFAULT_SEGMENT_BYTES,
         snapshot_every: int = 4096,
         batch_interval: float = 0.05,
-        hash_offload: bool | None = None,
     ) -> "DurableStore":
         if fsync_policy not in FSYNC_POLICIES:
             raise StoreError(
@@ -355,7 +337,6 @@ class DurableStore:
             fsync_policy=fsync_policy,
             snapshot_every=snapshot_every,
             batch_interval=batch_interval,
-            hash_offload=hash_offload,
         )
 
     # ------------------------------------------------------------------ #
@@ -363,12 +344,10 @@ class DurableStore:
     # ------------------------------------------------------------------ #
     def append_record(self, body: bytes | memoryview | tuple[bytes | memoryview, ...]) -> int:
         """Append one encoded record to the WAL and extend the
-        commitment chain — on the hasher thread when offloading (a
-        spare core can overlap the digest with codec work), inline
-        otherwise.  Public name on purpose: it is a PL007 taint sink —
-        anything reaching it is persisted on the untrusted SSI's disk,
-        so only ciphertext and paper-sanctioned cleartext may flow
-        here."""
+        commitment chain with it, in that order and in one step.
+        Public name on purpose: it is a PL007 taint sink — anything
+        reaching it is persisted on the untrusted SSI's disk, so only
+        ciphertext and paper-sanctioned cleartext may flow here."""
         if self._closed:
             raise StoreError("store is closed")
         parts = (
@@ -377,18 +356,7 @@ class DurableStore:
             else tuple(body)
         )
         seq = self._wal.append(parts)
-        if self._hash_offload:
-            if self._hasher is None:
-                self._start_hasher()
-            with self._hash_lock:
-                self._hash_queue.append((seq, parts))
-                self._hash_lock.notify_all()
-        else:
-            leaf = record_digest(seq, parts)
-            with self._chain_lock:
-                self._chain.append_leaf(leaf)
-            with self._hash_lock:
-                self._hashed_seq = seq
+        self._chain.append_leaf(record_digest(seq, parts))
         self._appends_since_snapshot += 1
         _c_wal_appends.inc()
         _c_wal_bytes.inc(sum(len(part) for part in parts))
@@ -398,100 +366,21 @@ class DurableStore:
     def last_seq(self) -> int:
         return self._wal.last_seq
 
-    # -- commitment chain (hasher thread) ------------------------------ #
-    def _start_hasher(self) -> None:
-        self._hasher = threading.Thread(
-            target=self._hash_loop, name="store-hasher", daemon=True
-        )
-        self._hasher.start()
-
-    def _hash_loop(self) -> None:
-        while True:
-            with self._hash_lock:
-                while not self._hash_queue and not self._hash_stop:
-                    self._hash_lock.wait()
-                if not self._hash_queue:
-                    return  # stopped with the backlog fully drained
-                seq, parts = self._hash_queue.popleft()
-            try:
-                leaf = record_digest(seq, parts)
-                with self._chain_lock:
-                    self._chain.append_leaf(leaf)
-            except BaseException as exc:  # pragma: no cover - defensive
-                with self._hash_lock:
-                    self._hash_error = exc
-                    self._hash_stop = True
-                    self._wake_waiters(force=True)
-                    self._hash_lock.notify_all()
-                return
-            with self._hash_lock:
-                self._hashed_seq = seq
-                self._wake_waiters()
-                self._hash_lock.notify_all()
-
-    def _wake_waiters(self, force: bool = False) -> None:
-        # Caller holds _hash_lock.
-        still = []
-        for target, loop, fut in self._hash_waiters:
-            if force or target <= self._hashed_seq:
-                loop.call_soon_threadsafe(_resolve_waiter, fut)
-            else:
-                still.append((target, loop, fut))
-        self._hash_waiters = still
-
-    def _raise_hash_error(self) -> None:
-        if self._hash_error is not None:
-            raise StoreError(
-                "commitment chain extension failed"
-            ) from self._hash_error
-
-    def _drain_hash(self) -> None:
-        """Block until the chain covers every appended record.  Bounded
-        by the hash backlog (at most the in-flight request window)."""
-        target = self._wal.last_seq
-        with self._hash_lock:
-            while self._hashed_seq < target and self._hash_error is None:
-                self._hash_lock.wait(1.0)
-            self._raise_hash_error()
-
-    async def _drain_hash_async(self) -> None:
-        target = self._wal.last_seq
-        with self._hash_lock:
-            self._raise_hash_error()
-            if self._hashed_seq >= target:
-                return
-            loop = asyncio.get_running_loop()
-            fut: asyncio.Future = loop.create_future()
-            self._hash_waiters.append((target, loop, fut))
-        await fut
-        with self._hash_lock:
-            self._raise_hash_error()
-
     def commitment(self) -> Commitment:
-        self._drain_hash()
-        with self._chain_lock:
-            return self._chain.commitment()
-
-    async def commitment_async(self) -> Commitment:
-        """The dispatcher's ack path: wait (without blocking the loop)
-        for the chain to cover everything appended so far."""
-        await self._drain_hash_async()
-        with self._chain_lock:
-            return self._chain.commitment()
+        return self._chain.commitment()
 
     def head_at(self, count: int) -> bytes | None:
-        if count > self._hashed_seq:  # else the chain already holds it
-            self._drain_hash()
-        with self._chain_lock:
-            return self._chain.head_at(count)
+        return self._chain.head_at(count)
 
-    async def sync(self) -> None:
-        """Make every appended record durable according to the policy.
+    async def sync(self, upto: int) -> None:
+        """Make the records up to sequence *upto* durable according to
+        the policy.
 
-        * ``group``: returns only once an fsync covering the caller's
-          appends completed.  Concurrent callers pile up on one lock;
-          the first to take it fsyncs for everyone behind it (group
-          commit), the rest observe their target already synced.
+        * ``group``: returns only once an fsync covering *upto*
+          completed — at once when one already has.  Concurrent callers
+          pile up on one lock; the first to take it fsyncs everything
+          appended so far (group commit), the rest observe their target
+          already synced.
         * ``batch``: returns immediately; a background flusher fsyncs on
           an interval.  Acks may precede durability by up to that
           interval — the documented weaker guarantee.
@@ -505,33 +394,30 @@ class DurableStore:
                     self._flush_loop()
                 )
             return
-        target = self._wal.last_seq
-        if target <= self._synced_seq:
+        if upto <= self._synced_seq:
             return
+        started = time.perf_counter()
         async with self._sync_lock:
-            if target <= self._synced_seq:
-                return  # a group commit ahead of us covered our records
-            covered = self._wal.last_seq
-            started = time.perf_counter()
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._wal.fsync
-            )
-            _h_fsync.observe(time.perf_counter() - started)
-            self._synced_seq = max(self._synced_seq, covered)
+            if upto > self._synced_seq:  # else a group commit ahead covered it
+                await self._fsync()
+        _h_ack_wait.observe(time.perf_counter() - started)
+
+    async def _fsync(self) -> None:
+        """One fsync of everything appended so far, off the loop thread.
+        Caller holds ``_sync_lock``."""
+        covered = self._wal.last_seq
+        started = time.perf_counter()
+        await asyncio.get_running_loop().run_in_executor(None, self._wal.fsync)
+        _h_fsync.observe(time.perf_counter() - started)
+        _h_fsync_covered.observe(covered - self._synced_seq)
+        self._synced_seq = covered
 
     async def _flush_loop(self) -> None:
         while not self._closed:
             await asyncio.sleep(self._batch_interval)
             async with self._sync_lock:
-                target = self._wal.last_seq
-                if target <= self._synced_seq:
-                    continue
-                started = time.perf_counter()
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self._wal.fsync
-                )
-                _h_fsync.observe(time.perf_counter() - started)
-                self._synced_seq = max(self._synced_seq, target)
+                if self._wal.last_seq > self._synced_seq:
+                    await self._fsync()
 
     # ------------------------------------------------------------------ #
     # snapshots
@@ -553,19 +439,11 @@ class DurableStore:
         async with self._snapshot_lock:
             if self._appends_since_snapshot < self.snapshot_every or self._closed:
                 return False  # a writer ahead of us already covered these
-            # Wait for the chain to catch up with the WAL, then re-check:
-            # appends landing *during* the wait move the target.  Once the
-            # loop exits, capture and stamping run with no await in
-            # between, so wal_seq == len(chain_heads) by construction.
-            while True:
-                await self._drain_hash_async()
-                with self._hash_lock:
-                    if self._hashed_seq >= self._wal.last_seq:
-                        break
+            # Capture and stamping run with no await in between, so
+            # wal_seq == len(chain_heads) by construction.
             state = capture()
             state.wal_seq = self._wal.last_seq
-            with self._chain_lock:
-                state.chain_heads = self._chain.heads()
+            state.chain_heads = self._chain.heads()
             state.clean = False
             # Reset before the write: appends landing while the file is
             # being written count toward the *next* snapshot.
@@ -585,10 +463,8 @@ class DurableStore:
     def _write_snapshot(self, state: SnapshotState, *, clean: bool) -> None:
         # Stamp store-owned fields: the capture callback only fills the
         # dispatcher's view (queries + idempotency state).
-        self._drain_hash()
         state.wal_seq = self._wal.last_seq
-        with self._chain_lock:
-            state.chain_heads = self._chain.heads()
+        state.chain_heads = self._chain.heads()
         state.clean = clean
         started = time.perf_counter()
         store_snapshot.write_snapshot(self._snap_dir, state)
@@ -612,20 +488,9 @@ class DurableStore:
         if self._flusher is not None:
             self._flusher.cancel()
             self._flusher = None
-        self._stop_hasher()
         if final_state is not None:
             self._write_snapshot(final_state, clean=True)
         self._wal.close()
-
-    def _stop_hasher(self) -> None:
-        thread = self._hasher
-        if thread is None:
-            return
-        with self._hash_lock:
-            self._hash_stop = True
-            self._hash_lock.notify_all()
-        thread.join(timeout=30.0)
-        self._hasher = None
 
 
 # --------------------------------------------------------------------- #

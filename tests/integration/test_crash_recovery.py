@@ -1,20 +1,37 @@
 """Kill -9 / SIGTERM integration: a served SSI with ``--data-dir``
 must lose no acknowledged contribution across a hard kill, and a
 graceful SIGTERM must leave a clean snapshot that restarts without
-replay (satellite requirements)."""
+replay (satellite requirements).  And no acknowledgement the store did
+not wait for — a partial's — is one a crash can turn into a wrong
+answer: a query finishes correctly from every prefix of its log."""
 
 import asyncio
 import os
+import random
 import re
 import signal
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.core.messages import Credential, EncryptedTuple, QueryEnvelope
-from repro.net.client import AsyncSSIClient
+from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy
+from repro.net.fleet import FleetRunner
 from repro.net.frames import QueryMeta
-from repro.net.transport import TCPTransport
-from repro.store import verify_data_dir
+from repro.net.server import SSIDispatcher
+from repro.net.transport import LoopbackTransport, TCPTransport
+from repro.store import DurableStore, verify_data_dir
+from repro.store import wal as store_wal
+from repro.store.commitment import CommitmentChain
+from repro.store.records import decode_record
+from repro.store.recovery import WAL_SUBDIR
+from tests.net.conftest import (
+    AVG_SQL,
+    build_deployment,
+    make_histogram,
+    sorted_rows,
+)
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 LISTENING = re.compile(r"SSI listening on 127\.0\.0\.1:(\d+)")
@@ -168,3 +185,91 @@ class TestGracefulShutdown:
             await drain_output(proc2)
 
         asyncio.run(run())
+
+
+class TestEveryPrefixOfTheLogFinishesTheQuery:
+    """Acks of partials do not wait for the disk, so a crash can leave
+    any prefix of the log behind — cut between any two records, not only
+    where an fsync returned.  Whatever the prefix, the restarted SSI and
+    the same devices finish the query with the right answer: a submission
+    the log kept is recognised by its key, one it lost is made again, and
+    aggregation is recomputed from the covering result."""
+
+    @staticmethod
+    async def finish(data_dir, dep, querier, envelope, meta):
+        """Serve *data_dir* to the fleet of *dep* over loopback until
+        the query of *envelope* is published; its decrypted rows and the
+        store, still open."""
+        store = DurableStore.open(data_dir)
+        dispatcher = SSIDispatcher.with_store(store, partition_timeout=0.3)
+
+        def connect():
+            return LoopbackTransport(dispatcher.dispatch)
+
+        # the same seed every time: the same devices under the same
+        # connection pseudonyms, so a kept submission is a replayed key
+        fleet = FleetRunner(
+            dep.tds_list,
+            connect,
+            histogram=make_histogram(dep),
+            policy=RetryPolicy(backoff_base=0.01),
+            poll_interval=0.01,
+            rng=random.Random(5),
+        )
+        fleet_task = asyncio.create_task(fleet.run())
+        client = QuerierClient(connect(), rng=random.Random(6))
+        try:
+            if envelope.query_id not in dispatcher.ssi.envelope_map():
+                await client.post_query(envelope, meta=meta)
+            result = await client.wait_result(envelope.query_id, timeout=30.0)
+        finally:
+            fleet.stop()
+            await fleet_task
+        return sorted_rows(querier.decrypt_result(result)), store
+
+    @pytest.mark.parametrize("protocol", ["s_agg", "ed_hist"])
+    def test_the_answer_is_the_reference_from_every_cut(self, protocol, tmp_path):
+        dep = build_deployment()
+        querier = dep.make_querier()
+        envelope = querier.make_envelope(AVG_SQL)
+        meta = QueryMeta(protocol, {"partition_timeout": 0.3})
+        expected = sorted_rows(dep.reference_answer(AVG_SQL))
+
+        async def run():
+            rows, store = await self.finish(
+                tmp_path / "whole", dep, querier, envelope, meta
+            )
+            assert rows == expected
+            store._wal.close()  # no snapshot: the log is all there is
+            records = store_wal.scan_segments(
+                tmp_path / "whole" / WAL_SUBDIR, mode="verify"
+            ).records
+            assert {decode_record(bytes(body)).op.name for _, body in records} == {
+                "post_query", "submit_tuples", "close_collection",
+                "submit_partials", "take_partials", "store_result_rows",
+                "publish_result",
+            }
+            chain = CommitmentChain()
+            for cut, (seq, body) in enumerate(records, start=1):
+                assert seq == cut
+                head = chain.append(seq, body)
+                data_dir = tmp_path / f"cut-{cut}"
+                (data_dir / WAL_SUBDIR).mkdir(parents=True)
+                (data_dir / WAL_SUBDIR / store_wal.segment_name(1)).write_bytes(
+                    store_wal.encode_header(1) + b"".join(
+                        store_wal.encode_record(seq, bytes(body))
+                        for seq, body in records[:cut]
+                    )
+                )
+                rows, store = await self.finish(
+                    data_dir, dep, querier, envelope, meta
+                )
+                assert rows == expected, f"cut after record {cut}"
+                assert store.recovered.replayed_records == cut
+                assert store.head_at(cut) == head
+                store.close()
+                report = verify_data_dir(data_dir)
+                assert report["commitment_count"] >= cut
+            return len(records)
+
+        assert asyncio.run(asyncio.wait_for(run(), timeout=120.0)) >= 16

@@ -8,22 +8,30 @@ import random
 import shutil
 import threading
 import time
+from contextlib import asynccontextmanager
 
 import pytest
 
-from repro.core.messages import Credential, EncryptedTuple, QueryEnvelope
+from repro.core.messages import (
+    Credential,
+    EncryptedPartial,
+    EncryptedTuple,
+    QueryEnvelope,
+)
 from repro.exceptions import ProtocolError, RollbackDetectedError
 from repro.net import fleet as fleet_mod
-from repro.net import frames
+from repro.net import frames, ops
 from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy, TDSClient
 from repro.net.fleet import FleetRunner
-from repro.net.frames import QueryMeta
+from repro.net.frames import QueryMeta, Writer
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import LoopbackTransport, TCPTransport
 from repro.store import DurableStore
 from repro.store.commitment import Commitment
 
 from .conftest import GROUP_SQL, build_deployment, run_async, sorted_rows
+from .test_keyed_writes import replays
+from .test_long_poll import serving, until
 
 
 def make_envelope(query_id="q1"):
@@ -122,37 +130,217 @@ class TestAckCommitments:
         run_async(run())
 
 
-class TestProbeDoesNotBlockTheLoop:
-    def test_ping_completes_while_the_hasher_is_held(self, tmp_path):
-        """MSG_GET_COMMITMENT waits for the chain to cover the WAL; that
-        wait must be an await, not a blocked event loop."""
+class HeldFsync:
+    """``WalWriter.fsync`` of *store* held on an event: nothing becomes
+    durable until :meth:`release` — which a test reaches however the
+    server behaves, so a wrong ack shows as an assertion, not a hang."""
 
-        async def run():
-            store = DurableStore.open(tmp_path, hash_offload=True)
-            dispatcher = SSIDispatcher.with_store(store)
-            client = durable_client(dispatcher)
-            await client.post_query(make_envelope())
-            # Hold the hasher thread inside its next chain extension; a
-            # timer (not the loop) lets it go, so a blocked loop shows
-            # up as a late ping instead of a deadlock.
-            hold = 0.6
-            store._chain_lock.acquire()
-            threading.Timer(hold, store._chain_lock.release).start()
-            started = time.perf_counter()
-            submit = asyncio.create_task(
-                client.submit_tuples("q1", [EncryptedTuple(b"ct")])
+    def __init__(self, store):
+        self._fsync = store._wal.fsync
+        self._gate = threading.Event()
+        self.calls = 0
+        store._wal.fsync = self
+
+    def __call__(self):  # on the executor thread
+        self.calls += 1
+        assert self._gate.wait(20.0), "fsync never released"
+        self._fsync()
+
+    def release(self):
+        self._gate.set()
+
+
+def tuples(tag, count=4):
+    return [EncryptedTuple(b"ct-%s-%d" % (tag, i), None) for i in range(count)]
+
+
+async def answered(awaitable, within=2.0):
+    """The result of a request that must not wait for the held fsync."""
+    return await asyncio.wait_for(awaitable, timeout=within)
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+class TestAnAckWaitsForItsOwnRecordsAndNothingElse:
+    """The two kinds of durable ack (``ops.Op``), pinned from both
+    sides with the disk held: what must not wait is answered, what must
+    wait is not."""
+
+    @asynccontextmanager
+    async def held(self, kind, tmp_path, *, closed):
+        """(connect, store, hold): q1 posted as an S_Agg query with four
+        tuples in, its collection closed or not — all of it on disk —
+        and every fsync from here on held."""
+        store, dispatcher = open_dispatcher(tmp_path)
+        async with serving(kind, dispatcher) as connect:
+            querier = AsyncSSIClient(connect(), rng=random.Random(7))
+            await querier.post_query(
+                make_envelope(), meta=QueryMeta("s_agg", {"alpha": 2.0})
             )
-            probe = asyncio.create_task(client.get_commitment())
-            await asyncio.sleep(0.05)  # both now wait on the held hasher
-            await asyncio.wait_for(client.ping(), timeout=hold)
-            assert time.perf_counter() - started < hold
-            assert not probe.done() and not submit.done()
-            await submit
-            assert (await probe).count == 2
-            store.close()
+            await querier.submit_tuples_batch("q1", tuples(b"a"))
+            if closed:
+                await querier.close_collection("q1")
+            hold = HeldFsync(store)
+            try:
+                yield connect, store, hold
+            finally:
+                hold.release()
+        store.close()
+
+    def test_a_request_that_appended_nothing_does_not_wait(self, kind, tmp_path):
+        async def run():
+            async with self.held(kind, tmp_path, closed=False) as (
+                connect, _store, hold,
+            ):
+                neighbour = AsyncSSIClient(connect(), rng=random.Random(8))
+                device = AsyncSSIClient(connect(), rng=random.Random(9))
+                submit = asyncio.create_task(
+                    neighbour.submit_tuples_batch("q1", tuples(b"b", 2))
+                )
+                await until(lambda: hold.calls == 1)  # journaled, waiting
+                # nothing to hand out, nothing appended: answered at once
+                assert await answered(device.await_work("tds-1", ["q1"], 0.0)) == (
+                    [], None, [],
+                )
+                await answered(device.ping())
+                assert device.last_commitment is None
+                assert not submit.done()
+                hold.release()
+                await submit
+                assert neighbour.last_commitment.count == 3
 
         run_async(run())
 
+    def test_partials_are_not_waited_for_and_the_result_is(self, kind, tmp_path):
+        async def run():
+            async with self.held(kind, tmp_path, closed=True) as (
+                connect, store, hold,
+            ):
+                device = AsyncSSIClient(connect(), rng=random.Random(9))
+                folded = 0
+                while True:
+                    _, unit, _ = await answered(
+                        device.await_work("tds-1", ["q1"], 0.0)
+                    )
+                    if unit.kind == frames.WORK_FINALIZE:
+                        break
+                    await answered(device.submit_partition_result(
+                        "q1", unit.partition_id, "tds-1",
+                        partials=[EncryptedPartial(b"p", None)],
+                    ))
+                    folded += 1
+                # two rounds of partials journaled, acked, nothing attested
+                assert folded == 3 and store.last_seq == 3 + folded + 2
+                assert device.last_commitment is None and hold.calls == 0
+                final = asyncio.create_task(device.submit_partition_result(
+                    "q1", unit.partition_id, "tds-1", rows=[b"row"]
+                ))
+                await until(lambda: hold.calls == 1)
+                await asyncio.sleep(0.05)
+                assert not final.done()
+                hold.release()
+                await final
+                assert device.last_commitment == store.commitment()
+                assert device.last_commitment.count == store.last_seq
+
+        run_async(run())
+
+    def test_a_replay_does_not_overtake_its_originals_fsync(self, kind, tmp_path):
+        """A replayed key and a second close append nothing, and their
+        acks still say "this mutation is on disk": syncing only what a
+        request appended itself would ack them while the original's
+        record is in the page cache."""
+
+        async def run():
+            async with self.held(kind, tmp_path, closed=False) as (
+                connect, store, hold,
+            ):
+                w = Writer()
+                ops.IDEM.write(w, ("c0ffee", 1))
+                ops.SUBMIT_TUPLES_BATCH.write_request(w, ("q1", tuples(b"b", 2)))
+                submission = frames.pack_frame(
+                    frames.MSG_SUBMIT_TUPLES_BATCH, w.getvalue()
+                )
+                dropped = replays()
+                original = asyncio.create_task(connect().request(submission))
+                await until(lambda: hold.calls == 1)
+                replay = asyncio.create_task(connect().request(submission))
+                await until(lambda: replays() == dropped + 1)
+                closers = [
+                    AsyncSSIClient(connect(), rng=random.Random(seed))
+                    for seed in (8, 9)
+                ]
+                close = asyncio.create_task(closers[0].close_collection("q1"))
+                await until(lambda: store.last_seq == 4)
+                again = asyncio.create_task(closers[1].close_collection("q1"))
+                await asyncio.sleep(0.1)
+                waiting = (original, replay, close, again)
+                assert not any(task.done() for task in waiting)
+                hold.release()
+                for answer in await asyncio.gather(original, replay):
+                    assert frames.unpack_frame_ext(answer)[0] == frames.MSG_OK
+                await asyncio.gather(close, again)
+                assert store.last_seq == 4  # one submission, one close
+                assert closers[0].last_commitment.count == 4
+                assert closers[1].last_commitment is None
+
+        run_async(run())
+
+    def test_no_commitment_leaves_before_its_count_is_on_disk(self, kind, tmp_path):
+        """Eight requests in flight, appending and probing: every head
+        that leaves — as an ack's extension or a probe's payload — has a
+        count some fsync that already returned covers."""
+        synced = [0]
+        left = []
+
+        async def run():
+            store, dispatcher = open_dispatcher(tmp_path)
+            fsync = store._wal.fsync
+
+            def recording_fsync():  # on the executor thread
+                covered = store.last_seq
+                time.sleep(0.002)  # let pipelined neighbours append meanwhile
+                fsync()
+                synced[0] = max(synced[0], covered)
+
+            store._wal.fsync = recording_fsync
+            dispatch = dispatcher.dispatch
+
+            async def checking_dispatch(body):
+                response = await dispatch(body)
+                _, _, exts, reader = frames.unpack_frame_ext(
+                    response[frames.LENGTH_PREFIX_BYTES:]
+                )
+                counts = []
+                if frames.EXT_COMMITMENT in exts:
+                    counts.append(
+                        Commitment.from_wire(exts[frames.EXT_COMMITMENT]).count
+                    )
+                if frames.unpack_frame_ext(body)[0] == frames.MSG_GET_COMMITMENT:
+                    counts.append(ops.ATTESTATION.read(reader)[0])
+                left.extend((count, synced[0]) for count in counts)
+                return response
+
+            dispatcher.dispatch = checking_dispatch
+            async with serving(kind, dispatcher) as connect:
+                client = AsyncSSIClient(connect(window=8), rng=random.Random(7))
+                await client.post_query(make_envelope("q1"))
+                await client.post_query(make_envelope("q2"))
+
+                async def lane(index):
+                    for step in range(12):
+                        if (index + step) % 4 == 3:
+                            await client.get_commitment()
+                        else:
+                            await client.submit_tuples(
+                                f"q{1 + index % 2}", tuples(b"%d" % index, 1)
+                            )
+
+                await asyncio.gather(*(lane(index) for index in range(8)))
+            store.close()
+
+        run_async(run())
+        assert len(left) >= 8 * 12
+        assert all(count <= covered for count, covered in left), left
 
 class TestRollbackDetection:
     def test_restarting_from_an_older_copy_is_detected(self, tmp_path):
@@ -163,7 +351,7 @@ class TestRollbackDetection:
             await client.hello()
             await client.post_query(make_envelope())
             await client.submit_tuples("q1", [EncryptedTuple(b"ct1")])
-            await store.sync()
+            await store.sync(store.last_seq)
             # The operator keeps a copy of the state at count 2 ...
             stale = tmp_path / "stale"
             shutil.copytree(live, stale)
@@ -193,7 +381,7 @@ class TestRollbackDetection:
             await client.hello()
             await client.post_query(make_envelope())
             await client.submit_tuples("q1", [EncryptedTuple(b"real")])
-            await store.sync()
+            await store.sync(store.last_seq)
             stale = tmp_path / "stale"
             shutil.copytree(live, stale)
             await client.submit_tuples("q1", [EncryptedTuple(b"real2")])
@@ -281,7 +469,7 @@ class TestRollbackReachesTheFleet:
                 expected = sorted_rows(dep.reference_answer(GROUP_SQL))
                 assert await query() == expected
                 # The operator keeps a copy of the state after one query ...
-                await store.sync()
+                await store.sync(store.last_seq)
                 shutil.copytree(live, stale)
                 older = store.commitment().count
                 # ... while fleet and querier run a second one.
@@ -332,7 +520,7 @@ class TestCrashRetrySemantics:
             await client.post_query(make_envelope())
             await client.submit_tuples("q1", [EncryptedTuple(b"ct")])
             replay = client.transport.last_request
-            await store.sync()
+            await store.sync(store.last_seq)
             assert await client.collected_count("q1") == 1
             store._wal.close()  # crash
 
@@ -355,7 +543,7 @@ class TestCrashRetrySemantics:
             await client.hello()
             await client.post_query(make_envelope())
             await client.submit_tuples("q1", [EncryptedTuple(b"ct")])
-            await store.sync()
+            await store.sync(store.last_seq)
             anchor = client.last_commitment
             store._wal.close()  # crash
 

@@ -21,10 +21,12 @@ from contextlib import asynccontextmanager
 import pytest
 
 from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
+from repro.exceptions import ProtocolError
 from repro.net import frames, ops
 from repro.net.client import AsyncSSIClient
 from repro.net.frames import QueryMeta, Writer
 from repro.net.server import SSIDispatcher
+from repro.net.transport import LoopbackTransport
 from repro.obs import metrics as obs_metrics
 from repro.ssi.admission import AdmissionPolicy
 from repro.ssi.server import SupportingServerInfrastructure as SSI
@@ -154,6 +156,69 @@ class TestAFailedApplyIsNotAcknowledgedOnRetry:
         ]
         assert [record.op.name for record in records] == ["post_query", op.name]
         assert [record.idem for record in records] == [self.POST_KEY, self.KEY]
+
+
+class TestAFailedAppendIsNotAbsorbedByTheCoordinator:
+    """The same sequence one layer up: a device's partition result
+    whose record could not be appended is answered ``ERR_INTERNAL`` and
+    resent.  The parent marked the partition done before journaling, so
+    the retry was dropped as a duplicate with nothing stored — a round
+    one partial short, or a result never published."""
+
+    def test_the_retry_of_a_partition_result_is_executed(self, tmp_path):
+        rows = [b"row-1", b"row-2"]
+
+        async def run():
+            store = DurableStore.open(tmp_path)
+            dispatcher = SSIDispatcher.with_store(store)
+            client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
+            await client.post_query(
+                envelope("q"), meta=QueryMeta("s_agg", {"alpha": 2.0})
+            )
+            await client.submit_tuples_batch("q", TUPLES * 2)
+            await client.close_collection("q")
+            # the next record of each type cannot be appended
+            failing = {ops.SUBMIT_PARTIALS.record, ops.STORE_RESULT_ROWS.record}
+            append = store._wal.append
+
+            def full_once(parts):
+                if parts[0][0] in failing:
+                    failing.remove(parts[0][0])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return append(parts)
+
+            store._wal.append = full_once
+            refused = 0
+            while True:
+                _, unit, done = await client.await_work("tds-w", ["q"], 0.0)
+                if unit is None:
+                    break
+                if unit.kind == frames.WORK_FINALIZE:
+                    result = {"rows": rows}
+                else:
+                    result = {"partials": [EncryptedPartial(b"p", None)]}
+                try:
+                    await client.submit_partition_result(
+                        "q", unit.partition_id, "tds-w", **result
+                    )
+                except ProtocolError:  # ERR_INTERNAL; the device resends
+                    refused += 1
+                    await client.submit_partition_result(
+                        "q", unit.partition_id, "tds-w", **result
+                    )
+            assert refused == 2 and not failing and done == ["q"]
+            result = await client.await_result("q", 0.0)
+            assert list(result.encrypted_rows) == rows
+            store.close()
+
+        run_async(run())
+        journaled = [
+            decode_record(bytes(body)).op.name
+            for _seq, body in scan_segments(tmp_path / "wal", mode="verify").records
+        ]
+        # 4 tuples, alpha 2: two folds, one merge, one finalize — each once
+        assert journaled.count("submit_partials") == 3
+        assert journaled[-2:] == ["store_result_rows", "publish_result"]
 
 
 # ---------------------------------------------------------------------- #

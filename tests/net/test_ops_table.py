@@ -81,8 +81,8 @@ class TestCompleteness:
             ("store_result_rows", 7), ("publish_result", 8),
             ("reset_aggregation", 9),
         ]
-        for op in JOURNAL_ONLY:
-            assert not (op.idem or op.durable or op.handler), op.name
+        for op in JOURNAL_ONLY:  # (durable: which records acks wait for)
+            assert not (op.idem or op.handler), op.name
         # a keyed write is applied by a handler (dispatch has no keyed arm)
         assert all(op.handler for op in ops.TABLE if op.idem)
 
@@ -104,7 +104,12 @@ class TestCompleteness:
             "post_query", "submit_tuples", "submit_tuples_batch",
             "close_collection", "submit_partition_result", "get_commitment",
             "await_work",
+            # journal-only rows: the records an ack waits for (with the
+            # four journaled wire rows above) ...
+            "store_result_rows", "publish_result", "reset_aggregation",
         }
+        # ... and the two it does not: recovery recomputes partials
+        assert not ops.SUBMIT_PARTIALS.durable and not ops.TAKE_PARTIALS.durable
         assert not ops.AWAIT_RESULT.durable  # like fetch_result
         # the rows whose handler may park name their hold last
         assert {op.name for op in ops.TABLE if ops.HOLD in op.request} == {
@@ -257,7 +262,7 @@ class TestGoldenBytes:
 
     def test_wal_records_and_chain_match_the_golden_bytes(self, tmp_path):
         """Also the attach rule: an ack carries EXT_COMMITMENT exactly
-        when handling its request appended a record."""
+        when handling its request appended a durable-row record."""
 
         async def run():
             store = DurableStore.open(
@@ -267,11 +272,11 @@ class TestGoldenBytes:
             transport = LoopbackTransport(dispatcher.dispatch)
             attested = 0
             for request in GOLDEN["durable_requests"]:
-                before = store.last_seq
+                before = store.journal.durable_seq
                 answer = await transport.request(bytes.fromhex(request))
                 msg_type, _, exts, _ = frames.unpack_frame_ext(answer)
                 assert (frames.EXT_COMMITMENT in exts) == (
-                    store.last_seq != before
+                    store.journal.durable_seq != before
                 )
                 if frames.EXT_COMMITMENT in exts:
                     assert msg_type == frames.MSG_OK

@@ -34,7 +34,7 @@ HOLD = 2.0
 
 def reopen(data_dir):
     """Nothing here leaves the loop thread, so the virtual clock holds."""
-    store = DurableStore.open(data_dir, fsync_policy="none", hash_offload=False)
+    store = DurableStore.open(data_dir, fsync_policy="none")
     return store, SSIDispatcher.with_store(store)
 
 

@@ -16,6 +16,7 @@ from repro.net.frames import QueryMeta
 from repro.store import DurableStore, verify_data_dir
 from repro.store import snapshot as store_snapshot
 from repro.store import wal as store_wal
+from repro.store.commitment import CommitmentChain
 from repro.store.recovery import SNAPSHOT_SUBDIR, WAL_SUBDIR
 
 
@@ -54,7 +55,7 @@ class TestCrashRecovery:
     def test_replay_restores_collected_state(self, tmp_path):
         store = DurableStore.open(tmp_path)
         populate(store, tuples=3)
-        run(store.sync())
+        run(store.sync(store.last_seq))
         head_before = store.commitment()
         # No close(): models SIGKILL.  The WAL alone must rebuild it.
         store._wal.close()
@@ -75,7 +76,7 @@ class TestCrashRecovery:
     def test_idempotency_state_survives_the_crash(self, tmp_path):
         store = DurableStore.open(tmp_path)
         populate(store, tuples=3)
-        run(store.sync())
+        run(store.sync(store.last_seq))
         store._wal.close()
 
         reopened = DurableStore.open(tmp_path)
@@ -89,7 +90,7 @@ class TestCrashRecovery:
     def test_clean_shutdown_snapshot_skips_replay(self, tmp_path):
         store = DurableStore.open(tmp_path)
         populate(store, tuples=2)
-        run(store.sync())
+        run(store.sync(store.last_seq))
         state = store_snapshot.SnapshotState(
             applied_seq={"client-a": 2},
             queries=[
@@ -180,7 +181,7 @@ class TestSnapshotsAndGc:
         store.journal.record("close_collection", "q1")
         store.recovered.ssi.close_collection("q1")
         assert run(store.maybe_snapshot(capture)) is True
-        run(store.sync())
+        run(store.sync(store.last_seq))
         store._wal.close()
 
         snaps = store_snapshot.list_snapshots(tmp_path / SNAPSHOT_SUBDIR)
@@ -257,38 +258,26 @@ class TestVerifyDataDir:
             DurableStore.open(tmp_path, fsync_policy="always")
 
 
-class TestHashOffload:
-    """The commitment chain is extended inline on single-core hosts and
-    on a hasher thread when a spare core exists; both modes must yield
-    byte-identical chains and survive a drain-heavy workload."""
-
-    @pytest.mark.parametrize("offload", [False, True])
-    def test_chain_identical_across_modes(self, tmp_path, offload):
-        store = DurableStore.open(tmp_path / str(offload), hash_offload=offload)
+class TestInlineChain:
+    def test_the_chain_is_the_logs_and_a_snapshot_reopens_to_it(self, tmp_path):
+        """The chain is extended where the record is appended: after
+        any append it equals a chain recomputed from the segments, and a
+        snapshot taken right behind an append holds every head."""
+        store = DurableStore.open(tmp_path, snapshot_every=1)
         populate(store, tuples=5)
         head = store.commitment()
         assert head.count == 6  # post_query + 5 submissions
+        recomputed = CommitmentChain()
+        for seq, body in store_wal.scan_segments(
+            tmp_path / WAL_SUBDIR, mode="verify"
+        ).records:
+            recomputed.append(seq, body)
+        assert recomputed.commitment() == head
+        assert run(store.maybe_snapshot(store_snapshot.SnapshotState))
         store.close()
-
-        # Same records, other mode: identical head.
-        other = DurableStore.open(
-            tmp_path / str(not offload), hash_offload=not offload
-        )
-        populate(other, tuples=5)
-        assert other.commitment() == head
-        other.close()
-
-    def test_offloaded_chain_drains_before_snapshot(self, tmp_path):
-        store = DurableStore.open(tmp_path, hash_offload=True, snapshot_every=1)
-        populate(store, tuples=4)
-
-        def capture():
-            return store_snapshot.SnapshotState()
-
-        run(store.maybe_snapshot(capture))
-        store.close()
-        reopened = DurableStore.open(tmp_path, hash_offload=True)
-        assert reopened.commitment().count == 5
+        reopened = DurableStore.open(tmp_path)
+        assert reopened.recovered.snapshot_seq == 6
+        assert reopened.commitment() == head
         reopened.close()
 
 

@@ -37,6 +37,9 @@ REQUIRED_FAMILIES = (
     "repro_health_status",
     "repro_eventloop_lag_seconds",
     "repro_obs_spans_dropped_total",
+    # the durable ack path: what an ack waited, what an fsync covered
+    "repro_store_ack_wait_seconds",
+    "repro_store_fsync_covered_records",
 )
 
 

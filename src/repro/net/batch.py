@@ -4,7 +4,7 @@ The fleet's contribution traffic is many small ``submit_tuples`` calls —
 a few tuples per TDS per query.  :class:`TupleBatcher` coalesces them:
 contributions accumulate in a per-query buffer and are flushed as one
 columnar ``MSG_SUBMIT_TUPLES_BATCH`` frame when the buffer reaches
-``max_tuples`` *or* has aged past ``max_delay`` seconds, whichever comes
+``max_tuples`` *or* is ``max_delay`` seconds old, whichever comes
 first.
 
 Contribution semantics are preserved: :meth:`submit` resolves only once
@@ -52,13 +52,16 @@ class _PendingBatch:
     concatenates them (offset rebase only, no payload re-framing) into
     one wire frame."""
 
-    __slots__ = ("blocks", "count", "waiters", "born")
+    __slots__ = ("blocks", "count", "waiters", "age_flush")
 
-    def __init__(self, born: float) -> None:
+    #: flushes the batch ``max_delay`` after its creation, unless a size
+    #: flush took it first
+    age_flush: asyncio.Task[None]
+
+    def __init__(self) -> None:
         self.blocks: list[EncryptedTupleBlock] = []
         self.count = 0
         self.waiters: list[asyncio.Future[None]] = []
-        self.born = born
 
 
 class TupleBatcher:
@@ -66,9 +69,10 @@ class TupleBatcher:
 
     One batcher owns one :class:`AsyncSSIClient` (its own connection and
     idempotency identity).  Batches are per-query; a size threshold
-    flushes inline, and :meth:`run` (a background task) flushes batches
-    that aged past ``max_delay`` so a trickle of contributions is never
-    stranded."""
+    flushes inline, and every batch is flushed ``max_delay`` seconds
+    after its first contribution at the latest, by a task armed when the
+    batch is created, so a trickle of contributions is never stranded.
+    :meth:`run` ends that at shutdown."""
 
     def __init__(
         self,
@@ -113,8 +117,10 @@ class TupleBatcher:
         loop = asyncio.get_running_loop()
         batch = self._pending.get(query_id)
         if batch is None:
-            batch = _PendingBatch(born=loop.time())
-            self._pending[query_id] = batch
+            batch = self._pending[query_id] = _PendingBatch()
+            batch.age_flush = loop.create_task(
+                self._flush_when_due(query_id, batch)
+            )
         batch.blocks.append(block)
         batch.count += len(block)
         future: asyncio.Future[None] = loop.create_future()
@@ -170,24 +176,25 @@ class TupleBatcher:
                     if not waiter.done():
                         waiter.set_result(None)
 
+    async def _flush_when_due(self, query_id: str, batch: _PendingBatch) -> None:
+        """The age flush of *batch*, ``max_delay`` after its creation.
+        A size flush may have taken it by then, and the query's next
+        batch has a deadline of its own."""
+        await self._sleep(self.max_delay)
+        if self._pending.get(query_id) is batch:
+            try:
+                await self.flush(query_id, reason="age")
+            except Exception:
+                pass  # reported through the batch's waiters
+
     async def run(self, stop: asyncio.Event) -> None:
-        """Background flusher: wake every ``max_delay`` and flush batches
-        that have aged past it.  Flush failures surface to the waiters
-        (their ``submit`` raises), never kill the flusher."""
-        loop = asyncio.get_running_loop()
-        while not stop.is_set():
-            await self._sleep(self.max_delay)
-            now = loop.time()
-            stale = [
-                qid
-                for qid, batch in self._pending.items()
-                if now - batch.born >= self.max_delay
-            ]
-            for qid in stale:
-                try:
-                    await self.flush(qid, reason="age")
-                except Exception:
-                    pass  # reported through the batch's waiters
+        """Wait for *stop*, then call off the age flushes of the batches
+        still pending and flush those now."""
+        try:
+            await stop.wait()
+        finally:
+            for batch in self._pending.values():
+                batch.age_flush.cancel()
         await self.drain()
 
     async def drain(self) -> None:

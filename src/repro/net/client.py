@@ -166,13 +166,11 @@ class AsyncSSIClient:
         attempt = 0
         while True:
             try:
-                body = await asyncio.wait_for(
-                    self.transport.request(request),
-                    timeout=self.policy.request_timeout,
-                )
+                async with asyncio.timeout(self.policy.request_timeout):
+                    body = await self.transport.request(request)
                 return self._unwrap(body)
-            except (TransportError, asyncio.TimeoutError, AdmissionError) as exc:
-                if isinstance(exc, asyncio.TimeoutError):
+            except (TransportError, TimeoutError, AdmissionError) as exc:
+                if isinstance(exc, TimeoutError):
                     # The request was abandoned mid-flight.  On the
                     # pipelined TCP transport the timed-out correlation
                     # id is already dropped and the stream stays up, so
@@ -184,7 +182,7 @@ class AsyncSSIClient:
                 if attempt >= self.policy.max_retries:
                     raise
                 delay = self.policy.delay(attempt, self._rng)
-                if isinstance(exc, asyncio.TimeoutError):
+                if isinstance(exc, TimeoutError):
                     _c_retry_timeout.inc()
                 elif isinstance(exc, AdmissionError):
                     # Honour the server's backoff hint: an admission
@@ -366,7 +364,7 @@ class QuerierClient(AsyncSSIClient):
             hold = min(self.hold, max(0.0, deadline - loop.time()))
             try:
                 result = await self.await_result(query_id, hold)
-            except (TransportError, asyncio.TimeoutError):
+            except (TransportError, TimeoutError):
                 if loop.time() >= deadline:
                     raise
                 await self._sleep(poll_interval)

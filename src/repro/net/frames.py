@@ -33,7 +33,6 @@ All malformed input raises :class:`~repro.exceptions.ProtocolError`.
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from dataclasses import dataclass
 
@@ -470,23 +469,47 @@ def peek_correlation_id(body: bytes) -> int:
     return int.from_bytes(body[2:BODY_HEADER_BYTES], "big")
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, max_bytes: int = MAX_FRAME_BYTES
-) -> bytes:
-    """Read one frame body from a stream, enforcing the size limit before
-    any payload byte is consumed.  Raises ``asyncio.IncompleteReadError``
-    on EOF mid-frame, :class:`FrameTooLargeError` on oversized frames and
-    :class:`ProtocolError` on undersized ones."""
-    header = await reader.readexactly(LENGTH_PREFIX_BYTES)
-    (body_len,) = struct.unpack(">I", header)
-    if body_len > max_bytes:
-        raise FrameTooLargeError(
-            f"peer declared a {body_len}-byte frame, above the "
-            f"{max_bytes}-byte limit"
-        )
-    if body_len < BODY_HEADER_BYTES:
-        raise ProtocolError("peer declared a frame too short for its header")
-    return await reader.readexactly(body_len)
+class FrameCutter:
+    """Cuts frame bodies out of the bytes a connection has received.
+
+    Both ends of the wire feed their protocol's ``data_received`` chunks
+    in and take complete bodies out, so the length-prefix checks live
+    here once.  A prefix is judged the moment its four bytes are in —
+    before any of its body is waited for: :class:`FrameTooLargeError`
+    above *max_bytes*, :class:`ProtocolError` below the fixed body
+    header.  After either the stream position cannot be trusted and the
+    caller hangs up.  A trailing partial frame stays in the buffer."""
+
+    __slots__ = ("_buffer", "_max_bytes")
+
+    def __init__(self, max_bytes: int = MAX_FRAME_BYTES) -> None:
+        self._buffer = bytearray()
+        self._max_bytes = max_bytes
+
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def cut(self) -> bytes | None:
+        """The next complete frame body, or None while the buffer holds
+        less than one."""
+        buffer = self._buffer
+        if len(buffer) < LENGTH_PREFIX_BYTES:
+            return None
+        (body_len,) = struct.unpack_from(">I", buffer)
+        if body_len > self._max_bytes:
+            raise FrameTooLargeError(
+                f"peer declared a {body_len}-byte frame, above the "
+                f"{self._max_bytes}-byte limit"
+            )
+        if body_len < BODY_HEADER_BYTES:
+            raise ProtocolError("peer declared a frame too short for its header")
+        end = LENGTH_PREFIX_BYTES + body_len
+        if len(buffer) < end:
+            return None
+        with memoryview(buffer) as view:  # one copy, released before the resize
+            body = bytes(view[LENGTH_PREFIX_BYTES:end])
+        del buffer[:end]
+        return body
 
 
 # --------------------------------------------------------------------- #

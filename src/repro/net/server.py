@@ -5,7 +5,7 @@
 per-query :class:`~repro.net.coordinator.QueryCoordinator` for fleet-mode
 queries).  It is transport-agnostic: the in-memory loopback transport
 calls :meth:`SSIDispatcher.dispatch` directly, and :class:`SSIServer`
-exposes the same dispatcher over ``asyncio.start_server`` TCP.
+exposes the same dispatcher over TCP.
 
 Trust boundary: this module is ``ssi``-role under the privacy lint — it
 may never name plaintext rows, key material or TDS internals.  Everything
@@ -25,7 +25,7 @@ overtake its original — and the ack of ``await_work`` or
 ``submit_partition_result`` only for durable records its own handling
 appended; partials are journaled and not waited for (recovery recomputes
 them).  Overload lands on the peer's socket: :class:`SSIServer` bounds
-the handlers per connection.
+the handlers per connection and stops reading while they are all busy.
 
 Waiting: a TDS with nothing to do and a querier whose result is not out
 yet leave one request *parked* here (``await_work`` / ``await_result``)
@@ -57,6 +57,7 @@ from typing import (
     NamedTuple,
     Protocol,
     TypeVar,
+    cast,
 )
 
 if TYPE_CHECKING:  # repro.store imports this module's siblings; keep lazy
@@ -825,63 +826,180 @@ class SSIDispatcher:
 DispatchFn = Callable[[bytes], Awaitable[bytes]]
 
 
-# What asyncio keeps of a connection that died badly is cyclic garbage:
-# the exception is stored on the stream reader and the protocol, and every
-# time it is re-raised — out of a read, a ``drain()``, ``wait_closed()``,
-# or ``wait_for``'s frame that holds the reading task — its traceback
-# grows by the frames it passes, frames that hold the reader again.  The
-# cycle collector frees that eventually; until then whatever those frames
-# reach stays alive.  So the three stream operations that can raise are
-# made here, in frames that hold a stream and nothing else, and report
-# what happened as a value; and asyncio gets a connection callback that
-# holds the server weakly (``SSIServer.start``).  No frame that holds the
-# server, its dispatcher or the SSI's retained ciphertexts is ever part
-# of such garbage, and a stopped server is freed by reference counting.
-async def _read_request(
-    reader: asyncio.StreamReader, max_frame_bytes: int, timeout: float
-) -> bytes | Exception:
-    """The next request frame body, or the exception that ended the read."""
-    try:
-        return await asyncio.wait_for(
-            frames.read_frame(reader, max_frame_bytes), timeout=timeout
+class _Connection(asyncio.Protocol):
+    """One accepted connection of an :class:`SSIServer`.
+
+    ``data_received`` cuts request frames out of the receive buffer and
+    starts one task per request; the task writes its response when its
+    dispatch returns, so responses leave in completion order.  Two
+    limits, both felt by the peer on its socket: while
+    ``max_concurrent_requests`` handlers run, reading is paused (the
+    buffer then holds one receive and the partial frame before it, no
+    more), and while the peer is not reading its responses a handler
+    keeps its slot, and its response, until the write buffer drains.
+    One timer per connection enforces ``read_timeout``."""
+
+    def __init__(self, server: "SSIServer") -> None:
+        self._server = server
+        self._loop = asyncio.get_running_loop()
+        self._cutter = frames.FrameCutter(server.max_frame_bytes)
+        self._transport: asyncio.Transport | None = None
+        self._tasks: set[asyncio.Task[None]] = set()
+        #: reading is paused because every handler slot is taken
+        self._full = False
+        #: pending while the peer is not reading its responses
+        self._drained: asyncio.Future[None] | None = None
+        self._last_activity = 0.0
+        self._idle_timer: asyncio.TimerHandle | None = None
+
+    # -- asyncio callbacks ----------------------------------------------- #
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = cast(asyncio.Transport, transport)
+        self._server._connections[self] = self._loop.create_future()
+        _c_connections.inc()
+        _g_connections.inc()
+        self._last_activity = self._loop.time()
+        self._idle_timer = self._loop.call_later(
+            self._server.read_timeout, self._check_idle
         )
-    except (
-        asyncio.TimeoutError,
-        asyncio.IncompleteReadError,
-        ConnectionError,
-        ProtocolError,
-    ) as exc:
-        return exc
 
+    def data_received(self, data: bytes) -> None:
+        self._last_activity = self._loop.time()
+        self._cutter.feed(data)
+        self._serve()
 
-async def _send(
-    writer: asyncio.StreamWriter, write_lock: asyncio.Lock, frame: bytes
-) -> bool:
-    """Write one response frame; False when the peer went away."""
-    try:
-        async with write_lock:
-            writer.write(frame)
-            await writer.drain()
-    except ConnectionError:
-        return False
-    return True
+    def pause_writing(self) -> None:
+        self._drained = self._loop.create_future()
 
+    def resume_writing(self) -> None:
+        drained, self._drained = self._drained, None
+        if drained is not None:
+            drained.set_result(None)
 
-async def _hang_up(writer: asyncio.StreamWriter) -> None:
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (ConnectionError, asyncio.CancelledError):
-        pass
+    def connection_lost(self, exc: Exception | None) -> None:
+        # also reached after a clean EOF: asyncio closes the transport
+        _g_connections.dec()
+        if self._idle_timer is not None:
+            self._idle_timer.cancel()
+        for task in self._tasks:
+            task.cancel()
+        self._transport = None
+        self._maybe_closed()
+
+    # -- requests --------------------------------------------------------- #
+    def _serve(self) -> None:
+        """Start a handler for every complete frame received, as far as
+        there are slots; pause reading when there are none left."""
+        transport = self._transport
+        if transport is None or transport.is_closing():
+            return
+        server = self._server
+        tasks = self._tasks
+        try:
+            while len(tasks) < server.max_concurrent_requests:
+                body = self._cutter.cut()
+                if body is None:
+                    break
+                _c_frames_in.inc()
+                _c_bytes_in.inc(frames.LENGTH_PREFIX_BYTES + len(body))
+                # Counted before the task first runs so drain() never
+                # sees "idle" with an accepted frame still unhandled.
+                server._begin_request()
+                _g_inflight.inc()
+                task = self._loop.create_task(self._handle(body))
+                tasks.add(task)
+                task.add_done_callback(self._request_done)
+        except ProtocolError as exc:
+            # A size-limit violation (the body was never waited for) or
+            # a frame too short for its header: answer once, on the
+            # connection-scoped correlation id 0, then hang up — the
+            # stream position can no longer be trusted.
+            code = (
+                frames.ERR_TOO_LARGE
+                if isinstance(exc, FrameTooLargeError)
+                else frames.ERR_MALFORMED
+            )
+            transport.write(frames.pack_error(code, str(exc)))
+            transport.close()
+            return
+        full = len(tasks) >= server.max_concurrent_requests
+        if full != self._full:
+            self._full = full
+            if full:
+                transport.pause_reading()
+            else:
+                transport.resume_reading()
+
+    async def _handle(self, body: bytes) -> None:
+        response = await self._server.dispatcher.dispatch(body)
+        # Everyone waiting is woken by the same resume; whoever writes
+        # first may pause the transport again for the rest, so the write
+        # buffer is never more than one response above its high-water mark.
+        while self._drained is not None:
+            await self._drained
+        transport = self._transport
+        if transport is None or transport.is_closing():
+            return
+        transport.write(response)
+        _c_frames_out.inc()
+        _c_bytes_out.inc(len(response))
+        self._last_activity = self._loop.time()
+
+    def _request_done(self, task: "asyncio.Task[None]") -> None:
+        """Runs for every handler, one that was cancelled before its
+        first step included."""
+        self._tasks.discard(task)
+        _g_inflight.dec()
+        self._server._end_request()
+        failure = None if task.cancelled() else task.exception()
+        if failure is not None:
+            # dispatch answers its own failures; what escapes it (the
+            # disk failing under a durable ack) leaves the peer without
+            # a response, so it gets a hang-up to retry on
+            obs_logs.log_event(
+                logger,
+                "server_handler_failed",
+                level=logging.ERROR,
+                error=type(failure).__name__,
+            )
+            self.hang_up()
+        if self._full:
+            self._serve()
+        self._maybe_closed()
+
+    def _maybe_closed(self) -> None:
+        """The peer is gone and the last handler has finished: tell
+        whoever waits in :meth:`SSIServer.close`."""
+        if self._transport is None and not self._tasks:
+            self._server._connections.pop(self).set_result(None)
+
+    # -- hanging up -------------------------------------------------------- #
+    def _check_idle(self) -> None:
+        """Hang up once ``read_timeout`` passed with no byte either way
+        and nothing in flight; a busy connection is not an idle one."""
+        timeout = self._server.read_timeout
+        quiet = 0.0 if self._tasks else self._loop.time() - self._last_activity
+        if quiet >= timeout:
+            self.hang_up()
+        else:
+            self._idle_timer = self._loop.call_later(
+                timeout - quiet, self._check_idle
+            )
+
+    def hang_up(self) -> None:
+        """Drop the connection without waiting for the peer to read what
+        is still buffered for it; handlers in flight are cancelled once
+        asyncio reports it lost."""
+        if self._transport is not None:
+            self._transport.abort()
 
 
 class SSIServer:
-    """``asyncio.start_server``-based TCP front end for a dispatcher.
+    """TCP front end for a dispatcher (``loop.create_server``).
 
     Requests from one connection are dispatched *concurrently* (v3
-    pipelining): the read loop keeps pulling frames while up to
-    ``max_concurrent_requests`` handler tasks run, and each response is
-    written — under a per-connection write lock — as soon as its handler
+    pipelining): up to ``max_concurrent_requests`` handler tasks run per
+    connection, and each response is written as soon as its handler
     finishes, in completion order rather than arrival order.  The
     correlation id echoed by the dispatcher is what lets the client
     reassemble the conversation."""
@@ -911,9 +1029,9 @@ class SSIServer:
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
-        #: live connections: handler task -> its stream (close() hangs
-        #: these up and waits for the handlers)
-        self._connections: dict[asyncio.Task[None], asyncio.StreamWriter] = {}
+        #: live connections, each with the future that is done once it
+        #: is gone and its handlers have finished (close() waits on these)
+        self._connections: dict[_Connection, asyncio.Future[None]] = {}
 
     def _begin_request(self) -> None:
         self._inflight += 1
@@ -935,24 +1053,26 @@ class SSIServer:
         # parked requests are in flight too: they would sit out the timeout
         self.dispatcher.release_parked()
         try:
-            await asyncio.wait_for(self._idle.wait(), timeout)
+            async with asyncio.timeout(timeout):
+                await self._idle.wait()
             return True
-        except asyncio.TimeoutError:
+        except TimeoutError:
             return False
 
     async def start(self) -> None:
-        serve = weakref.WeakMethod(self._serve_connection)
+        # asyncio keeps the factory for as long as it listens and a
+        # protocol on every transport: held weakly, neither keeps a
+        # server nobody closed — and the ciphertexts its dispatcher
+        # retains — alive.
+        ref = weakref.ref(self)
 
-        async def on_connection(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            # asyncio keeps this callback on every connection's protocol
-            bound = serve()
-            if bound is not None:
-                await bound(reader, writer)
+        def accept() -> asyncio.BaseProtocol:
+            server = ref()
+            # dropped without close(): whoever still connects talks to nobody
+            return _Connection(server) if server is not None else asyncio.Protocol()
 
-        self._server = await asyncio.start_server(
-            on_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            accept, self.host, self.port
         )
         sockets = self._server.sockets or ()
         for sock in sockets:
@@ -968,94 +1088,19 @@ class SSIServer:
 
     async def close(self) -> None:
         """Stop listening, answer every parked request (and park none
-        from here on), hang up every connection and wait for its handler:
-        when this returns nothing of the server is left on the loop.
-        Requests still in flight are cancelled with their connection —
-        call :meth:`drain` first to let them finish."""
+        from here on), hang up every connection and wait for its
+        handlers: when this returns nothing of the server is left on the
+        loop.  Requests still in flight are cancelled with their
+        connection — call :meth:`drain` first to let them finish."""
         # Swap before awaiting: a second concurrent close() must see None
         # rather than a server object another coroutine is mid-closing.
         server, self._server = self._server, None
         if server is not None:
             server.close()
         self.dispatcher.release_parked()
-        handlers = list(self._connections)
-        for writer in self._connections.values():
-            # the handler's read sees EOF and leaves by its normal path
-            writer.close()
-        if handlers:
-            await asyncio.wait(handlers)
+        for connection in self._connections:
+            connection.hang_up()
+        if self._connections:
+            await asyncio.wait(list(self._connections.values()))
         if server is not None:
             await server.wait_closed()
-
-    # ------------------------------------------------------------------ #
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        slots = asyncio.Semaphore(self.max_concurrent_requests)
-        tasks: set[asyncio.Task[None]] = set()
-        handler = asyncio.current_task()
-        assert handler is not None
-        self._connections[handler] = writer
-        _c_connections.inc()
-        _g_connections.inc()
-
-        async def handle(body: bytes) -> None:
-            _g_inflight.inc()
-            try:
-                response = await self.dispatcher.dispatch(body)
-                # a peer gone mid-response ends the read loop too
-                if await _send(writer, write_lock, response):
-                    _c_frames_out.inc()
-                    _c_bytes_out.inc(len(response))
-            finally:
-                _g_inflight.dec()
-                self._end_request()
-                slots.release()
-
-        try:
-            while True:
-                got = await _read_request(
-                    reader, self.max_frame_bytes, self.read_timeout
-                )
-                if isinstance(got, asyncio.TimeoutError):
-                    if tasks:
-                        continue  # busy connection, not an idle one
-                    return  # idle timeout: hang up
-                if isinstance(got, (asyncio.IncompleteReadError, ConnectionError)):
-                    return  # clean EOF or peer drop: hang up
-                if isinstance(got, ProtocolError):
-                    # A size-limit violation (the body was never read)
-                    # or any other framing violation (e.g. a frame too
-                    # short for its header): answer once, on the
-                    # connection-scoped correlation id 0, then hang up —
-                    # the stream position can no longer be trusted.
-                    code = (
-                        frames.ERR_TOO_LARGE
-                        if isinstance(got, FrameTooLargeError)
-                        else frames.ERR_MALFORMED
-                    )
-                    await _send(writer, write_lock, frames.pack_error(code, str(got)))
-                    return
-                body = got
-                _c_frames_in.inc()
-                _c_bytes_in.inc(frames.LENGTH_PREFIX_BYTES + len(body))
-                # Bounded per-connection task group: when every slot is
-                # busy this stalls the read loop — pipelining backpressure
-                # lands on the socket instead of growing an unbounded
-                # task pile.
-                await slots.acquire()
-                # Counted before the task is scheduled so drain() never
-                # sees "idle" with an accepted frame still unhandled.
-                self._begin_request()
-                task = asyncio.create_task(handle(body))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        finally:
-            _g_connections.dec()
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            await _hang_up(writer)
-            del self._connections[handler]

@@ -5,8 +5,8 @@ response frame.  Two implementations:
 
 * :class:`LoopbackTransport` — calls an :class:`SSIDispatcher` coroutine
   directly.  Deterministic, no sockets; the default for tests.
-* :class:`TCPTransport` — a real ``asyncio`` stream connection with
-  reconnect-on-drop; every failure surfaces as
+* :class:`TCPTransport` — a real TCP connection (an ``asyncio``
+  protocol) with reconnect-on-drop; every failure surfaces as
   :class:`~repro.exceptions.TransportError` so the client layer can
   retry.
 """
@@ -14,7 +14,7 @@ response frame.  Two implementations:
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable
+from typing import Awaitable, Callable, cast
 
 from repro.exceptions import ProtocolError, TransportError
 from repro.net import frames
@@ -78,9 +78,49 @@ class LoopbackTransport(Transport):
             raise TransportError("runt frame")
         body = message[frames.LENGTH_PREFIX_BYTES:]
         response = await self._dispatch(body)
-        # Responses come back framed; strip the length header like a
-        # stream reader would.
+        # Responses come back framed; strip the length header like the
+        # frame cutter would.
         return response[frames.LENGTH_PREFIX_BYTES:]
+
+
+class _Connection(asyncio.Protocol):
+    """One TCP connection of a :class:`TCPTransport`: cuts response
+    frames out of what arrives and hands each to the request waiting on
+    its correlation id.  A transport outlives its connections, so each
+    reports its own end and the transport ignores any but the current
+    one's."""
+
+    #: set by ``connection_made``, before ``create_connection`` returns
+    transport: asyncio.Transport
+
+    def __init__(self, owner: "TCPTransport") -> None:
+        self._owner = owner
+        self._cutter = frames.FrameCutter(owner.max_frame_bytes)
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+
+    def data_received(self, data: bytes) -> None:
+        cutter, pending = self._cutter, self._owner._pending
+        cutter.feed(data)
+        try:
+            while (body := cutter.cut()) is not None:
+                future = pending.pop(frames.peek_correlation_id(body), None)
+                if future is not None and not future.done():
+                    future.set_result(body)
+                else:
+                    # the late response of a timed-out request: dropped,
+                    # and the stream carries on undisturbed
+                    _c_late_responses.inc()
+        except ProtocolError as exc:
+            # A framing violation in a response: the stream position can
+            # no longer be trusted, so treat it like a drop.
+            self._owner._stream_failed(f"unreadable frame from SSI: {exc}", self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._owner._stream_failed(
+            f"connection to SSI dropped: {exc or 'closed by the SSI'}", self
+        )
 
 
 class TCPTransport(Transport):
@@ -88,14 +128,14 @@ class TCPTransport(Transport):
 
     Up to ``window`` requests share the connection concurrently: each
     request is stamped with a fresh correlation id, registered in a
-    futures-by-correlation-id map and written to the stream; one
-    background reader task routes every response frame to its waiter by
-    the echoed id, so responses may complete in any order.
+    futures-by-correlation-id map and written to the socket; the
+    connection's ``data_received`` routes every response frame to its
+    waiter by the echoed id, so responses may complete in any order.
 
     A *timed-out* request simply abandons its correlation id — the id is
     dropped from the map and its late response (if it ever arrives) is
-    discarded by the reader task.  The stream itself stays healthy; only
-    a genuine stream failure (drop, EOF, framing violation) tears the
+    discarded on arrival.  The stream itself stays healthy; only a
+    genuine stream failure (drop, EOF, framing violation) tears the
     connection down, fails every pending request with
     :class:`TransportError` and lets the next request reconnect from
     scratch (reconnect-on-drop)."""
@@ -115,75 +155,41 @@ class TCPTransport(Transport):
         self.connect_timeout = connect_timeout
         self.max_frame_bytes = max_frame_bytes
         self.window = window
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._reader_task: asyncio.Task[None] | None = None
+        self._connection: _Connection | None = None
         self._pending: dict[int, asyncio.Future[bytes]] = {}
         self._next_corr = 0
         self._window_sem = asyncio.Semaphore(window)
-        self._write_lock = asyncio.Lock()
         self._connect_lock = asyncio.Lock()
 
     # -- connection lifecycle -------------------------------------------- #
-    async def _ensure_connected(self) -> None:
-        if self._writer is not None:
-            return
+    async def _connect(self) -> _Connection:
         async with self._connect_lock:
-            if self._writer is not None:
-                return
+            if self._connection is not None:
+                return self._connection
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
-                    timeout=self.connect_timeout,
-                )
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+                async with asyncio.timeout(self.connect_timeout):
+                    _, connection = await asyncio.get_running_loop().create_connection(
+                        lambda: _Connection(self), self.host, self.port
+                    )
+            except OSError as exc:  # refused, unreachable or timed out
                 raise TransportError(
                     f"cannot connect to {self.host}:{self.port}: {exc}"
                 ) from None
-            self._reader, self._writer = reader, writer
-            self._reader_task = asyncio.create_task(
-                self._read_loop(reader, writer)
-            )
+            self._connection = connection
             _c_connects.inc()
+            return connection
 
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Route response frames to their waiters by correlation id.
-
-        An id with no waiter is the late response of a timed-out request:
-        dropped on the floor, and the stream carries on undisturbed."""
-        try:
-            while True:
-                body = await frames.read_frame(reader, self.max_frame_bytes)
-                future = self._pending.pop(
-                    frames.peek_correlation_id(body), None
-                )
-                if future is not None and not future.done():
-                    future.set_result(body)
-                else:
-                    _c_late_responses.inc()
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
-            self._stream_failed(f"connection to SSI dropped: {exc}", writer)
-        except ProtocolError as exc:
-            # A framing violation in a response: the stream position can
-            # no longer be trusted, so treat it like a drop.
-            self._stream_failed(f"unreadable frame from SSI: {exc}", writer)
-
-    def _stream_failed(
-        self, reason: str, owner: asyncio.StreamWriter | None = None
-    ) -> None:
+    def _stream_failed(self, reason: str, owner: _Connection | None = None) -> None:
         """The stream is broken: fail every in-flight request and abandon
         the connection so the next request reconnects.  *owner* guards
-        against a stale reader task (of an already-replaced connection)
-        tearing down its successor."""
-        if owner is not None and owner is not self._writer:
+        against a connection already replaced tearing down its
+        successor."""
+        connection = self._connection
+        if connection is None or (owner is not None and owner is not connection):
             return
-        if self._writer is not None:
-            _c_stream_failures.inc()
-        self._abort()
+        _c_stream_failures.inc()
+        self._connection = None
+        connection.transport.abort()
         pending, self._pending = self._pending, {}
         for future in pending.values():
             if not future.done():
@@ -200,9 +206,9 @@ class TCPTransport(Transport):
         async with self._window_sem:  # bounded send window (backpressure)
             _g_window.inc()
             try:
-                await self._ensure_connected()
-                writer = self._writer
-                assert writer is not None
+                connection = self._connection
+                if connection is None:
+                    connection = await self._connect()
                 corr = self._next_correlation_id()
                 future: asyncio.Future[bytes] = (
                     asyncio.get_running_loop().create_future()
@@ -213,15 +219,12 @@ class TCPTransport(Transport):
                     frames.LENGTH_PREFIX_BYTES + 2 : frames.MIN_FRAME_BYTES
                 ] = corr.to_bytes(4, "big")
                 try:
-                    async with self._write_lock:
-                        writer.write(bytes(framed))
-                        await writer.drain()
+                    # Never waits for the socket: every frame written is
+                    # one whose caller waits below, so the window bounds
+                    # what is buffered.  A failed write arrives as
+                    # connection_lost, which fails the future.
+                    connection.transport.write(framed)
                     return await future
-                except (ConnectionError, OSError) as exc:
-                    self._stream_failed(f"connection to SSI dropped: {exc}")
-                    raise TransportError(
-                        f"connection to SSI dropped: {exc}"
-                    ) from None
                 finally:
                     # Covers success, stream failure *and* cancellation
                     # (a request timeout): the correlation id is
@@ -235,30 +238,13 @@ class TCPTransport(Transport):
         """Abruptly abandon the current connection (failure injection:
         'the TDS went offline mid-request')."""
         self._stream_failed("connection dropped")
-        await self._reap_reader_task()
 
     async def reset(self) -> None:
         """After a request timeout the pipelined stream is still healthy —
         the timed-out correlation id was already dropped — so a reset is
         deliberately a no-op.  Stream-level failures tear the connection
-        down from the reader task instead."""
+        down from the connection's own callbacks instead."""
         return None
 
     async def close(self) -> None:
         self._stream_failed("transport closed")
-        await self._reap_reader_task()
-
-    def _abort(self) -> None:
-        """Synchronously abandon the connection (no graceful close)."""
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
-
-    async def _reap_reader_task(self) -> None:
-        task, self._reader_task = self._reader_task, None
-        if task is not None and task is not asyncio.current_task():
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass

@@ -68,11 +68,10 @@ async def _handle(
 ) -> None:
     try:
         try:
-            raw = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=5.0
-            )
+            async with asyncio.timeout(5.0):
+                raw = await reader.readuntil(b"\r\n\r\n")
         except (
-            asyncio.TimeoutError,
+            TimeoutError,
             asyncio.IncompleteReadError,
             asyncio.LimitOverrunError,
         ):

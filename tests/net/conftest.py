@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.protocols import Deployment
 from repro.sql.schema import Database, schema
 from repro.tds.histogram import EquiDepthHistogram
@@ -79,6 +80,11 @@ def run_driver_inproc(driver_cls, sql, num_tds=8, seed=42, **kwargs):
     )
     driver.execute(envelope)
     return sorted_rows(querier.decrypt_result(dep.ssi.fetch_result(envelope.query_id)))
+
+
+def sample(name):
+    """The current value of the unlabelled counter or gauge *name*."""
+    return obs_metrics.REGISTRY.snapshot()[name][()]
 
 
 def run_async(coro, timeout=60.0):

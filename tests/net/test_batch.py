@@ -32,6 +32,7 @@ from .conftest import (
 )
 from .test_frames import make_envelope
 from .test_retry_semantics import ResponseLostTransport
+from .virtual_time import run_virtual
 
 TUPLES = [
     EncryptedTuple(b"ct-one", None),
@@ -384,6 +385,130 @@ class TestTupleBatcher:
             assert batcher.batches_flushed == 0
 
         run_async(run())
+
+
+class TestAgeFlush:
+    """``max_delay`` bounds how long a contribution waits for company:
+    on a virtual clock, to the tick."""
+
+    DELAY = 0.02
+
+    @staticmethod
+    def batcher(posted=("qa", "qb"), **kwargs):
+        __, client = loopback_client()
+
+        async def post():
+            for query_id in posted:
+                await client.post_query(make_envelope(query_id))
+
+        kwargs.setdefault("max_delay", TestAgeFlush.DELAY)
+        return post, TupleBatcher(client, max_tuples=3, **kwargs)
+
+    def test_a_lone_contribution_is_acked_at_born_plus_max_delay(self):
+        """Born 13 ms into a 20 ms period: a flusher that wakes every
+        ``max_delay`` finds the batch too young at 20 ms and flushes it
+        at 40 — 27 ms for a 20 ms bound.  Nothing polls here, :meth:`run`
+        included: it is not even started."""
+
+        async def run():
+            post, batcher = self.batcher()
+            await post()
+            loop = asyncio.get_running_loop()
+            await asyncio.sleep(0.013)
+            born = loop.time()
+            await batcher.submit("qa", TUPLES[:1])
+            assert loop.time() == pytest.approx(born + self.DELAY, abs=1e-9)
+            assert batcher.batches_flushed == 1
+            assert await batcher.client.collected_count("qa") == 1
+
+        run_virtual(run())
+
+    def test_the_deadline_goes_through_the_injected_sleep(self):
+        async def run():
+            slept = []
+
+            async def sleep(delay):
+                slept.append(delay)
+                await asyncio.sleep(delay)
+
+            post, batcher = self.batcher(sleep=sleep)
+            await post()
+            await asyncio.gather(
+                batcher.submit("qa", TUPLES[:1]), batcher.submit("qa", TUPLES[1:2])
+            )
+            await batcher.submit("qb", TUPLES[:1])
+            assert slept == [self.DELAY, self.DELAY]  # one per batch, not per tick
+
+        run_virtual(run())
+
+    def test_a_size_flush_leaves_every_other_deadline_alone(self):
+        """qa's first batch fills up at 5 ms.  Its own deadline (20 ms)
+        must not flush qa's second batch early, qa's second batch must
+        still get one (28 ms), and qb's (22 ms) is nobody else's
+        business."""
+
+        async def run():
+            post, batcher = self.batcher()
+            await post()
+            loop = asyncio.get_running_loop()
+            acked = {}
+
+            async def contribute(name, at, query_id, tuples):
+                await asyncio.sleep(at)
+                await batcher.submit(query_id, tuples)
+                acked[name] = round(loop.time(), 6)
+
+            await asyncio.gather(
+                contribute("a1", 0.000, "qa", TUPLES[:1]),
+                contribute("b1", 0.002, "qb", TUPLES[:1]),
+                contribute("a2", 0.005, "qa", TUPLES[1:3]),  # fills the batch
+                contribute("a3", 0.008, "qa", TUPLES[3:]),
+            )
+            assert acked == {"a1": 0.005, "a2": 0.005, "b1": 0.022, "a3": 0.028}
+            assert batcher.batches_flushed == 3
+            assert await batcher.client.collected_count("qa") == 4
+            assert await batcher.client.collected_count("qb") == 1
+
+        run_virtual(run())
+
+    def test_a_failed_age_flush_reaches_the_waiters_and_nobody_else(self):
+        async def run():
+            post, batcher = self.batcher(posted=())  # no query: the flush fails
+            loop = asyncio.get_running_loop()
+            reports = []
+            loop.set_exception_handler(lambda loop, context: reports.append(context))
+            outcomes = await asyncio.gather(
+                batcher.submit("missing", TUPLES[:1]),
+                batcher.submit("missing", TUPLES[1:2]),
+                return_exceptions=True,
+            )
+            assert [type(o) for o in outcomes] == [UnknownQueryError] * 2
+            assert loop.time() == pytest.approx(self.DELAY, abs=1e-9)
+            await asyncio.sleep(0)
+            assert reports == []  # the age flush itself dies quietly
+            assert len(asyncio.all_tasks()) == 1
+
+        run_virtual(run())
+
+    def test_run_calls_off_the_pending_deadlines_and_flushes_at_stop(self):
+        async def run():
+            post, batcher = self.batcher(max_delay=60.0)
+            await post()
+            loop = asyncio.get_running_loop()
+            stop = asyncio.Event()
+            flusher = asyncio.create_task(batcher.run(stop))
+            waiting = asyncio.create_task(batcher.submit("qa", TUPLES[:1]))
+            await asyncio.sleep(1.0)
+            assert not waiting.done()
+            stop.set()
+            await flusher
+            await waiting
+            assert loop.time() == pytest.approx(1.0)  # not 60
+            assert await batcher.client.collected_count("qa") == 1
+            await asyncio.sleep(0)
+            assert len(asyncio.all_tasks()) == 1  # no deadline left behind
+
+        run_virtual(run())
 
 
 class TestBlockConcat:

@@ -1,7 +1,5 @@
 """Frame codec tests: round-trips and malformed-input behavior."""
 
-import asyncio
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +11,7 @@ from repro.core.messages import (
     QueryEnvelope,
     QueryResult,
 )
-from repro.exceptions import ProtocolError
+from repro.exceptions import FrameTooLargeError, ProtocolError
 from repro.net import frames
 from repro.net.frames import QueryMeta, Reader, WorkUnit, Writer
 
@@ -117,23 +115,100 @@ class TestFrameLayer:
             frames.pack_frame(frames.MSG_PING, b"x" * frames.MAX_FRAME_BYTES)
 
     def test_read_frame_rejects_oversized_declaration(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"\xff\xff\xff\xff")
-            with pytest.raises(ProtocolError, match="limit"):
-                await frames.read_frame(reader)
-
-        asyncio.run(run())
+        """The prefix is judged on its own four bytes: nothing of a
+        4 GiB body is waited for, let alone buffered."""
+        cutter = frames.FrameCutter()
+        cutter.feed(b"\xff\xff\xff\xff")
+        with pytest.raises(FrameTooLargeError, match="limit"):
+            cutter.cut()
+        small = frames.FrameCutter(max_bytes=16)
+        small.feed((17).to_bytes(4, "big"))
+        with pytest.raises(FrameTooLargeError, match="17-byte frame"):
+            small.cut()
 
     def test_read_frame_eof_mid_frame(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"\x00\x00\x00\x08\x01\x02")
-            reader.feed_eof()
-            with pytest.raises(asyncio.IncompleteReadError):
-                await frames.read_frame(reader)
+        """A frame the peer never finished is never handed out: it stays
+        in the buffer, whatever came before it."""
+        whole = frames.pack_frame(frames.MSG_PING, b"", correlation_id=1)
+        cutter = frames.FrameCutter()
+        cutter.feed(whole + b"\x00\x00\x00\x08\x01\x02")
+        assert cutter.cut() == whole[4:]
+        assert cutter.cut() is None
+        assert cutter.cut() is None  # asking again changes nothing
+        cutter.feed(b"\x03\x04\x05\x06\x07\x08")
+        assert cutter.cut() == bytes(range(1, 9))
+        assert cutter.cut() is None
 
-        asyncio.run(run())
+
+def cut_all(cutter):
+    bodies = []
+    while (body := cutter.cut()) is not None:
+        bodies.append(body)
+    return bodies
+
+
+class TestFrameCutter:
+    """The one place both ends of the wire get their frames from."""
+
+    FRAMES = [
+        frames.pack_frame(frames.MSG_PING, b"", correlation_id=7),
+        frames.pack_frame(frames.MSG_OK, b"x" * 300, correlation_id=8),
+        frames.pack_frame(
+            frames.MSG_OK, b"", correlation_id=9,
+            extensions=[(frames.EXT_TRACE, b"t" * 24)],
+        ),
+    ]
+    BODIES = [frame[4:] for frame in FRAMES]
+
+    def test_many_frames_in_one_chunk(self):
+        cutter = frames.FrameCutter()
+        cutter.feed(b"".join(self.FRAMES))
+        got = cut_all(cutter)
+        assert got == self.BODIES
+        assert all(type(body) is bytes for body in got)  # not views of the buffer
+
+    def test_byte_at_a_time(self):
+        cutter = frames.FrameCutter()
+        got = []
+        for byte in b"".join(self.FRAMES):
+            cutter.feed(bytes([byte]))
+            got += cut_all(cutter)
+        assert got == self.BODIES
+
+    @given(st.lists(st.integers(min_value=1, max_value=400), max_size=12))
+    def test_any_chunking_yields_the_same_frames(self, sizes):
+        stream = b"".join(self.FRAMES)
+        cutter = frames.FrameCutter()
+        got, pos = [], 0
+        for size in sizes + [len(stream)]:
+            cutter.feed(stream[pos : pos + size])
+            pos += size
+            got += cut_all(cutter)
+        assert got == self.BODIES
+
+    def test_runt_prefix_is_malformed_not_too_large(self):
+        cutter = frames.FrameCutter()
+        cutter.feed(b"\x00\x00\x00\x05\x04\x12\x00\x00\x00")
+        with pytest.raises(ProtocolError, match="too short") as info:
+            cutter.cut()
+        assert not isinstance(info.value, FrameTooLargeError)
+
+    def test_a_frame_at_the_limit_passes_and_one_byte_more_does_not(self):
+        frame = frames.pack_frame(frames.MSG_OK, b"p" * 20)
+        cutter = frames.FrameCutter(max_bytes=len(frame) - 4)
+        cutter.feed(frame)
+        assert cutter.cut() == frame[4:]
+        cutter = frames.FrameCutter(max_bytes=len(frame) - 5)
+        cutter.feed(frame[:4])
+        with pytest.raises(FrameTooLargeError):
+            cutter.cut()
+
+    def test_frames_before_a_bad_prefix_are_still_handed_out(self):
+        cutter = frames.FrameCutter()
+        cutter.feed(self.FRAMES[0] + b"\xff\xff\xff\xff")
+        assert cutter.cut() == self.BODIES[0]
+        with pytest.raises(FrameTooLargeError):
+            cutter.cut()
 
 
 class TestComposites:

@@ -10,6 +10,7 @@ used to have opcodes, are an unknown operation to any peer.
 
 import asyncio
 import random
+import socket
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.exceptions import (
     UnknownQueryError,
     UnsupportedVersionError,
 )
-from repro.net import frames
+from repro.net import frames, ops
 from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy
 from repro.net.fleet import FleetRunner
 from repro.net.frames import QueryMeta
@@ -39,6 +40,49 @@ def loopback_client(dispatcher, **policy_kw):
     return AsyncSSIClient(
         LoopbackTransport(dispatcher.dispatch), policy, rng=random.Random(1)
     )
+
+
+class RawPeer:
+    """A peer that writes what it likes to an :class:`SSIServer` and
+    reads the frames it gets back."""
+
+    @classmethod
+    async def connect(cls, server, rcvbuf=None):
+        """*rcvbuf* fixes the kernel's receive buffer, which otherwise
+        grows to hold megabytes the peer has not read."""
+        sock = socket.socket()
+        if rcvbuf is not None:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(
+            sock, ("127.0.0.1", server.port)
+        )
+        peer = cls()
+        peer.reader, peer.writer = await asyncio.open_connection(sock=sock)
+        peer.cutter = frames.FrameCutter()
+        return peer
+
+    async def send(self, data):
+        self.writer.write(data)
+        await self.writer.drain()
+
+    async def frame(self, timeout=5.0):
+        """The next response as ``(msg_type, correlation id, payload reader)``."""
+        async with asyncio.timeout(timeout):
+            while (body := self.cutter.cut()) is None:
+                data = await self.reader.read(65536)
+                assert data, "the server hung up"
+                self.cutter.feed(data)
+        msg_type, corr, _exts, reader = frames.unpack_frame_ext(body)
+        return msg_type, corr, reader
+
+    async def hung_up(self, timeout=5.0):
+        async with asyncio.timeout(timeout):
+            return await self.reader.read(1) == b""
+
+    async def close(self):
+        self.writer.close()
+        await self.writer.wait_closed()
 
 
 async def tcp_fixture(**policy_kw):
@@ -206,18 +250,13 @@ class TestWireDiscipline:
             server = SSIServer(SSIDispatcher())
             await server.start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                writer.write(b"\xff\xff\xff\xff")  # 4 GiB declared frame
-                await writer.drain()
-                body = await frames.read_frame(reader)
-                msg_type, _corr, _exts, r = frames.unpack_frame_ext(body)
-                assert msg_type == frames.MSG_ERROR
+                peer = await RawPeer.connect(server)
+                await peer.send(b"\xff\xff\xff\xff")  # 4 GiB declared frame
+                msg_type, corr, r = await peer.frame()
+                assert (msg_type, corr) == (frames.MSG_ERROR, 0)
                 assert r.u8() == frames.ERR_TOO_LARGE
-                assert await reader.read(1) == b""  # server hung up
-                writer.close()
-                await writer.wait_closed()
+                assert await peer.hung_up()
+                await peer.close()
             finally:
                 await server.close()
 
@@ -228,19 +267,49 @@ class TestWireDiscipline:
             server = SSIServer(SSIDispatcher())
             await server.start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
+                peer = await RawPeer.connect(server)
                 # declared body of 1 byte: too short to hold version+type
-                writer.write(b"\x00\x00\x00\x01\x00")
-                await writer.drain()
-                body = await frames.read_frame(reader)
-                msg_type, _corr, _exts, r = frames.unpack_frame_ext(body)
-                assert msg_type == frames.MSG_ERROR
+                await peer.send(b"\x00\x00\x00\x01\x00")
+                msg_type, corr, r = await peer.frame()
+                assert (msg_type, corr) == (frames.MSG_ERROR, 0)
                 assert r.u8() == frames.ERR_MALFORMED  # not ERR_TOO_LARGE
-                assert await reader.read(1) == b""  # server hung up
-                writer.close()
-                await writer.wait_closed()
+                assert await peer.hung_up()
+                await peer.close()
+            finally:
+                await server.close()
+
+        run_async(run())
+
+    def test_a_frame_slower_than_the_read_timeout_is_still_one_frame(self):
+        """With a request in flight — every device and querier has one
+        parked — the per-frame read timeout used to be survivable, and
+        when it fell between a prefix and its body the body was read as
+        the next prefix: ``ERR_TOO_LARGE "peer declared a 68288512-byte
+        frame"`` on id 0 and a hang-up, for a well-formed ``ping``."""
+
+        async def run():
+            dispatcher = SSIDispatcher()
+            server = SSIServer(dispatcher, read_timeout=0.2)
+            await server.start()
+            try:
+                peer = await RawPeer.connect(server)
+                w = frames.Writer()
+                ops.AWAIT_WORK.write_request(w, ("tds-0", [], 2.0))
+                await peer.send(
+                    frames.pack_frame(frames.MSG_AWAIT_WORK, w.getvalue(), 5)
+                )
+                await until(lambda: len(dispatcher._parked_work) == 1)
+                ping = frames.pack_frame(frames.MSG_PING, b"", correlation_id=6)
+                await peer.send(ping[:4])
+                await asyncio.sleep(0.3)  # the old timeout fires in here
+                await peer.send(ping[4:])
+                msg_type, corr, _r = await peer.frame()
+                assert (msg_type, corr) == (frames.MSG_OK, 6)
+                # ... and the parked request is answered when its hold ends
+                msg_type, corr, r = await peer.frame()
+                assert (msg_type, corr) == (frames.MSG_OK, 5)
+                assert tuple(ops.AWAIT_WORK.response.read(r)) == ([], None, [])
+                await peer.close()
             finally:
                 await server.close()
 
@@ -251,12 +320,9 @@ class TestWireDiscipline:
             server = SSIServer(SSIDispatcher(), read_timeout=0.05)
             await server.start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                assert await reader.read(1) == b""  # hung up after timeout
-                writer.close()
-                await writer.wait_closed()
+                peer = await RawPeer.connect(server)
+                assert await peer.hung_up()  # after the timeout
+                await peer.close()
             finally:
                 await server.close()
 

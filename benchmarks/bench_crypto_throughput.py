@@ -1,7 +1,7 @@
-"""Crypto plane throughput: block-parallel nDet_Enc vs. the seed baseline.
+"""Crypto throughput: block-parallel nDet_Enc vs. the seed baseline.
 
-Measures ``nDet_Enc`` encrypt+decrypt throughput along the block crypto
-plane (ISSUE 6):
+Measures ``nDet_Enc`` encrypt+decrypt throughput along the block path
+(ISSUE 6):
 
 * **before** — the seed's per-byte AES and chaining loops, preserved
   verbatim in :mod:`repro.crypto.reference`;
@@ -13,11 +13,6 @@ plane (ISSUE 6):
   This is the committed acceptance number (``--check`` reads it);
 * **block_cryptography** — the same block path on the optional
   OpenSSL-backed engine, reported separately when importable;
-* **keystream_prefetch** — the pipelining split: how fast a precomputed
-  CTR keystream batch can be generated, and how fast a block seals when
-  that half of the work already happened (overlapped with socket I/O);
-* **pool** — one block through a spawned :class:`CryptoPool` worker
-  (IPC round-trip included, so single-core hosts report it honestly);
 * **fleet_timeline** — a real serve+fleet+query over localhost TCP; the
   per-contribution spans split wall-clock into queue/crypto/wire, and
   the acceptance bar is crypto ≤ wire+queue.
@@ -44,7 +39,6 @@ from repro.bench import publish, render_table
 from repro.crypto import cache
 from repro.crypto.keys import derive_subkey
 from repro.crypto.ndet import NonDeterministicCipher
-from repro.crypto.pool import CryptoPool, TupleFrameBlock
 from repro.crypto.reference import (
     ReferenceAES128,
     reference_cbc_mac,
@@ -61,7 +55,7 @@ MIN_SPEEDUP = 5.0
 #: committed per-tuple stdlib figure
 MIN_SPEEDUP_VS_PREVIOUS = 5.0
 #: the per-tuple stdlib number BENCH_crypto.json carried before the
-#: block plane landed (PR 2 methodology, this machine class)
+#: block path landed (PR 2 methodology, this machine class)
 PREVIOUS_COMMITTED_MB_S = 3.3520945808699385
 #: --check fails when throughput drops more than this below the baseline
 CHECK_TOLERANCE = 0.30
@@ -203,69 +197,6 @@ def measure_block(
     }
 
 
-def measure_keystream_prefetch(
-    num_messages: int = BLOCK_MESSAGES,
-    repeats: int = REPEATS,
-    engine: str = "ttable",
-) -> dict[str, float]:
-    """Split a block seal into its precomputable and residual halves.
-
-    The keystream batch depends only on nonces and sizes, so a worker
-    can generate it while the previous block is still on the wire; the
-    residual seal (XOR + MAC) is all that sits on the critical path."""
-    cache.use_engine(engine)
-    cipher = NonDeterministicCipher(KEY)
-    messages = _messages(num_messages)
-    payloads, offsets = _pack(messages)
-    sizes = [len(m) for m in messages]
-    total = len(payloads)
-
-    best_keystream = best_seal = float("inf")
-    for __ in range(repeats):
-        nonces = cipher.fresh_nonces(num_messages)
-        start = time.perf_counter()
-        keystream = cipher.keystream_block(nonces, sizes)
-        best_keystream = min(best_keystream, time.perf_counter() - start)
-
-        start = time.perf_counter()
-        cipher.encrypt_block(
-            payloads, offsets, nonces=nonces, keystream=keystream
-        )
-        best_seal = min(best_seal, time.perf_counter() - start)
-
-    return {
-        "keystream_mb_s": _throughput(total, best_keystream),
-        "seal_with_prefetch_mb_s": _throughput(total, best_seal),
-    }
-
-
-def measure_pool(
-    num_messages: int = BLOCK_MESSAGES,
-    repeats: int = REPEATS,
-    engine: str = "ttable",
-) -> dict[str, float | int]:
-    """One block per IPC round through a spawned worker process.
-
-    Reported with the host's core count: on a single-core box the worker
-    only adds IPC cost over inline, and the number says so honestly."""
-    cache.use_engine(engine)
-    frames = TupleFrameBlock.from_frames(_messages(num_messages))
-    total = len(frames.frames)
-    with CryptoPool(1, engine=engine) as pool:
-        pool.encrypt_tuple_block(KEY, frames)  # warm the worker up
-        best = float("inf")
-        for __ in range(repeats):
-            start = time.perf_counter()
-            block = pool.encrypt_tuple_block(KEY, frames)
-            best = min(best, time.perf_counter() - start)
-        assert len(block) == num_messages
-    return {
-        "workers": 1,
-        "host_cpus": os.cpu_count() or 1,
-        "encrypt_mb_s": _throughput(total, best),
-    }
-
-
 # --------------------------------------------------------------------- #
 # TCP fleet-query span timeline
 # --------------------------------------------------------------------- #
@@ -360,8 +291,6 @@ def measure_all() -> dict:
         before = measure_reference()
         per_tuple = measure_per_tuple()
         after = measure_block()
-        prefetch = measure_keystream_prefetch()
-        pool = measure_pool()
         block_crypto = (
             measure_block(engine="cryptography")
             if _cryptography_available()
@@ -382,8 +311,6 @@ def measure_all() -> dict:
         "per_tuple": per_tuple,
         "after": after,
         "block_cryptography": block_crypto,
-        "keystream_prefetch": prefetch,
-        "pool": pool,
         "fleet_timeline": timeline,
         "speedup": after["combined_mb_s"] / before["combined_mb_s"],
         "previous_committed_mb_s": PREVIOUS_COMMITTED_MB_S,

@@ -42,6 +42,7 @@ from repro.bench import (
     tq_vs_g,
 )
 from repro.costmodel import PAPER_DEFAULTS, all_protocol_metrics
+from repro.crypto import cache as crypto_cache
 from repro.exceptions import ProtocolError
 from repro.protocols import (
     DRIVERS,
@@ -408,13 +409,18 @@ def fleet_shard_builder(
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.crypto import cache as crypto_cache
-    from repro.crypto.pool import CryptoPool
     from repro.net.fleet import FleetRunner, ShardedFleetRunner
     from repro.net.transport import TCPTransport
     from repro.obs import spans as obs_spans
     from repro.protocols import build_histogram
 
+    if args.shards > 1 and args.health_check_interval > 0:
+        # shard workers run no health probe; say so before spawning any
+        print(
+            "fleet: --health-check-interval is not supported with --shards > 1",
+            file=sys.stderr,
+        )
+        return 2
     obs_spans.set_process_label("fleet")
     if args.crypto_engine != "auto":
         # The env var (inherited by spawn workers) and the in-process
@@ -441,7 +447,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 shards=args.shards,
                 seed=args.seed + 1,
                 batch_size=args.batch,
-                crypto_workers=args.crypto_workers,
                 window=args.window,
                 concurrency=args.concurrency,
                 poll_interval=args.poll_interval,
@@ -465,10 +470,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         deployment, "Consumer", "district", num_buckets=args.buckets
     )
 
-    pool = (
-        CryptoPool(args.crypto_workers) if args.crypto_workers > 0 else None
-    )
-
     async def _run() -> None:
         fleet = FleetRunner(
             deployment.tds_list,
@@ -477,7 +478,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             concurrency=args.concurrency,
             poll_interval=args.poll_interval,
             batch_size=args.batch,
-            crypto_pool=pool,
             health_check_interval=args.health_check_interval,
             rng=random.Random(args.seed + 1),
         )
@@ -493,8 +493,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("fleet stopped")
     finally:
-        if pool is not None:
-            pool.close()
         if args.span_export:
             with open(f"{args.span_export}.jsonl", "w", encoding="utf-8") as fp:
                 exported = obs_spans.RECORDER.export_jsonl(fp)
@@ -857,14 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="max in-flight pipelined requests per connection",
     )
     fleet.add_argument(
-        "--crypto-workers",
-        type=int,
-        default=0,
-        help="crypto worker processes per fleet/shard (0=encrypt inline)",
-    )
-    fleet.add_argument(
         "--crypto-engine",
-        choices=("auto", "cryptography", "ttable", "reference"),
+        choices=crypto_cache.ENGINE_CHOICES,
         default="auto",
         help="AES engine (auto prefers the cryptography package)",
     )

@@ -24,7 +24,6 @@ from repro.crypto.keys import (
     random_key,
 )
 from repro.crypto.ndet import NonDeterministicCipher
-from repro.crypto.pool import CryptoPool, TupleFrameBlock
 
 __all__ = [
     "AES128",
@@ -34,10 +33,8 @@ __all__ = [
     "BucketHasher",
     "DeviceKeyStore",
     "KeyBroadcast",
-    "CryptoPool",
     "DeterministicCipher",
     "NonDeterministicCipher",
-    "TupleFrameBlock",
     "KeyBundle",
     "KeyProvisioner",
     "KeyRing",

@@ -62,7 +62,7 @@ def xor_packed(
 ) -> bytes:
     """XOR the messages packed in *view* against a packed *keystream*
     (message *i*'s stream starts block-aligned where *i - 1*'s ended, the
-    :meth:`CipherEngine.ctr_keystream_packed` layout)."""
+    layout :meth:`AES128._keystreams` returns)."""
     if _np is not None and len(view) >= 512:
         data = _np.frombuffer(view, dtype=_np.uint8)
         stream = _np.frombuffer(keystream, dtype=_np.uint8)
@@ -139,15 +139,6 @@ class CipherEngine:
         return mac
 
     # -- batch and packed forms ---------------------------------------- #
-    def ctr_keystream_packed(
-        self, nonces: Sequence[bytes], block_counts: Sequence[int]
-    ) -> bytes:
-        """Concatenated CTR keystreams for a batch of messages (message
-        *i* occupies ``block_counts[i] * 16`` bytes)."""
-        if len(nonces) != len(block_counts):
-            raise ValueError("one nonce per block count required")
-        return b"".join(map(self.ctr_keystream, nonces, block_counts))
-
     def ctr_transform_many(
         self, nonces: Sequence[bytes], messages: Sequence[bytes]
     ) -> list[bytes]:
@@ -510,7 +501,7 @@ class AES128(CipherEngine):
         if len(nonce) != 8:
             raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
         if _np is not None and num_blocks >= _NP_MIN_BLOCKS:
-            return self.ctr_keystream_packed([nonce], [num_blocks])
+            return self._keystreams([nonce], [num_blocks])
         n0, n1 = (
             int.from_bytes(nonce[:4], "big"),
             int.from_bytes(nonce[4:], "big"),
@@ -526,7 +517,7 @@ class AES128(CipherEngine):
             )
         return bytes(out)
 
-    def ctr_keystream_packed(
+    def _keystreams(
         self, nonces: Sequence[bytes], block_counts: Sequence[int]
     ) -> bytes:
         """Concatenated CTR keystreams for a batch of messages.
@@ -582,7 +573,7 @@ class AES128(CipherEngine):
         if len(nonces) != len(messages):
             raise ValueError("one nonce per message required")
         counts = [blocks_in(len(message)) for message in messages]
-        flat = self.ctr_keystream_packed(nonces, counts)
+        flat = self._keystreams(nonces, counts)
         out = []
         cursor = 0
         for message, count in zip(messages, counts):
@@ -599,9 +590,7 @@ class AES128(CipherEngine):
             blocks_in(offsets[i + 1] - offsets[i])
             for i in range(len(offsets) - 1)
         ]
-        return xor_packed(
-            view, offsets, self.ctr_keystream_packed(nonces, counts)
-        )
+        return xor_packed(view, offsets, self._keystreams(nonces, counts))
 
     def cbc_mac_many(self, messages: Sequence[bytes]) -> list[bytes]:
         """CBC-MAC cores of a batch of block-aligned messages, computed in

@@ -116,7 +116,8 @@ class DeterministicCipher:
             raise DecryptionError("Det_Enc synthetic IV mismatch")
 
     # ------------------------------------------------------------------ #
-    # packed-block interface (the block crypto plane)
+    # packed-block interface (no caller in src/; kept because
+    # benchmarks/e2e/layers.py wraps both by name)
     # ------------------------------------------------------------------ #
     def encrypt_block(
         self, payloads: bytes | memoryview, offsets: Sequence[int]

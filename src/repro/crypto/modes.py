@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.crypto.aes import BLOCK_SIZE, CipherEngine, blocks_in, xor_packed
+from repro.crypto.aes import BLOCK_SIZE, CipherEngine
 from repro.exceptions import DecryptionError
 
 #: PKCS#7 tails by pad length (index 0 unused)
@@ -95,24 +95,8 @@ def cbc_mac_many(
 
 
 # ---------------------------------------------------------------------- #
-# packed-buffer interface (the block crypto plane)
+# packed-buffer interface
 # ---------------------------------------------------------------------- #
-
-
-def keystream_packed(
-    cipher: CipherEngine, nonces: Sequence[bytes], sizes: Sequence[int]
-) -> bytes:
-    """One flat CTR keystream buffer covering a batch of messages.
-
-    Message *i*'s keystream occupies ``ceil(sizes[i] / 16) * 16`` bytes
-    starting where message *i - 1*'s ended (block-aligned, so a message's
-    stream is longer than the message unless its size is a multiple of
-    16).  This is the precomputable half of :func:`ctr_transform_packed`:
-    a worker can generate it ahead of time — overlapped with socket I/O —
-    and hand it in via the ``keystream`` parameter."""
-    if len(nonces) != len(sizes):
-        raise ValueError("one nonce per message size required")
-    return cipher.ctr_keystream_packed(nonces, [blocks_in(size) for size in sizes])
 
 
 def ctr_transform_packed(
@@ -120,17 +104,13 @@ def ctr_transform_packed(
     nonces: Sequence[bytes],
     buffer: bytes | memoryview,
     offsets: Sequence[int],
-    *,
-    keystream: bytes | None = None,
 ) -> bytes:
     """CTR-transform messages packed in one buffer, returning a packed
     buffer of the same shape (CTR is length-preserving).
 
     ``offsets`` has one entry per message boundary (``len(messages) + 1``
     entries, first 0, last ``len(buffer)``) — the
-    :func:`repro.core.codec.encode_packed` convention.  A precomputed
-    *keystream* (from :func:`keystream_packed` with the same nonces and
-    sizes) skips the AES pass entirely."""
+    :func:`repro.core.codec.encode_packed` convention."""
     count = len(offsets) - 1
     if count < 0:
         raise ValueError("offsets must have at least one entry")
@@ -144,6 +124,4 @@ def ctr_transform_packed(
         raise ValueError("offsets must span the packed buffer exactly")
     if any(offsets[i] > offsets[i + 1] for i in range(count)):
         raise ValueError("offsets must be non-decreasing")
-    if keystream is None:
-        return cipher.ctr_transform_packed(nonces, view, offsets)
-    return xor_packed(view, offsets, keystream)
+    return cipher.ctr_transform_packed(nonces, view, offsets)

@@ -37,7 +37,6 @@ from repro.crypto.modes import (
     ctr_transform,
     ctr_transform_many,
     ctr_transform_packed,
-    keystream_packed,
 )
 from repro.exceptions import DecryptionError
 
@@ -147,24 +146,14 @@ class NonDeterministicCipher:
             raise DecryptionError("nDet_Enc authentication tag mismatch")
 
     # ------------------------------------------------------------------ #
-    # packed-block interface (the block crypto plane)
+    # packed-block interface
     # ------------------------------------------------------------------ #
-    def keystream_block(
-        self, nonces: Sequence[bytes], sizes: Sequence[int]
-    ) -> bytes:
-        """Precompute the packed CTR keystream for a future
-        :meth:`encrypt_block` call with the same *nonces* over messages of
-        the given *sizes* — the half of the work that can overlap with
-        socket I/O."""
-        return keystream_packed(self._enc, nonces, sizes)
-
     def encrypt_block(
         self,
         payloads: bytes | memoryview,
         offsets: Sequence[int],
         *,
         nonces: Sequence[bytes] | None = None,
-        keystream: bytes | None = None,
     ) -> tuple[bytes, tuple[int, ...]]:
         """Encrypt a packed buffer of messages in one pass.
 
@@ -172,18 +161,15 @@ class NonDeterministicCipher:
         :func:`repro.core.codec.encode_packed` convention (``count + 1``
         offsets spanning the buffer).  Returns the packed ciphertext
         buffer and its offsets; each message grows by
-        :meth:`ciphertext_overhead` bytes.  Explicit *nonces* (with an
-        optional matching precomputed *keystream*) make the output
-        reproducible and let worker processes share one entropy draw."""
+        :meth:`ciphertext_overhead` bytes.  Explicit *nonces* make the
+        output reproducible."""
         count = len(offsets) - 1
         if nonces is None:
             nonces = self.fresh_nonces(count)
         elif len(nonces) != count:
             raise ValueError("one nonce per packed message required")
         bodies = memoryview(
-            ctr_transform_packed(
-                self._enc, nonces, payloads, offsets, keystream=keystream
-            )
+            ctr_transform_packed(self._enc, nonces, payloads, offsets)
         )
         sealed = [
             nonces[i] + bodies[offsets[i] : offsets[i + 1]]

@@ -109,9 +109,9 @@ class TupleBatcher:
     async def submit_block(
         self, query_id: str, block: EncryptedTupleBlock
     ) -> None:
-        """Queue an already-columnar *block* for *query_id* — the zero-copy
-        entry point for the block crypto plane — and return once the batch
-        it joined has been acknowledged by the SSI."""
+        """Queue an already-columnar *block* for *query_id* (what
+        ``TrustedDataServer.seal_frames`` returns, no per-tuple copy) and
+        return once the batch it joined has been acknowledged by the SSI."""
         if not len(block):
             return
         loop = asyncio.get_running_loop()

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Sequence
 
 from repro.core.messages import FailureInjector, Partition, QueryEnvelope
-from repro.crypto.pool import CryptoPool
 from repro.exceptions import AccessDeniedError, ProtocolError, TransportError
 from repro.net import ops
 from repro.net.batch import TupleBatcher
@@ -125,7 +124,6 @@ class FleetRunner:
         poll_interval: float = 0.02,
         batch_size: int = 0,
         batch_flush_interval: float = 0.02,
-        crypto_pool: CryptoPool | None = None,
         close_no_size_queries: bool = True,
         shard_label: str = "local",
         health_check_interval: float = 0.0,
@@ -158,9 +156,6 @@ class FleetRunner:
         #: > 0 coalesces contributions into MSG_SUBMIT_TUPLES_BATCH frames
         self.batch_size = batch_size
         self.batch_flush_interval = batch_flush_interval
-        #: block encryption runs on this pool's workers (overlapped with
-        #: socket I/O); None seals blocks inline on the event loop
-        self.crypto_pool = crypto_pool
         #: shard workers set this False: their device subset must not close
         #: a no-SIZE collection other shards are still contributing to
         self.close_no_size_queries = close_no_size_queries
@@ -311,8 +306,8 @@ class FleetRunner:
                     degraded = verdict["status"] != "ok"
                     status = str(verdict["status"])
                 except (TransportError, ProtocolError, asyncio.TimeoutError):
-                    # Unreachable or pre-CAP_HEALTH peer: treat as
-                    # degraded-unknown rather than hammering it.
+                    # Unreachable, or it answered with a typed error: treat
+                    # as degraded-unknown rather than hammering it.
                     degraded = True
                     status = "unreachable"
                 if degraded != self._degraded:
@@ -402,12 +397,7 @@ class FleetRunner:
                     histogram=self.histogram,
                     statement=statement,
                 )
-                if self.crypto_pool is not None:
-                    # The event loop services other devices' sockets while a
-                    # worker process encrypts this block.
-                    block = await tds.seal_frames_async(frame_block, self.crypto_pool)
-                else:
-                    block = tds.seal_frames(frame_block)
+                block = tds.seal_frames(frame_block)
                 crypto_seconds = time.perf_counter() - crypto_started
                 wire_started = time.perf_counter()
                 if self._batcher is None:
@@ -566,8 +556,6 @@ class ShardSpec:
     seed: int
     batch_size: int = 0
     batch_flush_interval: float = 0.02
-    #: > 0 gives the shard a CryptoPool with that many worker processes
-    crypto_workers: int = 0
     window: int = 32
     concurrency: int = 8
     #: pause before a device re-arms after a failed exchange (see
@@ -606,7 +594,6 @@ def run_shard(spec: ShardSpec) -> dict[str, object]:
     if not shard:
         return _stats_to_dict(FleetStats())
     obs_spans.set_process_label(f"fleet-{spec.shard_index}")
-    pool = CryptoPool(spec.crypto_workers) if spec.crypto_workers > 0 else None
 
     async def main() -> FleetStats:
         runner = FleetRunner(
@@ -617,7 +604,6 @@ def run_shard(spec: ShardSpec) -> dict[str, object]:
             poll_interval=spec.poll_interval,
             batch_size=spec.batch_size,
             batch_flush_interval=spec.batch_flush_interval,
-            crypto_pool=pool,
             # One shard seeing "all my devices contributed" says nothing
             # about the other shards; only the SSI (SIZE clause) may
             # close a sharded collection.
@@ -627,11 +613,7 @@ def run_shard(spec: ShardSpec) -> dict[str, object]:
         )
         return await runner.run(spec.until_queries_done)
 
-    try:
-        stats = _stats_to_dict(asyncio.run(main()))
-    finally:
-        if pool is not None:
-            pool.close()
+    stats = _stats_to_dict(asyncio.run(main()))
     if spec.span_export is not None:
         path = f"{spec.span_export}.shard{spec.shard_index}.jsonl"
         with open(path, "w", encoding="utf-8") as fp:
@@ -674,7 +656,6 @@ class ShardedFleetRunner:
         seed: int = 0,
         batch_size: int = 0,
         batch_flush_interval: float = 0.02,
-        crypto_workers: int = 0,
         window: int = 32,
         concurrency: int = 8,
         poll_interval: float = 0.02,
@@ -693,7 +674,6 @@ class ShardedFleetRunner:
         self.seed = seed
         self.batch_size = batch_size
         self.batch_flush_interval = batch_flush_interval
-        self.crypto_workers = crypto_workers
         self.window = window
         self.concurrency = concurrency
         self.poll_interval = poll_interval
@@ -712,7 +692,6 @@ class ShardedFleetRunner:
                 seed=rng.getrandbits(64),
                 batch_size=self.batch_size,
                 batch_flush_interval=self.batch_flush_interval,
-                crypto_workers=self.crypto_workers,
                 window=self.window,
                 concurrency=self.concurrency,
                 poll_interval=self.poll_interval,

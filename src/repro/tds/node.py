@@ -14,7 +14,8 @@ filtering phases.
 from __future__ import annotations
 
 import random
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 from repro.core.codec import encode, encode_many
 from repro.core.messages import (
@@ -41,7 +42,6 @@ from repro.crypto.det import DeterministicCipher
 from repro.crypto.hashing import BucketHasher
 from repro.crypto.keys import KeyBundle
 from repro.crypto.ndet import NonDeterministicCipher
-from repro.crypto.pool import CryptoPool, TupleFrameBlock
 from repro.exceptions import (
     AccessDeniedError,
     ProtocolError,
@@ -59,6 +59,57 @@ from repro.tds.noise import NoiseStrategy
 
 #: bytes per scalar slot assumed by the RAM bound check (§4.2)
 SLOT_BYTES = 16
+
+
+@dataclass(frozen=True, slots=True)
+class TupleFrameBlock:
+    """A packed buffer of yet-to-be-encrypted tuple frames plus their
+    routing tags: what :meth:`TrustedDataServer.collect_frames` builds
+    and :meth:`TrustedDataServer.seal_frames` encrypts.
+
+    Same shape as :class:`~repro.core.messages.EncryptedTupleBlock`
+    (``count + 1`` offsets spanning ``frames``), but the payload bytes
+    are cleartext, so the class lives in ``repro.tds``: privacy-lint's
+    PL001 keeps ssi-role code from importing it, and an instance never
+    leaves the TDS process.
+    """
+
+    frames: bytes
+    offsets: tuple[int, ...]
+    tags: tuple[bytes | None, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.offsets) != len(self.tags) + 1:
+            raise ValueError(
+                f"offsets table of {len(self.offsets)} entries does not "
+                f"match {len(self.tags)} tags"
+            )
+        if self.offsets[0] != 0 or self.offsets[-1] != len(self.frames):
+            raise ValueError("offsets table does not span the frame buffer")
+        if any(a > b for a, b in zip(self.offsets, self.offsets[1:])):
+            raise ValueError("offsets table is not monotonically increasing")
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    @classmethod
+    def from_frames(
+        cls,
+        frames: Sequence[bytes],
+        tags: Sequence[bytes | None] | None = None,
+    ) -> "TupleFrameBlock":
+        offsets = [0]
+        total = 0
+        for frame in frames:
+            total += len(frame)
+            offsets.append(total)
+        if tags is None:
+            tags = [None] * len(frames)
+        return cls(
+            frames=b"".join(frames),
+            offsets=tuple(offsets),
+            tags=tuple(tags),
+        )
 
 
 class TrustedDataServer:
@@ -183,10 +234,9 @@ class TrustedDataServer:
         statement: SelectStatement | None = None,
     ) -> TupleFrameBlock:
         """Build the *plaintext* tuple frames (plus routing tags) for one
-        contribution, without encrypting yet — the TDS-side input of the
-        block crypto plane.  The returned block must never leave the TDS:
-        hand it to :meth:`seal_frames` (or a :class:`CryptoPool`) to get
-        the SSI-bound :class:`EncryptedTupleBlock`.
+        contribution, without encrypting yet.  The returned block must
+        never leave the TDS: hand it to :meth:`seal_frames` to get the
+        SSI-bound :class:`EncryptedTupleBlock`.
 
         Tags are already in their final over-the-wire form (``None``,
         ``Det_Enc(group)`` or ``h(bucket)``) because the nDet pass does
@@ -250,26 +300,11 @@ class TrustedDataServer:
     def seal_frames(self, frames: TupleFrameBlock) -> EncryptedTupleBlock:
         """nDet-encrypt a frame block under k2 in one packed pass — the
         moment the data crosses the trust boundary."""
-        cipher = self._k2_cipher()
-        nonces = cipher.fresh_nonces(len(frames))
-        payloads, offsets = cipher.encrypt_block(
-            frames.frames, frames.offsets, nonces=nonces
+        payloads, offsets = self._k2_cipher().encrypt_block(
+            frames.frames, frames.offsets
         )
         return EncryptedTupleBlock(
             payloads=payloads, offsets=offsets, tags=frames.tags
-        )
-
-    async def seal_frames_async(
-        self, frames: TupleFrameBlock, pool: CryptoPool
-    ) -> EncryptedTupleBlock:
-        """:meth:`seal_frames` on a :class:`CryptoPool`: the packed AES
-        work runs in a worker process while the caller's event loop keeps
-        servicing sockets.  Nonces are still drawn here (in the TDS, from
-        its rng/entropy source) so reproducibility and the key's entropy
-        discipline survive the process hop."""
-        nonces = self._k2_cipher().fresh_nonces(len(frames))
-        return await pool.encrypt_tuple_block_async(
-            self._keys.k2.current.material, frames, nonces=nonces
         )
 
     def collect_block(

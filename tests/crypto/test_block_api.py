@@ -1,7 +1,7 @@
 """Parity fuzz of the packed-block crypto APIs across every engine.
 
-The block plane (``encrypt_block`` / ``decrypt_block`` / packed
-keystreams) must be byte-for-byte identical to the per-message API and
+The block API (``encrypt_block`` / ``decrypt_block``) must be
+byte-for-byte identical to the per-message API and
 identical *across engines* — the reference per-byte implementation is
 the oracle.  Tampered or truncated blocks must die with
 :class:`DecryptionError` on every engine.
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.crypto import cache
 from repro.crypto.det import DeterministicCipher
-from repro.crypto.modes import keystream_packed
 from repro.crypto.ndet import NonDeterministicCipher
 from repro.exceptions import DecryptionError
 
@@ -87,18 +86,6 @@ class TestCrossEngineParity:
             outputs.append(DeterministicCipher(KEY).encrypt_block(packed, offsets))
         assert all(out == outputs[0] for out in outputs)
 
-    @settings(max_examples=15, deadline=None)
-    @given(payload_lists)
-    def test_keystream_packed_identical_across_engines(self, payloads):
-        sizes = [len(p) for p in payloads]
-        nonces = [i.to_bytes(8, "big") for i in range(len(payloads))]
-        streams = []
-        for engine in ENGINES:
-            cache.use_engine(engine)
-            cipher = cache.aes_for_subkey(KEY, b"nDet/enc")
-            streams.append(keystream_packed(cipher, nonces, sizes))
-        assert all(stream == streams[0] for stream in streams)
-
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestBlockPerEngine:
@@ -124,19 +111,6 @@ class TestBlockPerEngine:
         assert unpack(ct, ct_offsets) == cipher.encrypt_many(payloads)
         plain, plain_offsets = cipher.decrypt_block(ct, ct_offsets)
         assert unpack(plain, plain_offsets) == payloads
-
-    def test_precomputed_keystream_matches(self, engine):
-        cache.use_engine(engine)
-        payloads = [b"alpha", b"", b"x" * 40]
-        packed, offsets = pack(payloads)
-        cipher = NonDeterministicCipher(KEY)
-        nonces = [i.to_bytes(8, "big") for i in range(len(payloads))]
-        stream = cipher.keystream_block(nonces, [len(p) for p in payloads])
-        with_ks = cipher.encrypt_block(
-            packed, offsets, nonces=nonces, keystream=stream
-        )
-        without = cipher.encrypt_block(packed, offsets, nonces=nonces)
-        assert with_ks == without
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -6,6 +6,7 @@ exactly as ``make lint`` does, so a privacy regression fails the tier-1
 suite even before CI runs the standalone linter.
 """
 
+import ast
 from pathlib import Path
 
 from tools.privacy_lint import Manifest, lint_source
@@ -60,6 +61,30 @@ def test_pl004_transfer_methods_are_the_op_table_rows_that_move_tds_bytes():
         name for op in ops.TABLE if op.tds_bytes for name in (op.name, op.method)
     }
     assert production_manifest().transfer_methods == flagged
+
+
+def test_tds_side_packages_never_serialise_out_of_the_process():
+    # Key material and cleartext frames stay in the TDS process: nothing
+    # under crypto/ or tds/ may reach for a process pool, an executor or
+    # pickle (the deleted crypto/pool.py shipped the k2 master key and
+    # every cleartext frame through a pipe to a spawn worker).
+    banned = {"multiprocessing", "concurrent", "pickle"}
+    offenders = []
+    for package in ("crypto", "tds"):
+        for path in sorted((REPO_ROOT / "src" / "repro" / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += [
+                    f"{path.relative_to(REPO_ROOT)}: {name}"
+                    for name in names
+                    if name.split(".")[0] in banned
+                ]
+    assert offenders == []
 
 
 def test_cli_exit_zero_on_clean_tree(capsys):

@@ -39,8 +39,6 @@ async def run_fleet_query(
     partition_timeout=0.5,
     meta_params=None,
     wait_timeout=45.0,
-    crypto_pool=None,
-    batch_size=0,
 ):
     """One full serve+fleet+query cycle over localhost TCP.
 
@@ -56,8 +54,6 @@ async def run_fleet_query(
         fault_plan=fault_plan,
         policy=RetryPolicy(backoff_base=0.01),
         poll_interval=0.01,
-        batch_size=batch_size,
-        crypto_pool=crypto_pool,
         rng=random.Random(5),
     )
     fleet_task = asyncio.create_task(fleet.run(until_queries_done=1))
@@ -114,50 +110,6 @@ class TestEndToEnd:
         # 4 of the 8 districts' rows were collected; the result is a
         # subset aggregation but must still decrypt and group cleanly.
         assert 1 <= len(rows) <= 4
-
-
-class TestCryptoPoolFleet:
-    """The block crypto plane end-to-end: contributions sealed through a
-    CryptoPool (inline and with a worker process) must be
-    indistinguishable from the per-tuple path at the result level."""
-
-    def test_sagg_with_inline_pool_matches_driver(self):
-        from repro.crypto.pool import CryptoPool
-
-        with CryptoPool(0) as pool:
-            rows, stats, __ = run_async(
-                run_fleet_query(GROUP_SQL, "s_agg", crypto_pool=pool)
-            )
-        assert rows == run_driver_inproc(SAggProtocol, GROUP_SQL)
-        assert stats.contributions == 8
-
-    def test_edhist_with_pool_and_batching(self):
-        from repro.crypto.pool import CryptoPool
-
-        with CryptoPool(0) as pool:
-            rows, stats, __ = run_async(
-                run_fleet_query(
-                    GROUP_SQL,
-                    "ed_hist",
-                    meta_params={"first_step_partition_size": 4},
-                    crypto_pool=pool,
-                    batch_size=16,
-                )
-            )
-        dep = build_deployment()
-        assert rows == run_driver_inproc(
-            EDHistProtocol, GROUP_SQL, histogram=make_histogram(dep)
-        )
-        assert stats.tuples_submitted == 8
-
-    def test_sagg_with_worker_process_pool(self):
-        from repro.crypto.pool import CryptoPool
-
-        with CryptoPool(1) as pool:
-            rows, __, __ = run_async(
-                run_fleet_query(GROUP_SQL, "s_agg", crypto_pool=pool)
-            )
-        assert rows == run_driver_inproc(SAggProtocol, GROUP_SQL)
 
 
 class TestFailureRecovery:

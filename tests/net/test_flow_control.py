@@ -137,8 +137,15 @@ class TestUnreadResponses:
                     and transport.get_write_buffer_size() > high_water,
                     timeout=10.0,
                 )
-                dispatched = _requests("fetch_query")
-                await asyncio.sleep(0.2)  # nothing moves while nothing is read
+                # nothing moves while nothing is read — once the kernel has
+                # stopped growing its send buffer (loopback autotuning can
+                # take a few more answers after the first stall)
+                dispatched = None
+                for _ in range(20):
+                    seen, dispatched = dispatched, _requests("fetch_query")
+                    if seen == dispatched:
+                        break
+                    await asyncio.sleep(0.2)
                 assert _requests("fetch_query") == dispatched < requests
                 assert inflight() == slots
                 assert transport.get_write_buffer_size() <= (

@@ -1,6 +1,7 @@
 """TrustedDataServer node tests: the TDS-side protocol primitives."""
 
 import functools
+import hashlib
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from repro.sql.schema import Database, schema
 from repro.tds.access_control import Authority, permissive_policy
 from repro.tds.device import DeviceProfile
 from repro.tds.histogram import EquiDepthHistogram
-from repro.tds.node import TrustedDataServer, reduced_row
+from repro.tds.node import TrustedDataServer, TupleFrameBlock, reduced_row
 from repro.tds.noise import ComplementaryNoise, RandomNoise
 
 
@@ -158,6 +159,79 @@ class TestStatementReuse:
         without = tds.collect_frames(env, "s_agg")
         assert opened == [env]
         assert bytes(with_it.frames) == bytes(without.frames)
+
+
+FRAMES = [b"frame-one", b"", b"frame-three-longer", b"x" * 50]
+
+
+class TestTupleFrameBlock:
+    def test_from_frames(self):
+        block = TupleFrameBlock.from_frames(FRAMES, [None, b"t", None, b""])
+        assert len(block) == 4
+        assert block.offsets == (0, 9, 9, 27, 77)
+        assert block.frames == b"".join(FRAMES)
+
+    def test_default_tags_are_none(self):
+        block = TupleFrameBlock.from_frames(FRAMES)
+        assert block.tags == (None,) * len(FRAMES)
+
+    def test_invariants_rejected(self):
+        with pytest.raises(ValueError):
+            TupleFrameBlock(b"ab", (0, 1), (None, None))
+        with pytest.raises(ValueError):
+            TupleFrameBlock(b"ab", (0, 3), (None,))
+        with pytest.raises(ValueError):
+            TupleFrameBlock(b"ab", (0, 2, 1), (None, None))
+
+
+DOMAIN = [("north",), ("south",)]
+
+#: protocol -> (sql, collect_block keywords, SHA-256 of the sealed
+#: payloads), captured at the commit before the crypto offload plane was
+#: deleted (PR 24) from ``tds_b`` — every draw seeded, so the bytes are
+#: the same on every engine
+GOLDEN_CONTRIBUTIONS = {
+    "basic": (
+        "SELECT x FROM T WHERE x > 3", {},
+        "e7e18d7f7bb9c3bd30bd22462ea160773c334b6d568c86d4e13521f51fb76d26",
+    ),
+    "s_agg": (
+        AGG_SQL, {},
+        "c382af329023a2719102aba843524b75c124a6fabf85a5f6f248aedc50be0278",
+    ),
+    "rnf_noise": (
+        AGG_SQL,
+        {"noise": lambda: RandomNoise(DOMAIN, nf=3, rng=random.Random(1))},
+        "ec0d91d790370d2e5d1484bc3fd9db68f530df7beec2ac7c4ea3ca80da2e5986",
+    ),
+    "c_noise": (
+        AGG_SQL, {"noise": lambda: ComplementaryNoise(DOMAIN)},
+        "056abe9424e4430c88cf2eec53fa308fa895cd4db25d1eeeafc541659f25b9b6",
+    ),
+    "ed_hist": (
+        AGG_SQL,
+        {
+            "histogram": lambda: EquiDepthHistogram.from_distribution(
+                {("north",): 2, ("south",): 1}, num_buckets=2
+            )
+        },
+        "c382af329023a2719102aba843524b75c124a6fabf85a5f6f248aedc50be0278",
+    ),
+}
+
+
+class TestContributionBytes:
+    @pytest.mark.parametrize("protocol", list(GOLDEN_CONTRIBUTIONS))
+    def test_sealed_payloads_match_the_golden(self, setup, protocol):
+        """How a block is sealed may change; with the same seeds, what
+        reaches the SSI may not move by a byte."""
+        sql, knowledge, digest = GOLDEN_CONTRIBUTIONS[protocol]
+        block = setup["tds_b"].collect_block(
+            setup["envelope"](sql),
+            protocol,
+            **{name: build() for name, build in knowledge.items()},
+        )
+        assert hashlib.sha256(bytes(block.payloads)).hexdigest() == digest
 
 
 class TestCollectBasic:

@@ -2,7 +2,7 @@
 
 PR 2's rules are per-file, syntactic AST checks; the shapes the codebase
 has since grown — packed buffers flowing ``tds/node.py`` ->
-``net/batch.py`` -> ``net/server.py``, a spawn-based crypto pool, a
+``net/batch.py`` -> ``net/server.py``, spawn-based fleet shards, a
 concurrent asyncio dispatcher — leak *through function calls*, which a
 single-file rule cannot see.  This package adds the missing layer:
 

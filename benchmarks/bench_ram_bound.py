@@ -84,7 +84,9 @@ def test_ram_bound_enforced_empirically(benchmark):
         rng=random.Random(1),
     )
     few = [
-        t for tds in deployment.tds_list[:8] for t in tds.collect_for_sagg(envelope)
+        t
+        for tds in deployment.tds_list[:8]
+        for t in tds.collect_block(envelope, "s_agg").tuples()
     ]
     benchmark.pedantic(
         cramped.aggregate_partition,
@@ -94,7 +96,9 @@ def test_ram_bound_enforced_empirically(benchmark):
     )  # fits
 
     many = [
-        t for tds in deployment.tds_list for t in tds.collect_for_sagg(envelope)
+        t
+        for tds in deployment.tds_list
+        for t in tds.collect_block(envelope, "s_agg").tuples()
     ]
     with pytest.raises(ResourceExhaustedError):
         cramped.aggregate_partition(statement, Partition(1, tuple(many)))

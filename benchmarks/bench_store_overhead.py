@@ -91,7 +91,7 @@ async def _mode_run(mode, total, batch, window):
         dispatcher = SSIDispatcher.with_store(store)
     client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
     try:
-        await client.hello()
+        await client.ping()
         await client.post_query(_envelope())
         block = _block(batch)
         calls = max(1, total // batch)

@@ -46,7 +46,7 @@ def main() -> None:
     # --- 1. a compromised worker tampers with a partition ---------------
     tuples = []
     for tds in deployment.tds_list:
-        tuples.extend(tds.collect_for_sagg(envelope))
+        tuples.extend(tds.collect_block(envelope, "s_agg").tuples())
     partition = Partition(0, tuple(tuples))
     cheater = deployment.tds_list[7]
     tampered = cheater.aggregate_partition(

@@ -1,14 +1,14 @@
-"""Client-side tuple batching for the v3 collection fast path.
+"""Client-side coalescing of contributions.
 
-The fleet's contribution traffic is many small ``submit_tuples`` calls —
-a few tuples per TDS per query.  :class:`TupleBatcher` coalesces them:
-contributions accumulate in a per-query buffer and are flushed as one
-columnar ``MSG_SUBMIT_TUPLES_BATCH`` frame when the buffer reaches
+The fleet's contribution traffic is many small blocks — a few tuples
+per TDS per query.  :class:`TupleBatcher` coalesces them: contributions
+accumulate in a per-query buffer and are flushed as one columnar
+``MSG_SUBMIT_TUPLES_BATCH`` frame when the buffer reaches
 ``max_tuples`` *or* is ``max_delay`` seconds old, whichever comes
 first.
 
-Contribution semantics are preserved: :meth:`submit` resolves only once
-the batch containing those tuples has been acknowledged by the SSI (or
+Contribution semantics are preserved: :meth:`submit_block` resolves only
+once the batch containing that block has been acknowledged by the SSI (or
 raises if the flush failed), so callers can keep the rule "mark
 contributed only after the submission succeeded" without knowing whether
 batching is on.
@@ -20,9 +20,9 @@ TDSs and talks *to* the SSI through a client.
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Sequence
+from typing import Awaitable, Callable
 
-from repro.core.messages import EncryptedTuple, EncryptedTupleBlock
+from repro.core.messages import EncryptedTupleBlock
 from repro.exceptions import ProtocolError
 from repro.net.client import AsyncSSIClient
 from repro.obs import metrics as obs_metrics
@@ -97,15 +97,6 @@ class TupleBatcher:
         self.tuples_flushed = 0
 
     # ------------------------------------------------------------------ #
-    async def submit(
-        self, query_id: str, tuples: Sequence[EncryptedTuple]
-    ) -> None:
-        """Queue *tuples* for *query_id* and return once the batch they
-        joined has been acknowledged by the SSI."""
-        if not tuples:
-            return
-        await self.submit_block(query_id, EncryptedTupleBlock.from_tuples(tuples))
-
     async def submit_block(
         self, query_id: str, block: EncryptedTupleBlock
     ) -> None:

@@ -5,8 +5,8 @@ row of the operation table (:mod:`repro.net.ops`), with a configurable
 request timeout and bounded retries under jittered exponential backoff
 (:class:`RetryPolicy`).
 Transport failures (drops, timeouts) and ``ERR_ADMISSION`` responses
-are retried; *typed* application errors (duplicate/unknown query ids,
-result-not-ready) are raised immediately as the matching exception from
+are retried; *typed* application errors (duplicate/unknown query ids)
+are raised immediately as the matching exception from
 :mod:`repro.exceptions` — the same types the in-process SSI raises, so
 callers cannot tell a remote SSI from a local one by its failures.
 
@@ -239,25 +239,22 @@ class AsyncSSIClient:
     # ------------------------------------------------------------------ #
     # wire operations: one proxy per table row with an opcode
     # ------------------------------------------------------------------ #
+    #: the connect: a round trip that proves the peer speaks this version
     ping = _proxy(ops.PING)
-    #: (protocol version, capability bits) the peer reports
-    hello = _proxy(ops.HELLO)
     #: the SSI's metrics in Prometheus text form
     get_stats = _proxy(ops.GET_STATS)
     post_query = _proxy(ops.POST_QUERY)
     fetch_query = _proxy(ops.FETCH_QUERY)
-    submit_tuples = _proxy(ops.SUBMIT_TUPLES)
-    #: many tuples (a sequence or one EncryptedTupleBlock) as one columnar
-    #: frame: one lengths vector and one payload buffer instead of
-    #: per-tuple framing; semantically identical to submit_tuples
+    #: one contribution (an EncryptedTupleBlock, or a sequence of tuples
+    #: made into one) as one columnar frame
     submit_tuples_batch = _proxy(ops.SUBMIT_TUPLES_BATCH)
     collected_count = _proxy(ops.COLLECTED_COUNT)
     close_collection = _proxy(ops.CLOSE_COLLECTION)
-    fetch_result = _proxy(ops.FETCH_RESULT)
     #: (new queries, a work unit or None, finished ids): the SSI parks
     #: the request up to ``hold`` seconds while it has nothing to say
     await_work = _proxy(ops.AWAIT_WORK)
     #: the published result, or None when ``hold`` seconds passed first
+    #: (a zero hold is the one-shot read)
     await_result = _proxy(ops.AWAIT_RESULT)
 
     @property
@@ -287,7 +284,7 @@ class AsyncSSIClient:
         )
 
     async def get_health(self) -> dict:
-        """Fetch the SSI's rolling-window health verdict (CAP_HEALTH).
+        """Fetch the SSI's rolling-window health verdict.
 
         A server running without a monitor answers ``monitored=False``
         with an ``ok`` verdict, so callers can poll unconditionally.

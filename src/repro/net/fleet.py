@@ -153,7 +153,8 @@ class FleetRunner:
         self.policy = policy if policy is not None else RetryPolicy()
         self.concurrency = concurrency
         self.poll_interval = poll_interval
-        #: > 0 coalesces contributions into MSG_SUBMIT_TUPLES_BATCH frames
+        #: 0: each device sends its own block; > 0: a batcher coalesces
+        #: blocks into frames of about this many tuples
         self.batch_size = batch_size
         self.batch_flush_interval = batch_flush_interval
         #: shard workers set this False: their device subset must not close
@@ -401,9 +402,7 @@ class FleetRunner:
                 crypto_seconds = time.perf_counter() - crypto_started
                 wire_started = time.perf_counter()
                 if self._batcher is None:
-                    await client.submit_tuples(
-                        envelope.query_id, list(block.tuples())
-                    )
+                    await client.submit_tuples_batch(envelope.query_id, block)
             if self._batcher is not None:
                 # Awaited outside the semaphore: a waiter parked on a batch
                 # ack must not pin a concurrency slot for up to max_delay.

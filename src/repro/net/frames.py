@@ -65,8 +65,8 @@ from repro.exceptions import (
 #: sequence idempotency key; v3: frames carry a correlation id for
 #: pipelined RPC, and tuples may travel as columnar
 #: MSG_SUBMIT_TUPLES_BATCH blocks; v4: an extension block follows the
-#: fixed header — trace context, durable commitments — plus the
-#: MSG_HELLO capability report and MSG_GET_STATS)
+#: fixed header — trace context, durable commitments — plus
+#: MSG_GET_STATS)
 PROTOCOL_VERSION = 4
 
 #: bytes of the length prefix preceding every frame body
@@ -97,20 +97,19 @@ MAX_ITEMS = 1_000_000
 # --------------------------------------------------------------------- #
 # message types
 # --------------------------------------------------------------------- #
-# 0x03, 0x06, 0x08-0x0E and 0x10 were the SSI's own steps and the one-shot
-# probes as remote procedures (retired with the client-side coordinator;
-# answered ERR_UNKNOWN_OP, never reused)
+# Retired opcodes, answered ERR_UNKNOWN_OP and never reused: 0x03, 0x06,
+# 0x08-0x0E and 0x10 were the SSI's own steps and the one-shot probes as
+# remote procedures (gone with the client-side coordinator); 0x04 was the
+# per-item tuple submission, 0x0F the one-shot result read (await_result
+# with a zero hold) and 0x15 MSG_HELLO, a capability report nobody read.
 MSG_POST_QUERY = 0x01
 MSG_FETCH_QUERY = 0x02
-MSG_SUBMIT_TUPLES = 0x04
 MSG_COLLECTED_COUNT = 0x05
 MSG_CLOSE_COLLECTION = 0x07
-MSG_FETCH_RESULT = 0x0F
 MSG_SUBMIT_PARTITION_RESULT = 0x11
 MSG_PING = 0x12
 MSG_SUBMIT_TUPLES_BATCH = 0x13
 MSG_GET_STATS = 0x14
-MSG_HELLO = 0x15
 MSG_GET_COMMITMENT = 0x16
 MSG_GET_HEALTH = 0x17
 #: long polls: the server parks the request until it has an answer or
@@ -122,7 +121,7 @@ MSG_OK = 0x40
 MSG_ERROR = 0x41
 
 # --------------------------------------------------------------------- #
-# frame extensions + capability flags
+# frame extensions
 # --------------------------------------------------------------------- #
 #: extension carrying a 16-byte trace context (u64 trace id + u64 span
 #: id, big-endian); see repro.obs.spans.TraceContext
@@ -135,20 +134,6 @@ EXT_COMMITMENT = 0x02
 
 #: ceiling on extensions per frame (a routing header, not a data lane)
 MAX_EXTENSIONS = 8
-
-#: capability bits exchanged in MSG_HELLO
-CAP_TRACE_CONTEXT = 1 << 0
-CAP_STATS = 1 << 1
-#: server persists state durably and answers MSG_GET_COMMITMENT; acks
-#: on mutating requests carry an EXT_COMMITMENT extension
-CAP_DURABLE_COMMITMENT = 1 << 2
-#: server answers MSG_GET_HEALTH with a rolling-window SLO verdict
-CAP_HEALTH = 1 << 3
-
-#: everything this build implements
-CAPABILITIES = (
-    CAP_TRACE_CONTEXT | CAP_STATS | CAP_DURABLE_COMMITMENT | CAP_HEALTH
-)
 
 # --------------------------------------------------------------------- #
 # wire-level error codes (satellite: typed errors, no tracebacks)

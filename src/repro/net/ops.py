@@ -226,11 +226,6 @@ ATTESTATION = _optional("attestation", _struct("attestation", I64, BLOB, OPT_BLO
 HEALTH = _optional(
     "verdict", _struct("verdict", U8, F64, F64, _listing("reasons", TEXT))
 )
-#: (protocol version, capability bits) — what MSG_HELLO reports each way
-_HELLO = (
-    Field("version", Writer.u8, Reader.u8, default=frames.PROTOCOL_VERSION),
-    Field("capabilities", Writer.u32, Reader.u32, default=frames.CAPABILITIES),
-)
 
 
 # --------------------------------------------------------------------- #
@@ -360,11 +355,6 @@ FETCH_QUERY = register(Op(
     frames.MSG_FETCH_QUERY, "fetch_query", (QUERY_ID,), QUERY,
     handler="_fetch_query",
 ))
-SUBMIT_TUPLES = register(Op(
-    frames.MSG_SUBMIT_TUPLES, "submit_tuples", (QUERY_ID, TUPLES), NOTHING,
-    idem=True, durable=True, record=2, method="submit_tuples", handler="_submit",
-    tds_bytes=True,
-))
 COLLECTED_COUNT = register(Op(
     frames.MSG_COLLECTED_COUNT, "collected_count", (QUERY_ID,), I64,
     method="collected_count",
@@ -372,10 +362,6 @@ COLLECTED_COUNT = register(Op(
 CLOSE_COLLECTION = register(Op(
     frames.MSG_CLOSE_COLLECTION, "close_collection", (QUERY_ID,), NOTHING,
     durable=True, record=5, method="close_collection",
-))
-FETCH_RESULT = register(Op(
-    frames.MSG_FETCH_RESULT, "fetch_result", (QUERY_ID,), RESULT,
-    method="fetch_result",
 ))
 SUBMIT_PARTITION_RESULT = register(Op(
     frames.MSG_SUBMIT_PARTITION_RESULT, "submit_partition_result",
@@ -390,9 +376,6 @@ SUBMIT_TUPLES_BATCH = register(Op(
 ))
 GET_STATS = register(Op(
     frames.MSG_GET_STATS, "get_stats", (), TEXT, handler="_get_stats",
-))
-HELLO = register(Op(
-    frames.MSG_HELLO, "hello", _HELLO, _struct("hello", *_HELLO), handler="_hello",
 ))
 # Durable: the head its payload reports must be synced before it leaves.
 GET_COMMITMENT = register(Op(
@@ -444,4 +427,12 @@ PUBLISH_RESULT = register(Op(
 RESET_AGGREGATION = register(Op(
     None, "reset_aggregation", (QUERY_ID,), NOTHING,
     durable=True, record=9, method="reset_aggregation",
+))
+#: read-only: what the retired per-item submission (opcode 0x04) wrote.
+#: Nothing writes it any more; logs written before the block row became
+#: the one contribution shape still verify and replay it, through the
+#: facade adapter that stores the tuples as one block.
+SUBMIT_TUPLES = register(Op(
+    None, "submit_tuples", (QUERY_ID, TUPLES), NOTHING,
+    record=2, method="submit_tuples", tds_bytes=True,
 ))

@@ -15,11 +15,12 @@ cleartext (SIZE clause, credentials, protocol shape).
 Error discipline: SSI-side failures are mapped to *typed* wire error
 codes; Python tracebacks never cross the transport.
 
-Writes: a submission is applied in the call that accepted it, so a
-read sees every acked write and the observer log is the arrival order.
+Writes: a contribution is applied in the call that accepted it, so a
+read sees every acked write, and the covering result and the observer
+log are both the arrival order.
 With a store, the mutation is journaled before it is applied, and which
 acks wait for the disk is the ``durable`` column of :mod:`repro.net.ops`:
-the ack of a journaled request (post, submission, close) waits until the
+the ack of a journaled request (post, contribution, close) waits until the
 last durable record anyone appended is synced — a replay must not
 overtake its original — and the ack of ``await_work`` or
 ``submit_partition_result`` only for durable records its own handling
@@ -347,7 +348,6 @@ class SSIDispatcher:
                     tds_id=self.tds_ids.get(query_id),
                     collection_closed=storage.collection_closed,
                     result_ready=storage.result_ready,
-                    collected=list(storage.collected),
                     collected_blocks=list(storage.collected_blocks),
                     partials=list(storage.partials),
                     result_rows=list(storage.result_rows),
@@ -504,10 +504,6 @@ class SSIDispatcher:
     # ------------------------------------------------------------------ #
     # handlers the op table names (everything not "call the facade")
     # ------------------------------------------------------------------ #
-    def _hello(self, _peer_version: int, _peer_caps: int) -> tuple[int, int]:
-        # symmetric: the peer reports its own, we only advertise ours
-        return frames.PROTOCOL_VERSION, frames.CAPABILITIES
-
     def _get_stats(self) -> str:
         # The one canonical serialization: the same Prometheus text the
         # --metrics-port endpoint serves, so the two surfaces can never
@@ -574,12 +570,12 @@ class SSIDispatcher:
         return self.ssi.envelope(query_id), self.metas.get(query_id, QueryMeta())
 
     def _submit(
-        self, call: _Call, query_id: str, items: "list | EncryptedTupleBlock"
+        self, call: _Call, query_id: str, block: EncryptedTupleBlock
     ) -> None:
-        """The two submission operations, applied in the call that
-        accepted them and marked once applied: a mutation that raised
-        leaves its key unmarked, so the client's retry (same bytes) is
-        executed, not acked as a replay.  The poster's byte quota is
+        """A contribution, applied in the call that accepted it and
+        marked once applied: a mutation that raised leaves its key
+        unmarked, so the client's retry (same bytes) is executed, not
+        acked as a replay.  The poster's byte quota is
         charged by wire size — the SSI's sanctioned view of a ciphertext
         — around the apply: an over-quota charge raises before any side
         effect, and the charge is returned whether or not the apply went
@@ -595,7 +591,7 @@ class SSIDispatcher:
         try:
             if journal is not None:
                 journal.set_idem(*call.key)
-            getattr(self.ssi, call.op.method)(query_id, items, wire=call.wire)
+            self.ssi.submit_tuple_block(query_id, block, wire=call.wire)
         finally:
             if journal is not None:
                 journal.clear_idem()

@@ -190,11 +190,10 @@ class ProtocolDriver:
             if self.ssi.evaluate_size_clause(query_id, elapsed):
                 break
             block = tds.collect_block(envelope, self.name, **self.device_knowledge())
-            tuples = list(block.tuples())
-            self.ssi.submit_tuples(query_id, tuples)
-            uploaded = sum(len(t.payload) for t in tuples)
+            self.ssi.submit_tuple_block(query_id, block)
             self.account(
-                "collection", -1, tds.tds_id, len(envelope.encrypted_query), uploaded
+                "collection", -1, tds.tds_id, len(envelope.encrypted_query),
+                len(block.payloads),
             )
             if self.ssi.evaluate_size_clause(query_id, elapsed):
                 break

@@ -101,24 +101,11 @@ class SupportingServerInfrastructure:
     # ------------------------------------------------------------------ #
     # collection phase (step 4, SIZE evaluation)
     # ------------------------------------------------------------------ #
-    def submit_tuples(
-        self,
-        query_id: str,
-        tuples: Iterable[EncryptedTuple],
-        *,
-        wire: bytes | memoryview | None = None,
-    ) -> None:
-        storage = self._require(query_id)
-        if storage.collection_closed:
-            return  # late arrivals after the SIZE clause closed: dropped
-        items = list(tuples)
-        if self.journal is not None:
-            self.journal.record("submit_tuples", query_id, items, wire=wire)
-        for item in items:
-            storage.append_tuple(item)
-            self.observer.record(
-                query_id, "collection", len(item.payload), item.group_tag
-            )
+    def submit_tuples(self, query_id: str, tuples: Iterable[EncryptedTuple]) -> None:
+        """The tuples as one block.  No live caller: replay runs it for
+        the per-item records of older logs, and it stays a method only
+        because ``benchmarks/e2e/layers.py`` wraps it by name."""
+        self.submit_tuple_block(query_id, EncryptedTupleBlock.from_tuples(list(tuples)))
 
     def submit_tuple_block(
         self,
@@ -127,11 +114,10 @@ class SupportingServerInfrastructure:
         *,
         wire: bytes | memoryview | None = None,
     ) -> None:
-        """Batched collection (the v3 wire path): store one columnar
-        block as-is — O(1) per block, no per-tuple objects until the
-        aggregation phase materializes the covering result.  The
-        observer still sees exactly the per-tuple sizes and tags it
-        would have seen item-by-item."""
+        """One contribution (step 4): store the columnar block as-is —
+        O(1) per block, no per-tuple objects until the aggregation phase
+        materializes the covering result.  The observer sees the
+        per-tuple sizes and tags, in the order they are stored."""
         storage = self._require(query_id)
         if storage.collection_closed:
             return  # late arrivals after the SIZE clause closed: dropped

@@ -137,44 +137,38 @@ class PartitionTracker:
 class QueryStorage:
     """All SSI-side state for one query.
 
-    Collected tuples arrive either as individual :class:`EncryptedTuple`
-    objects (``collected``) or as columnar :class:`EncryptedTupleBlock`
-    batches (``collected_blocks``); the batched path defers per-tuple
-    materialization until the aggregation phase reads the covering
-    result."""
+    The covering result is kept as the columnar
+    :class:`EncryptedTupleBlock` contributions it arrived as, one per
+    accepted submission, in arrival order — the order the observer saw
+    them in; per-tuple objects are only materialized when the
+    aggregation phase reads it."""
 
-    collected: list[EncryptedTuple] = field(default_factory=list)
     collected_blocks: list[EncryptedTupleBlock] = field(default_factory=list)
     partials: list[EncryptedPartial] = field(default_factory=list)
     result_rows: list[bytes] = field(default_factory=list)
     collection_closed: bool = False
     result_ready: bool = False
-    #: memoized flattened covering result; append_tuple/append_block
-    #: invalidate it, so repeated all_collected() calls during the
-    #: aggregation phase stop re-materializing every block
+    #: memoized flattened covering result; append_block invalidates it,
+    #: so repeated all_collected() calls during the aggregation phase
+    #: stop re-materializing every block
     _flat: list[EncryptedTuple] | None = field(
         default=None, repr=False, compare=False
     )
-
-    def append_tuple(self, item: EncryptedTuple) -> None:
-        self.collected.append(item)
-        self._flat = None
 
     def append_block(self, block: EncryptedTupleBlock) -> None:
         self.collected_blocks.append(block)
         self._flat = None
 
     def collected_count(self) -> int:
-        return len(self.collected) + sum(len(b) for b in self.collected_blocks)
+        return sum(len(b) for b in self.collected_blocks)
 
     def all_collected(self) -> list[EncryptedTuple]:
-        """Materialize the full covering result (per-tuple objects first,
-        then blocks, each in arrival order).  The flattened view is
-        cached until the next append; callers get a fresh list each time
-        (copying references is cheap — decoding blocks is not)."""
+        """Materialize the full covering result, in arrival order.  The
+        flattened view is cached until the next append; callers get a
+        fresh list each time (copying references is cheap — decoding
+        blocks is not)."""
         if self._flat is None:
-            items = list(self.collected)
-            for block in self.collected_blocks:
-                items.extend(block.tuples())
-            self._flat = items
+            self._flat = [
+                item for block in self.collected_blocks for item in block.tuples()
+            ]
         return list(self._flat)

@@ -151,7 +151,6 @@ def _restore_snapshot(
     for q in state.queries:
         ssi.post_query(q.envelope, q.tds_id)
         storage = ssi.storage_map()[q.query_id]
-        storage.collected = list(q.collected)
         storage.collected_blocks = list(q.collected_blocks)
         storage.partials = list(q.partials)
         storage.result_rows = list(q.result_rows)

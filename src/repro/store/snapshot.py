@@ -6,8 +6,8 @@ captures, at one instant between dispatched requests:
 
 * every live query: envelope, scheduling meta, personal-querybox
   target, collection/result flags, the collected covering result
-  (per-tuple lane + columnar blocks, preserved as stored), pending
-  partials and result rows;
+  (its columnar blocks, preserved as stored), pending partials and
+  result rows;
 * the dispatcher's idempotency dedup state (watermarks + ahead sets) —
   required so client retries spanning a crash are still dropped;
 * the full commitment-chain head list, so ``head_at(count)`` keeps
@@ -32,12 +32,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.messages import (
-    EncryptedPartial,
-    EncryptedTuple,
-    EncryptedTupleBlock,
-    QueryEnvelope,
-)
+from repro.core.messages import EncryptedPartial, EncryptedTupleBlock, QueryEnvelope
 from repro.exceptions import CorruptLogError, ProtocolError, StoreError
 from repro.net import frames
 from repro.net.frames import QueryMeta, Reader, Writer
@@ -64,7 +59,6 @@ class QuerySnapshot:
     tds_id: str | None = None
     collection_closed: bool = False
     result_ready: bool = False
-    collected: list[EncryptedTuple] = field(default_factory=list)
     collected_blocks: list[EncryptedTupleBlock] = field(default_factory=list)
     partials: list[EncryptedPartial] = field(default_factory=list)
     result_rows: list[bytes] = field(default_factory=list)
@@ -116,7 +110,7 @@ def _write_query(w: Writer, q: QuerySnapshot) -> None:
     w.opt_text(q.tds_id)
     w.boolean(q.collection_closed)
     w.boolean(q.result_ready)
-    frames.write_items(w, list(q.collected))
+    w.u32(0)  # the per-tuple lane of older builds, always empty now
     w.u32(len(q.collected_blocks))
     for block in q.collected_blocks:
         frames.write_tuple_block(w, block)
@@ -131,8 +125,10 @@ def _read_query(r: Reader) -> QuerySnapshot:
     tds_id = r.opt_text()
     closed = r.boolean()
     ready = r.boolean()
-    collected = frames.read_tuples(r)
-    blocks = [frames.read_tuple_block(r) for _ in range(r.count(limit=100_000))]
+    # An older build's per-tuple lane: it served those tuples first.
+    lane = frames.read_tuples(r)
+    blocks = [EncryptedTupleBlock.from_tuples(lane)] if lane else []
+    blocks += [frames.read_tuple_block(r) for _ in range(r.count(limit=100_000))]
     partials = frames.read_partials(r)
     rows = frames.read_rows(r)
     return QuerySnapshot(
@@ -142,7 +138,6 @@ def _read_query(r: Reader) -> QuerySnapshot:
         tds_id=tds_id,
         collection_closed=closed,
         result_ready=ready,
-        collected=collected,
         collected_blocks=blocks,
         partials=partials,
         result_rows=rows,

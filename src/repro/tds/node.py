@@ -4,7 +4,8 @@ A :class:`TrustedDataServer` wraps one individual's local database inside
 tamper-resistant hardware.  Everything that leaves this class is encrypted
 (or an opaque keyed hash); everything that enters is decrypted and
 verified inside.  The honest-but-curious SSI only ever interacts with the
-``collect_*`` / ``*_partition`` outputs, never with the plaintext.
+``collect_block`` / ``seal_frames`` / ``*_partition`` outputs, never with
+the plaintext.
 
 The class exposes the *primitives* of Fig. 2; protocol drivers in
 :mod:`repro.protocols` compose them into the collection / aggregation /
@@ -26,7 +27,6 @@ from repro.core.messages import (
     WORK_FOLD,
     WORK_FOLD_PER_GROUP,
     EncryptedPartial,
-    EncryptedTuple,
     EncryptedTupleBlock,
     Partition,
     QueryEnvelope,
@@ -196,34 +196,6 @@ class TrustedDataServer:
     # ------------------------------------------------------------------ #
     # collection phase (step 4 / 4')
     # ------------------------------------------------------------------ #
-    def collect_basic(self, envelope: QueryEnvelope) -> list[EncryptedTuple]:
-        """Basic protocol: project matching rows, or emit one dummy tuple
-        when nothing matches or access is denied (so the SSI never learns
-        query selectivity, §3.2)."""
-        return list(self.collect_block(envelope, "basic").tuples())
-
-    def collect_for_sagg(self, envelope: QueryEnvelope) -> list[EncryptedTuple]:
-        """S_Agg collection: fully nDet-encrypted tuples, no group tag."""
-        return list(self.collect_block(envelope, "s_agg").tuples())
-
-    def collect_with_noise(
-        self, envelope: QueryEnvelope, noise: NoiseStrategy
-    ) -> list[EncryptedTuple]:
-        """Noise-based collection: Det_Enc tag on the grouping value so the
-        SSI can group tuples, plus *noise* fake tuples hiding the real
-        distribution (§4.3).  Rnf_Noise and C_Noise share this dataflow;
-        *noise* is the whole difference."""
-        return list(self.collect_block(envelope, "c_noise", noise=noise).tuples())
-
-    def collect_for_histogram(
-        self, envelope: QueryEnvelope, histogram: EquiDepthHistogram
-    ) -> list[EncryptedTuple]:
-        """ED_Hist collection: tuples tagged with the keyed hash of their
-        equi-depth bucket (§4.4)."""
-        return list(
-            self.collect_block(envelope, "ed_hist", histogram=histogram).tuples()
-        )
-
     def collect_frames(
         self,
         envelope: QueryEnvelope,
@@ -315,10 +287,12 @@ class TrustedDataServer:
         noise: NoiseStrategy | None = None,
         histogram: EquiDepthHistogram | None = None,
     ) -> EncryptedTupleBlock:
-        """One contribution as a single columnar block: build the frames,
-        then encrypt them in one packed pass.  Per-tuple ciphertext bytes
-        are identical to the ``collect_*`` methods (same nonce draw order,
-        same construction), so the two shapes interoperate freely."""
+        """One contribution (step 4) as a single columnar block: build
+        the frames, then encrypt them in one packed pass.  Basic projects
+        the matching rows and S_Agg reduces them, untagged, with one
+        dummy for an empty answer (§3.2); the noise protocols tag each
+        tuple with Det_Enc of its group and add *noise*'s fakes (§4.3);
+        ED_Hist tags it with the keyed hash of its bucket (§4.4)."""
         return self.seal_frames(
             self.collect_frames(
                 envelope, protocol, noise=noise, histogram=histogram

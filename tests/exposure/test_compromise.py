@@ -109,7 +109,7 @@ class TestSpotCheckVerification:
         statement = deployment.tds_list[0].open_query(envelope)
         tuples = []
         for tds in deployment.tds_list[:6]:
-            tuples.extend(tds.collect_for_sagg(envelope))
+            tuples.extend(tds.collect_block(envelope, "s_agg").tuples())
         partition = Partition(0, tuple(tuples))
         return statement, partition
 

@@ -91,12 +91,12 @@ class TestKillDashNine:
             assert "clean start" in banner
             client = AsyncSSIClient(TCPTransport("127.0.0.1", port))
             try:
-                await client.hello()
+                await client.ping()
                 await client.post_query(
                     make_envelope("q-crash"), meta=QueryMeta("basic")
                 )
                 for i in range(3):
-                    await client.submit_tuples(
+                    await client.submit_tuples_batch(
                         "q-crash", [EncryptedTuple(f"ct-{i}".encode(), b"g")]
                     )
                 anchor = client.last_commitment
@@ -113,7 +113,7 @@ class TestKillDashNine:
             assert "4 record(s) replayed" in banner2
             client2 = AsyncSSIClient(TCPTransport("127.0.0.1", port2))
             try:
-                await client2.hello()
+                await client2.ping()
                 # Every acknowledged contribution survived ...
                 assert await client2.collected_count("q-crash") == 3
                 # ... and the regrown chain extends the pre-kill anchor
@@ -122,7 +122,7 @@ class TestKillDashNine:
                 assert current.count >= anchor.count
                 # The query completes normally after the restart, on
                 # the coordinator recovery rebuilt for it.
-                await client2.submit_tuples(
+                await client2.submit_tuples_batch(
                     "q-crash", [EncryptedTuple(b"ct-3", b"g")]
                 )
                 await client2.close_collection("q-crash")
@@ -155,9 +155,9 @@ class TestGracefulShutdown:
             proc, port, _banner = await start_server(data_dir)
             client = AsyncSSIClient(TCPTransport("127.0.0.1", port))
             try:
-                await client.hello()
+                await client.ping()
                 await client.post_query(make_envelope("q-term"))
-                await client.submit_tuples(
+                await client.submit_tuples_batch(
                     "q-term", [EncryptedTuple(b"ct", b"g")]
                 )
             finally:
@@ -177,7 +177,7 @@ class TestGracefulShutdown:
             assert "0 record(s) replayed" in banner2
             client2 = AsyncSSIClient(TCPTransport("127.0.0.1", port2))
             try:
-                await client2.hello()
+                await client2.ping()
                 assert await client2.collected_count("q-term") == 1
             finally:
                 await client2.close()
@@ -245,7 +245,7 @@ class TestEveryPrefixOfTheLogFinishesTheQuery:
                 tmp_path / "whole" / WAL_SUBDIR, mode="verify"
             ).records
             assert {decode_record(bytes(body)).op.name for _, body in records} == {
-                "post_query", "submit_tuples", "close_collection",
+                "post_query", "submit_tuples_batch", "close_collection",
                 "submit_partials", "take_partials", "store_result_rows",
                 "publish_result",
             }

@@ -43,7 +43,7 @@ class TestRotation:
         envelope = querier.make_envelope(GROUP_SQL)
         deployment.ssi.post_query(envelope)
         tds = deployment.tds_list[0]
-        old_tuples = tds.collect_for_sagg(envelope)
+        old_tuples = list(tds.collect_block(envelope, "s_agg").tuples())
         deployment.provisioner.rotate_k2()
         with pytest.raises(DecryptionError):
             tds._k2_cipher().decrypt(old_tuples[0].payload)

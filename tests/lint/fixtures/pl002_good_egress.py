@@ -1,6 +1,6 @@
 """Known-good PL002 fixture: ciphertext-only egress, sanitizers respected."""
 
-from repro.core.messages import EncryptedPartial, EncryptedTuple
+from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
 
 
 def encrypted_tuple(cipher, frame: bytes) -> EncryptedTuple:
@@ -18,6 +18,12 @@ def tagged_tuples(ndet, det, frames: list, tag_plaintexts: list) -> list:
 
 def submit_ciphertext(ssi, query_id: str, partials: list) -> None:
     ssi.submit_partials(query_id, partials)
+
+
+async def sealed_block(client, cipher, query_id: str, frames) -> None:
+    payloads, offsets = cipher.encrypt_block(frames.frames, frames.offsets)
+    block = EncryptedTupleBlock(payloads=payloads, offsets=offsets, tags=frames.tags)
+    await client.submit_tuples_batch(query_id, block)
 
 
 def bucket_tagged(cipher, hasher, frame: bytes, bucket_id: int) -> EncryptedPartial:

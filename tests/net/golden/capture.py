@@ -10,7 +10,8 @@ rewrites the ``in_memory`` / ``durable_requests`` / ``wal`` /
 dispatcher and client), and ``parent_data_dir`` with its
 ``parent_data_dir_commitment`` stays what the parent of the op-table
 change wrote — a log whose aggregation records (types 4 and 7) still
-carry the idempotency keys of the wire rows that commit had.
+carry the idempotency keys of the wire rows that commit had, and whose
+per-item submission record (type 2) no later build writes.
 
 :func:`scenario` touches every wire operation once through the public
 client API only, so the same calls can be replayed against any later
@@ -32,7 +33,7 @@ from repro.core.messages import (
     EncryptedTuple,
     QueryEnvelope,
 )
-from repro.exceptions import ResultNotReadyError, UnknownQueryError
+from repro.exceptions import UnknownQueryError
 from repro.net import frames
 from repro.net.client import AsyncSSIClient
 from repro.net.frames import QueryMeta
@@ -60,24 +61,18 @@ async def scenario(client: AsyncSSIClient) -> None:
     """Every wire operation once: a query posted without a protocol row
     (collected and counted, never published), a personal querybox post,
     a fleet-mode S_Agg query worked to completion by one device, the
-    attestation/observability ops and two typed errors.  Holds are zero:
+    attestation/observability ops and a typed error.  Holds are zero:
     nothing parks."""
     await client.ping()
     await client.post_query(envelope("q-driver", size_tuples=3))
     await client.post_query(envelope("q-personal", size_seconds=2.5), "tds-7")
     await client.fetch_query("q-driver")
-    await client.submit_tuples(
-        "q-driver", [EncryptedTuple(b"ct-1", None), EncryptedTuple(b"ct-2", b"tag")]
-    )
     await client.submit_tuples_batch(
         "q-driver", [EncryptedTuple(b"ct-3", b"g1"), EncryptedTuple(b"ct-4", None)]
     )
-    assert await client.collected_count("q-driver") == 4
+    assert await client.collected_count("q-driver") == 2
     await client.close_collection("q-personal")
-    try:
-        await client.fetch_result("q-driver")
-    except ResultNotReadyError:
-        pass
+    assert await client.await_result("q-driver", 0.0) is None
 
     await client.post_query(
         envelope("q-fleet"), meta=QueryMeta("s_agg", {"alpha": 2.0})
@@ -103,14 +98,14 @@ async def scenario(client: AsyncSSIClient) -> None:
                 "tds-a",
                 partials=[EncryptedPartial(b"fold-%d" % unit.partition_id, None)],
             )
-    assert (await client.fetch_result("q-fleet")).encrypted_rows == (b"final-row",)
+    assert (await client.await_result("q-fleet", 0.0)).encrypted_rows == (b"final-row",)
 
     seen = await client.get_commitment()
     if seen is not None:
         await client.get_commitment(seen)
     await client.get_health()
     try:
-        await client.fetch_result("q-missing")
+        await client.await_result("q-missing", 0.0)
     except UnknownQueryError:
         pass
     await client.get_stats()  # last: its response is live metrics text

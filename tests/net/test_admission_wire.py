@@ -169,14 +169,14 @@ class TestByteQuotaOverTheWire:
             )
             client = loopback_client(dispatcher)
             await client.post_query(envelope_for("alice", "q1"))
-            await client.submit_tuples("q1", [EncryptedTuple(b"x" * 30, None)])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"x" * 30, None)])
             with pytest.raises(AdmissionError) as excinfo:
-                await client.submit_tuples(
+                await client.submit_tuples_batch(
                     "q1", [EncryptedTuple(b"y" * 60, None)]
                 )
             assert excinfo.value.retry_after == pytest.approx(0.07)
             # the one before it was applied and released: 30 + 30 fits
-            await client.submit_tuples("q1", [EncryptedTuple(b"z" * 30, None)])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"z" * 30, None)])
             assert dispatcher.ssi.collected_count("q1") == 2
 
         run_async(run())
@@ -191,9 +191,9 @@ class TestByteQuotaOverTheWire:
             )
             client = loopback_client(dispatcher)
             await client.post_query(envelope_for("alice", "q1"))
-            for i in range(5):  # 5 × 40 bytes, fine one at a time
-                await client.submit_tuples(
-                    "q1", [EncryptedTuple(bytes([i]) * 40, None)]
+            for i in range(5):  # 5 × 30 bytes, fine one at a time
+                await client.submit_tuples_batch(
+                    "q1", [EncryptedTuple(bytes([i]) * 30, None)]
                 )
                 assert dispatcher.admission.pending_bytes("alice") == 0
             assert dispatcher.ssi.collected_count("q1") == 5
@@ -201,9 +201,9 @@ class TestByteQuotaOverTheWire:
             def failing(*args, **kwargs):
                 raise OSError("disk full")
 
-            dispatcher.ssi.submit_tuples = failing
+            dispatcher.ssi.submit_tuple_block = failing
             with pytest.raises(ProtocolError, match="internal server error"):
-                await client.submit_tuples("q1", [EncryptedTuple(b"f" * 40, None)])
+                await client.submit_tuples_batch("q1", [EncryptedTuple(b"f" * 30, None)])
             assert dispatcher.admission.pending_bytes("alice") == 0
 
         run_async(run())
@@ -230,7 +230,7 @@ class TestByteQuotaOverTheWire:
                 sleep=raising_the_limit,
             )
             await client.post_query(envelope_for("alice", "q1"))  # seq 1
-            await client.submit_tuples(  # seq 2, both attempts
+            await client.submit_tuples_batch(  # seq 2, both attempts
                 "q1", [EncryptedTuple(b"y" * 60, None)]
             )
             assert client.retries == 1

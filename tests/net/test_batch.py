@@ -5,7 +5,6 @@ batch-vs-sequential parity through a real driver query."""
 import asyncio
 import random
 import struct
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +39,10 @@ TUPLES = [
     EncryptedTuple(b"ct-three-longer", b""),
     EncryptedTuple(b"x", None),
 ]
+
+
+def block_of(tuples) -> EncryptedTupleBlock:
+    return EncryptedTupleBlock.from_tuples(tuples)
 
 
 def encode_block(block: EncryptedTupleBlock) -> bytes:
@@ -194,15 +197,19 @@ class TestBatchSubmission:
 
     def test_batch_and_sequential_storage_agree(self):
         async def run():
-            __, batch_client = loopback_client()
-            __, seq_client = loopback_client()
+            batch_dispatcher, batch_client = loopback_client()
+            seq_dispatcher, seq_client = loopback_client()
             await batch_client.post_query(make_envelope("q1"))
             await seq_client.post_query(make_envelope("q1"))
             await batch_client.submit_tuples_batch("q1", TUPLES)
-            await seq_client.submit_tuples("q1", TUPLES)
+            for item in TUPLES:  # one block per tuple
+                await seq_client.submit_tuples_batch("q1", [item])
             assert await batch_client.collected_count(
                 "q1"
             ) == await seq_client.collected_count("q1")
+            assert batch_dispatcher.ssi.covering_result("q1") == (
+                seq_dispatcher.ssi.covering_result("q1")
+            )
 
         run_async(run())
 
@@ -233,37 +240,6 @@ class TestBatchSubmission:
 
         run_async(run())
 
-    def test_blocks_are_not_slower_than_chunks(self):
-        """4 000 tuples of 256 bytes over loopback, best of 3:
-        ``submit_tuples_batch`` in 1 024-tuple blocks against
-        ``submit_tuples`` in 200-tuple chunks (4.9 × over TCP when the
-        two were last recorded side by side)."""
-        rng = random.Random(3)
-        tuples = [
-            EncryptedTuple(rng.getrandbits(8 * 256).to_bytes(256, "big"), None)
-            for _ in range(1024)
-        ]
-        chunk, block = tuples[:200], EncryptedTupleBlock.from_tuples(tuples)
-
-        async def rate(submit, items, calls):
-            started = time.perf_counter()
-            for _ in range(calls):
-                await submit("q1", items)
-            return calls * len(items) / (time.perf_counter() - started)
-
-        async def run():
-            __, client = loopback_client()
-            await client.post_query(make_envelope("q1"))
-            chunked = batched = 0.0
-            for _ in range(3):
-                chunked = max(chunked, await rate(client.submit_tuples, chunk, 20))
-                batched = max(
-                    batched, await rate(client.submit_tuples_batch, block, 3)
-                )
-            assert batched >= chunked
-
-        run_async(run())
-
 
 class TestTupleBatcher:
     def test_size_threshold_flushes_inline(self):
@@ -272,7 +248,8 @@ class TestTupleBatcher:
             await client.post_query(make_envelope("q1"))
             batcher = TupleBatcher(client, max_tuples=4, max_delay=60.0)
             await asyncio.gather(
-                batcher.submit("q1", TUPLES[:2]), batcher.submit("q1", TUPLES[2:])
+                batcher.submit_block("q1", block_of(TUPLES[:2])),
+                batcher.submit_block("q1", block_of(TUPLES[2:])),
             )
             assert batcher.batches_flushed == 1
             assert batcher.tuples_flushed == len(TUPLES)
@@ -288,7 +265,7 @@ class TestTupleBatcher:
             stop = asyncio.Event()
             flusher = asyncio.create_task(batcher.run(stop))
             try:
-                await batcher.submit("q1", TUPLES[:1])  # resolved by flusher
+                await batcher.submit_block("q1", block_of(TUPLES[:1]))  # resolved by flusher
                 assert batcher.batches_flushed == 1
                 assert await client.collected_count("q1") == 1
             finally:
@@ -301,10 +278,10 @@ class TestTupleBatcher:
         async def run():
             __, client = loopback_client()  # no query posted
             batcher = TupleBatcher(client, max_tuples=2, max_delay=60.0)
-            first = asyncio.create_task(batcher.submit("missing", TUPLES[:1]))
+            first = asyncio.create_task(batcher.submit_block("missing", block_of(TUPLES[:1])))
             await asyncio.sleep(0)
             with pytest.raises(UnknownQueryError):
-                await batcher.submit("missing", TUPLES[1:2])
+                await batcher.submit_block("missing", block_of(TUPLES[1:2]))
             with pytest.raises(UnknownQueryError):
                 await first
 
@@ -317,7 +294,8 @@ class TestTupleBatcher:
             await client.post_query(make_envelope("qb"))
             batcher = TupleBatcher(client, max_tuples=2, max_delay=60.0)
             await asyncio.gather(
-                batcher.submit("qa", TUPLES[:2]), batcher.submit("qb", TUPLES[2:])
+                batcher.submit_block("qa", block_of(TUPLES[:2])),
+                batcher.submit_block("qb", block_of(TUPLES[2:])),
             )
             assert await client.collected_count("qa") == 2
             assert await client.collected_count("qb") == 2
@@ -349,7 +327,7 @@ class TestTupleBatcher:
                 lambda loop, context: reports.append(context)
             )
             with pytest.raises(UnknownQueryError):
-                await batcher.submit("missing", TUPLES[:1])
+                await batcher.submit_block("missing", block_of(TUPLES[:1]))
             gc.collect()  # would fire Future.__del__ -> handler on the bug
             await asyncio.sleep(0)
             assert reports == []
@@ -416,7 +394,7 @@ class TestAgeFlush:
             loop = asyncio.get_running_loop()
             await asyncio.sleep(0.013)
             born = loop.time()
-            await batcher.submit("qa", TUPLES[:1])
+            await batcher.submit_block("qa", block_of(TUPLES[:1]))
             assert loop.time() == pytest.approx(born + self.DELAY, abs=1e-9)
             assert batcher.batches_flushed == 1
             assert await batcher.client.collected_count("qa") == 1
@@ -434,9 +412,10 @@ class TestAgeFlush:
             post, batcher = self.batcher(sleep=sleep)
             await post()
             await asyncio.gather(
-                batcher.submit("qa", TUPLES[:1]), batcher.submit("qa", TUPLES[1:2])
+                batcher.submit_block("qa", block_of(TUPLES[:1])),
+                batcher.submit_block("qa", block_of(TUPLES[1:2])),
             )
-            await batcher.submit("qb", TUPLES[:1])
+            await batcher.submit_block("qb", block_of(TUPLES[:1]))
             assert slept == [self.DELAY, self.DELAY]  # one per batch, not per tick
 
         run_virtual(run())
@@ -455,7 +434,7 @@ class TestAgeFlush:
 
             async def contribute(name, at, query_id, tuples):
                 await asyncio.sleep(at)
-                await batcher.submit(query_id, tuples)
+                await batcher.submit_block(query_id, block_of(tuples))
                 acked[name] = round(loop.time(), 6)
 
             await asyncio.gather(
@@ -478,8 +457,8 @@ class TestAgeFlush:
             reports = []
             loop.set_exception_handler(lambda loop, context: reports.append(context))
             outcomes = await asyncio.gather(
-                batcher.submit("missing", TUPLES[:1]),
-                batcher.submit("missing", TUPLES[1:2]),
+                batcher.submit_block("missing", block_of(TUPLES[:1])),
+                batcher.submit_block("missing", block_of(TUPLES[1:2])),
                 return_exceptions=True,
             )
             assert [type(o) for o in outcomes] == [UnknownQueryError] * 2
@@ -497,7 +476,7 @@ class TestAgeFlush:
             loop = asyncio.get_running_loop()
             stop = asyncio.Event()
             flusher = asyncio.create_task(batcher.run(stop))
-            waiting = asyncio.create_task(batcher.submit("qa", TUPLES[:1]))
+            waiting = asyncio.create_task(batcher.submit_block("qa", block_of(TUPLES[:1])))
             await asyncio.sleep(1.0)
             assert not waiting.done()
             stop.set()

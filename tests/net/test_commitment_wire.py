@@ -71,14 +71,13 @@ class TestAckCommitments:
         async def run():
             store, dispatcher = open_dispatcher(tmp_path)
             client = durable_client(dispatcher)
-            _version, caps = await client.hello()
-            assert caps & frames.CAP_DURABLE_COMMITMENT
+            await client.ping()
             assert client.last_commitment is None
             await client.post_query(make_envelope())
             first = client.last_commitment
             assert first is not None and first.count == 1
-            await client.submit_tuples("q1", [EncryptedTuple(b"ct")])
-            await client.submit_tuples("q1", [EncryptedTuple(b"ct2")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"ct")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"ct2")])
             assert client.last_commitment.count == 3
             assert client.last_commitment == store.commitment()
             # Read-only ops don't advance (and don't regress) the anchor.
@@ -92,13 +91,13 @@ class TestAckCommitments:
         async def run():
             store, dispatcher = open_dispatcher(tmp_path)
             client = durable_client(dispatcher)
-            await client.hello()
+            await client.ping()
             assert await client.verify_freshness() == Commitment(
                 0, bytes(32)
             )
             await client.post_query(make_envelope())
             anchor = client.last_commitment
-            await client.submit_tuples("q1", [EncryptedTuple(b"ct")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"ct")])
             # The server must prove its longer chain extends the anchor.
             current = await client.get_commitment(anchor)
             assert current.count == 2
@@ -110,7 +109,7 @@ class TestAckCommitments:
     def test_no_store_returns_none(self):
         async def run():
             client = durable_client(SSIDispatcher())
-            await client.hello()
+            await client.ping()
             assert await client.get_commitment() is None
             assert await client.verify_freshness() is None
             await client.post_query(make_envelope())
@@ -122,7 +121,7 @@ class TestAckCommitments:
         async def run():
             store, dispatcher = open_dispatcher(tmp_path)
             client = durable_client(dispatcher)
-            await client.hello()
+            await client.ping()
             with pytest.raises(ProtocolError):
                 await client.get_commitment(Commitment(-1, bytes(32)))
             store.close()
@@ -331,7 +330,7 @@ class TestAnAckWaitsForItsOwnRecordsAndNothingElse:
                         if (index + step) % 4 == 3:
                             await client.get_commitment()
                         else:
-                            await client.submit_tuples(
+                            await client.submit_tuples_batch(
                                 f"q{1 + index % 2}", tuples(b"%d" % index, 1)
                             )
 
@@ -348,16 +347,16 @@ class TestRollbackDetection:
             live = tmp_path / "live"
             store, dispatcher = open_dispatcher(live)
             client = durable_client(dispatcher)
-            await client.hello()
+            await client.ping()
             await client.post_query(make_envelope())
-            await client.submit_tuples("q1", [EncryptedTuple(b"ct1")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"ct1")])
             await store.sync(store.last_seq)
             # The operator keeps a copy of the state at count 2 ...
             stale = tmp_path / "stale"
             shutil.copytree(live, stale)
             # ... while the client keeps contributing (count 4).
-            await client.submit_tuples("q1", [EncryptedTuple(b"ct2")])
-            await client.submit_tuples("q1", [EncryptedTuple(b"ct3")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"ct2")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"ct3")])
             anchor = client.last_commitment
             assert anchor.count == 4
             store._wal.close()
@@ -378,13 +377,13 @@ class TestRollbackDetection:
             live = tmp_path / "live"
             store, dispatcher = open_dispatcher(live)
             client = durable_client(dispatcher)
-            await client.hello()
+            await client.ping()
             await client.post_query(make_envelope())
-            await client.submit_tuples("q1", [EncryptedTuple(b"real")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"real")])
             await store.sync(store.last_seq)
             stale = tmp_path / "stale"
             shutil.copytree(live, stale)
-            await client.submit_tuples("q1", [EncryptedTuple(b"real2")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"real2")])
             anchor = client.last_commitment
             assert anchor.count == 3
             store._wal.close()
@@ -393,8 +392,8 @@ class TestRollbackDetection:
             # the same length with *different* records.
             store2, dispatcher2 = open_dispatcher(stale)
             other = durable_client(dispatcher2, seed=2)  # distinct identity
-            await other.hello()
-            await other.submit_tuples("q1", [EncryptedTuple(b"forged")])
+            await other.ping()
+            await other.submit_tuples_batch("q1", [EncryptedTuple(b"forged")])
             assert store2.commitment().count == 3
 
             client.transport = LoopbackTransport(dispatcher2.dispatch)
@@ -417,8 +416,8 @@ class TestRollbackDetection:
 
 
 class TestRollbackReachesTheFleet:
-    """The clients FleetRunner and a querier actually use — no hello(),
-    no hand-built anchor — observe commitments on their durable acks and
+    """The clients FleetRunner and a querier actually use — no connect
+    probe, no hand-built anchor — observe commitments on their durable acks and
     detect a server restarted from an older copy of its data dir."""
 
     def test_fleet_and_querier_connections_detect_a_rollback(
@@ -516,9 +515,9 @@ class TestCrashRetrySemantics:
         async def run():
             store, dispatcher = open_dispatcher(tmp_path)
             client = durable_client(dispatcher, RecordingTransport)
-            await client.hello()
+            await client.ping()
             await client.post_query(make_envelope())
-            await client.submit_tuples("q1", [EncryptedTuple(b"ct")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"ct")])
             replay = client.transport.last_request
             await store.sync(store.last_seq)
             assert await client.collected_count("q1") == 1
@@ -540,16 +539,16 @@ class TestCrashRetrySemantics:
         async def run():
             store, dispatcher = open_dispatcher(tmp_path)
             client = durable_client(dispatcher)
-            await client.hello()
+            await client.ping()
             await client.post_query(make_envelope())
-            await client.submit_tuples("q1", [EncryptedTuple(b"ct")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"ct")])
             await store.sync(store.last_seq)
             anchor = client.last_commitment
             store._wal.close()  # crash
 
             store2, dispatcher2 = open_dispatcher(tmp_path)
             client.transport = LoopbackTransport(dispatcher2.dispatch)
-            await client.submit_tuples("q1", [EncryptedTuple(b"ct2")])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"ct2")])
             assert await client.collected_count("q1") == 2
             # The regrown chain extends the pre-crash anchor: an honest
             # restart never looks like a rollback.

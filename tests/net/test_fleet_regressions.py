@@ -124,7 +124,7 @@ class TestFleetSpansCloseOnFailure:
     def test_failed_exchanges_leave_no_open_span(self):
         obs_spans.RECORDER.reset()
         FailFirstSubmitsTransport.pending = {
-            frames.MSG_SUBMIT_TUPLES,
+            frames.MSG_SUBMIT_TUPLES_BATCH,
             frames.MSG_SUBMIT_PARTITION_RESULT,
         }
         dep = build_deployment()

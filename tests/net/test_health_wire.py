@@ -16,7 +16,6 @@ import urllib.request
 
 import pytest
 
-from repro.net import frames
 from repro.net.client import AsyncSSIClient
 from repro.net.fleet import FleetRunner
 from repro.net.server import SSIDispatcher, SSIServer
@@ -64,14 +63,6 @@ async def fetch_healthz(port):
 
 
 class TestGetHealthOp:
-    def test_capability_advertised_in_hello(self):
-        async def run():
-            client = loopback_client(SSIDispatcher())
-            _, caps = await client.hello()
-            assert caps & frames.CAP_HEALTH
-
-        run_async(run())
-
     def test_unmonitored_server_says_so(self):
         async def run():
             client = loopback_client(SSIDispatcher())

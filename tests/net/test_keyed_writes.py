@@ -46,7 +46,6 @@ def result_rows(ssi, query_id):
 
 #: the keyed data rows: (row, request items, what the facade then holds, how many)
 DATA_ROWS = [
-    (ops.SUBMIT_TUPLES, TUPLES, SSI.collected_count, 2),
     (ops.SUBMIT_TUPLES_BATCH, EncryptedTupleBlock.from_tuples(TUPLES),
      SSI.collected_count, 2),
 ]
@@ -303,7 +302,7 @@ async def backing(stored, tmp_path):
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
 class TestOkMeansApplied:
     def test_every_acked_mutation_is_already_held(self, kind, stored, tmp_path):
-        """Six connections, four requests in flight on each, the three
+        """Six connections, four requests in flight on each, the two
         keyed rows and the devices' ``submit_partition_result``
         interleaved: whenever an ack comes back the facade — read
         directly, no read operation in between — holds at least
@@ -349,7 +348,7 @@ class TestOkMeansApplied:
                     held, count = await complete(client, unit)
                     acked[held][unit.query_id] += count
                 else:
-                    op, items, held, count = DATA_ROWS[writer - 2]
+                    op, items, held, count = DATA_ROWS[0]
                     query_id = rng.choice(QUERIES)
                     await client.call(op, query_id, items)
                     acked[held][query_id] += count
@@ -388,7 +387,7 @@ class TestOkMeansApplied:
             for _ in range(25):
                 if rng.random() < 0.6:
                     query_id = rng.choice(QUERIES)
-                    await client.submit_tuples(query_id, TUPLES)
+                    await client.submit_tuples_batch(query_id, TUPLES)
                     acked[SSI.collected_count][query_id] += len(TUPLES)
                 else:
                     unit = pending.pop(rng.randrange(len(pending)))

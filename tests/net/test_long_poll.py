@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.messages import EncryptedPartial, EncryptedTuple
+from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
 from repro.exceptions import TransportError, UnknownQueryError
 from repro.net import frames
 from repro.net import server as server_mod
@@ -241,7 +241,7 @@ class TestParkAndRelease:
                 with pytest.raises(UnknownQueryError):
                     await querier.await_result("q-missing", 1.0)
                 await control.post_query(envelope("q1"), meta=QueryMeta("basic"))
-                await control.submit_tuples("q1", [EncryptedTuple(b"t", None)])
+                await control.submit_tuples_batch("q1", [EncryptedTuple(b"t", None)])
                 assert await querier.await_result("q1", 0.05) is None
                 assert dispatcher._result_waiters == {}
                 waiting = asyncio.create_task(querier.wait_result("q1", timeout=10.0))
@@ -431,7 +431,7 @@ class TestParkedFleet:
                 assert time.monotonic() - started < 3.0
                 assert rows == sorted_rows(stack.dep.reference_answer(GROUP_SQL))
                 assert _request_names() == {
-                    "post_query", "await_work", "submit_tuples", "close_collection",
+                    "post_query", "await_work", "submit_tuples_batch", "close_collection",
                     "submit_partition_result", "await_result",
                 }
                 # the device that sent the last partition learnt it from
@@ -523,10 +523,11 @@ class TestParkedFleet:
                 # ... then a second query, closed before the eighth connects
                 query = querier.make_envelope(GROUP_SQL)
                 await client.post_query(query, meta=QueryMeta("s_agg"))
-                await client.submit_tuples(
+                await client.submit_tuples_batch(
                     query.query_id,
-                    dep.tds_list[0].collect_for_sagg(query)
-                    + dep.tds_list[1].collect_for_sagg(query),
+                    EncryptedTupleBlock.concat(
+                        [tds.collect_block(query, "s_agg") for tds in dep.tds_list[:2]]
+                    ),
                 )
                 await client.close_collection(query.query_id)
                 late = FleetRunner(

@@ -1,7 +1,6 @@
-"""Wire observability surface: frame extensions, the capability report,
-stats, tracing.  Every frame speaks the one protocol version; trace
-context rides the ``EXT_TRACE`` frame extension whenever a client has
-one set.
+"""Wire observability surface: frame extensions, stats, tracing.
+Every frame speaks the one protocol version; trace context rides the
+``EXT_TRACE`` frame extension whenever a client has one set.
 """
 
 import logging
@@ -12,8 +11,8 @@ import pytest
 from repro.exceptions import ProtocolError
 from repro.net import frames
 from repro.net.client import AsyncSSIClient
-from repro.net.server import SSIDispatcher, SSIServer
-from repro.net.transport import LoopbackTransport, TCPTransport
+from repro.net.server import SSIDispatcher
+from repro.net.transport import LoopbackTransport
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.logs import JsonFormatter
@@ -94,38 +93,6 @@ class TestFrameExtensions:
         too_many = tuple((i, b"") for i in range(frames.MAX_EXTENSIONS + 1))
         with pytest.raises(ProtocolError, match="limit"):
             frames.pack_frame(frames.MSG_PING, b"", 1, extensions=too_many)
-
-
-class TestHello:
-    def test_new_client_new_server_upgrades(self):
-        async def run():
-            client = loopback_client(SSIDispatcher())
-            version, caps = await client.hello()
-            assert version == frames.PROTOCOL_VERSION
-            assert caps & frames.CAP_TRACE_CONTEXT
-            assert caps & frames.CAP_STATS
-            # an ordinary operation: asking again answers the same
-            assert await client.hello() == (version, caps)
-
-        run_async(run())
-
-    def test_hello_over_tcp(self):
-        async def run():
-            server = SSIServer(SSIDispatcher())
-            await server.start()
-            client = AsyncSSIClient(
-                TCPTransport("127.0.0.1", server.port), rng=random.Random(1)
-            )
-            try:
-                assert await client.hello() == (
-                    frames.PROTOCOL_VERSION,
-                    frames.CAPABILITIES,
-                )
-            finally:
-                await client.close()
-                await server.close()
-
-        run_async(run())
 
 
 class TestGetStats:
@@ -219,7 +186,7 @@ class TestInternalErrorContext:
         def boom(*a, **k):
             raise RuntimeError("internal invariant broken")
 
-        monkeypatch.setattr(dispatcher.ssi, "submit_tuples", boom)
+        monkeypatch.setattr(dispatcher.ssi, "submit_tuple_block", boom)
         ciphertext = b"\x13SUPER-SECRET-TUPLE-BYTES\x37"
 
         async def run():
@@ -231,7 +198,7 @@ class TestInternalErrorContext:
             with pytest.raises(ProtocolError, match="internal server error"):
                 from repro.core.messages import EncryptedTuple
 
-                await client.submit_tuples(
+                await client.submit_tuples_batch(
                     "q-err", [EncryptedTuple(payload=ciphertext, group_tag=None)]
                 )
             return before
@@ -242,11 +209,11 @@ class TestInternalErrorContext:
             server_logger.removeHandler(handler)
 
         snap = obs_metrics.REGISTRY.snapshot()["server_internal_errors_total"]
-        assert snap[(("msg_type", "submit_tuples"),)] >= 1.0
+        assert snap[(("msg_type", "submit_tuples_batch"),)] >= 1.0
         (record,) = records
         assert record.repro_event == "server_internal_error"
         assert record.repro_fields["query_id"] == "q-err"
-        assert record.repro_fields["msg_type"] == "submit_tuples"
+        assert record.repro_fields["msg_type"] == "submit_tuples_batch"
         assert isinstance(record.repro_fields["corr_id"], int)
         formatted = JsonFormatter().format(record)
         assert "SUPER-SECRET-TUPLE-BYTES" not in formatted

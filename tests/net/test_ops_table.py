@@ -3,11 +3,12 @@
 * every request opcode has exactly one row, and every row has the
   surfaces derived from it: a dispatcher handler and a client proxy
   (wire rows) and a WAL record (journaled rows); the rows without an
-  opcode — the SSI's own steps — cannot be sent;
+  opcode — the SSI's own steps, and the read-only record of the retired
+  per-item submission — cannot be sent;
 * the table-driven encoders produce the bytes ``golden/ops_v4.json``
   holds — request frames, response frames and WAL records captured by
   ``golden/capture.py`` — and a data directory written by the commit
-  before the table existed still recovers and verifies;
+  before the table existed still recovers, replays and verifies;
 * registering one more row is all a new operation takes.
 """
 
@@ -70,16 +71,18 @@ class TestCompleteness:
 
     def test_the_remote_surface_is_what_a_tds_and_a_querier_say(self):
         assert [op.name for op in WIRE_OPS] == [
-            "post_query", "fetch_query", "submit_tuples", "collected_count",
-            "close_collection", "fetch_result", "submit_partition_result",
-            "ping", "submit_tuples_batch", "get_stats", "hello",
-            "get_commitment", "get_health", "await_work", "await_result",
+            "post_query", "fetch_query", "collected_count", "close_collection",
+            "submit_partition_result", "ping", "submit_tuples_batch",
+            "get_stats", "get_commitment", "get_health", "await_work",
+            "await_result",
         ]
-        # the SSI's own steps: journaled, replayed, never callable
+        assert len(ops.BY_OPCODE) == 12
+        # the SSI's own steps: journaled, replayed, never callable — and
+        # the record the retired per-item submission wrote, read only
         assert [(op.name, op.record) for op in JOURNAL_ONLY] == [
             ("submit_partials", 4), ("take_partials", 6),
             ("store_result_rows", 7), ("publish_result", 8),
-            ("reset_aggregation", 9),
+            ("reset_aggregation", 9), ("submit_tuples", 2),
         ]
         for op in JOURNAL_ONLY:  # (durable: which records acks wait for)
             assert not (op.idem or op.handler), op.name
@@ -101,16 +104,15 @@ class TestCompleteness:
         # label — plus await_work (handing out work can close a
         # collection or advance a stage)
         assert {op.name for op in ops.TABLE if op.durable} == {
-            "post_query", "submit_tuples", "submit_tuples_batch",
-            "close_collection", "submit_partition_result", "get_commitment",
-            "await_work",
+            "post_query", "submit_tuples_batch", "close_collection",
+            "submit_partition_result", "get_commitment", "await_work",
             # journal-only rows: the records an ack waits for (with the
-            # four journaled wire rows above) ...
+            # three journaled wire rows above) ...
             "store_result_rows", "publish_result", "reset_aggregation",
         }
         # ... and the two it does not: recovery recomputes partials
         assert not ops.SUBMIT_PARTIALS.durable and not ops.TAKE_PARTIALS.durable
-        assert not ops.AWAIT_RESULT.durable  # like fetch_result
+        assert not ops.AWAIT_RESULT.durable  # a read
         # the rows whose handler may park name their hold last
         assert {op.name for op in ops.TABLE if ops.HOLD in op.request} == {
             "await_work", "await_result",
@@ -118,7 +120,7 @@ class TestCompleteness:
         assert all(op.request[-1] is ops.HOLD for op in ops.TABLE
                    if ops.HOLD in op.request)
         assert {op.name for op in ops.TABLE if op.idem} == {
-            "post_query", "submit_tuples", "submit_tuples_batch",
+            "post_query", "submit_tuples_batch",
         }
 
     def test_the_rows_that_are_only_a_facade_call_are_these(self):
@@ -126,7 +128,7 @@ class TestCompleteness:
         column that orders a read after writes: a write is applied
         before its ack.  A row that grows a handler shows up here."""
         assert {op.name for op in WIRE_OPS if not op.handler} == {
-            "collected_count", "close_collection", "fetch_result", "ping",
+            "collected_count", "close_collection", "ping",
         }
         assert "flush" not in {field.name for field in dataclasses.fields(ops.Op)}
 
@@ -154,12 +156,13 @@ class TestCompleteness:
         ssi.reset_aggregation("q")
         ssi.publish_result("q")
         assert recorded == [
-            "submit_tuples", "submit_tuple_block", "close_collection",
+            "submit_tuple_block", "submit_tuple_block", "close_collection",
             "submit_partials", "take_partials", "store_result_rows",
             "reset_aggregation", "publish_result",
         ]
-        # post_query is journaled by the dispatcher (it holds the meta)
-        assert set(ops.JOURNALED) - set(recorded) == {"post_query"}
+        # post_query is journaled by the dispatcher (it holds the meta);
+        # the per-item record is only read, from logs older than the row
+        assert set(ops.JOURNALED) - set(recorded) == {"post_query", "submit_tuples"}
 
     def test_register_refuses_clashing_rows(self):
         for clash in (
@@ -248,17 +251,18 @@ class TestGoldenBytes:
     def test_every_opcode_is_in_the_golden_file(self):
         covered = {bytes.fromhex(q)[5] for q, _ in GOLDEN["in_memory"]}
         covered |= {bytes.fromhex(q)[5] for q in GOLDEN["durable_requests"]}
-        # hello answers the same in every state; await_result is pinned
-        # with await_work in the ``await`` section
-        assert covered == set(ops.BY_OPCODE) - {
-            frames.MSG_HELLO, frames.MSG_AWAIT_RESULT,
-        }
+        assert covered == set(ops.BY_OPCODE)
         assert {bytes.fromhex(q)[5] for q, _ in GOLDEN["await"]} >= {
             frames.MSG_AWAIT_WORK, frames.MSG_AWAIT_RESULT,
         }
-        assert {bytes.fromhex(body)[0] for _, body in GOLDEN["wal"]} == set(
-            ops.BY_RECORD
-        )
+        # A live dispatcher writes every record type but one: type 2,
+        # the retired per-item submission's, is read only — pinned by
+        # the parent data dir, whose log holds one.
+        written = {bytes.fromhex(body)[0] for _, body in GOLDEN["wal"]}
+        read_only = {ops.SUBMIT_TUPLES.record}
+        assert written == set(ops.BY_RECORD) - read_only
+        parent_log = scan_segments(capture.DATA_DIR / "wal", mode="verify").records
+        assert {body[0] for _, body in parent_log} >= read_only
 
     def test_wal_records_and_chain_match_the_golden_bytes(self, tmp_path):
         """Also the attach rule: an ack carries EXT_COMMITMENT exactly
@@ -283,7 +287,7 @@ class TestGoldenBytes:
                     seen = Commitment.from_wire(exts[frames.EXT_COMMITMENT])
                     assert seen.count == store.last_seq
                     attested += 1
-            assert attested >= 12
+            assert attested >= 11
             store.close()
             # the restart that journals q-crashed's reset record
             store = DurableStore.open(
@@ -312,8 +316,10 @@ class TestGoldenBytes:
             assert store.recovered.replayed_records == 1  # the reset record
             dispatcher = SSIDispatcher.with_store(store)
             client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
-            result = await client.fetch_result("q-driver")
+            result = await client.await_result("q-driver", 0.0)
             assert result.encrypted_rows == (b"row-1", b"row-2")
+            # its snapshot's per-tuple lane is read as the leading block
+            assert await client.collected_count("q-driver") == 4
             assert await client.collected_count("q-crashed") == 4
             assert dispatcher.ssi.partial_count("q-crashed") == 0  # reset
             assert not dispatcher.ssi.result_ready("q-crashed")
@@ -328,6 +334,27 @@ class TestGoldenBytes:
 
         run_async(run())
         assert verify_data_dir(data_dir)["clean"] is True
+
+    def test_the_parent_logs_per_item_record_replays(self, tmp_path):
+        """Record type 2 is read, never written: the parent's log holds
+        one (seq 3, q-driver's per-item submission), and without the
+        snapshots that cover it recovery replays all 25 records."""
+        data_dir = tmp_path / "data"
+        shutil.copytree(capture.DATA_DIR, data_dir)
+        shutil.rmtree(data_dir / "snapshots")
+        records = scan_segments(data_dir / "wal", mode="verify").records
+        assert [body[0] for _, body in records].count(ops.SUBMIT_TUPLES.record) == 1
+        assert verify_data_dir(data_dir)["commitment_count"] == 25
+        store = DurableStore.open(data_dir)
+        try:
+            assert store.recovered.replayed_records == 25
+            ssi = store.recovered.ssi
+            assert [t.payload for t in ssi.covering_result("q-driver")] == [
+                b"ct-1", b"ct-2", b"ct-3", b"ct-4",
+            ]
+            assert ssi.result_ready("q-driver") and ssi.result_ready("q-fleet")
+        finally:
+            store.close()
 
 
 # ---------------------------------------------------------------------- #

@@ -46,7 +46,7 @@ def test_a_device_parked_after_the_restart_is_released_on_the_deadline(tmp_path)
         await querier.post_query(
             envelope("q", size_seconds=SIZE_SECONDS), meta=QueryMeta("s_agg")
         )
-        await querier.submit_tuples("q", [EncryptedTuple(b"ct", b"g")])
+        await querier.submit_tuples_batch("q", [EncryptedTuple(b"ct", b"g")])
         await asyncio.sleep(SIZE_SECONDS / 2)
         store.close()  # no final snapshot: the next open replays the WAL
 
@@ -81,7 +81,7 @@ def test_a_finished_query_starts_no_clock(tmp_path):
         await querier.post_query(
             envelope("q", size_seconds=SIZE_SECONDS), meta=QueryMeta("basic")
         )
-        await querier.submit_tuples("q", [EncryptedTuple(b"ct", None)])
+        await querier.submit_tuples_batch("q", [EncryptedTuple(b"ct", None)])
         await finish_query(querier, "q", [b"row"])
         assert dispatcher.ssi.result_ready("q")
         store.close()

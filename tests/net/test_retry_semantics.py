@@ -151,11 +151,11 @@ class TestIdempotentReplays:
             __, transport, client = lossy_loopback_client()
             await client.post_query(make_envelope("q1"))
             transport.arm = True
-            await client.submit_tuples("q1", [EncryptedTuple(b"blob", None)])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"blob", None)])
             assert client.retries == 1
             assert await client.collected_count("q1") == 1
             # a *new* logical submission (fresh sequence number) applies
-            await client.submit_tuples("q1", [EncryptedTuple(b"blob2", None)])
+            await client.submit_tuples_batch("q1", [EncryptedTuple(b"blob2", None)])
             assert await client.collected_count("q1") == 2
 
         run_async(run())
@@ -256,7 +256,7 @@ class TestStalePartitionResults:
 
 
 class FailFirstSubmitTransport(TCPTransport):
-    """Fails the first ``submit_tuples`` request fleet-wide, before it
+    """Fails the first ``submit_tuples_batch`` request fleet-wide, before it
     reaches the wire — the contribution must be retried on a later poll."""
 
     def __init__(self, host, port, state):
@@ -265,7 +265,7 @@ class FailFirstSubmitTransport(TCPTransport):
 
     async def request(self, message):
         # frame layout: 4-byte length, version byte, then the msg type
-        if not self.state["fired"] and message[5] == frames.MSG_SUBMIT_TUPLES:
+        if not self.state["fired"] and message[5] == frames.MSG_SUBMIT_TUPLES_BATCH:
             self.state["fired"] = True
             raise TransportError("injected: submission lost before the wire")
         return await super().request(message)

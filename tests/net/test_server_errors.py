@@ -4,8 +4,9 @@ The satellite requirements: a duplicate or unknown ``query_id`` must
 surface as a *typed* wire-level error (and the same exception type the
 in-process SSI raises) on both the loopback and the TCP path, and no
 Python traceback may ever cross the transport.  And the remote surface
-is the op table's wire rows, nothing else: the SSI's own steps, which
-used to have opcodes, are an unknown operation to any peer.
+is the op table's wire rows, nothing else: the SSI's own steps and the
+rows that duplicated another, which used to have opcodes, are an
+unknown operation to any peer.
 """
 
 import asyncio
@@ -125,7 +126,7 @@ class TestTypedErrors:
             with pytest.raises(UnknownQueryError):
                 await client.fetch_query("never-posted")
             with pytest.raises(UnknownQueryError):
-                await client.submit_tuples("never-posted", [])
+                await client.submit_tuples_batch("never-posted", [])
 
         run_async(run())
 
@@ -142,11 +143,13 @@ class TestTypedErrors:
         run_async(run())
 
     def test_result_not_ready(self):
+        # the one-shot read of an unpublished result is the empty answer
         async def run():
             client = loopback_client(SSIDispatcher())
             await client.post_query(make_envelope("q1"))
-            with pytest.raises(ResultNotReadyError):
-                await client.fetch_result("q1")
+            assert await client.await_result("q1", 0.0) is None
+            with pytest.raises(UnknownQueryError):
+                await client.await_result("never-posted", 0.0)
 
         run_async(run())
 
@@ -157,7 +160,7 @@ class TestTypedErrors:
             for exc_type, call in [
                 (DuplicateQueryError, client.post_query(make_envelope("q1"))),
                 (UnknownQueryError, client.fetch_query("nope")),
-                (ResultNotReadyError, client.fetch_result("q1")),
+                (UnknownQueryError, client.await_result("nope", 0.0)),
             ]:
                 with pytest.raises(exc_type) as info:
                     await call
@@ -189,9 +192,9 @@ class TestWireDiscipline:
         async def run():
             dispatcher = SSIDispatcher()
             transport = LoopbackTransport(dispatcher.dispatch)
-            # A submit_tuples request whose payload is garbage.
+            # A contribution whose payload is garbage.
             response = await transport.request(
-                frames.pack_frame(frames.MSG_SUBMIT_TUPLES, b"\xff\xff")
+                frames.pack_frame(frames.MSG_SUBMIT_TUPLES_BATCH, b"\xff\xff")
             )
             msg_type, _corr, _exts, reader = frames.unpack_frame_ext(response)
             assert msg_type == frames.MSG_ERROR
@@ -412,6 +415,12 @@ class TestBackpressureAndRetry:
 #: sent (its golden conversation: client seed 7, queries "q-driver" and
 #: "q-fleet"), the state-changing ones first
 RETIRED_REQUESTS = {
+    # the per-item submission: ct-1 and ct-2 (tagged) into q-driver
+    0x04: (
+        "0000004e040400000000000000001066326137346465343532653662343338"
+        "000000000000000300000008712d64726976657200000002000000000463742d"
+        "3100000000000463742d320100000003746167"
+    ),
     # publish_result
     0x0D: "00000013040d000000000000000008712d647269766572",
     # take_partials
@@ -438,6 +447,10 @@ RETIRED_REQUESTS = {
     0x03: "0000000704030000000000",
     # the one-shot partition probe, for "tds-a"
     0x10: "0000001b0410000000000000000007712d666c656574000000057464732d61",
+    # the one-shot result read
+    0x0F: "00000013040f000000000000000008712d647269766572",
+    # hello: protocol version 4, capability bits 0x0f
+    0x15: "0000000c04150000000000040000000f",
 }
 
 
@@ -449,9 +462,11 @@ class TestRetiredOpcodes:
     ):
         """Two fleet-mode queries in collection, a querier parked on
         each, and a third connection that sends what used to publish,
-        drain and fill them.  When ``publish_result`` had an opcode the
-        first frame handed the querier ``encrypted_rows == ()`` for a
-        query whose collection was still open."""
+        drain and fill them — and the rows that said again what another
+        row says (a per-item submission, a one-shot result read, a
+        capability report).  When ``publish_result`` had an opcode it
+        handed the querier ``encrypted_rows == ()`` for a query whose
+        collection was still open."""
 
         def state(dispatcher, store):
             ssi = dispatcher.ssi
@@ -460,7 +475,7 @@ class TestRetiredOpcodes:
                     query_id: (
                         ssi.result_ready(query_id),
                         storage.collection_closed,
-                        len(storage.collected) + len(storage.collected_blocks),
+                        len(storage.collected_blocks),
                         len(storage.partials),
                         len(storage.result_rows),
                     )

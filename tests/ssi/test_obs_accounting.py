@@ -4,8 +4,8 @@ The batched collection path stores columnar blocks (O(1) per block) and
 defers both per-tuple Observation objects and per-tuple EncryptedTuple
 materialization.  These tests pin down the equivalences that make the
 laziness invisible: observer log, collected counts and covering result
-must be identical whether contributions arrive tuple-by-tuple, as
-blocks, or interleaved.
+must be identical whether contributions arrive tuple-by-tuple or as
+blocks, and the covering result is the order the observer saw.
 """
 
 from repro.core.messages import (
@@ -108,13 +108,12 @@ class TestInterleavedStorageAccounting:
 
         assert ssi.collected_count("q1") == 8
         storage = ssi._storage["q1"]
-        assert len(storage.collected) == 3
-        assert len(storage.collected_blocks) == 2
-        # Materialization order: per-tuple items first, then blocks in
-        # arrival order — and every payload survives byte-identically.
+        assert len(storage.collected_blocks) == 4  # one per submission
+        # Materialization order: arrival order, the observer's — and
+        # every payload survives byte-identically.
         result = ssi.covering_result("q1")
         assert len(result) == 8
-        expected = seq_a + seq_b + batch_one + batch_two
+        expected = seq_a + batch_one + seq_b + batch_two
         assert [(t.payload, t.group_tag) for t in result] == [
             (t.payload, t.group_tag) for t in expected
         ]

@@ -17,7 +17,7 @@ def make_block(*payloads):
 class TestAllCollectedCache:
     def test_cached_between_appends(self):
         storage = QueryStorage()
-        storage.append_tuple(EncryptedTuple(b"a"))
+        storage.append_block(make_block(b"a"))
         storage.append_block(make_block(b"bb", b"ccc"))
         first = storage.all_collected()
         assert [t.payload for t in first] == [b"a", b"bb", b"ccc"]
@@ -29,20 +29,21 @@ class TestAllCollectedCache:
 
     def test_appends_invalidate(self):
         storage = QueryStorage()
-        storage.append_tuple(EncryptedTuple(b"a"))
+        storage.append_block(make_block(b"a"))
         assert len(storage.all_collected()) == 1
         storage.append_block(make_block(b"bb"))
         assert len(storage.all_collected()) == 2
-        storage.append_tuple(EncryptedTuple(b"c"))
+        storage.append_block(make_block(b"c"))
+        # arrival order, the order the observer saw them in
         assert [t.payload for t in storage.all_collected()] == [
             b"a",
-            b"c",
             b"bb",
+            b"c",
         ]
 
     def test_callers_cannot_corrupt_the_memo(self):
         storage = QueryStorage()
-        storage.append_tuple(EncryptedTuple(b"a"))
+        storage.append_block(make_block(b"a"))
         view = storage.all_collected()
         view.append(EncryptedTuple(b"injected"))
         assert len(storage.all_collected()) == 1
@@ -50,7 +51,7 @@ class TestAllCollectedCache:
     def test_count_matches_flattened_length(self):
         storage = QueryStorage()
         storage.append_block(make_block(b"x", b"y"))
-        storage.append_tuple(EncryptedTuple(b"z"))
+        storage.append_block(make_block(b"z"))
         assert storage.collected_count() == 3
         assert storage.collected_count() == len(storage.all_collected())
 

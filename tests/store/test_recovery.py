@@ -9,6 +9,7 @@ from repro.core.messages import (
     Credential,
     EncryptedPartial,
     EncryptedTuple,
+    EncryptedTupleBlock,
     QueryEnvelope,
 )
 from repro.exceptions import CorruptLogError, StoreError
@@ -42,13 +43,12 @@ def populate(store, query_id="q1", tuples=3):
     )
     store.recovered.ssi.post_query(make_envelope(query_id), "tds-1")
     for i in range(tuples):
+        block = EncryptedTupleBlock.from_tuples(
+            [EncryptedTuple(f"ct-{i}".encode(), b"tag")]
+        )
         journal.set_idem("client-a", i + 1)
-        journal.record(
-            "submit_tuples", query_id, [EncryptedTuple(f"ct-{i}".encode(), b"tag")]
-        )
-        store.recovered.ssi.submit_tuples(
-            query_id, [EncryptedTuple(f"ct-{i}".encode(), b"tag")]
-        )
+        journal.record("submit_tuple_block", query_id, block)
+        store.recovered.ssi.submit_tuple_block(query_id, block)
 
 
 class TestCrashRecovery:
@@ -99,8 +99,8 @@ class TestCrashRecovery:
                     envelope=make_envelope(),
                     meta=QueryMeta("s_agg"),
                     tds_id="tds-1",
-                    collected=list(
-                        store.recovered.ssi.storage_map()["q1"].collected
+                    collected_blocks=list(
+                        store.recovered.ssi.storage_map()["q1"].collected_blocks
                     ),
                 )
             ],
@@ -140,7 +140,9 @@ class TestSnapshotsAndGc:
                         envelope=make_envelope(),
                         meta=QueryMeta("s_agg"),
                         tds_id="tds-1",
-                        collected=list(ssi.storage_map()["q1"].collected),
+                        collected_blocks=list(
+                            ssi.storage_map()["q1"].collected_blocks
+                        ),
                     )
                 ],
             )
@@ -170,8 +172,8 @@ class TestSnapshotsAndGc:
                         query_id="q1",
                         envelope=make_envelope(),
                         meta=QueryMeta("s_agg"),
-                        collected=list(
-                            store.recovered.ssi.storage_map()["q1"].collected
+                        collected_blocks=list(
+                            store.recovered.ssi.storage_map()["q1"].collected_blocks
                         ),
                     )
                 ]
@@ -291,18 +293,18 @@ class TestWirePassThrough:
         from repro.net.frames import Writer
         from repro.store import records as store_records
 
-        tuples = [EncryptedTuple(b"ct-payload", b"tag-x")]
+        block = EncryptedTupleBlock.from_tuples([EncryptedTuple(b"ct-payload", b"tag-x")])
         w = Writer()
         w.text("q1")
-        frames.write_items(w, tuples)
+        frames.write_tuple_block(w, block)
         wire = w.getvalue()
 
         captured = []
         journal = store_records.StoreJournal(
             lambda body: captured.append(body) or len(captured)
         )
-        journal.record("submit_tuples", "q1", tuples)
-        journal.record("submit_tuples", "q1", tuples, wire=memoryview(wire))
+        journal.record("submit_tuple_block", "q1", block)
+        journal.record("submit_tuple_block", "q1", block, wire=memoryview(wire))
         reencoded = captured[0]
         prefix, raw = captured[1]
         assert prefix + bytes(raw) == reencoded

@@ -1,5 +1,8 @@
 """Snapshot encode/decode integrity, atomic writes, retention."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.core.messages import (
@@ -13,6 +16,11 @@ from repro.exceptions import CorruptLogError
 from repro.net.frames import QueryMeta
 from repro.store import snapshot
 from repro.store.commitment import CommitmentChain
+
+
+PARENT_SNAPSHOTS = (
+    Path(__file__).parents[1] / "net" / "golden" / "parent_data_dir" / "snapshots"
+)
 
 
 def make_envelope(query_id="q1"):
@@ -43,7 +51,6 @@ def make_state(wal_seq=3):
                 meta=QueryMeta("s_agg", {"alpha": 2.0}),
                 tds_id="tds-3",
                 collection_closed=True,
-                collected=[EncryptedTuple(b"ct", b"tag")],
                 collected_blocks=[block],
                 partials=[EncryptedPartial(b"cp", None)],
                 result_rows=[b"row1", b"row2"],
@@ -67,10 +74,30 @@ class TestCodec:
         assert q.meta.protocol == "s_agg"
         assert q.tds_id == "tds-3"
         assert q.collection_closed is True
-        assert q.collected == state.queries[0].collected
         assert q.collected_blocks == state.queries[0].collected_blocks
         assert q.partials == state.queries[0].partials
         assert q.result_rows == [b"row1", b"row2"]
+
+    def test_the_encoding_of_a_block_only_state_is_pinned(self):
+        # captured before the per-tuple lane left the SSI: the lane is
+        # still written, as an empty list, so the bytes did not move
+        assert hashlib.sha256(snapshot.encode_snapshot(make_state())).hexdigest() == (
+            "0c5b42b75980ebcd8142dd30cca3ce39788141af345312169e16131f0fa2dde3"
+        )
+
+    def test_an_older_builds_per_tuple_lane_leads_the_blocks(self):
+        # the parent data dir's q-driver: one per-item submission of two
+        # tuples, then a block of two — served in that order back then
+        path = PARENT_SNAPSHOTS / snapshot.snapshot_name(24)
+        queries = {q.query_id: q for q in snapshot.load_snapshot(path).queries}
+        lane, block = queries["q-driver"].collected_blocks
+        assert list(lane.tuples()) == [
+            EncryptedTuple(b"ct-1", None), EncryptedTuple(b"ct-2", b"tag"),
+        ]
+        assert list(block.tuples()) == [
+            EncryptedTuple(b"ct-3", b"g1"), EncryptedTuple(b"ct-4", None),
+        ]
+        assert len(queries["q-fleet"].collected_blocks) == 1  # no lane: no block
 
     def test_crc_detects_any_flip(self):
         data = bytearray(snapshot.encode_snapshot(make_state()))

@@ -74,6 +74,11 @@ def setup():
 AGG_SQL = "SELECT g, SUM(x) AS s FROM T GROUP BY g"
 
 
+def contribution(tds, envelope, protocol, **knowledge):
+    """One contribution, tuple by tuple, as a partition carries it."""
+    return list(tds.collect_block(envelope, protocol, **knowledge).tuples())
+
+
 class TestOpenQuery:
     def test_decrypts_and_parses(self, setup):
         statement = setup["tds_a"].open_query(setup["envelope"](AGG_SQL))
@@ -237,30 +242,30 @@ class TestContributionBytes:
 class TestCollectBasic:
     def test_matching_rows_encrypted(self, setup):
         env = setup["envelope"]("SELECT x FROM T WHERE x > 3")
-        tuples = setup["tds_a"].collect_basic(env)
+        tuples = contribution(setup["tds_a"], env, "basic")
         assert len(tuples) == 1
         assert tuples[0].group_tag is None
 
     def test_dummy_when_no_match(self, setup):
         env = setup["envelope"]("SELECT x FROM T WHERE x > 1000")
-        tuples = setup["tds_a"].collect_basic(env)
+        tuples = contribution(setup["tds_a"], env, "basic")
         assert len(tuples) == 1  # a dummy, indistinguishable to the SSI
 
     def test_dummy_when_access_denied(self, setup):
         env = setup["envelope"]("SELECT * FROM Secret")
-        tuples = setup["tds_a"].collect_basic(env)
+        tuples = contribution(setup["tds_a"], env, "basic")
         assert len(tuples) == 1
 
     def test_dummy_same_size_as_data(self, setup):
         env_match = setup["envelope"]("SELECT x FROM T WHERE x > 3")
         env_nomatch = setup["envelope"]("SELECT x FROM T WHERE x > 1000")
-        data = setup["tds_a"].collect_basic(env_match)[0]
-        dummy = setup["tds_a"].collect_basic(env_nomatch)[0]
+        data = contribution(setup["tds_a"], env_match, "basic")[0]
+        dummy = contribution(setup["tds_a"], env_nomatch, "basic")[0]
         assert len(data.payload) == len(dummy.payload)
 
     def test_payload_is_ciphertext(self, setup):
         env = setup["envelope"]("SELECT x FROM T WHERE x > 3")
-        payload = setup["tds_a"].collect_basic(env)[0].payload
+        payload = contribution(setup["tds_a"], env, "basic")[0].payload
         assert b"north" not in payload
         assert encode(10) not in payload
 
@@ -269,15 +274,15 @@ class TestCollectNoise:
     def test_true_and_fake_tuples_emitted(self, setup):
         env = setup["envelope"](AGG_SQL)
         noise = RandomNoise([("north",), ("south",)], nf=3, rng=random.Random(1))
-        tuples = setup["tds_b"].collect_with_noise(env, noise)
+        tuples = contribution(setup["tds_b"], env, "c_noise", noise=noise)
         assert len(tuples) == 2 * (1 + 3)  # two true rows, 3 fakes each
 
     def test_same_group_same_tag(self, setup):
         """Det_Enc property: the SSI can group by tag equality."""
         env = setup["envelope"](AGG_SQL)
         noise = ComplementaryNoise([("north",), ("south",)])
-        tuples_a = setup["tds_a"].collect_with_noise(env, noise)
-        tuples_b = setup["tds_b"].collect_with_noise(env, noise)
+        tuples_a = contribution(setup["tds_a"], env, "c_noise", noise=noise)
+        tuples_b = contribution(setup["tds_b"], env, "c_noise", noise=noise)
         tags_a = {t.group_tag for t in tuples_a}
         tags_b = {t.group_tag for t in tuples_b}
         assert tags_a == tags_b  # both cover the full domain
@@ -290,14 +295,14 @@ class TestCollectNoise:
         noise = ComplementaryNoise([("north",), ("south",)])
         counter = Counter()
         for tds in (setup["tds_a"], setup["tds_b"]):
-            for t in tds.collect_with_noise(env, noise):
+            for t in contribution(tds, env, "c_noise", noise=noise):
                 counter[t.group_tag] += 1
         assert len(set(counter.values())) == 1
 
     def test_denied_tds_contributes_nothing_but_valid_stream(self, setup):
         env = setup["envelope"]("SELECT nope, SUM(x) FROM Secret GROUP BY nope")
         noise = ComplementaryNoise([("north",)])
-        assert setup["tds_a"].collect_with_noise(env, noise) == []
+        assert contribution(setup["tds_a"], env, "c_noise", noise=noise) == []
 
 
 class TestCollectHistogram:
@@ -306,7 +311,7 @@ class TestCollectHistogram:
         hist = EquiDepthHistogram.from_distribution(
             {("north",): 2, ("south",): 1}, num_buckets=2
         )
-        tuples = setup["tds_b"].collect_for_histogram(env, hist)
+        tuples = contribution(setup["tds_b"], env, "ed_hist", histogram=hist)
         assert len(tuples) == 2
         assert all(t.group_tag is not None for t in tuples)
 
@@ -315,8 +320,8 @@ class TestCollectHistogram:
         hist = EquiDepthHistogram.from_distribution(
             {("north",): 2, ("south",): 1}, num_buckets=1
         )
-        tag_a = setup["tds_a"].collect_for_histogram(env, hist)[0].group_tag
-        tag_b = setup["tds_b"].collect_for_histogram(env, hist)[0].group_tag
+        tag_a = contribution(setup["tds_a"], env, "ed_hist", histogram=hist)[0].group_tag
+        tag_b = contribution(setup["tds_b"], env, "ed_hist", histogram=hist)[0].group_tag
         assert tag_a == tag_b
 
 
@@ -324,7 +329,7 @@ class TestAggregationPhase:
     def _collect_all(self, setup, env):
         tuples = []
         for tds in (setup["tds_a"], setup["tds_b"]):
-            tuples.extend(tds.collect_for_sagg(env))
+            tuples.extend(contribution(tds, env, "s_agg"))
         return tuples
 
     def test_fold_tuples_into_partial(self, setup):
@@ -350,7 +355,7 @@ class TestAggregationPhase:
         statement = setup["tds_a"].open_query(env)
         tuples = []
         for tds in (setup["tds_a"], setup["tds_b"]):
-            tuples.extend(tds.collect_for_sagg(env))
+            tuples.extend(contribution(tds, env, "s_agg"))
         partition = Partition(0, tuple(tuples))
         encrypted = setup["tds_a"].aggregate_partition(statement, partition)
         rows = setup["tds_b"].finalize_partition(statement, Partition(1, (encrypted,)))
@@ -386,7 +391,7 @@ class TestAggregationPhase:
                 f"n{i}", db, setup["provisioner"].bundle_for_tds(),
                 tds._policy, setup["authority"], rng=random.Random(i),
             )
-            tuples.extend(node.collect_for_sagg(env))
+            tuples.extend(contribution(node, env, "s_agg"))
         with pytest.raises(ResourceExhaustedError):
             cramped.aggregate_partition(statement, Partition(0, tuple(tuples)))
 
@@ -448,7 +453,7 @@ class TestPerStatementWork:
         env = setup["envelope"](sql)
         tuples = []
         for tds in (setup["tds_a"], setup["tds_b"]):
-            tuples.extend(tds.collect_for_sagg(env))
+            tuples.extend(contribution(tds, env, "s_agg"))
         statement = setup["tds_a"].open_query(env)
         folded = [
             setup["tds_a"].aggregate_partition(statement, Partition(0, tuple(tuples[:2]))),
@@ -480,7 +485,7 @@ class TestPerStatementWork:
                 f"n{i}", db, setup["provisioner"].bundle_for_tds(),
                 tds._policy, setup["authority"], rng=random.Random(i),
             )
-            tuples.extend(node.collect_for_sagg(env))
+            tuples.extend(contribution(node, env, "s_agg"))
         folded = []
         add_row = PartialAggregation.add_row
 
@@ -500,8 +505,8 @@ class TestFilteringPhase:
     def test_filter_drops_dummies(self, setup):
         env = setup["envelope"]("SELECT x FROM T WHERE x > 3")
         env_miss = setup["envelope"]("SELECT x FROM T WHERE x > 1000")
-        data = setup["tds_a"].collect_basic(env)
-        dummies = setup["tds_a"].collect_basic(env_miss)
+        data = contribution(setup["tds_a"], env, "basic")
+        dummies = contribution(setup["tds_a"], env_miss, "basic")
         partition = Partition(0, tuple(data + dummies))
         rows = setup["tds_b"].filter_partition(partition)
         assert len(rows) == 1
@@ -509,7 +514,7 @@ class TestFilteringPhase:
     def test_filter_rejects_partial_frames(self, setup):
         env = setup["envelope"](AGG_SQL)
         statement = setup["tds_a"].open_query(env)
-        tuples = setup["tds_a"].collect_for_sagg(env)
+        tuples = contribution(setup["tds_a"], env, "s_agg")
         partial = setup["tds_a"].aggregate_partition(statement, Partition(0, tuple(tuples)))
         with pytest.raises(ProtocolError):
             setup["tds_b"].filter_partition(Partition(1, (partial,)))
@@ -520,7 +525,7 @@ class TestFilteringPhase:
         statement = setup["tds_a"].open_query(env)
         tuples = []
         for tds in (setup["tds_a"], setup["tds_b"]):
-            tuples.extend(tds.collect_for_sagg(env))
+            tuples.extend(contribution(tds, env, "s_agg"))
         partial = setup["tds_a"].aggregate_partition(statement, Partition(0, tuple(tuples)))
         rows = setup["tds_b"].finalize_partition(statement, Partition(1, (partial,)))
         k1 = NonDeterministicCipher(

@@ -5,9 +5,6 @@ Measures ``nDet_Enc`` encrypt+decrypt throughput along the block path
 
 * **before** — the seed's per-byte AES and chaining loops, preserved
   verbatim in :mod:`repro.crypto.reference`;
-* **per_tuple** — the PR 2 methodology: batched ``encrypt_many`` /
-  ``decrypt_many`` on the stdlib T-table engine (what BENCH_crypto.json
-  previously called *after*);
 * **after** — the block path: one packed buffer + offsets vector through
   ``encrypt_block`` / ``decrypt_block`` on the stdlib T-table engine.
   This is the committed acceptance number (``--check`` reads it);
@@ -20,9 +17,7 @@ Measures ``nDet_Enc`` encrypt+decrypt throughput along the block path
 Running the module directly re-measures everything and writes the
 committed baseline ``BENCH_crypto.json`` at the repo root.  ``--check``
 re-measures only the block fast path and fails when it has regressed
-more than ``CHECK_TOLERANCE`` below the committed figure.  ``--smoke``
-is the CI-sized run: small block count, no fleet, asserting the block
-path keeps up with the per-tuple path.
+more than ``CHECK_TOLERANCE`` below the committed figure.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from repro.crypto.ndet import NonDeterministicCipher
 from repro.crypto.reference import (
     ReferenceAES128,
     reference_cbc_mac,
-    reference_ctr_transform,
+    reference_ctr,
 )
 from repro.tds.device import SECURE_TOKEN
 
@@ -68,12 +63,9 @@ REF_MESSAGES = 16
 #: block workload: enough lanes that the lockstep CBC-MAC amortizes its
 #: per-step numpy dispatch (the regime a covering result actually hits)
 BLOCK_MESSAGES = 2048
-#: --smoke block count: CI-sized, still past the vectorization knee
+#: pytest-entry block count: CI-sized, still past the vectorization knee
 SMOKE_MESSAGES = 512
 REPEATS = 3
-#: --smoke takes more best-of samples — it asserts an ordering, not a
-#: throughput floor, and scheduler noise must not flip it
-SMOKE_REPEATS = 5
 
 FLEET_TDS = 8
 FLEET_SQL = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
@@ -103,7 +95,7 @@ class _ReferenceNDet:
 
     def encrypt(self, plaintext: bytes) -> bytes:
         nonce = secrets.token_bytes(8)
-        body = reference_ctr_transform(self._enc, nonce, plaintext)
+        body = reference_ctr(self._enc, nonce, plaintext)
         tag = reference_cbc_mac(self._mac, nonce + body)
         return nonce + body + tag
 
@@ -111,7 +103,7 @@ class _ReferenceNDet:
         nonce, body, tag = ciphertext[:8], ciphertext[8:-16], ciphertext[-16:]
         if reference_cbc_mac(self._mac, nonce + body) != tag:
             raise ValueError("reference tag mismatch")
-        return reference_ctr_transform(self._enc, nonce, body)
+        return reference_ctr(self._enc, nonce, body)
 
 
 def _throughput(total_bytes: int, seconds: float) -> float:
@@ -136,35 +128,6 @@ def measure_reference(num_messages: int = REF_MESSAGES) -> dict[str, float]:
         "encrypt_mb_s": _throughput(total, encrypt_s),
         "decrypt_mb_s": _throughput(total, decrypt_s),
         "combined_mb_s": _throughput(2 * total, encrypt_s + decrypt_s),
-    }
-
-
-def measure_per_tuple(
-    num_messages: int = BLOCK_MESSAGES,
-    repeats: int = REPEATS,
-    engine: str = "ttable",
-) -> dict[str, float]:
-    """``encrypt_many``/``decrypt_many`` — one Python object per tuple."""
-    cache.use_engine(engine)
-    cipher = NonDeterministicCipher(KEY)
-    plaintexts = _messages(num_messages)
-    total = sum(len(p) for p in plaintexts)
-
-    best_encrypt = best_decrypt = float("inf")
-    for __ in range(repeats):
-        start = time.perf_counter()
-        ciphertexts = cipher.encrypt_many(plaintexts)
-        best_encrypt = min(best_encrypt, time.perf_counter() - start)
-
-        start = time.perf_counter()
-        recovered = cipher.decrypt_many(ciphertexts)
-        best_decrypt = min(best_decrypt, time.perf_counter() - start)
-        assert recovered == plaintexts
-
-    return {
-        "encrypt_mb_s": _throughput(total, best_encrypt),
-        "decrypt_mb_s": _throughput(total, best_decrypt),
-        "combined_mb_s": _throughput(2 * total, best_encrypt + best_decrypt),
     }
 
 
@@ -289,7 +252,6 @@ def _cryptography_available() -> bool:
 def measure_all() -> dict:
     try:
         before = measure_reference()
-        per_tuple = measure_per_tuple()
         after = measure_block()
         block_crypto = (
             measure_block(engine="cryptography")
@@ -308,7 +270,6 @@ def measure_all() -> dict:
             "engine": "ttable (stdlib+numpy); cryptography reported separately",
         },
         "before": before,
-        "per_tuple": per_tuple,
         "after": after,
         "block_cryptography": block_crypto,
         "fleet_timeline": timeline,
@@ -335,18 +296,16 @@ def test_crypto_throughput(benchmark):
 
     try:
         before = measure_reference()
-        per_tuple = measure_per_tuple(SMOKE_MESSAGES)
         after = measure_block(SMOKE_MESSAGES)
     finally:
         cache.use_engine("auto")
     publish(
         "crypto_throughput",
         render_table(
-            "nDet_Enc throughput: seed baseline vs. per-tuple vs. block path",
+            "nDet_Enc throughput: seed baseline vs. block path",
             ["variant", "encrypt (MB/s)", "decrypt (MB/s)", "combined (MB/s)"],
             [
                 ("seed (per-byte)",) + tuple(before.values()),
-                ("per-tuple (ttable)",) + tuple(per_tuple.values()),
                 ("block (ttable)",) + tuple(after.values()),
             ],
         ),
@@ -355,7 +314,7 @@ def test_crypto_throughput(benchmark):
 
 
 # --------------------------------------------------------------------- #
-# standalone: write / check / smoke the committed baseline
+# standalone: write / check the committed baseline
 # --------------------------------------------------------------------- #
 def _run_check() -> int:
     with open(BASELINE_PATH, encoding="utf-8") as handle:
@@ -378,30 +337,9 @@ def _run_check() -> int:
     return 0
 
 
-def _run_smoke() -> int:
-    """CI-sized: the block path must at least keep up with per-tuple."""
-    try:
-        per_tuple = measure_per_tuple(SMOKE_MESSAGES, repeats=SMOKE_REPEATS)
-        block = measure_block(SMOKE_MESSAGES, repeats=SMOKE_REPEATS)
-    finally:
-        cache.use_engine("auto")
-    print(
-        f"per-tuple {per_tuple['combined_mb_s']:.2f} MB/s, "
-        f"block {block['combined_mb_s']:.2f} MB/s "
-        f"({SMOKE_MESSAGES} x {MESSAGE_BYTES} B, ttable engine)"
-    )
-    if block["combined_mb_s"] < per_tuple["combined_mb_s"]:
-        print("FAIL: block path slower than the per-tuple path")
-        return 1
-    print("OK")
-    return 0
-
-
 def main(argv: list[str]) -> int:
     if "--check" in argv:
         return _run_check()
-    if "--smoke" in argv:
-        return _run_smoke()
 
     results = measure_all()
     with open(BASELINE_PATH, "w", encoding="utf-8") as handle:

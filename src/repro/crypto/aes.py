@@ -57,52 +57,16 @@ def xor_bytes(data: bytes | memoryview, keystream: bytes) -> bytes:
     ).to_bytes(n, "big")
 
 
-def xor_packed(
-    view: memoryview, offsets: Sequence[int], keystream: bytes
-) -> bytes:
-    """XOR the messages packed in *view* against a packed *keystream*
-    (message *i*'s stream starts block-aligned where *i - 1*'s ended, the
-    layout :meth:`AES128._keystreams` returns)."""
-    if _np is not None and len(view) >= 512:
-        data = _np.frombuffer(view, dtype=_np.uint8)
-        stream = _np.frombuffer(keystream, dtype=_np.uint8)
-        if len(keystream) == len(view):
-            # Every message is block-aligned, so the packed keystream
-            # lines up byte-for-byte with the packed data: one flat XOR,
-            # no gather.
-            return (data ^ stream).tobytes()
-        # Per-byte keystream positions: message i's data byte j maps to
-        # keystream byte (16 * cum_blocks[i]) + (j - offsets[i]).
-        bounds = _np.array(offsets, dtype=_np.int64)
-        sizes = bounds[1:] - bounds[:-1]
-        counts = (sizes + (BLOCK_SIZE - 1)) // BLOCK_SIZE
-        ks_starts = (_np.cumsum(counts) - counts) * BLOCK_SIZE
-        positions = (
-            _np.repeat(ks_starts - bounds[:-1], sizes)
-            + _np.arange(len(view), dtype=_np.int64)
-        ).astype(_np.intp, copy=False)
-        return (data ^ stream[positions]).tobytes()
-    pieces = []
-    cursor = 0
-    for i in range(len(offsets) - 1):
-        segment = view[offsets[i] : offsets[i + 1]]
-        span = blocks_in(len(segment)) * BLOCK_SIZE
-        pieces.append(xor_bytes(segment, keystream[cursor : cursor + span]))
-        cursor += span
-    return b"".join(pieces)
-
-
 class CipherEngine:
     """The engine surface the chaining modes call — declared, not probed.
 
-    An engine supplies the two block transforms.  Everything above them
-    has a default here: the message primitives (:meth:`ctr_transform`,
-    :meth:`cbc_mac_words`) fall back to per-block loops, and the batch
-    and packed forms are plain loops over the message primitives.  An
-    engine overrides what it can do better: OpenSSL the two message
-    primitives (the AES is native, so a loop of messages is already
-    optimal), the T-table engine the batch forms (its block function is
-    Python, so it fuses a whole batch into one numpy pass).
+    An engine supplies the two 16-byte block transforms and the two batch
+    primitives of :mod:`repro.crypto.modes`: :meth:`ctr_many` and
+    :meth:`cbc_mac_many`.  The batch primitives default to per-block
+    loops over :meth:`encrypt_block`; an engine overrides them with what
+    it does better: OpenSSL loops its native per-message contexts, the
+    T-table engine fuses a whole batch into one numpy pass.  A single
+    message is a batch of one.
     """
 
     __slots__ = ()
@@ -113,53 +77,42 @@ class CipherEngine:
     def decrypt_block(self, block: bytes) -> bytes:
         raise NotImplementedError
 
-    # -- message primitives -------------------------------------------- #
-    def ctr_keystream(self, nonce: bytes, num_blocks: int) -> bytes:
-        """The CTR keystream for counter blocks ``nonce || 0..num_blocks-1``."""
-        if len(nonce) != 8:
-            raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
-        return b"".join(
-            self.encrypt_block(nonce + counter.to_bytes(8, "big"))
-            for counter in range(num_blocks)
-        )
-
-    def ctr_transform(self, nonce: bytes, data: bytes | memoryview) -> bytes:
-        """Encrypt or decrypt one message in CTR mode (symmetric)."""
-        return xor_bytes(data, self.ctr_keystream(nonce, blocks_in(len(data))))
-
-    def cbc_mac_words(self, message: bytes) -> bytes:
-        """CBC-MAC core over a block-aligned *message* (zero IV)."""
-        if len(message) % BLOCK_SIZE:
-            raise ValueError("CBC-MAC core needs a block-aligned message")
-        mac = bytes(BLOCK_SIZE)
-        for offset in range(0, len(message), BLOCK_SIZE):
-            mac = self.encrypt_block(
-                xor_bytes(message[offset : offset + BLOCK_SIZE], mac)
-            )
-        return mac
-
-    # -- batch and packed forms ---------------------------------------- #
-    def ctr_transform_many(
-        self, nonces: Sequence[bytes], messages: Sequence[bytes]
+    def ctr_many(
+        self,
+        nonces: Sequence[bytes | memoryview],
+        messages: Sequence[bytes | memoryview],
     ) -> list[bytes]:
-        """CTR-transform a batch of messages."""
-        return list(map(self.ctr_transform, nonces, messages))
-
-    def ctr_transform_packed(
-        self, nonces: Sequence[bytes], view: memoryview, offsets: Sequence[int]
-    ) -> bytes:
-        """CTR-transform the messages packed in *view* (message *i* spans
-        ``offsets[i]:offsets[i + 1]``), returning them packed alike."""
-        return b"".join(
-            [
-                self.ctr_transform(nonce, view[offsets[i] : offsets[i + 1]])
-                for i, nonce in enumerate(nonces)
-            ]
-        )
+        """CTR-transform each message under counter blocks
+        ``nonce || 0, 1, ...`` (8-byte nonces, checked by the mode)."""
+        return [
+            xor_bytes(
+                message,
+                b"".join(
+                    self.encrypt_block(bytes(nonce) + counter.to_bytes(8, "big"))
+                    for counter in range(blocks_in(len(message)))
+                ),
+            )
+            for nonce, message in zip(nonces, messages)
+        ]
 
     def cbc_mac_many(self, messages: Sequence[bytes]) -> list[bytes]:
-        """CBC-MAC cores of a batch of block-aligned messages."""
-        return list(map(self.cbc_mac_words, messages))
+        """CBC-MAC cores (zero IV) of a batch of block-aligned messages."""
+        _check_aligned(messages)
+        macs = []
+        for message in messages:
+            mac = bytes(BLOCK_SIZE)
+            for offset in range(0, len(message), BLOCK_SIZE):
+                mac = self.encrypt_block(
+                    xor_bytes(message[offset : offset + BLOCK_SIZE], mac)
+                )
+            macs.append(mac)
+        return macs
+
+
+def _check_aligned(messages: Sequence[bytes]) -> None:
+    for message in messages:
+        if len(message) % BLOCK_SIZE:
+            raise ValueError("CBC-MAC core needs block-aligned messages")
 
 
 # FIPS-197 substitution box and its inverse.
@@ -255,6 +208,7 @@ _TE0, _TE1, _TE2, _TE3 = _build_encrypt_tables()
 _TD0, _TD1, _TD2, _TD3 = _build_decrypt_tables()
 
 _FOUR_WORDS = Struct(">IIII")
+_TWO_WORDS = Struct(">II")
 
 # Vectorized copies of the tables for the optional numpy bulk engine: the
 # same T-table lookups, gathered across every block of a message (and
@@ -490,22 +444,30 @@ class AES128(CipherEngine):
         return _FOUR_WORDS.pack(*self._decrypt_words(*_FOUR_WORDS.unpack(block)))
 
     # ------------------------------------------------------------------ #
-    # bulk interface used by the chaining modes
+    # batch primitives used by the chaining modes
     # ------------------------------------------------------------------ #
-    def ctr_keystream(self, nonce: bytes, num_blocks: int) -> bytes:
-        """The CTR keystream for counter blocks ``nonce || 0..num_blocks-1``.
+    def ctr_many(
+        self,
+        nonces: Sequence[bytes | memoryview],
+        messages: Sequence[bytes | memoryview],
+    ) -> list[bytes]:
+        """CTR-transform a whole batch of messages in one pass: every
+        message shares one vectorized AES evaluation over the union of
+        their counter blocks."""
+        counts = [blocks_in(len(message)) for message in messages]
+        flat = self._keystreams(nonces, counts)
+        out = []
+        cursor = 0
+        for message, count in zip(messages, counts):
+            end = cursor + count * BLOCK_SIZE
+            out.append(xor_bytes(message, flat[cursor:end]))
+            cursor = end
+        return out
 
-        Generating the whole keystream in one call keeps the per-message
-        Python overhead constant instead of per-block (*nonce* is 8 bytes;
-        the block counter occupies the remaining 8)."""
-        if len(nonce) != 8:
-            raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
-        if _np is not None and num_blocks >= _NP_MIN_BLOCKS:
-            return self._keystreams([nonce], [num_blocks])
-        n0, n1 = (
-            int.from_bytes(nonce[:4], "big"),
-            int.from_bytes(nonce[4:], "big"),
-        )
+    def _keystream(self, nonce: bytes | memoryview, num_blocks: int) -> bytes:
+        """The scalar CTR keystream for counter blocks
+        ``nonce || 0..num_blocks-1`` (*nonce* is 8 bytes)."""
+        n0, n1 = _TWO_WORDS.unpack(nonce)
         out = bytearray(num_blocks * BLOCK_SIZE)
         pack_into = _FOUR_WORDS.pack_into
         encrypt = self._encrypt_words
@@ -518,24 +480,19 @@ class AES128(CipherEngine):
         return bytes(out)
 
     def _keystreams(
-        self, nonces: Sequence[bytes], block_counts: Sequence[int]
+        self, nonces: Sequence[bytes | memoryview], block_counts: Sequence[int]
     ) -> bytes:
         """Concatenated CTR keystreams for a batch of messages.
 
         One vectorized AES evaluation over the union of the batch's
         counter blocks; the per-message streams come back as one flat
         buffer (message *i* occupies ``block_counts[i] * 16`` bytes
-        starting where message *i - 1* ended) — the shape the packed
-        block APIs consume, with no per-message slicing."""
-        if len(nonces) != len(block_counts):
-            raise ValueError("one nonce per block count required")
-        for nonce in nonces:
-            if len(nonce) != 8:
-                raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
+        starting where message *i - 1* ended).  Below
+        ``_NP_MIN_BLOCKS`` blocks the scalar loop runs per message."""
         total_blocks = sum(block_counts)
         if _np is None or total_blocks < _NP_MIN_BLOCKS:
             return b"".join(
-                self.ctr_keystream(nonce, count)
+                self._keystream(nonce, count)
                 for nonce, count in zip(nonces, block_counts)
             )
         counts = _np.array(block_counts, dtype=_np.int64)
@@ -562,53 +519,22 @@ class AES128(CipherEngine):
             out.byteswap(inplace=True)
         return out.tobytes()
 
-    def ctr_transform_many(
-        self, nonces: Sequence[bytes], messages: Sequence[bytes]
-    ) -> list[bytes]:
-        """CTR-transform a whole batch of messages in one pass.
-
-        All messages share one vectorized AES evaluation over the union of
-        their counter blocks — the engine behind ``encrypt_many`` /
-        ``decrypt_many`` on the protocol ciphers."""
-        if len(nonces) != len(messages):
-            raise ValueError("one nonce per message required")
-        counts = [blocks_in(len(message)) for message in messages]
-        flat = self._keystreams(nonces, counts)
-        out = []
-        cursor = 0
-        for message, count in zip(messages, counts):
-            end = cursor + count * BLOCK_SIZE
-            out.append(xor_bytes(message, flat[cursor:end]))
-            cursor = end
-        return out
-
-    def ctr_transform_packed(
-        self, nonces: Sequence[bytes], view: memoryview, offsets: Sequence[int]
-    ) -> bytes:
-        """One packed keystream pass, one packed XOR."""
-        counts = [
-            blocks_in(offsets[i + 1] - offsets[i])
-            for i in range(len(offsets) - 1)
-        ]
-        return xor_packed(view, offsets, self._keystreams(nonces, counts))
-
     def cbc_mac_many(self, messages: Sequence[bytes]) -> list[bytes]:
         """CBC-MAC cores of a batch of block-aligned messages, computed in
         lockstep: step *b* encrypts block *b* of every still-unfinished
         message in one vectorized AES evaluation.  Ragged batches are fine
-        (each lane's MAC is captured at its own final block)."""
-        for message in messages:
-            if len(message) % BLOCK_SIZE:
-                raise ValueError("CBC-MAC core needs block-aligned messages")
+        (each lane's MAC is captured at its own final block).  A batch of
+        one, or one under ``_NP_MIN_BLOCKS`` blocks, runs the scalar loop."""
+        _check_aligned(messages)
         counts = [len(message) // BLOCK_SIZE for message in messages]
         if _np is None or len(messages) < 2 or sum(counts) < _NP_MIN_BLOCKS:
-            return [self.cbc_mac_words(message) for message in messages]
+            return [self._cbc_mac(message) for message in messages]
         lanes = len(messages)
         max_blocks = max(counts)
         uniform = min(counts) == max_blocks
         if uniform:
-            # Equal-length batch (the packed block APIs): one frombuffer
-            # over the joined messages, and no per-step done-lane scan.
+            # Equal-length batch: one frombuffer over the joined
+            # messages, and no per-step done-lane scan.
             words = (
                 _np.frombuffer(b"".join(messages), dtype=">u4")
                 .astype(_np.uint32)
@@ -765,10 +691,8 @@ class AES128(CipherEngine):
         s3 ^= rk[43]
         return s0, s1, s2, s3
 
-    def cbc_mac_words(self, message: bytes) -> bytes:
-        """CBC-MAC core over a block-aligned *message* (zero IV)."""
-        if len(message) % BLOCK_SIZE:
-            raise ValueError("CBC-MAC core needs a block-aligned message")
+    def _cbc_mac(self, message: bytes) -> bytes:
+        """The scalar CBC-MAC core over one block-aligned *message*."""
         unpack_from = _FOUR_WORDS.unpack_from
         encrypt = self._encrypt_words
         m0 = m1 = m2 = m3 = 0

@@ -13,11 +13,11 @@ Derivation and key-schedule expansion go through the process-wide cipher
 cache (:mod:`repro.crypto.cache`), so constructing one of these objects is
 cheap enough to do per call — key rotation is picked up for free.
 
-The batched :meth:`NonDeterministicCipher.encrypt_many` /
-:meth:`~NonDeterministicCipher.decrypt_many` and the packed ``*_block``
-calls hand a whole covering result to the engine, which fuses it
-(T-tables) or loops its native message primitive (OpenSSL); protocol hot
-paths should prefer them over per-tuple calls.
+All six public calls (one message, a list, a packed buffer + offsets;
+each direction) are adapters over one private kernel per direction,
+which hands the whole batch to the engine: it fuses it (T-tables) or
+loops its native per-message call (OpenSSL).  Protocol hot paths should
+hand over whole batches rather than call per tuple.
 
 A seedable :class:`random.Random` may be injected for reproducible
 simulations; by default nonces come from :mod:`secrets`.
@@ -31,13 +31,7 @@ import secrets
 from typing import Sequence
 
 from repro.crypto import cache
-from repro.crypto.modes import (
-    cbc_mac,
-    cbc_mac_many,
-    ctr_transform,
-    ctr_transform_many,
-    ctr_transform_packed,
-)
+from repro.crypto.modes import _packed, _segments, cbc_mac_many, ctr_many
 from repro.exceptions import DecryptionError
 
 _NONCE_SIZE = 8
@@ -78,76 +72,65 @@ class NonDeterministicCipher:
             pool[i * _NONCE_SIZE : (i + 1) * _NONCE_SIZE] for i in range(count)
         ]
 
-    def encrypt(self, plaintext: bytes) -> bytes:
-        """Encrypt *plaintext* under a fresh nonce."""
-        nonce = self._fresh_nonce()
-        sealed = nonce + ctr_transform(self._enc, nonce, plaintext)
-        return sealed + cbc_mac(self._mac, sealed)
-
-    def decrypt(self, ciphertext: bytes) -> bytes:
-        """Decrypt and authenticate; raises :class:`DecryptionError` on
-        truncated or tampered input."""
-        if len(ciphertext) < _OVERHEAD:
-            raise DecryptionError("ciphertext too short for nDet_Enc framing")
-        sealed = ciphertext[:-_TAG_SIZE]
-        tag = ciphertext[-_TAG_SIZE:]
-        if not hmac.compare_digest(cbc_mac(self._mac, sealed), tag):
-            raise DecryptionError("nDet_Enc authentication tag mismatch")
-        return ctr_transform(
-            self._enc, sealed[:_NONCE_SIZE], sealed[_NONCE_SIZE:]
-        )
-
     # ------------------------------------------------------------------ #
-    # batched interface (protocol hot path)
+    # the kernel: one seal and one open, each over a list of messages
     # ------------------------------------------------------------------ #
-    def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
+    def _seal(
+        self,
+        plaintexts: Sequence[bytes | memoryview],
+        nonces: Sequence[bytes],
+    ) -> list[bytes]:
         """Encrypt a batch in two engine passes (CTR, then MAC)."""
-        if not plaintexts:
-            return []
-        nonces = self.fresh_nonces(len(plaintexts))
-        bodies = ctr_transform_many(self._enc, nonces, plaintexts)
+        bodies = ctr_many(self._enc, nonces, plaintexts)
         sealed = [nonce + body for nonce, body in zip(nonces, bodies)]
         tags = cbc_mac_many(self._mac, sealed)
         return [message + tag for message, tag in zip(sealed, tags)]
 
-    def decrypt_many(self, ciphertexts: list[bytes]) -> list[bytes]:
+    def _open(self, ciphertexts: Sequence[bytes | memoryview]) -> list[bytes]:
         """Authenticate then decrypt a batch in two engine passes.
 
         Raises :class:`DecryptionError` if *any* element is truncated or
-        tampered — a batch is one trust decision."""
-        if not ciphertexts:
-            return []
+        tampered — a batch is one trust decision, and every tag is
+        compared (constant-time per tag, no early exit, so the work is
+        independent of *where* a forgery sits) before any verdict is
+        returned."""
         sealed, tags = [], []
         for ciphertext in ciphertexts:
             if len(ciphertext) < _OVERHEAD:
                 raise DecryptionError("ciphertext too short for nDet_Enc framing")
             sealed.append(ciphertext[:-_TAG_SIZE])
             tags.append(ciphertext[-_TAG_SIZE:])
-        self._verify(sealed, tags)
-        return ctr_transform_many(
-            self._enc,
-            [message[:_NONCE_SIZE] for message in sealed],
-            [message[_NONCE_SIZE:] for message in sealed],
-        )
-
-    def _verify(
-        self,
-        sealed: Sequence[bytes | memoryview],
-        tags: Sequence[bytes | memoryview],
-    ) -> None:
-        """One trust decision over a batch of ``nonce || body`` messages:
-        every tag is compared (constant-time per tag, no early exit, so
-        the work is independent of *where* a forgery sits) before any
-        verdict is returned."""
         valid = True
         for tag, want in zip(tags, cbc_mac_many(self._mac, sealed)):
             valid = hmac.compare_digest(tag, want) and valid
         if not valid:
             raise DecryptionError("nDet_Enc authentication tag mismatch")
+        return ctr_many(
+            self._enc,
+            [message[:_NONCE_SIZE] for message in sealed],
+            [message[_NONCE_SIZE:] for message in sealed],
+        )
 
     # ------------------------------------------------------------------ #
-    # packed-block interface
+    # the call shapes: a message, a list, a packed buffer + offsets
     # ------------------------------------------------------------------ #
+    def encrypt(self, plaintext: bytes) -> bytes:
+        """Encrypt *plaintext* under a fresh nonce."""
+        return self._seal([plaintext], [self._fresh_nonce()])[0]
+
+    def decrypt(self, ciphertext: bytes) -> bytes:
+        """Decrypt and authenticate; raises :class:`DecryptionError` on
+        truncated or tampered input."""
+        return self._open([ciphertext])[0]
+
+    def encrypt_many(self, plaintexts: list[bytes]) -> list[bytes]:
+        """Encrypt a batch, one fresh nonce per message."""
+        return self._seal(plaintexts, self.fresh_nonces(len(plaintexts)))
+
+    def decrypt_many(self, ciphertexts: list[bytes]) -> list[bytes]:
+        """Authenticate then decrypt a batch (one trust decision)."""
+        return self._open(ciphertexts)
+
     def encrypt_block(
         self,
         payloads: bytes | memoryview,
@@ -155,64 +138,24 @@ class NonDeterministicCipher:
         *,
         nonces: Sequence[bytes] | None = None,
     ) -> tuple[bytes, tuple[int, ...]]:
-        """Encrypt a packed buffer of messages in one pass.
-
-        *payloads* + *offsets* follow the
-        :func:`repro.core.codec.encode_packed` convention (``count + 1``
-        offsets spanning the buffer).  Returns the packed ciphertext
-        buffer and its offsets; each message grows by
+        """Encrypt the messages packed in *payloads* + *offsets* (the
+        :func:`repro.core.codec.encode_packed` convention), returning the
+        packed ciphertexts and their offsets; each message grows by
         :meth:`ciphertext_overhead` bytes.  Explicit *nonces* make the
         output reproducible."""
-        count = len(offsets) - 1
+        segments = _segments(payloads, offsets)
         if nonces is None:
-            nonces = self.fresh_nonces(count)
-        elif len(nonces) != count:
+            nonces = self.fresh_nonces(len(segments))
+        elif len(nonces) != len(segments):
             raise ValueError("one nonce per packed message required")
-        bodies = memoryview(
-            ctr_transform_packed(self._enc, nonces, payloads, offsets)
-        )
-        sealed = [
-            nonces[i] + bodies[offsets[i] : offsets[i + 1]]
-            for i in range(count)
-        ]
-        pieces: list[bytes] = []
-        for message, tag in zip(sealed, cbc_mac_many(self._mac, sealed)):
-            pieces.append(message)
-            pieces.append(tag)
-        return b"".join(pieces), tuple(
-            offsets[i] + i * _OVERHEAD for i in range(count + 1)
-        )
+        return _packed(self._seal(segments, nonces))
 
     def decrypt_block(
         self, payloads: bytes | memoryview, offsets: Sequence[int]
     ) -> tuple[bytes, tuple[int, ...]]:
-        """Authenticate then decrypt a packed buffer of ciphertexts.
-
-        Returns the packed plaintext buffer and its offsets.  Raises
-        :class:`DecryptionError` if *any* message is truncated or
-        tampered — the block is one trust decision, and every tag is
-        compared (constant-time) before any verdict is returned."""
-        count = len(offsets) - 1
-        view = memoryview(payloads)
-        sealed: list[memoryview] = []
-        tags: list[memoryview] = []
-        for i in range(count):
-            start, end = offsets[i], offsets[i + 1]
-            if end - start < _OVERHEAD:
-                raise DecryptionError("ciphertext too short for nDet_Enc framing")
-            sealed.append(view[start : end - _TAG_SIZE])
-            tags.append(view[end - _TAG_SIZE : end])
-        self._verify(sealed, tags)
-        body_offsets = tuple(
-            offsets[i] - offsets[0] - i * _OVERHEAD for i in range(count + 1)
-        )
-        plain = ctr_transform_packed(
-            self._enc,
-            [bytes(message[:_NONCE_SIZE]) for message in sealed],
-            b"".join([message[_NONCE_SIZE:] for message in sealed]),
-            body_offsets,
-        )
-        return plain, body_offsets
+        """Authenticate then decrypt packed ciphertexts (one trust
+        decision), returning the packed plaintexts and their offsets."""
+        return _packed(self._open(_segments(payloads, offsets)))
 
     def ciphertext_overhead(self) -> int:
         """Bytes added on top of the plaintext length."""

@@ -8,9 +8,8 @@ and the protocol ciphers above them are byte-for-byte oblivious to which
 engine is underneath.
 
 The AES here is native, so a call should cost its AES and not its set-up:
-the engine keeps **persistent EVP contexts** and makes the single message
-the primitive (batches are the plain loops :class:`CipherEngine`
-provides).
+the engine keeps **persistent EVP contexts**, and each batch primitive is
+a plain loop of one native call per message over them.
 
 * CTR: our mode is ``nonce(8) || counter(8)`` starting at zero, which
   coincides with OpenSSL's 128-bit big-endian CTR over the initial block
@@ -30,17 +29,19 @@ its chaining state is unknown.  ``reset_nonce`` needs ``cryptography``
 >= 43; :func:`repro.crypto.cache.use_engine` probes :func:`usable` and
 falls through to the T-table engine without it, as it does when this
 module fails to import.  Correctness is pinned by the parity fuzz in
-``tests/crypto/test_block_api.py`` against :mod:`repro.crypto.reference`.
+``tests/crypto/test_block_api.py`` and ``tests/crypto/test_openssl_engine.py``
+against :mod:`repro.crypto.reference`.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Sequence
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from cryptography.hazmat.primitives.ciphers import modes as _ossl_modes
 
-from repro.crypto.aes import BLOCK_SIZE, KEY_SIZE, CipherEngine
+from repro.crypto.aes import BLOCK_SIZE, KEY_SIZE, CipherEngine, _check_aligned
 from repro.exceptions import InvalidKeyError
 
 #: the first ``cryptography`` release whose CTR contexts have ``reset_nonce``
@@ -92,12 +93,15 @@ class OpenSSLAES128(CipherEngine):
         return Cipher(self._cipher, _ossl_modes.ECB()).decryptor().update(block)
 
     # ------------------------------------------------------------------ #
-    # message primitives
+    # batch primitives: the per-message body inside each loop
     # ------------------------------------------------------------------ #
-    def ctr_transform(self, nonce: bytes, data: bytes | memoryview) -> bytes:
-        """Encrypt or decrypt one message in CTR mode (symmetric)."""
-        if len(nonce) != 8:
-            raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")
+    def ctr_many(
+        self,
+        nonces: Sequence[bytes | memoryview],
+        messages: Sequence[bytes | memoryview],
+    ) -> list[bytes]:
+        """CTR-transform each message: one ``reset_nonce`` and one
+        ``update`` on this thread's CTR context."""
         local = self._local
         try:
             context = local.ctr
@@ -105,23 +109,21 @@ class OpenSSLAES128(CipherEngine):
             context = local.ctr = Cipher(
                 self._cipher, _ossl_modes.CTR(_ZERO_IV)
             ).encryptor()
+        reset, update = context.reset_nonce, context.update
+        out = []
         try:
-            context.reset_nonce(nonce + _ZERO_COUNTER)
-            return context.update(data)
+            for nonce, message in zip(nonces, messages):
+                reset(b"".join((nonce, _ZERO_COUNTER)))
+                out.append(update(message))
         except BaseException:
             del local.ctr
             raise
+        return out
 
-    def ctr_keystream(self, nonce: bytes, num_blocks: int) -> bytes:
-        """The CTR keystream for counter blocks ``nonce || 0..num_blocks-1``."""
-        return self.ctr_transform(nonce, bytes(max(num_blocks, 0) * BLOCK_SIZE))
-
-    def cbc_mac_words(self, message: bytes) -> bytes:
-        """CBC-MAC core over a block-aligned *message* (zero IV)."""
-        if len(message) % BLOCK_SIZE:
-            raise ValueError("CBC-MAC core needs a block-aligned message")
-        if not message:
-            return _ZERO_IV
+    def cbc_mac_many(self, messages: Sequence[bytes]) -> list[bytes]:
+        """CBC-MAC cores (zero IV) of block-aligned messages on this
+        thread's CBC context, cancelling the carried chain per message."""
+        _check_aligned(messages)
         local = self._local
         try:
             context = local.cbc
@@ -130,13 +132,21 @@ class OpenSSLAES128(CipherEngine):
                 self._cipher, _ossl_modes.CBC(_ZERO_IV)
             ).encryptor()
             local.chain = 0
+        chain = local.chain
+        tags = []
         try:
-            first = int.from_bytes(message[:BLOCK_SIZE], "big") ^ local.chain
-            tag = context.update(
-                first.to_bytes(BLOCK_SIZE, "big") + message[BLOCK_SIZE:]
-            )[-BLOCK_SIZE:]
-            local.chain = int.from_bytes(tag, "big")
-            return tag
+            for message in messages:
+                if not message:
+                    tags.append(_ZERO_IV)
+                    continue
+                first = int.from_bytes(message[:BLOCK_SIZE], "big") ^ chain
+                tag = context.update(
+                    first.to_bytes(BLOCK_SIZE, "big") + message[BLOCK_SIZE:]
+                )[-BLOCK_SIZE:]
+                chain = int.from_bytes(tag, "big")
+                tags.append(tag)
         except BaseException:
             del local.cbc
             raise
+        local.chain = chain
+        return tags

@@ -87,8 +87,8 @@ _NUM_ROUNDS = 10
 class ReferenceAES128(CipherEngine):
     """The seed's per-byte AES-128 block cipher (oracle / baseline).
 
-    As an engine it supplies the block transform only; every message and
-    batch method is :class:`CipherEngine`'s per-block default."""
+    As an engine it supplies the block transform only; both batch
+    primitives are :class:`CipherEngine`'s per-block loops."""
 
     __slots__ = ("_round_keys",)
 
@@ -128,7 +128,7 @@ class ReferenceAES128(CipherEngine):
         return bytes(state)
 
 
-def reference_ctr_transform(cipher: ReferenceAES128, nonce: bytes, data: bytes) -> bytes:
+def reference_ctr(cipher: ReferenceAES128, nonce: bytes, data: bytes) -> bytes:
     """The seed's per-byte CTR loop (benchmark baseline)."""
     if len(nonce) != 8:
         raise ValueError(f"CTR nonce must be 8 bytes, got {len(nonce)}")

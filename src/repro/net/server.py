@@ -52,7 +52,6 @@ from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Any,
-    Awaitable,
     Callable,
     Collection,
     NamedTuple,
@@ -817,9 +816,6 @@ class SSIDispatcher:
             if envelope.size_seconds is not None:
                 self._wake_at(envelope.size_seconds)
         return started
-
-
-DispatchFn = Callable[[bytes], Awaitable[bytes]]
 
 
 class _Connection(asyncio.Protocol):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.codec import decode_packed
+from repro.core.codec import decode_many
 from repro.core.messages import (
     RESULT_PARTIALS,
     WORK_FOLD,
@@ -85,20 +85,9 @@ class Querier:
         )
 
     def decrypt_result(self, result: QueryResult) -> list[Row]:
-        """Step 13: download and decrypt the final rows — one packed
-        authenticate-then-decrypt pass over the whole result set."""
-        rows = result.encrypted_rows
-        if not rows:
-            return []
-        offsets = [0]
-        total = 0
-        for row in rows:
-            total += len(row)
-            offsets.append(total)
-        plain, plain_offsets = self._cipher().decrypt_block(
-            b"".join(rows), offsets
-        )
-        return decode_packed(plain, plain_offsets)
+        """Step 13: download and decrypt the final rows — one
+        authenticate-then-decrypt batch over the whole result set."""
+        return decode_many(self._cipher().decrypt_many(result.encrypted_rows))
 
 
 class ProtocolDriver:

@@ -330,23 +330,11 @@ class TrustedDataServer:
     # aggregation phase (steps 6-8)
     # ------------------------------------------------------------------ #
     def _decrypt_partition(self, partition: Partition) -> list[bytes]:
-        """Authenticate-then-decrypt a partition's payloads in one packed
-        pass (one keystream buffer, one MAC batch) instead of per item."""
-        items = partition.items
-        if not items:
-            return []
-        offsets = [0]
-        total = 0
-        for item in items:
-            total += len(item.payload)
-            offsets.append(total)
-        packed = b"".join(item.payload for item in items)
-        plain, plain_offsets = self._k2_cipher().decrypt_block(packed, offsets)
-        view = memoryview(plain)
-        return [
-            bytes(view[plain_offsets[i] : plain_offsets[i + 1]])
-            for i in range(len(items))
-        ]
+        """Authenticate-then-decrypt a partition's payloads as one batch
+        (one keystream pass, one MAC batch) instead of per item."""
+        return self._k2_cipher().decrypt_many(
+            [item.payload for item in partition.items]
+        )
 
     def aggregate_partition(
         self, statement: SelectStatement, partition: Partition

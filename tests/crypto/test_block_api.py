@@ -1,10 +1,10 @@
-"""Parity fuzz of the packed-block crypto APIs across every engine.
+"""Parity fuzz of the cipher call shapes across every engine.
 
-The block API (``encrypt_block`` / ``decrypt_block``) must be
-byte-for-byte identical to the per-message API and
-identical *across engines* — the reference per-byte implementation is
-the oracle.  Tampered or truncated blocks must die with
-:class:`DecryptionError` on every engine.
+The three shapes (one message, a list, a packed buffer + offsets) are
+adapters over one kernel per direction: they must be byte-for-byte
+identical to one another and identical *across engines* — the reference
+per-byte implementation is the oracle.  Tampered or truncated blocks
+must die with :class:`DecryptionError` on every engine.
 """
 
 import random
@@ -57,6 +57,27 @@ def unpack(buffer: bytes, offsets: tuple[int, ...]) -> list[bytes]:
     ]
 
 
+def assert_every_shape_agrees(make, payloads: list[bytes]) -> None:
+    """Each message seals to the same bytes through ``encrypt``,
+    ``encrypt_many`` and its ``encrypt_block`` segment, and every decrypt
+    shape opens every encrypt shape's output.  ``make`` builds a fresh
+    cipher; nDet ciphers must draw nonces from ``random.Random(3)``."""
+    packed, offsets = pack(payloads)
+    rng = random.Random(3)
+    nonces = [rng.getrandbits(64).to_bytes(8, "big") for __ in payloads]
+    cipher = make()
+    single = [cipher.encrypt(payload) for payload in payloads]
+    many = make().encrypt_many(payloads)
+    block_kwargs = {} if cipher.deterministic else {"nonces": nonces}
+    block = unpack(*make().encrypt_block(packed, offsets, **block_kwargs))
+    assert single == many == block
+    for ciphertexts in (single, many, block):
+        assert [cipher.decrypt(c) for c in ciphertexts] == payloads
+        assert cipher.decrypt_many(ciphertexts) == payloads
+        plain, plain_offsets = cipher.decrypt_block(*pack(ciphertexts))
+        assert (plain, plain_offsets) == (packed, offsets)
+
+
 payload_lists = st.lists(st.binary(max_size=80), min_size=0, max_size=8)
 
 
@@ -93,24 +114,15 @@ class TestBlockPerEngine:
     @given(payloads=payload_lists)
     def test_ndet_block_matches_per_message_api(self, engine, payloads):
         cache.use_engine(engine)
-        packed, offsets = pack(payloads)
-        block_cipher = NonDeterministicCipher(KEY, random.Random(3))
-        many_cipher = NonDeterministicCipher(KEY, random.Random(3))
-        ct, ct_offsets = block_cipher.encrypt_block(packed, offsets)
-        assert unpack(ct, ct_offsets) == many_cipher.encrypt_many(payloads)
-        plain, plain_offsets = block_cipher.decrypt_block(ct, ct_offsets)
-        assert unpack(plain, plain_offsets) == payloads
+        assert_every_shape_agrees(
+            lambda: NonDeterministicCipher(KEY, random.Random(3)), payloads
+        )
 
     @settings(max_examples=10, deadline=None)
     @given(payloads=payload_lists)
     def test_det_block_matches_per_message_api(self, engine, payloads):
         cache.use_engine(engine)
-        packed, offsets = pack(payloads)
-        cipher = DeterministicCipher(KEY)
-        ct, ct_offsets = cipher.encrypt_block(packed, offsets)
-        assert unpack(ct, ct_offsets) == cipher.encrypt_many(payloads)
-        plain, plain_offsets = cipher.decrypt_block(ct, ct_offsets)
-        assert unpack(plain, plain_offsets) == payloads
+        assert_every_shape_agrees(lambda: DeterministicCipher(KEY), payloads)
 
     @settings(max_examples=10, deadline=None)
     @given(

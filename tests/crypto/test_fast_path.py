@@ -11,16 +11,25 @@ from repro.crypto import cache
 from repro.crypto.aes import AES128, clear_schedule_cache
 from repro.crypto.det import DeterministicCipher
 from repro.crypto.keys import KeyRing, derive_subkey
-from repro.crypto.modes import cbc_mac, ctr_transform
+from repro.crypto.modes import cbc_mac_many, ctr_many
 from repro.crypto.ndet import NonDeterministicCipher
 from repro.crypto.reference import (
     ReferenceAES128,
     reference_cbc_mac,
-    reference_ctr_transform,
+    reference_ctr,
 )
 from repro.exceptions import DecryptionError
 
 KEY = bytes(range(16))
+
+
+def ctr(cipher, nonce, data):
+    return ctr_many(cipher, [nonce], [data])[0]
+
+
+def mac(cipher, data):
+    return cbc_mac_many(cipher, [data])[0]
+
 
 keys = st.binary(min_size=16, max_size=16)
 blocks = st.binary(min_size=16, max_size=16)
@@ -44,27 +53,31 @@ class TestEquivalenceWithReference:
     @given(keys, st.binary(min_size=8, max_size=8), messages)
     @settings(max_examples=100, deadline=None)
     def test_ctr_matches(self, key, nonce, data):
-        assert ctr_transform(AES128(key), nonce, data) == reference_ctr_transform(
+        assert ctr(AES128(key), nonce, data) == reference_ctr(
             ReferenceAES128(key), nonce, data
         )
 
     @given(keys, messages)
     @settings(max_examples=100, deadline=None)
     def test_cbc_mac_matches(self, key, data):
-        assert cbc_mac(AES128(key), data) == reference_cbc_mac(
+        assert mac(AES128(key), data) == reference_cbc_mac(
             ReferenceAES128(key), data
         )
 
     def test_long_message_crosses_numpy_threshold(self):
-        """Cover both the scalar and the vectorized keystream paths."""
-        for size in (0, 1, 15, 16, 255, 256, 257, 5000):
-            data = bytes(i % 251 for i in range(size))
-            assert ctr_transform(AES128(KEY), b"\x01" * 8, data) == (
-                reference_ctr_transform(ReferenceAES128(KEY), b"\x01" * 8, data)
-            )
-            assert cbc_mac(AES128(KEY), data) == reference_cbc_mac(
-                ReferenceAES128(KEY), data
-            )
+        """Cover both the scalar and the vectorized keystream and MAC
+        paths: each size alone, then all of them as one batch."""
+        sizes = (0, 1, 15, 16, 255, 256, 257, 5000)
+        datas = [bytes(i % 251 for i in range(size)) for size in sizes]
+        nonces = [bytes([size % 256]) * 8 for size in sizes]
+        oracle = ReferenceAES128(KEY)
+        want_ctr = [reference_ctr(oracle, n, d) for n, d in zip(nonces, datas)]
+        want_mac = [reference_cbc_mac(oracle, d) for d in datas]
+        for nonce, data, body, tag in zip(nonces, datas, want_ctr, want_mac):
+            assert ctr(AES128(KEY), nonce, data) == body
+            assert mac(AES128(KEY), data) == tag
+        assert ctr_many(AES128(KEY), nonces, datas) == want_ctr
+        assert cbc_mac_many(AES128(KEY), datas) == want_mac
 
 
 class TestBatchedCiphers:

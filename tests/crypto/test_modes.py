@@ -1,46 +1,43 @@
-"""Tests for CTR mode, CBC-MAC and PKCS#7 padding."""
+"""Tests for the CTR and CBC-MAC batch calls (a single message is a batch
+of one) and the MAC framing under them."""
 
 import pytest
 
 from repro.crypto.aes import AES128
-from repro.crypto.modes import cbc_mac, ctr_transform, pkcs7_pad, pkcs7_unpad
-from repro.exceptions import DecryptionError
+from repro.crypto.modes import _mac_message, cbc_mac_many, ctr_many
+
+
+def ctr(cipher, nonce, data):
+    return ctr_many(cipher, [nonce], [data])[0]
+
+
+def mac(cipher, data):
+    return cbc_mac_many(cipher, [data])[0]
 
 
 class TestPkcs7:
+    """The PKCS#7 pad inside the CBC-MAC framing (8-byte length prefix,
+    message, pad)."""
+
     def test_pad_lengths(self):
         for length in range(0, 33):
-            padded = pkcs7_pad(bytes(length))
-            assert len(padded) % 16 == 0
-            assert len(padded) > length
+            framed = _mac_message(bytes(length))
+            assert len(framed) % 16 == 0
+            assert len(framed) > length + 8
 
     def test_roundtrip(self):
         for length in range(0, 33):
-            data = bytes(range(length % 256))[:length]
-            assert pkcs7_unpad(pkcs7_pad(data)) == data
+            data = bytes(range(length))
+            framed = _mac_message(data)
+            size = int.from_bytes(framed[:8], "big")
+            pad = framed[8 + size :]
+            assert framed[8 : 8 + size] == data
+            assert pad == bytes([len(pad)]) * len(pad)
 
     def test_full_block_added_when_aligned(self):
-        padded = pkcs7_pad(bytes(16))
-        assert len(padded) == 32
-        assert padded[-1] == 16
-
-    def test_unpad_rejects_bad_length(self):
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"not a multiple")
-
-    def test_unpad_rejects_empty(self):
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(b"")
-
-    def test_unpad_rejects_inconsistent_padding(self):
-        bad = bytes(14) + bytes([3, 2])
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(bad)
-
-    def test_unpad_rejects_zero_pad_byte(self):
-        bad = bytes(15) + bytes([0])
-        with pytest.raises(DecryptionError):
-            pkcs7_unpad(bad)
+        framed = _mac_message(bytes(8))
+        assert len(framed) == 32
+        assert framed[16:] == bytes([16]) * 16
 
 
 class TestCtr:
@@ -51,44 +48,56 @@ class TestCtr:
         cipher = AES128(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
         nonce = bytes(8)
         data = b"sixteen byte msg"
-        encrypted = ctr_transform(cipher, nonce, data)
-        assert ctr_transform(cipher, nonce, encrypted) == data
+        encrypted = ctr(cipher, nonce, data)
+        assert ctr(cipher, nonce, encrypted) == data
 
     def test_transform_is_involution(self):
         cipher = AES128(bytes(16))
         nonce = b"\x01" * 8
         for length in (0, 1, 15, 16, 17, 100):
             data = bytes(i % 256 for i in range(length))
-            assert ctr_transform(cipher, nonce, ctr_transform(cipher, nonce, data)) == data
+            assert ctr(cipher, nonce, ctr(cipher, nonce, data)) == data
 
     def test_different_nonces_different_ciphertexts(self):
         cipher = AES128(bytes(16))
         data = b"hello world ....."
-        a = ctr_transform(cipher, bytes(8), data)
-        b = ctr_transform(cipher, b"\x01" * 8, data)
+        a = ctr(cipher, bytes(8), data)
+        b = ctr(cipher, b"\x01" * 8, data)
         assert a != b
 
     def test_rejects_bad_nonce_size(self):
         with pytest.raises(ValueError):
-            ctr_transform(AES128(bytes(16)), b"short", b"data")
+            ctr(AES128(bytes(16)), b"short", b"data")
+
+    def test_rejects_nonce_count_mismatch(self):
+        with pytest.raises(ValueError):
+            ctr_many(AES128(bytes(16)), [bytes(8)], [b"one", b"two"])
 
     def test_preserves_length(self):
         cipher = AES128(bytes(16))
         for length in (0, 5, 16, 31, 64):
-            assert len(ctr_transform(cipher, bytes(8), bytes(length))) == length
+            assert len(ctr(cipher, bytes(8), bytes(length))) == length
+
+    def test_batch_matches_batches_of_one(self):
+        cipher = AES128(bytes(16))
+        nonces = [bytes([i]) * 8 for i in range(6)]
+        datas = [bytes(range(length)) for length in (0, 1, 16, 17, 100, 255)]
+        assert ctr_many(cipher, nonces, datas) == [
+            ctr(cipher, nonce, data) for nonce, data in zip(nonces, datas)
+        ]
 
 
 class TestCbcMac:
     def test_deterministic(self):
         cipher = AES128(bytes(16))
-        assert cbc_mac(cipher, b"abc") == cbc_mac(cipher, b"abc")
+        assert mac(cipher, b"abc") == mac(cipher, b"abc")
 
     def test_sensitive_to_message(self):
         cipher = AES128(bytes(16))
-        assert cbc_mac(cipher, b"abc") != cbc_mac(cipher, b"abd")
+        assert mac(cipher, b"abc") != mac(cipher, b"abd")
 
     def test_sensitive_to_key(self):
-        assert cbc_mac(AES128(bytes(16)), b"abc") != cbc_mac(
+        assert mac(AES128(bytes(16)), b"abc") != mac(
             AES128(b"\x01" + bytes(15)), b"abc"
         )
 
@@ -96,7 +105,16 @@ class TestCbcMac:
         # Messages that pad to the same bytes must not collide thanks to the
         # length prefix.
         cipher = AES128(bytes(16))
-        assert cbc_mac(cipher, b"") != cbc_mac(cipher, bytes([16] * 16))
+        assert mac(cipher, b"") != mac(cipher, bytes([16] * 16))
 
     def test_mac_is_one_block(self):
-        assert len(cbc_mac(AES128(bytes(16)), b"payload")) == 16
+        assert len(mac(AES128(bytes(16)), b"payload")) == 16
+
+    def test_batch_matches_batches_of_one(self):
+        cipher = AES128(bytes(16))
+        datas = [bytes(range(length)) for length in (0, 1, 16, 17, 100, 255)]
+        assert cbc_mac_many(cipher, datas) == [mac(cipher, d) for d in datas]
+
+    def test_engine_rejects_unaligned_core_input(self):
+        with pytest.raises(ValueError):
+            AES128(bytes(16)).cbc_mac_many([b"not block aligned"])

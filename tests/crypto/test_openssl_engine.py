@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from repro.crypto import cache
 from repro.crypto.aes import AES128
 from repro.crypto.det import DeterministicCipher
-from repro.crypto.modes import cbc_mac, ctr_transform
+from repro.crypto.modes import cbc_mac_many, ctr_many
 from repro.crypto.ndet import NonDeterministicCipher
 from repro.crypto.reference import (
     ReferenceAES128,
     reference_cbc_mac,
-    reference_ctr_transform,
+    reference_ctr,
 )
 from repro.exceptions import ConfigurationError
 
@@ -44,16 +44,22 @@ def message(length: int, salt: int) -> bytes:
     return bytes((salt + 7 * i) & 0xFF for i in range(length))
 
 
+def ctr(engine, nonce, data):
+    return ctr_many(engine, [nonce], [data])[0]
+
+
+def mac(engine, data):
+    return cbc_mac_many(engine, [data])[0]
+
+
 class TestMessagePrimitivesMatchTheReference:
     @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
     def test_boundary_lengths(self, length):
         engine = openssl.OpenSSLAES128(KEYS[0])
         oracle = ReferenceAES128(KEYS[0])
         data = message(length, 3)
-        assert ctr_transform(engine, NONCE, data) == reference_ctr_transform(
-            oracle, NONCE, data
-        )
-        assert cbc_mac(engine, data) == reference_cbc_mac(oracle, data)
+        assert ctr(engine, NONCE, data) == reference_ctr(oracle, NONCE, data)
+        assert mac(engine, data) == reference_cbc_mac(oracle, data)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -81,23 +87,27 @@ class TestMessagePrimitivesMatchTheReference:
             order = ("mac", "ctr") if mac_first else ("ctr", "mac")
             for operation in order:
                 if operation == "mac":
-                    assert cbc_mac(engines[which], data) == reference_cbc_mac(
+                    assert mac(engines[which], data) == reference_cbc_mac(
                         oracles[which], data
                     )
                 else:
-                    assert ctr_transform(
-                        engines[which], nonce, data
-                    ) == reference_ctr_transform(oracles[which], nonce, data)
+                    assert ctr(engines[which], nonce, data) == reference_ctr(
+                        oracles[which], nonce, data
+                    )
 
     def test_long_message_between_short_ones(self):
         engine = openssl.OpenSSLAES128(KEYS[1])
         oracle = AES128(KEYS[1])  # pinned to the reference by test_fast_path
-        for length in (16, 4096, 0, 17, 4096, 1):
-            data = message(length, length)
-            assert cbc_mac(engine, data) == cbc_mac(oracle, data)
-            assert ctr_transform(engine, NONCE, data) == ctr_transform(
-                oracle, NONCE, data
-            )
+        lengths = (16, 4096, 0, 17, 4096, 1)
+        datas = [message(length, length) for length in lengths]
+        for data in datas:
+            assert mac(engine, data) == mac(oracle, data)
+            assert ctr(engine, NONCE, data) == ctr(oracle, NONCE, data)
+        # the same messages as one batch: the chain carried from message
+        # to message inside one call cancels just the same
+        nonces = [bytes([length % 256]) * 8 for length in lengths]
+        assert cbc_mac_many(engine, datas) == cbc_mac_many(oracle, datas)
+        assert ctr_many(engine, nonces, datas) == ctr_many(oracle, nonces, datas)
 
 
 class TestThreads:
@@ -108,7 +118,7 @@ class TestThreads:
         # chaining values, corrupts the other thread's output.
         cache.use_engine("cryptography")
         enc = cache.aes_for_subkey(KEYS[0], b"nDet/enc")
-        mac = cache.aes_for_subkey(KEYS[0], b"nDet/mac")
+        mac_engine = cache.aes_for_subkey(KEYS[0], b"nDet/mac")
         cache.use_engine("ttable")
         oracle_enc = cache.aes_for_subkey(KEYS[0], b"nDet/enc")
         oracle_mac = cache.aes_for_subkey(KEYS[0], b"nDet/mac")
@@ -122,8 +132,8 @@ class TestThreads:
                 (
                     nonce,
                     data,
-                    ctr_transform(oracle_enc, nonce, data),
-                    cbc_mac(oracle_mac, data),
+                    ctr(oracle_enc, nonce, data),
+                    mac(oracle_mac, data),
                 )
             )
         wrong: list[tuple[str, int]] = []
@@ -136,9 +146,9 @@ class TestThreads:
                 nonce, data, want_body, want_tag = cases[
                     (offset + turn) % len(cases)
                 ]
-                if ctr_transform(enc, nonce, data) != want_body:
+                if ctr(enc, nonce, data) != want_body:
                     wrong.append(("ctr", offset))
-                if cbc_mac(mac, data) != want_tag:
+                if mac(mac_engine, data) != want_tag:
                     wrong.append(("mac", offset))
 
         threads = [
@@ -232,39 +242,33 @@ class TestFailedContextIsDiscarded:
         engine = openssl.OpenSSLAES128(KEYS[0])
         oracle = AES128(KEYS[0])
         data = message(100, 9)
-        assert cbc_mac(engine, data) == cbc_mac(oracle, data)
+        assert mac(engine, data) == mac(oracle, data)
         engine._local.cbc = FailingContext(engine._local.cbc)
         with pytest.raises(RuntimeError):
-            cbc_mac(engine, data)
+            mac(engine, data)
         assert not hasattr(engine._local, "cbc")
-        assert cbc_mac(engine, data) == cbc_mac(oracle, data)
+        assert mac(engine, data) == mac(oracle, data)
 
     def test_ctr_after_a_failed_update_is_correct(self):
         engine = openssl.OpenSSLAES128(KEYS[0])
         oracle = AES128(KEYS[0])
         data = message(100, 4)
-        assert ctr_transform(engine, NONCE, data) == ctr_transform(
-            oracle, NONCE, data
-        )
+        assert ctr(engine, NONCE, data) == ctr(oracle, NONCE, data)
         engine._local.ctr = FailingContext(engine._local.ctr)
         with pytest.raises(RuntimeError):
-            ctr_transform(engine, NONCE, data)
+            ctr(engine, NONCE, data)
         assert not hasattr(engine._local, "ctr")
-        assert ctr_transform(engine, NONCE, data) == ctr_transform(
-            oracle, NONCE, data
-        )
+        assert ctr(engine, NONCE, data) == ctr(oracle, NONCE, data)
 
     def test_rejected_input_leaves_the_engine_usable(self):
         engine = openssl.OpenSSLAES128(KEYS[0])
         oracle = AES128(KEYS[0])
         with pytest.raises(TypeError):
-            ctr_transform(engine, NONCE, "not bytes")
+            ctr(engine, NONCE, "not bytes")
         with pytest.raises(ValueError):
-            engine.cbc_mac_words(b"not block aligned")
-        assert ctr_transform(engine, NONCE, b"abc") == ctr_transform(
-            oracle, NONCE, b"abc"
-        )
-        assert cbc_mac(engine, b"abc") == cbc_mac(oracle, b"abc")
+            engine.cbc_mac_many([b"not block aligned"])
+        assert ctr(engine, NONCE, b"abc") == ctr(oracle, NONCE, b"abc")
+        assert mac(engine, b"abc") == mac(oracle, b"abc")
 
 
 class OldCipher:

@@ -9,6 +9,13 @@ suite even before CI runs the standalone linter.
 import ast
 from pathlib import Path
 
+import pytest
+
+from repro.crypto import modes
+from repro.crypto.aes import AES128, CipherEngine
+from repro.crypto.det import DeterministicCipher
+from repro.crypto.ndet import NonDeterministicCipher
+from repro.crypto.reference import ReferenceAES128
 from tools.privacy_lint import Manifest, lint_source
 from tools.privacy_lint.baseline import Baseline
 from tools.privacy_lint.cli import main as lint_main
@@ -85,6 +92,77 @@ def test_tds_side_packages_never_serialise_out_of_the_process():
                     if name.split(".")[0] in banned
                 ]
     assert offenders == []
+
+
+def _public_callables(namespace) -> set[str]:
+    return {
+        name
+        for name in dir(namespace)
+        if not name.startswith("_") and callable(getattr(namespace, name))
+    }
+
+
+def test_cipher_engine_surface_is_the_block_transform_and_two_batch_calls():
+    # One kernel per direction: an engine is the 16-byte AES plus one CTR
+    # batch and one CBC-MAC batch, and the modes module is those two
+    # batch calls.  A single-message or packed-buffer variant coming back
+    # at either layer fails here.
+    surface = {"encrypt_block", "decrypt_block", "ctr_many", "cbc_mac_many"}
+    engines = [CipherEngine, AES128, ReferenceAES128]
+    try:
+        from repro.crypto.openssl import OpenSSLAES128
+    except ImportError:  # pragma: no cover - environment without cryptography
+        pass
+    else:
+        engines.append(OpenSSLAES128)
+    for engine in engines:
+        assert _public_callables(engine) == surface, engine.__name__
+    own = {
+        name
+        for name in _public_callables(modes)
+        if getattr(getattr(modes, name), "__module__", None) == modes.__name__
+    }
+    assert own == {"ctr_many", "cbc_mac_many"}
+
+
+CIPHER_CALLS = (
+    "encrypt", "decrypt", "encrypt_many", "decrypt_many",
+    "encrypt_block", "decrypt_block",
+)
+
+
+@pytest.mark.parametrize("name", CIPHER_CALLS)
+@pytest.mark.parametrize("cls", [NonDeterministicCipher, DeterministicCipher])
+def test_no_public_cipher_call_goes_through_another(monkeypatch, cls, name):
+    # The end-to-end benchmark wraps all six names by class and counts
+    # one traced call per public call; an adapter that reached its
+    # kernel through another public name would count twice.
+    cipher = cls(bytes(16))
+    sealed = cipher.encrypt(b"m")
+    args = {
+        "encrypt": (b"m",),
+        "decrypt": (sealed,),
+        "encrypt_many": ([b"m"],),
+        "decrypt_many": ([sealed],),
+        "encrypt_block": (b"m", (0, 1)),
+        "decrypt_block": (sealed, (0, len(sealed))),
+    }
+    reached: list[str] = []
+
+    def counting(other):
+        real = getattr(cls, other)
+
+        def wrapper(self, *a, **kw):
+            reached.append(other)
+            return real(self, *a, **kw)
+
+        return wrapper
+
+    for other in CIPHER_CALLS:
+        if other != name:
+            monkeypatch.setattr(cls, other, counting(other))
+    getattr(cipher, name)(*args[name])
+    assert reached == []
 
 
 def test_cli_exit_zero_on_clean_tree(capsys):

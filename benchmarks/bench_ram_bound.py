@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.bench import publish, render_table
-from repro.core.messages import Partition
+from repro.core.messages import EncryptedTupleBlock, Partition
 from repro.exceptions import ResourceExhaustedError
 from repro.protocols import Deployment
 from repro.sql.parser import parse
@@ -83,22 +83,18 @@ def test_ram_bound_enforced_empirically(benchmark):
         deployment.policy, deployment.authority, device=tiny,
         rng=random.Random(1),
     )
-    few = [
-        t
-        for tds in deployment.tds_list[:8]
-        for t in tds.collect_block(envelope, "s_agg").tuples()
-    ]
+    few = EncryptedTupleBlock.concat(
+        [tds.collect_block(envelope, "s_agg") for tds in deployment.tds_list[:8]]
+    )
     benchmark.pedantic(
         cramped.aggregate_partition,
-        args=(statement, Partition(0, tuple(few))),
+        args=(statement, Partition(0, few)),
         rounds=1,
         iterations=1,
     )  # fits
 
-    many = [
-        t
-        for tds in deployment.tds_list
-        for t in tds.collect_block(envelope, "s_agg").tuples()
-    ]
+    many = EncryptedTupleBlock.concat(
+        [tds.collect_block(envelope, "s_agg") for tds in deployment.tds_list]
+    )
     with pytest.raises(ResourceExhaustedError):
-        cramped.aggregate_partition(statement, Partition(1, tuple(many)))
+        cramped.aggregate_partition(statement, Partition(1, many))

@@ -19,7 +19,7 @@ Run with:  python examples/compromise_remediation.py
 import random
 
 from repro import Deployment, SAggProtocol, smart_meter_factory
-from repro.core.messages import Partition
+from repro.core.messages import EncryptedTupleBlock, Partition
 from repro.crypto.broadcast import (
     BroadcastKeyDistributor,
     DeviceKeyStore,
@@ -44,16 +44,17 @@ def main() -> None:
     statement = deployment.tds_list[0].open_query(envelope)
 
     # --- 1. a compromised worker tampers with a partition ---------------
-    tuples = []
-    for tds in deployment.tds_list:
-        tuples.extend(tds.collect_block(envelope, "s_agg").tuples())
-    partition = Partition(0, tuple(tuples))
+    block = EncryptedTupleBlock.concat(
+        [tds.collect_block(envelope, "s_agg") for tds in deployment.tds_list]
+    )
+    partition = Partition(0, block)
+    half = len(block) // 2
     cheater = deployment.tds_list[7]
     tampered = cheater.aggregate_partition(
-        statement, Partition(0, partition.items[: len(partition.items) // 2])
+        statement, Partition(0, block.gather(range(half)))
     )
     print(f"worker {cheater.tds_id} returned a partial over only "
-          f"{len(partition.items) // 2}/{len(partition.items)} tuples")
+          f"{half}/{len(block)} tuples")
 
     # --- 2. spot-check verification flags it ----------------------------
     verifier = deployment.tds_list[2]

@@ -66,20 +66,21 @@ class EncryptedTuple:
 
 @dataclass(frozen=True, slots=True)
 class EncryptedTupleBlock:
-    """A columnar batch of encrypted tuples: one shared payload buffer
-    plus an offsets table, instead of one object per tuple.
+    """A columnar batch of encrypted items: one shared payload buffer
+    plus an offsets table, instead of one object per item.
 
-    This is the storage/wire shape of the batched collection path: the
-    fleet packs many contributions into one block, the SSI stores the
-    block as-is and only materializes individual
-    :class:`EncryptedTuple` objects when the aggregation phase needs
-    them.  The SSI's legitimate view is unchanged — payload *sizes* and
-    cleartext group tags are still derivable (and observed), the payload
-    bytes stay opaque ciphertext.
+    This is the shape ciphertext travels in both ways through the SSI: a
+    contribution arrives as one block and is stored as-is, the covering
+    result is the stored blocks joined, and every partition handed to a
+    TDS is one block gathered from its input (tuples in the first round,
+    a round's partials after it).  The SSI's legitimate view is
+    unchanged — payload *sizes* and cleartext group tags are still
+    derivable (and observed), the payload bytes stay opaque ciphertext.
 
-    ``offsets`` has ``count + 1`` entries; tuple *i*'s payload is
+    ``offsets`` has ``count + 1`` entries; item *i*'s payload is
     ``payloads[offsets[i]:offsets[i + 1]]``.  ``tags`` has ``count``
-    entries (``None`` for fully nDet-encrypted dataflows).
+    entries (``None`` for fully nDet-encrypted dataflows, and in every
+    partition: a TDS never reads a tag).
     """
 
     payloads: bytes
@@ -103,15 +104,34 @@ class EncryptedTupleBlock:
     def payload_sizes(self) -> list[int]:
         return [b - a for a, b in zip(self.offsets, self.offsets[1:])]
 
-    def tuples(self) -> Iterator[EncryptedTuple]:
-        """Materialize per-tuple objects (the aggregation-phase view)."""
+    def segments(self) -> list[memoryview]:
+        """Each item's payload as a zero-copy view into the buffer."""
         view = memoryview(self.payloads)
         offsets = self.offsets
-        for i, tag in enumerate(self.tags):
-            yield EncryptedTuple(bytes(view[offsets[i] : offsets[i + 1]]), tag)
+        return [view[offsets[i] : offsets[i + 1]] for i in range(len(self.tags))]
+
+    def tuples(self) -> Iterator[EncryptedTuple]:
+        """Materialize per-item objects (for callers that want items)."""
+        for segment, tag in zip(self.segments(), self.tags):
+            yield EncryptedTuple(bytes(segment), tag)
+
+    def gather(self, indices: Sequence[int]) -> "EncryptedTupleBlock":
+        """The payloads at *indices*, in that order, as one untagged
+        block — a partition: one join of views, no per-item object."""
+        view = memoryview(self.payloads)
+        offsets = self.offsets
+        picked = [view[offsets[i] : offsets[i + 1]] for i in indices]
+        payloads = b"".join(picked)
+        return EncryptedTupleBlock(
+            payloads=payloads,
+            offsets=tuple(itertools.accumulate(map(len, picked), initial=0)),
+            tags=(None,) * len(picked),
+        )
 
     @classmethod
-    def from_tuples(cls, tuples: Sequence[EncryptedTuple]) -> "EncryptedTupleBlock":
+    def from_tuples(
+        cls, tuples: Sequence[EncryptedTuple | EncryptedPartial]
+    ) -> "EncryptedTupleBlock":
         offsets = [0]
         total = 0
         for item in tuples:
@@ -127,7 +147,8 @@ class EncryptedTupleBlock:
     def concat(cls, blocks: Sequence["EncryptedTupleBlock"]) -> "EncryptedTupleBlock":
         """Merge blocks into one without re-framing any payload bytes —
         how the batcher coalesces per-contribution blocks into one
-        wire frame."""
+        wire frame, and how the SSI joins its stored blocks into the
+        covering result."""
         if len(blocks) == 1:
             return blocks[0]
         offsets = [0]
@@ -157,15 +178,17 @@ class EncryptedPartial:
 class Partition:
     """A chunk of work the SSI hands to a connected TDS (steps 5/9).
 
-    To the SSI the items are uninterpreted bytes; the ``partition_id``
-    exists so a timed-out partition can be reassigned (§3.2 Correctness).
+    To the SSI the block is uninterpreted bytes (§3.2: "uninterpreted
+    chunks of bytes"); the TDS learns tuple vs. partial from the frame
+    inside each plaintext.  The ``partition_id`` exists so a timed-out
+    partition can be reassigned (§3.2 Correctness).
     """
 
     partition_id: int
-    items: tuple[EncryptedTuple | EncryptedPartial, ...]
+    block: EncryptedTupleBlock
 
     def byte_size(self) -> int:
-        return sum(len(item.payload) for item in self.items)
+        return len(self.block.payloads)
 
 
 #: what a TDS is asked to do with a partition it is handed (steps 6-12)

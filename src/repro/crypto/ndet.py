@@ -127,7 +127,7 @@ class NonDeterministicCipher:
         """Encrypt a batch, one fresh nonce per message."""
         return self._seal(plaintexts, self.fresh_nonces(len(plaintexts)))
 
-    def decrypt_many(self, ciphertexts: list[bytes]) -> list[bytes]:
+    def decrypt_many(self, ciphertexts: Sequence[bytes | memoryview]) -> list[bytes]:
         """Authenticate then decrypt a batch (one trust decision)."""
         return self._open(ciphertexts)
 

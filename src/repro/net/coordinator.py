@@ -12,7 +12,7 @@ TDSs ask for work.  Who asks differs by mode, the machine does not: the
 in-process :class:`~repro.protocols.base.ProtocolDriver` loop inline.
 
 The coordinator only ever touches :class:`Partition` objects, opaque
-payload bytes and cleartext ``group_tag`` routing handles — exactly the
+payload blocks and cleartext ``group_tag`` routing handles — exactly the
 SSI's legitimate view (§3.2: it forms partitions, hands them to whichever
 TDSs are connected, reassigns timed-out ones and publishes the result).
 The row is chosen by the cleartext protocol name in the query's
@@ -25,9 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
-
-from repro.core.messages import EncryptedPartial, Partition
+from repro.core.messages import EncryptedPartial, EncryptedTupleBlock, Partition
 from repro.core.trace import ProtocolStats
 from repro.exceptions import ProtocolError
 from repro.net.frames import (
@@ -40,7 +38,7 @@ from repro.net.frames import (
     QueryMeta,
     WorkUnit,
 )
-from repro.ssi.partitioner import Item, RandomPartitioner, TagPartitioner
+from repro.ssi.partitioner import RandomPartitioner, TagPartitioner
 from repro.ssi.server import SupportingServerInfrastructure
 from repro.ssi.storage import PartitionTracker
 
@@ -143,9 +141,9 @@ class QueryCoordinator:
         if self._position < 0:
             if not self.ssi.collection_closed(self.query_id):
                 return 0
-            items = self.ssi.covering_result(self.query_id)
-            self.stats.tuples_collected = len(items)
-            self._open(0, items)
+            block = self.ssi.covering_result(self.query_id)
+            self.stats.tuples_collected = len(block)
+            self._open(0, block)
         if self._tracker is None:
             return 0
         expired = self._tracker.expire(now)
@@ -162,7 +160,7 @@ class QueryCoordinator:
         partition = self._tracker.assign_next(tds_id, now)
         assert partition is not None
         kind = self._stages[self._position].kind
-        return WorkUnit(self.query_id, kind, partition.partition_id, partition.items)
+        return WorkUnit(self.query_id, kind, partition.partition_id, partition.block)
 
     def complete(
         self,
@@ -210,17 +208,20 @@ class QueryCoordinator:
             self.ssi.take_partials(self.query_id)  # drained into the next stage
             self.stats.aggregation_rounds += 1
         again = stage.repeats and len(outputs) > 1
-        self._open(self._position + (0 if again else 1), outputs)
+        self._open(
+            self._position + (0 if again else 1),
+            EncryptedTupleBlock.from_tuples(outputs),
+        )
 
     # ------------------------------------------------------------------ #
     # stage machine
     # ------------------------------------------------------------------ #
-    def _open(self, position: int, items: Sequence[Item]) -> None:
-        """Cut *items* into the partitions of stage *position*.  Past the
+    def _open(self, position: int, block: EncryptedTupleBlock) -> None:
+        """Cut *block* into the partitions of stage *position*.  Past the
         last stage — or with nothing to cut (an empty collection,
         partitions that held only dummies or fakes) — the result the SSI
         holds is published instead of stalling every waiter forever."""
-        if position == len(self._stages) or not items:
+        if position == len(self._stages) or not block:
             self.ssi.publish_result(self.query_id)
             self._position = len(self._stages)
             self._tracker = None
@@ -231,14 +232,14 @@ class QueryCoordinator:
         if stage.size_param is not None:
             size = round(self.meta.param(stage.size_param, stage.default_size))
         # a repeating stage must shrink its input, so never 1-item chunks
-        size = max(size or len(items), 2 if stage.repeats else 1)
+        size = max(size or len(block), 2 if stage.repeats else 1)
         partitioner = (
             TagPartitioner(size) if stage.by_tag else RandomPartitioner(size, self._rng)
         )
         # Coordinator-unique partition ids across all rounds, so a stale
         # submit from a previous round can never alias a live partition.
         partitions = [
-            Partition(next(self._partition_ids), partition.items)
-            for partition in partitioner.partition(items)
+            Partition(next(self._partition_ids), part)
+            for part in partitioner.partition(block)
         ]
         self._tracker = PartitionTracker(partitions, self.partition_timeout)

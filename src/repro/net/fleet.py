@@ -441,7 +441,7 @@ class FleetRunner:
         unit: WorkUnit,
     ) -> None:
         assert self._semaphore is not None
-        partition = Partition(unit.partition_id, unit.items)
+        partition = Partition(unit.partition_id, unit.block)
         if self.fault_plan is not None and self.fault_plan.injector(
             tds.tds_id, partition
         ):
@@ -482,7 +482,7 @@ class FleetRunner:
                     result,
                 )
             span.annotate(
-                count=len(partition.items),
+                count=len(partition.block),
                 queue_seconds=round(queue_seconds, 6),
                 crypto_seconds=round(crypto_seconds, 6),
                 wire_seconds=round(time.perf_counter() - wire_started, 6),

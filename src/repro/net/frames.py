@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.core.messages import (  # noqa: F401 - re-exports the WORK_*/RESULT_* kinds
     RESULT_PARTIALS,
@@ -203,12 +204,13 @@ class QueryMeta:
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One partition of work handed to a polling TDS."""
+    """One partition of work handed to a waiting TDS: the partition's
+    block, untagged (a TDS never reads a tag)."""
 
     query_id: str
     kind: int
     partition_id: int
-    items: tuple[Item, ...]
+    block: EncryptedTupleBlock
 
 
 # --------------------------------------------------------------------- #
@@ -610,10 +612,15 @@ def read_rows(r: Reader) -> list[bytes]:
 
 
 def write_work_unit(w: Writer, unit: WorkUnit) -> None:
+    """A partition as the block it is: query id, kind, partition id,
+    then a count, one u32 lengths vector and one payload buffer.  No
+    per-item kind byte (the TDS reads tuple vs. partial off the frame
+    inside the plaintext) and no tags (it never reads them)."""
     w.text(unit.query_id)
     w.u8(unit.kind)
     w.i64(unit.partition_id)
-    write_items(w, unit.items)
+    _write_lengths(w, unit.block.offsets)
+    w.blob(unit.block.payloads)
 
 
 def read_work_unit(r: Reader) -> WorkUnit:
@@ -622,8 +629,14 @@ def read_work_unit(r: Reader) -> WorkUnit:
     if kind not in (WORK_FOLD, WORK_FOLD_PER_GROUP, WORK_FINALIZE, WORK_FILTER):
         raise ProtocolError(f"unknown work-unit kind 0x{kind:02x}")
     partition_id = r.i64()
-    items = tuple(read_items(r))
-    return WorkUnit(query_id, kind, partition_id, items)
+    lengths = _read_lengths(r)
+    payloads = r.blob()
+    block = EncryptedTupleBlock(
+        payloads=payloads,
+        offsets=_offsets_spanning(lengths, payloads),
+        tags=(None,) * len(lengths),
+    )
+    return WorkUnit(query_id, kind, partition_id, block)
 
 
 def write_result(w: Writer, result: QueryResult) -> None:
@@ -638,27 +651,62 @@ def read_result(r: Reader) -> QueryResult:
 
 
 # --------------------------------------------------------------------- #
-# batched tuple submission
+# columnar blocks: contributions in, partitions out
 # --------------------------------------------------------------------- #
 #: tag-length sentinel marking "no group tag" in the tag-lengths vector
 _NO_TAG = 0xFFFFFFFF
+
+
+def _write_lengths(w: Writer, offsets: tuple[int, ...]) -> None:
+    """The item count and the u32 lengths vector of the items *offsets*
+    bounds — the head every columnar block on the wire opens with."""
+    count = len(offsets) - 1
+    if count > MAX_ITEMS:
+        raise ProtocolError(f"{count} items exceed the per-message limit")
+    w.u32(count)
+    w.blob(
+        struct.pack(
+            f">{count}I", *[offsets[i + 1] - offsets[i] for i in range(count)]
+        )
+    )
+
+
+def _read_u32_vector(r: Reader, count: int, what: str) -> tuple[int, ...]:
+    raw = r.blob()
+    if len(raw) != 4 * count:
+        raise ProtocolError(
+            f"{what} vector of {len(raw)} bytes does not match {count} items"
+        )
+    return struct.unpack(f">{count}I", raw)
+
+
+def _read_lengths(r: Reader) -> tuple[int, ...]:
+    """Read what :func:`_write_lengths` wrote: a count within
+    :data:`MAX_ITEMS` and a lengths vector of exactly that many u32s."""
+    return _read_u32_vector(r, r.count(), "lengths")
+
+
+def _offsets_spanning(lengths: tuple[int, ...], payloads: bytes) -> tuple[int, ...]:
+    """The offsets table of *lengths*, which must sum exactly to the
+    payload buffer."""
+    offsets = tuple(accumulate(lengths, initial=0))
+    if offsets[-1] != len(payloads):
+        raise ProtocolError(
+            f"payload buffer of {len(payloads)} bytes does not match the "
+            f"declared {offsets[-1]}"
+        )
+    return offsets
 
 
 def write_tuple_block(w: Writer, block: EncryptedTupleBlock) -> None:
     """Columnar encoding of a tuple batch: one lengths vector, one tag-
     lengths vector (``0xFFFFFFFF`` = no tag), one payload buffer and one
     tag buffer — four blobs total, independent of the tuple count."""
-    count = len(block)
-    if count > MAX_ITEMS:
-        raise ProtocolError(f"{count} tuples exceed the per-message limit")
-    offsets = block.offsets
-    lengths = [offsets[i + 1] - offsets[i] for i in range(count)]
+    _write_lengths(w, block.offsets)
     tag_lengths = [
         _NO_TAG if tag is None else len(tag) for tag in block.tags
     ]
-    w.u32(count)
-    w.blob(struct.pack(f">{count}I", *lengths))
-    w.blob(struct.pack(f">{count}I", *tag_lengths))
+    w.blob(struct.pack(f">{len(tag_lengths)}I", *tag_lengths))
     w.blob(block.payloads)
     w.blob(b"".join(tag for tag in block.tags if tag is not None))
 
@@ -666,33 +714,12 @@ def write_tuple_block(w: Writer, block: EncryptedTupleBlock) -> None:
 def read_tuple_block(r: Reader) -> EncryptedTupleBlock:
     """Decode a columnar tuple batch.  The payload buffer is kept whole
     (no per-tuple copies); only the small tag buffer is sliced."""
-    count = r.count()
-    lengths_raw = r.blob()
-    if len(lengths_raw) != 4 * count:
-        raise ProtocolError(
-            f"lengths vector of {len(lengths_raw)} bytes does not match "
-            f"{count} tuples"
-        )
-    tag_lengths_raw = r.blob()
-    if len(tag_lengths_raw) != 4 * count:
-        raise ProtocolError(
-            f"tag-lengths vector of {len(tag_lengths_raw)} bytes does not "
-            f"match {count} tuples"
-        )
-    lengths = struct.unpack(f">{count}I", lengths_raw)
-    tag_lengths = struct.unpack(f">{count}I", tag_lengths_raw)
+    lengths = _read_lengths(r)
+    count = len(lengths)
+    tag_lengths = _read_u32_vector(r, count, "tag-lengths")
     payloads = r.blob()
     tags_raw = r.blob()
-    offsets = [0] * (count + 1)
-    total = 0
-    for i, length in enumerate(lengths):
-        total += length
-        offsets[i + 1] = total
-    if total != len(payloads):
-        raise ProtocolError(
-            f"payload buffer of {len(payloads)} bytes does not match the "
-            f"declared {total}"
-        )
+    offsets = _offsets_spanning(lengths, payloads)
     tags: list[bytes | None] = [None] * count
     tag_view = memoryview(tags_raw)
     tag_pos = 0
@@ -707,9 +734,7 @@ def read_tuple_block(r: Reader) -> EncryptedTupleBlock:
         raise ProtocolError(
             f"{len(tags_raw) - tag_pos} trailing bytes in the tag buffer"
         )
-    return EncryptedTupleBlock(
-        payloads=payloads, offsets=tuple(offsets), tags=tuple(tags)
-    )
+    return EncryptedTupleBlock(payloads=payloads, offsets=offsets, tags=tuple(tags))
 
 
 def pack_error(

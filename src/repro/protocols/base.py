@@ -216,7 +216,7 @@ class ProtocolDriver:
                 now += coordinator.partition_timeout
                 continue
             turn += 1
-            partition = Partition(unit.partition_id, unit.items)
+            partition = Partition(unit.partition_id, unit.block)
             if self.failure_injector is not None and self.failure_injector(
                 worker.tds_id, partition
             ):

@@ -10,17 +10,19 @@ protocol provides one:
 * :class:`TagPartitioner` — noise-based & ED_Hist: "SSI groups tup with
   the same E(AG)" — one partition per distinct tag, optionally splitting
   oversized tag groups.
+
+Both take the covering result (or a round's partials) as one
+:class:`EncryptedTupleBlock`, cut lists of item indices over it and
+gather each partition's block with one join — no object per item.  The
+coordinator numbers the partitions.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
-from repro.core.messages import EncryptedPartial, EncryptedTuple, Partition
+from repro.core.messages import EncryptedTupleBlock
 from repro.exceptions import ConfigurationError
-
-Item = EncryptedTuple | EncryptedPartial
 
 
 class RandomPartitioner:
@@ -31,17 +33,17 @@ class RandomPartitioner:
             raise ConfigurationError("partition_size must be >= 1")
         self.partition_size = partition_size
         self._rng = rng
-        self._next_id = 0
 
-    def partition(self, items: Sequence[Item]) -> list[Partition]:
-        shuffled = list(items)
-        self._rng.shuffle(shuffled)
-        partitions = []
-        for start in range(0, len(shuffled), self.partition_size):
-            chunk = tuple(shuffled[start : start + self.partition_size])
-            partitions.append(Partition(self._next_id, chunk))
-            self._next_id += 1
-        return partitions
+    def partition(self, block: EncryptedTupleBlock) -> list[EncryptedTupleBlock]:
+        # A shuffle of the indices makes the draws a shuffle of the
+        # items would: the partitions are that shuffle's chunks.
+        order = list(range(len(block)))
+        self._rng.shuffle(order)
+        size = self.partition_size
+        return [
+            block.gather(order[start : start + size])
+            for start in range(0, len(order), size)
+        ]
 
 
 class TagPartitioner:
@@ -57,23 +59,20 @@ class TagPartitioner:
         if max_partition_size is not None and max_partition_size < 1:
             raise ConfigurationError("max_partition_size must be >= 1")
         self.max_partition_size = max_partition_size
-        self._next_id = 0
 
-    def partition(self, items: Sequence[Item]) -> list[Partition]:
-        by_tag: dict[bytes, list[Item]] = {}
-        for item in items:
-            if item.group_tag is None:
+    def partition(self, block: EncryptedTupleBlock) -> list[EncryptedTupleBlock]:
+        by_tag: dict[bytes, list[int]] = {}
+        for index, tag in enumerate(block.tags):
+            if tag is None:
                 raise ConfigurationError(
                     "TagPartitioner received untagged items; use RandomPartitioner"
                 )
-            by_tag.setdefault(item.group_tag, []).append(item)
+            by_tag.setdefault(tag, []).append(index)
 
-        partitions: list[Partition] = []
+        partitions: list[EncryptedTupleBlock] = []
         for tag in sorted(by_tag):  # deterministic order
             group = by_tag[tag]
             size = self.max_partition_size or len(group)
             for start in range(0, len(group), size):
-                chunk = tuple(group[start : start + size])
-                partitions.append(Partition(self._next_id, chunk))
-                self._next_id += 1
+                partitions.append(block.gather(group[start : start + size]))
         return partitions

@@ -115,9 +115,10 @@ class SupportingServerInfrastructure:
         wire: bytes | memoryview | None = None,
     ) -> None:
         """One contribution (step 4): store the columnar block as-is —
-        O(1) per block, no per-tuple objects until the aggregation phase
-        materializes the covering result.  The observer sees the
-        per-tuple sizes and tags, in the order they are stored."""
+        O(1) per block; it leaves again inside the covering result and
+        the partitions cut from it, still without a per-tuple object.
+        The observer sees the per-tuple sizes and tags, in the order
+        they are stored."""
         storage = self._require(query_id)
         if storage.collection_closed:
             return  # late arrivals after the SIZE clause closed: dropped
@@ -161,8 +162,10 @@ class SupportingServerInfrastructure:
     def collection_closed(self, query_id: str) -> bool:
         return self._require(query_id).collection_closed
 
-    def covering_result(self, query_id: str) -> list[EncryptedTuple]:
-        return self._require(query_id).all_collected()
+    def covering_result(self, query_id: str) -> EncryptedTupleBlock:
+        """The covering result as one block: the stored contributions
+        joined in arrival order, with no per-tuple object."""
+        return EncryptedTupleBlock.concat(self._require(query_id).collected_blocks)
 
     # ------------------------------------------------------------------ #
     # aggregation phase storage (steps 5-8)

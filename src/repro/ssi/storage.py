@@ -11,15 +11,11 @@ TDS after a given timeout" (§3.2, Correctness).
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass, field
 
-from repro.core.messages import (
-    EncryptedPartial,
-    EncryptedTuple,
-    EncryptedTupleBlock,
-    Partition,
-)
+from repro.core.messages import EncryptedPartial, EncryptedTupleBlock, Partition
 from repro.exceptions import ProtocolError
 
 
@@ -32,6 +28,9 @@ class PartitionState(enum.Enum):
 @dataclass
 class _TrackedPartition:
     partition: Partition
+    #: position in the batch: pending partitions are handed out lowest
+    #: index first, and an expired one is re-offered in its place
+    index: int
     state: PartitionState = PartitionState.PENDING
     assignee: str | None = None
     deadline: float | None = None
@@ -42,7 +41,15 @@ class PartitionTracker:
 
     def __init__(self, partitions: list[Partition], timeout: float = 60.0) -> None:
         self.timeout = timeout
-        self._tracked = {p.partition_id: _TrackedPartition(p) for p in partitions}
+        self._order = [
+            _TrackedPartition(p, index) for index, p in enumerate(partitions)
+        ]
+        self._tracked = {t.partition.partition_id: t for t in self._order}
+        # Indices of the pending partitions, lowest first: a hand-out is
+        # O(log n), not a scan from the first partition.  A straggler
+        # may complete a pending partition; its index then stays in the
+        # heap until popped and skipped.
+        self._heap = list(range(len(self._order)))
         # Maintained on every state transition so pending_count /
         # done_count / all_done are O(1) — the dispatcher consults them
         # on every request for work.
@@ -54,20 +61,18 @@ class PartitionTracker:
         self._earliest_deadline = math.inf
 
     def assign_next(self, tds_id: str, now: float = 0.0) -> Partition | None:
-        """Hand the next pending partition to *tds_id* (None when all are
-        assigned or done)."""
-        if self._pending == 0:
-            return None
-        for tracked in self._tracked.values():
-            if tracked.state is PartitionState.PENDING:
-                tracked.state = PartitionState.ASSIGNED
-                tracked.assignee = tds_id
-                tracked.deadline = now + self.timeout
-                self._earliest_deadline = min(
-                    self._earliest_deadline, tracked.deadline
-                )
-                self._pending -= 1
-                return tracked.partition
+        """Hand the lowest-index pending partition to *tds_id* (None when
+        all are assigned or done)."""
+        while self._heap:
+            tracked = self._order[heapq.heappop(self._heap)]
+            if tracked.state is not PartitionState.PENDING:
+                continue  # completed while pending
+            tracked.state = PartitionState.ASSIGNED
+            tracked.assignee = tds_id
+            tracked.deadline = now + self.timeout
+            self._earliest_deadline = min(self._earliest_deadline, tracked.deadline)
+            self._pending -= 1
+            return tracked.partition
         return None
 
     def complete(self, partition_id: int, tds_id: str) -> None:
@@ -93,7 +98,7 @@ class PartitionTracker:
             return []
         expired = []
         earliest = math.inf
-        for tracked in self._tracked.values():
+        for tracked in self._order:
             if (
                 tracked.state is not PartitionState.ASSIGNED
                 or tracked.deadline is None
@@ -104,6 +109,7 @@ class PartitionTracker:
                 tracked.assignee = None
                 tracked.deadline = None
                 self._pending += 1
+                heapq.heappush(self._heap, tracked.index)
                 expired.append(tracked.partition)
             else:
                 earliest = min(earliest, tracked.deadline)
@@ -140,35 +146,16 @@ class QueryStorage:
     The covering result is kept as the columnar
     :class:`EncryptedTupleBlock` contributions it arrived as, one per
     accepted submission, in arrival order — the order the observer saw
-    them in; per-tuple objects are only materialized when the
-    aggregation phase reads it."""
+    them in."""
 
     collected_blocks: list[EncryptedTupleBlock] = field(default_factory=list)
     partials: list[EncryptedPartial] = field(default_factory=list)
     result_rows: list[bytes] = field(default_factory=list)
     collection_closed: bool = False
     result_ready: bool = False
-    #: memoized flattened covering result; append_block invalidates it,
-    #: so repeated all_collected() calls during the aggregation phase
-    #: stop re-materializing every block
-    _flat: list[EncryptedTuple] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def append_block(self, block: EncryptedTupleBlock) -> None:
         self.collected_blocks.append(block)
-        self._flat = None
 
     def collected_count(self) -> int:
         return sum(len(b) for b in self.collected_blocks)
-
-    def all_collected(self) -> list[EncryptedTuple]:
-        """Materialize the full covering result, in arrival order.  The
-        flattened view is cached until the next append; callers get a
-        fresh list each time (copying references is cheap — decoding
-        blocks is not)."""
-        if self._flat is None:
-            self._flat = [
-                item for block in self.collected_blocks for item in block.tuples()
-            ]
-        return list(self._flat)

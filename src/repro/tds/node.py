@@ -331,10 +331,9 @@ class TrustedDataServer:
     # ------------------------------------------------------------------ #
     def _decrypt_partition(self, partition: Partition) -> list[bytes]:
         """Authenticate-then-decrypt a partition's payloads as one batch
-        (one keystream pass, one MAC batch) instead of per item."""
-        return self._k2_cipher().decrypt_many(
-            [item.payload for item in partition.items]
-        )
+        (one keystream pass, one MAC batch), straight off the views into
+        its block."""
+        return self._k2_cipher().decrypt_many(partition.block.segments())
 
     def aggregate_partition(
         self, statement: SelectStatement, partition: Partition

@@ -4,6 +4,7 @@ from repro.core.messages import (
     Credential,
     EncryptedPartial,
     EncryptedTuple,
+    EncryptedTupleBlock,
     Partition,
     QueryResult,
     TupleContent,
@@ -25,17 +26,31 @@ class TestCredential:
 
 class TestPartition:
     def test_byte_size_sums_payloads(self):
-        partition = Partition(
-            0,
-            (
-                EncryptedTuple(bytes(10)),
-                EncryptedPartial(bytes(22), group_tag=b"t"),
-            ),
+        block = EncryptedTupleBlock.from_tuples(
+            [EncryptedTuple(bytes(10)), EncryptedPartial(bytes(22), group_tag=b"t")]
         )
-        assert partition.byte_size() == 32
+        assert Partition(0, block).byte_size() == 32
 
     def test_empty_partition(self):
-        assert Partition(1, ()).byte_size() == 0
+        assert Partition(1, EncryptedTupleBlock.from_tuples([])).byte_size() == 0
+
+
+class TestBlockViews:
+    BLOCK = EncryptedTupleBlock.from_tuples(
+        [EncryptedTuple(b"aa", b"t"), EncryptedTuple(b""), EncryptedTuple(b"cccc", b"u")]
+    )
+
+    def test_segments_are_views_into_the_buffer(self):
+        segments = self.BLOCK.segments()
+        assert [bytes(s) for s in segments] == [b"aa", b"", b"cccc"]
+        assert all(s.obj is self.BLOCK.payloads for s in segments)
+
+    def test_gather_joins_the_picked_payloads_untagged(self):
+        picked = self.BLOCK.gather([2, 0, 2])
+        assert picked.payloads == b"ccccaacccc"
+        assert picked.offsets == (0, 4, 6, 10)
+        assert picked.tags == (None, None, None)
+        assert self.BLOCK.gather([]) == EncryptedTupleBlock.from_tuples([])
 
 
 class TestQueryIds:

@@ -5,15 +5,19 @@ format for rows that share a key set.  The generic codec is the
 definition of the format and the reference here: the shortcut must write
 the same bytes, read the same values and reject the same inputs, with
 the same error.
+
+The work unit that carries a partition to a TDS is a block too: a
+count, one lengths vector and one payload buffer.  It must give back
+exactly the payloads it was given, whatever their number and sizes.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import wire
 from repro.core.codec import encode
-from repro.core.messages import TupleContent
+from repro.core.messages import EncryptedTuple, EncryptedTupleBlock, TupleContent
 from repro.core.wire import (
     MAX_INNER_LENGTH,
     TUPLE_FRAME_QUANTUM,
@@ -24,6 +28,8 @@ from repro.core.wire import (
     encode_tuple_frames,
 )
 from repro.exceptions import ProtocolError
+from repro.net import frames, ops
+from repro.net.frames import Reader, WorkUnit, Writer
 
 KINDS = (TupleContent.KIND_DATA, TupleContent.KIND_DUMMY, TupleContent.KIND_FAKE)
 
@@ -183,3 +189,30 @@ class TestAdversarial:
             assert after_a_good_one == alone
         else:
             assert after_a_good_one == ("value", [decode_frame(good), alone[1]])
+
+
+class TestWorkUnitRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.binary(max_size=300), max_size=70),
+        st.sampled_from(
+            [frames.WORK_FOLD, frames.WORK_FOLD_PER_GROUP, frames.WORK_FINALIZE, frames.WORK_FILTER]
+        ),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.text(max_size=8),
+    )
+    @example([], frames.WORK_FOLD, 0, "q")
+    @example([b"one"], frames.WORK_FOLD, 1, "q")
+    @example([b"", b"x" * 284, b"", b"mid-size"], frames.WORK_FINALIZE, 2, "q")
+    def test_payloads_come_back_exactly(self, payloads, kind, partition_id, query_id):
+        block = EncryptedTupleBlock.from_tuples([EncryptedTuple(p) for p in payloads])
+        unit = WorkUnit(query_id, kind, partition_id, block)
+        w = Writer()
+        # inside the answer a waiting device reads, as the wire carries it
+        ops.AWAIT_WORK.response.write(w, ([], unit, []))
+        r = Reader(w.getvalue())
+        queries, got, done = ops.AWAIT_WORK.response.read(r)
+        r.expect_end()
+        assert (queries, done) == ([], [])
+        assert got == unit
+        assert [bytes(segment) for segment in got.block.segments()] == payloads

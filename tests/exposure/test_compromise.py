@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.messages import EncryptedPartial, Partition
+from repro.core.messages import EncryptedPartial, EncryptedTupleBlock, Partition
 from repro.exceptions import ConfigurationError
 from repro.exposure.compromise import (
     analyze_trace_leakage,
@@ -107,10 +107,10 @@ class TestSpotCheckVerification:
         envelope = querier.make_envelope(GROUP_SQL)
         deployment.ssi.post_query(envelope)
         statement = deployment.tds_list[0].open_query(envelope)
-        tuples = []
-        for tds in deployment.tds_list[:6]:
-            tuples.extend(tds.collect_block(envelope, "s_agg").tuples())
-        partition = Partition(0, tuple(tuples))
+        block = EncryptedTupleBlock.concat(
+            [tds.collect_block(envelope, "s_agg") for tds in deployment.tds_list[:6]]
+        )
+        partition = Partition(0, block)
         return statement, partition
 
     def test_honest_output_verifies(self, deployment):
@@ -123,7 +123,8 @@ class TestSpotCheckVerification:
         statement, partition = self._setup(deployment)
         worker, verifier = deployment.tds_list[0], deployment.tds_list[1]
         # the compromised worker drops half the partition's tuples
-        tampered_partition = Partition(0, partition.items[: len(partition.items) // 2])
+        half = range(len(partition.block) // 2)
+        tampered_partition = Partition(0, partition.block.gather(half))
         claimed = worker.aggregate_partition(statement, tampered_partition)
         assert not verify_partition(verifier, statement, partition, claimed)
 
@@ -142,7 +143,7 @@ class TestSpotCheckVerification:
         statement, partition = self._setup(deployment)
         worker, verifier = deployment.tds_list[0], deployment.tds_list[1]
         tampered = worker.aggregate_partition(
-            statement, Partition(0, partition.items[:2])
+            statement, Partition(0, partition.block.gather([0, 1]))
         )
         checker = SpotChecker(verifier, audit_rate=1.0, rng=random.Random(0))
         result = checker.maybe_audit(statement, partition, tampered, "evil-tds")

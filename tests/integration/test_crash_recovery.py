@@ -128,7 +128,7 @@ class TestKillDashNine:
                 await client2.close_collection("q-crash")
                 assert await client2.collected_count("q-crash") == 4
                 _, unit, _ = await client2.await_work("tds-1", ["q-crash"], 0.0)
-                assert len(unit.items) == 4
+                assert len(unit.block) == 4
                 await client2.submit_partition_result(
                     "q-crash", unit.partition_id, "tds-1", rows=[b"row-1"]
                 )

@@ -21,9 +21,8 @@ class TamperingTDS(TrustedDataServer):
     aggregates (deflating counts and sums)."""
 
     def aggregate_partition(self, statement, partition):
-        truncated = Partition(
-            partition.partition_id, partition.items[: max(1, len(partition.items) // 2)]
-        )
+        half = range(max(1, len(partition.block) // 2))
+        truncated = Partition(partition.partition_id, partition.block.gather(half))
         return super().aggregate_partition(statement, truncated)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.cli import build_parser
+from repro.core.messages import EncryptedTuple
 from repro.exceptions import QueryAbortedError
 from repro.exposure import audit
 from repro.net.client import QuerierClient, RetryPolicy
@@ -259,3 +260,23 @@ class TestEveryModeAgrees:
             run_driver(
                 protocol, sql_for(protocol), failure_injector=lambda *_: True
             )
+
+
+class TestPartitionsTravelAsBlocks:
+    def test_no_tuple_object_between_storage_and_decrypt(self, monkeypatch):
+        """A contribution arrives as one block, and its tuples leave the
+        SSI the same way: covering result, partitions, work units and
+        the TDS's decrypt all work on blocks.  One ED_Hist query over
+        the loopback fleet constructs no EncryptedTuple at all."""
+        constructed = []
+        original = EncryptedTuple.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args[0] if args else kwargs.get("payload"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(EncryptedTuple, "__init__", counting_init)
+        got = run_async(run_fleet("ed_hist", AVG_SQL, transport=LoopbackTransport))
+        assert got.rows == sorted_rows(build_deployment().reference_answer(AVG_SQL))
+        assert got.counters[0] > 0  # tuples were collected and folded
+        assert len(constructed) == 0

@@ -8,6 +8,7 @@ from repro.core.messages import (
     Credential,
     EncryptedPartial,
     EncryptedTuple,
+    EncryptedTupleBlock,
     QueryEnvelope,
     QueryResult,
 )
@@ -266,7 +267,8 @@ class TestComposites:
             frames.read_items(Reader(payload))
 
     def test_work_unit_roundtrip(self):
-        unit = WorkUnit("q9", frames.WORK_FOLD, 3, (EncryptedPartial(b"c", None),))
+        block = EncryptedTupleBlock.from_tuples([EncryptedPartial(b"c", None)])
+        unit = WorkUnit("q9", frames.WORK_FOLD, 3, block)
         w = Writer()
         frames.write_work_unit(w, unit)
         assert frames.read_work_unit(Reader(w.getvalue())) == unit
@@ -276,7 +278,7 @@ class TestComposites:
         w.text("q9")
         w.u8(0x7F)
         w.i64(0)
-        frames.write_items(w, [])
+        w.u32(0).blob(b"").blob(b"")
         with pytest.raises(ProtocolError, match="work-unit kind"):
             frames.read_work_unit(Reader(w.getvalue()))
 

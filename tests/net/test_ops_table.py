@@ -349,7 +349,7 @@ class TestGoldenBytes:
         try:
             assert store.recovered.replayed_records == 25
             ssi = store.recovered.ssi
-            assert [t.payload for t in ssi.covering_result("q-driver")] == [
+            assert [t.payload for t in ssi.covering_result("q-driver").tuples()] == [
                 b"ct-1", b"ct-2", b"ct-3", b"ct-4",
             ]
             assert ssi.result_ready("q-driver") and ssi.result_ready("q-fleet")

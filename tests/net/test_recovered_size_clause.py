@@ -67,7 +67,7 @@ def test_a_device_parked_after_the_restart_is_released_on_the_deadline(tmp_path)
         assert loop.time() - first_request == pytest.approx(SIZE_SECONDS)
         assert dispatcher.ssi.collection_closed("q")
         assert unit is not None and unit.query_id == "q"
-        assert unit.kind == frames.WORK_FOLD and len(unit.items) == 1
+        assert unit.kind == frames.WORK_FOLD and len(unit.block) == 1
         assert queries == [] and done == []
         store.close()
 

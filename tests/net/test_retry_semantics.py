@@ -229,6 +229,29 @@ class TestStalePartitionResults:
         again = coord.next_work("tds-c", now=5.0)
         assert again.partition_id == unit.partition_id
 
+    def test_partition_ids_unique_across_rounds(self):
+        """The coordinator numbers every partition it cuts, so a stale
+        reply from an earlier round can never alias a live one."""
+        ssi = SupportingServerInfrastructure()
+        ssi.post_query(make_envelope("q1"))
+        ssi.submit_tuples("q1", [EncryptedTuple(bytes([i]), None) for i in range(8)])
+        ssi.close_collection("q1")
+        coord = QueryCoordinator(ssi, "q1", QueryMeta("s_agg", {"alpha": 2.0}))
+        ids = []
+        while (unit := coord.next_work("tds-a", now=0.0)) is not None:
+            ids.append(unit.partition_id)
+            if unit.kind == frames.WORK_FINALIZE:
+                coord.complete(unit.partition_id, "tds-a", frames.RESULT_ROWS, [], [b"r"])
+            else:
+                partial = EncryptedPartial(b"p%d" % unit.partition_id, None)
+                coord.complete(
+                    unit.partition_id, "tds-a", frames.RESULT_PARTIALS, [partial], []
+                )
+        assert coord.done()
+        assert coord.stats.aggregation_rounds == 3  # 8 -> 4 -> 2 -> 1
+        assert len(ids) == 4 + 2 + 1 + 1
+        assert len(set(ids)) == len(ids)
+
     def test_completion_before_any_work_is_a_noop(self):
         ssi = SupportingServerInfrastructure()
         ssi.post_query(make_envelope("q1"))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.messages import EncryptedTuple, Partition
+from repro.core.messages import EncryptedTuple, EncryptedTupleBlock, Partition
 from repro.exceptions import ConfigurationError
 from repro.protocols import Deployment, SAggProtocol
 from repro.simulation.failures import (
@@ -18,7 +18,7 @@ from repro.workloads import smart_meter_factory
 from ..protocols.conftest import run_protocol, sorted_rows
 
 
-PARTITION = Partition(0, (EncryptedTuple(bytes(8)),))
+PARTITION = Partition(0, EncryptedTupleBlock.from_tuples([EncryptedTuple(bytes(8))]))
 
 
 class TestFactories:

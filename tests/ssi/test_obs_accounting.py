@@ -114,7 +114,7 @@ class TestInterleavedStorageAccounting:
         result = ssi.covering_result("q1")
         assert len(result) == 8
         expected = seq_a + batch_one + seq_b + batch_two
-        assert [(t.payload, t.group_tag) for t in result] == [
+        assert [(t.payload, t.group_tag) for t in result.tuples()] == [
             (t.payload, t.group_tag) for t in expected
         ]
         # The observer saw all 8, in true arrival order.

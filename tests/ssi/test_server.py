@@ -6,6 +6,7 @@ from repro.core.messages import (
     Credential,
     EncryptedPartial,
     EncryptedTuple,
+    EncryptedTupleBlock,
     Partition,
     QueryEnvelope,
 )
@@ -146,7 +147,8 @@ class TestObserverIntegration:
 
 class TestPartitionTracker:
     def _partitions(self, n):
-        return [Partition(i, (EncryptedTuple(bytes(8)),)) for i in range(n)]
+        one = EncryptedTupleBlock.from_tuples([EncryptedTuple(bytes(8))])
+        return [Partition(i, one) for i in range(n)]
 
     def test_assign_and_complete(self):
         tracker = PartitionTracker(self._partitions(2))

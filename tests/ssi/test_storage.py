@@ -1,7 +1,16 @@
-"""QueryStorage flattening cache and PartitionTracker O(1) counters."""
+"""The covering result as one block, and PartitionTracker's O(1)
+counters and O(log n) hand-out order."""
 
-from repro.core.messages import EncryptedTuple, EncryptedTupleBlock, Partition
-from repro.ssi.storage import PartitionTracker, QueryStorage
+import time
+
+from repro.core.messages import (
+    Credential,
+    EncryptedTupleBlock,
+    Partition,
+    QueryEnvelope,
+)
+from repro.ssi.server import SupportingServerInfrastructure
+from repro.ssi.storage import PartitionTracker
 
 
 def make_block(*payloads):
@@ -14,54 +23,49 @@ def make_block(*payloads):
     )
 
 
-class TestAllCollectedCache:
-    def test_cached_between_appends(self):
-        storage = QueryStorage()
-        storage.append_block(make_block(b"a"))
-        storage.append_block(make_block(b"bb", b"ccc"))
-        first = storage.all_collected()
-        assert [t.payload for t in first] == [b"a", b"bb", b"ccc"]
-        # The memo is reused: identical element objects, fresh list.
-        second = storage.all_collected()
-        assert second == first
-        assert second is not first
-        assert all(x is y for x, y in zip(first, second))
+def covering(*blocks):
+    ssi = SupportingServerInfrastructure()
+    ssi.post_query(QueryEnvelope("q1", b"enc", Credential("c", frozenset(), b"")))
+    for block in blocks:
+        ssi.submit_tuple_block("q1", block)
+    return ssi
 
-    def test_appends_invalidate(self):
-        storage = QueryStorage()
-        storage.append_block(make_block(b"a"))
-        assert len(storage.all_collected()) == 1
-        storage.append_block(make_block(b"bb"))
-        assert len(storage.all_collected()) == 2
-        storage.append_block(make_block(b"c"))
+
+class TestCoveringResult:
+    def test_stored_blocks_joined_in_arrival_order(self):
+        ssi = covering(make_block(b"a"), make_block(b"bb", b"ccc"))
+        block = ssi.covering_result("q1")
+        assert block.payloads == b"abbccc"
+        assert block.offsets == (0, 1, 3, 6)
+        assert [t.payload for t in block.tuples()] == [b"a", b"bb", b"ccc"]
+
+    def test_appends_extend_the_next_covering_result(self):
+        ssi = covering(make_block(b"a"))
+        assert len(ssi.covering_result("q1")) == 1
+        ssi.submit_tuple_block("q1", make_block(b"bb"))
+        ssi.submit_tuple_block("q1", make_block(b"c"))
         # arrival order, the order the observer saw them in
-        assert [t.payload for t in storage.all_collected()] == [
+        assert [t.payload for t in ssi.covering_result("q1").tuples()] == [
             b"a",
             b"bb",
             b"c",
         ]
 
-    def test_callers_cannot_corrupt_the_memo(self):
-        storage = QueryStorage()
-        storage.append_block(make_block(b"a"))
-        view = storage.all_collected()
-        view.append(EncryptedTuple(b"injected"))
-        assert len(storage.all_collected()) == 1
+    def test_earlier_covering_result_unchanged_by_appends(self):
+        ssi = covering(make_block(b"a"), make_block(b"b"))
+        before = ssi.covering_result("q1")
+        ssi.submit_tuple_block("q1", make_block(b"late"))
+        assert before.payloads == b"ab" and len(before) == 2
 
-    def test_count_matches_flattened_length(self):
-        storage = QueryStorage()
-        storage.append_block(make_block(b"x", b"y"))
-        storage.append_block(make_block(b"z"))
-        assert storage.collected_count() == 3
-        assert storage.collected_count() == len(storage.all_collected())
+    def test_count_matches_covering_result(self):
+        ssi = covering(make_block(b"x", b"y"), make_block(b"z"))
+        assert ssi.collected_count("q1") == 3
+        assert ssi.collected_count("q1") == len(ssi.covering_result("q1"))
 
 
 class TestPartitionTrackerCounters:
     def make_tracker(self, n=4, timeout=10.0):
-        partitions = [
-            Partition(partition_id=i, items=(EncryptedTuple(b"p"),))
-            for i in range(n)
-        ]
+        partitions = [Partition(partition_id=i, block=make_block(b"p")) for i in range(n)]
         return PartitionTracker(partitions, timeout=timeout)
 
     def test_counters_track_the_full_lifecycle(self):
@@ -122,3 +126,49 @@ class TestPartitionTrackerCounters:
         assert again.partition_id == p1.partition_id
         assert tracker.expire(now=29.9) == []
         assert len(tracker.expire(now=30.0)) == 1
+
+
+class TestPartitionTrackerOrder:
+    """Lowest-index pending partition first; an expired partition is
+    re-offered in its original place, not at the back."""
+
+    IDS = [40, 7, 13, 2, 99]  # ids, not positions, are arbitrary
+
+    def make_tracker(self, timeout=10.0):
+        block = make_block(b"p")
+        return PartitionTracker(
+            [Partition(i, block) for i in self.IDS], timeout=timeout
+        )
+
+    def handed_out(self, tracker, n, now):
+        return [tracker.assign_next("tds", now).partition_id for _ in range(n)]
+
+    def test_order_survives_expiry_and_stragglers(self):
+        tracker = self.make_tracker()
+        assert self.handed_out(tracker, 3, now=0.0) == [40, 7, 13]
+        assert self.handed_out(tracker, 1, now=5.0) == [2]
+        assert [p.partition_id for p in tracker.expire(now=10.0)] == [40, 7, 13]
+        tracker.complete(7, "tds")  # a straggler finishes a pending one
+        assert self.handed_out(tracker, 3, now=10.0) == [40, 13, 99]
+        assert tracker.assign_next("tds", 10.0) is None
+        assert [p.partition_id for p in tracker.expire(now=15.0)] == [2]
+        assert self.handed_out(tracker, 1, now=15.0) == [2]
+        assert tracker.assign_next("tds", 15.0) is None
+
+    def test_expired_partition_goes_before_later_ones(self):
+        tracker = self.make_tracker()
+        assert self.handed_out(tracker, 2, now=0.0) == [40, 7]
+        tracker.complete(40, "tds")
+        tracker.expire(now=10.0)  # 7 is back, ahead of 13
+        assert self.handed_out(tracker, 4, now=10.0) == [7, 13, 2, 99]
+
+    def test_twenty_thousand_hand_outs_under_a_second(self):
+        block = make_block(b"p")
+        n = 20_000
+        tracker = PartitionTracker([Partition(i, block) for i in range(n)])
+        started = time.perf_counter()
+        ids = [tracker.assign_next("tds").partition_id for _ in range(n)]
+        elapsed = time.perf_counter() - started
+        assert ids == list(range(n))
+        assert tracker.assign_next("tds") is None
+        assert elapsed < 1.0, f"{n} hand-outs took {elapsed:.2f} s"

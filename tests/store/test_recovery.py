@@ -65,7 +65,7 @@ class TestCrashRecovery:
         assert reopened.recovered.replayed_records == 4
         ssi = reopened.recovered.ssi
         assert "q1" in ssi.envelope_map()
-        assert len(ssi.storage_map()["q1"].all_collected()) == 3
+        assert len(ssi.covering_result("q1")) == 3
         # The chain is rebuilt to the identical head: nothing lost,
         # nothing rewritten.
         assert reopened.commitment() == head_before
@@ -110,9 +110,7 @@ class TestCrashRecovery:
         reopened = DurableStore.open(tmp_path)
         assert reopened.recovered.clean
         assert reopened.recovered.replayed_records == 0
-        assert len(
-            reopened.recovered.ssi.storage_map()["q1"].all_collected()
-        ) == 2
+        assert len(reopened.recovered.ssi.covering_result("q1")) == 2
         assert reopened.commitment() == store.commitment()
         reopened.close()
 

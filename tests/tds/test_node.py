@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core.codec import decode, encode
-from repro.core.messages import Partition, QueryEnvelope
+from repro.core.messages import EncryptedTupleBlock, Partition, QueryEnvelope
 from repro.crypto.keys import KeyProvisioner, random_key
 from repro.crypto.ndet import NonDeterministicCipher
 from repro.exceptions import (
@@ -26,6 +26,10 @@ from repro.tds.device import DeviceProfile
 from repro.tds.histogram import EquiDepthHistogram
 from repro.tds.node import TrustedDataServer, TupleFrameBlock, reduced_row
 from repro.tds.noise import ComplementaryNoise, RandomNoise
+
+
+def partition_of(partition_id, items):
+    return Partition(partition_id, EncryptedTupleBlock.from_tuples(list(items)))
 
 
 @pytest.fixture
@@ -335,10 +339,10 @@ class TestAggregationPhase:
     def test_fold_tuples_into_partial(self, setup):
         env = setup["envelope"](AGG_SQL)
         statement = setup["tds_a"].open_query(env)
-        partition = Partition(0, tuple(self._collect_all(setup, env)))
+        partition = partition_of(0, self._collect_all(setup, env))
         encrypted = setup["tds_a"].aggregate_partition(statement, partition)
         rows = setup["tds_b"].finalize_partition(
-            statement, Partition(1, (encrypted,))
+            statement, partition_of(1, [encrypted])
         )
         k1 = NonDeterministicCipher(
             setup["querier_keys"].k1.current.material, random.Random(0)
@@ -356,15 +360,15 @@ class TestAggregationPhase:
         tuples = []
         for tds in (setup["tds_a"], setup["tds_b"]):
             tuples.extend(contribution(tds, env, "s_agg"))
-        partition = Partition(0, tuple(tuples))
+        partition = partition_of(0, tuples)
         encrypted = setup["tds_a"].aggregate_partition(statement, partition)
-        rows = setup["tds_b"].finalize_partition(statement, Partition(1, (encrypted,)))
+        rows = setup["tds_b"].finalize_partition(statement, partition_of(1, [encrypted]))
         assert rows == []
 
     def test_per_group_partials_tagged(self, setup):
         env = setup["envelope"](AGG_SQL)
         statement = setup["tds_a"].open_query(env)
-        partition = Partition(0, tuple(self._collect_all(setup, env)))
+        partition = partition_of(0, self._collect_all(setup, env))
         partials = setup["tds_a"].aggregate_partition_per_group(statement, partition)
         assert len(partials) == 2
         assert all(p.group_tag is not None for p in partials)
@@ -393,7 +397,7 @@ class TestAggregationPhase:
             )
             tuples.extend(contribution(node, env, "s_agg"))
         with pytest.raises(ResourceExhaustedError):
-            cramped.aggregate_partition(statement, Partition(0, tuple(tuples)))
+            cramped.aggregate_partition(statement, partition_of(0, tuples))
 
 
 class TestPerStatementWork:
@@ -456,10 +460,10 @@ class TestPerStatementWork:
             tuples.extend(contribution(tds, env, "s_agg"))
         statement = setup["tds_a"].open_query(env)
         folded = [
-            setup["tds_a"].aggregate_partition(statement, Partition(0, tuple(tuples[:2]))),
-            setup["tds_b"].aggregate_partition(statement, Partition(1, tuple(tuples[2:]))),
+            setup["tds_a"].aggregate_partition(statement, partition_of(0, tuples[:2])),
+            setup["tds_b"].aggregate_partition(statement, partition_of(1, tuples[2:])),
         ]
-        rows = setup["tds_b"].finalize_partition(statement, Partition(2, tuple(folded)))
+        rows = setup["tds_b"].finalize_partition(statement, partition_of(2, folded))
         assert len(rows) == 2
         assert plans == [statement]
         assert walks == [statement]
@@ -495,7 +499,7 @@ class TestPerStatementWork:
 
         monkeypatch.setattr(PartialAggregation, "add_row", counting)
         with pytest.raises(ResourceExhaustedError):
-            cramped.aggregate_partition(statement, Partition(0, tuple(tuples)))
+            cramped.aggregate_partition(statement, partition_of(0, tuples))
         # 64 bytes are 4 slots; a group is its key plus one count: the
         # third distinct group is the first item that does not fit
         assert len(folded) == 3
@@ -507,7 +511,7 @@ class TestFilteringPhase:
         env_miss = setup["envelope"]("SELECT x FROM T WHERE x > 1000")
         data = contribution(setup["tds_a"], env, "basic")
         dummies = contribution(setup["tds_a"], env_miss, "basic")
-        partition = Partition(0, tuple(data + dummies))
+        partition = partition_of(0, data + dummies)
         rows = setup["tds_b"].filter_partition(partition)
         assert len(rows) == 1
 
@@ -515,9 +519,9 @@ class TestFilteringPhase:
         env = setup["envelope"](AGG_SQL)
         statement = setup["tds_a"].open_query(env)
         tuples = contribution(setup["tds_a"], env, "s_agg")
-        partial = setup["tds_a"].aggregate_partition(statement, Partition(0, tuple(tuples)))
+        partial = setup["tds_a"].aggregate_partition(statement, partition_of(0, tuples))
         with pytest.raises(ProtocolError):
-            setup["tds_b"].filter_partition(Partition(1, (partial,)))
+            setup["tds_b"].filter_partition(partition_of(1, [partial]))
 
     def test_finalize_applies_having(self, setup):
         sql = "SELECT g, SUM(x) AS s FROM T GROUP BY g HAVING SUM(x) > 16"
@@ -526,8 +530,8 @@ class TestFilteringPhase:
         tuples = []
         for tds in (setup["tds_a"], setup["tds_b"]):
             tuples.extend(contribution(tds, env, "s_agg"))
-        partial = setup["tds_a"].aggregate_partition(statement, Partition(0, tuple(tuples)))
-        rows = setup["tds_b"].finalize_partition(statement, Partition(1, (partial,)))
+        partial = setup["tds_a"].aggregate_partition(statement, partition_of(0, tuples))
+        rows = setup["tds_b"].finalize_partition(statement, partition_of(1, [partial]))
         k1 = NonDeterministicCipher(
             setup["querier_keys"].k1.current.material, random.Random(0)
         )

@@ -9,7 +9,7 @@ import random
 
 from repro.bench import build_deployment, publish, render_table
 from repro.exposure import analyze_trace_leakage, expected_leak_fraction
-from repro.protocols import SAggProtocol
+from repro.protocols import ProtocolDriver
 
 GROUP_SQL = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
 
@@ -19,9 +19,9 @@ def run_leakage_sweep():
     querier = deployment.make_querier()
     envelope = querier.make_envelope(GROUP_SQL)
     deployment.ssi.post_query(envelope)
-    driver = SAggProtocol(
+    driver = ProtocolDriver(
         deployment.ssi, deployment.tds_list, deployment.tds_list,
-        random.Random(2),
+        random.Random(2), "s_agg",
     )
     driver.execute(envelope)
     workers = sorted({e.tds_id for e in driver.trace.events_in("aggregation", 0)})

@@ -2,7 +2,6 @@
 makespan vs the fraction of TDSs available as workers."""
 
 from repro.bench import build_deployment, publish, render_table
-from repro.protocols import EDHistProtocol, SAggProtocol
 from repro.simulation import run_simulated
 from repro.tds.histogram import EquiDepthHistogram
 
@@ -15,7 +14,7 @@ def sweep_availability():
     for fraction in FRACTIONS:
         deployment = build_deployment(num_tds=32, num_districts=4, seed=11)
         sagg = run_simulated(
-            deployment, SAggProtocol, GROUP_SQL,
+            deployment, "s_agg", GROUP_SQL,
             worker_fraction=fraction, seed=4,
         )
         deployment2 = build_deployment(num_tds=32, num_districts=4, seed=11)
@@ -25,7 +24,7 @@ def sweep_availability():
         }
         hist = EquiDepthHistogram.from_distribution(frequencies, 2)
         ed = run_simulated(
-            deployment2, EDHistProtocol, GROUP_SQL,
+            deployment2, "ed_hist", GROUP_SQL,
             worker_fraction=fraction, seed=4, histogram=hist,
         )
         rows.append(

@@ -13,7 +13,6 @@ from repro.costmodel import (
     all_protocol_metrics,
     end_to_end,
 )
-from repro.protocols import SAggProtocol
 from repro.simulation import run_simulated
 
 SCENARIOS = {
@@ -98,7 +97,7 @@ def test_wall_clock_beats_seed_crypto(benchmark):
 
     def run():
         start = time.perf_counter()
-        result = run_simulated(deployment, SAggProtocol, GROUP_SQL, seed=3)
+        result = run_simulated(deployment, "s_agg", GROUP_SQL, seed=3)
         return time.perf_counter() - start, result.stats.bytes_processed
 
     elapsed, bytes_processed = benchmark.pedantic(run, rounds=1, iterations=1)

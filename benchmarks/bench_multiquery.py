@@ -39,14 +39,11 @@ from repro.net.multiquery import MultiQueryRunner, QuerySpec
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import TCPTransport
 from repro.protocols import (
-    CNoiseProtocol,
     Deployment,
     DiscoveryCache,
-    EDHistProtocol,
+    ProtocolDriver,
     build_histogram,
-    cached_domain,
     cached_histogram,
-    discover_domain,
 )
 from repro.sql.schema import Database, schema
 from repro.tds.histogram import EquiDepthHistogram
@@ -157,16 +154,17 @@ def measure_concurrency(batch=BATCH, levels=LEVELS):
 # --------------------------------------------------------------------- #
 # discovery cache: repeated ED_Hist / C_Noise driver-mode queries
 # --------------------------------------------------------------------- #
-def _drive(deployment, driver_cls, **kwargs):
+def _drive(deployment, protocol, histogram):
     querier = deployment.make_querier()
     envelope = querier.make_envelope(QUERY_SQL)
     deployment.ssi.post_query(envelope)
-    driver = driver_cls(
+    driver = ProtocolDriver(
         deployment.ssi,
         collectors=deployment.tds_list,
         workers=deployment.tds_list,
         rng=random.Random(7),
-        **kwargs,
+        meta=protocol,
+        histogram=histogram,
     )
     driver.execute(envelope)
     rows = querier.decrypt_result(
@@ -184,15 +182,11 @@ def _cache_run(use_cache, repeats=CACHE_REPEATS):
     for __ in range(repeats):
         if cache is not None:
             histogram = cached_histogram(cache, dep, "Consumer", "district", 2)
-            domain = [
-                (d,)
-                for d in cached_domain(cache, dep, "Consumer", "district")
-            ]
         else:
             histogram = build_histogram(dep, "Consumer", "district", 2)
-            domain = [(d,) for d in discover_domain(dep, "Consumer", "district")]
-        _drive(dep, EDHistProtocol, histogram=histogram)
-        _drive(dep, CNoiseProtocol, domain=domain)
+        # one discovered distribution: ED_Hist's buckets, C_Noise's domain
+        _drive(dep, "ed_hist", histogram)
+        _drive(dep, "c_noise", histogram)
     elapsed = time.perf_counter() - start
     result = {"seconds": elapsed, "queries": repeats * 2}
     if cache is not None:

@@ -18,7 +18,7 @@ Run with:  python examples/compromise_remediation.py
 
 import random
 
-from repro import Deployment, SAggProtocol, smart_meter_factory
+from repro import Deployment, ProtocolDriver, smart_meter_factory
 from repro.core.messages import EncryptedTupleBlock, Partition
 from repro.crypto.broadcast import (
     BroadcastKeyDistributor,
@@ -88,9 +88,9 @@ def main() -> None:
           f"{locked_out} revoked device locked out of the new epoch")
 
     # --- 4. what did the cheater see before detection? ------------------
-    driver = SAggProtocol(
+    driver = ProtocolDriver(
         deployment.ssi, deployment.tds_list, deployment.tds_list,
-        random.Random(3),
+        random.Random(3), "s_agg",
     )
     envelope2 = querier.make_envelope(SQL)
     deployment.ssi.post_query(envelope2)

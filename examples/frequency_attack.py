@@ -12,11 +12,13 @@ Run with:  python examples/frequency_attack.py
 
 import random
 
-from repro import CNoiseProtocol, Deployment, RnfNoiseProtocol, SAggProtocol
+from repro import Deployment, ProtocolDriver
 from repro.core.codec import encode
 from repro.crypto.det import DeterministicCipher
 from repro.exposure import FrequencyAttacker
+from repro.net.frames import QueryMeta
 from repro.sql.schema import Database, schema
+from repro.tds.histogram import EquiDepthHistogram
 
 # a deliberately skewed population: frequency attacks need skew
 DISTRICT_WEIGHTS = {"center": 12, "north": 6, "south": 3, "east": 2, "west": 1}
@@ -35,13 +37,13 @@ def skewed_factory():
     return factory
 
 
-def run(deployment, cls, **kwargs):
+def run(deployment, meta, histogram):
     querier = deployment.make_querier()
     envelope = querier.make_envelope(SQL)
     deployment.ssi.post_query(envelope)
-    cls(
+    ProtocolDriver(
         deployment.ssi, deployment.tds_list, deployment.tds_list,
-        random.Random(5), **kwargs,
+        random.Random(5), meta, histogram=histogram,
     ).execute(envelope)
     return envelope.query_id
 
@@ -50,13 +52,14 @@ def main() -> None:
     deployment = Deployment.build(
         48, skewed_factory(), tables=["Consumer"], seed=21
     )
-    domain = [(d,) for d in DISTRICT_WEIGHTS]
-
     # the attacker's prior: published census-like district frequencies
     prior = {
         row["district"]: row["n"] for row in deployment.reference_answer(SQL)
     }
     attacker = FrequencyAttacker(prior)
+    # the discovered distribution every device holds: its values are the
+    # domain the noise protocols draw fakes from
+    histogram = EquiDepthHistogram.from_distribution(prior, len(prior))
 
     # scoring oracle (uses k2 — the real SSI does NOT have this)
     k2 = deployment.provisioner.bundle_for_tds().k2.current.material
@@ -67,13 +70,13 @@ def main() -> None:
     print(f"{'protocol':>22} | {'tags seen':>9} | {'attack accuracy':>15}")
     print("-" * 54)
 
-    for label, cls, kwargs in [
-        ("Det_Enc (R0_Noise)", RnfNoiseProtocol, {"domain": domain, "nf": 0}),
-        ("R10_Noise", RnfNoiseProtocol, {"domain": domain, "nf": 10}),
-        ("C_Noise", CNoiseProtocol, {"domain": domain}),
-        ("S_Agg", SAggProtocol, {}),
+    for label, meta in [
+        ("Det_Enc (R0_Noise)", QueryMeta("rnf_noise", {"nf": 0})),
+        ("R10_Noise", QueryMeta("rnf_noise", {"nf": 10})),
+        ("C_Noise", QueryMeta("c_noise")),
+        ("S_Agg", QueryMeta("s_agg")),
     ]:
-        query_id = run(deployment, cls, **kwargs)
+        query_id = run(deployment, meta, histogram)
         outcome = attacker.evaluate(deployment.ssi.observer, query_id, truth)
         print(f"{label:>22} | {outcome.attack_surface:>9} | "
               f"{outcome.accuracy:>14.0%}")

@@ -18,7 +18,7 @@ Run with:  python examples/healthcare_survey.py
 
 import random
 
-from repro import Deployment, SAggProtocol, SelectWhereProtocol, pcehr_factory
+from repro import Deployment, ProtocolDriver, pcehr_factory
 from repro.simulation import duty_cycle, run_simulated
 from repro.tds.access_control import AccessPolicy
 from repro.workloads import ALERT_QUERY, FLU_SURVEILLANCE_QUERY
@@ -50,9 +50,9 @@ def main() -> None:
     )
     envelope = ministry.make_envelope(FLU_SURVEILLANCE_QUERY)
     deployment.ssi.post_query(envelope)
-    SAggProtocol(
+    ProtocolDriver(
         deployment.ssi, deployment.tds_list, deployment.tds_list,
-        random.Random(0),
+        random.Random(0), "s_agg",
     ).execute(envelope)
     counts = ministry.decrypt_result(
         deployment.ssi.fetch_result(envelope.query_id)
@@ -72,9 +72,9 @@ def main() -> None:
         )
         alert_envelope = alert_service.make_envelope(ALERT_QUERY)
         deployment.ssi.post_query(alert_envelope)
-        SelectWhereProtocol(
+        ProtocolDriver(
             deployment.ssi, deployment.tds_list, deployment.tds_list,
-            random.Random(1),
+            random.Random(1), "basic",
         ).execute(alert_envelope)
         recipients = alert_service.decrypt_result(
             deployment.ssi.fetch_result(alert_envelope.query_id)
@@ -98,7 +98,7 @@ def main() -> None:
         session_length=600,     # ten-minute sessions
     )
     run = run_simulated(
-        deployment2, SAggProtocol, FLU_SURVEILLANCE_QUERY,
+        deployment2, "s_agg", FLU_SURVEILLANCE_QUERY,
         schedule=schedule, seed=0, roles=["surveillance"],
     )
     assert sorted(map(str, run.rows)) == sorted(map(str, counts))

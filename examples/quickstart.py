@@ -10,7 +10,7 @@ Run with:  python examples/quickstart.py
 
 import random
 
-from repro import Deployment, SAggProtocol, smart_meter_factory
+from repro import Deployment, ProtocolDriver, smart_meter_factory
 
 NUM_TDS = 30
 SQL = "SELECT district, AVG(cons) AS avg_cons, COUNT(*) AS meters " \
@@ -35,11 +35,12 @@ def main() -> None:
     deployment.ssi.post_query(envelope)
 
     # 4. Run S_Agg: collection -> iterative aggregation -> filtering.
-    driver = SAggProtocol(
+    driver = ProtocolDriver(
         deployment.ssi,
         collectors=deployment.tds_list,
         workers=deployment.connected_tds(0.5),  # 50% of TDSs online
         rng=random.Random(7),
+        meta="s_agg",
     )
     driver.execute(envelope)
 

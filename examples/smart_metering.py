@@ -22,7 +22,7 @@ Run with:  python examples/smart_metering.py
 
 import random
 
-from repro import Deployment, EDHistProtocol, build_histogram, smart_meter_factory
+from repro import Deployment, ProtocolDriver, build_histogram, smart_meter_factory
 from repro.exceptions import AccessDeniedError
 from repro.protocols import SMART_METER_PRIORITIES, recommend_protocol
 from repro.tds.access_control import AccessPolicy
@@ -79,11 +79,12 @@ def main() -> None:
     # --- the aggregate query, allowed ----------------------------------
     envelope = company.make_envelope(AGGREGATE_SQL)
     deployment.ssi.post_query(envelope)
-    driver = EDHistProtocol(
+    driver = ProtocolDriver(
         deployment.ssi,
         collectors=deployment.tds_list,
         workers=deployment.connected_tds(0.3),
         rng=random.Random(1),
+        meta="ed_hist",
         histogram=histogram,
     )
     driver.execute(envelope)

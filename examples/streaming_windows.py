@@ -12,7 +12,7 @@ Run with:  python examples/streaming_windows.py
 
 import random
 
-from repro import Deployment, SAggProtocol
+from repro import Deployment, ProtocolDriver
 from repro.exposure import audit_query
 from repro.protocols import WindowedQueryRunner, append_feed
 from repro.sql.schema import Database, schema
@@ -55,7 +55,9 @@ def main() -> None:
     )
     runner = WindowedQueryRunner(
         deployment,
-        lambda dep, rng: SAggProtocol(dep.ssi, dep.tds_list, dep.tds_list, rng),
+        lambda dep, rng: ProtocolDriver(
+            dep.ssi, dep.tds_list, dep.tds_list, rng, "s_agg"
+        ),
         SQL,
         data_feed=reading_feed(),
         seed=10,

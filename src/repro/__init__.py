@@ -4,7 +4,7 @@ Decentralized Architecture and Tamper Resistant Hardware" (EDBT 2014).
 Quick start
 -----------
 
->>> from repro import Deployment, SAggProtocol, smart_meter_factory
+>>> from repro import Deployment, ProtocolDriver, smart_meter_factory
 >>> import random
 >>> dep = Deployment.build(
 ...     20, smart_meter_factory(num_districts=4),
@@ -13,7 +13,8 @@ Quick start
 >>> env = querier.make_envelope(
 ...     "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district")
 >>> dep.ssi.post_query(env)
->>> driver = SAggProtocol(dep.ssi, dep.tds_list, dep.tds_list, random.Random(0))
+>>> driver = ProtocolDriver(
+...     dep.ssi, dep.tds_list, dep.tds_list, random.Random(0), "s_agg")
 >>> driver.execute(env)
 >>> rows = querier.decrypt_result(dep.ssi.fetch_result(env.query_id))
 >>> sum(r["n"] for r in rows)
@@ -52,13 +53,9 @@ from repro.exceptions import (
     SQLSyntaxError,
 )
 from repro.protocols import (
-    CNoiseProtocol,
     Deployment,
-    EDHistProtocol,
+    ProtocolDriver,
     Querier,
-    RnfNoiseProtocol,
-    SAggProtocol,
-    SelectWhereProtocol,
     build_histogram,
     discover_distribution,
     discover_domain,
@@ -71,27 +68,23 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AccessDeniedError",
-    "CNoiseProtocol",
     "ConfigurationError",
     "CryptoError",
     "Database",
     "DecryptionError",
     "Deployment",
-    "EDHistProtocol",
     "EvaluationError",
     "InvalidKeyError",
     "PlanningError",
+    "ProtocolDriver",
     "ProtocolError",
     "Querier",
     "QueryAbortedError",
     "ReproError",
     "ResourceExhaustedError",
-    "RnfNoiseProtocol",
-    "SAggProtocol",
     "SQLError",
     "SQLSyntaxError",
     "SchemaError",
-    "SelectWhereProtocol",
     "build_histogram",
     "discover_distribution",
     "discover_domain",

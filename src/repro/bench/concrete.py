@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.protocols import (
-    CNoiseProtocol,
-    Deployment,
-    EDHistProtocol,
-    RnfNoiseProtocol,
-    SAggProtocol,
-)
+from repro.net.frames import QueryMeta
+from repro.protocols import Deployment
 from repro.simulation import run_simulated
 from repro.tds.histogram import EquiDepthHistogram
 from repro.workloads import smart_meter_factory
@@ -55,10 +50,6 @@ def run_all_protocols(
     return the measured counters."""
     results: dict[str, ConcreteResult] = {}
 
-    def district_domain(deployment: Deployment) -> list[tuple[str]]:
-        rows = deployment.reference_answer(GROUP_SQL)
-        return [(row["district"],) for row in rows]
-
     def histogram(deployment: Deployment) -> EquiDepthHistogram:
         freq = {
             row["district"]: row["n"]
@@ -67,19 +58,17 @@ def run_all_protocols(
         return EquiDepthHistogram.from_distribution(freq, max(1, len(freq) // 2))
 
     configs = [
-        ("S_Agg", SAggProtocol, {}),
-        (f"R{nf_small}_Noise", RnfNoiseProtocol, {"nf": nf_small, "domain": None}),
-        (f"R{nf_large}_Noise", RnfNoiseProtocol, {"nf": nf_large, "domain": None}),
-        ("C_Noise", CNoiseProtocol, {"domain": None}),
-        ("ED_Hist", EDHistProtocol, {"histogram": None}),
+        ("S_Agg", QueryMeta("s_agg")),
+        (f"R{nf_small}_Noise", QueryMeta("rnf_noise", {"nf": nf_small})),
+        (f"R{nf_large}_Noise", QueryMeta("rnf_noise", {"nf": nf_large})),
+        ("C_Noise", QueryMeta("c_noise")),
+        ("ED_Hist", QueryMeta("ed_hist")),
     ]
-    for name, cls, kwargs in configs:
+    for name, meta in configs:
         deployment = build_deployment(num_tds, num_districts)
-        if "domain" in kwargs:
-            kwargs = dict(kwargs, domain=district_domain(deployment))
-        if "histogram" in kwargs:
-            kwargs = dict(kwargs, histogram=histogram(deployment))
-        run = run_simulated(deployment, cls, GROUP_SQL, seed=3, **kwargs)
+        run = run_simulated(
+            deployment, meta, GROUP_SQL, seed=3, histogram=histogram(deployment)
+        )
         results[name] = ConcreteResult(
             protocol=name,
             tuples_collected=run.stats.tuples_collected,

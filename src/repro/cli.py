@@ -44,17 +44,16 @@ from repro.bench import (
 from repro.costmodel import PAPER_DEFAULTS, all_protocol_metrics
 from repro.crypto import cache as crypto_cache
 from repro.exceptions import ProtocolError
+from repro.net.frames import SUPPORTED_PROTOCOLS, QueryMeta
 from repro.protocols import (
-    DRIVERS,
     Deployment,
     DiscoveryCache,
     PCEHR_TOKEN_PRIORITIES,
     Priorities,
+    ProtocolDriver,
     SMART_METER_PRIORITIES,
     build_histogram,
-    cached_domain,
     cached_histogram,
-    discover_domain,
     recommend_protocol,
 )
 from repro.sql.parser import parse
@@ -67,7 +66,7 @@ _DEFAULT_QUERY = (
 
 #: every protocol runs in every mode: in process (``demo``) and over the
 #: wire (``query`` / ``multiquery``)
-PROTOCOL_CHOICES = tuple(DRIVERS)
+PROTOCOL_CHOICES = SUPPORTED_PROTOCOLS
 
 
 def _mismatched(args: argparse.Namespace) -> bool:
@@ -83,34 +82,28 @@ def _mismatched(args: argparse.Namespace) -> bool:
 
 
 def _build_driver(name, deployment, workers, rng, nf, cache=None):
-    """Instantiate the requested protocol, running discovery when its
-    devices need domain/distribution knowledge.  With a
+    """The driver for protocol *name*, with the discovered distribution
+    its devices collect by (ED_Hist's buckets, the noise protocols'
+    domain) when they need one.  With a
     :class:`~repro.protocols.DiscoveryCache`, repeated builds reuse one
     discovery run per dataset epoch instead of re-running S_Agg."""
-    knowledge: dict = {}
-    if name in ("rnf_noise", "c_noise"):
+    histogram = None
+    if name in ("rnf_noise", "c_noise", "ed_hist"):
         if cache is not None:
-            values = cached_domain(cache, deployment, "Consumer", "district")
-        else:
-            values = discover_domain(deployment, "Consumer", "district")
-        knowledge["domain"] = [(d,) for d in values]
-        if name == "rnf_noise":
-            knowledge["nf"] = nf
-    elif name == "ed_hist":
-        if cache is not None:
-            knowledge["histogram"] = cached_histogram(
+            histogram = cached_histogram(
                 cache, deployment, "Consumer", "district", num_buckets=2
             )
         else:
-            knowledge["histogram"] = build_histogram(
+            histogram = build_histogram(
                 deployment, "Consumer", "district", num_buckets=2
             )
-    return DRIVERS[name](
+    return ProtocolDriver(
         deployment.ssi,
         collectors=deployment.tds_list,
         workers=workers,
         rng=rng,
-        **knowledge,
+        meta=QueryMeta(name, {"nf": nf} if name == "rnf_noise" else {}),
+        histogram=histogram,
     )
 
 
@@ -139,7 +132,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             deployment.ssi.fetch_result(envelope.query_id)
         )
 
-    print(f"protocol : {driver.name}")
+    print(f"protocol : {driver.meta.protocol}")
     print(f"query    : {args.query}")
     if args.repeat > 1:
         print(f"repeat   : {args.repeat} run(s)")
@@ -394,8 +387,6 @@ def fleet_shard_builder(
     """Shard-worker builder (``"repro.cli:fleet_shard_builder"``):
     rebuild the deterministic fleet deployment and histogram inside a
     spawn worker so every shard agrees on keys and credentials."""
-    from repro.protocols import build_histogram
-
     deployment = Deployment.build(
         tds,
         smart_meter_factory(num_districts=districts),
@@ -412,7 +403,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.net.fleet import FleetRunner, ShardedFleetRunner
     from repro.net.transport import TCPTransport
     from repro.obs import spans as obs_spans
-    from repro.protocols import build_histogram
 
     if args.shards > 1 and args.health_check_interval > 0:
         # shard workers run no health probe; say so before spawning any
@@ -504,7 +494,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     import uuid
 
     from repro.net.client import QuerierClient
-    from repro.net.frames import QueryMeta
     from repro.net.transport import TCPTransport
     from repro.obs import spans as obs_spans
 

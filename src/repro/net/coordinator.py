@@ -1,12 +1,13 @@
-"""The protocol table and the one stage machine that interprets it.
+"""The one stage machine that interprets the protocol table.
 
 The paper has *one* protocol (§4: collection → aggregation → filtering);
 its five variants differ in how a TDS encodes its tuples at collection
 (device-side, see :meth:`TrustedDataServer.collect_frames`) and in what
 the SSI does with the opaque items afterwards: cut partitions blindly or
-by cleartext tag, how large, and when aggregation stops.  That second
-half is :data:`PROTOCOLS` — one row of :class:`Stage` cells per protocol
-— and :class:`QueryCoordinator` advances one query through its row as
+by cleartext tag, how large, and when aggregation stops.  Both halves
+read one row of :data:`repro.net.frames.PROTOCOLS` — its
+:class:`~repro.net.frames.Stage` cells and its params — and
+:class:`QueryCoordinator` advances one query through the row's stages as
 TDSs ask for work.  Who asks differs by mode, the machine does not: the
 :class:`~repro.net.server.SSIDispatcher` for a fleet over the wire, the
 in-process :class:`~repro.protocols.base.ProtocolDriver` loop inline.
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+
 from repro.core.messages import EncryptedPartial, EncryptedTupleBlock, Partition
 from repro.core.trace import ProtocolStats
 from repro.exceptions import ProtocolError
 from repro.net.frames import (
+    PROTOCOLS,
     RESULT_PARTIALS,
     RESULT_ROWS,
     WORK_FILTER,
@@ -43,24 +45,6 @@ from repro.ssi.server import SupportingServerInfrastructure
 from repro.ssi.storage import PartitionTracker
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One step of a protocol, as the SSI runs it.
-
-    ``kind`` is what a TDS does with a partition; ``by_tag`` cuts
-    partitions by cleartext group tag (else shuffled, blind chunks);
-    ``size_param`` names the :class:`QueryMeta` param sizing a partition
-    (``None``, or a value of 0, leaves a tag group — or the whole input —
-    unsplit) and ``default_size`` its default; a stage that ``repeats``
-    runs again on its own output until one item is left."""
-
-    kind: int
-    by_tag: bool
-    size_param: str | None
-    default_size: float = 64
-    repeats: bool = False
-
-
 #: work kind → the result kind a TDS answers it with; a stage answered
 #: with partials is an aggregation round, one answered with rows filters
 RESULT_OF = {
@@ -69,30 +53,6 @@ RESULT_OF = {
     WORK_FINALIZE: RESULT_ROWS,
     WORK_FILTER: RESULT_ROWS,
 }
-
-_FINALIZE = Stage(WORK_FINALIZE, False, "filter_partition_size")
-#: §4.3/§4.4: fold same-tag tuples to per-group partials, merge same-group
-#: partials (one partition per Det_Enc(group) tag), finalize
-_TAGGED = (
-    Stage(WORK_FOLD_PER_GROUP, True, "first_step_partition_size"),
-    Stage(WORK_FOLD_PER_GROUP, True, None),
-    _FINALIZE,
-)
-
-#: protocol name → its stages after collection
-PROTOCOLS: dict[str, tuple[Stage, ...]] = {
-    # §3.2: no aggregation, the Covering Result is filtered in blind chunks
-    "basic": (Stage(WORK_FILTER, False, "partition_size"),),
-    # §4.2: blind partitions of ~alpha items shrink the input by alpha per
-    # round (3.6 = ALPHA_OPTIMAL, §6.1.1) until one partial holds it all
-    "s_agg": (Stage(WORK_FOLD, False, "alpha", 3.6, repeats=True), _FINALIZE),
-    "rnf_noise": _TAGGED,
-    "c_noise": _TAGGED,
-    "ed_hist": _TAGGED,
-}
-
-#: protocols the coordinator knows how to schedule
-SUPPORTED_PROTOCOLS = tuple(PROTOCOLS)
 
 
 class QueryCoordinator:
@@ -119,7 +79,7 @@ class QueryCoordinator:
         # Partition shapes never affect aggregate results (merging is
         # associative); the rng only fixes the shuffle for replayability.
         self._rng = rng if rng is not None else random.Random(0)
-        self._stages = PROTOCOLS[meta.protocol]
+        self._stages = PROTOCOLS[meta.protocol].stages
         #: index of the running stage: -1 while collecting, len(stages)
         #: once the result is published
         self._position = -1
@@ -230,7 +190,7 @@ class QueryCoordinator:
         stage = self._stages[position]
         size = 0  # unsplit
         if stage.size_param is not None:
-            size = round(self.meta.param(stage.size_param, stage.default_size))
+            size = round(self.meta.param(stage.size_param))
         # a repeating stage must shrink its input, so never 1-item chunks
         size = max(size or len(block), 2 if stage.repeats else 1)
         partitioner = (

@@ -30,7 +30,12 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Sequence
 
 from repro.core.messages import FailureInjector, Partition, QueryEnvelope
-from repro.exceptions import AccessDeniedError, ProtocolError, TransportError
+from repro.exceptions import (
+    AccessDeniedError,
+    ProtocolError,
+    ReproError,
+    TransportError,
+)
 from repro.net import ops
 from repro.net.batch import TupleBatcher
 from repro.net.client import RetryPolicy, TDSClient
@@ -42,7 +47,6 @@ from repro.obs import spans as obs_spans
 from repro.sql.ast import SelectStatement
 from repro.tds.histogram import EquiDepthHistogram
 from repro.tds.node import TrustedDataServer
-from repro.tds.noise import ComplementaryNoise, NoiseStrategy, RandomNoise
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +67,7 @@ _PARTITIONS = obs_metrics.REGISTRY.counter(
 )
 _PROTOCOL_ERRORS = obs_metrics.REGISTRY.counter(
     "repro_fleet_protocol_errors_total",
-    "ProtocolErrors absorbed by the per-device loop, by shard.",
+    "Typed errors (ReproError) absorbed by the per-device loop, by shard.",
     ("shard",),
 )
 
@@ -145,10 +149,6 @@ class FleetRunner:
         #: buckets (§4.4) and, as its value set, the noise protocols'
         #: domain (§4.3) — discovery is one COUNT … GROUP BY for both
         self.histogram = histogram
-        self._domain = [
-            value if isinstance(value, tuple) else (value,)
-            for value in (histogram.values() if histogram is not None else ())
-        ]
         self.fault_plan = fault_plan
         self.policy = policy if policy is not None else RetryPolicy()
         self.concurrency = concurrency
@@ -263,14 +263,16 @@ class FleetRunner:
                 except (TransportError, asyncio.TimeoutError):
                     # server briefly unreachable: back off and re-arm
                     await self._back_off()
-                except ProtocolError as exc:
-                    # e.g. a typed server error outside the handled set;
-                    # log and keep serving — one bad exchange must not
-                    # silently retire the worker for the whole run.  The
+                except ReproError as exc:
+                    # e.g. a typed server error outside the handled set,
+                    # or a query this device cannot evaluate (an unknown
+                    # column: SQLError); log and keep serving — one bad
+                    # exchange must not retire the worker.  The
                     # structured fields (tds_id, cumulative retry count,
                     # shard) make a stalled shard diagnosable from one
                     # line; str(exc) is a typed wire-error message, never
-                    # payload bytes.
+                    # payload bytes, and any other error is logged by
+                    # type alone (its message may quote the query).
                     self._c_protocol_errors.inc()
                     obs_logs.log_event(
                         logger,
@@ -279,7 +281,11 @@ class FleetRunner:
                         tds_id=tds.tds_id,
                         shard=self.shard_label,
                         retries=client.retries,
-                        error=str(exc),
+                        error=(
+                            str(exc)
+                            if isinstance(exc, ProtocolError)
+                            else type(exc).__name__
+                        ),
                     )
                     await self._back_off()
         finally:
@@ -392,11 +398,7 @@ class FleetRunner:
                 except AccessDeniedError:
                     statement = None  # collect_frames answers for the denial
                 frame_block = tds.collect_frames(
-                    envelope,
-                    meta.protocol,
-                    noise=self._noise(meta),
-                    histogram=self.histogram,
-                    statement=statement,
+                    envelope, meta, histogram=self.histogram, statement=statement
                 )
                 block = tds.seal_frames(frame_block)
                 crypto_seconds = time.perf_counter() - crypto_started
@@ -420,18 +422,6 @@ class FleetRunner:
         self._c_contributions.inc()
         self._c_tuples.inc(len(block))
         await self._close_when_complete(tds, client, envelope)
-
-    def _noise(self, meta: QueryMeta) -> NoiseStrategy | None:
-        """The fakes a noise protocol has this contribution add (§4.3);
-        without a discovered domain there are none to draw, and the TDS
-        refuses the protocol."""
-        if not self._domain:
-            return None
-        if meta.protocol == "rnf_noise":
-            return RandomNoise(self._domain, int(meta.param("nf", 2)), self._rng)
-        if meta.protocol == "c_noise":
-            return ComplementaryNoise(self._domain)
-        return None
 
     async def _process_unit(
         self,

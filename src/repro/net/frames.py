@@ -33,9 +33,11 @@ All malformed input raises :class:`~repro.exceptions.ProtocolError`.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Mapping
 
 from repro.core.messages import (  # noqa: F401 - re-exports the WORK_*/RESULT_* kinds
     RESULT_PARTIALS,
@@ -173,15 +175,119 @@ _ITEM_PARTIAL = 1
 Item = EncryptedTuple | EncryptedPartial
 
 
+# --------------------------------------------------------------------- #
+# the protocol table
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class Param:
+    """A numeric knob a protocol row declares: its default (``None``:
+    the engine's own configured value) and the range ``[low, high]`` a
+    value must lie in — ``low`` itself excluded when ``above``."""
+
+    default: float | None
+    low: float
+    high: float = math.inf
+    above: bool = False
+
+    def check(self, name: str, value: float) -> None:
+        in_range = (value > self.low if self.above else value >= self.low) and (
+            value <= self.high
+        )
+        if not (math.isfinite(value) and in_range):
+            bound = f"{'>' if self.above else '>='} {self.low:g}"
+            if math.isfinite(self.high):
+                bound += f" and <= {self.high:g}"
+            raise ProtocolError(f"param {name} must be finite and {bound}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One step of a protocol, as the SSI runs it.
+
+    ``kind`` is what a TDS does with a partition; ``by_tag`` cuts
+    partitions by cleartext group tag (else shuffled, blind chunks);
+    ``size_param`` names the row's param sizing a partition (``None``, or
+    a value of 0, leaves a tag group — or the whole input — unsplit); a
+    stage that ``repeats`` runs again on its own output until one item is
+    left."""
+
+    kind: int
+    by_tag: bool
+    size_param: str | None
+    repeats: bool = False
+
+
+@dataclass(frozen=True)
+class ProtocolRow:
+    """A protocol: its stages after collection and the params they (and
+    the devices collecting for it) read."""
+
+    stages: tuple[Stage, ...]
+    params: Mapping[str, Param]
+
+
+#: optimal S_Agg reduction factor derived in §6.1.1 (dTQ/dα = 0 → α ≈ 3.6)
+ALPHA_OPTIMAL = 3.6
+
+_PARTITION_ITEMS = 64
+#: items per partition: at least one
+_SIZE = Param(_PARTITION_ITEMS, 1)
+
+
+def _row(*stages: Stage, **params: Param) -> ProtocolRow:
+    # every row's partitions time out and are reassigned (§3.2)
+    return ProtocolRow(stages, {**params, "partition_timeout": Param(None, 0.0, above=True)})
+
+
+_FINALIZE = Stage(WORK_FINALIZE, False, "filter_partition_size")
+#: §4.3/§4.4: fold same-tag tuples to per-group partials, merge same-group
+#: partials (one partition per Det_Enc(group) tag), finalize
+_TAGGED = (
+    Stage(WORK_FOLD_PER_GROUP, True, "first_step_partition_size"),
+    Stage(WORK_FOLD_PER_GROUP, True, None),
+    _FINALIZE,
+)
+_TAGGED_PARAMS = {
+    # 0 leaves a tag group unsplit
+    "first_step_partition_size": Param(_PARTITION_ITEMS, 0),
+    "filter_partition_size": _SIZE,
+}
+
+#: protocol name → its row: the one description of a protocol, read by
+#: the SSI's coordinator, the in-process driver and the collecting device
+PROTOCOLS: dict[str, ProtocolRow] = {
+    # §3.2: no aggregation, the Covering Result is filtered in blind chunks
+    "basic": _row(
+        Stage(WORK_FILTER, False, "partition_size"),
+        partition_size=_SIZE,
+    ),
+    # §4.2: blind partitions of ~alpha items shrink the input by alpha per
+    # round until one partial holds it all; below 2 it never converges
+    "s_agg": _row(
+        Stage(WORK_FOLD, False, "alpha", repeats=True),
+        _FINALIZE,
+        alpha=Param(ALPHA_OPTIMAL, 2),
+        filter_partition_size=_SIZE,
+    ),
+    # §4.3: nf random fakes per true tuple; one tuple's fakes fit a block
+    "rnf_noise": _row(*_TAGGED, **_TAGGED_PARAMS, nf=Param(2, 0, MAX_ITEMS - 1)),
+    "c_noise": _row(*_TAGGED, **_TAGGED_PARAMS),
+    "ed_hist": _row(*_TAGGED, **_TAGGED_PARAMS),
+}
+
+#: protocols the coordinator knows how to schedule
+SUPPORTED_PROTOCOLS = tuple(PROTOCOLS)
+
+
 @dataclass(frozen=True)
 class QueryMeta:
     """Cleartext scheduling metadata riding next to an envelope.
 
     ``protocol`` names the protocol *shape* so the SSI knows how to
     partition (randomly vs. by tag) — information the paper's SSI holds
-    anyway (it executes steps 5/9).  ``params`` are numeric scheduling
-    knobs (reduction factor, partition sizes, timeouts); never query
-    content."""
+    anyway (it executes steps 5/9).  ``params`` are numeric knobs of its
+    :data:`PROTOCOLS` row (reduction factor, partition sizes, timeouts,
+    fakes per tuple); never query content."""
 
     protocol: str = ""
     params: tuple[tuple[str, float], ...] = ()
@@ -195,11 +301,33 @@ class QueryMeta:
                 tuple((str(k), float(v)) for k, v in self.params.items()),
             )
 
-    def param(self, key: str, default: float) -> float:
+    def param(self, key: str, default: float | None = None) -> float:
+        """The value of *key*: as set, else *default*, else the row's."""
         for name, value in self.params:
             if name == key:
                 return value
+        if default is None:
+            default = PROTOCOLS[self.protocol].params[key].default
+        if default is None:
+            raise ProtocolError(f"param {key} has no default: the engine supplies one")
         return default
+
+    def check(self) -> None:
+        """Refuse what no engine may run: a protocol without a row, or a
+        param the row declares set non-finite or out of its range.  An
+        empty meta (collected, never scheduled) passes."""
+        if not self.protocol:
+            return
+        row = PROTOCOLS.get(self.protocol)
+        if row is None:
+            raise ProtocolError(
+                f"no coordinator for protocol {self.protocol!r}; supported: "
+                f"{', '.join(PROTOCOLS)}"
+            )
+        for name, value in self.params:
+            declared = row.params.get(name)
+            if declared is not None:
+                declared.check(name, value)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ from repro.exceptions import (
     UnsupportedVersionError,
 )
 from repro.net import frames, ops
-from repro.net.coordinator import SUPPORTED_PROTOCOLS, QueryCoordinator
+from repro.net.coordinator import QueryCoordinator
 from repro.net.frames import QueryMeta, WorkUnit, Writer
 from repro.obs import logs as obs_logs
 from repro.obs import metrics as obs_metrics
@@ -530,10 +530,10 @@ class SSIDispatcher:
         tds_id: str | None,
         meta: QueryMeta,
     ) -> None:
-        if meta.protocol and meta.protocol not in SUPPORTED_PROTOCOLS:
-            raise ProtocolError(
-                f"no coordinator for protocol {meta.protocol!r}"
-            )
+        # The row's check first, before admission, the journal or any
+        # side effect: a refused meta answers ERR_MALFORMED and leaves
+        # the key unmarked.
+        meta.check()
         # Admission gate: after the replay check (a replayed post was
         # already admitted once) and before any side effect, so a
         # rejected post leaves its seq unapplied and the client's

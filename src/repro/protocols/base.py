@@ -12,14 +12,13 @@ the three phases of Fig. 2:
    final rows under k1 for the querier.
 
 What differs between them is data: a row of
-:data:`repro.net.coordinator.PROTOCOLS` (how the SSI cuts partitions, when
-aggregation stops) and what a device must know to encode its tuples at
-collection.  :class:`ProtocolDriver` runs all five: collectors contribute,
-then the workers serve, inline, the partitions the query's
+:data:`repro.net.frames.PROTOCOLS` (how the SSI cuts partitions, when
+aggregation stops, the params both read) from which a device derives,
+with the discovered distribution, how it encodes its tuples at
+collection.  :class:`ProtocolDriver` runs all five: collectors
+contribute, then the workers serve, inline, the partitions the query's
 :class:`~repro.net.coordinator.QueryCoordinator` hands out — the same
-coordinator the SSI dispatcher drives for a fleet over the wire.  The
-named subclasses carry their row's name, parameter validation and that
-device-side knowledge, nothing else.
+coordinator the SSI dispatcher drives for a fleet over the wire.
 
 Drivers run synchronously on a logical clock; the simulator
 (:mod:`repro.simulation`) replays their :class:`ExecutionTrace` with
@@ -50,6 +49,7 @@ from repro.net.frames import QueryMeta
 from repro.sql.parser import parse
 from repro.sql.schema import Row
 from repro.ssi.server import SupportingServerInfrastructure
+from repro.tds.histogram import EquiDepthHistogram
 from repro.tds.node import TrustedDataServer
 
 if TYPE_CHECKING:
@@ -92,14 +92,15 @@ class Querier:
 
 class ProtocolDriver:
     """The in-process engine: collectors contribute, then the workers
-    serve the partitions the query's coordinator hands out."""
+    serve the partitions the query's coordinator hands out.
 
-    #: the driver's row of :data:`repro.net.coordinator.PROTOCOLS`
-    name = "abstract"
-    #: optional :class:`~repro.protocols.verification.SpotChecker`: when
-    #: set, every single-partial fold is audited and corrected if
-    #: tampered (the §8 compromised-TDS countermeasure)
-    spot_checker: "SpotChecker | None" = None
+    *meta* is the query's row of :data:`repro.net.frames.PROTOCOLS` with
+    its params (a bare protocol name: the row's defaults), checked here
+    as the SSI checks a posted one.  *histogram* is the discovered
+    distribution every collector holds (ED_Hist's buckets; the noise
+    protocols' domain).  *spot_checker*, when set, audits every
+    single-partial fold and corrects it if tampered (the §8
+    compromised-TDS countermeasure)."""
 
     def __init__(
         self,
@@ -107,8 +108,12 @@ class ProtocolDriver:
         collectors: Sequence[TrustedDataServer],
         workers: Sequence[TrustedDataServer],
         rng: random.Random,
+        meta: QueryMeta | str,
+        *,
+        histogram: EquiDepthHistogram | None = None,
         failure_injector: FailureInjector | None = None,
         collection_interval: float = 1.0,
+        spot_checker: "SpotChecker | None" = None,
     ) -> None:
         if not collectors:
             raise ProtocolError("at least one collector TDS is required")
@@ -116,14 +121,18 @@ class ProtocolDriver:
             raise ProtocolError("at least one worker TDS is required")
         if collection_interval < 0:
             raise ProtocolError("collection_interval must be >= 0")
+        self.meta = meta if isinstance(meta, QueryMeta) else QueryMeta(meta)
+        self.meta.check()
         self.ssi = ssi
         self.collectors = list(collectors)
         self.workers = list(workers)
         self.rng = rng
+        self.histogram = histogram
         self.failure_injector = failure_injector
         #: logical seconds between consecutive collector connections; the
         #: clock a ``SIZE n SECONDS`` clause is evaluated against
         self.collection_interval = collection_interval
+        self.spot_checker = spot_checker
         #: the stage machine of the query in flight (set by :meth:`collect`)
         #: and its stats, into which the driver charges the bytes TDSs move
         self.coordinator: QueryCoordinator | None = None
@@ -131,18 +140,6 @@ class ProtocolDriver:
         #: what happened, for the timed simulator to replay
         self.trace = ExecutionTrace()
 
-    # -- what a protocol adds to its row --------------------------------- #
-    def params(self) -> dict[str, float]:
-        """Values for the :class:`QueryMeta` params the row's stages read."""
-        return {}
-
-    def device_knowledge(self) -> dict[str, Any]:
-        """What collection needs a device to know beforehand — keyword
-        arguments of :meth:`TrustedDataServer.collect_frames`, asked for
-        once per collector."""
-        return {}
-
-    # -- the engine ------------------------------------------------------ #
     def execute(self, envelope: QueryEnvelope) -> None:
         """Run the full protocol; afterwards the SSI holds the published
         result."""
@@ -170,15 +167,13 @@ class ProtocolDriver:
         with zero tuples) and the tuple-count clause immediately after
         each upload."""
         query_id = envelope.query_id
-        self.coordinator = QueryCoordinator(
-            self.ssi, query_id, QueryMeta(self.name, self.params()), rng=self.rng
-        )
+        self.coordinator = QueryCoordinator(self.ssi, query_id, self.meta, rng=self.rng)
         self.stats = self.coordinator.stats
         for index, tds in enumerate(self.collectors):
             elapsed = index * self.collection_interval
             if self.ssi.evaluate_size_clause(query_id, elapsed):
                 break
-            block = tds.collect_block(envelope, self.name, **self.device_knowledge())
+            block = tds.collect_block(envelope, self.meta, histogram=self.histogram)
             self.ssi.submit_tuple_block(query_id, block)
             self.account(
                 "collection", -1, tds.tds_id, len(envelope.encrypted_query),

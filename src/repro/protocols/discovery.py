@@ -21,7 +21,7 @@ import random
 from typing import Any
 
 from repro.protocols.deployment import Deployment
-from repro.protocols.s_agg import SAggProtocol
+from repro.protocols.base import ProtocolDriver
 from repro.tds.histogram import EquiDepthHistogram
 
 
@@ -44,11 +44,12 @@ def discover_distribution(
     sql = f"SELECT {column}, COUNT(*) AS n FROM {table} GROUP BY {column}"
     envelope = querier.make_envelope(sql)
     deployment.ssi.post_query(envelope)
-    driver = SAggProtocol(
+    driver = ProtocolDriver(
         deployment.ssi,
         collectors=deployment.tds_list,
         workers=deployment.connected_tds(worker_fraction),
         rng=random.Random(deployment.rng.getrandbits(64)),
+        meta="s_agg",
     )
     driver.execute(envelope)
     rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))

@@ -1,7 +1,7 @@
 """One-call simulated protocol execution.
 
 :func:`run_simulated` glues a :class:`~repro.protocols.deployment.Deployment`
-to a protocol driver and a connectivity schedule: it runs the protocol for
+to the protocol driver and a connectivity schedule: it runs the protocol for
 real (real crypto, real partials), then replays the execution trace on the
 simulated timeline.  The answer rows come from the actual run; the timing
 comes from the replay.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.net.frames import QueryMeta
 from repro.protocols.base import ProtocolDriver, ProtocolStats
 from repro.protocols.deployment import Deployment
 from repro.simulation.availability import ConnectivitySchedule, always_on
@@ -31,7 +32,7 @@ class SimulatedRun:
 
 def run_simulated(
     deployment: Deployment,
-    driver_cls: type[ProtocolDriver],
+    meta: QueryMeta | str,
     sql: str,
     schedule: ConnectivitySchedule | None = None,
     worker_fraction: float = 1.0,
@@ -41,15 +42,18 @@ def run_simulated(
     roles: tuple[str, ...] = ("public",),
     **driver_kwargs,
 ) -> SimulatedRun:
-    """Execute *sql* with *driver_cls* and replay it on the timeline."""
+    """Execute *sql* under *meta* (a protocol row and its params) and
+    replay it on the timeline; *driver_kwargs* go to the
+    :class:`ProtocolDriver` (``histogram=``, ``failure_injector=``, …)."""
     querier = deployment.make_querier(roles=roles)
     envelope = querier.make_envelope(sql)
     deployment.ssi.post_query(envelope)
-    driver = driver_cls(
+    driver = ProtocolDriver(
         deployment.ssi,
         collectors=deployment.tds_list,
         workers=deployment.connected_tds(worker_fraction),
         rng=random.Random(seed),
+        meta=meta,
         **driver_kwargs,
     )
     driver.execute(envelope)

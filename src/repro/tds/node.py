@@ -47,6 +47,7 @@ from repro.exceptions import (
     ProtocolError,
     ResourceExhaustedError,
 )
+from repro.net.frames import PROTOCOLS, QueryMeta
 from repro.sql.ast import SelectStatement
 from repro.sql.executor import finalize_groups, local_matching_rows, plan_of
 from repro.sql.parser import parse
@@ -55,7 +56,7 @@ from repro.sql.schema import Database, Row
 from repro.tds.access_control import AccessPolicy, Authority
 from repro.tds.device import SECURE_TOKEN, DeviceProfile
 from repro.tds.histogram import EquiDepthHistogram
-from repro.tds.noise import NoiseStrategy
+from repro.tds.noise import ComplementaryNoise, NoiseStrategy, RandomNoise
 
 #: bytes per scalar slot assumed by the RAM bound check (§4.2)
 SLOT_BYTES = 16
@@ -199,9 +200,8 @@ class TrustedDataServer:
     def collect_frames(
         self,
         envelope: QueryEnvelope,
-        protocol: str = "basic",
+        meta: QueryMeta | str,
         *,
-        noise: NoiseStrategy | None = None,
         histogram: EquiDepthHistogram | None = None,
         statement: SelectStatement | None = None,
     ) -> TupleFrameBlock:
@@ -210,20 +210,27 @@ class TrustedDataServer:
         never leave the TDS: hand it to :meth:`seal_frames` to get the
         SSI-bound :class:`EncryptedTupleBlock`.
 
-        Tags are already in their final over-the-wire form (``None``,
-        ``Det_Enc(group)`` or ``h(bucket)``) because the nDet pass does
-        not touch them.
+        *meta* names the protocol row (a bare name: its defaults) and
+        *histogram* is the discovered distribution: ED_Hist's buckets
+        (§4.4) and, as its value set, the noise protocols' domain (§4.3).
+        The device derives its encoding from those two alone, drawing
+        Rnf_Noise's fakes from its own rng.  Tags are already in their
+        final over-the-wire form (``None``, ``Det_Enc(group)`` or
+        ``h(bucket)``) because the nDet pass does not touch them.
 
         *statement*: what this TDS's own :meth:`open_query` returned for
         *envelope*, when the caller already ran it and keeps the result
         (the fleet's device loop does, for the query's first fold);
         without it the query is opened here."""
-        if protocol not in ("basic", "s_agg", "rnf_noise", "c_noise", "ed_hist"):
+        if isinstance(meta, str):
+            meta = QueryMeta(meta)
+        protocol = meta.protocol
+        if protocol not in PROTOCOLS:
             raise ProtocolError(f"unknown collection protocol {protocol!r}")
-        if protocol in ("rnf_noise", "c_noise") and noise is None:
-            raise ProtocolError("noise-based collection needs a NoiseStrategy")
-        if protocol == "ed_hist" and histogram is None:
-            raise ProtocolError("ED_Hist collection needs an EquiDepthHistogram")
+        if protocol in ("rnf_noise", "c_noise", "ed_hist") and histogram is None:
+            raise ProtocolError(
+                f"{protocol} collection needs the discovered distribution"
+            )
         try:
             statement = statement or self.open_query(envelope)
             statement.check_protocol(protocol)
@@ -243,9 +250,9 @@ class TrustedDataServer:
         contents = [TupleContent(data, plan.reduce(row)) for row in rows]
         if protocol == "s_agg":
             return TupleFrameBlock.from_frames(encode_tuple_frames(contents))
+        assert histogram is not None
         keys = [plan.group_key(row) for row in rows]
         if protocol == "ed_hist":
-            assert histogram is not None
             hasher = self._bucket_hasher()
             tag_of: dict[int, bytes] = {}  # one keyed hash per distinct bucket
             hash_tags: list[bytes | None] = []
@@ -256,16 +263,20 @@ class TrustedDataServer:
                     tag = tag_of[bucket_id] = hasher.hash_bucket(bucket_id)
                 hash_tags.append(tag)
             return TupleFrameBlock.from_frames(encode_tuple_frames(contents), hash_tags)
-        assert noise is not None
+        domain = [v if isinstance(v, tuple) else (v,) for v in histogram.values()]
+        noise: NoiseStrategy = (
+            RandomNoise(domain, int(meta.param("nf")), self._rng)
+            if protocol == "rnf_noise"
+            else ComplementaryNoise(domain)
+        )
         noisy: list[TupleContent] = []
         tag_plaintexts: list[bytes] = []
         for content, key in zip(contents, keys):
             noisy.append(content)
             tag_plaintexts.append(encode(list(key)))
             for fake_value, fake_content in noise.fake_tuples(key):
-                fake_key = fake_value if isinstance(fake_value, tuple) else (fake_value,)
                 noisy.append(fake_content)
-                tag_plaintexts.append(encode(list(fake_key)))
+                tag_plaintexts.append(encode(list(fake_value)))
         tags = self._k2_det_cipher().encrypt_many(tag_plaintexts)
         return TupleFrameBlock.from_frames(encode_tuple_frames(noisy), tags)
 
@@ -282,20 +293,21 @@ class TrustedDataServer:
     def collect_block(
         self,
         envelope: QueryEnvelope,
-        protocol: str = "basic",
+        meta: QueryMeta | str,
         *,
-        noise: NoiseStrategy | None = None,
         histogram: EquiDepthHistogram | None = None,
+        statement: SelectStatement | None = None,
     ) -> EncryptedTupleBlock:
         """One contribution (step 4) as a single columnar block: build
         the frames, then encrypt them in one packed pass.  Basic projects
         the matching rows and S_Agg reduces them, untagged, with one
         dummy for an empty answer (§3.2); the noise protocols tag each
-        tuple with Det_Enc of its group and add *noise*'s fakes (§4.3);
-        ED_Hist tags it with the keyed hash of its bucket (§4.4)."""
+        tuple with Det_Enc of its group and add fakes over the
+        distribution's domain (§4.3); ED_Hist tags it with the keyed hash
+        of its bucket (§4.4)."""
         return self.seal_frames(
             self.collect_frames(
-                envelope, protocol, noise=noise, histogram=histogram
+                envelope, meta, histogram=histogram, statement=statement
             )
         )
 

@@ -11,13 +11,8 @@ from collections import Counter
 import pytest
 
 from repro.exposure.attack import FrequencyAttacker, prior_from_rows
-from repro.protocols import (
-    CNoiseProtocol,
-    Deployment,
-    EDHistProtocol,
-    RnfNoiseProtocol,
-    SAggProtocol,
-)
+from repro.net.frames import QueryMeta
+from repro.protocols import Deployment, ProtocolDriver
 from repro.sql.schema import Database, schema
 from repro.tds.histogram import EquiDepthHistogram
 
@@ -47,18 +42,21 @@ def deployment():
 
 
 SQL = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
-DOMAIN = [(d,) for d in DISTRICT_WEIGHTS]
+#: the discovered distribution every device holds; its values are the
+#: domain the noise protocols draw fakes from
+HISTOGRAM = EquiDepthHistogram.from_distribution(DISTRICT_WEIGHTS, 2)
 
 
-def run(deployment, cls, **kwargs):
+def run(deployment, meta, **kwargs):
     querier = deployment.make_querier()
     envelope = querier.make_envelope(SQL)
     deployment.ssi.post_query(envelope)
-    driver = cls(
+    driver = ProtocolDriver(
         deployment.ssi,
         collectors=deployment.tds_list,
         workers=deployment.tds_list,
         rng=random.Random(5),
+        meta=meta,
         **kwargs,
     )
     driver.execute(envelope)
@@ -87,7 +85,7 @@ def attacker_prior(deployment):
 class TestAttackOutcomes:
     def test_no_noise_det_enc_attack_succeeds(self, deployment):
         """nf = 0: the SSI recovers the district of (almost) every tuple."""
-        query_id = run(deployment, RnfNoiseProtocol, domain=DOMAIN, nf=0)
+        query_id = run(deployment, QueryMeta("rnf_noise", {"nf": 0}), histogram=HISTOGRAM)
         attacker = FrequencyAttacker(attacker_prior(deployment))
         outcome = attacker.evaluate(
             deployment.ssi.observer, query_id, ground_truth_tags(deployment, query_id)
@@ -98,7 +96,7 @@ class TestAttackOutcomes:
 
     def test_s_agg_no_attack_surface(self, deployment):
         """S_Agg: nothing tagged, nothing to attack."""
-        query_id = run(deployment, SAggProtocol)
+        query_id = run(deployment, "s_agg")
         attacker = FrequencyAttacker(attacker_prior(deployment))
         outcome = attacker.evaluate(deployment.ssi.observer, query_id, {})
         assert outcome.attack_surface == 0
@@ -107,7 +105,7 @@ class TestAttackOutcomes:
 
     def test_c_noise_attack_degenerates_to_chance(self, deployment):
         """C_Noise: flat tag distribution → rank matching is guessing."""
-        query_id = run(deployment, CNoiseProtocol, domain=DOMAIN)
+        query_id = run(deployment, "c_noise", histogram=HISTOGRAM)
         attacker = FrequencyAttacker(attacker_prior(deployment))
         truth = ground_truth_tags(deployment, query_id)
         outcome = attacker.evaluate(deployment.ssi.observer, query_id, truth)
@@ -123,18 +121,18 @@ class TestAttackOutcomes:
         even well-defined (buckets hold several districts)."""
         freq = attacker_prior(deployment)
         hist = EquiDepthHistogram.from_distribution(freq, 2)
-        query_id = run(deployment, EDHistProtocol, histogram=hist)
+        query_id = run(deployment, "ed_hist", histogram=hist)
         frequencies = deployment.ssi.observer.tag_frequencies(query_id)
         assert len(frequencies) == 2
         counts = sorted(frequencies.values())
         assert counts[-1] <= counts[0] * 1.6  # nearly equi-depth
 
     def test_large_noise_degrades_attack(self, deployment):
-        query_id = run(deployment, RnfNoiseProtocol, domain=DOMAIN, nf=60)
+        query_id = run(deployment, QueryMeta("rnf_noise", {"nf": 60}), histogram=HISTOGRAM)
         attacker = FrequencyAttacker(attacker_prior(deployment))
         truth = ground_truth_tags(deployment, query_id)
         outcome = attacker.evaluate(deployment.ssi.observer, query_id, truth)
-        baseline_query = run(deployment, RnfNoiseProtocol, domain=DOMAIN, nf=0)
+        baseline_query = run(deployment, QueryMeta("rnf_noise", {"nf": 0}), histogram=HISTOGRAM)
         baseline = attacker.evaluate(
             deployment.ssi.observer, baseline_query, truth
         )

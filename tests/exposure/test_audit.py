@@ -4,23 +4,22 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.exposure.audit import AuditReport, audit_query
-from repro.protocols import (
-    CNoiseProtocol,
-    EDHistProtocol,
-    RnfNoiseProtocol,
-    SAggProtocol,
-    SelectWhereProtocol,
-)
+from repro.net.frames import QueryMeta
 from repro.ssi.observer import Observer
+from repro.protocols import Deployment
 from repro.tds.histogram import EquiDepthHistogram
 
-from repro.protocols import Deployment
-
-from ..protocols.conftest import DISTRICTS, run_protocol, smartmeter_factory
+from ..protocols.conftest import (
+    DISTRICTS,
+    district_histogram,
+    run_protocol,
+    smartmeter_factory,
+)
 
 
 GROUP_SQL = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
 DOMAIN = [(d,) for d in DISTRICTS]
+HISTOGRAM = district_histogram()
 
 
 @pytest.fixture
@@ -36,20 +35,20 @@ def query_id_of(deployment):
 
 class TestCleanRuns:
     def test_s_agg_audit_clean(self, deployment):
-        run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        run_protocol(deployment, "s_agg", GROUP_SQL)
         report = audit_query(deployment.ssi.observer, query_id_of(deployment), "s_agg")
         assert report.ok(), report.findings
 
     def test_basic_audit_clean(self, deployment):
         run_protocol(
-            deployment, SelectWhereProtocol,
+            deployment, "basic",
             "SELECT district FROM Consumer WHERE cid < 5",
         )
         report = audit_query(deployment.ssi.observer, query_id_of(deployment), "basic")
         assert report.ok(), report.findings
 
     def test_c_noise_audit_clean(self, deployment):
-        run_protocol(deployment, CNoiseProtocol, GROUP_SQL, domain=DOMAIN)
+        run_protocol(deployment, "c_noise", GROUP_SQL, histogram=HISTOGRAM)
         report = audit_query(
             deployment.ssi.observer, query_id_of(deployment), "c_noise",
             max_distinct_tags=len(DOMAIN),
@@ -58,7 +57,7 @@ class TestCleanRuns:
 
     def test_ed_hist_audit_clean(self, deployment):
         hist = EquiDepthHistogram.from_distribution({d: 4 for d in DISTRICTS}, 2)
-        run_protocol(deployment, EDHistProtocol, GROUP_SQL, histogram=hist)
+        run_protocol(deployment, "ed_hist", GROUP_SQL, histogram=hist)
         report = audit_query(
             deployment.ssi.observer, query_id_of(deployment), "ed_hist",
             max_distinct_tags=2,
@@ -66,7 +65,7 @@ class TestCleanRuns:
         assert report.ok(), report.findings
 
     def test_rnf_audit_clean_without_flatness(self, deployment):
-        run_protocol(deployment, RnfNoiseProtocol, GROUP_SQL, domain=DOMAIN, nf=1)
+        run_protocol(deployment, QueryMeta("rnf_noise", {"nf": 1}), GROUP_SQL, histogram=HISTOGRAM)
         report = audit_query(
             deployment.ssi.observer, query_id_of(deployment), "rnf_noise",
             max_distinct_tags=len(DOMAIN),
@@ -78,7 +77,7 @@ class TestViolationsDetected:
     def test_tags_on_tagfree_protocol_flagged(self, deployment):
         """Run a tagged protocol but audit it against the S_Agg contract:
         the observed tags must be flagged."""
-        run_protocol(deployment, CNoiseProtocol, GROUP_SQL, domain=DOMAIN)
+        run_protocol(deployment, "c_noise", GROUP_SQL, histogram=HISTOGRAM)
         report = audit_query(deployment.ssi.observer, query_id_of(deployment), "s_agg")
         assert not report.ok()
         assert any(f.check == "no-tags" for f in report.findings)

@@ -11,7 +11,7 @@ from repro.exposure.compromise import (
     dilution_curve,
     expected_leak_fraction,
 )
-from repro.protocols import Deployment, SAggProtocol, SelectWhereProtocol
+from repro.protocols import Deployment
 from repro.protocols.verification import SpotChecker, verify_partition
 from repro.workloads import smart_meter_factory
 
@@ -54,20 +54,20 @@ class TestExpectedLeak:
 
 class TestTraceLeakage:
     def test_no_compromise_is_clean(self, deployment):
-        __, driver = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
         report = analyze_trace_leakage(driver.trace, [])
         assert report.is_clean()
         assert report.raw_fraction == 0.0
 
     def test_all_workers_compromised_leaks_everything(self, deployment):
-        __, driver = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
         workers = {e.tds_id for e in driver.trace.events_in("aggregation")}
         report = analyze_trace_leakage(driver.trace, workers | {"extra"})
         assert report.raw_fraction == 1.0
         assert report.aggregate_fraction == 1.0
 
     def test_partial_compromise_partial_leak(self, deployment):
-        __, driver = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
         workers = sorted({e.tds_id for e in driver.trace.events_in("aggregation", 0)})
         half = workers[: len(workers) // 2]
         report = analyze_trace_leakage(driver.trace, half)
@@ -78,7 +78,7 @@ class TestTraceLeakage:
 
     def test_sagg_raw_exposure_confined_to_round_zero(self, deployment):
         """Rounds ≥ 1 of S_Agg carry only partial aggregations."""
-        __, driver = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
         later_rounds = [r for r in driver.trace.rounds("aggregation") if r != 0]
         assert later_rounds  # the iteration really happened
         round0_workers = {e.tds_id for e in driver.trace.events_in("aggregation", 0)}
@@ -94,7 +94,7 @@ class TestTraceLeakage:
 
     def test_basic_protocol_filtering_counts_as_raw(self, deployment):
         sql = "SELECT district FROM Consumer WHERE cid < 8"
-        __, driver = run_protocol(deployment, SelectWhereProtocol, sql)
+        __, driver = run_protocol(deployment, "basic", sql)
         workers = {e.tds_id for e in driver.trace.events_in("filtering")}
         report = analyze_trace_leakage(driver.trace, workers)
         assert report.raw_fraction == 1.0

@@ -3,13 +3,8 @@ the full protocol stack."""
 
 import pytest
 
-from repro.protocols import (
-    CNoiseProtocol,
-    EDHistProtocol,
-    RnfNoiseProtocol,
-    SAggProtocol,
-    Deployment,
-)
+from repro.net.frames import QueryMeta
+from repro.protocols import Deployment
 from repro.sql.schema import Database, schema
 from repro.tds.histogram import EquiDepthHistogram
 
@@ -65,42 +60,45 @@ def null_deployment():
 
 
 COMPOSITE_DOMAIN = [(d, t) for d in DISTRICTS for t in TYPES]
+#: the discovered distribution over composite keys: ED_Hist's buckets,
+#: and as its value set the noise protocols' domain
+COMPOSITE_HISTOGRAM = EquiDepthHistogram.from_distribution(
+    {key: 4 for key in COMPOSITE_DOMAIN}, 2
+)
 
 
 class TestCompositeGroups:
     def test_s_agg(self, composite_deployment):
-        rows, __ = run_protocol(composite_deployment, SAggProtocol, COMPOSITE_SQL)
+        rows, __ = run_protocol(composite_deployment, "s_agg", COMPOSITE_SQL)
         assert rows == sorted_rows(composite_deployment.reference_answer(COMPOSITE_SQL))
 
     def test_rnf_noise_with_tuple_domain(self, composite_deployment):
         rows, __ = run_protocol(
-            composite_deployment, RnfNoiseProtocol, COMPOSITE_SQL,
-            domain=COMPOSITE_DOMAIN, nf=2,
+            composite_deployment, QueryMeta("rnf_noise", {"nf": 2}), COMPOSITE_SQL,
+            histogram=COMPOSITE_HISTOGRAM,
         )
         assert rows == sorted_rows(composite_deployment.reference_answer(COMPOSITE_SQL))
 
     def test_c_noise_with_tuple_domain(self, composite_deployment):
         rows, driver = run_protocol(
-            composite_deployment, CNoiseProtocol, COMPOSITE_SQL,
-            domain=COMPOSITE_DOMAIN,
+            composite_deployment, "c_noise", COMPOSITE_SQL,
+            histogram=COMPOSITE_HISTOGRAM,
         )
         assert rows == sorted_rows(composite_deployment.reference_answer(COMPOSITE_SQL))
         # each TDS emits |domain| tuples: a perfectly flat composite cover
         assert driver.stats.tuples_collected == 16 * len(COMPOSITE_DOMAIN)
 
     def test_ed_hist_with_composite_buckets(self, composite_deployment):
-        frequencies = {key: 4 for key in COMPOSITE_DOMAIN}
-        histogram = EquiDepthHistogram.from_distribution(frequencies, 2)
         rows, __ = run_protocol(
-            composite_deployment, EDHistProtocol, COMPOSITE_SQL,
-            histogram=histogram,
+            composite_deployment, "ed_hist", COMPOSITE_SQL,
+            histogram=COMPOSITE_HISTOGRAM,
         )
         assert rows == sorted_rows(composite_deployment.reference_answer(COMPOSITE_SQL))
 
     def test_composite_tags_flat_under_c_noise(self, composite_deployment):
         run_protocol(
-            composite_deployment, CNoiseProtocol, COMPOSITE_SQL,
-            domain=COMPOSITE_DOMAIN,
+            composite_deployment, "c_noise", COMPOSITE_SQL,
+            histogram=COMPOSITE_HISTOGRAM,
         )
         query_id = next(iter(composite_deployment.ssi._storage))
         counts = composite_deployment.ssi.observer.tag_frequencies(query_id)
@@ -116,13 +114,16 @@ class TestNullGroupingValues:
         assert any(row["district"] is None for row in rows)
 
     def test_s_agg_handles_null_group(self, null_deployment):
-        rows, __ = run_protocol(null_deployment, SAggProtocol, self.SQL)
+        rows, __ = run_protocol(null_deployment, "s_agg", self.SQL)
         assert rows == sorted_rows(null_deployment.reference_answer(self.SQL))
 
     def test_noise_handles_null_group(self, null_deployment):
-        domain = [("north",), ("south",), (None,)]
+        histogram = EquiDepthHistogram.from_distribution(
+            {"north": 4, "south": 4, None: 4}, 2
+        )
         rows, __ = run_protocol(
-            null_deployment, RnfNoiseProtocol, self.SQL, domain=domain, nf=1
+            null_deployment, QueryMeta("rnf_noise", {"nf": 1}), self.SQL,
+            histogram=histogram,
         )
         assert rows == sorted_rows(null_deployment.reference_answer(self.SQL))
 
@@ -131,6 +132,6 @@ class TestNullGroupingValues:
             {"north": 4, "south": 4, None: 4}, 2
         )
         rows, __ = run_protocol(
-            null_deployment, EDHistProtocol, self.SQL, histogram=histogram
+            null_deployment, "ed_hist", self.SQL, histogram=histogram
         )
         assert rows == sorted_rows(null_deployment.reference_answer(self.SQL))

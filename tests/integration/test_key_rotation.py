@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.exceptions import DecryptionError
-from repro.protocols import Deployment, SAggProtocol
+from repro.protocols import Deployment, ProtocolDriver
 from repro.workloads import smart_meter_factory
 
 from ..protocols.conftest import run_protocol, sorted_rows
@@ -27,13 +27,13 @@ class TestRotation:
         """Rotating k2 (footnote 7: keys 'may change over time') must not
         break subsequent queries: every TDS picks up the new version."""
         deployment.provisioner.rotate_k2()
-        rows, __ = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        rows, __ = run_protocol(deployment, "s_agg", GROUP_SQL)
         assert rows == sorted_rows(deployment.reference_answer(GROUP_SQL))
 
     def test_multiple_rotations(self, deployment):
         for __ in range(3):
             deployment.provisioner.rotate_k2()
-        rows, __ = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        rows, __ = run_protocol(deployment, "s_agg", GROUP_SQL)
         assert rows == sorted_rows(deployment.reference_answer(GROUP_SQL))
 
     def test_old_ciphertexts_unreadable_under_new_key(self, deployment):
@@ -65,9 +65,9 @@ class TestRotation:
         querier = deployment.make_querier()
         envelope = querier.make_envelope(GROUP_SQL)
         deployment.ssi.post_query(envelope)
-        driver = SAggProtocol(
+        driver = ProtocolDriver(
             deployment.ssi, deployment.tds_list, deployment.tds_list,
-            random.Random(0),
+            random.Random(0), "s_agg",
         )
         driver.collect(envelope)
         deployment.provisioner.rotate_k2()

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core.messages import Partition
-from repro.protocols import Deployment, SAggProtocol, SpotChecker
+from repro.protocols import Deployment, ProtocolDriver, SpotChecker
 from repro.tds.node import TrustedDataServer
 from repro.workloads import smart_meter_factory
 
@@ -59,11 +59,12 @@ class TestMaliciousWorker:
         querier = deployment.make_querier()
         envelope = querier.make_envelope(GROUP_SQL)
         deployment.ssi.post_query(envelope)
-        driver = SAggProtocol(
+        driver = ProtocolDriver(
             deployment.ssi,
             collectors=deployment.tds_list,
             workers=[deployment.tds_list[0]],  # the tamperer does all work
             rng=random.Random(3),
+            meta="s_agg",
         )
         driver.execute(envelope)
         rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))
@@ -82,12 +83,13 @@ class TestMaliciousWorker:
         querier = deployment.make_querier()
         envelope = querier.make_envelope(GROUP_SQL)
         deployment.ssi.post_query(envelope)
-        driver = SAggProtocol(
+        driver = ProtocolDriver(
             deployment.ssi,
             collectors=deployment.tds_list,
             workers=[evil, deployment.tds_list[1]],
             rng=random.Random(3),
             spot_checker=checker,
+            meta="s_agg",
         )
         driver.execute(envelope)
         rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))
@@ -104,12 +106,13 @@ class TestMaliciousWorker:
         querier = deployment.make_querier()
         envelope = querier.make_envelope(GROUP_SQL)
         deployment.ssi.post_query(envelope)
-        driver = SAggProtocol(
+        driver = ProtocolDriver(
             deployment.ssi,
             collectors=deployment.tds_list,
             workers=deployment.tds_list[:4],
             rng=random.Random(3),
             spot_checker=checker,
+            meta="s_agg",
         )
         driver.execute(envelope)
         rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))

@@ -4,12 +4,9 @@ import random
 
 import pytest
 
-from repro.protocols import (
-    Deployment,
-    RnfNoiseProtocol,
-    SAggProtocol,
-    SelectWhereProtocol,
-)
+from repro.net.frames import QueryMeta
+from repro.protocols import Deployment, ProtocolDriver
+from repro.tds.histogram import EquiDepthHistogram
 from repro.workloads import smart_meter_factory
 
 from ..protocols.conftest import sorted_rows
@@ -37,13 +34,13 @@ class TestConcurrentQueries:
         deployment.ssi.post_query(env_a)
         deployment.ssi.post_query(env_b)
 
-        driver_a = SAggProtocol(
+        driver_a = ProtocolDriver(
             deployment.ssi, deployment.tds_list, deployment.tds_list,
-            random.Random(0),
+            random.Random(0), "s_agg",
         )
-        driver_b = SelectWhereProtocol(
+        driver_b = ProtocolDriver(
             deployment.ssi, deployment.tds_list, deployment.tds_list,
-            random.Random(1),
+            random.Random(1), "basic",
         )
         # interleave: collect for both, then finish both
         driver_a.collect(env_a)
@@ -63,9 +60,9 @@ class TestConcurrentQueries:
         deployment.ssi.post_query(env1)
         deployment.ssi.post_query(env2)
         for env, seed in ((env1, 3), (env2, 4)):
-            SAggProtocol(
+            ProtocolDriver(
                 deployment.ssi, deployment.tds_list, deployment.tds_list,
-                random.Random(seed),
+                random.Random(seed), "s_agg",
             ).execute(env)
         rows1 = querier.decrypt_result(deployment.ssi.fetch_result(env1.query_id))
         rows2 = querier.decrypt_result(deployment.ssi.fetch_result(env2.query_id))
@@ -74,16 +71,15 @@ class TestConcurrentQueries:
     def test_different_protocols_same_answer(self, deployment):
         querier = deployment.make_querier()
         reference = sorted_rows(deployment.reference_answer(GROUP_SQL))
-        domain = [(f"district-{i:03d}",) for i in range(3)]
-        for cls, kwargs, seed in [
-            (SAggProtocol, {}, 5),
-            (RnfNoiseProtocol, {"domain": domain, "nf": 2}, 6),
-        ]:
+        histogram = EquiDepthHistogram.from_distribution(
+            {f"district-{i:03d}": 1 for i in range(3)}, 1
+        )
+        for meta, seed in [("s_agg", 5), (QueryMeta("rnf_noise", {"nf": 2}), 6)]:
             env = querier.make_envelope(GROUP_SQL)
             deployment.ssi.post_query(env)
-            cls(
+            ProtocolDriver(
                 deployment.ssi, deployment.tds_list, deployment.tds_list,
-                random.Random(seed), **kwargs,
+                random.Random(seed), meta, histogram=histogram,
             ).execute(env)
             rows = querier.decrypt_result(deployment.ssi.fetch_result(env.query_id))
             assert sorted_rows(rows) == reference
@@ -106,11 +102,12 @@ class TestPersonalQuerybox:
         fetched = deployment.ssi.personal_querybox.fetch(target.tds_id)
         assert [e.query_id for e in fetched] == [envelope.query_id]
 
-        driver = SelectWhereProtocol(
+        driver = ProtocolDriver(
             deployment.ssi,
             collectors=[target],
             workers=[deployment.tds_list[0]],
             rng=random.Random(7),
+            meta="basic",
         )
         driver.execute(envelope)
         rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))

@@ -6,13 +6,8 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.protocols import (
-    CNoiseProtocol,
-    Deployment,
-    EDHistProtocol,
-    RnfNoiseProtocol,
-    SAggProtocol,
-)
+from repro.net.frames import QueryMeta
+from repro.protocols import Deployment, ProtocolDriver
 from repro.sql.schema import Database, schema
 from repro.tds.histogram import EquiDepthHistogram
 
@@ -65,9 +60,9 @@ def test_sagg_equals_reference(values, aggregate, rnd):
     querier = deployment.make_querier()
     envelope = querier.make_envelope(sql)
     deployment.ssi.post_query(envelope)
-    SAggProtocol(
+    ProtocolDriver(
         deployment.ssi, deployment.tds_list, deployment.tds_list,
-        random.Random(rnd.randint(0, 1 << 30)),
+        random.Random(rnd.randint(0, 1 << 30)), "s_agg",
     ).execute(envelope)
     rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))
     assert approx_rows(rows) == approx_rows(deployment.reference_answer(sql))
@@ -81,18 +76,16 @@ def test_sagg_equals_reference(values, aggregate, rnd):
 )
 def test_noise_protocols_equal_reference(values, nf):
     sql = "SELECT g, SUM(x) AS s, COUNT(*) AS n FROM T GROUP BY g"
-    domain = [("a",), ("b",), ("c",)]
-    for cls, kwargs in [
-        (RnfNoiseProtocol, {"domain": domain, "nf": nf}),
-        (CNoiseProtocol, {"domain": domain}),
-    ]:
+    # the discovered distribution: its values are the noise domain
+    histogram = EquiDepthHistogram.from_distribution({"a": 1, "b": 1, "c": 1}, 1)
+    for meta in [QueryMeta("rnf_noise", {"nf": nf}), QueryMeta("c_noise")]:
         deployment = build_deployment(values, seed=9)
         querier = deployment.make_querier()
         envelope = querier.make_envelope(sql)
         deployment.ssi.post_query(envelope)
-        cls(
+        ProtocolDriver(
             deployment.ssi, deployment.tds_list, deployment.tds_list,
-            random.Random(11), **kwargs,
+            random.Random(11), meta, histogram=histogram,
         ).execute(envelope)
         rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))
         assert approx_rows(rows) == approx_rows(deployment.reference_answer(sql))
@@ -114,9 +107,9 @@ def test_ed_hist_equals_reference(values, num_buckets):
     querier = deployment.make_querier()
     envelope = querier.make_envelope(sql)
     deployment.ssi.post_query(envelope)
-    EDHistProtocol(
+    ProtocolDriver(
         deployment.ssi, deployment.tds_list, deployment.tds_list,
-        random.Random(13), histogram=histogram,
+        random.Random(13), "ed_hist", histogram=histogram,
     ).execute(envelope)
     rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))
     assert approx_rows(rows) == approx_rows(deployment.reference_answer(sql))

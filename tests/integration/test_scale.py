@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.protocols import Deployment, EDHistProtocol, SAggProtocol
+from repro.protocols import Deployment, ProtocolDriver
 from repro.tds.histogram import EquiDepthHistogram
 from repro.workloads import smart_meter_factory
 
@@ -29,11 +29,11 @@ def test_s_agg_at_scale(big_deployment):
     querier = big_deployment.make_querier()
     envelope = querier.make_envelope(GROUP_SQL)
     big_deployment.ssi.post_query(envelope)
-    driver = SAggProtocol(
+    driver = ProtocolDriver(
         big_deployment.ssi,
         big_deployment.tds_list,
         big_deployment.connected_tds(0.2),
-        random.Random(1),
+        random.Random(1), "s_agg",
     )
     driver.execute(envelope)
     rows = querier.decrypt_result(
@@ -56,12 +56,13 @@ def test_ed_hist_at_scale(big_deployment):
     querier = big_deployment.make_querier()
     envelope = querier.make_envelope(GROUP_SQL)
     big_deployment.ssi.post_query(envelope)
-    driver = EDHistProtocol(
+    driver = ProtocolDriver(
         big_deployment.ssi,
         big_deployment.tds_list,
         big_deployment.connected_tds(0.2),
         random.Random(2),
         histogram=histogram,
+        meta="ed_hist",
     )
     driver.execute(envelope)
     rows = querier.decrypt_result(
@@ -78,13 +79,12 @@ def test_size_clause_at_scale(big_deployment):
     querier = big_deployment.make_querier()
     envelope = querier.make_envelope(sql)
     big_deployment.ssi.post_query(envelope)
-    from repro.protocols import SelectWhereProtocol
 
-    driver = SelectWhereProtocol(
+    driver = ProtocolDriver(
         big_deployment.ssi,
         big_deployment.tds_list,
         big_deployment.connected_tds(0.2),
-        random.Random(3),
+        random.Random(3), "basic",
     )
     driver.execute(envelope)
     rows = querier.decrypt_result(

@@ -11,11 +11,14 @@ from pathlib import Path
 
 import pytest
 
+import repro.protocols as repro_protocols
 from repro.crypto import modes
 from repro.crypto.aes import AES128, CipherEngine
 from repro.crypto.det import DeterministicCipher
 from repro.crypto.ndet import NonDeterministicCipher
 from repro.crypto.reference import ReferenceAES128
+from repro.protocols import ProtocolDriver
+from repro.tds import noise as tds_noise
 from tools.privacy_lint import Manifest, lint_source
 from tools.privacy_lint.baseline import Baseline
 from tools.privacy_lint.cli import main as lint_main
@@ -92,6 +95,40 @@ def test_tds_side_packages_never_serialise_out_of_the_process():
                     if name.split(".")[0] in banned
                 ]
     assert offenders == []
+
+
+def test_only_the_device_builds_noise():
+    # A device derives its collection encoding from the meta and the
+    # discovered distribution alone: no driver or fleet hands it fakes.
+    noise_classes = {
+        name
+        for name, value in vars(tds_noise).items()
+        if isinstance(value, type) and issubclass(value, tds_noise.NoiseStrategy)
+    }
+    tds_package = REPO_ROOT / "src" / "repro" / "tds"
+    offenders = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        if tds_package in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in noise_classes:
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}: {name}")
+    assert offenders == []
+
+
+def test_protocols_export_no_per_protocol_driver_class():
+    # A protocol is its row: one driver runs every row.
+    exported = {name: getattr(repro_protocols, name) for name in repro_protocols.__all__}
+    drivers = {
+        name
+        for name, value in exported.items()
+        if isinstance(value, type) and issubclass(value, ProtocolDriver)
+    }
+    assert drivers == {"ProtocolDriver"}
 
 
 def _public_callables(namespace) -> set[str]:
@@ -187,23 +224,24 @@ def test_injected_tds_import_in_ssi_server_trips_pl001():
 
 
 def test_injected_raw_transfer_trips_pl004():
-    source = _real_source("src/repro/protocols/s_agg.py") + (
+    source = _real_source("src/repro/protocols/base.py") + (
         "\n\ndef leak(driver, envelope):\n"
         "    driver.ssi.submit_tuples(envelope.query_id, [])\n"
     )
     findings = lint_source(
-        "src/repro/protocols/s_agg.py", source, production_manifest()
+        "src/repro/protocols/base.py", source, production_manifest()
     )
     assert "PL004" in {f.rule for f in findings}
 
 
 def test_injected_det_enc_in_s_agg_trips_pl003():
-    source = _real_source("src/repro/protocols/s_agg.py") + (
+    # the driver module every row (s_agg among them) runs through
+    source = _real_source("src/repro/protocols/base.py") + (
         "\nfrom repro.crypto.det import DeterministicCipher\n"
         "_tagger = DeterministicCipher(bytes(16))\n"
     )
     findings = lint_source(
-        "src/repro/protocols/s_agg.py", source, production_manifest()
+        "src/repro/protocols/base.py", source, production_manifest()
     )
     assert {f.rule for f in findings} >= {"PL003"}
 

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.obs import metrics as obs_metrics
-from repro.protocols import Deployment
+from repro.protocols import Deployment, ProtocolDriver
 from repro.sql.schema import Database, schema
 from repro.tds.histogram import EquiDepthHistogram
 
@@ -64,18 +64,19 @@ def sorted_rows(rows):
     return sorted(rows, key=lambda r: str(sorted(r.items())))
 
 
-def run_driver_inproc(driver_cls, sql, num_tds=8, seed=42, **kwargs):
-    """Reference execution: the unmodified driver against the in-process
-    SSI, returning the decrypted sorted rows."""
+def run_driver_inproc(meta, sql, num_tds=8, seed=42, **kwargs):
+    """Reference execution: the in-process driver for *meta* against the
+    in-process SSI, returning the decrypted sorted rows."""
     dep = build_deployment(num_tds, seed)
     querier = dep.make_querier()
     envelope = querier.make_envelope(sql)
     dep.ssi.post_query(envelope)
-    driver = driver_cls(
+    driver = ProtocolDriver(
         dep.ssi,
         collectors=dep.tds_list,
         workers=dep.tds_list,
         rng=random.Random(7),
+        meta=meta,
         **kwargs,
     )
     driver.execute(envelope)

@@ -19,7 +19,6 @@ from repro.net.fleet import FleetRunner
 from repro.net.frames import QueryMeta, Reader, Writer
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import LoopbackTransport, TCPTransport
-from repro.protocols import SAggProtocol
 
 from .conftest import (
     GROUP_SQL,
@@ -555,4 +554,4 @@ class TestBatchedFleetParity:
                 await server.close()
 
         rows = run_async(run())
-        assert rows == run_driver_inproc(SAggProtocol, GROUP_SQL, num_tds=6)
+        assert rows == run_driver_inproc("s_agg", GROUP_SQL, num_tds=6)

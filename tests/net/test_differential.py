@@ -1,8 +1,9 @@
 """One protocol table, one stage machine: five rows × every way of
 driving the coordinator give one answer.
 
-For each row of :data:`repro.net.coordinator.PROTOCOLS` and the seeded
-integer-valued deployment of ``conftest.py``, the query runs
+For each row of :data:`repro.net.frames.PROTOCOLS` and the seeded
+integer-valued deployment of ``conftest.py``, the query runs under one
+:class:`QueryMeta` and one discovered distribution
 
 * through the in-process driver,
 * through a fleet over loopback transports,
@@ -27,12 +28,11 @@ from repro.core.messages import EncryptedTuple
 from repro.exceptions import QueryAbortedError
 from repro.exposure import audit
 from repro.net.client import QuerierClient, RetryPolicy
-from repro.net.coordinator import PROTOCOLS
 from repro.net.fleet import FaultPlan, FleetRunner
-from repro.net.frames import QueryMeta
+from repro.net.frames import PROTOCOLS, QueryMeta
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import LoopbackTransport, TCPTransport
-from repro.protocols import DRIVERS
+from repro.protocols import ProtocolDriver
 from repro.simulation.failures import failure_budget
 
 from .conftest import AVG_SQL, build_deployment, make_histogram, run_async, sorted_rows
@@ -48,16 +48,9 @@ def sql_for(protocol):
     return BASIC_SQL if protocol == "basic" else AVG_SQL
 
 
-def driver_knowledge(protocol, dep):
-    """What the in-process driver is constructed with: the same
-    discovered distribution the fleet holds as ``histogram=``."""
-    histogram = make_histogram(dep)
-    domain = [(value,) for value in histogram.values()]
-    return {
-        "rnf_noise": {"domain": domain, "nf": 2},
-        "c_noise": {"domain": domain},
-        "ed_hist": {"histogram": histogram},
-    }.get(protocol, {})
+def meta_of(protocol, partition_timeout=0.3):
+    """The one meta both engines run a row under."""
+    return QueryMeta(protocol, {"partition_timeout": partition_timeout})
 
 
 @dataclass
@@ -101,40 +94,34 @@ def outcome(dep, querier, query_id, protocol, stats, result):
     )
 
 
-def sizes(collection):
-    return Counter(size for size, _tag in collection.elements())
-
-
-def run_driver(protocol, sql, *, failure_injector=None):
+def run_driver(meta, sql, *, failure_injector=None):
     """The in-process engine, against the local SSI."""
     dep = build_deployment()
     querier = dep.make_querier()
     envelope = querier.make_envelope(sql)
     dep.ssi.post_query(envelope)
-    driver = DRIVERS[protocol](
+    driver = ProtocolDriver(
         dep.ssi,
         collectors=dep.tds_list,
         workers=dep.tds_list,
         rng=random.Random(7),
+        meta=meta,
+        histogram=make_histogram(dep),
         failure_injector=failure_injector,
-        **driver_knowledge(protocol, dep),
     )
     driver.execute(envelope)
     assert driver.stats is driver.coordinator.stats
     assert driver.stats.bytes_processed == driver.trace.total_bytes()
     result = dep.ssi.fetch_result(envelope.query_id)
-    return outcome(dep, querier, envelope.query_id, protocol, driver.stats, result)
+    return outcome(dep, querier, envelope.query_id, meta.protocol, driver.stats, result)
 
 
-async def run_fleet(
-    protocol, sql, *, dep=None, transport=TCPTransport, partition_timeout=0.3,
-    **fleet_kwargs,
-):
+async def run_fleet(meta, sql, *, dep=None, transport=TCPTransport, **fleet_kwargs):
     """serve + fleet + query; the dispatcher drives the coordinator.
     *transport*: the fleet's transport class (a TCPTransport, or
     LoopbackTransport for no sockets at all)."""
     dep = dep if dep is not None else build_deployment()
-    dispatcher = SSIDispatcher(dep.ssi, partition_timeout=partition_timeout)
+    dispatcher = SSIDispatcher(dep.ssi)
     server = SSIServer(dispatcher)
     over_tcp = issubclass(transport, TCPTransport)
     if over_tcp:
@@ -162,13 +149,12 @@ async def run_fleet(
             connect(TCPTransport if over_tcp else LoopbackTransport)
         )
         try:
-            meta = QueryMeta(protocol, {"partition_timeout": partition_timeout})
             await client.post_query(envelope, meta=meta)
             result = await client.wait_result(envelope.query_id, timeout=30.0)
         finally:
             await client.close()
         stats = dispatcher.coordinators[envelope.query_id].stats
-        return outcome(dep, querier, envelope.query_id, protocol, stats, result)
+        return outcome(dep, querier, envelope.query_id, meta.protocol, stats, result)
     finally:
         fleet.stop()
         await fleet_task
@@ -180,7 +166,14 @@ async def run_fleet(
 # --------------------------------------------------------------------- #
 class TestOneTable:
     def test_every_row_has_a_driver_and_an_audit_contract(self):
-        assert set(PROTOCOLS) == set(DRIVERS) == set(audit._CONTRACTS)
+        """One driver runs every row, with the row's defaults."""
+        dep = build_deployment()
+        for name in PROTOCOLS:
+            driver = ProtocolDriver(
+                dep.ssi, dep.tds_list, dep.tds_list, random.Random(0), name
+            )
+            assert driver.meta == QueryMeta(name)
+        assert set(PROTOCOLS) == set(audit._CONTRACTS)
 
     def test_every_cli_protocol_choice_is_a_row(self):
         subcommands = next(
@@ -194,7 +187,7 @@ class TestOneTable:
         }
         assert set(offered) == {"demo", "query", "multiquery"}
         for choices in offered.values():
-            assert set(choices) == set(PROTOCOLS)
+            assert set(PROTOCOLS) == set(audit._CONTRACTS) == set(choices)
 
 
 # --------------------------------------------------------------------- #
@@ -204,13 +197,14 @@ class TestOneTable:
 class TestEveryModeAgrees:
     def test_same_answer_same_counters_same_ssi_view(self, protocol):
         sql = sql_for(protocol)
-        inproc = run_driver(protocol, sql)
+        meta = meta_of(protocol)
+        inproc = run_driver(meta, sql)
         assert inproc.rows == sorted_rows(build_deployment().reference_answer(sql))
         assert inproc.rows and inproc.findings == ()
         others = {}
         for transport, batch_size in FLEET_MODES:
             others[f"{transport.__name__} fleet, batch {batch_size}"] = run_async(
-                run_fleet(protocol, sql, transport=transport, batch_size=batch_size)
+                run_fleet(meta, sql, transport=transport, batch_size=batch_size)
             )
         for mode, other in others.items():
             assert other.rows == inproc.rows, mode
@@ -218,21 +212,19 @@ class TestEveryModeAgrees:
             assert other.reassigned == 0, mode
             assert other.records_per_phase == inproc.records_per_phase, mode
             assert other.findings == (), mode
-            if protocol == "rnf_noise":
-                # which values the fakes take is each run's own draw:
-                # the sizes and the number of records agree, not the tags
-                assert sizes(other.collection) == sizes(inproc.collection), mode
-            else:
-                assert other.collection == inproc.collection, mode
+            # every device derives its fakes from its own seeded rng, in
+            # either engine: the tags agree too, not just the sizes
+            assert other.collection == inproc.collection, mode
 
     def test_empty_collection_publishes_an_empty_result(self, protocol):
         sql = sql_for(protocol) + " SIZE 0 SECONDS"
+        meta = meta_of(protocol)
         outcomes = {
-            "in process": run_driver(protocol, sql),
+            "in process": run_driver(meta, sql),
             "loopback fleet": run_async(
-                run_fleet(protocol, sql, transport=LoopbackTransport)
+                run_fleet(meta, sql, transport=LoopbackTransport)
             ),
-            "tcp fleet": run_async(run_fleet(protocol, sql)),
+            "tcp fleet": run_async(run_fleet(meta, sql)),
         }
         for mode, got in outcomes.items():
             assert got.rows == [], mode
@@ -244,21 +236,22 @@ class TestEveryModeAgrees:
         connection to the served one.  Either way the coordinator's own
         expiry re-issues them and the answer is exact."""
         sql = sql_for(protocol)
+        meta = meta_of(protocol)
         reference = sorted_rows(build_deployment().reference_answer(sql))
-        inproc = run_driver(protocol, sql, failure_injector=failure_budget(2))
+        inproc = run_driver(meta, sql, failure_injector=failure_budget(2))
         wire = run_async(
-            run_fleet(protocol, sql, fault_plan=FaultPlan(failure_budget(2)))
+            run_fleet(meta, sql, fault_plan=FaultPlan(failure_budget(2)))
         )
         for got in (inproc, wire):
             assert got.rows == reference
             assert got.reassigned >= 1
         # nothing is lost or done twice: the counters of a clean run
-        assert inproc.counters == wire.counters == run_driver(protocol, sql).counters
+        assert inproc.counters == wire.counters == run_driver(meta, sql).counters
 
     def test_all_workers_failing_aborts_in_process(self, protocol):
         with pytest.raises(QueryAbortedError):
             run_driver(
-                protocol, sql_for(protocol), failure_injector=lambda *_: True
+                meta_of(protocol), sql_for(protocol), failure_injector=lambda *_: True
             )
 
 
@@ -276,7 +269,9 @@ class TestPartitionsTravelAsBlocks:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(EncryptedTuple, "__init__", counting_init)
-        got = run_async(run_fleet("ed_hist", AVG_SQL, transport=LoopbackTransport))
+        got = run_async(
+            run_fleet(meta_of("ed_hist"), AVG_SQL, transport=LoopbackTransport)
+        )
         assert got.rows == sorted_rows(build_deployment().reference_answer(AVG_SQL))
         assert got.counters[0] > 0  # tuples were collected and folded
         assert len(constructed) == 0

@@ -17,7 +17,6 @@ from repro.net.fleet import FaultPlan, FleetRunner
 from repro.net.frames import QueryMeta
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import TCPTransport
-from repro.protocols import EDHistProtocol, SAggProtocol
 from repro.simulation.failures import failure_budget, flaky_workers
 
 from .conftest import (
@@ -81,7 +80,7 @@ async def run_fleet_query(
 class TestEndToEnd:
     def test_sagg_over_tcp_matches_in_process_driver(self):
         rows, stats, coord = run_async(run_fleet_query(GROUP_SQL, "s_agg"))
-        assert rows == run_driver_inproc(SAggProtocol, GROUP_SQL)
+        assert rows == run_driver_inproc("s_agg", GROUP_SQL)
         assert stats.contributions == 8
         assert coord.stats.partitions_processed >= 1
 
@@ -93,7 +92,7 @@ class TestEndToEnd:
         )
         dep = build_deployment()
         assert rows == run_driver_inproc(
-            EDHistProtocol, GROUP_SQL, histogram=make_histogram(dep)
+            "ed_hist", GROUP_SQL, histogram=make_histogram(dep)
         )
         # fold -> merge -> finalize
         assert coord.stats.aggregation_rounds >= 2
@@ -125,7 +124,7 @@ class TestFailureRecovery:
                 partition_timeout=0.3,
             )
         )
-        assert rows == run_driver_inproc(SAggProtocol, GROUP_SQL)
+        assert rows == run_driver_inproc("s_agg", GROUP_SQL)
         assert stats.injected_faults >= 1
         assert coord.stats.reassigned_partitions >= 1
 
@@ -140,7 +139,7 @@ class TestFailureRecovery:
         )
         dep = build_deployment()
         assert rows == run_driver_inproc(
-            EDHistProtocol, GROUP_SQL, histogram=make_histogram(dep)
+            "ed_hist", GROUP_SQL, histogram=make_histogram(dep)
         )
         assert stats.injected_faults >= 1
         assert coord.stats.reassigned_partitions >= 1
@@ -157,7 +156,7 @@ class TestFailureRecovery:
                 partition_timeout=0.3,
             )
         )
-        assert rows == run_driver_inproc(SAggProtocol, GROUP_SQL)
+        assert rows == run_driver_inproc("s_agg", GROUP_SQL)
         assert stats.injected_faults == 2
         assert coord.stats.reassigned_partitions >= 1
 
@@ -175,7 +174,7 @@ class TestFailureRecovery:
                 partition_timeout=0.2,
             )
         )
-        assert rows == run_driver_inproc(SAggProtocol, GROUP_SQL)
+        assert rows == run_driver_inproc("s_agg", GROUP_SQL)
         assert stats.injected_faults == 1
         assert coord.stats.reassigned_partitions >= 1
 

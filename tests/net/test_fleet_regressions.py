@@ -1,4 +1,5 @@
-"""Two fleet bugs the one-engine refactor surfaced.
+"""Fleet bugs: two the one-engine refactor surfaced, and one query
+that stopped the whole fleet.
 
 * A device whose policy denies the query used to refuse the *partitions*
   it was handed as well: the partition idled a whole
@@ -9,8 +10,13 @@
   partition takes only the query.
 * ``contribution`` / ``partition`` spans stayed open forever when the
   exchange inside them failed.
+* A query every device fails to evaluate (an unknown column raises
+  ``EvaluationError``, a ``ReproError`` outside ``ProtocolError``) ended
+  every device loop without a log line; nothing posted after it was
+  ever published.
 """
 
+import asyncio
 import logging
 import random
 import time
@@ -19,17 +25,27 @@ import pytest
 
 from repro.exceptions import TransportError
 from repro.net import frames
-from repro.net.client import RetryPolicy
-from repro.net.fleet import FaultPlan
-from repro.net.transport import TCPTransport
+from repro.net.client import QuerierClient, RetryPolicy
+from repro.net.fleet import FaultPlan, FleetRunner
+from repro.net.frames import QueryMeta
+from repro.net.server import SSIDispatcher
+from repro.net.transport import LoopbackTransport, TCPTransport
+from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
-from repro.protocols import DRIVERS, Deployment
+from repro.protocols import Deployment, ProtocolDriver
 from repro.simulation.failures import failure_budget
 from repro.tds.access_control import AccessPolicy
 from repro.tds.node import TrustedDataServer
 
-from .conftest import AVG_SQL, build_deployment, make_histogram, run_async, sorted_rows
-from .test_differential import BASIC_SQL, run_fleet
+from .conftest import (
+    AVG_SQL,
+    GROUP_SQL,
+    build_deployment,
+    make_histogram,
+    run_async,
+    sorted_rows,
+)
+from .test_differential import BASIC_SQL, meta_of, run_fleet
 
 PARTITION_TIMEOUT = 2.0
 
@@ -70,9 +86,7 @@ class TestDenyingDevicesStillServePartitions:
         started = time.perf_counter()
         with caplog.at_level(logging.WARNING, logger="repro.net.fleet"):
             got = run_async(
-                run_fleet(
-                    protocol, sql, dep=dep, partition_timeout=PARTITION_TIMEOUT
-                )
+                run_fleet(meta_of(protocol, PARTITION_TIMEOUT), sql, dep=dep)
             )
         elapsed = time.perf_counter() - started
         assert got.rows == granted_answer(dep, deniers, sql)
@@ -88,13 +102,13 @@ class TestDenyingDevicesStillServePartitions:
         querier = dep.make_querier()
         envelope = querier.make_envelope(sql)
         dep.ssi.post_query(envelope)
-        knowledge = {"histogram": make_histogram(dep)} if protocol == "ed_hist" else {}
-        driver = DRIVERS[protocol](
+        driver = ProtocolDriver(
             dep.ssi,
             collectors=dep.tds_list,
             workers=dep.tds_list,
             rng=random.Random(7),
-            **knowledge,
+            meta=protocol,
+            histogram=make_histogram(dep),
         )
         driver.execute(envelope)
         rows = querier.decrypt_result(dep.ssi.fetch_result(envelope.query_id))
@@ -130,7 +144,7 @@ class TestFleetSpansCloseOnFailure:
         dep = build_deployment()
         got = run_async(
             run_fleet(
-                "s_agg",
+                meta_of("s_agg"),
                 AVG_SQL,
                 dep=dep,
                 transport=FailFirstSubmitsTransport,
@@ -148,3 +162,62 @@ class TestFleetSpansCloseOnFailure:
         ]
         assert fleet_spans
         assert [span for span in fleet_spans if span.end is None] == []
+
+
+class TestAQueryNoDeviceCanEvaluate:
+    BAD_SQL = (
+        "SELECT district, COUNT(*) AS n FROM Consumer WHERE nosuch = 1 "
+        "GROUP BY district"
+    )
+
+    def test_is_logged_and_the_fleet_keeps_serving(self, caplog):
+        async def run():
+            dep = build_deployment(num_tds=4)
+            dispatcher = SSIDispatcher(dep.ssi, partition_timeout=0.3)
+
+            def connect():
+                return LoopbackTransport(dispatcher.dispatch)
+
+            fleet = FleetRunner(
+                dep.tds_list,
+                connect,
+                histogram=make_histogram(dep),
+                policy=RetryPolicy(backoff_base=0.01),
+                poll_interval=0.01,
+                shard_label="unevaluable",
+                rng=random.Random(5),
+            )
+            fleet_task = asyncio.create_task(fleet.run())
+            querier = dep.make_querier()
+            client = QuerierClient(connect())
+            try:
+                bad = querier.make_envelope(self.BAD_SQL)
+                await client.post_query(bad, meta=QueryMeta("s_agg"))
+                healthy = querier.make_envelope(GROUP_SQL)
+                await client.post_query(healthy, meta=QueryMeta("s_agg"))
+                result = await client.wait_result(healthy.query_id, timeout=10.0)
+                assert sorted_rows(querier.decrypt_result(result)) == sorted_rows(
+                    dep.reference_answer(GROUP_SQL)
+                )
+                serving = [
+                    task
+                    for task in asyncio.all_tasks()
+                    if task.get_coro().__qualname__ == "FleetRunner._serve_tds"
+                ]
+                assert len(serving) == len(dep.tds_list)  # none has ended
+            finally:
+                await client.close()
+                fleet.stop()
+                await fleet_task
+
+        with caplog.at_level(logging.WARNING, logger="repro.net.fleet"):
+            run_async(run())
+        errors = obs_metrics.REGISTRY.snapshot()["repro_fleet_protocol_errors_total"]
+        assert errors[(("shard", "unevaluable"),)] > 0
+        logged = [
+            record.repro_fields["error"]
+            for record in caplog.records
+            if record.getMessage() == "fleet_protocol_error"
+        ]
+        # logged by type: the message may quote the query
+        assert logged and set(logged) == {"EvaluationError"}

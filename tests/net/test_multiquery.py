@@ -17,7 +17,6 @@ from repro.net.fleet import FleetRunner
 from repro.net.multiquery import MultiQueryRunner, QuerySpec
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import TCPTransport
-from repro.protocols import EDHistProtocol, SAggProtocol
 from repro.ssi.admission import AdmissionPolicy
 
 from .conftest import (
@@ -86,7 +85,7 @@ class TestConcurrentBatch:
     def test_four_concurrent_queries_match_serial_driver(self):
         specs = [QuerySpec(GROUP_SQL, "s_agg") for _ in range(4)]
         stats, rows = run_async(run_batch(specs, concurrency=4))
-        reference = run_driver_inproc(SAggProtocol, GROUP_SQL)
+        reference = run_driver_inproc("s_agg", GROUP_SQL)
         assert len(stats.outcomes) == 4
         for outcome_rows in rows:
             assert outcome_rows == reference
@@ -103,9 +102,9 @@ class TestConcurrentBatch:
             QuerySpec(GROUP_SQL, "ed_hist"),
         ]
         __, rows = run_async(run_batch(specs, concurrency=4))
-        sagg_ref = run_driver_inproc(SAggProtocol, GROUP_SQL)
+        sagg_ref = run_driver_inproc("s_agg", GROUP_SQL)
         hist_ref = run_driver_inproc(
-            EDHistProtocol,
+            "ed_hist",
             GROUP_SQL,
             histogram=make_histogram(build_deployment()),
         )
@@ -138,7 +137,7 @@ class TestUnderAdmission:
                 retry_policy=RetryPolicy(max_retries=100, backoff_base=0.01),
             )
         )
-        reference = run_driver_inproc(SAggProtocol, GROUP_SQL)
+        reference = run_driver_inproc("s_agg", GROUP_SQL)
         assert len(stats.outcomes) == 4
         for outcome_rows in rows:
             assert outcome_rows == reference

@@ -28,7 +28,6 @@ from repro.net.fleet import FleetRunner
 from repro.net.frames import QueryMeta
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import LoopbackTransport, TCPTransport
-from repro.protocols import SAggProtocol
 from repro.ssi.server import SupportingServerInfrastructure
 
 from .conftest import (
@@ -341,7 +340,7 @@ class TestContributionRetry:
                 await server.close()
 
         rows = run_async(run())
-        assert rows == run_driver_inproc(SAggProtocol, GROUP_SQL, num_tds=4)
+        assert rows == run_driver_inproc("s_agg", GROUP_SQL, num_tds=4)
 
 
 class ConcurrencyProbeDispatcher(SSIDispatcher):

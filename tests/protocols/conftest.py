@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.protocols import Deployment
+from repro.protocols import Deployment, ProtocolDriver
 from repro.sql.schema import Database, schema
+from repro.tds.histogram import EquiDepthHistogram
 
 DISTRICTS = ["north", "south", "east", "west"]
 
@@ -39,16 +40,26 @@ def deployment():
     )
 
 
-def run_protocol(deployment, driver_cls, sql, worker_fraction=0.5, seed=7, **kwargs):
-    """Post *sql*, run *driver_cls*, return (sorted rows, driver)."""
+def district_histogram(num_buckets=2):
+    """The discovered distribution the tagged protocols' devices hold:
+    ED_Hist's buckets, and as its value set the noise protocols' domain."""
+    return EquiDepthHistogram.from_distribution(
+        {district: 1 for district in DISTRICTS}, num_buckets
+    )
+
+
+def run_protocol(deployment, meta, sql, worker_fraction=0.5, seed=7, **kwargs):
+    """Post *sql*, run the driver for *meta* (a protocol name or a
+    QueryMeta), return (sorted rows, driver)."""
     querier = deployment.make_querier()
     envelope = querier.make_envelope(sql)
     deployment.ssi.post_query(envelope)
-    driver = driver_cls(
+    driver = ProtocolDriver(
         deployment.ssi,
         collectors=deployment.tds_list,
         workers=deployment.connected_tds(worker_fraction),
         rng=random.Random(seed),
+        meta=meta,
         **kwargs,
     )
     driver.execute(envelope)

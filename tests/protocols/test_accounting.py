@@ -12,12 +12,6 @@ Two historical bugs are pinned here:
 
 import pytest
 
-from repro.protocols import (
-    CNoiseProtocol,
-    EDHistProtocol,
-    SAggProtocol,
-    SelectWhereProtocol,
-)
 from repro.tds.histogram import EquiDepthHistogram
 
 from tests.protocols.conftest import run_protocol
@@ -26,12 +20,8 @@ GROUP_SQL = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
 PLAIN_SQL = "SELECT cid, cons FROM Power WHERE cons >= 0"
 
 
-def district_domain():
-    return [("north",), ("south",), ("east",), ("west",)]
-
-
 def district_histogram():
-    freq = {d[0]: 4 for d in district_domain()}
+    freq = {d: 4 for d in ("north", "south", "east", "west")}
     return EquiDepthHistogram.from_distribution(freq, 2)
 
 
@@ -40,38 +30,38 @@ class TestLoadQMatchesTrace:
     LoadQ is downloads *plus* uploads, in every phase."""
 
     def test_s_agg(self, deployment):
-        __, driver = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
         assert driver.stats.bytes_processed == sum(
             e.total_bytes() for e in driver.trace.events
         )
 
     def test_basic(self, deployment):
-        __, driver = run_protocol(deployment, SelectWhereProtocol, PLAIN_SQL)
+        __, driver = run_protocol(deployment, "basic", PLAIN_SQL)
         assert driver.stats.bytes_processed == driver.trace.total_bytes()
 
     def test_c_noise(self, deployment):
         __, driver = run_protocol(
-            deployment, CNoiseProtocol, GROUP_SQL, domain=district_domain()
+            deployment, "c_noise", GROUP_SQL, histogram=district_histogram()
         )
         assert driver.stats.bytes_processed == driver.trace.total_bytes()
 
     def test_ed_hist(self, deployment):
         __, driver = run_protocol(
-            deployment, EDHistProtocol, GROUP_SQL, histogram=district_histogram()
+            deployment, "ed_hist", GROUP_SQL, histogram=district_histogram()
         )
         assert driver.stats.bytes_processed == driver.trace.total_bytes()
 
     def test_collection_charges_query_download(self, deployment):
         """Each collector downloads the encrypted query before uploading;
         both directions must appear in the collection trace events."""
-        __, driver = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
         events = driver.trace.events_in("collection")
         assert events
         assert all(e.bytes_down > 0 for e in events)
         assert all(e.bytes_up > 0 for e in events)
 
     def test_per_tds_bytes_sum_to_total(self, deployment):
-        __, driver = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
         assert sum(driver.stats.per_tds_bytes.values()) == (
             driver.stats.bytes_processed
         )
@@ -83,7 +73,7 @@ class TestSizeSeconds:
 
     def test_closes_at_logical_time(self, deployment):
         rows, driver = run_protocol(
-            deployment, SAggProtocol, GROUP_SQL + " SIZE 3 SECONDS"
+            deployment, "s_agg", GROUP_SQL + " SIZE 3 SECONDS"
         )
         # collectors at t=0,1,2 contribute; the t=3 arrival closes the query
         assert len(driver.trace.events_in("collection")) == 3
@@ -93,7 +83,7 @@ class TestSizeSeconds:
     def test_interval_scales_the_clock(self, deployment):
         __, driver = run_protocol(
             deployment,
-            SAggProtocol,
+            "s_agg",
             GROUP_SQL + " SIZE 3 SECONDS",
             collection_interval=0.5,
         )
@@ -102,7 +92,7 @@ class TestSizeSeconds:
 
     def test_explicit_zero_closes_before_first_tuple(self, deployment):
         rows, driver = run_protocol(
-            deployment, SAggProtocol, GROUP_SQL + " SIZE 0 SECONDS"
+            deployment, "s_agg", GROUP_SQL + " SIZE 0 SECONDS"
         )
         # zero tuples collected → an empty result, as in every other mode
         assert driver.stats.tuples_collected == 0
@@ -111,18 +101,18 @@ class TestSizeSeconds:
 
     def test_explicit_zero_collects_nothing_basic(self, deployment):
         rows, driver = run_protocol(
-            deployment, SelectWhereProtocol, PLAIN_SQL + " SIZE 0 SECONDS"
+            deployment, "basic", PLAIN_SQL + " SIZE 0 SECONDS"
         )
         assert driver.stats.tuples_collected == 0
         assert driver.trace.events_in("collection") == []
         assert rows == []
 
     def test_without_seconds_bound_all_collectors_answer(self, deployment):
-        __, driver = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
         assert len(driver.trace.events_in("collection")) == len(driver.collectors)
 
     def test_tuple_bound_still_closes_eagerly(self, deployment):
         __, driver = run_protocol(
-            deployment, SAggProtocol, GROUP_SQL + " SIZE 5 TUPLES"
+            deployment, "s_agg", GROUP_SQL + " SIZE 5 TUPLES"
         )
         assert driver.stats.tuples_collected == 5

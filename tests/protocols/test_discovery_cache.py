@@ -12,10 +12,8 @@ import random
 import pytest
 
 from repro.protocols import (
-    CNoiseProtocol,
     DiscoveryCache,
     DiscoveryKey,
-    EDHistProtocol,
     build_histogram,
     cached_distribution,
     cached_domain,
@@ -125,24 +123,25 @@ class TestDriverParity:
         fresh = build_histogram(deployment, "Consumer", "district", 2)
         cached = cached_histogram(cache, deployment, "Consumer", "district", 2)
         rows_fresh, _ = run_protocol(
-            deployment, EDHistProtocol, GROUP_SQL, histogram=fresh
+            deployment, "ed_hist", GROUP_SQL, histogram=fresh
         )
         rows_cached, _ = run_protocol(
-            deployment, EDHistProtocol, GROUP_SQL, histogram=cached
+            deployment, "ed_hist", GROUP_SQL, histogram=cached
         )
         assert rows_fresh == rows_cached
 
     def test_c_noise_results_identical(self, deployment):
         cache = DiscoveryCache()
-        fresh = [(d,) for d in discover_domain(deployment, "Consumer", "district")]
-        cached = [
-            (d,) for d in cached_domain(cache, deployment, "Consumer", "district")
-        ]
-        assert fresh == cached
+        fresh = build_histogram(deployment, "Consumer", "district", 2)
+        cached = cached_histogram(cache, deployment, "Consumer", "district", 2)
+        # the histogram's values are the domain, as discover_domain finds it
+        assert fresh.values() == cached.values() == discover_domain(
+            deployment, "Consumer", "district"
+        )
         rows_fresh, _ = run_protocol(
-            deployment, CNoiseProtocol, GROUP_SQL, domain=fresh
+            deployment, "c_noise", GROUP_SQL, histogram=fresh
         )
         rows_cached, _ = run_protocol(
-            deployment, CNoiseProtocol, GROUP_SQL, domain=cached
+            deployment, "c_noise", GROUP_SQL, histogram=cached
         )
         assert rows_fresh == rows_cached

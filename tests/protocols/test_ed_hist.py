@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols import EDHistProtocol, build_histogram
+from repro.protocols import build_histogram
 from repro.tds.histogram import EquiDepthHistogram
 
 from .conftest import run_protocol, sorted_rows
@@ -24,7 +24,7 @@ class TestCorrectness:
     def test_matches_reference_at_any_collision_factor(self, deployment, num_buckets):
         hist = make_histogram(deployment, num_buckets)
         rows, __ = run_protocol(
-            deployment, EDHistProtocol, GROUP_SQL, histogram=hist
+            deployment, "ed_hist", GROUP_SQL, histogram=hist
         )
         assert rows == sorted_rows(deployment.reference_answer(GROUP_SQL))
 
@@ -35,13 +35,13 @@ class TestCorrectness:
         )
         freq = {r["district"]: 1 for r in deployment.reference_answer(GROUP_SQL)}
         hist = EquiDepthHistogram.from_distribution(freq, 2)
-        rows, __ = run_protocol(deployment, EDHistProtocol, sql, histogram=hist)
+        rows, __ = run_protocol(deployment, "ed_hist", sql, histogram=hist)
         assert rows == sorted_rows(deployment.reference_answer(sql))
 
     def test_having(self, deployment):
         sql = GROUP_SQL + " HAVING COUNT(*) > 3"
         hist = make_histogram(deployment, 2)
-        rows, __ = run_protocol(deployment, EDHistProtocol, sql, histogram=hist)
+        rows, __ = run_protocol(deployment, "ed_hist", sql, histogram=hist)
         assert rows == sorted_rows(deployment.reference_answer(sql))
 
     def test_two_aggregation_rounds_exactly(self, deployment):
@@ -49,7 +49,7 @@ class TestCorrectness:
         aggregation phases, Fig. 6) — never iterative like S_Agg."""
         hist = make_histogram(deployment, 2)
         __, driver = run_protocol(
-            deployment, EDHistProtocol, GROUP_SQL, histogram=hist
+            deployment, "ed_hist", GROUP_SQL, histogram=hist
         )
         assert driver.stats.aggregation_rounds == 2
 
@@ -59,7 +59,7 @@ class TestCorrectness:
         partial_freq = {"north": 4, "south": 4}  # east/west unknown
         hist = EquiDepthHistogram.from_distribution(partial_freq, 2)
         rows, __ = run_protocol(
-            deployment, EDHistProtocol, GROUP_SQL, histogram=hist
+            deployment, "ed_hist", GROUP_SQL, histogram=hist
         )
         assert rows == sorted_rows(deployment.reference_answer(GROUP_SQL))
 
@@ -67,7 +67,7 @@ class TestCorrectness:
 class TestSecurity:
     def test_ssi_sees_at_most_m_distinct_tags(self, deployment):
         hist = make_histogram(deployment, 2)
-        run_protocol(deployment, EDHistProtocol, GROUP_SQL, histogram=hist)
+        run_protocol(deployment, "ed_hist", GROUP_SQL, histogram=hist)
         query_id = next(iter(deployment.ssi._storage))
         tags = deployment.ssi.observer.tag_frequencies(query_id)
         assert len(tags) <= 2
@@ -76,7 +76,7 @@ class TestSecurity:
         """The SSI-visible bucket distribution is nearly uniform even
         though the underlying district distribution is what it is."""
         hist = make_histogram(deployment, 2)
-        run_protocol(deployment, EDHistProtocol, GROUP_SQL, histogram=hist)
+        run_protocol(deployment, "ed_hist", GROUP_SQL, histogram=hist)
         query_id = next(iter(deployment.ssi._storage))
         tags = deployment.ssi.observer.tag_frequencies(query_id)
         counts = sorted(tags.values())
@@ -87,7 +87,7 @@ class TestSecurity:
         true tuples (the headline efficiency win of ED_Hist)."""
         hist = make_histogram(deployment, 2)
         __, driver = run_protocol(
-            deployment, EDHistProtocol, GROUP_SQL, histogram=hist
+            deployment, "ed_hist", GROUP_SQL, histogram=hist
         )
         assert driver.stats.tuples_collected == len(deployment.tds_list)
 
@@ -99,5 +99,5 @@ class TestDiscoveryIntegration:
         hist = build_histogram(deployment, "Consumer", "district", num_buckets=2)
         assert hist.bucket_count() == 2
         sql = "SELECT district, SUM(cid) AS s FROM Consumer GROUP BY district"
-        rows, __ = run_protocol(deployment, EDHistProtocol, sql, histogram=hist)
+        rows, __ = run_protocol(deployment, "ed_hist", sql, histogram=hist)
         assert rows == sorted_rows(deployment.reference_answer(sql))

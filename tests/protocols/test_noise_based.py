@@ -4,21 +4,23 @@ from collections import Counter
 
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.protocols import CNoiseProtocol, RnfNoiseProtocol
+from repro.exceptions import ProtocolError
+from repro.net.frames import QueryMeta
 
-from .conftest import DISTRICTS, run_protocol, sorted_rows
+from .conftest import DISTRICTS, district_histogram, run_protocol, sorted_rows
 
 
 GROUP_SQL = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
 DOMAIN = [(d,) for d in DISTRICTS]
+#: what every device holds: its values are the domain fakes come from
+HISTOGRAM = district_histogram()
 
 
 class TestRnfNoiseCorrectness:
     @pytest.mark.parametrize("nf", [0, 1, 5])
     def test_matches_reference(self, deployment, nf):
         rows, __ = run_protocol(
-            deployment, RnfNoiseProtocol, GROUP_SQL, domain=DOMAIN, nf=nf
+            deployment, QueryMeta("rnf_noise", {"nf": nf}), GROUP_SQL, histogram=HISTOGRAM
         )
         assert rows == sorted_rows(deployment.reference_answer(GROUP_SQL))
 
@@ -29,47 +31,40 @@ class TestRnfNoiseCorrectness:
             "HAVING COUNT(DISTINCT C.cid) > 2"
         )
         rows, __ = run_protocol(
-            deployment, RnfNoiseProtocol, sql, domain=DOMAIN, nf=2
+            deployment, QueryMeta("rnf_noise", {"nf": 2}), sql, histogram=HISTOGRAM
         )
         assert rows == sorted_rows(deployment.reference_answer(sql))
 
     def test_covering_result_inflated_by_nf(self, deployment):
         __, driver = run_protocol(
-            deployment, RnfNoiseProtocol, GROUP_SQL, domain=DOMAIN, nf=3
+            deployment, QueryMeta("rnf_noise", {"nf": 3}), GROUP_SQL, histogram=HISTOGRAM
         )
         # every TDS holds 1 matching row → (nf+1) tuples each
         assert driver.stats.tuples_collected == len(deployment.tds_list) * 4
 
-    def test_empty_domain_rejected(self, deployment):
-        import random
-
-        with pytest.raises(ConfigurationError):
-            RnfNoiseProtocol(
-                deployment.ssi,
-                deployment.tds_list,
-                deployment.tds_list,
-                random.Random(0),
-                domain=[],
-                nf=2,
-            )
+    def test_no_distribution_rejected(self, deployment):
+        """The domain fakes are drawn from is the discovered
+        distribution's value set: without one a device cannot collect."""
+        with pytest.raises(ProtocolError, match="discovered distribution"):
+            run_protocol(deployment, "rnf_noise", GROUP_SQL)
 
 
 class TestCNoiseCorrectness:
     def test_matches_reference(self, deployment):
         rows, __ = run_protocol(
-            deployment, CNoiseProtocol, GROUP_SQL, domain=DOMAIN
+            deployment, "c_noise", GROUP_SQL, histogram=HISTOGRAM
         )
         assert rows == sorted_rows(deployment.reference_answer(GROUP_SQL))
 
     def test_expansion_is_domain_cardinality(self, deployment):
         __, driver = run_protocol(
-            deployment, CNoiseProtocol, GROUP_SQL, domain=DOMAIN
+            deployment, "c_noise", GROUP_SQL, histogram=HISTOGRAM
         )
         assert driver.stats.tuples_collected == len(deployment.tds_list) * len(DOMAIN)
 
     def test_sum_correct_despite_fakes(self, deployment):
         sql = "SELECT district, SUM(cid) AS s FROM Consumer GROUP BY district"
-        rows, __ = run_protocol(deployment, CNoiseProtocol, sql, domain=DOMAIN)
+        rows, __ = run_protocol(deployment, "c_noise", sql, histogram=HISTOGRAM)
         assert rows == sorted_rows(deployment.reference_answer(sql))
 
 
@@ -81,7 +76,7 @@ class TestNoiseSecurity:
     def test_cnoise_tag_distribution_exactly_flat(self, deployment):
         """C_Noise guarantee: the SSI-visible tag distribution is uniform,
         whatever the true distribution (§4.3)."""
-        run_protocol(deployment, CNoiseProtocol, GROUP_SQL, domain=DOMAIN)
+        run_protocol(deployment, "c_noise", GROUP_SQL, histogram=HISTOGRAM)
         counts = self._tag_counts(deployment)
         assert len(counts) == len(DOMAIN)
         assert len(set(counts.values())) == 1
@@ -89,7 +84,7 @@ class TestNoiseSecurity:
     def test_rnf_zero_noise_reveals_distribution(self, deployment):
         """nf = 0 degenerates to bare Det_Enc: the SSI sees the *true*
         group sizes — the exposure the noise exists to prevent."""
-        run_protocol(deployment, RnfNoiseProtocol, GROUP_SQL, domain=DOMAIN, nf=0)
+        run_protocol(deployment, QueryMeta("rnf_noise", {"nf": 0}), GROUP_SQL, histogram=HISTOGRAM)
         counts = self._tag_counts(deployment)
         true_distribution = Counter(
             row["n"] for row in deployment.reference_answer(GROUP_SQL)
@@ -98,7 +93,7 @@ class TestNoiseSecurity:
 
     def test_rnf_large_noise_flattens(self, deployment):
         run_protocol(
-            deployment, RnfNoiseProtocol, GROUP_SQL, domain=DOMAIN, nf=50
+            deployment, QueryMeta("rnf_noise", {"nf": 50}), GROUP_SQL, histogram=HISTOGRAM
         )
         counts = self._tag_counts(deployment)
         values = sorted(counts.values())
@@ -107,7 +102,7 @@ class TestNoiseSecurity:
     def test_payloads_remain_ndet_encrypted(self, deployment):
         """Only the grouping tag is deterministic; tuple payloads stay
         probabilistic (Ā_G under nDet_Enc, Fig. 5)."""
-        run_protocol(deployment, CNoiseProtocol, GROUP_SQL, domain=DOMAIN)
+        run_protocol(deployment, "c_noise", GROUP_SQL, histogram=HISTOGRAM)
         query_id = next(iter(deployment.ssi._storage))
         sizes = deployment.ssi.observer.payload_size_frequencies(query_id)
         assert len(sizes) == 1  # uniform padded size, nothing else to read

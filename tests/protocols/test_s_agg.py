@@ -6,7 +6,8 @@ import random
 import pytest
 
 from repro.exceptions import ProtocolError
-from repro.protocols import ALPHA_OPTIMAL, SAggProtocol
+from repro.net.frames import ALPHA_OPTIMAL, QueryMeta
+from repro.protocols import ProtocolDriver
 
 from .conftest import run_protocol, sorted_rows
 
@@ -19,7 +20,7 @@ GROUP_SQL = (
 
 class TestCorrectness:
     def test_paper_style_query(self, deployment):
-        rows, __ = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        rows, __ = run_protocol(deployment, "s_agg", GROUP_SQL)
         assert rows == sorted_rows(deployment.reference_answer(GROUP_SQL))
 
     @pytest.mark.parametrize(
@@ -29,7 +30,7 @@ class TestCorrectness:
     )
     def test_every_aggregate_function(self, deployment, aggregate):
         sql = f"SELECT {aggregate} AS v FROM Power"
-        rows, __ = run_protocol(deployment, SAggProtocol, sql)
+        rows, __ = run_protocol(deployment, "s_agg", sql)
         assert rows == sorted_rows(deployment.reference_answer(sql))
 
     def test_having_clause(self, deployment):
@@ -37,7 +38,7 @@ class TestCorrectness:
             "SELECT district, COUNT(*) AS n FROM Consumer "
             "GROUP BY district HAVING COUNT(*) > 3"
         )
-        rows, __ = run_protocol(deployment, SAggProtocol, sql)
+        rows, __ = run_protocol(deployment, "s_agg", sql)
         assert rows == sorted_rows(deployment.reference_answer(sql))
 
     def test_multi_column_group_by(self, deployment):
@@ -45,7 +46,7 @@ class TestCorrectness:
             "SELECT district, accomodation, COUNT(*) AS n FROM Consumer "
             "GROUP BY district, accomodation"
         )
-        rows, __ = run_protocol(deployment, SAggProtocol, sql)
+        rows, __ = run_protocol(deployment, "s_agg", sql)
         assert rows == sorted_rows(deployment.reference_answer(sql))
 
     def test_where_and_group(self, deployment):
@@ -53,7 +54,7 @@ class TestCorrectness:
             "SELECT district, COUNT(*) AS n FROM Consumer "
             "WHERE accomodation = 'detached house' GROUP BY district"
         )
-        rows, __ = run_protocol(deployment, SAggProtocol, sql)
+        rows, __ = run_protocol(deployment, "s_agg", sql)
         assert rows == sorted_rows(deployment.reference_answer(sql))
 
     def test_empty_match_returns_empty(self, deployment):
@@ -61,40 +62,40 @@ class TestCorrectness:
             "SELECT district, COUNT(*) AS n FROM Consumer "
             "WHERE cid > 9999 GROUP BY district"
         )
-        rows, __ = run_protocol(deployment, SAggProtocol, sql)
+        rows, __ = run_protocol(deployment, "s_agg", sql)
         assert rows == []
 
     def test_rejects_non_aggregate_query(self, deployment):
         with pytest.raises(ProtocolError):
-            run_protocol(deployment, SAggProtocol, "SELECT district FROM Consumer")
+            run_protocol(deployment, "s_agg", "SELECT district FROM Consumer")
 
     def test_alpha_validation(self, deployment):
         with pytest.raises(ProtocolError):
-            SAggProtocol(
+            ProtocolDriver(
                 deployment.ssi,
                 deployment.tds_list,
                 deployment.tds_list,
                 random.Random(0),
-                alpha=1.0,
+                QueryMeta("s_agg", {"alpha": 1.0}),
             )
 
 
 class TestIterativeStructure:
     def test_round_count_close_to_log_alpha(self, deployment):
-        __, driver = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
         items = driver.stats.tuples_collected
         expected = math.ceil(math.log(items) / math.log(round(ALPHA_OPTIMAL)))
         assert driver.stats.aggregation_rounds == pytest.approx(expected, abs=1)
 
     def test_larger_alpha_fewer_rounds(self, deployment):
-        __, slow = run_protocol(deployment, SAggProtocol, GROUP_SQL, alpha=2)
+        __, slow = run_protocol(deployment, QueryMeta("s_agg", {"alpha": 2}), GROUP_SQL)
         # fresh deployment state for a second run
         import tests.protocols.conftest as c
 
         dep2 = type(deployment).build(
             16, c.smartmeter_factory(), tables=["Power", "Consumer"], seed=42
         )
-        __, fast = run_protocol(dep2, SAggProtocol, GROUP_SQL, alpha=8)
+        __, fast = run_protocol(dep2, QueryMeta("s_agg", {"alpha": 8}), GROUP_SQL)
         assert fast.stats.aggregation_rounds < slow.stats.aggregation_rounds
 
 
@@ -102,7 +103,7 @@ class TestSecurity:
     def test_ssi_sees_no_group_tags(self, deployment):
         """S_Agg's defining property: everything is nDet_Enc, no routing
         tags, so the observer has no frequency signal at all."""
-        __, __d = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, __d = run_protocol(deployment, "s_agg", GROUP_SQL)
         query_id = next(iter(deployment.ssi._storage))
         assert deployment.ssi.observer.tag_frequencies(query_id) == {}
         assert (
@@ -111,7 +112,7 @@ class TestSecurity:
 
     def test_collection_ciphertexts_all_distinct(self, deployment):
         """nDet_Enc: even equal tuples encrypt differently."""
-        __, __d = run_protocol(deployment, SAggProtocol, GROUP_SQL)
+        __, __d = run_protocol(deployment, "s_agg", GROUP_SQL)
         payloads = [
             o.payload_size
             for o in deployment.ssi.observer.observations
@@ -131,7 +132,7 @@ class TestFailureRecovery:
             return False
 
         rows, driver = run_protocol(
-            deployment, SAggProtocol, GROUP_SQL, failure_injector=injector
+            deployment, "s_agg", GROUP_SQL, failure_injector=injector
         )
         assert rows == sorted_rows(deployment.reference_answer(GROUP_SQL))
         assert driver.stats.reassigned_partitions == 4

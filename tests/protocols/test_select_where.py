@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.exceptions import ProtocolError
-from repro.protocols import SelectWhereProtocol
+from repro.net.frames import QueryMeta
+from repro.protocols import ProtocolDriver
 
 from .conftest import run_protocol, sorted_rows
 
@@ -15,7 +16,7 @@ SQL = "SELECT district FROM Consumer WHERE accomodation = 'detached house'"
 
 class TestCorrectness:
     def test_matches_reference(self, deployment):
-        rows, __ = run_protocol(deployment, SelectWhereProtocol, SQL)
+        rows, __ = run_protocol(deployment, "basic", SQL)
         assert rows == sorted_rows(deployment.reference_answer(SQL))
 
     def test_join_query(self, deployment):
@@ -23,24 +24,24 @@ class TestCorrectness:
             "SELECT P.cons FROM Power P, Consumer C "
             "WHERE C.cid = P.cid AND C.district = 'north'"
         )
-        rows, __ = run_protocol(deployment, SelectWhereProtocol, sql)
+        rows, __ = run_protocol(deployment, "basic", sql)
         assert rows == sorted_rows(deployment.reference_answer(sql))
 
     def test_empty_result(self, deployment):
         sql = "SELECT district FROM Consumer WHERE accomodation = 'castle'"
-        rows, __ = run_protocol(deployment, SelectWhereProtocol, sql)
+        rows, __ = run_protocol(deployment, "basic", sql)
         assert rows == []
 
     def test_select_star(self, deployment):
         sql = "SELECT * FROM Consumer WHERE cid < 3"
-        rows, __ = run_protocol(deployment, SelectWhereProtocol, sql)
+        rows, __ = run_protocol(deployment, "basic", sql)
         assert len(rows) == 3
 
     def test_rejects_aggregate_query(self, deployment):
         with pytest.raises(ProtocolError):
             run_protocol(
                 deployment,
-                SelectWhereProtocol,
+                "basic",
                 "SELECT COUNT(*) FROM Consumer",
             )
 
@@ -49,19 +50,19 @@ class TestDummyTuples:
     def test_covering_result_hides_selectivity(self, deployment):
         """Every collector answers (dummy or data): the SSI sees exactly one
         submission per TDS and cannot infer how many matched."""
-        __, driver = run_protocol(deployment, SelectWhereProtocol, SQL)
+        __, driver = run_protocol(deployment, "basic", SQL)
         # 8 detached-house TDSs send a data tuple, 8 send a dummy
         assert driver.stats.tuples_collected == len(deployment.tds_list)
 
     def test_uniform_payload_sizes(self, deployment):
         """Padding discipline: dummies are size-indistinguishable."""
-        __, driver = run_protocol(deployment, SelectWhereProtocol, SQL)
+        __, driver = run_protocol(deployment, "basic", SQL)
         query_id = next(iter(deployment.ssi._storage))
         sizes = deployment.ssi.observer.payload_size_frequencies(query_id)
         assert len(sizes) == 1
 
     def test_no_group_tags_leaked(self, deployment):
-        __, driver = run_protocol(deployment, SelectWhereProtocol, SQL)
+        __, driver = run_protocol(deployment, "basic", SQL)
         query_id = next(iter(deployment.ssi._storage))
         assert deployment.ssi.observer.tag_frequencies(query_id) == {}
 
@@ -69,12 +70,12 @@ class TestDummyTuples:
 class TestSizeClause:
     def test_collection_stops_at_bound(self, deployment):
         sql = SQL + " SIZE 5"
-        __, driver = run_protocol(deployment, SelectWhereProtocol, sql)
+        __, driver = run_protocol(deployment, "basic", sql)
         assert driver.stats.tuples_collected == 5
 
     def test_result_contains_only_collected_matches(self, deployment):
         sql = "SELECT district FROM Consumer SIZE 6"
-        rows, __ = run_protocol(deployment, SelectWhereProtocol, sql)
+        rows, __ = run_protocol(deployment, "basic", sql)
         assert len(rows) == 6
 
 
@@ -92,7 +93,7 @@ class TestFailureRecovery:
 
         rows, driver = run_protocol(
             deployment,
-            SelectWhereProtocol,
+            "basic",
             SQL,
             failure_injector=injector,
         )
@@ -108,7 +109,7 @@ class TestFailureRecovery:
         with pytest.raises(QueryAbortedError):
             run_protocol(
                 deployment,
-                SelectWhereProtocol,
+                "basic",
                 SQL,
                 failure_injector=always_fail,
             )
@@ -116,16 +117,16 @@ class TestFailureRecovery:
 
 class TestStats:
     def test_participants_tracked(self, deployment):
-        __, driver = run_protocol(deployment, SelectWhereProtocol, SQL)
+        __, driver = run_protocol(deployment, "basic", SQL)
         assert len(driver.stats.participants) >= len(deployment.tds_list)
         assert driver.stats.bytes_processed > 0
 
     def test_partition_size_validation(self, deployment):
         with pytest.raises(ProtocolError):
-            SelectWhereProtocol(
+            ProtocolDriver(
                 deployment.ssi,
                 deployment.tds_list,
                 deployment.tds_list,
                 random.Random(0),
-                partition_size=0,
+                QueryMeta("basic", {"partition_size": 0}),
             )

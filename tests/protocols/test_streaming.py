@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.protocols import Deployment, SAggProtocol
+from repro.protocols import Deployment, ProtocolDriver
 from repro.protocols.streaming import WindowedQueryRunner, append_feed
 from repro.sql.schema import Database, schema
 
@@ -37,8 +37,8 @@ def reading_feed():
 
 
 def sagg_factory(deployment, rng):
-    return SAggProtocol(
-        deployment.ssi, deployment.tds_list, deployment.tds_list, rng
+    return ProtocolDriver(
+        deployment.ssi, deployment.tds_list, deployment.tds_list, rng, meta="s_agg"
     )
 
 

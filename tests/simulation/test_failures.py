@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.messages import EncryptedTuple, EncryptedTupleBlock, Partition
 from repro.exceptions import ConfigurationError
-from repro.protocols import Deployment, SAggProtocol
+from repro.protocols import Deployment
 from repro.simulation.failures import (
     combined,
     failure_budget,
@@ -66,7 +66,7 @@ class TestEndToEndResilience:
         )
         sql = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
         rows, driver = run_protocol(
-            deployment, SAggProtocol, sql,
+            deployment, "s_agg", sql,
             failure_injector=random_failures(0.25, random.Random(4)),
         )
         assert rows == sorted_rows(deployment.reference_answer(sql))
@@ -80,7 +80,7 @@ class TestEndToEndResilience:
         sql = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
         flaky = [tds.tds_id for tds in deployment.tds_list[:3]]
         rows, driver = run_protocol(
-            deployment, SAggProtocol, sql,
+            deployment, "s_agg", sql,
             worker_fraction=1.0,
             failure_injector=flaky_workers(flaky),
         )

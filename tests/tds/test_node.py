@@ -16,6 +16,7 @@ from repro.exceptions import (
     ResourceExhaustedError,
 )
 from repro.crypto.hashing import BucketHasher
+from repro.net.frames import QueryMeta
 from repro.sql import executor as sql_executor
 from repro.sql.ast import SelectStatement
 from repro.sql.parser import parse
@@ -25,7 +26,6 @@ from repro.tds.access_control import Authority, permissive_policy
 from repro.tds.device import DeviceProfile
 from repro.tds.histogram import EquiDepthHistogram
 from repro.tds.node import TrustedDataServer, TupleFrameBlock, reduced_row
-from repro.tds.noise import ComplementaryNoise, RandomNoise
 
 
 def partition_of(partition_id, items):
@@ -193,37 +193,36 @@ class TestTupleFrameBlock:
             TupleFrameBlock(b"ab", (0, 2, 1), (None, None))
 
 
-DOMAIN = [("north",), ("south",)]
+def distribution():
+    """The discovered distribution a device collects by: ED_Hist's
+    buckets and, as its value set, the noise protocols' domain."""
+    return EquiDepthHistogram.from_distribution(
+        {("north",): 2, ("south",): 1}, num_buckets=2
+    )
 
-#: protocol -> (sql, collect_block keywords, SHA-256 of the sealed
-#: payloads), captured at the commit before the crypto offload plane was
-#: deleted (PR 24) from ``tds_b`` — every draw seeded, so the bytes are
-#: the same on every engine
+
+#: protocol -> (sql, meta, SHA-256 of the sealed payloads), captured from
+#: ``tds_b`` — every draw seeded, so the bytes are the same on every
+#: engine.  rnf_noise's fakes are drawn from the device's own rng.
 GOLDEN_CONTRIBUTIONS = {
     "basic": (
-        "SELECT x FROM T WHERE x > 3", {},
+        "SELECT x FROM T WHERE x > 3", QueryMeta("basic"),
         "e7e18d7f7bb9c3bd30bd22462ea160773c334b6d568c86d4e13521f51fb76d26",
     ),
     "s_agg": (
-        AGG_SQL, {},
+        AGG_SQL, QueryMeta("s_agg"),
         "c382af329023a2719102aba843524b75c124a6fabf85a5f6f248aedc50be0278",
     ),
     "rnf_noise": (
-        AGG_SQL,
-        {"noise": lambda: RandomNoise(DOMAIN, nf=3, rng=random.Random(1))},
-        "ec0d91d790370d2e5d1484bc3fd9db68f530df7beec2ac7c4ea3ca80da2e5986",
+        AGG_SQL, QueryMeta("rnf_noise", {"nf": 3}),
+        "10f7767caef228c56c7478174009554cd7108bd7666399829efafe92d9fc62d3",
     ),
     "c_noise": (
-        AGG_SQL, {"noise": lambda: ComplementaryNoise(DOMAIN)},
+        AGG_SQL, QueryMeta("c_noise"),
         "056abe9424e4430c88cf2eec53fa308fa895cd4db25d1eeeafc541659f25b9b6",
     ),
     "ed_hist": (
-        AGG_SQL,
-        {
-            "histogram": lambda: EquiDepthHistogram.from_distribution(
-                {("north",): 2, ("south",): 1}, num_buckets=2
-            )
-        },
+        AGG_SQL, QueryMeta("ed_hist"),
         "c382af329023a2719102aba843524b75c124a6fabf85a5f6f248aedc50be0278",
     ),
 }
@@ -234,11 +233,9 @@ class TestContributionBytes:
     def test_sealed_payloads_match_the_golden(self, setup, protocol):
         """How a block is sealed may change; with the same seeds, what
         reaches the SSI may not move by a byte."""
-        sql, knowledge, digest = GOLDEN_CONTRIBUTIONS[protocol]
+        sql, meta, digest = GOLDEN_CONTRIBUTIONS[protocol]
         block = setup["tds_b"].collect_block(
-            setup["envelope"](sql),
-            protocol,
-            **{name: build() for name, build in knowledge.items()},
+            setup["envelope"](sql), meta, histogram=distribution()
         )
         assert hashlib.sha256(bytes(block.payloads)).hexdigest() == digest
 
@@ -277,16 +274,15 @@ class TestCollectBasic:
 class TestCollectNoise:
     def test_true_and_fake_tuples_emitted(self, setup):
         env = setup["envelope"](AGG_SQL)
-        noise = RandomNoise([("north",), ("south",)], nf=3, rng=random.Random(1))
-        tuples = contribution(setup["tds_b"], env, "c_noise", noise=noise)
+        meta = QueryMeta("rnf_noise", {"nf": 3})
+        tuples = contribution(setup["tds_b"], env, meta, histogram=distribution())
         assert len(tuples) == 2 * (1 + 3)  # two true rows, 3 fakes each
 
     def test_same_group_same_tag(self, setup):
         """Det_Enc property: the SSI can group by tag equality."""
         env = setup["envelope"](AGG_SQL)
-        noise = ComplementaryNoise([("north",), ("south",)])
-        tuples_a = contribution(setup["tds_a"], env, "c_noise", noise=noise)
-        tuples_b = contribution(setup["tds_b"], env, "c_noise", noise=noise)
+        tuples_a = contribution(setup["tds_a"], env, "c_noise", histogram=distribution())
+        tuples_b = contribution(setup["tds_b"], env, "c_noise", histogram=distribution())
         tags_a = {t.group_tag for t in tuples_a}
         tags_b = {t.group_tag for t in tuples_b}
         assert tags_a == tags_b  # both cover the full domain
@@ -296,17 +292,16 @@ class TestCollectNoise:
         from collections import Counter
 
         env = setup["envelope"](AGG_SQL)
-        noise = ComplementaryNoise([("north",), ("south",)])
         counter = Counter()
         for tds in (setup["tds_a"], setup["tds_b"]):
-            for t in contribution(tds, env, "c_noise", noise=noise):
+            for t in contribution(tds, env, "c_noise", histogram=distribution()):
                 counter[t.group_tag] += 1
         assert len(set(counter.values())) == 1
 
     def test_denied_tds_contributes_nothing_but_valid_stream(self, setup):
         env = setup["envelope"]("SELECT nope, SUM(x) FROM Secret GROUP BY nope")
-        noise = ComplementaryNoise([("north",)])
-        assert contribution(setup["tds_a"], env, "c_noise", noise=noise) == []
+        only_north = EquiDepthHistogram.from_distribution({"north": 1}, 1)
+        assert contribution(setup["tds_a"], env, "c_noise", histogram=only_north) == []
 
 
 class TestCollectHistogram:

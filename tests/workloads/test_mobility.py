@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.protocols import Deployment, SAggProtocol
+from repro.protocols import Deployment, ProtocolDriver
 from repro.workloads import (
     CARBON_TAX_QUERY,
     INSURANCE_BILLING_QUERY,
@@ -51,9 +51,9 @@ class TestMobilityQueries:
         querier = deployment.make_querier()
         envelope = querier.make_envelope(CARBON_TAX_QUERY)
         deployment.ssi.post_query(envelope)
-        SAggProtocol(
+        ProtocolDriver(
             deployment.ssi, deployment.tds_list, deployment.tds_list,
-            random.Random(2),
+            random.Random(2), "s_agg",
         ).execute(envelope)
         rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))
         assert sum(r["trips"] for r in rows) == 20

@@ -3,7 +3,6 @@
 from repro.core.codec import CodecError, decode, encode
 from repro.core.messages import (
     Credential,
-    EncryptedPartial,
     EncryptedTuple,
     Partition,
     QueryEnvelope,
@@ -23,7 +22,6 @@ from repro.core.wire import (
 __all__ = [
     "CodecError",
     "Credential",
-    "EncryptedPartial",
     "EncryptedTuple",
     "ExecutionTrace",
     "Partition",

@@ -69,18 +69,21 @@ class EncryptedTupleBlock:
     """A columnar batch of encrypted items: one shared payload buffer
     plus an offsets table, instead of one object per item.
 
-    This is the shape ciphertext travels in both ways through the SSI: a
-    contribution arrives as one block and is stored as-is, the covering
-    result is the stored blocks joined, and every partition handed to a
-    TDS is one block gathered from its input (tuples in the first round,
-    a round's partials after it).  The SSI's legitimate view is
-    unchanged — payload *sizes* and cleartext group tags are still
-    derivable (and observed), the payload bytes stay opaque ciphertext.
+    This is the one shape every ciphertext list travels in, both ways
+    through the SSI: a contribution arrives as one block and is stored
+    as-is, the covering result is the stored blocks joined, every
+    partition handed to a TDS is one block gathered from its input, and
+    what a TDS sends back for a partition — its encrypted partials
+    (tagged ``Det_Enc(group)`` by the per-group folds) or its k1 result
+    rows — is one block too, kept as such until the querier decrypts
+    it.  The SSI's legitimate view is unchanged — payload *sizes* and
+    cleartext group tags are still derivable (and observed), the payload
+    bytes stay opaque ciphertext.
 
     ``offsets`` has ``count + 1`` entries; item *i*'s payload is
     ``payloads[offsets[i]:offsets[i + 1]]``.  ``tags`` has ``count``
-    entries (``None`` for fully nDet-encrypted dataflows, and in every
-    partition: a TDS never reads a tag).
+    entries (``None`` for fully nDet-encrypted dataflows, for result
+    rows, and in every partition: a TDS never reads a tag).
     """
 
     payloads: bytes
@@ -121,26 +124,25 @@ class EncryptedTupleBlock:
         view = memoryview(self.payloads)
         offsets = self.offsets
         picked = [view[offsets[i] : offsets[i + 1]] for i in indices]
-        payloads = b"".join(picked)
-        return EncryptedTupleBlock(
-            payloads=payloads,
-            offsets=tuple(itertools.accumulate(map(len, picked), initial=0)),
-            tags=(None,) * len(picked),
+        return EncryptedTupleBlock.joined(picked, (None,) * len(picked))
+
+    @classmethod
+    def joined(
+        cls,
+        payloads: Sequence[bytes | memoryview],
+        tags: Sequence[bytes | None],
+    ) -> "EncryptedTupleBlock":
+        """One block of payloads held apart — one join, one offsets table."""
+        return cls(
+            payloads=b"".join(payloads),
+            offsets=tuple(itertools.accumulate(map(len, payloads), initial=0)),
+            tags=tuple(tags),
         )
 
     @classmethod
-    def from_tuples(
-        cls, tuples: Sequence[EncryptedTuple | EncryptedPartial]
-    ) -> "EncryptedTupleBlock":
-        offsets = [0]
-        total = 0
-        for item in tuples:
-            total += len(item.payload)
-            offsets.append(total)
-        return cls(
-            payloads=b"".join(item.payload for item in tuples),
-            offsets=tuple(offsets),
-            tags=tuple(item.group_tag for item in tuples),
+    def from_tuples(cls, tuples: Sequence[EncryptedTuple]) -> "EncryptedTupleBlock":
+        return cls.joined(
+            [item.payload for item in tuples], [item.group_tag for item in tuples]
         )
 
     @classmethod
@@ -166,15 +168,6 @@ class EncryptedTupleBlock:
 
 
 @dataclass(frozen=True, slots=True)
-class EncryptedPartial:
-    """One encrypted partial aggregation Ω travelling back to the SSI
-    during the aggregation phase (step 8 of Fig. 2)."""
-
-    payload: bytes
-    group_tag: bytes | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class Partition:
     """A chunk of work the SSI hands to a connected TDS (steps 5/9).
 
@@ -197,7 +190,8 @@ WORK_FOLD_PER_GROUP = 2  # tagged protocols: fold to per-group partials
 WORK_FINALIZE = 3  # filtering: merge, HAVING, re-encrypt under k1
 WORK_FILTER = 4  # basic protocol filtering: drop dummies, re-encrypt under k1
 
-#: what it hands back: encrypted partials (aggregation) or k1 result rows
+#: what it hands back, as one block: encrypted partials (aggregation) or
+#: k1 result rows
 RESULT_PARTIALS = 1
 RESULT_ROWS = 2
 
@@ -207,12 +201,13 @@ RESULT_ROWS = 2
 FailureInjector = Callable[[str, Partition], bool]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class QueryResult:
-    """What the querier finally downloads (step 13): result rows under k1."""
+    """What the querier finally downloads (step 13): the result rows
+    under k1, as one untagged block."""
 
     query_id: str
-    encrypted_rows: tuple[bytes, ...]
+    block: EncryptedTupleBlock
 
 
 _COUNTER = itertools.count(1)

@@ -29,9 +29,9 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Coroutine, Sequence, TypeVar
+from typing import Any, Awaitable, Callable, Coroutine, TypeVar
 
-from repro.core.messages import EncryptedPartial, QueryResult
+from repro.core.messages import QueryResult
 from repro.exceptions import (
     AdmissionError,
     ProtocolError,
@@ -253,6 +253,9 @@ class AsyncSSIClient:
     #: (new queries, a work unit or None, finished ids): the SSI parks
     #: the request up to ``hold`` seconds while it has nothing to say
     await_work = _proxy(ops.AWAIT_WORK)
+    #: what a TDS hands back for a partition: (RESULT_PARTIALS or
+    #: RESULT_ROWS, one block)
+    submit_partition_result = _proxy(ops.SUBMIT_PARTITION_RESULT)
     #: the published result, or None when ``hold`` seconds passed first
     #: (a zero hold is the one-shot read)
     await_result = _proxy(ops.AWAIT_RESULT)
@@ -262,26 +265,6 @@ class AsyncSSIClient:
         """How long this client lets the SSI park one request: half its
         own request timeout, so a parked request never trips it."""
         return self.policy.request_timeout / 2
-
-    async def submit_partition_result(
-        self,
-        query_id: str,
-        partition_id: int,
-        tds_id: str,
-        *,
-        partials: Sequence[EncryptedPartial] | None = None,
-        rows: Sequence[bytes] | None = None,
-    ) -> None:
-        if (partials is None) == (rows is None):
-            raise ProtocolError("submit exactly one of partials or rows")
-        result = (
-            (frames.RESULT_PARTIALS, partials)
-            if partials is not None
-            else (frames.RESULT_ROWS, rows)
-        )
-        await self.call(
-            ops.SUBMIT_PARTITION_RESULT, query_id, partition_id, tds_id, result
-        )
 
     async def get_health(self) -> dict:
         """Fetch the SSI's rolling-window health verdict.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from repro.core.messages import EncryptedPartial, EncryptedTupleBlock, Partition
+from repro.core.messages import EncryptedTupleBlock, Partition
 from repro.core.trace import ProtocolStats
 from repro.exceptions import ProtocolError
 from repro.net.frames import (
@@ -84,7 +84,8 @@ class QueryCoordinator:
         #: once the result is published
         self._position = -1
         self._tracker: PartitionTracker | None = None
-        self._outputs: list[EncryptedPartial] = []
+        #: the current round's partial blocks, until it advances
+        self._outputs: list[EncryptedTupleBlock] = []
         self._partition_ids = itertools.count()
 
     # ------------------------------------------------------------------ #
@@ -104,6 +105,7 @@ class QueryCoordinator:
             block = self.ssi.covering_result(self.query_id)
             self.stats.tuples_collected = len(block)
             self._open(0, block)
+        self._advance()
         if self._tracker is None:
             return 0
         expired = self._tracker.expire(now)
@@ -127,10 +129,10 @@ class QueryCoordinator:
         partition_id: int,
         tds_id: str,
         result_kind: int,
-        partials: list[EncryptedPartial],
-        rows: list[bytes],
+        block: EncryptedTupleBlock,
     ) -> None:
-        """Record one partition's result; advances the stage when the
+        """Record one partition's result — a block of partials or of
+        result rows, as *result_kind* says; advances the stage when the
         current tracker drains.  Duplicate completions (a reassignment
         race) are dropped — partial folding is idempotent per partition.
         So are *stale* completions: partition ids are coordinator-unique
@@ -141,41 +143,52 @@ class QueryCoordinator:
         tracker = self._tracker
         if tracker is None or not tracker.knows(partition_id):
             return  # stale
-        if tracker.is_done(partition_id):
-            return  # duplicate
-        stage = self._stages[self._position]
-        expected = RESULT_OF[stage.kind]
-        if result_kind != expected:
-            raise ProtocolError(
-                f"stage {self._position} of {self.meta.protocol!r} expects "
-                f"result kind {expected}, got {result_kind}"
-            )
-        # Journal-and-apply first, then mark: an append that raised
-        # leaves the partition open, so the device's retry is executed,
-        # not dropped as a duplicate.
-        if expected == RESULT_ROWS:
-            self.ssi.store_result_rows(self.query_id, rows)
-        else:
-            self.ssi.submit_partials(self.query_id, partials)
-            self._outputs.extend(partials)
-        tracker.complete(partition_id, tds_id)
-        self.stats.partitions_processed += 1
-        self.stats.participants.add(tds_id)
-        if not tracker.all_done():
-            return
-        outputs, self._outputs = self._outputs, []
-        if expected == RESULT_PARTIALS:
-            self.ssi.take_partials(self.query_id)  # drained into the next stage
-            self.stats.aggregation_rounds += 1
-        again = stage.repeats and len(outputs) > 1
-        self._open(
-            self._position + (0 if again else 1),
-            EncryptedTupleBlock.from_tuples(outputs),
-        )
+        if not tracker.is_done(partition_id):
+            expected = RESULT_OF[self._stages[self._position].kind]
+            if result_kind != expected:
+                raise ProtocolError(
+                    f"stage {self._position} of {self.meta.protocol!r} expects "
+                    f"result kind {expected}, got {result_kind}"
+                )
+            # Journal-and-apply first, then mark: an append that raised
+            # leaves the partition open, so the device's retry is
+            # executed, not dropped as a duplicate.
+            if expected == RESULT_ROWS:
+                self.ssi.store_result_rows(self.query_id, block)
+            else:
+                self.ssi.submit_partials(self.query_id, block)
+                self._outputs.append(block)
+            tracker.complete(partition_id, tds_id)
+            self.stats.partitions_processed += 1
+            self.stats.participants.add(tds_id)
+        # also on a duplicate: the resend of the result that drained the
+        # round finishes an advance whose append raised
+        self._advance()
 
     # ------------------------------------------------------------------ #
     # stage machine
     # ------------------------------------------------------------------ #
+    def _advance(self) -> None:
+        """Move a drained round on: drain the SSI's partial store, then
+        cut the round's outputs into the next stage (or publish).  Both
+        steps journal, and an append may raise; until this went through
+        the round stays drained with its outputs kept, and the next
+        :meth:`complete` or :meth:`assignable` runs it again — a second
+        ``take_partials`` of an already empty store journals nothing."""
+        tracker = self._tracker
+        if tracker is None or not tracker.all_done():
+            return
+        stage = self._stages[self._position]
+        folded = RESULT_OF[stage.kind] == RESULT_PARTIALS
+        if folded:
+            self.ssi.take_partials(self.query_id)  # drained into the next stage
+        outputs = EncryptedTupleBlock.concat(self._outputs)
+        again = stage.repeats and len(outputs) > 1
+        self._open(self._position + (0 if again else 1), outputs)
+        self._outputs = []
+        if folded:
+            self.stats.aggregation_rounds += 1
+
     def _open(self, position: int, block: EncryptedTupleBlock) -> None:
         """Cut *block* into the partitions of stage *position*.  Past the
         last stage — or with nothing to cut (an empty collection,

@@ -36,7 +36,6 @@ from repro.exceptions import (
     ReproError,
     TransportError,
 )
-from repro.net import ops
 from repro.net.batch import TupleBatcher
 from repro.net.client import RetryPolicy, TDSClient
 from repro.net.frames import QueryMeta, WorkUnit
@@ -464,12 +463,8 @@ class FleetRunner:
                 result = tds.serve_partition(unit.kind, statement, partition)
                 crypto_seconds = time.perf_counter() - crypto_started
                 wire_started = time.perf_counter()
-                await client.call(
-                    ops.SUBMIT_PARTITION_RESULT,
-                    unit.query_id,
-                    unit.partition_id,
-                    tds.tds_id,
-                    result,
+                await client.submit_partition_result(
+                    unit.query_id, unit.partition_id, tds.tds_id, result
                 )
             span.annotate(
                 count=len(partition.block),

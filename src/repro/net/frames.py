@@ -47,8 +47,6 @@ from repro.core.messages import (  # noqa: F401 - re-exports the WORK_*/RESULT_*
     WORK_FOLD,
     WORK_FOLD_PER_GROUP,
     Credential,
-    EncryptedPartial,
-    EncryptedTuple,
     EncryptedTupleBlock,
     QueryEnvelope,
     QueryResult,
@@ -169,10 +167,11 @@ ERROR_TYPES: dict[int, type[ProtocolError]] = {
 # u8 and are declared beside Partition in repro.core.messages, where the
 # TDS that serves them can name them without importing the wire layer
 
-_ITEM_TUPLE = 0
-_ITEM_PARTIAL = 1
-
-Item = EncryptedTuple | EncryptedPartial
+#: the kind byte heading each item of a per-item list: the collected
+#: tuples of the read-only record 2, and the partials a TDS sends back
+ITEM_TUPLE = 0
+ITEM_PARTIAL = 1
+_ITEM_NAMES = {ITEM_TUPLE: "tuple", ITEM_PARTIAL: "partial"}
 
 
 # --------------------------------------------------------------------- #
@@ -684,59 +683,49 @@ def read_meta(r: Reader) -> QueryMeta:
     return QueryMeta(protocol=protocol, params=params)
 
 
-def write_items(w: Writer, items: tuple[Item, ...] | list[Item]) -> None:
-    if len(items) > MAX_ITEMS:
-        raise ProtocolError(f"{len(items)} items exceed the per-message limit")
-    w.u32(len(items))
-    for item in items:
-        w.u8(_ITEM_PARTIAL if isinstance(item, EncryptedPartial) else _ITEM_TUPLE)
-        w.blob(item.payload)
-        w.opt_blob(item.group_tag)
+def write_item_block(w: Writer, block: EncryptedTupleBlock, kind: int) -> None:
+    """*block* laid out per item: a count, then per item the *kind*
+    byte, a payload blob and an optional tag — the layout partials
+    travel and rest in (request, record 4, snapshot partials)."""
+    if len(block) > MAX_ITEMS:
+        raise ProtocolError(f"{len(block)} items exceed the per-message limit")
+    w.u32(len(block))
+    payloads, offsets = block.payloads, block.offsets
+    for i, tag in enumerate(block.tags):
+        w.u8(kind)
+        w.blob(payloads[offsets[i] : offsets[i + 1]])
+        w.opt_blob(tag)
 
 
-def read_items(r: Reader) -> list[Item]:
-    items: list[Item] = []
+def read_item_block(r: Reader, kind: int) -> EncryptedTupleBlock:
+    """Read what :func:`write_item_block` wrote into one block; an item
+    of any kind but *kind* is a :class:`ProtocolError`."""
+    payloads: list[bytes] = []
+    tags: list[bytes | None] = []
     for _ in range(r.count()):
         item_kind = r.u8()
-        payload = r.blob()
-        tag = r.opt_blob()
-        if item_kind == _ITEM_TUPLE:
-            items.append(EncryptedTuple(payload, tag))
-        elif item_kind == _ITEM_PARTIAL:
-            items.append(EncryptedPartial(payload, tag))
-        else:
-            raise ProtocolError(f"unknown item kind 0x{item_kind:02x}")
-    return items
+        if item_kind != kind:
+            raise ProtocolError(
+                f"expected {_ITEM_NAMES[kind]} items, got item kind 0x{item_kind:02x}"
+            )
+        payloads.append(r.blob())
+        tags.append(r.opt_blob())
+    return EncryptedTupleBlock.joined(payloads, tags)
 
 
-def read_tuples(r: Reader) -> list[EncryptedTuple]:
-    tuples: list[EncryptedTuple] = []
-    for item in read_items(r):
-        if not isinstance(item, EncryptedTuple):
-            raise ProtocolError("expected tuple items, got a partial")
-        tuples.append(item)
-    return tuples
+def write_rows(w: Writer, block: EncryptedTupleBlock) -> None:
+    """Result rows: a count, then one blob per row (rows are untagged)."""
+    if len(block) > MAX_ITEMS:
+        raise ProtocolError(f"{len(block)} rows exceed the per-message limit")
+    w.u32(len(block))
+    payloads, offsets = block.payloads, block.offsets
+    for i in range(len(block)):
+        w.blob(payloads[offsets[i] : offsets[i + 1]])
 
 
-def read_partials(r: Reader) -> list[EncryptedPartial]:
-    partials: list[EncryptedPartial] = []
-    for item in read_items(r):
-        if not isinstance(item, EncryptedPartial):
-            raise ProtocolError("expected partial items, got a tuple")
-        partials.append(item)
-    return partials
-
-
-def write_rows(w: Writer, rows: tuple[bytes, ...] | list[bytes]) -> None:
-    if len(rows) > MAX_ITEMS:
-        raise ProtocolError(f"{len(rows)} rows exceed the per-message limit")
-    w.u32(len(rows))
-    for row in rows:
-        w.blob(row)
-
-
-def read_rows(r: Reader) -> list[bytes]:
-    return [r.blob() for _ in range(r.count())]
+def read_rows(r: Reader) -> EncryptedTupleBlock:
+    rows = [r.blob() for _ in range(r.count())]
+    return EncryptedTupleBlock.joined(rows, (None,) * len(rows))
 
 
 def write_work_unit(w: Writer, unit: WorkUnit) -> None:
@@ -769,13 +758,12 @@ def read_work_unit(r: Reader) -> WorkUnit:
 
 def write_result(w: Writer, result: QueryResult) -> None:
     w.text(result.query_id)
-    write_rows(w, result.encrypted_rows)
+    write_rows(w, result.block)
 
 
 def read_result(r: Reader) -> QueryResult:
     query_id = r.text()
-    rows = read_rows(r)
-    return QueryResult(query_id, tuple(rows))
+    return QueryResult(query_id, read_rows(r))
 
 
 # --------------------------------------------------------------------- #

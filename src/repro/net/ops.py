@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
 from repro.core.messages import (
-    EncryptedPartial,
     EncryptedTuple,
     EncryptedTupleBlock,
     QueryEnvelope,
@@ -130,18 +129,16 @@ def _tagged(name: str, variants: dict[int, Field[Any]]) -> Field[tuple[int, Any]
     return Field(name, write, read)
 
 
-def _sequence(values: Iterable[T]) -> Sequence[T]:
-    return values if isinstance(values, (list, tuple)) else list(values)
+def _items(name: str, kind: int) -> Field[EncryptedTupleBlock]:
+    """A block laid out per item, every item headed by the *kind* byte."""
 
+    def write(w: Writer, block: EncryptedTupleBlock) -> None:
+        frames.write_item_block(w, block, kind)
 
-def _write_items(
-    w: Writer, items: Iterable[EncryptedTuple] | Iterable[EncryptedPartial]
-) -> None:
-    frames.write_items(w, _sequence(items))  # type: ignore[arg-type]
+    def read(r: Reader) -> EncryptedTupleBlock:
+        return frames.read_item_block(r, kind)
 
-
-def _write_rows(w: Writer, rows: Iterable[bytes]) -> None:
-    frames.write_rows(w, _sequence(rows))  # type: ignore[arg-type]
+    return Field(name, write, read)
 
 
 def _write_block(
@@ -195,10 +192,10 @@ ENVELOPE: Field[QueryEnvelope] = Field(
 )
 META: Field[QueryMeta] = Field("meta", _write_meta, frames.read_meta, default=None)
 QUERY = _struct("query", ENVELOPE, META)
-TUPLES = Field("tuples", _write_items, frames.read_tuples)
+TUPLES = _items("tuples", frames.ITEM_TUPLE)
 TUPLE_BLOCK = Field("tuples", _write_block, frames.read_tuple_block)
-PARTIALS = Field("partials", _write_items, frames.read_partials)
-ROWS = Field("rows", _write_rows, frames.read_rows)
+PARTIALS = _items("partials", frames.ITEM_PARTIAL)
+ROWS = Field("rows", frames.write_rows, frames.read_rows)
 RESULT: Field[QueryResult] = Field("result", frames.write_result, frames.read_result)
 UNIT = Field("unit", frames.write_work_unit, frames.read_work_unit)
 #: seconds the SSI may park a request it has no answer for; always the
@@ -214,7 +211,7 @@ WORK_ANSWER = _struct(
     _optional("unit", UNIT),
     _listing("done", QUERY_ID, limit=100_000),
 )
-#: (RESULT_PARTIALS, partials) or (RESULT_ROWS, rows)
+#: (RESULT_PARTIALS, a block of partials) or (RESULT_ROWS, a block of rows)
 PARTITION_RESULT = _tagged(
     "result kind", {frames.RESULT_PARTIALS: PARTIALS, frames.RESULT_ROWS: ROWS}
 )

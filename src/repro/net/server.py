@@ -603,18 +603,14 @@ class SSIDispatcher:
         query_id: str,
         partition_id: int,
         tds_id: str,
-        result: tuple[int, list],
+        result: tuple[int, EncryptedTupleBlock],
     ) -> None:
         coordinator = self.coordinators.get(query_id)
         if coordinator is None:
             raise UnknownQueryError(
                 f"query {query_id!r} has no server-side coordinator"
             )
-        kind, items = result
-        if kind == frames.RESULT_PARTIALS:
-            coordinator.complete(partition_id, tds_id, kind, items, [])
-        else:
-            coordinator.complete(partition_id, tds_id, kind, [], items)
+        coordinator.complete(partition_id, tds_id, *result)
 
     # ------------------------------------------------------------------ #
     # waiting for work and for results (DESIGN §7 "Waiting for work")

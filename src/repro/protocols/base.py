@@ -87,7 +87,7 @@ class Querier:
     def decrypt_result(self, result: QueryResult) -> list[Row]:
         """Step 13: download and decrypt the final rows — one
         authenticate-then-decrypt batch over the whole result set."""
-        return decode_many(self._cipher().decrypt_many(result.encrypted_rows))
+        return decode_many(self._cipher().decrypt_many(result.block.segments()))
 
 
 class ProtocolDriver:
@@ -219,25 +219,20 @@ class ProtocolDriver:
             # Credential and policy gated what each device contributed;
             # serving a partition takes only the query (§3.2).
             statement = worker.decrypt_query(envelope)
-            kind, outputs = worker.serve_partition(unit.kind, statement, partition)
+            kind, block = worker.serve_partition(unit.kind, statement, partition)
             if self.spot_checker is not None and unit.kind == WORK_FOLD:
-                outputs = [
-                    self.spot_checker.audit_and_correct(
-                        statement, partition, outputs[0], worker.tds_id
-                    )
-                ]
+                block = self.spot_checker.audit_and_correct(
+                    statement, partition, block, worker.tds_id
+                )
             folded = kind == RESULT_PARTIALS
-            partials, rows = (outputs, []) if folded else ([], outputs)
             rounds = self.stats.aggregation_rounds
-            coordinator.complete(
-                unit.partition_id, worker.tds_id, kind, partials, rows
-            )
+            coordinator.complete(unit.partition_id, worker.tds_id, kind, block)
             self.account(
                 "aggregation" if folded else "filtering",
                 rounds if folded else 0,
                 worker.tds_id,
                 partition.byte_size(),
-                sum(len(p.payload) for p in partials) + sum(len(r) for r in rows),
+                len(block.payloads),
             )
             if self.stats.aggregation_rounds != rounds:
                 turn = 0

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.messages import EncryptedPartial, Partition
+from repro.core.messages import EncryptedTupleBlock, Partition
 from repro.core.wire import decode_frame
 from repro.sql.ast import SelectStatement
 from repro.sql.partial import PartialAggregation
@@ -41,17 +41,20 @@ def verify_partition(
     verifier: TrustedDataServer,
     statement: SelectStatement,
     partition: Partition,
-    claimed: EncryptedPartial,
+    claimed: EncryptedTupleBlock,
 ) -> bool:
-    """Recompute *partition* on *verifier* and compare with *claimed*.
+    """Recompute *partition* on *verifier* and compare with *claimed*,
+    the block of one partial the worker sent back.
 
     Returns True when the claimed output is consistent with an honest
     execution.  The verifier decrypts both its own recomputation and the
     claimed output with k2 — entirely inside trusted hardware."""
+    if len(claimed) != 1:
+        return False
     recomputed = verifier.aggregate_partition(statement, partition)
     cipher = verifier._k2_cipher()
-    kind_r, body_r = decode_frame(cipher.decrypt(recomputed.payload))
-    kind_c, body_c = decode_frame(cipher.decrypt(claimed.payload))
+    kind_r, body_r = decode_frame(cipher.decrypt(recomputed.payloads))
+    kind_c, body_c = decode_frame(cipher.decrypt(claimed.payloads))
     if kind_r != "partial" or kind_c != "partial":
         return False
     return _canonical(statement, body_r) == _canonical(statement, body_c)
@@ -77,7 +80,7 @@ class SpotChecker:
         self,
         statement: SelectStatement,
         partition: Partition,
-        claimed: EncryptedPartial,
+        claimed: EncryptedTupleBlock,
         worker_id: str,
     ) -> bool | None:
         """Audit with probability ``audit_rate``.
@@ -102,9 +105,9 @@ class SpotChecker:
         self,
         statement: SelectStatement,
         partition: Partition,
-        claimed: EncryptedPartial,
+        claimed: EncryptedTupleBlock,
         worker_id: str,
-    ) -> EncryptedPartial:
+    ) -> EncryptedTupleBlock:
         """Audit (always) and return a trustworthy partial: the claimed one
         when it verifies, the verifier's own recomputation otherwise.
 

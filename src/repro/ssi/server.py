@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Iterable, Protocol
 
 from repro.core.messages import (
-    EncryptedPartial,
     EncryptedTuple,
     EncryptedTupleBlock,
     QueryEnvelope,
@@ -101,11 +100,16 @@ class SupportingServerInfrastructure:
     # ------------------------------------------------------------------ #
     # collection phase (step 4, SIZE evaluation)
     # ------------------------------------------------------------------ #
-    def submit_tuples(self, query_id: str, tuples: Iterable[EncryptedTuple]) -> None:
+    def submit_tuples(
+        self, query_id: str, tuples: EncryptedTupleBlock | Iterable[EncryptedTuple]
+    ) -> None:
         """The tuples as one block.  No live caller: replay runs it for
-        the per-item records of older logs, and it stays a method only
-        because ``benchmarks/e2e/layers.py`` wraps it by name."""
-        self.submit_tuple_block(query_id, EncryptedTupleBlock.from_tuples(list(tuples)))
+        the per-item records of older logs (read as a block), and it
+        stays a method only because ``benchmarks/e2e/layers.py`` wraps it
+        by name."""
+        if not isinstance(tuples, EncryptedTupleBlock):
+            tuples = EncryptedTupleBlock.from_tuples(list(tuples))
+        self.submit_tuple_block(query_id, tuples)
 
     def submit_tuple_block(
         self,
@@ -173,35 +177,34 @@ class SupportingServerInfrastructure:
     def submit_partials(
         self,
         query_id: str,
-        partials: Iterable[EncryptedPartial],
+        block: EncryptedTupleBlock,
         *,
         wire: bytes | memoryview | None = None,
     ) -> None:
+        """Hold the partials of one partition result (step 8), as the
+        block they arrived in."""
         storage = self._require(query_id)
-        items = list(partials)
         if self.journal is not None:
-            self.journal.record("submit_partials", query_id, items, wire=wire)
+            self.journal.record("submit_partials", query_id, block, wire=wire)
         self.lifecycle.partials_submitted(query_id)
-        for item in items:
-            storage.partials.append(item)
-            self.observer.record(
-                query_id, "aggregation", len(item.payload), item.group_tag
-            )
+        if block:  # an empty store stays empty: nothing to drain
+            storage.partials.append(block)
+        self.observer.record_block(query_id, "aggregation", block.offsets, block.tags)
 
-    def take_partials(self, query_id: str) -> list[EncryptedPartial]:
+    def take_partials(self, query_id: str) -> list[EncryptedTupleBlock]:
         """Drain the partial store (the next aggregation step re-partitions
-        them)."""
+        them): the blocks it held."""
         storage = self._require(query_id)
         if not storage.partials:
             return []
         if self.journal is not None:
             self.journal.record("take_partials", query_id)
-        partials, storage.partials = storage.partials, []
-        self.lifecycle.partials_taken(query_id, count=len(partials))
-        return partials
+        blocks, storage.partials = storage.partials, []
+        self.lifecycle.partials_taken(query_id, count=sum(map(len, blocks)))
+        return blocks
 
     def partial_count(self, query_id: str) -> int:
-        return len(self._require(query_id).partials)
+        return sum(map(len, self._require(query_id).partials))
 
     def reset_aggregation(self, query_id: str) -> None:
         """Discard a half-finished aggregation's partials and result
@@ -217,15 +220,15 @@ class SupportingServerInfrastructure:
     # ------------------------------------------------------------------ #
     # result delivery (step 13)
     # ------------------------------------------------------------------ #
-    def store_result_rows(self, query_id: str, rows: Iterable[bytes]) -> None:
+    def store_result_rows(self, query_id: str, block: EncryptedTupleBlock) -> None:
+        """Hold the k1 result rows of one filtering partition (step 12)."""
         storage = self._require(query_id)
-        items = list(rows)
         if self.journal is not None:
-            self.journal.record("store_result_rows", query_id, items)
-        for row in items:
-            storage.result_rows.append(row)
-            self.observer.record(query_id, "filtering", len(row), None)
-        self.lifecycle.result_stored(query_id, rows=len(items))
+            self.journal.record("store_result_rows", query_id, block)
+        if block:
+            storage.result_rows.append(block)
+        self.observer.record_block(query_id, "filtering", block.offsets, block.tags)
+        self.lifecycle.result_stored(query_id, rows=len(block))
 
     def publish_result(self, query_id: str) -> None:
         storage = self._require(query_id)
@@ -243,7 +246,7 @@ class SupportingServerInfrastructure:
         storage = self._require(query_id)
         if not storage.result_ready:
             raise ResultNotReadyError(f"result of {query_id!r} not ready")
-        return QueryResult(query_id, tuple(storage.result_rows))
+        return QueryResult(query_id, EncryptedTupleBlock.concat(storage.result_rows))
 
     # ------------------------------------------------------------------ #
     # durability surface (repro.store snapshot/recovery)

@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from repro.core.messages import EncryptedPartial, EncryptedTupleBlock, Partition
+from repro.core.messages import EncryptedTupleBlock, Partition
 from repro.exceptions import ProtocolError
 
 
@@ -143,14 +143,14 @@ class PartitionTracker:
 class QueryStorage:
     """All SSI-side state for one query.
 
-    The covering result is kept as the columnar
-    :class:`EncryptedTupleBlock` contributions it arrived as, one per
-    accepted submission, in arrival order — the order the observer saw
-    them in."""
+    Everything is kept as the columnar :class:`EncryptedTupleBlock`s it
+    arrived as, in arrival order — the order the observer saw them in:
+    the covering result one block per accepted submission, the partials
+    and the result rows one block per partition result."""
 
     collected_blocks: list[EncryptedTupleBlock] = field(default_factory=list)
-    partials: list[EncryptedPartial] = field(default_factory=list)
-    result_rows: list[bytes] = field(default_factory=list)
+    partials: list[EncryptedTupleBlock] = field(default_factory=list)
+    result_rows: list[EncryptedTupleBlock] = field(default_factory=list)
     collection_closed: bool = False
     result_ready: bool = False
 

@@ -32,7 +32,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.messages import EncryptedPartial, EncryptedTupleBlock, QueryEnvelope
+from repro.core.messages import EncryptedTupleBlock, QueryEnvelope
 from repro.exceptions import CorruptLogError, ProtocolError, StoreError
 from repro.net import frames
 from repro.net.frames import QueryMeta, Reader, Writer
@@ -60,8 +60,8 @@ class QuerySnapshot:
     collection_closed: bool = False
     result_ready: bool = False
     collected_blocks: list[EncryptedTupleBlock] = field(default_factory=list)
-    partials: list[EncryptedPartial] = field(default_factory=list)
-    result_rows: list[bytes] = field(default_factory=list)
+    partials: list[EncryptedTupleBlock] = field(default_factory=list)
+    result_rows: list[EncryptedTupleBlock] = field(default_factory=list)
 
 
 @dataclass
@@ -114,8 +114,10 @@ def _write_query(w: Writer, q: QuerySnapshot) -> None:
     w.u32(len(q.collected_blocks))
     for block in q.collected_blocks:
         frames.write_tuple_block(w, block)
-    frames.write_items(w, list(q.partials))
-    frames.write_rows(w, q.result_rows)
+    # partials and rows keep their per-item lanes: one list each, however
+    # many blocks they are held as
+    frames.write_item_block(w, EncryptedTupleBlock.concat(q.partials), frames.ITEM_PARTIAL)
+    frames.write_rows(w, EncryptedTupleBlock.concat(q.result_rows))
 
 
 def _read_query(r: Reader) -> QuerySnapshot:
@@ -126,10 +128,10 @@ def _read_query(r: Reader) -> QuerySnapshot:
     closed = r.boolean()
     ready = r.boolean()
     # An older build's per-tuple lane: it served those tuples first.
-    lane = frames.read_tuples(r)
-    blocks = [EncryptedTupleBlock.from_tuples(lane)] if lane else []
+    lane = frames.read_item_block(r, frames.ITEM_TUPLE)
+    blocks = [lane] if lane else []
     blocks += [frames.read_tuple_block(r) for _ in range(r.count(limit=100_000))]
-    partials = frames.read_partials(r)
+    partials = frames.read_item_block(r, frames.ITEM_PARTIAL)
     rows = frames.read_rows(r)
     return QuerySnapshot(
         query_id=query_id,
@@ -139,8 +141,8 @@ def _read_query(r: Reader) -> QuerySnapshot:
         collection_closed=closed,
         result_ready=ready,
         collected_blocks=blocks,
-        partials=partials,
-        result_rows=rows,
+        partials=[partials] if partials else [],
+        result_rows=[rows] if rows else [],
     )
 
 

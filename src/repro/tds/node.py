@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
-from repro.core.codec import encode, encode_many
+from repro.core.codec import encode, encode_packed
 from repro.core.messages import (
     RESULT_PARTIALS,
     RESULT_ROWS,
@@ -26,7 +26,6 @@ from repro.core.messages import (
     WORK_FINALIZE,
     WORK_FOLD,
     WORK_FOLD_PER_GROUP,
-    EncryptedPartial,
     EncryptedTupleBlock,
     Partition,
     QueryEnvelope,
@@ -64,9 +63,10 @@ SLOT_BYTES = 16
 
 @dataclass(frozen=True, slots=True)
 class TupleFrameBlock:
-    """A packed buffer of yet-to-be-encrypted tuple frames plus their
-    routing tags: what :meth:`TrustedDataServer.collect_frames` builds
-    and :meth:`TrustedDataServer.seal_frames` encrypts.
+    """A packed buffer of yet-to-be-encrypted frames plus their routing
+    tags: what :meth:`TrustedDataServer.collect_frames` builds (tuple
+    frames), what a fold builds (partial frames), and what
+    :meth:`TrustedDataServer.seal_frames` encrypts.
 
     Same shape as :class:`~repro.core.messages.EncryptedTupleBlock`
     (``count + 1`` offsets spanning ``frames``), but the payload bytes
@@ -319,15 +319,15 @@ class TrustedDataServer:
     # ------------------------------------------------------------------ #
     def serve_partition(
         self, kind: int, statement: SelectStatement, partition: Partition
-    ) -> tuple[int, list[Any]]:
+    ) -> tuple[int, EncryptedTupleBlock]:
         """Do the work a unit of *kind* asks for on *partition* and return
-        ``(result kind, outputs)`` — encrypted partials or k1 result rows,
+        ``(result kind, block)`` — encrypted partials or k1 result rows,
         as the result kind says.  The one entry the fleet's device loop
         and the in-process driver reach TDS work through; the primitives
         are looked up on ``self`` per call, so a subclass (or a wrapper
         installed on the class) that changes one is honoured."""
         if kind == WORK_FOLD:
-            return RESULT_PARTIALS, [self.aggregate_partition(statement, partition)]
+            return RESULT_PARTIALS, self.aggregate_partition(statement, partition)
         if kind == WORK_FOLD_PER_GROUP:
             return RESULT_PARTIALS, self.aggregate_partition_per_group(
                 statement, partition
@@ -349,18 +349,18 @@ class TrustedDataServer:
 
     def aggregate_partition(
         self, statement: SelectStatement, partition: Partition
-    ) -> EncryptedPartial:
+    ) -> EncryptedTupleBlock:
         """S_Agg step: fold a partition (raw tuples and/or partials) into a
-        single partial aggregation, returned fully nDet-encrypted."""
+        single partial aggregation, returned fully nDet-encrypted as an
+        untagged block of one item."""
         partial = self._fold_partition(statement, partition)
-        payload = self._k2_cipher().encrypt(
-            encode_partial_frame(partial.to_portable())
+        return self.seal_frames(
+            TupleFrameBlock.from_frames([encode_partial_frame(partial.to_portable())])
         )
-        return EncryptedPartial(payload)
 
     def aggregate_partition_per_group(
         self, statement: SelectStatement, partition: Partition
-    ) -> list[EncryptedPartial]:
+    ) -> EncryptedTupleBlock:
         """Noise-based / ED_Hist step: fold a partition and emit one
         encrypted partial *per group*, tagged ``Det_Enc(group)`` so the SSI
         can route same-group partials together for the next step."""
@@ -371,12 +371,8 @@ class TrustedDataServer:
             (key,) = single.groups()
             frames.append(encode_partial_frame(single.to_portable()))
             tag_plaintexts.append(encode(list(key)))
-        payloads = self._k2_cipher().encrypt_many(frames)
         tags = self._k2_det_cipher().encrypt_many(tag_plaintexts)
-        return [
-            EncryptedPartial(payload=payload, group_tag=tag)
-            for payload, tag in zip(payloads, tags)
-        ]
+        return self.seal_frames(TupleFrameBlock.from_frames(frames, tags))
 
     def _fold_partition(
         self, statement: SelectStatement, partition: Partition
@@ -404,7 +400,7 @@ class TrustedDataServer:
     # ------------------------------------------------------------------ #
     # filtering phase (steps 9-12)
     # ------------------------------------------------------------------ #
-    def filter_partition(self, partition: Partition) -> list[bytes]:
+    def filter_partition(self, partition: Partition) -> EncryptedTupleBlock:
         """Basic protocol filtering: drop dummies, re-encrypt true rows
         under k1 for the querier."""
         rows: list[Row] = []
@@ -413,11 +409,11 @@ class TrustedDataServer:
                 raise ProtocolError("filtering phase expects tuple frames")
             if body.is_real():
                 rows.append(body.row)
-        return self._k1_cipher().encrypt_many(encode_many(rows))
+        return self._seal_rows(rows)
 
     def finalize_partition(
         self, statement: SelectStatement, partition: Partition
-    ) -> list[bytes]:
+    ) -> EncryptedTupleBlock:
         """Aggregation filtering: merge final partials, evaluate HAVING and
         the SELECT projection, re-encrypt result rows under k1."""
         partial = PartialAggregation(statement)
@@ -425,8 +421,15 @@ class TrustedDataServer:
             if kind != "partial":
                 raise ProtocolError("finalization expects partial frames")
             partial.merge(PartialAggregation.from_portable(statement, body))
-        rows = finalize_groups(statement, partial.groups())
-        return self._k1_cipher().encrypt_many(encode_many(rows))
+        return self._seal_rows(finalize_groups(statement, partial.groups()))
+
+    def _seal_rows(self, rows: list[Row]) -> EncryptedTupleBlock:
+        """Result rows under k1 in one packed pass, as an untagged block
+        the querier decrypts (step 12)."""
+        payloads, offsets = self._k1_cipher().encrypt_block(*encode_packed(rows))
+        return EncryptedTupleBlock(
+            payloads=payloads, offsets=offsets, tags=(None,) * len(rows)
+        )
 
 
 def reduced_row(statement: SelectStatement, row: Row) -> Row:

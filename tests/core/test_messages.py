@@ -2,7 +2,6 @@
 
 from repro.core.messages import (
     Credential,
-    EncryptedPartial,
     EncryptedTuple,
     EncryptedTupleBlock,
     Partition,
@@ -27,7 +26,7 @@ class TestCredential:
 class TestPartition:
     def test_byte_size_sums_payloads(self):
         block = EncryptedTupleBlock.from_tuples(
-            [EncryptedTuple(bytes(10)), EncryptedPartial(bytes(22), group_tag=b"t")]
+            [EncryptedTuple(bytes(10)), EncryptedTuple(bytes(22), group_tag=b"t")]
         )
         assert Partition(0, block).byte_size() == 32
 
@@ -64,9 +63,10 @@ class TestQueryIds:
 
 class TestQueryResult:
     def test_holds_rows(self):
-        result = QueryResult("q1", (b"a", b"b"))
+        rows = EncryptedTupleBlock.from_tuples([EncryptedTuple(b"a"), EncryptedTuple(b"b")])
+        result = QueryResult("q1", rows)
         assert result.query_id == "q1"
-        assert len(result.encrypted_rows) == 2
+        assert len(result.block) == 2
 
 
 class TestTupleContentDefaults:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.messages import EncryptedPartial, EncryptedTupleBlock, Partition
+from repro.core.messages import EncryptedTuple, EncryptedTupleBlock, Partition
 from repro.exceptions import ConfigurationError
 from repro.exposure.compromise import (
     analyze_trace_leakage,
@@ -131,9 +131,9 @@ class TestSpotCheckVerification:
     def test_fabricated_partial_detected(self, deployment):
         statement, partition = self._setup(deployment)
         verifier = deployment.tds_list[1]
-        fabricated = EncryptedPartial(
+        fabricated = EncryptedTupleBlock.from_tuples([EncryptedTuple(
             deployment.tds_list[0]._k2_cipher().encrypt(b"\x00" * 64)
-        )
+        )])
         from repro.exceptions import ReproError
 
         with pytest.raises(ReproError):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.messages import Credential, EncryptedTuple, QueryEnvelope
+from repro.net import frames
 from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy
 from repro.net.fleet import FleetRunner
 from repro.net.frames import QueryMeta
@@ -32,6 +33,7 @@ from tests.net.conftest import (
     make_histogram,
     sorted_rows,
 )
+from tests.net.golden.capture import block, rows_of
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 LISTENING = re.compile(r"SSI listening on 127\.0\.0\.1:(\d+)")
@@ -130,10 +132,11 @@ class TestKillDashNine:
                 _, unit, _ = await client2.await_work("tds-1", ["q-crash"], 0.0)
                 assert len(unit.block) == 4
                 await client2.submit_partition_result(
-                    "q-crash", unit.partition_id, "tds-1", rows=[b"row-1"]
+                    "q-crash", unit.partition_id, "tds-1",
+                    (frames.RESULT_ROWS, block(b"row-1")),
                 )
                 result = await client2.await_result("q-crash", 1.0)
-                assert result.encrypted_rows == (b"row-1",)
+                assert rows_of(result) == [b"row-1"]
             finally:
                 await client2.close()
             proc2.terminate()

@@ -21,3 +21,7 @@ def leak_into_a_block(frames) -> EncryptedTupleBlock:
         offsets=frames.offsets,
         tags=frames.tags,
     )
+
+
+async def leak_a_partition_result(client, q: str, p: int, t: str, frames) -> None:
+    await client.submit_partition_result(q, p, t, (2, frames.decoded))  # line 27: results back

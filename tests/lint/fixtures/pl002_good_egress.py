@@ -1,6 +1,6 @@
 """Known-good PL002 fixture: ciphertext-only egress, sanitizers respected."""
 
-from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
+from repro.core.messages import EncryptedTuple, EncryptedTupleBlock
 
 
 def encrypted_tuple(cipher, frame: bytes) -> EncryptedTuple:
@@ -26,7 +26,13 @@ async def sealed_block(client, cipher, query_id: str, frames) -> None:
     await client.submit_tuples_batch(query_id, block)
 
 
-def bucket_tagged(cipher, hasher, frame: bytes, bucket_id: int) -> EncryptedPartial:
-    return EncryptedPartial(
+def bucket_tagged(cipher, hasher, frame: bytes, bucket_id: int) -> EncryptedTuple:
+    return EncryptedTuple(
         payload=cipher.encrypt(frame), group_tag=hasher.hash_bucket(bucket_id)
     )
+
+
+async def sealed_result(client, cipher, q: str, p: int, t: str, rows) -> None:
+    payloads, offsets = cipher.encrypt_block(rows.frames, rows.offsets)
+    block = EncryptedTupleBlock(payloads=payloads, offsets=offsets, tags=rows.tags)
+    await client.submit_partition_result(q, p, t, (2, block))

@@ -120,6 +120,28 @@ def test_only_the_device_builds_noise():
     assert offenders == []
 
 
+def test_ciphertext_lists_travel_as_blocks_only():
+    # One shape carries every ciphertext list: the per-item view is built
+    # by the block itself (``tuples()``, ``from_tuples``) and nowhere
+    # else in the program, and the second per-item type is gone.
+    messages = REPO_ROOT / "src" / "repro" / "core" / "messages.py"
+    gone = "Encrypted" + "Partial"  # spelt in two: a grep for it finds no use
+    offenders = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if gone in text:
+            offenders.append(f"{path.relative_to(REPO_ROOT)}: names {gone}")
+        if path == messages:
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "EncryptedTuple":
+                    offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}: EncryptedTuple(")
+    assert offenders == []
+
+
 def test_protocols_export_no_per_protocol_driver_class():
     # A protocol is its row: one driver runs every row.
     exported = {name: getattr(repro_protocols, name) for name in repro_protocols.__all__}

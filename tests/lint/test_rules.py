@@ -66,14 +66,16 @@ def test_pl002_flags_each_leak():
 
 def test_pl002_flags_each_leak_on_the_block_path():
     # the sinks every contribution reaches the SSI through: the facade,
-    # the wire proxy, the batcher and the block constructor
+    # the wire proxy, the batcher and the block constructor — and the
+    # proxy a TDS's partials and result rows go back through
     findings = [
         f for f in lint_fixture("pl002_bad_block_egress.py") if f.rule == "PL002"
     ]
-    assert {f.line for f in findings} == {7, 11, 15, 20}
+    assert {f.line for f in findings} == {7, 11, 15, 20, 27}
     sinks = {f.message.split(" flows into SSI-bound ")[1].split()[0] for f in findings}
     assert sinks == {
         "submit_tuple_block", "submit_tuples_batch", "submit_block", "EncryptedTupleBlock",
+        "submit_partition_result",
     }
 
 

@@ -11,10 +11,13 @@ import random
 
 import pytest
 
+from repro.net import frames
 from repro.obs import metrics as obs_metrics
 from repro.protocols import Deployment, ProtocolDriver
 from repro.sql.schema import Database, schema
 from repro.tds.histogram import EquiDepthHistogram
+
+from .golden.capture import block
 
 DISTRICTS = ["north", "south", "east", "west"]
 
@@ -104,5 +107,5 @@ async def finish_query(client, query_id, rows, tds_id="tds-x"):
     await client.close_collection(query_id)
     _, unit, _ = await client.await_work(tds_id, [query_id], 0.0)
     await client.submit_partition_result(
-        query_id, unit.partition_id, tds_id, rows=rows
+        query_id, unit.partition_id, tds_id, (frames.RESULT_ROWS, block(*rows))
     )

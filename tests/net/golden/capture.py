@@ -29,9 +29,10 @@ from pathlib import Path
 
 from repro.core.messages import (
     Credential,
-    EncryptedPartial,
     EncryptedTuple,
+    EncryptedTupleBlock,
     QueryEnvelope,
+    QueryResult,
 )
 from repro.exceptions import UnknownQueryError
 from repro.net import frames
@@ -46,6 +47,15 @@ WIRE_FILE = HERE / "ops_v4.json"
 DATA_DIR = HERE / "parent_data_dir"
 
 CLIENT_SEED = 7
+
+
+def block(*payloads: bytes) -> EncryptedTupleBlock:
+    """Untagged items: a contribution, a partition's partials or rows."""
+    return EncryptedTupleBlock.from_tuples([EncryptedTuple(p) for p in payloads])
+
+
+def rows_of(result: QueryResult) -> list[bytes]:
+    return [bytes(row) for row in result.block.segments()]
 
 
 def envelope(query_id: str, **size: object) -> QueryEnvelope:
@@ -68,7 +78,10 @@ async def scenario(client: AsyncSSIClient) -> None:
     await client.post_query(envelope("q-personal", size_seconds=2.5), "tds-7")
     await client.fetch_query("q-driver")
     await client.submit_tuples_batch(
-        "q-driver", [EncryptedTuple(b"ct-3", b"g1"), EncryptedTuple(b"ct-4", None)]
+        "q-driver",
+        EncryptedTupleBlock.from_tuples(
+            [EncryptedTuple(b"ct-3", b"g1"), EncryptedTuple(b"ct-4", None)]
+        ),
     )
     assert await client.collected_count("q-driver") == 2
     await client.close_collection("q-personal")
@@ -78,7 +91,7 @@ async def scenario(client: AsyncSSIClient) -> None:
         envelope("q-fleet"), meta=QueryMeta("s_agg", {"alpha": 2.0})
     )
     await client.submit_tuples_batch(
-        "q-fleet", [EncryptedTuple(b"f-%d" % i, None) for i in range(3)]
+        "q-fleet", block(*[b"f-%d" % i for i in range(3)])
     )
     assert tuple(await client.await_work("tds-a", ["q-fleet"], 0.0)) == ([], None, [])
     await client.close_collection("q-fleet")
@@ -88,17 +101,11 @@ async def scenario(client: AsyncSSIClient) -> None:
             break
         assert unit is not None
         if unit.kind == frames.WORK_FINALIZE:
-            await client.submit_partition_result(
-                "q-fleet", unit.partition_id, "tds-a", rows=[b"final-row"]
-            )
+            result = (frames.RESULT_ROWS, block(b"final-row"))
         else:
-            await client.submit_partition_result(
-                "q-fleet",
-                unit.partition_id,
-                "tds-a",
-                partials=[EncryptedPartial(b"fold-%d" % unit.partition_id, None)],
-            )
-    assert (await client.await_result("q-fleet", 0.0)).encrypted_rows == (b"final-row",)
+            result = (frames.RESULT_PARTIALS, block(b"fold-%d" % unit.partition_id))
+        await client.submit_partition_result("q-fleet", unit.partition_id, "tds-a", result)
+    assert rows_of(await client.await_result("q-fleet", 0.0)) == [b"final-row"]
 
     seen = await client.get_commitment()
     if seen is not None:
@@ -119,16 +126,14 @@ async def interrupted(client: AsyncSSIClient) -> None:
         envelope("q-crashed"), meta=QueryMeta("s_agg", {"alpha": 2.0})
     )
     await client.submit_tuples_batch(
-        "q-crashed", [EncryptedTuple(b"c-%d" % i, None) for i in range(4)]
+        "q-crashed", block(*[b"c-%d" % i for i in range(4)])
     )
     await client.close_collection("q-crashed")
     _, unit, _ = await client.await_work("tds-a", ["q-crashed"], 0.0)
     assert unit is not None
     await client.submit_partition_result(
-        "q-crashed",
-        unit.partition_id,
-        "tds-a",
-        partials=[EncryptedPartial(b"half-done", None)],
+        "q-crashed", unit.partition_id, "tds-a",
+        (frames.RESULT_PARTIALS, block(b"half-done")),
     )
 
 
@@ -145,25 +150,24 @@ async def await_scenario(client: AsyncSSIClient) -> None:
     queries, unit, done = await client.await_work("tds-a", [], 0.0)
     assert [e.query_id for e, _ in queries] == ["q-await"] and unit is None
     await client.submit_tuples_batch(
-        "q-await", [EncryptedTuple(b"a-%d" % i, None) for i in range(2)]
+        "q-await", block(*[b"a-%d" % i for i in range(2)])
     )
     assert await client.await_result("q-await", 0.0) is None
     await client.close_collection("q-await")
     queries, unit, done = await client.await_work("tds-a", ["q-await"], 1.5)
     assert queries == [] and unit is not None and unit.kind == frames.WORK_FOLD
     await client.submit_partition_result(
-        "q-await", unit.partition_id, "tds-a",
-        partials=[EncryptedPartial(b"fold", None)],
+        "q-await", unit.partition_id, "tds-a", (frames.RESULT_PARTIALS, block(b"fold"))
     )
     _, unit, _ = await client.await_work("tds-a", ["q-await"], 0.25)
     assert unit is not None and unit.kind == frames.WORK_FINALIZE
     await client.submit_partition_result(
-        "q-await", unit.partition_id, "tds-a", rows=[b"final-row"]
+        "q-await", unit.partition_id, "tds-a", (frames.RESULT_ROWS, block(b"final-row"))
     )
     answer = await client.await_work("tds-a", ["q-await", "q-gone"], 0.0)
     assert tuple(answer) == ([], None, ["q-await", "q-gone"])
     result = await client.await_result("q-await", 2.0)
-    assert result is not None and result.encrypted_rows == (b"final-row",)
+    assert result is not None and rows_of(result) == [b"final-row"]
 
 
 class RecordingTransport(LoopbackTransport):

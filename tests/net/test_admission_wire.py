@@ -23,6 +23,7 @@ from repro.net.transport import LoopbackTransport, TCPTransport
 from repro.ssi.admission import AdmissionPolicy
 
 from .conftest import run_async
+from .golden.capture import block
 
 NO_RETRY = RetryPolicy(max_retries=0, backoff_base=0.0, jitter=0.0)
 
@@ -118,7 +119,7 @@ class TestQueryQuotaOverTheWire:
             )
 
             async def publishing_sleep(_delay):
-                dispatcher.ssi.store_result_rows("q1", [b"row"])
+                dispatcher.ssi.store_result_rows("q1", block(b"row"))
                 dispatcher.ssi.publish_result("q1")
 
             client = loopback_client(

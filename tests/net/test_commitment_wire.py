@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.messages import (
     Credential,
-    EncryptedPartial,
     EncryptedTuple,
     QueryEnvelope,
 )
@@ -30,6 +29,7 @@ from repro.store import DurableStore
 from repro.store.commitment import Commitment
 
 from .conftest import GROUP_SQL, build_deployment, run_async, sorted_rows
+from .golden.capture import block
 from .test_keyed_writes import replays
 from .test_long_poll import serving, until
 
@@ -224,14 +224,14 @@ class TestAnAckWaitsForItsOwnRecordsAndNothingElse:
                         break
                     await answered(device.submit_partition_result(
                         "q1", unit.partition_id, "tds-1",
-                        partials=[EncryptedPartial(b"p", None)],
+                        (frames.RESULT_PARTIALS, block(b"p")),
                     ))
                     folded += 1
                 # two rounds of partials journaled, acked, nothing attested
                 assert folded == 3 and store.last_seq == 3 + folded + 2
                 assert device.last_commitment is None and hold.calls == 0
                 final = asyncio.create_task(device.submit_partition_result(
-                    "q1", unit.partition_id, "tds-1", rows=[b"row"]
+                    "q1", unit.partition_id, "tds-1", (frames.RESULT_ROWS, block(b"row"))
                 ))
                 await until(lambda: hold.calls == 1)
                 await asyncio.sleep(0.05)

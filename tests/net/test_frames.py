@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.messages import (
     Credential,
-    EncryptedPartial,
     EncryptedTuple,
     EncryptedTupleBlock,
     QueryEnvelope,
@@ -15,6 +14,10 @@ from repro.core.messages import (
 from repro.exceptions import FrameTooLargeError, ProtocolError
 from repro.net import frames
 from repro.net.frames import QueryMeta, Reader, WorkUnit, Writer
+
+
+def _one(payload):
+    return EncryptedTupleBlock.from_tuples([EncryptedTuple(payload)])
 
 
 def make_envelope(query_id="q1", size_tuples=None, size_seconds=None):
@@ -238,36 +241,34 @@ class TestComposites:
         assert got.param("missing", 1.25) == 1.25
 
     def test_items_roundtrip_preserves_kind(self):
-        items = [
-            EncryptedTuple(b"ct1", None),
-            EncryptedTuple(b"ct2", b"tag"),
-            EncryptedPartial(b"cp", b"tag2"),
-        ]
-        w = Writer()
-        frames.write_items(w, items)
-        got = frames.read_items(Reader(w.getvalue()))
-        assert got == items
-        assert [type(i) for i in got] == [type(i) for i in items]
+        block = EncryptedTupleBlock.from_tuples(
+            [EncryptedTuple(b"ct1", None), EncryptedTuple(b"", b"tag"),
+             EncryptedTuple(b"cp", b"tag2")]
+        )
+        for kind in (frames.ITEM_TUPLE, frames.ITEM_PARTIAL):
+            w = Writer()
+            frames.write_item_block(w, block, kind)
+            assert frames.read_item_block(Reader(w.getvalue()), kind) == block
 
-    def test_read_tuples_rejects_partials(self):
+    def test_reading_tuples_rejects_partials(self):
         w = Writer()
-        frames.write_items(w, [EncryptedPartial(b"cp", None)])
+        frames.write_item_block(w, _one(b"cp"), frames.ITEM_PARTIAL)
         with pytest.raises(ProtocolError, match="expected tuple"):
-            frames.read_tuples(Reader(w.getvalue()))
+            frames.read_item_block(Reader(w.getvalue()), frames.ITEM_TUPLE)
 
-    def test_read_partials_rejects_tuples(self):
+    def test_reading_partials_rejects_tuples(self):
         w = Writer()
-        frames.write_items(w, [EncryptedTuple(b"ct", None)])
+        frames.write_item_block(w, _one(b"ct"), frames.ITEM_TUPLE)
         with pytest.raises(ProtocolError, match="expected partial"):
-            frames.read_partials(Reader(w.getvalue()))
+            frames.read_item_block(Reader(w.getvalue()), frames.ITEM_PARTIAL)
 
     def test_unknown_item_kind(self):
         payload = Writer().u32(1).u8(9).blob(b"x").boolean(False).getvalue()
         with pytest.raises(ProtocolError, match="item kind"):
-            frames.read_items(Reader(payload))
+            frames.read_item_block(Reader(payload), frames.ITEM_PARTIAL)
 
     def test_work_unit_roundtrip(self):
-        block = EncryptedTupleBlock.from_tuples([EncryptedPartial(b"c", None)])
+        block = _one(b"c")
         unit = WorkUnit("q9", frames.WORK_FOLD, 3, block)
         w = Writer()
         frames.write_work_unit(w, unit)
@@ -283,7 +284,9 @@ class TestComposites:
             frames.read_work_unit(Reader(w.getvalue()))
 
     def test_result_roundtrip(self):
-        result = QueryResult("q1", (b"row1", b"row2"))
+        result = QueryResult("q1", EncryptedTupleBlock.from_tuples(
+            [EncryptedTuple(b"row1"), EncryptedTuple(b"row2")]
+        ))
         w = Writer()
         frames.write_result(w, result)
         assert frames.read_result(Reader(w.getvalue())) == result
@@ -296,7 +299,8 @@ class TestFuzz:
         for parse in (
             frames.read_envelope,
             frames.read_meta,
-            frames.read_items,
+            lambda r: frames.read_item_block(r, frames.ITEM_PARTIAL),
+            frames.read_rows,
             frames.read_work_unit,
             frames.read_result,
         ):

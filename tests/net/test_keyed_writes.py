@@ -20,10 +20,11 @@ from contextlib import asynccontextmanager
 
 import pytest
 
-from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
+from repro.core.messages import EncryptedTuple, EncryptedTupleBlock
 from repro.exceptions import ProtocolError
 from repro.net import frames, ops
 from repro.net.client import AsyncSSIClient
+from repro.net.coordinator import QueryCoordinator
 from repro.net.frames import QueryMeta, Writer
 from repro.net.server import SSIDispatcher
 from repro.net.transport import LoopbackTransport
@@ -34,14 +35,14 @@ from repro.store import DurableStore, scan_segments
 from repro.store.records import decode_record
 
 from .conftest import run_async
-from .golden.capture import envelope
+from .golden.capture import block, envelope, rows_of
 from .test_long_poll import serving
 
 TUPLES = [EncryptedTuple(b"ct-1", b"g"), EncryptedTuple(b"ct-2", None)]
 
 
 def result_rows(ssi, query_id):
-    return len(ssi.storage_map()[query_id].result_rows)
+    return sum(map(len, ssi.storage_map()[query_id].result_rows))
 
 
 #: the keyed data rows: (row, request items, what the facade then holds, how many)
@@ -157,6 +158,62 @@ class TestAFailedApplyIsNotAcknowledgedOnRetry:
         assert [record.idem for record in records] == [self.POST_KEY, self.KEY]
 
 
+def refuse_once(store, *ops_):
+    """The next WAL append of each of these rows' records raises ENOSPC
+    once; returns the set still armed."""
+    failing = {op.record for op in ops_}
+    append = store._wal.append
+
+    def full_once(parts):
+        if parts[0][0] in failing:
+            failing.remove(parts[0][0])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return append(parts)
+
+    store._wal.append = full_once
+    return failing
+
+
+async def serve_resending(client, rows):
+    """Work query ``q`` as one device: fold every partition to the
+    partial ``b"p"``, finalize to *rows*, and resend a result answered
+    ``ERR_INTERNAL``.  Returns (refusals, the finished ids of the last
+    answer)."""
+    refused = 0
+    while True:
+        _, unit, done = await client.await_work("tds-w", ["q"], 0.0)
+        if unit is None:
+            return refused, done
+        if unit.kind == frames.WORK_FINALIZE:
+            result = (frames.RESULT_ROWS, block(*rows))
+        else:
+            result = (frames.RESULT_PARTIALS, block(b"p"))
+        try:
+            await client.submit_partition_result("q", unit.partition_id, "tds-w", result)
+        except ProtocolError:  # ERR_INTERNAL; the device resends
+            refused += 1
+            await client.submit_partition_result("q", unit.partition_id, "tds-w", result)
+
+
+async def open_sagg_query(tmp_path):
+    """A durable dispatcher holding ``q``: S_Agg with alpha 2 over four
+    collected tuples — two folds, one merge, one finalize."""
+    store = DurableStore.open(tmp_path)
+    dispatcher = SSIDispatcher.with_store(store)
+    client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
+    await client.post_query(envelope("q"), meta=QueryMeta("s_agg", {"alpha": 2.0}))
+    await client.submit_tuples_batch("q", TUPLES * 2)
+    await client.close_collection("q")
+    return store, client
+
+
+def journaled(tmp_path):
+    return [
+        decode_record(bytes(body)).op.name
+        for _seq, body in scan_segments(tmp_path / "wal", mode="verify").records
+    ]
+
+
 class TestAFailedAppendIsNotAbsorbedByTheCoordinator:
     """The same sequence one layer up: a device's partition result
     whose record could not be appended is answered ``ERR_INTERNAL`` and
@@ -168,56 +225,88 @@ class TestAFailedAppendIsNotAbsorbedByTheCoordinator:
         rows = [b"row-1", b"row-2"]
 
         async def run():
-            store = DurableStore.open(tmp_path)
-            dispatcher = SSIDispatcher.with_store(store)
-            client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
-            await client.post_query(
-                envelope("q"), meta=QueryMeta("s_agg", {"alpha": 2.0})
-            )
-            await client.submit_tuples_batch("q", TUPLES * 2)
-            await client.close_collection("q")
-            # the next record of each type cannot be appended
-            failing = {ops.SUBMIT_PARTIALS.record, ops.STORE_RESULT_ROWS.record}
-            append = store._wal.append
-
-            def full_once(parts):
-                if parts[0][0] in failing:
-                    failing.remove(parts[0][0])
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return append(parts)
-
-            store._wal.append = full_once
-            refused = 0
-            while True:
-                _, unit, done = await client.await_work("tds-w", ["q"], 0.0)
-                if unit is None:
-                    break
-                if unit.kind == frames.WORK_FINALIZE:
-                    result = {"rows": rows}
-                else:
-                    result = {"partials": [EncryptedPartial(b"p", None)]}
-                try:
-                    await client.submit_partition_result(
-                        "q", unit.partition_id, "tds-w", **result
-                    )
-                except ProtocolError:  # ERR_INTERNAL; the device resends
-                    refused += 1
-                    await client.submit_partition_result(
-                        "q", unit.partition_id, "tds-w", **result
-                    )
+            store, client = await open_sagg_query(tmp_path)
+            failing = refuse_once(store, ops.SUBMIT_PARTIALS, ops.STORE_RESULT_ROWS)
+            refused, done = await serve_resending(client, rows)
             assert refused == 2 and not failing and done == ["q"]
             result = await client.await_result("q", 0.0)
-            assert list(result.encrypted_rows) == rows
+            assert rows_of(result) == rows
             store.close()
 
         run_async(run())
-        journaled = [
-            decode_record(bytes(body)).op.name
-            for _seq, body in scan_segments(tmp_path / "wal", mode="verify").records
-        ]
+        records = journaled(tmp_path)
         # 4 tuples, alpha 2: two folds, one merge, one finalize — each once
-        assert journaled.count("submit_partials") == 3
-        assert journaled[-2:] == ["store_result_rows", "publish_result"]
+        assert records.count("submit_partials") == 3
+        assert records[-2:] == ["store_result_rows", "publish_result"]
+
+
+class TestAFailedRoundBoundaryAppendIsRetried:
+    """The result that drains a round also advances it: drain the SSI's
+    partials (record 6) and cut the next stage, or publish (record 8).
+    When that append raised, the parent had already marked the round
+    done and emptied the outputs it collected: the resent result was a
+    duplicate, nothing was assignable, and the query was stranded for
+    good.  The advance is now re-run — by the resend, or by the next
+    request for work — until its append goes through."""
+
+    def test_the_query_publishes_over_the_wire(self, tmp_path):
+        rows = [b"row-1", b"row-2"]
+
+        async def run():
+            store, client = await open_sagg_query(tmp_path)
+            failing = refuse_once(store, ops.TAKE_PARTIALS, ops.PUBLISH_RESULT)
+            refused, done = await serve_resending(client, rows)
+            assert refused == 2 and not failing and done == ["q"]
+            result = await client.await_result("q", 0.0)
+            assert rows_of(result) == rows
+            store.close()
+
+        run_async(run())
+        records = journaled(tmp_path)
+        assert records.count("submit_partials") == 3
+        assert records.count("take_partials") == 2  # after each aggregation round
+        assert records[-2:] == ["store_result_rows", "publish_result"]
+
+    @pytest.mark.parametrize("method", ["take_partials", "publish_result"])
+    @pytest.mark.parametrize("retry", ["resend", "ask_for_work"])
+    def test_in_process_the_next_call_finishes_the_advance(self, method, retry):
+        ssi = SSI()
+        ssi.post_query(envelope("q"))
+        ssi.submit_tuple_block("q", block(*[b"t-%d" % i for i in range(4)]))
+        ssi.close_collection("q")
+        coordinator = QueryCoordinator(ssi, "q", QueryMeta("s_agg", {"alpha": 2.0}))
+        ssi.journal = journal = CountingJournal()
+        refuse = {method}
+        record = journal.record
+
+        def refusing(name, *args, wire=None):
+            if name in refuse:
+                refuse.remove(name)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return record(name, *args, wire=wire)
+
+        journal.record = refusing
+        refused = 0
+        while (unit := coordinator.next_work("tds-w", 0.0)) is not None:
+            if unit.kind == frames.WORK_FINALIZE:
+                result = (frames.RESULT_ROWS, block(b"row"))
+            else:
+                result = (frames.RESULT_PARTIALS, block(b"p-%d" % unit.partition_id))
+            try:
+                coordinator.complete(unit.partition_id, "tds-w", *result)
+            except OSError:
+                refused += 1
+                if retry == "resend":
+                    coordinator.complete(unit.partition_id, "tds-w", *result)
+        assert refused == 1 and not refuse
+        assert coordinator.done() and ssi.result_ready("q")
+        assert rows_of(ssi.fetch_result("q")) == [b"row"]
+        # no partial was lost at the boundary: two folds, one merge of
+        # both their partials, one finalize
+        assert coordinator.stats.partitions_processed == 4
+        assert coordinator.stats.aggregation_rounds == 2
+        assert journal.recorded.count("take_partials") == 2
+        assert journal.recorded.count("publish_result") == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -265,11 +354,12 @@ async def complete(client, unit):
     if unit.query_id == FOLDING:
         await client.submit_partition_result(
             FOLDING, unit.partition_id, "tds-w",
-            partials=[EncryptedPartial(b"p", None)],
+            (frames.RESULT_PARTIALS, block(b"p")),
         )
         return SSI.partial_count, 1
     await client.submit_partition_result(
-        FILTERING, unit.partition_id, "tds-w", rows=[b"row-1", b"row-2"]
+        FILTERING, unit.partition_id, "tds-w",
+        (frames.RESULT_ROWS, block(b"row-1", b"row-2")),
     )
     return result_rows, 2
 

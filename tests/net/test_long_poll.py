@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
+from repro.core.messages import EncryptedTuple, EncryptedTupleBlock
 from repro.exceptions import TransportError, UnknownQueryError
 from repro.net import frames
 from repro.net import server as server_mod
@@ -38,7 +38,7 @@ from .conftest import (
     run_async,
     sorted_rows,
 )
-from .golden.capture import envelope
+from .golden.capture import block, envelope, rows_of
 
 KINDS = ["loopback", "tcp"]
 EMPTY = ([], None, [])
@@ -189,7 +189,7 @@ class TestParkAndRelease:
                 for index, unit in enumerate(units):
                     await devices[index].submit_partition_result(
                         "q1", unit.partition_id, f"tds-{index}",
-                        partials=[EncryptedPartial(b"p-%d" % index, None)],
+                        (frames.RESULT_PARTIALS, block(b"p-%d" % index)),
                     )
                 await until(lambda: waiting[3].done())
                 await asyncio.sleep(0.05)
@@ -252,10 +252,10 @@ class TestParkAndRelease:
                 await asyncio.sleep(0.05)
                 assert not waiting.done()
                 await control.submit_partition_result(
-                    "q1", unit.partition_id, "tds-x", rows=[b"row"]
+                    "q1", unit.partition_id, "tds-x", (frames.RESULT_ROWS, block(b"row"))
                 )
                 result = await asyncio.wait_for(waiting, 1.0)
-                assert result.encrypted_rows == (b"row",)
+                assert rows_of(result) == [b"row"]
                 assert dispatcher._result_waiters == {}
 
         run_async(run())

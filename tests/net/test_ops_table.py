@@ -20,7 +20,7 @@ import shutil
 
 import pytest
 
-from repro.core.messages import EncryptedPartial, EncryptedTuple, EncryptedTupleBlock
+from repro.core.messages import EncryptedTuple, EncryptedTupleBlock
 from repro.exceptions import ProtocolError, UnknownQueryError
 from repro.net import client as client_mod
 from repro.net import frames, ops
@@ -150,9 +150,9 @@ class TestCompleteness:
         )
         assert ssi.evaluate_size_clause("q") is True
         ssi.close_collection("q")  # already closed: no second record
-        ssi.submit_partials("q", [EncryptedPartial(b"p", None)])
+        ssi.submit_partials("q", capture.block(b"p"))
         ssi.take_partials("q")
-        ssi.store_result_rows("q", [b"r"])
+        ssi.store_result_rows("q", capture.block(b"r"))
         ssi.reset_aggregation("q")
         ssi.publish_result("q")
         assert recorded == [
@@ -317,7 +317,7 @@ class TestGoldenBytes:
             dispatcher = SSIDispatcher.with_store(store)
             client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
             result = await client.await_result("q-driver", 0.0)
-            assert result.encrypted_rows == (b"row-1", b"row-2")
+            assert capture.rows_of(result) == [b"row-1", b"row-2"]
             # its snapshot's per-tuple lane is read as the leading block
             assert await client.collected_count("q-driver") == 4
             assert await client.collected_count("q-crashed") == 4
@@ -424,7 +424,7 @@ class TestAddingARow:
         async def run():
             client = Client(LoopbackTransport(dispatcher.dispatch))
             await client.post_query(capture.envelope("q"))
-            dispatcher.ssi.submit_partials("q", [EncryptedPartial(b"p", None)])
+            dispatcher.ssi.submit_partials("q", capture.block(b"p"))
             assert await client.scratch_count("q") == 1
             assert await client.scratch_count(query_id="q") == 1
             assert await client.call(scratch_op, "q") == 1

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.core.messages import EncryptedPartial, EncryptedTuple
+from repro.core.messages import EncryptedTuple
 from repro.exceptions import DuplicateQueryError, TransportError
 from repro.net import frames
 from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy
@@ -39,6 +39,7 @@ from .conftest import (
     sample,
     sorted_rows,
 )
+from .golden.capture import block
 from .test_frames import make_envelope
 
 FAST_RETRY = dict(request_timeout=0.05, max_retries=3, backoff_base=0.001)
@@ -187,23 +188,11 @@ class TestStalePartitionResults:
         assert unit is not None
         # A ghost reply with an id the live tracker never issued (e.g. a
         # previous round's partition) is ignored entirely.
-        coord.complete(
-            9999,
-            "tds-ghost",
-            frames.RESULT_PARTIALS,
-            [EncryptedPartial(b"stale", None)],
-            [],
-        )
+        coord.complete(9999, "tds-ghost", frames.RESULT_PARTIALS, block(b"stale"))
         assert ssi.partial_count("q1") == 0
         assert coord.stats.partitions_processed == 0
         # ...and the live assignment still completes normally.
-        coord.complete(
-            unit.partition_id,
-            "tds-a",
-            frames.RESULT_PARTIALS,
-            [EncryptedPartial(b"live", None)],
-            [],
-        )
+        coord.complete(unit.partition_id, "tds-a", frames.RESULT_PARTIALS, block(b"live"))
         assert coord.stats.partitions_processed == 1
 
     def test_assignable_counts_what_next_work_would_hand_out(self):
@@ -240,12 +229,10 @@ class TestStalePartitionResults:
         while (unit := coord.next_work("tds-a", now=0.0)) is not None:
             ids.append(unit.partition_id)
             if unit.kind == frames.WORK_FINALIZE:
-                coord.complete(unit.partition_id, "tds-a", frames.RESULT_ROWS, [], [b"r"])
+                coord.complete(unit.partition_id, "tds-a", frames.RESULT_ROWS, block(b"r"))
             else:
-                partial = EncryptedPartial(b"p%d" % unit.partition_id, None)
-                coord.complete(
-                    unit.partition_id, "tds-a", frames.RESULT_PARTIALS, [partial], []
-                )
+                partial = block(b"p%d" % unit.partition_id)
+                coord.complete(unit.partition_id, "tds-a", frames.RESULT_PARTIALS, partial)
         assert coord.done()
         assert coord.stats.aggregation_rounds == 3  # 8 -> 4 -> 2 -> 1
         assert len(ids) == 4 + 2 + 1 + 1
@@ -255,7 +242,7 @@ class TestStalePartitionResults:
         ssi = SupportingServerInfrastructure()
         ssi.post_query(make_envelope("q1"))
         coord = QueryCoordinator(ssi, "q1", QueryMeta(protocol="s_agg"))
-        coord.complete(0, "tds-a", frames.RESULT_PARTIALS, [], [])
+        coord.complete(0, "tds-a", frames.RESULT_PARTIALS, block())
         assert coord.stats.partitions_processed == 0
 
     def test_stale_submit_over_the_wire_returns_ok(self):
@@ -271,7 +258,7 @@ class TestStalePartitionResults:
                 make_envelope("q1"), meta=QueryMeta(protocol="s_agg")
             )
             await client.submit_partition_result(
-                "q1", 12345, "tds-x", partials=[EncryptedPartial(b"p", None)]
+                "q1", 12345, "tds-x", (frames.RESULT_PARTIALS, block(b"p"))
             )  # no exception: dropped server-side
 
         run_async(run())

@@ -465,7 +465,7 @@ class TestRetiredOpcodes:
         drain and fill them — and the rows that said again what another
         row says (a per-item submission, a one-shot result read, a
         capability report).  When ``publish_result`` had an opcode it
-        handed the querier ``encrypted_rows == ()`` for a query whose
+        handed the querier an empty result for a query whose
         collection was still open."""
 
         def state(dispatcher, store):

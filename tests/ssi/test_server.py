@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.messages import (
     Credential,
-    EncryptedPartial,
     EncryptedTuple,
     EncryptedTupleBlock,
     Partition,
@@ -28,6 +27,11 @@ def make_envelope(query_id="q1", size_tuples=None, size_seconds=None):
 
 def tuples(n):
     return [EncryptedTuple(payload=bytes(64)) for __ in range(n)]
+
+
+def items(*payloads):
+    """Untagged partials or result rows, as one block."""
+    return EncryptedTupleBlock.from_tuples([EncryptedTuple(p) for p in payloads])
 
 
 class TestQueryboxes:
@@ -110,21 +114,21 @@ class TestSSIResults:
     def test_result_lifecycle(self):
         ssi = SupportingServerInfrastructure()
         ssi.post_query(make_envelope())
-        ssi.store_result_rows("q1", [b"row1", b"row2"])
+        ssi.store_result_rows("q1", items(b"row1", b"row2"))
         assert not ssi.result_ready("q1")
         with pytest.raises(ProtocolError):
             ssi.fetch_result("q1")
         ssi.publish_result("q1")
         result = ssi.fetch_result("q1")
-        assert result.encrypted_rows == (b"row1", b"row2")
+        assert [t.payload for t in result.block.tuples()] == [b"row1", b"row2"]
 
     def test_partial_store_drain(self):
         ssi = SupportingServerInfrastructure()
         ssi.post_query(make_envelope())
-        ssi.submit_partials("q1", [EncryptedPartial(b"p1"), EncryptedPartial(b"p2")])
+        ssi.submit_partials("q1", items(b"p1", b"p2"))
         assert ssi.partial_count("q1") == 2
         drained = ssi.take_partials("q1")
-        assert len(drained) == 2
+        assert EncryptedTupleBlock.concat(drained) == items(b"p1", b"p2")
         assert ssi.partial_count("q1") == 0
 
 
@@ -133,8 +137,10 @@ class TestObserverIntegration:
         ssi = SupportingServerInfrastructure()
         ssi.post_query(make_envelope())
         ssi.submit_tuples("q1", [EncryptedTuple(bytes(64), group_tag=b"t1")])
-        ssi.submit_partials("q1", [EncryptedPartial(bytes(32), group_tag=b"t1")])
-        ssi.store_result_rows("q1", [b"row"])
+        ssi.submit_partials("q1", EncryptedTupleBlock.from_tuples(
+            [EncryptedTuple(bytes(32), group_tag=b"t1")]
+        ))
+        ssi.store_result_rows("q1", items(b"row"))
         assert ssi.observer.distinct_payloads_seen("q1") == 3
         assert ssi.observer.tag_frequencies("q1")[b"t1"] == 1
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.messages import (
     Credential,
-    EncryptedPartial,
     EncryptedTuple,
     EncryptedTupleBlock,
     QueryEnvelope,
@@ -203,7 +202,8 @@ class TestVerifyDataDir:
         store = DurableStore.open(tmp_path)
         populate(store, tuples=2)
         store.journal.record(
-            "submit_partials", "q1", [EncryptedPartial(b"cp", None)]
+            "submit_partials", "q1",
+            EncryptedTupleBlock.from_tuples([EncryptedTuple(b"cp")]),
         )
         store.close()
         report = verify_data_dir(tmp_path)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.messages import (
     Credential,
-    EncryptedPartial,
     EncryptedTuple,
     EncryptedTupleBlock,
     QueryEnvelope,
@@ -32,6 +31,10 @@ def make_envelope(query_id="q1"):
     )
 
 
+def items(*payloads):
+    return EncryptedTupleBlock.from_tuples([EncryptedTuple(p) for p in payloads])
+
+
 def make_state(wal_seq=3):
     chain = CommitmentChain()
     for seq in range(1, wal_seq + 1):
@@ -52,8 +55,8 @@ def make_state(wal_seq=3):
                 tds_id="tds-3",
                 collection_closed=True,
                 collected_blocks=[block],
-                partials=[EncryptedPartial(b"cp", None)],
-                result_rows=[b"row1", b"row2"],
+                partials=[items(b"cp")],
+                result_rows=[items(b"row1", b"row2")],
             )
         ],
         clean=True,
@@ -76,7 +79,7 @@ class TestCodec:
         assert q.collection_closed is True
         assert q.collected_blocks == state.queries[0].collected_blocks
         assert q.partials == state.queries[0].partials
-        assert q.result_rows == [b"row1", b"row2"]
+        assert q.result_rows == [items(b"row1", b"row2")]
 
     def test_the_encoding_of_a_block_only_state_is_pinned(self):
         # captured before the per-tuple lane left the SSI: the lane is

@@ -29,7 +29,15 @@ from repro.tds.node import TrustedDataServer, TupleFrameBlock, reduced_row
 
 
 def partition_of(partition_id, items):
-    return Partition(partition_id, EncryptedTupleBlock.from_tuples(list(items)))
+    """A partition of collected tuples, or of the blocks folds returned."""
+    return Partition(
+        partition_id,
+        EncryptedTupleBlock.concat([
+            item if isinstance(item, EncryptedTupleBlock)
+            else EncryptedTupleBlock.from_tuples([item])
+            for item in items
+        ]),
+    )
 
 
 @pytest.fixture
@@ -343,7 +351,7 @@ class TestAggregationPhase:
             setup["querier_keys"].k1.current.material, random.Random(0)
         )
         decrypted = sorted(
-            (decode(k1.decrypt(r)) for r in rows), key=lambda r: r["g"]
+            (decode(k1.decrypt(r)) for r in rows.segments()), key=lambda r: r["g"]
         )
         assert decrypted == [{"g": "north", "s": 15}, {"g": "south", "s": 20}]
 
@@ -358,7 +366,7 @@ class TestAggregationPhase:
         partition = partition_of(0, tuples)
         encrypted = setup["tds_a"].aggregate_partition(statement, partition)
         rows = setup["tds_b"].finalize_partition(statement, partition_of(1, [encrypted]))
-        assert rows == []
+        assert len(rows) == 0
 
     def test_per_group_partials_tagged(self, setup):
         env = setup["envelope"](AGG_SQL)
@@ -366,8 +374,8 @@ class TestAggregationPhase:
         partition = partition_of(0, self._collect_all(setup, env))
         partials = setup["tds_a"].aggregate_partition_per_group(statement, partition)
         assert len(partials) == 2
-        assert all(p.group_tag is not None for p in partials)
-        assert partials[0].group_tag != partials[1].group_tag
+        assert all(tag is not None for tag in partials.tags)
+        assert partials.tags[0] != partials.tags[1]
 
     def test_ram_bound_enforced(self, setup):
         tiny = DeviceProfile(
@@ -530,7 +538,7 @@ class TestFilteringPhase:
         k1 = NonDeterministicCipher(
             setup["querier_keys"].k1.current.material, random.Random(0)
         )
-        decrypted = [decode(k1.decrypt(r)) for r in rows]
+        decrypted = [decode(k1.decrypt(r)) for r in rows.segments()]
         assert decrypted == [{"g": "south", "s": 20}]
 
 

@@ -2,10 +2,12 @@
 
 Every byte the SSI stores must be ciphertext or paper-sanctioned cleartext
 (§3.2: the SIZE clause; signed credentials).  This rule taints the
-arguments of SSI-bound sinks — the ``EncryptedTuple`` / ``EncryptedPartial``
-/ ``EncryptedTupleBlock`` constructors and the ``submit_*`` /
+arguments of SSI-bound sinks — the ``EncryptedTuple`` /
+``EncryptedTupleBlock`` constructors and the ``submit_*`` /
 ``store_result_rows`` transfer methods, the block path every contribution
-takes included — and flags *syntactic* evidence of plaintext flowing in:
+takes and the ``submit_partition_result`` one every partial and result
+row takes back included — and flags *syntactic* evidence of plaintext
+flowing in:
 
 * producer calls: ``encode`` / ``encode_tuple_frame`` / ``encode_partial_frame``
   / ``decode`` / ``decrypt`` / ``decrypt_many`` / ``to_portable`` — all yield
@@ -31,12 +33,13 @@ from collections.abc import Iterator
 from tools.privacy_lint.diagnostics import Finding
 from tools.privacy_lint.rules.context import ModuleContext, terminal_name
 
-_SINK_CONSTRUCTORS = {"EncryptedTuple", "EncryptedPartial", "EncryptedTupleBlock"}
+_SINK_CONSTRUCTORS = {"EncryptedTuple", "EncryptedTupleBlock"}
 _SINK_METHODS = {
     "submit_tuples",
     "submit_tuple_block",
     "submit_tuples_batch",
     "submit_block",
+    "submit_partition_result",
     "submit_partials",
     "store_result_rows",
 }

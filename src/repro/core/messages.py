@@ -16,6 +16,7 @@ ciphertext/opaque bytes, or data the paper explicitly allows in cleartext
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
@@ -64,6 +65,13 @@ class EncryptedTuple:
     group_tag: bytes | None = None
 
 
+def offsets_ascend(offsets: Sequence[int]) -> bool:
+    """Whether an offsets table never steps backwards — one C-level pass,
+    shared by every packed-buffer type (ciphertext blocks here, the
+    TDS's frame blocks, the ciphers' packed batches)."""
+    return all(map(operator.le, offsets, itertools.islice(offsets, 1, None)))
+
+
 @dataclass(frozen=True, slots=True)
 class EncryptedTupleBlock:
     """A columnar batch of encrypted items: one shared payload buffer
@@ -98,7 +106,7 @@ class EncryptedTupleBlock:
             )
         if self.offsets[0] != 0 or self.offsets[-1] != len(self.payloads):
             raise ValueError("offsets table does not span the payload buffer")
-        if any(a > b for a, b in zip(self.offsets, self.offsets[1:])):
+        if not offsets_ascend(self.offsets):
             raise ValueError("offsets table is not monotonically increasing")
 
     def __len__(self) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
+from repro.core.messages import offsets_ascend
 from repro.crypto.aes import BLOCK_SIZE, CipherEngine
 
 #: PKCS#7 tails by pad length (index 0 unused)
@@ -76,7 +77,7 @@ def _segments(
     ``offsets[i]:offsets[i + 1]`` (the :func:`repro.core.codec.encode_packed`
     convention, ``count + 1`` offsets)."""
     view = memoryview(buffer)
-    if not offsets or any(a > b for a, b in zip(offsets, offsets[1:])):
+    if not offsets or not offsets_ascend(offsets):
         raise ValueError("offsets must be a non-empty, non-decreasing table")
     if offsets[-1] > len(view):
         raise ValueError("offsets run past the packed buffer")

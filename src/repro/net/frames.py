@@ -37,6 +37,7 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from typing import Mapping
 
 from repro.core.messages import (  # noqa: F401 - re-exports the WORK_*/RESULT_* kinds
@@ -394,20 +395,31 @@ class Writer:
         return bytes(self._buf)
 
 
+_U32 = struct.Struct(">I").unpack_from
+_I64 = struct.Struct(">q").unpack_from
+_F64 = struct.Struct(">d").unpack_from
+
+
 class Reader:
     """Bounds-checked cursor over a received payload; every violation is a
-    :class:`ProtocolError`, never an ``IndexError``/``struct.error``."""
+    :class:`ProtocolError`, never an ``IndexError``/``struct.error``.
+
+    Scalars are read in place (a ``u8`` by index, wider fields through a
+    precompiled ``unpack_from``); only a blob is sliced out, once."""
+
+    __slots__ = ("_data", "_pos")
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
+    def _advance(self, n: int) -> int:
+        """Consume *n* bytes; returns the position they start at."""
+        pos = self._pos
+        if n < 0 or pos + n > len(self._data):
             raise ProtocolError("truncated message payload")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
+        self._pos = pos + n
+        return pos
 
     def mark(self) -> int:
         """Current cursor position, for :meth:`since`."""
@@ -422,19 +434,16 @@ class Reader:
         return memoryview(self._data)[mark : self._pos]
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self._data[self._advance(1)]
 
     def u32(self) -> int:
-        (value,) = struct.unpack(">I", self._take(4))
-        return int(value)
+        return _U32(self._data, self._advance(4))[0]
 
     def i64(self) -> int:
-        (value,) = struct.unpack(">q", self._take(8))
-        return int(value)
+        return _I64(self._data, self._advance(8))[0]
 
     def f64(self) -> float:
-        (value,) = struct.unpack(">d", self._take(8))
-        return float(value)
+        return _F64(self._data, self._advance(8))[0]
 
     def boolean(self) -> bool:
         flag = self.u8()
@@ -448,7 +457,8 @@ class Reader:
             raise ProtocolError(
                 f"field declares {length} bytes, above the frame limit"
             )
-        return self._take(length)
+        pos = self._advance(length)
+        return self._data[pos : pos + length]
 
     def text(self) -> str:
         raw = self.blob()
@@ -771,6 +781,7 @@ def read_result(r: Reader) -> QueryResult:
 # --------------------------------------------------------------------- #
 #: tag-length sentinel marking "no group tag" in the tag-lengths vector
 _NO_TAG = 0xFFFFFFFF
+_FIRST = itemgetter(0)
 
 
 def _write_lengths(w: Writer, offsets: tuple[int, ...]) -> None:
@@ -829,28 +840,43 @@ def write_tuple_block(w: Writer, block: EncryptedTupleBlock) -> None:
 
 def read_tuple_block(r: Reader) -> EncryptedTupleBlock:
     """Decode a columnar tuple batch.  The payload buffer is kept whole
-    (no per-tuple copies); only the small tag buffer is sliced."""
+    (no per-tuple copies); the tag column is checked in two C-level
+    passes and cut out of the tag buffer in one more, in C when every
+    tag has one width."""
     lengths = _read_lengths(r)
     count = len(lengths)
     tag_lengths = _read_u32_vector(r, count, "tag-lengths")
     payloads = r.blob()
     tags_raw = r.blob()
     offsets = _offsets_spanning(lengths, payloads)
-    tags: list[bytes | None] = [None] * count
-    tag_view = memoryview(tags_raw)
-    tag_pos = 0
-    for i, tag_length in enumerate(tag_lengths):
-        if tag_length == _NO_TAG:
-            continue
-        if tag_pos + tag_length > len(tags_raw):
-            raise ProtocolError("tag buffer shorter than its declared lengths")
-        tags[i] = bytes(tag_view[tag_pos : tag_pos + tag_length])
-        tag_pos += tag_length
-    if tag_pos != len(tags_raw):
+    untagged = tag_lengths.count(_NO_TAG)
+    declared = sum(tag_lengths) - untagged * _NO_TAG
+    if declared > len(tags_raw):
+        raise ProtocolError("tag buffer shorter than its declared lengths")
+    if declared != len(tags_raw):
         raise ProtocolError(
-            f"{len(tags_raw) - tag_pos} trailing bytes in the tag buffer"
+            f"{len(tags_raw) - declared} trailing bytes in the tag buffer"
         )
-    return EncryptedTupleBlock(payloads=payloads, offsets=offsets, tags=tuple(tags))
+    if untagged == count:
+        tags: tuple[bytes | None, ...] = (None,) * count
+    elif tag_lengths.count(width := tag_lengths[0]) == count:
+        # one width (a bucket hash, a Det_Enc of one size): cut in C; a
+        # struct of zero bytes cannot iterate, and needs no cutting
+        tags = (
+            tuple(map(_FIRST, struct.iter_unpack(f"{width}s", tags_raw)))
+            if width
+            else (b"",) * count
+        )
+    else:
+        # n % _NO_TAG is n for a tag and 0 for the sentinel
+        ends = accumulate(map(_NO_TAG.__rmod__, tag_lengths))
+        tags = tuple(
+            [
+                None if n == _NO_TAG else tags_raw[end - n : end]
+                for n, end in zip(tag_lengths, ends)
+            ]
+        )
+    return EncryptedTupleBlock(payloads=payloads, offsets=offsets, tags=tags)
 
 
 def pack_error(

@@ -55,6 +55,7 @@ MAGIC = b"RWAL"
 WAL_VERSION = 1
 HEADER_BYTES = len(MAGIC) + 1 + 8  # magic + version + base seq
 RECORD_HEADER_BYTES = 4 + 4 + 8  # body len + crc + seq
+_RECORD_HEADER = struct.Struct(">IIQ")
 
 #: ceiling on one record body — matches the wire frame limit, since a
 #: record never carries more than one request's payload
@@ -152,11 +153,12 @@ def _scan_segment(
         )
     seq = base_seq
     pos = HEADER_BYTES
+    view = memoryview(data)
     records: list[tuple[int, bytes]] = []
     while pos < len(data):
         if pos + RECORD_HEADER_BYTES > len(data):
             raise _Corruption("torn record header", pos)
-        body_len, crc = struct.unpack(">II", data[pos : pos + 8])
+        body_len, crc, rec_seq = _RECORD_HEADER.unpack_from(data, pos)
         if body_len > MAX_RECORD_BYTES:
             raise _Corruption(
                 f"record declares {body_len} bytes, above the limit", pos
@@ -164,16 +166,15 @@ def _scan_segment(
         end = pos + RECORD_HEADER_BYTES + body_len
         if end > len(data):
             raise _Corruption("torn record body", pos)
-        framed = data[pos + 8 : end]  # seq || body
-        if zlib.crc32(framed) & 0xFFFFFFFF != crc:
+        # the CRC covers seq || body, read in place; the body is copied once
+        if zlib.crc32(view[pos + 8 : end]) & 0xFFFFFFFF != crc:
             raise _Corruption(f"CRC mismatch at record seq {seq}", pos)
-        (rec_seq,) = struct.unpack(">Q", framed[:8])
         if rec_seq != seq:
             raise _Corruption(
                 f"record seq {rec_seq} breaks contiguity (expected {seq})",
                 pos,
             )
-        records.append((seq, framed[8:]))
+        records.append((seq, data[pos + RECORD_HEADER_BYTES : end]))
         seq += 1
         pos = end
     return records, seq

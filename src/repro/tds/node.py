@@ -30,6 +30,7 @@ from repro.core.messages import (
     Partition,
     QueryEnvelope,
     TupleContent,
+    offsets_ascend,
 )
 from repro.core.wire import (
     decode_frames,
@@ -87,7 +88,7 @@ class TupleFrameBlock:
             )
         if self.offsets[0] != 0 or self.offsets[-1] != len(self.frames):
             raise ValueError("offsets table does not span the frame buffer")
-        if any(a > b for a, b in zip(self.offsets, self.offsets[1:])):
+        if not offsets_ascend(self.offsets):
             raise ValueError("offsets table is not monotonically increasing")
 
     def __len__(self) -> int:

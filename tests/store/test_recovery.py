@@ -2,6 +2,7 @@
 clean shutdown and offline verification."""
 
 import asyncio
+import random
 
 import pytest
 
@@ -12,7 +13,10 @@ from repro.core.messages import (
     QueryEnvelope,
 )
 from repro.exceptions import CorruptLogError, StoreError
+from repro.net.client import AsyncSSIClient
 from repro.net.frames import QueryMeta
+from repro.net.server import SSIDispatcher
+from repro.net.transport import LoopbackTransport
 from repro.store import DurableStore, verify_data_dir
 from repro.store import snapshot as store_snapshot
 from repro.store import wal as store_wal
@@ -50,10 +54,57 @@ def populate(store, query_id="q1", tuples=3):
         store.recovered.ssi.submit_tuple_block(query_id, block)
 
 
+#: one contribution per shape its tag column takes: untagged, tags of
+#: one length, all-empty tags, and mixed lengths with None among them
+TAG_SHAPES = [
+    EncryptedTupleBlock.joined([b"u-0", b"u-11"], [None, None]),
+    EncryptedTupleBlock.joined([b"e-0", b"", b"e-2"], [b"tg0", b"tg1", b"tg2"]),
+    EncryptedTupleBlock.joined([b"z-0", b"z-1"], [b"", b""]),
+    EncryptedTupleBlock.joined(
+        [b"m-0", b"m-1", b"m-2", b"m-3"], [None, b"", b"long-tag", None]
+    ),
+]
+#: partials of a per-group fold (tagged, mixed) and of S_Agg (untagged)
+PARTIAL_SHAPES = [
+    EncryptedTupleBlock.joined([b"p-0", b"p-1", b"p-2"], [b"g0", None, b""]),
+    EncryptedTupleBlock.joined([b"p-3"], [None]),
+]
+
+
+#: records a store holds halfway through :func:`submit_tag_shapes` after
+#: ``populate(store, tuples=1)``: post, one tuple, two contributions, a
+#: partial — the ``snapshot_every`` that snapshots exactly there
+HALFWAY = 5
+
+
+def submit_tag_shapes(store, snapshot=False):
+    """After :func:`populate`: a durable dispatcher takes every
+    :data:`TAG_SHAPES` contribution over the wire and holds every
+    :data:`PARTIAL_SHAPES` block, snapshotting halfway when asked (the
+    store must then be opened with ``snapshot_every=HALFWAY``)."""
+    dispatcher = SSIDispatcher.with_store(store)
+    client = AsyncSSIClient(
+        LoopbackTransport(dispatcher.dispatch), rng=random.Random(1)
+    )
+
+    async def drive():
+        for half in (0, 1):
+            for block in TAG_SHAPES[2 * half : 2 * half + 2]:
+                await client.submit_tuples_batch("q1", block)
+            dispatcher.ssi.submit_partials("q1", PARTIAL_SHAPES[half])
+            if snapshot and not half:
+                assert await store.maybe_snapshot(dispatcher.capture_state)
+        await store.sync(store.last_seq)
+
+    run(drive())
+    return dispatcher
+
+
 class TestCrashRecovery:
     def test_replay_restores_collected_state(self, tmp_path):
         store = DurableStore.open(tmp_path)
         populate(store, tuples=3)
+        submit_tag_shapes(store)
         run(store.sync(store.last_seq))
         head_before = store.commitment()
         # No close(): models SIGKILL.  The WAL alone must rebuild it.
@@ -61,16 +112,54 @@ class TestCrashRecovery:
 
         reopened = DurableStore.open(tmp_path)
         assert not reopened.recovered.clean
-        assert reopened.recovered.replayed_records == 4
+        shapes = len(TAG_SHAPES) + len(PARTIAL_SHAPES)
+        assert reopened.recovered.replayed_records == 4 + shapes
         ssi = reopened.recovered.ssi
         assert "q1" in ssi.envelope_map()
-        assert len(ssi.covering_result("q1")) == 3
+        assert len(ssi.covering_result("q1")) == 3 + sum(map(len, TAG_SHAPES))
         # The chain is rebuilt to the identical head: nothing lost,
         # nothing rewritten.
         assert reopened.commitment() == head_before
         assert reopened.recovered.metas["q1"].protocol == "s_agg"
         assert reopened.recovered.tds_ids["q1"] == "tds-1"
         reopened.close()
+
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot+suffix"])
+    def test_every_tag_shape_comes_back_field_by_field(self, tmp_path, snapshot):
+        """Stored blocks equal what was submitted — payloads, offsets
+        and tags, None apart from b"" — whether the reopen replays the
+        whole WAL or a snapshot plus the WAL suffix after it."""
+        store = DurableStore.open(
+            tmp_path, **({"snapshot_every": HALFWAY} if snapshot else {})
+        )
+        populate(store, tuples=1)
+        first = store.recovered.ssi.storage_map()["q1"].collected_blocks[0]
+        dispatcher = submit_tag_shapes(store, snapshot=snapshot)
+        live = dispatcher.ssi.storage_map()["q1"]
+        assert live.collected_blocks == [first, *TAG_SHAPES]
+        assert live.partials == PARTIAL_SHAPES
+        head_before = store.commitment()
+        store._wal.close()
+
+        reopened = DurableStore.open(tmp_path)
+        assert reopened.recovered.snapshot_seq == (HALFWAY if snapshot else 0)
+        assert reopened.recovered.replayed_records == head_before.count - (
+            HALFWAY if snapshot else 0
+        )
+        stored = reopened.recovered.ssi.storage_map()["q1"]
+        for got, want in zip(
+            stored.collected_blocks + stored.partials,
+            [first, *TAG_SHAPES, *PARTIAL_SHAPES],
+            strict=True,
+        ):
+            assert (got.payloads, got.offsets, got.tags) == (
+                want.payloads, want.offsets, want.tags
+            )
+        assert reopened.commitment() == head_before
+        reopened.close()
+        report = verify_data_dir(tmp_path)
+        assert report["commitment_count"] == head_before.count
+        assert report["commitment_head"] == head_before.head.hex()
 
     def test_idempotency_state_survives_the_crash(self, tmp_path):
         store = DurableStore.open(tmp_path)

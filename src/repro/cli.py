@@ -10,7 +10,8 @@ Subcommands:
 * ``recommend`` — pick a protocol for a deployment scenario (§6.4);
 * ``serve``     — run the SSI as an asyncio TCP service (``--data-dir``
   adds durable, tamper-evident state with crash recovery);
-* ``fleet``     — run a population of TDS clients against a served SSI;
+* ``fleet``     — run a population of TDS clients against a served SSI
+  (``--shard I/N``: one of N processes that serve it together);
 * ``query``     — post one query to a served SSI and await the result;
 * ``multiquery`` — post N concurrent queries to a served SSI and report
   aggregate queries/s and latency percentiles;
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import os
 import random
 import sys
 from typing import Sequence
@@ -381,44 +381,80 @@ def cmd_verify_log(args: argparse.Namespace) -> int:
     return 0
 
 
-def fleet_shard_builder(
-    tds: int, districts: int, seed: int, buckets: int
-) -> tuple[list, object]:
-    """Shard-worker builder (``"repro.cli:fleet_shard_builder"``):
-    rebuild the deterministic fleet deployment and histogram inside a
-    spawn worker so every shard agrees on keys and credentials."""
-    deployment = Deployment.build(
-        tds,
-        smart_meter_factory(num_districts=districts),
-        tables=["Power", "Consumer"],
-        seed=seed,
-    )
-    histogram = build_histogram(
-        deployment, "Consumer", "district", num_buckets=buckets
-    )
-    return deployment.tds_list, histogram
+def parse_shard(value: str) -> tuple[int, int]:
+    """``--shard I/N``: this process is shard *I* of *N* and serves the
+    devices ``I::N`` of the population."""
+    index, sep, count = value.partition("/")
+    if sep and index.isdecimal() and count.isdecimal():
+        if int(index) < int(count):
+            return int(index), int(count)
+    raise ProtocolError(f"--shard must be I/N with 0 <= I < N, got {value!r}")
+
+
+def shard_rng(seed: int, index: int, count: int) -> random.Random:
+    """The device-loop rng of shard *index* of *count*.  A whole fleet's
+    is ``Random(seed + 1)``; shard I of several is seeded by the
+    (I+1)-th 64-bit draw of that stream, so the seed and the index alone
+    fix every stream a shard runs."""
+    rng = random.Random(seed + 1)
+    if count == 1:
+        return rng
+    for _ in range(index):
+        rng.getrandbits(64)
+    return random.Random(rng.getrandbits(64))
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.net.fleet import FleetRunner, ShardedFleetRunner
+    from repro.net.fleet import FleetRunner
     from repro.net.transport import TCPTransport
     from repro.obs import spans as obs_spans
 
-    if args.shards > 1 and args.health_check_interval > 0:
-        # shard workers run no health probe; say so before spawning any
+    try:
+        index, count = parse_shard(args.shard)
+    except ProtocolError as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
+    crypto_cache.use_engine(args.crypto_engine)
+    deployment = _fleet_deployment(args)
+    devices = deployment.tds_list[index::count]
+    if not devices:
         print(
-            "fleet: --health-check-interval is not supported with --shards > 1",
+            f"fleet: --shard {args.shard} holds no device of a "
+            f"{len(deployment.tds_list)}-TDS population",
             file=sys.stderr,
         )
         return 2
-    obs_spans.set_process_label("fleet")
-    if args.crypto_engine != "auto":
-        # The env var (inherited by spawn workers) and the in-process
-        # selection both follow the flag.
-        os.environ[crypto_cache.ENGINE_ENV] = args.crypto_engine
-    crypto_cache.use_engine(args.crypto_engine)
+    # Every shard is a whole fleet over its slice, except that it cannot
+    # know the others have contributed: only the SSI (SIZE clause) closes
+    # a collection a sharded fleet serves.
+    sharded = count > 1
+    obs_spans.set_process_label(f"fleet-{index}" if sharded else "fleet")
+    suffix = f".shard{index}" if sharded else ""
+    span_path = f"{args.span_export}{suffix}.jsonl"
+    histogram = build_histogram(
+        deployment, "Consumer", "district", num_buckets=args.buckets
+    )
 
-    def report(stats) -> None:
+    async def _run() -> None:
+        fleet = FleetRunner(
+            devices,
+            lambda: TCPTransport(args.host, args.port, window=args.window),
+            histogram=histogram,
+            concurrency=args.concurrency,
+            poll_interval=args.poll_interval,
+            batch_size=args.batch,
+            close_no_size_queries=not sharded,
+            shard_label=f"shard{index}" if sharded else "local",
+            health_check_interval=args.health_check_interval,
+            rng=shard_rng(args.seed, index, count),
+        )
+        shard_note = f" (shard {index}/{count} of {args.tds})" if sharded else ""
+        print(
+            f"fleet of {len(devices)} TDS clients{shard_note} -> "
+            f"{args.host}:{args.port}",
+            flush=True,
+        )
+        stats = await fleet.run(until_queries_done=args.queries)
         print(
             f"fleet done: {stats.contributions} contributions, "
             f"{stats.tuples_submitted} tuples, "
@@ -426,67 +462,15 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             f"{len(stats.queries_completed)} query(ies) completed"
         )
 
-    if args.shards > 1:
-
-        async def _run_sharded() -> None:
-            runner = ShardedFleetRunner(
-                args.host,
-                args.port,
-                "repro.cli:fleet_shard_builder",
-                (args.tds, args.districts, args.seed, args.buckets),
-                shards=args.shards,
-                seed=args.seed + 1,
-                batch_size=args.batch,
-                window=args.window,
-                concurrency=args.concurrency,
-                poll_interval=args.poll_interval,
-                span_export=args.span_export,
-            )
-            print(
-                f"sharded fleet: {args.tds} TDS across {args.shards} "
-                f"workers -> {args.host}:{args.port}",
-                flush=True,
-            )
-            report(await runner.run(until_queries_done=args.queries))
-
-        try:
-            asyncio.run(_run_sharded())
-        except KeyboardInterrupt:
-            print("fleet stopped")
-        return 0
-
-    deployment = _fleet_deployment(args)
-    histogram = build_histogram(
-        deployment, "Consumer", "district", num_buckets=args.buckets
-    )
-
-    async def _run() -> None:
-        fleet = FleetRunner(
-            deployment.tds_list,
-            lambda: TCPTransport(args.host, args.port, window=args.window),
-            histogram=histogram,
-            concurrency=args.concurrency,
-            poll_interval=args.poll_interval,
-            batch_size=args.batch,
-            health_check_interval=args.health_check_interval,
-            rng=random.Random(args.seed + 1),
-        )
-        print(
-            f"fleet of {len(deployment.tds_list)} TDS clients -> "
-            f"{args.host}:{args.port}",
-            flush=True,
-        )
-        report(await fleet.run(until_queries_done=args.queries))
-
     try:
         asyncio.run(_run())
     except KeyboardInterrupt:
         print("fleet stopped")
     finally:
         if args.span_export:
-            with open(f"{args.span_export}.jsonl", "w", encoding="utf-8") as fp:
+            with open(span_path, "w", encoding="utf-8") as fp:
                 exported = obs_spans.RECORDER.export_jsonl(fp)
-            print(f"spans    : {exported} -> {args.span_export}.jsonl")
+            print(f"spans    : {exported} -> {span_path}")
     return 0
 
 
@@ -826,10 +810,11 @@ def build_parser() -> argparse.ArgumentParser:
         "while exchanges succeed — devices wait parked at the SSI",
     )
     fleet.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="worker processes to partition the population across",
+        "--shard",
+        default="0/1",
+        help="I/N: serve the devices I::N of the population (start N "
+        "processes, I = 0..N-1, to spread one fleet over N cores); "
+        "with N > 1 only a SIZE clause closes a collection",
     )
     fleet.add_argument(
         "--batch",
@@ -855,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--span-export", default=None,
-        help="write lifecycle spans to <prefix>[.shardN].jsonl on exit",
+        help="write lifecycle spans to <prefix>[.shardI].jsonl on exit",
     )
     fleet.add_argument(
         "--health-check-interval", type=float, default=0.0,

@@ -11,9 +11,10 @@ the hottest loop of the whole reproduction.  It therefore uses the classic
 32-bit **T-table** formulation: SubBytes, ShiftRows and MixColumns collapse
 into four 256-entry word tables (plus four inverse tables for decryption),
 so one round of one column is four table lookups and four XORs instead of
-~40 byte operations.  Key schedules are expanded once and memoized per key
-(:data:`_SCHEDULE_CACHE`), which matters because the protocol layer derives
-the same subkeys for every tuple it touches.
+~40 byte operations.  An engine expands its key schedule once, when it is
+built; :mod:`repro.crypto.cache` keeps one engine per derived subkey, so
+the protocol layer, which derives the same subkeys for every tuple it
+touches, expands each schedule once.
 
 The slow-but-obvious byte-loop implementation this replaced lives on in
 :mod:`repro.crypto.reference`; a randomized property test pins the two to
@@ -257,7 +258,7 @@ def expand_key(key: bytes) -> list[bytes]:
     Returns a list of 11 16-byte round keys.  Raises
     :class:`~repro.exceptions.InvalidKeyError` on a wrong-sized key.
     """
-    return list(_schedule(key).round_keys)
+    return _Schedule(bytes(key)).round_keys
 
 
 def _expand_words(key: bytes) -> list[int]:
@@ -318,36 +319,6 @@ class _Schedule:
         ]
 
 
-#: Process-wide key-schedule memo: the protocol layer builds ciphers for
-#: the same handful of (sub)keys over and over; expanding each schedule
-#: once removes that cost from the per-tuple path.  Bounded so adversarial
-#: or fuzzing workloads with millions of distinct keys cannot grow it
-#: without limit.
-_SCHEDULE_CACHE: dict[bytes, _Schedule] = {}
-_SCHEDULE_CACHE_MAX = 1024
-
-
-def _schedule(key: bytes) -> _Schedule:
-    key = bytes(key)
-    schedule = _SCHEDULE_CACHE.get(key)
-    if schedule is None:
-        schedule = _Schedule(key)
-        if len(_SCHEDULE_CACHE) >= _SCHEDULE_CACHE_MAX:
-            _SCHEDULE_CACHE.clear()
-        _SCHEDULE_CACHE[key] = schedule
-    return schedule
-
-
-def clear_schedule_cache() -> None:
-    """Drop all memoized key schedules (key-rotation hygiene hook)."""
-    _SCHEDULE_CACHE.clear()
-
-
-def evict_schedule(key: bytes) -> None:
-    """Forget the schedule of one key (called on key rotation)."""
-    _SCHEDULE_CACHE.pop(bytes(key), None)
-
-
 class AES128(CipherEngine):
     """AES-128 block cipher bound to a single key.
 
@@ -360,7 +331,7 @@ class AES128(CipherEngine):
     __slots__ = ("_enc", "_dec", "_np_rk")
 
     def __init__(self, key: bytes) -> None:
-        schedule = _schedule(key)
+        schedule = _Schedule(bytes(key))
         self._enc = schedule.enc
         self._dec = schedule.dec
         self._np_rk = (

@@ -38,7 +38,7 @@ are byte-for-byte interchangeable — the parity fuzz in
 ``tests/crypto/test_block_api.py`` pins them to the reference.
 
 The cache is bounded: when full, the **oldest-inserted** entry is evicted
-(dict insertion order) together with its expanded AES schedule, so a
+(dict insertion order), and with it the AES schedule its engine holds, so a
 workload cycling through millions of distinct keys (fuzzing, adversarial
 rotation) degrades to uncached behaviour instead of exhausting memory —
 without the stampede a full clear would cause for the keys still in use.
@@ -51,7 +51,7 @@ import random
 import threading
 from typing import TYPE_CHECKING, Callable
 
-from repro.crypto.aes import AES128, CipherEngine, evict_schedule
+from repro.crypto.aes import AES128, CipherEngine
 from repro.crypto.keys import derive_subkey
 from repro.exceptions import ConfigurationError
 from repro.obs import metrics as obs_metrics
@@ -157,7 +157,6 @@ def aes_for_subkey(master: bytes, label: bytes) -> CipherEngine:
         factory = _engine_factory
         assert factory is not None
     built = factory(derive_subkey(master, label))
-    evicted: list[tuple[bytes, bytes]] = []
     with _lock:
         _misses += 1
         _c_misses.inc()
@@ -166,15 +165,9 @@ def aes_for_subkey(master: bytes, label: bytes) -> CipherEngine:
             # Evict oldest-inserted entries (dict order) one at a time —
             # no full-cache clear, no latency cliff for hot keys.
             while len(_engines) >= _MAX_ENTRIES:
-                oldest = next(iter(_engines))
-                del _engines[oldest]
-                evicted.append(oldest)
+                del _engines[next(iter(_engines))]
             _engines[cache_key] = built
             engine = built
-    # Release the evicted entries' expanded schedules too, so eviction
-    # cannot strand them for invalidate_key to miss later.
-    for old_master, old_label in evicted:
-        evict_schedule(derive_subkey(old_master, old_label))
     return engine
 
 
@@ -198,14 +191,8 @@ def invalidate_key(master: bytes) -> None:
     """Drop every cached engine derived from *master* (key rotation)."""
     master = bytes(master)
     with _lock:
-        stale = [k for k in _engines if k[0] == master]
-        for cache_key in stale:
+        for cache_key in [k for k in _engines if k[0] == master]:
             del _engines[cache_key]
-    # Also forget the expanded schedules (keyed by subkey material) so the
-    # rotated epoch is fully released.
-    for __, label in stale:
-        evict_schedule(derive_subkey(master, label))
-    evict_schedule(master)
 
 
 def clear() -> None:

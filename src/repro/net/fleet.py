@@ -20,10 +20,7 @@ detect the timeout and reassign, end-to-end.
 from __future__ import annotations
 
 import asyncio
-import importlib
 import logging
-import multiprocessing
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -156,8 +153,9 @@ class FleetRunner:
         #: blocks into frames of about this many tuples
         self.batch_size = batch_size
         self.batch_flush_interval = batch_flush_interval
-        #: shard workers set this False: their device subset must not close
-        #: a no-SIZE collection other shards are still contributing to
+        #: one shard of a larger fleet (``repro fleet --shard I/N``, N > 1)
+        #: sets this False: its device subset must not close a no-SIZE
+        #: collection other shards are still contributing to
         self.close_no_size_queries = close_no_size_queries
         #: labels this runner's samples in the per-shard metric families
         self.shard_label = shard_label
@@ -516,203 +514,3 @@ class FleetRunner:
             except (TransportError, asyncio.TimeoutError):
                 await self._back_off()
 
-
-# ---------------------------------------------------------------------- #
-# sharded multiprocess fleet
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShardSpec:
-    """Picklable description of one shard worker process.
-
-    ``builder`` is a ``"module:function"`` string; the resolved function
-    is called with ``*builder_args`` in the worker and must return
-    ``(tds_list, histogram_or_None)`` for the *full* population — every
-    worker builds the same deployment (same seed, same keys) and serves
-    the slice ``tds_list[shard_index::shard_count]``.  Strings rather
-    than callables because spawn workers re-import rather than fork."""
-
-    host: str
-    port: int
-    shard_index: int
-    shard_count: int
-    builder: str
-    builder_args: tuple
-    seed: int
-    batch_size: int = 0
-    batch_flush_interval: float = 0.02
-    window: int = 32
-    concurrency: int = 8
-    #: pause before a device re-arms after a failed exchange (see
-    #: :class:`FleetRunner`); paces nothing while exchanges succeed
-    poll_interval: float = 0.02
-    until_queries_done: int | None = None
-    #: when set, the worker writes its span log to
-    #: ``{span_export}.shard{index}.jsonl`` on exit (spans otherwise die
-    #: with the process)
-    span_export: str | None = None
-
-
-def resolve_builder(spec: str) -> Callable[..., tuple]:
-    """Resolve a ``"module:function"`` builder string."""
-    module_name, sep, func_name = spec.partition(":")
-    if not sep or not module_name or not func_name:
-        raise ProtocolError(
-            f"builder must be a 'module:function' string, got {spec!r}"
-        )
-    try:
-        module = importlib.import_module(module_name)
-        builder = getattr(module, func_name)
-    except (ImportError, AttributeError) as exc:
-        raise ProtocolError(f"cannot resolve builder {spec!r}: {exc}") from exc
-    if not callable(builder):
-        raise ProtocolError(f"builder {spec!r} is not callable")
-    return builder
-
-
-def run_shard(spec: ShardSpec) -> dict[str, object]:
-    """Entry point of one shard worker process (module-level so spawn
-    can pickle it).  Returns the shard's stats as primitives."""
-    builder = resolve_builder(spec.builder)
-    tds_list, histogram = builder(*spec.builder_args)
-    shard = list(tds_list)[spec.shard_index :: spec.shard_count]
-    if not shard:
-        return _stats_to_dict(FleetStats())
-    obs_spans.set_process_label(f"fleet-{spec.shard_index}")
-
-    async def main() -> FleetStats:
-        runner = FleetRunner(
-            shard,
-            lambda: TCPTransport(spec.host, spec.port, window=spec.window),
-            histogram=histogram,
-            concurrency=spec.concurrency,
-            poll_interval=spec.poll_interval,
-            batch_size=spec.batch_size,
-            batch_flush_interval=spec.batch_flush_interval,
-            # One shard seeing "all my devices contributed" says nothing
-            # about the other shards; only the SSI (SIZE clause) may
-            # close a sharded collection.
-            close_no_size_queries=False,
-            shard_label=f"shard{spec.shard_index}",
-            rng=random.Random(spec.seed),
-        )
-        return await runner.run(spec.until_queries_done)
-
-    stats = _stats_to_dict(asyncio.run(main()))
-    if spec.span_export is not None:
-        path = f"{spec.span_export}.shard{spec.shard_index}.jsonl"
-        with open(path, "w", encoding="utf-8") as fp:
-            obs_spans.RECORDER.export_jsonl(fp)
-    return stats
-
-
-def _stats_to_dict(stats: FleetStats) -> dict[str, object]:
-    return {
-        "contributions": stats.contributions,
-        "tuples_submitted": stats.tuples_submitted,
-        "partitions_processed": stats.partitions_processed,
-        "injected_faults": stats.injected_faults,
-        "queries_completed": sorted(stats.queries_completed),
-        "participants": sorted(stats.participants),
-    }
-
-
-class ShardedFleetRunner:
-    """Partition the TDS population across spawn worker processes.
-
-    Each worker rebuilds the deployment from the shared seed (so keys
-    and credentials agree), takes the strided slice of the population
-    for its shard index, and runs a :class:`FleetRunner` against the
-    same SSI endpoint with its own deterministic per-shard rng seed.
-
-    ``shards=None`` sizes the pool to ``os.cpu_count()``; an explicit
-    count is honored as given (useful for tests and for oversubscribing
-    I/O-bound runs on small machines).  Sharded runs rely on the SSI to
-    close collections — give queries a SIZE clause."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        builder: str,
-        builder_args: tuple = (),
-        *,
-        shards: int | None = None,
-        seed: int = 0,
-        batch_size: int = 0,
-        batch_flush_interval: float = 0.02,
-        window: int = 32,
-        concurrency: int = 8,
-        poll_interval: float = 0.02,
-        span_export: str | None = None,
-    ) -> None:
-        if shards is None:
-            shards = os.cpu_count() or 1
-        if shards < 1:
-            raise ProtocolError("shard count must be >= 1")
-        resolve_builder(builder)  # fail fast, before any process spawns
-        self.host = host
-        self.port = port
-        self.builder = builder
-        self.builder_args = tuple(builder_args)
-        self.shards = shards
-        self.seed = seed
-        self.batch_size = batch_size
-        self.batch_flush_interval = batch_flush_interval
-        self.window = window
-        self.concurrency = concurrency
-        self.poll_interval = poll_interval
-        self.span_export = span_export
-
-    def specs(self, until_queries_done: int | None = None) -> list[ShardSpec]:
-        rng = random.Random(self.seed)
-        return [
-            ShardSpec(
-                host=self.host,
-                port=self.port,
-                shard_index=index,
-                shard_count=self.shards,
-                builder=self.builder,
-                builder_args=self.builder_args,
-                seed=rng.getrandbits(64),
-                batch_size=self.batch_size,
-                batch_flush_interval=self.batch_flush_interval,
-                window=self.window,
-                concurrency=self.concurrency,
-                poll_interval=self.poll_interval,
-                until_queries_done=until_queries_done,
-                span_export=self.span_export,
-            )
-            for index in range(self.shards)
-        ]
-
-    async def run(self, until_queries_done: int | None = None) -> FleetStats:
-        """Run every shard worker to completion and merge their stats.
-
-        Workers stop on their own once *until_queries_done* queries have
-        been reported finished (every shard's devices learn it from the
-        SSI with their next answer, at the latest when a hold expires),
-        so no cross-process signalling is needed."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        loop = asyncio.get_running_loop()
-        ctx = multiprocessing.get_context("spawn")
-        specs = self.specs(until_queries_done)
-        with ProcessPoolExecutor(
-            max_workers=self.shards, mp_context=ctx
-        ) as pool:
-            results = await asyncio.gather(
-                *(loop.run_in_executor(pool, run_shard, spec) for spec in specs)
-            )
-        return self.merge(results)
-
-    @staticmethod
-    def merge(shard_stats: Sequence[dict[str, object]]) -> FleetStats:
-        merged = FleetStats()
-        for entry in shard_stats:
-            merged.contributions += int(entry["contributions"])  # type: ignore[call-overload]
-            merged.tuples_submitted += int(entry["tuples_submitted"])  # type: ignore[call-overload]
-            merged.partitions_processed += int(entry["partitions_processed"])  # type: ignore[call-overload]
-            merged.injected_faults += int(entry["injected_faults"])  # type: ignore[call-overload]
-            merged.queries_completed.update(entry["queries_completed"])  # type: ignore[arg-type]
-            merged.participants.update(entry["participants"])  # type: ignore[arg-type]
-        return merged

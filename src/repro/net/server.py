@@ -560,9 +560,9 @@ class SSIDispatcher:
         if meta.protocol:
             self._schedule(envelope.query_id, meta)
             self._clock_start(envelope)
-            if tds_id is None:
-                # every waiting device has a query to contribute to
-                _release(self._parked_work, len(self._parked_work))
+            # every waiting device has a query to contribute to, or (a
+            # personal post) one of them has: the others park again
+            _release(self._parked_work, len(self._parked_work))
         self.idempotency.mark(*call.key)
 
     def _fetch_query(self, query_id: str) -> tuple[QueryEnvelope, QueryMeta]:
@@ -596,6 +596,10 @@ class SSIDispatcher:
                 journal.clear_idem()
             self.admission.release(query_id, nbytes)
         self.idempotency.mark(*call.key)
+        if self.tds_ids.get(query_id) is not None and query_id in self.coordinators:
+            # §3.1: a personal query addresses one TDS, and its one
+            # contribution is the whole collection
+            self.ssi.close_collection(query_id)
         self._auto_close(query_id)
 
     def _submit_partition_result(
@@ -652,7 +656,7 @@ class SSIDispatcher:
                     continue
             if (
                 query_id not in known
-                and self.tds_ids.get(query_id) is None
+                and self.tds_ids.get(query_id) in (None, tds_id)
                 and not self.ssi.collection_closed(query_id)
             ):
                 queries.append((self.ssi.envelope(query_id), self.metas[query_id]))

@@ -33,9 +33,10 @@ from __future__ import annotations
 import asyncio
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.exceptions import (
     CorruptLogError,
@@ -427,8 +428,7 @@ class DurableStore:
         synchronously on the loop thread (no await in between), so the
         captured state is consistent by construction; the file write is
         then offloaded to the default executor so in-flight requests
-        keep being served while it lands (duration observed by
-        ``repro_store_snapshot_seconds``)."""
+        keep being served while it lands."""
         if (
             self._appends_since_snapshot < self.snapshot_every
             or self._snapshot_lock.locked()
@@ -438,38 +438,33 @@ class DurableStore:
         async with self._snapshot_lock:
             if self._appends_since_snapshot < self.snapshot_every or self._closed:
                 return False  # a writer ahead of us already covered these
-            # Capture and stamping run with no await in between, so
-            # wal_seq == len(chain_heads) by construction.
-            state = capture()
-            state.wal_seq = self._wal.last_seq
-            state.chain_heads = self._chain.heads()
-            state.clean = False
-            # Reset before the write: appends landing while the file is
-            # being written count toward the *next* snapshot.
-            self._appends_since_snapshot = 0
-            started = time.perf_counter()
-            await asyncio.get_running_loop().run_in_executor(
-                None, store_snapshot.write_snapshot, self._snap_dir, state
-            )
-            _h_snapshot.observe(time.perf_counter() - started)
-            _c_snapshots.inc()
-            store_snapshot.prune_snapshots(self._snap_dir)
-            retained = store_snapshot.list_snapshots(self._snap_dir)
-            if retained:
-                self._wal.gc(retained[0][0])
+            with self._snapshot(capture(), clean=False) as state:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, store_snapshot.write_snapshot, self._snap_dir, state
+                )
         return True
 
-    def _write_snapshot(self, state: SnapshotState, *, clean: bool) -> None:
-        # Stamp store-owned fields: the capture callback only fills the
-        # dispatcher's view (queries + idempotency state).
+    @contextmanager
+    def _snapshot(
+        self, state: SnapshotState, *, clean: bool
+    ) -> Iterator[SnapshotState]:
+        """Around one snapshot write (the ``with`` body): stamp *state*
+        with the store-owned fields — the capture callback only fills the
+        dispatcher's view (queries + idempotency state) — and restart the
+        append count; once written, time and count the write
+        (``repro_store_snapshot_seconds``), prune the snapshots and GC the
+        WAL below the oldest one kept."""
+        # No await between the capture and here, so wal_seq ==
+        # len(chain_heads) by construction, and appends landing while the
+        # file is written count toward the *next* snapshot.
         state.wal_seq = self._wal.last_seq
         state.chain_heads = self._chain.heads()
         state.clean = clean
+        self._appends_since_snapshot = 0
         started = time.perf_counter()
-        store_snapshot.write_snapshot(self._snap_dir, state)
+        yield state
         _h_snapshot.observe(time.perf_counter() - started)
         _c_snapshots.inc()
-        self._appends_since_snapshot = 0
         store_snapshot.prune_snapshots(self._snap_dir)
         retained = store_snapshot.list_snapshots(self._snap_dir)
         if retained:
@@ -488,7 +483,8 @@ class DurableStore:
             self._flusher.cancel()
             self._flusher = None
         if final_state is not None:
-            self._write_snapshot(final_state, clean=True)
+            with self._snapshot(final_state, clean=True):
+                store_snapshot.write_snapshot(self._snap_dir, final_state)
         self._wal.close()
 
 

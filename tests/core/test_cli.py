@@ -75,26 +75,6 @@ class TestProtocolMatchesTheQuery:
         assert f"{protocol!r} cannot run this one" in line
 
 
-class TestFleetFlags:
-    def test_health_probe_with_shards_exits_2_before_any_spawn(
-        self, capsys, monkeypatch
-    ):
-        """Shard workers run no health probe; the flag used to be
-        dropped without a word."""
-        from repro.net.fleet import ShardedFleetRunner
-
-        def spawned(*args, **kwargs):
-            raise AssertionError("a shard worker was configured")
-
-        monkeypatch.setattr(ShardedFleetRunner, "__init__", spawned)
-        argv = ["fleet", "--shards", "2", "--health-check-interval", "1"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith("fleet: ") and "--health-check-interval" in line
-
-
 class TestFigures:
     def test_all_figures(self, capsys):
         assert main(["figures"]) == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import cache
-from repro.crypto.aes import AES128, clear_schedule_cache
+from repro.crypto.aes import AES128
 from repro.crypto.det import DeterministicCipher
 from repro.crypto.keys import KeyRing, derive_subkey
 from repro.crypto.modes import cbc_mac_many, ctr_many
@@ -132,7 +132,6 @@ class TestBatchedCiphers:
 class TestCipherCache:
     def setup_method(self):
         cache.clear()
-        clear_schedule_cache()
 
     def test_same_engine_reused(self):
         a = NonDeterministicCipher(KEY, rng=random.Random(1))

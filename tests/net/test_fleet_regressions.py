@@ -14,6 +14,8 @@ that stopped the whole fleet.
   ``EvaluationError``, a ``ReproError`` outside ``ProtocolError``) ended
   every device loop without a log line; nothing posted after it was
   ever published.
+* A query posted to a personal querybox (§3.1, the doctor querying one
+  patient's device) was never offered to anyone over the wire.
 """
 
 import asyncio
@@ -221,3 +223,70 @@ class TestAQueryNoDeviceCanEvaluate:
         ]
         # logged by type: the message may quote the query
         assert logged and set(logged) == {"EvaluationError"}
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT cid, district FROM Consumer SIZE 1 TUPLES",
+        # no SIZE clause: the SSI closes the collection after the one
+        # contribution a personal query addresses
+        "SELECT cid, district FROM Consumer",
+    ],
+)
+class TestAPersonalQueryReachesItsDevice:
+    TARGET = 5
+
+    def in_process_answer(self, sql):
+        dep = build_deployment()
+        querier = dep.make_querier()
+        envelope = querier.make_envelope(sql)
+        target = dep.tds_list[self.TARGET]
+        dep.ssi.post_query(envelope, tds_id=target.tds_id)
+        driver = ProtocolDriver(
+            dep.ssi,
+            collectors=[target],
+            workers=dep.tds_list,
+            rng=random.Random(7),
+            meta="basic",
+        )
+        driver.execute(envelope)
+        return sorted_rows(
+            querier.decrypt_result(dep.ssi.fetch_result(envelope.query_id))
+        )
+
+    def test_over_loopback_only_the_target_contributes(self, sql):
+        async def run():
+            dep = build_deployment()
+            dispatcher = SSIDispatcher(dep.ssi, partition_timeout=PARTITION_TIMEOUT)
+
+            def connect():
+                return LoopbackTransport(dispatcher.dispatch)
+
+            fleet = FleetRunner(
+                dep.tds_list,
+                connect,
+                policy=RetryPolicy(backoff_base=0.01),
+                poll_interval=0.01,
+                rng=random.Random(5),
+            )
+            fleet_task = asyncio.create_task(fleet.run(until_queries_done=1))
+            querier = dep.make_querier()
+            client = QuerierClient(connect())
+            try:
+                envelope = querier.make_envelope(sql)
+                target = dep.tds_list[self.TARGET].tds_id
+                await client.post_query(envelope, target, QueryMeta("basic"))
+                result = await client.wait_result(envelope.query_id, timeout=10.0)
+                rows = sorted_rows(querier.decrypt_result(result))
+                assert dep.ssi.collected_count(envelope.query_id) == 1
+            finally:
+                await client.close()
+                fleet.stop()
+                stats = await fleet_task
+            return rows, stats
+
+        rows, stats = run_async(run())
+        assert rows == self.in_process_answer(sql)
+        assert len(rows) == 1
+        assert stats.contributions == 1

@@ -271,7 +271,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(
                 f"durable state: {args.data_dir} "
                 f"({'clean start' if recovered.clean else 'recovered'}: "
-                f"{len(dispatcher.ssi.envelope_map())} query(ies), "
+                f"{len(dispatcher.ssi.storage_map())} query(ies), "
                 f"{recovered.replayed_records} record(s) replayed, "
                 f"commitment at {store.commitment().count}, "
                 f"fsync={args.fsync_policy})",

@@ -44,6 +44,7 @@ scheduled and never published.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import inspect
 import logging
 import time
@@ -227,13 +228,21 @@ def _release(waiters: _Waiters, count: int) -> None:
             count -= 1
 
 
-def _deadline_passed(ref: "weakref.ref[SSIDispatcher]") -> None:
+def _deadline_passed(
+    ref: "weakref.ref[SSIDispatcher]", delay: float, clause: str | None
+) -> None:
     """Timer half of :meth:`SSIDispatcher._wake_at`.  Weak: a pending
     deadline must not keep a dispatcher nobody serves any more — and
     every ciphertext it stores — alive until it fires."""
     dispatcher = ref()
-    if dispatcher is not None:
-        dispatcher._release_assignable()
+    if dispatcher is None:
+        return
+    if clause is not None:
+        # At its own deadline, not at the clock read again: that may
+        # come out an ulp short, or the timer may run a clock tick
+        # early, and nothing would evaluate the clause again.
+        dispatcher.ssi.evaluate_size_clause(clause, delay)
+    dispatcher._release_assignable()
 
 
 class SSIDispatcher:
@@ -263,16 +272,12 @@ class SSIDispatcher:
         self._result_waiters: dict[str, _Waiters] = {}
         #: set by :meth:`release_parked`: answer at once, park nothing
         self._draining = False
-        self.metas: dict[str, QueryMeta] = {}
         #: durable store, when serving with ``--data-dir`` (see
         #: :meth:`with_store`); None keeps the in-memory behaviour
         self.store: "DurableStore | None" = None
         #: live health monitor, set by the serve entry point; None
         #: answers MSG_GET_HEALTH with monitored=False
         self.health: "HealthMonitor | None" = None
-        #: personal-querybox target per query (snapshotted so recovery
-        #: reposts to the same box)
-        self.tds_ids: dict[str, str | None] = {}
         self.partition_timeout = partition_timeout
         self._clock_starts: dict[str, float] = {}
         self._clock = clock
@@ -305,23 +310,20 @@ class SSIDispatcher:
         """
         recovered = store.recovered
         dispatcher = cls(recovered.ssi, **kwargs)  # type: ignore[arg-type]
-        dispatcher.metas.update(recovered.metas)
-        dispatcher.tds_ids.update(recovered.tds_ids)
         dispatcher.idempotency.restore(*recovered.idempotency.snapshot())
         # Journal from here on: recovery replayed with journaling off.
         recovered.ssi.journal = store.journal
-        for query_id, envelope in recovered.ssi.envelope_map().items():
+        for query_id, storage in recovered.ssi.storage_map().items():
             # Re-own recovered queries so per-querier quotas survive a
             # restart (published ones prune lazily at the next admit).
             dispatcher.admission.register_query(
-                query_id, envelope.credential.subject
+                query_id, storage.envelope.credential.subject
             )
-            meta = dispatcher.metas.get(query_id)
+            meta = storage.meta
             if meta is None or not meta.protocol:
                 continue  # no protocol row: collected, never scheduled
-            if recovered.ssi.result_ready(query_id):
+            if storage.result_ready:
                 continue  # published: nothing left to schedule
-            storage = recovered.ssi.storage_map()[query_id]
             if storage.partials or storage.result_rows:
                 recovered.ssi.reset_aggregation(query_id)
             dispatcher._schedule(query_id, meta)
@@ -332,26 +334,20 @@ class SSIDispatcher:
         """One consistent view of the dispatcher's durable state, for
         the store's snapshot writer.  Runs synchronously (no awaits
         between a mutation and its journal record), so what it sees
-        always matches the WAL prefix written so far."""
-        from repro.store.snapshot import QuerySnapshot, SnapshotState
+        always matches the WAL prefix written so far.  Each record's
+        block lists are copied: the file is written off the loop while
+        requests keep appending to the live ones."""
+        from repro.store.snapshot import SnapshotState
 
-        storage_map = self.ssi.storage_map()
-        queries = []
-        for query_id, envelope in self.ssi.envelope_map().items():
-            storage = storage_map[query_id]
-            queries.append(
-                QuerySnapshot(
-                    query_id=query_id,
-                    envelope=envelope,
-                    meta=self.metas.get(query_id, QueryMeta()),
-                    tds_id=self.tds_ids.get(query_id),
-                    collection_closed=storage.collection_closed,
-                    result_ready=storage.result_ready,
-                    collected_blocks=list(storage.collected_blocks),
-                    partials=list(storage.partials),
-                    result_rows=list(storage.result_rows),
-                )
+        queries = [
+            dataclasses.replace(
+                storage,
+                collected_blocks=list(storage.collected_blocks),
+                partials=list(storage.partials),
+                result_rows=list(storage.result_rows),
             )
+            for storage in self.ssi.storage_map().values()
+        ]
         applied_seq, applied_ahead = self.idempotency.snapshot()
         return SnapshotState(
             applied_seq=applied_seq, applied_ahead=applied_ahead, queries=queries
@@ -541,22 +537,10 @@ class SSIDispatcher:
         self.admission.admit_query(
             envelope.credential.subject, self.ssi.result_ready
         )
-        if (
-            self.store is not None
-            and envelope.query_id not in self.ssi.envelope_map()
-        ):
-            # Journaled here, not in the SSI facade: the record must
-            # carry the scheduling meta the facade never sees.  The
-            # membership guard keeps a doomed duplicate post out of
-            # the log (post_query below would raise before applying).
-            self.store.journal.set_idem(*call.key)
-            self.store.journal.record("post_query", envelope, tds_id, meta)
-        self.ssi.post_query(envelope, tds_id)
+        self._apply(call, self.ssi.post_query, envelope, tds_id, meta)
         self.admission.register_query(
             envelope.query_id, envelope.credential.subject
         )
-        self.metas[envelope.query_id] = meta
-        self.tds_ids[envelope.query_id] = tds_id
         if meta.protocol:
             self._schedule(envelope.query_id, meta)
             self._clock_start(envelope)
@@ -566,7 +550,26 @@ class SSIDispatcher:
         self.idempotency.mark(*call.key)
 
     def _fetch_query(self, query_id: str) -> tuple[QueryEnvelope, QueryMeta]:
-        return self.ssi.envelope(query_id), self.metas.get(query_id, QueryMeta())
+        storage = self.ssi.query(query_id)
+        return storage.envelope, storage.meta or QueryMeta()
+
+    def _apply(
+        self, call: _Call, mutation: Callable[..., None], *args: Any, **kwargs: Any
+    ) -> None:
+        """Run the facade *mutation* of a keyed request.  With a store
+        attached, the key is armed just before it (the mutation's WAL
+        record journals it) and cleared right after, applied or not: a
+        mutation the SSI refuses or drops without journaling — a
+        duplicate post, a contribution that arrived after the collection
+        closed — must not leak its key into the next record."""
+        journal = self.store.journal if self.store is not None else None
+        if journal is not None:
+            journal.set_idem(*call.key)
+        try:
+            mutation(*args, **kwargs)
+        finally:
+            if journal is not None:
+                journal.clear_idem()
 
     def _submit(
         self, call: _Call, query_id: str, block: EncryptedTupleBlock
@@ -578,25 +581,18 @@ class SSIDispatcher:
         charged by wire size — the SSI's sanctioned view of a ciphertext
         — around the apply: an over-quota charge raises before any side
         effect, and the charge is returned whether or not the apply went
-        through.  With a store attached, the key is armed just before
-        the apply (journaled inside the mutation's WAL record) and
-        cleared right after — a submission the SSI drops without
-        journaling (it arrived after the collection closed) must not
-        leak its key into the next record."""
-        self.ssi.envelope(query_id)  # typed error for unknown ids
+        through."""
+        storage = self.ssi.query(query_id)  # typed error for unknown ids
         nbytes = len(call.wire)
-        journal = self.store.journal if self.store is not None else None
         self.admission.charge(query_id, nbytes)
         try:
-            if journal is not None:
-                journal.set_idem(*call.key)
-            self.ssi.submit_tuple_block(query_id, block, wire=call.wire)
+            self._apply(
+                call, self.ssi.submit_tuple_block, query_id, block, wire=call.wire
+            )
         finally:
-            if journal is not None:
-                journal.clear_idem()
             self.admission.release(query_id, nbytes)
         self.idempotency.mark(*call.key)
-        if self.tds_ids.get(query_id) is not None and query_id in self.coordinators:
+        if storage.tds_id is not None and query_id in self.coordinators:
             # §3.1: a personal query addresses one TDS, and its one
             # contribution is the whole collection
             self.ssi.close_collection(query_id)
@@ -654,12 +650,11 @@ class SSIDispatcher:
                 if coordinator.done():
                     self._retire(query_id)
                     continue
-            if (
-                query_id not in known
-                and self.tds_ids.get(query_id) in (None, tds_id)
-                and not self.ssi.collection_closed(query_id)
-            ):
-                queries.append((self.ssi.envelope(query_id), self.metas[query_id]))
+            if query_id in known:
+                continue
+            storage = self.ssi.query(query_id)
+            if storage.tds_id in (None, tds_id) and not storage.collection_closed:
+                queries.append((storage.envelope, coordinator.meta))
         # Finished queries are not broadcast: a device learns of them
         # from the next answer it gets anyway.
         done = [query_id for query_id in known if query_id not in self._live]
@@ -720,12 +715,13 @@ class SSIDispatcher:
             self._wake_at(coordinator.partition_timeout)
         return unit
 
-    def _wake_at(self, delay: float) -> None:
+    def _wake_at(self, delay: float, clause: str | None = None) -> None:
         """Time alone will make work assignable *delay* seconds from now
-        (a partition deadline, a ``SIZE … SECONDS`` clause): release
-        parked devices for it then."""
+        (a partition deadline, or the ``SIZE … SECONDS`` clause of the
+        query *clause*, closed then): release parked devices for it
+        then."""
         asyncio.get_running_loop().call_later(
-            delay, _deadline_passed, weakref.ref(self)
+            delay, _deadline_passed, weakref.ref(self), delay, clause
         )
 
     def _release_assignable(self) -> None:
@@ -814,7 +810,7 @@ class SSIDispatcher:
         if started is None:
             started = self._clock_starts[envelope.query_id] = self._now()
             if envelope.size_seconds is not None:
-                self._wake_at(envelope.size_seconds)
+                self._wake_at(envelope.size_seconds, envelope.query_id)
         return started
 
 

@@ -1,22 +1,20 @@
 """Supporting Server Infrastructure: untrusted but highly available.
 
-Queryboxes, temporary storage, partitioning strategies, partition lifecycle
-tracking and the honest-but-curious observation log.
+One record per posted query (its querybox included), temporary storage,
+partitioning strategies, partition lifecycle tracking and the
+honest-but-curious observation log.
 """
 
 from repro.ssi.observer import Observation, Observer
 from repro.ssi.partitioner import RandomPartitioner, TagPartitioner
-from repro.ssi.querybox import GlobalQuerybox, PersonalQuerybox
 from repro.ssi.server import SupportingServerInfrastructure
 from repro.ssi.storage import PartitionState, PartitionTracker, QueryStorage
 
 __all__ = [
-    "GlobalQuerybox",
     "Observation",
     "Observer",
     "PartitionState",
     "PartitionTracker",
-    "PersonalQuerybox",
     "QueryStorage",
     "RandomPartitioner",
     "SupportingServerInfrastructure",

@@ -11,7 +11,7 @@ suite asserts this boundary by attacking the observer log.
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 from repro.core.messages import (
     EncryptedTuple,
@@ -26,8 +26,10 @@ from repro.exceptions import (
 )
 from repro.obs.spans import QueryLifecycle
 from repro.ssi.observer import Observer
-from repro.ssi.querybox import GlobalQuerybox, PersonalQuerybox
 from repro.ssi.storage import QueryStorage
+
+if TYPE_CHECKING:  # the SSI stores a meta, it never reads one
+    from repro.net.frames import QueryMeta
 
 
 class StateJournal(Protocol):
@@ -53,14 +55,12 @@ class StateJournal(Protocol):
 
 
 class SupportingServerInfrastructure:
-    """SSI: queryboxes + temporary storage + partitioning services."""
+    """SSI: one record per posted query (its querybox included) +
+    temporary storage + partitioning services."""
 
     def __init__(self, observer: Observer | None = None) -> None:
-        self.global_querybox = GlobalQuerybox()
-        self.personal_querybox = PersonalQuerybox()
         self.observer = observer if observer is not None else Observer()
         self._storage: dict[str, QueryStorage] = {}
-        self._envelopes: dict[str, QueryEnvelope] = {}
         # Phase spans hang off the facade because both the dispatcher
         # and the server-side coordinator call these methods directly —
         # this is the one choke point that sees every phase transition.
@@ -68,32 +68,42 @@ class SupportingServerInfrastructure:
         self.lifecycle = QueryLifecycle()
         #: durability journal (see :class:`StateJournal`); when set,
         #: every state mutation is written *ahead* of being applied.
-        #: post_query is journaled by the dispatcher instead — the
-        #: record needs the scheduling meta this facade never sees.
         self.journal: StateJournal | None = None
 
     # ------------------------------------------------------------------ #
     # query posting / download (steps 1-2)
     # ------------------------------------------------------------------ #
-    def post_query(self, envelope: QueryEnvelope, tds_id: str | None = None) -> None:
+    def post_query(
+        self,
+        envelope: QueryEnvelope,
+        tds_id: str | None = None,
+        meta: QueryMeta | None = None,
+    ) -> None:
         """Post to the global querybox, or to one personal querybox when
-        *tds_id* is given."""
-        if envelope.query_id in self._envelopes:
+        *tds_id* is given; *meta* is kept with the query for whoever
+        schedules it."""
+        if envelope.query_id in self._storage:
             raise DuplicateQueryError(f"duplicate query id {envelope.query_id!r}")
-        self._envelopes[envelope.query_id] = envelope
-        self._storage[envelope.query_id] = QueryStorage()
-        if tds_id is None:
-            self.global_querybox.post(envelope)
-        else:
-            self.personal_querybox.post(tds_id, envelope)
+        if self.journal is not None:
+            self.journal.record("post_query", envelope, tds_id, meta)
+        self._storage[envelope.query_id] = QueryStorage(envelope, meta, tds_id)
         self.lifecycle.opened(envelope.query_id)
 
     def active_queries(self) -> list[QueryEnvelope]:
-        return self.global_querybox.active()
+        """The global querybox: crowd-directed queries still collecting."""
+        return [
+            storage.envelope
+            for storage in self._storage.values()
+            if storage.tds_id is None and not storage.collection_closed
+        ]
 
     def envelope(self, query_id: str) -> QueryEnvelope:
+        return self.query(query_id).envelope
+
+    def query(self, query_id: str) -> QueryStorage:
+        """The record of *query_id* (typed error for unknown ids)."""
         try:
-            return self._envelopes[query_id]
+            return self._storage[query_id]
         except KeyError:
             raise UnknownQueryError(f"unknown query {query_id!r}") from None
 
@@ -123,7 +133,7 @@ class SupportingServerInfrastructure:
         the partitions cut from it, still without a per-tuple object.
         The observer sees the per-tuple sizes and tags, in the order
         they are stored."""
-        storage = self._require(query_id)
+        storage = self.query(query_id)
         if storage.collection_closed:
             return  # late arrivals after the SIZE clause closed: dropped
         if self.journal is not None:
@@ -134,12 +144,12 @@ class SupportingServerInfrastructure:
         )
 
     def collected_count(self, query_id: str) -> int:
-        return self._require(query_id).collected_count()
+        return self.query(query_id).collected_count()
 
     def evaluate_size_clause(self, query_id: str, elapsed_seconds: float = 0.0) -> bool:
         """Cleartext SIZE evaluation (§3.1); closes collection when met."""
-        envelope = self.envelope(query_id)
-        count = self._require(query_id).collected_count()
+        storage = self.query(query_id)
+        envelope, count = storage.envelope, storage.collected_count()
         met = False
         if envelope.size_tuples is not None and count >= envelope.size_tuples:
             met = True
@@ -152,24 +162,23 @@ class SupportingServerInfrastructure:
         return met
 
     def close_collection(self, query_id: str) -> None:
-        storage = self._require(query_id)
+        storage = self.query(query_id)
         if storage.collection_closed:
             return  # transition already happened; double-close is a no-op
         if self.journal is not None:
             self.journal.record("close_collection", query_id)
         storage.collection_closed = True
-        self.global_querybox.close(query_id)
         self.lifecycle.collection_closed(
             query_id, collected=storage.collected_count()
         )
 
     def collection_closed(self, query_id: str) -> bool:
-        return self._require(query_id).collection_closed
+        return self.query(query_id).collection_closed
 
     def covering_result(self, query_id: str) -> EncryptedTupleBlock:
         """The covering result as one block: the stored contributions
         joined in arrival order, with no per-tuple object."""
-        return EncryptedTupleBlock.concat(self._require(query_id).collected_blocks)
+        return EncryptedTupleBlock.concat(self.query(query_id).collected_blocks)
 
     # ------------------------------------------------------------------ #
     # aggregation phase storage (steps 5-8)
@@ -183,7 +192,7 @@ class SupportingServerInfrastructure:
     ) -> None:
         """Hold the partials of one partition result (step 8), as the
         block they arrived in."""
-        storage = self._require(query_id)
+        storage = self.query(query_id)
         if self.journal is not None:
             self.journal.record("submit_partials", query_id, block, wire=wire)
         self.lifecycle.partials_submitted(query_id)
@@ -194,7 +203,7 @@ class SupportingServerInfrastructure:
     def take_partials(self, query_id: str) -> list[EncryptedTupleBlock]:
         """Drain the partial store (the next aggregation step re-partitions
         them): the blocks it held."""
-        storage = self._require(query_id)
+        storage = self.query(query_id)
         if not storage.partials:
             return []
         if self.journal is not None:
@@ -204,14 +213,14 @@ class SupportingServerInfrastructure:
         return blocks
 
     def partial_count(self, query_id: str) -> int:
-        return sum(map(len, self._require(query_id).partials))
+        return sum(map(len, self.query(query_id).partials))
 
     def reset_aggregation(self, query_id: str) -> None:
         """Discard a half-finished aggregation's partials and result
         rows: recovery calls this before a rebuilt coordinator re-runs
         aggregation from the covering result (merging is associative,
         so recomputing is always correct)."""
-        storage = self._require(query_id)
+        storage = self.query(query_id)
         if self.journal is not None:
             self.journal.record("reset_aggregation", query_id)
         storage.partials.clear()
@@ -222,7 +231,7 @@ class SupportingServerInfrastructure:
     # ------------------------------------------------------------------ #
     def store_result_rows(self, query_id: str, block: EncryptedTupleBlock) -> None:
         """Hold the k1 result rows of one filtering partition (step 12)."""
-        storage = self._require(query_id)
+        storage = self.query(query_id)
         if self.journal is not None:
             self.journal.record("store_result_rows", query_id, block)
         if block:
@@ -231,7 +240,7 @@ class SupportingServerInfrastructure:
         self.lifecycle.result_stored(query_id, rows=len(block))
 
     def publish_result(self, query_id: str) -> None:
-        storage = self._require(query_id)
+        storage = self.query(query_id)
         if storage.result_ready:
             return  # transition already happened; republish is a no-op
         if self.journal is not None:
@@ -240,10 +249,10 @@ class SupportingServerInfrastructure:
         self.lifecycle.published(query_id)
 
     def result_ready(self, query_id: str) -> bool:
-        return self._require(query_id).result_ready
+        return self.query(query_id).result_ready
 
     def fetch_result(self, query_id: str) -> QueryResult:
-        storage = self._require(query_id)
+        storage = self.query(query_id)
         if not storage.result_ready:
             raise ResultNotReadyError(f"result of {query_id!r} not ready")
         return QueryResult(query_id, EncryptedTupleBlock.concat(storage.result_rows))
@@ -252,16 +261,7 @@ class SupportingServerInfrastructure:
     # durability surface (repro.store snapshot/recovery)
     # ------------------------------------------------------------------ #
     def storage_map(self) -> dict[str, QueryStorage]:
-        """The live per-query storage, keyed by query id.  Exposed for
-        the durable store's snapshot capture and recovery restore — not
-        a mutation API for request handlers."""
+        """The record of every posted query, keyed by query id.  Exposed
+        for the durable store's snapshot capture and recovery restore —
+        not a mutation API for request handlers."""
         return self._storage
-
-    def envelope_map(self) -> dict[str, QueryEnvelope]:
-        return self._envelopes
-
-    def _require(self, query_id: str) -> QueryStorage:
-        try:
-            return self._storage[query_id]
-        except KeyError:
-            raise UnknownQueryError(f"unknown query {query_id!r}") from None

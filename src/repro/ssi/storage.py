@@ -14,9 +14,13 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.core.messages import EncryptedTupleBlock, Partition
+from repro.core.messages import EncryptedTupleBlock, Partition, QueryEnvelope
 from repro.exceptions import ProtocolError
+
+if TYPE_CHECKING:  # the SSI stores a meta, it never reads one
+    from repro.net.frames import QueryMeta
 
 
 class PartitionState(enum.Enum):
@@ -141,13 +145,20 @@ class PartitionTracker:
 
 @dataclass
 class QueryStorage:
-    """All SSI-side state for one query.
+    """All SSI-side state for one query: the one record of a posted query.
 
-    Everything is kept as the columnar :class:`EncryptedTupleBlock`s it
-    arrived as, in arrival order — the order the observer saw them in:
-    the covering result one block per accepted submission, the partials
-    and the result rows one block per partition result."""
+    The envelope, the scheduling meta it was posted with (stored as
+    given, never interpreted here) and its querybox: ``tds_id`` names
+    the one device of a personal querybox, None is the global one.
+    Everything collected is kept as the columnar
+    :class:`EncryptedTupleBlock`s it arrived as, in arrival order — the
+    order the observer saw them in: the covering result one block per
+    accepted submission, the partials and the result rows one block per
+    partition result."""
 
+    envelope: QueryEnvelope
+    meta: QueryMeta | None = None
+    tds_id: str | None = None
     collected_blocks: list[EncryptedTupleBlock] = field(default_factory=list)
     partials: list[EncryptedTupleBlock] = field(default_factory=list)
     result_rows: list[EncryptedTupleBlock] = field(default_factory=list)

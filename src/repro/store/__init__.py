@@ -8,8 +8,8 @@ This package gives the SSI:
 * :mod:`repro.store.wal` — an append-only, CRC-framed write-ahead log of
   every state mutation, with group-commit fsync batching and torn-tail
   repair;
-* :mod:`repro.store.snapshot` — periodic compact snapshots of the live
-  ``QueryStorage`` maps plus WAL segment GC;
+* :mod:`repro.store.snapshot` — periodic compact snapshots of every
+  posted query's ``QueryStorage`` record plus WAL segment GC;
 * :mod:`repro.store.commitment` — a blake2b hash chain over appended
   records whose (head, count) pair rides submission acks and the
   ``MSG_GET_COMMITMENT`` wire op, so queriers/TDSs detect rollback;

@@ -44,9 +44,7 @@ from repro.exceptions import (
     StoreError,
     UnknownQueryError,
 )
-from repro.net.frames import QueryMeta
 from repro.obs import metrics as obs_metrics
-from repro.net import ops
 from repro.ssi.idempotency import IdempotencyWindow
 from repro.ssi.server import SupportingServerInfrastructure
 from repro.store import records as store_records
@@ -135,8 +133,6 @@ class RecoveredState:
     """What recovery hands the dispatcher to resume serving."""
 
     ssi: SupportingServerInfrastructure
-    metas: dict[str, QueryMeta] = field(default_factory=dict)
-    tds_ids: dict[str, str] = field(default_factory=dict)
     idempotency: IdempotencyWindow = field(default_factory=IdempotencyWindow)
     #: True when the previous process shut down gracefully and nothing
     #: needed repair or replay
@@ -147,21 +143,19 @@ class RecoveredState:
 
 
 def _restore_snapshot(
-    ssi: SupportingServerInfrastructure, state: SnapshotState, out: RecoveredState
+    ssi: SupportingServerInfrastructure, state: SnapshotState
 ) -> None:
     for q in state.queries:
-        ssi.post_query(q.envelope, q.tds_id)
-        storage = ssi.storage_map()[q.query_id]
+        query_id = q.envelope.query_id
+        ssi.post_query(q.envelope, q.tds_id, q.meta)
+        storage = ssi.query(query_id)
         storage.collected_blocks = list(q.collected_blocks)
         storage.partials = list(q.partials)
         storage.result_rows = list(q.result_rows)
         if q.collection_closed:
-            ssi.close_collection(q.query_id)
+            ssi.close_collection(query_id)
         if q.result_ready:
-            ssi.publish_result(q.query_id)
-        out.metas[q.query_id] = q.meta
-        if q.tds_id is not None:
-            out.tds_ids[q.query_id] = q.tds_id
+            ssi.publish_result(query_id)
 
 
 def _apply_record(
@@ -169,17 +163,9 @@ def _apply_record(
 ) -> None:
     """Replay one record through the facade method its row names."""
     try:
-        if record.op is ops.POST_QUERY:
-            envelope, tds_id, meta = record.args
-            try:
-                ssi.post_query(envelope, tds_id)
-            except DuplicateQueryError:
-                pass  # replayed post after a snapshot race: already there
-            out.metas[envelope.query_id] = meta
-            if tds_id is not None:
-                out.tds_ids[envelope.query_id] = tds_id
-        else:
-            getattr(ssi, record.op.method)(*record.args)
+        getattr(ssi, record.op.method)(*record.args)
+    except DuplicateQueryError:
+        pass  # replayed post after a snapshot race: already there
     except UnknownQueryError as exc:
         raise CorruptLogError(
             f"WAL record references an unknown query ({exc}): its "
@@ -286,7 +272,7 @@ class DurableStore:
             truncated_bytes=scan.truncated_bytes,
         )
         out.idempotency.restore(state.applied_seq, state.applied_ahead)
-        _restore_snapshot(ssi, state, out)
+        _restore_snapshot(ssi, state)
         for seq, body in scan.records:
             if seq <= state.wal_seq:
                 continue

@@ -4,10 +4,10 @@ A snapshot bounds recovery time (replay starts from the snapshot's WAL
 sequence, not from genesis) and is what allows WAL segment GC.  It
 captures, at one instant between dispatched requests:
 
-* every live query: envelope, scheduling meta, personal-querybox
-  target, collection/result flags, the collected covering result
-  (its columnar blocks, preserved as stored), pending partials and
-  result rows;
+* every posted query's record (:class:`~repro.ssi.storage.QueryStorage`):
+  envelope, scheduling meta, personal-querybox target,
+  collection/result flags, the collected covering result (its columnar
+  blocks, preserved as stored), pending partials and result rows;
 * the dispatcher's idempotency dedup state (watermarks + ahead sets) —
   required so client retries spanning a crash are still dropped;
 * the full commitment-chain head list, so ``head_at(count)`` keeps
@@ -32,10 +32,11 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.messages import EncryptedTupleBlock, QueryEnvelope
+from repro.core.messages import EncryptedTupleBlock
 from repro.exceptions import CorruptLogError, ProtocolError, StoreError
 from repro.net import frames
 from repro.net.frames import QueryMeta, Reader, Writer
+from repro.ssi.storage import QueryStorage
 from repro.store.commitment import DIGEST_BYTES
 
 MAGIC = b"RSNP"
@@ -50,21 +51,6 @@ KEEP_SNAPSHOTS = 2
 
 
 @dataclass
-class QuerySnapshot:
-    """Durable state of one query."""
-
-    query_id: str
-    envelope: QueryEnvelope
-    meta: QueryMeta = field(default_factory=QueryMeta)
-    tds_id: str | None = None
-    collection_closed: bool = False
-    result_ready: bool = False
-    collected_blocks: list[EncryptedTupleBlock] = field(default_factory=list)
-    partials: list[EncryptedTupleBlock] = field(default_factory=list)
-    result_rows: list[EncryptedTupleBlock] = field(default_factory=list)
-
-
-@dataclass
 class SnapshotState:
     """Everything a snapshot file carries."""
 
@@ -76,7 +62,8 @@ class SnapshotState:
     applied_seq: dict[str, int] = field(default_factory=dict)
     #: out-of-order applied seqs above each watermark
     applied_ahead: dict[str, set[int]] = field(default_factory=dict)
-    queries: list[QuerySnapshot] = field(default_factory=list)
+    #: the record of every posted query, in posting order
+    queries: list[QueryStorage] = field(default_factory=list)
     #: True only for the snapshot written by a graceful shutdown
     clean: bool = False
 
@@ -103,10 +90,10 @@ def list_snapshots(directory: Path) -> list[tuple[int, Path]]:
 # --------------------------------------------------------------------- #
 # encoding
 # --------------------------------------------------------------------- #
-def _write_query(w: Writer, q: QuerySnapshot) -> None:
-    w.text(q.query_id)
+def _write_query(w: Writer, q: QueryStorage) -> None:
+    w.text(q.envelope.query_id)
     frames.write_envelope(w, q.envelope)
-    frames.write_meta(w, q.meta)
+    frames.write_meta(w, q.meta or QueryMeta())
     w.opt_text(q.tds_id)
     w.boolean(q.collection_closed)
     w.boolean(q.result_ready)
@@ -120,9 +107,13 @@ def _write_query(w: Writer, q: QuerySnapshot) -> None:
     frames.write_rows(w, EncryptedTupleBlock.concat(q.result_rows))
 
 
-def _read_query(r: Reader) -> QuerySnapshot:
+def _read_query(r: Reader) -> QueryStorage:
     query_id = r.text()
     envelope = frames.read_envelope(r)
+    if query_id != envelope.query_id:
+        raise ProtocolError(
+            f"query {query_id!r} carries the envelope of {envelope.query_id!r}"
+        )
     meta = frames.read_meta(r)
     tds_id = r.opt_text()
     closed = r.boolean()
@@ -133,8 +124,7 @@ def _read_query(r: Reader) -> QuerySnapshot:
     blocks += [frames.read_tuple_block(r) for _ in range(r.count(limit=100_000))]
     partials = frames.read_item_block(r, frames.ITEM_PARTIAL)
     rows = frames.read_rows(r)
-    return QuerySnapshot(
-        query_id=query_id,
+    return QueryStorage(
         envelope=envelope,
         meta=meta,
         tds_id=tds_id,
@@ -207,6 +197,8 @@ def decode_snapshot(data: bytes) -> SnapshotState:
                 applied_ahead[client_id] = ahead
         queries = [_read_query(r) for _ in range(r.count(limit=100_000))]
         r.expect_end()
+        if len({q.envelope.query_id for q in queries}) != len(queries):
+            raise ProtocolError("a query is listed twice")
     except ProtocolError as exc:
         raise CorruptLogError(f"undecodable snapshot: {exc}") from None
     if wal_seq != head_count:

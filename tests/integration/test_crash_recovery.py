@@ -222,7 +222,7 @@ class TestEveryPrefixOfTheLogFinishesTheQuery:
         fleet_task = asyncio.create_task(fleet.run())
         client = QuerierClient(connect(), rng=random.Random(6))
         try:
-            if envelope.query_id not in dispatcher.ssi.envelope_map():
+            if envelope.query_id not in dispatcher.ssi.storage_map():
                 await client.post_query(envelope, meta=meta)
             result = await client.wait_result(envelope.query_id, timeout=30.0)
         finally:

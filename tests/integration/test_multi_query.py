@@ -96,11 +96,9 @@ class TestPersonalQuerybox:
         target = deployment.tds_list[5]
         deployment.ssi.post_query(envelope, tds_id=target.tds_id)
 
-        # the target pulls its personal box; others see nothing
-        assert deployment.ssi.personal_querybox.pending_count(target.tds_id) == 1
-        assert deployment.ssi.personal_querybox.pending_count("tds-0") == 0
-        fetched = deployment.ssi.personal_querybox.fetch(target.tds_id)
-        assert [e.query_id for e in fetched] == [envelope.query_id]
+        # the query's record names the target's box; the crowd's is empty
+        assert deployment.ssi.query(envelope.query_id).tds_id == target.tds_id
+        assert deployment.ssi.active_queries() == []
 
         driver = ProtocolDriver(
             deployment.ssi,

@@ -36,6 +36,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.protocols import Deployment, ProtocolDriver
 from repro.simulation.failures import failure_budget
+from repro.store import DurableStore
 from repro.tds.access_control import AccessPolicy
 from repro.tds.node import TrustedDataServer
 
@@ -289,4 +290,55 @@ class TestAPersonalQueryReachesItsDevice:
         rows, stats = run_async(run())
         assert rows == self.in_process_answer(sql)
         assert len(rows) == 1
+        assert stats.contributions == 1
+
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
+    def test_across_a_restart(self, sql, snapshot, tmp_path):
+        """Posted, then the SSI restarts before any device connects: the
+        recovered record still names the target's querybox and carries
+        the meta, whether recovery replays the WAL or reads a snapshot."""
+
+        async def run():
+            dep = build_deployment()
+            querier = dep.make_querier()
+            envelope = querier.make_envelope(sql)
+            store = DurableStore.open(tmp_path, fsync_policy="none")
+            dispatcher = SSIDispatcher.with_store(store)
+            client = QuerierClient(LoopbackTransport(dispatcher.dispatch))
+            target = dep.tds_list[self.TARGET].tds_id
+            await client.post_query(envelope, target, QueryMeta("basic"))
+            await client.close()
+            store.close(dispatcher.capture_state() if snapshot else None)
+
+            store = DurableStore.open(tmp_path, fsync_policy="none")
+            assert store.recovered.replayed_records == (0 if snapshot else 1)
+            dispatcher = SSIDispatcher.with_store(
+                store, partition_timeout=PARTITION_TIMEOUT
+            )
+
+            def connect():
+                return LoopbackTransport(dispatcher.dispatch)
+
+            fleet = FleetRunner(
+                dep.tds_list,
+                connect,
+                policy=RetryPolicy(backoff_base=0.01),
+                poll_interval=0.01,
+                rng=random.Random(5),
+            )
+            fleet_task = asyncio.create_task(fleet.run(until_queries_done=1))
+            client = QuerierClient(connect())
+            try:
+                result = await client.wait_result(envelope.query_id, timeout=10.0)
+                rows = sorted_rows(querier.decrypt_result(result))
+                assert dispatcher.ssi.collected_count(envelope.query_id) == 1
+            finally:
+                await client.close()
+                fleet.stop()
+                stats = await fleet_task
+                store.close()
+            return rows, stats
+
+        rows, stats = run_async(run())
+        assert rows == self.in_process_answer(sql)
         assert stats.contributions == 1

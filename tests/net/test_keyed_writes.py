@@ -137,7 +137,7 @@ class TestAFailedApplyIsNotAcknowledgedOnRetry:
             journal = dispatcher.ssi.journal = CountingJournal()
             failing = (journal, "record")
             await self.three_attempts(dispatcher, failing, op, items, held, count)
-            assert journal.recorded == [op.method]
+            assert journal.recorded == ["post_query", op.method]
 
         run_async(run())
 
@@ -415,7 +415,7 @@ class TestOkMeansApplied:
             for held, per_query in acked.items():
                 for query_id, count in per_query.items():
                     assert holds(held(ssi, query_id), count)
-            assert set(posted) <= set(ssi.envelope_map())
+            assert set(posted) <= set(ssi.storage_map())
             if store is not None:
                 assert store.last_seq >= records
 

@@ -184,8 +184,8 @@ def test_after_200_queries_every_structure_is_as_small_as_after_one(monkeypatch)
         assert len(dispatcher.coordinators) == 200
         assert not dispatcher._live and not dispatcher._result_waiters
         assert not dispatcher._parked_work  # the fleet is gone
-        assert dep.ssi.global_querybox.active() == []
-        assert dep.ssi.global_querybox.is_closed(query.query_id)
+        assert dep.ssi.active_queries() == []
+        assert dep.ssi.collection_closed(query.query_id)
         # fleet side: a device holds what it has not been told is
         # finished — the last query or two, never the history
         assert fleet._contributed == {}

@@ -151,7 +151,7 @@ def test_a_refused_post_leaves_no_trace_and_the_fleet_serving(bad):
             with pytest.raises(ProtocolError) as refused:
                 await client.post_query(poisoned, meta=bad)
             assert type(refused.value) is ProtocolError
-            assert poisoned.query_id not in dep.ssi.envelope_map()
+            assert poisoned.query_id not in dep.ssi.storage_map()
             assert not dispatcher.idempotency.seen(client._client_id, client._seq)
             result = await client.wait_result(healthy.query_id, timeout=20.0)
             assert sorted_rows(querier.decrypt_result(result)) == sorted_rows(

@@ -26,8 +26,6 @@ from .conftest import finish_query
 from .golden.capture import envelope
 from .virtual_time import run_virtual
 
-#: binary fractions, like every pause below: the virtual clock adds
-#: them up exactly, so a timer is never a rounding error early
 SIZE_SECONDS = 0.25
 HOLD = 2.0
 

@@ -23,6 +23,7 @@ from repro.core.messages import Credential, EncryptedTupleBlock, QueryEnvelope, 
 from repro.exceptions import ProtocolError
 from repro.net import frames, ops
 from repro.net.frames import Reader, Writer
+from repro.ssi.storage import QueryStorage
 from repro.store import snapshot
 
 # --------------------------------------------------------------------- #
@@ -159,8 +160,7 @@ def test_the_snapshot_lanes_keep_their_bytes_however_the_blocks_fall(items, rows
     result; its snapshot still writes each as one per-item list, last."""
     cut = data.draw(st.integers(0, len(items)))
     envelope = QueryEnvelope("q-1", b"ct", Credential("a", frozenset(), b"s"))
-    query = snapshot.QuerySnapshot(
-        "q-1",
+    query = QueryStorage(
         envelope,
         partials=[b for b in (block_of(items[:cut]), block_of(items[cut:])) if b],
         result_rows=[block_of([(row, None)]) for row in rows],

@@ -1,4 +1,4 @@
-"""SSI server, querybox, storage and partition-tracker tests."""
+"""SSI server, storage and partition-tracker tests."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.core.messages import (
     QueryEnvelope,
 )
 from repro.exceptions import ProtocolError
-from repro.ssi.querybox import GlobalQuerybox, PersonalQuerybox
 from repro.ssi.server import SupportingServerInfrastructure
 from repro.ssi.storage import PartitionTracker
 
@@ -32,34 +31,6 @@ def tuples(n):
 def items(*payloads):
     """Untagged partials or result rows, as one block."""
     return EncryptedTupleBlock.from_tuples([EncryptedTuple(p) for p in payloads])
-
-
-class TestQueryboxes:
-    def test_global_post_and_active(self):
-        box = GlobalQuerybox()
-        box.post(make_envelope("a"))
-        box.post(make_envelope("b"))
-        assert [e.query_id for e in box.active()] == ["a", "b"]
-
-    def test_close_removes_from_active(self):
-        box = GlobalQuerybox()
-        box.post(make_envelope("a"))
-        box.close("a")
-        assert box.active() == []
-        assert box.is_closed("a")
-
-    def test_personal_fetch_drains(self):
-        box = PersonalQuerybox()
-        box.post("tds-1", make_envelope("a"))
-        assert box.pending_count("tds-1") == 1
-        fetched = box.fetch("tds-1")
-        assert len(fetched) == 1
-        assert box.fetch("tds-1") == []
-
-    def test_personal_isolated_per_tds(self):
-        box = PersonalQuerybox()
-        box.post("tds-1", make_envelope("a"))
-        assert box.fetch("tds-2") == []
 
 
 class TestSSICollection:
@@ -85,9 +56,10 @@ class TestSSICollection:
         ssi.post_query(make_envelope(size_tuples=5))
         ssi.submit_tuples("q1", tuples(3))
         assert not ssi.evaluate_size_clause("q1")
+        assert [e.query_id for e in ssi.active_queries()] == ["q1"]
         ssi.submit_tuples("q1", tuples(2))
         assert ssi.evaluate_size_clause("q1")
-        assert ssi.global_querybox.is_closed("q1")
+        assert ssi.collection_closed("q1") and ssi.active_queries() == []
 
     def test_size_clause_seconds(self):
         ssi = SupportingServerInfrastructure()
@@ -191,19 +163,3 @@ class TestPartitionTracker:
         tracker = PartitionTracker(self._partitions(1))
         with pytest.raises(ProtocolError):
             tracker.complete(99, "a")
-
-
-class TestGlobalQueryboxHistory:
-    def test_listing_costs_the_open_queries_not_the_history(self):
-        box = GlobalQuerybox()
-        for index in range(300):
-            box.post(make_envelope(f"q{index}"))
-            if index < 298:
-                box.close(f"q{index}")
-        assert [e.query_id for e in box.active()] == ["q298", "q299"]
-        assert len(box._open) == 2
-        assert box.is_closed("q0") and box.is_closed("q297")
-        assert not box.is_closed("q299") and not box.is_closed("never-posted")
-        box.close("q0")  # closing twice, or something never open: harmless
-        box.close("never-posted")
-        assert [e.query_id for e in box.active()] == ["q298", "q299"]

@@ -17,6 +17,7 @@ from repro.net.client import AsyncSSIClient
 from repro.net.frames import QueryMeta
 from repro.net.server import SSIDispatcher
 from repro.net.transport import LoopbackTransport
+from repro.ssi.storage import QueryStorage
 from repro.store import DurableStore, verify_data_dir
 from repro.store import snapshot as store_snapshot
 from repro.store import wal as store_wal
@@ -115,13 +116,13 @@ class TestCrashRecovery:
         shapes = len(TAG_SHAPES) + len(PARTIAL_SHAPES)
         assert reopened.recovered.replayed_records == 4 + shapes
         ssi = reopened.recovered.ssi
-        assert "q1" in ssi.envelope_map()
+        assert "q1" in ssi.storage_map()
         assert len(ssi.covering_result("q1")) == 3 + sum(map(len, TAG_SHAPES))
         # The chain is rebuilt to the identical head: nothing lost,
         # nothing rewritten.
         assert reopened.commitment() == head_before
-        assert reopened.recovered.metas["q1"].protocol == "s_agg"
-        assert reopened.recovered.tds_ids["q1"] == "tds-1"
+        assert ssi.query("q1").meta.protocol == "s_agg"
+        assert ssi.query("q1").tds_id == "tds-1"
         reopened.close()
 
     @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot+suffix"])
@@ -182,8 +183,7 @@ class TestCrashRecovery:
         state = store_snapshot.SnapshotState(
             applied_seq={"client-a": 2},
             queries=[
-                store_snapshot.QuerySnapshot(
-                    query_id="q1",
+                QueryStorage(
                     envelope=make_envelope(),
                     meta=QueryMeta("s_agg"),
                     tds_id="tds-1",
@@ -221,8 +221,7 @@ class TestSnapshotsAndGc:
             return store_snapshot.SnapshotState(
                 applied_seq=store.recovered.idempotency.snapshot()[0],
                 queries=[
-                    store_snapshot.QuerySnapshot(
-                        query_id="q1",
+                    QueryStorage(
                         envelope=make_envelope(),
                         meta=QueryMeta("s_agg"),
                         tds_id="tds-1",
@@ -254,8 +253,7 @@ class TestSnapshotsAndGc:
         def capture():
             return store_snapshot.SnapshotState(
                 queries=[
-                    store_snapshot.QuerySnapshot(
-                        query_id="q1",
+                    QueryStorage(
                         envelope=make_envelope(),
                         meta=QueryMeta("s_agg"),
                         collected_blocks=list(
@@ -281,7 +279,7 @@ class TestSnapshotsAndGc:
 
         reopened = DurableStore.open(tmp_path)
         # Fallback to the older snapshot; WAL records past it replayed.
-        assert "q1" in reopened.recovered.ssi.envelope_map()
+        assert "q1" in reopened.recovered.ssi.storage_map()
         assert reopened.commitment() == store.commitment()
         reopened.close()
 
@@ -318,8 +316,7 @@ class TestVerifyDataDir:
         def capture():
             return store_snapshot.SnapshotState(
                 queries=[
-                    store_snapshot.QuerySnapshot(
-                        query_id="q1",
+                    QueryStorage(
                         envelope=make_envelope(),
                         meta=QueryMeta("s_agg"),
                     )

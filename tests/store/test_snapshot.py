@@ -1,6 +1,8 @@
 """Snapshot encode/decode integrity, atomic writes, retention."""
 
 import hashlib
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,11 @@ from repro.core.messages import (
     QueryEnvelope,
 )
 from repro.exceptions import CorruptLogError
-from repro.net.frames import QueryMeta
-from repro.store import snapshot
+from repro.net.frames import QueryMeta, Writer
+from repro.ssi.storage import QueryStorage
+from repro.store import DurableStore, snapshot, verify_data_dir
 from repro.store.commitment import CommitmentChain
+from repro.store.recovery import SNAPSHOT_SUBDIR
 
 
 PARENT_SNAPSHOTS = (
@@ -48,8 +52,7 @@ def make_state(wal_seq=3):
         applied_seq={"client-a": 7, "client-b": 2},
         applied_ahead={"client-a": {9, 11}},
         queries=[
-            snapshot.QuerySnapshot(
-                query_id="q1",
+            QueryStorage(
                 envelope=make_envelope(),
                 meta=QueryMeta("s_agg", {"alpha": 2.0}),
                 tds_id="tds-3",
@@ -92,7 +95,7 @@ class TestCodec:
         # the parent data dir's q-driver: one per-item submission of two
         # tuples, then a block of two — served in that order back then
         path = PARENT_SNAPSHOTS / snapshot.snapshot_name(24)
-        queries = {q.query_id: q for q in snapshot.load_snapshot(path).queries}
+        queries = {q.envelope.query_id: q for q in snapshot.load_snapshot(path).queries}
         lane, block = queries["q-driver"].collected_blocks
         assert list(lane.tuples()) == [
             EncryptedTuple(b"ct-1", None), EncryptedTuple(b"ct-2", b"tag"),
@@ -120,6 +123,43 @@ class TestCodec:
         state.chain_heads = state.chain_heads[:-1]  # one head short
         with pytest.raises(CorruptLogError, match="chain"):
             snapshot.decode_snapshot(snapshot.encode_snapshot(state))
+
+
+def malformed(case):
+    """A snapshot of :func:`make_state` whose query list is malformed
+    but whose CRC is valid: the CRC is written by whoever writes the
+    file, and the operator may rewrite it (DESIGN §9)."""
+    state = make_state()
+    if case == "listed-twice":
+        state.queries *= 2
+        return snapshot.encode_snapshot(state)
+    # the query-id field, then the envelope's own id: make the first lie
+    ids = Writer().text("q1").getvalue()
+    framed = snapshot.encode_snapshot(state)[:-4]
+    framed = framed.replace(ids + ids, Writer().text("other").getvalue() + ids, 1)
+    return framed + struct.pack(">I", zlib.crc32(framed))
+
+
+@pytest.mark.parametrize("case", ["listed-twice", "id-not-its-envelopes"])
+class TestAMalformedQueryListIsRefused:
+    """A query listed twice, or under an id its envelope does not carry,
+    is refused as corrupt when decoded.  The parent decoded both:
+    ``repro verify-log`` passed the file, and ``open`` then failed with
+    an error no caller handles (``DuplicateQueryError``, ``KeyError``)."""
+
+    def test_decoding_refuses_it(self, case):
+        with pytest.raises(CorruptLogError, match="twice|envelope of"):
+            snapshot.decode_snapshot(malformed(case))
+
+    def test_verify_log_and_open_refuse_it(self, case, tmp_path):
+        snap_dir = tmp_path / SNAPSHOT_SUBDIR
+        snap_dir.mkdir()
+        name = snapshot.snapshot_name(make_state().wal_seq)
+        (snap_dir / name).write_bytes(malformed(case))
+        with pytest.raises(CorruptLogError):
+            verify_data_dir(tmp_path)
+        with pytest.raises(CorruptLogError):
+            DurableStore.open(tmp_path)
 
 
 class TestFiles:

@@ -273,6 +273,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"({'clean start' if recovered.clean else 'recovered'}: "
                 f"{len(dispatcher.ssi.storage_map())} query(ies), "
                 f"{recovered.replayed_records} record(s) replayed, "
+                f"{recovered.truncated_bytes} torn-tail byte(s) dropped, "
+                f"{recovered.snapshot_fallbacks} corrupt snapshot(s) skipped, "
                 f"commitment at {store.commitment().count}, "
                 f"fsync={args.fsync_policy})",
                 flush=True,

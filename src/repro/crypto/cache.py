@@ -27,15 +27,14 @@ which block-cipher implementation the cache hands out:
   per-thread contexts, so a call costs its AES and not its set-up;
 * ``ttable`` — the dependency-free T-table + numpy bulk engine
   (:class:`repro.crypto.aes.AES128`), the software stand-in for the
-  paper's crypto-coprocessor;
-* ``reference`` — the per-byte oracle (:mod:`repro.crypto.reference`),
-  for cross-checking only.
+  paper's crypto-coprocessor.
 
 ``auto`` (the default, also via the ``REPRO_CRYPTO_ENGINE`` environment
 variable) picks ``cryptography`` when importable and recent enough
 (>= 43, for ``reset_nonce``) and falls back to ``ttable``.  All engines
 are byte-for-byte interchangeable — the parity fuzz in
-``tests/crypto/test_block_api.py`` pins them to the reference.
+``tests/crypto/test_block_api.py`` pins them to the per-byte oracle
+(:mod:`repro.crypto.reference`), which is not a selectable engine.
 
 The cache is bounded: when full, the **oldest-inserted** entry is evicted
 (dict insertion order), and with it the AES schedule its engine holds, so a
@@ -54,7 +53,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.crypto.aes import AES128, CipherEngine
 from repro.crypto.keys import derive_subkey
 from repro.exceptions import ConfigurationError
-from repro.obs import metrics as obs_metrics
 
 if TYPE_CHECKING:
     from repro.crypto.det import DeterministicCipher
@@ -64,7 +62,7 @@ _MAX_ENTRIES = 1024
 
 #: environment override for the engine choice (read once, lazily)
 ENGINE_ENV = "REPRO_CRYPTO_ENGINE"
-ENGINE_CHOICES = ("auto", "cryptography", "ttable", "reference")
+ENGINE_CHOICES = ("auto", "cryptography", "ttable")
 
 _lock = threading.Lock()
 _engines: dict[tuple[bytes, bytes], CipherEngine] = {}
@@ -72,14 +70,6 @@ _hits = 0
 _misses = 0
 _engine_name: str | None = None
 _engine_factory: Callable[[bytes], CipherEngine] | None = None
-
-_LOOKUPS = obs_metrics.REGISTRY.counter(
-    "repro_crypto_cache_lookups_total",
-    "Cipher-engine cache lookups, by outcome.",
-    ("outcome",),
-)
-_c_hits = _LOOKUPS.labels(outcome="hit")
-_c_misses = _LOOKUPS.labels(outcome="miss")
 
 
 def _resolve_engine(choice: str) -> tuple[str, Callable[[bytes], CipherEngine]]:
@@ -102,12 +92,6 @@ def _resolve_engine(choice: str) -> tuple[str, Callable[[bytes], CipherEngine]]:
             )
     if choice in ("auto", "ttable"):
         return "ttable", AES128
-    if choice == "reference":
-        # The per-byte oracle; selectable so parity/latency experiments can
-        # run the whole stack over it, never a production default.
-        from repro.crypto.reference import ReferenceAES128
-
-        return "reference", ReferenceAES128
     raise ConfigurationError(
         f"unknown crypto engine {choice!r}; expected one of {ENGINE_CHOICES}"
     )
@@ -149,7 +133,6 @@ def aes_for_subkey(master: bytes, label: bytes) -> CipherEngine:
         engine = _engines.get(cache_key)
         if engine is not None:
             _hits += 1
-            _c_hits.inc()
             return engine
         factory = _engine_factory
     if factory is None:
@@ -159,7 +142,6 @@ def aes_for_subkey(master: bytes, label: bytes) -> CipherEngine:
     built = factory(derive_subkey(master, label))
     with _lock:
         _misses += 1
-        _c_misses.inc()
         engine = _engines.get(cache_key)
         if engine is None:
             # Evict oldest-inserted entries (dict order) one at a time —

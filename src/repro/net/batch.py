@@ -33,16 +33,10 @@ _FLUSHES = obs_metrics.REGISTRY.counter(
     "shutdown/explicit drain).",
     ("reason",),
 )
-_BATCH_SIZE = obs_metrics.REGISTRY.histogram(
-    "repro_batch_size_tuples",
-    "Tuples per flushed batch.",
-    buckets=obs_metrics.SIZE_BUCKETS,
-)
 
 _c_flush_size = _FLUSHES.labels(reason="size")
 _c_flush_age = _FLUSHES.labels(reason="age")
 _c_flush_drain = _FLUSHES.labels(reason="drain")
-_h_batch_size = _BATCH_SIZE.labels()
 
 
 class _PendingBatch:
@@ -162,7 +156,6 @@ class TupleBatcher:
                 self.batches_flushed += 1
                 self.tuples_flushed += batch.count
                 flush_counter.inc()
-                _h_batch_size.observe(batch.count)
                 for waiter in batch.waiters:
                     if not waiter.done():
                         waiter.set_result(None)

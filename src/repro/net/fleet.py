@@ -51,11 +51,6 @@ _CONTRIBUTIONS = obs_metrics.REGISTRY.counter(
     "Successful per-device tuple contributions, by shard.",
     ("shard",),
 )
-_TUPLES_SUBMITTED = obs_metrics.REGISTRY.counter(
-    "repro_fleet_tuples_submitted_total",
-    "Encrypted tuples submitted by fleet devices, by shard.",
-    ("shard",),
-)
 _PARTITIONS = obs_metrics.REGISTRY.counter(
     "repro_fleet_partitions_total",
     "Partition work units processed by fleet devices, by shard.",
@@ -168,7 +163,6 @@ class FleetRunner:
         self.health_backoff = max(1.0, health_backoff)
         self._degraded = False
         self._c_contributions = _CONTRIBUTIONS.labels(shard=shard_label)
-        self._c_tuples = _TUPLES_SUBMITTED.labels(shard=shard_label)
         self._c_partitions = _PARTITIONS.labels(shard=shard_label)
         self._c_protocol_errors = _PROTOCOL_ERRORS.labels(shard=shard_label)
         self.stats = FleetStats()
@@ -417,7 +411,6 @@ class FleetRunner:
         self.stats.tuples_submitted += len(block)
         self.stats.participants.add(tds.tds_id)
         self._c_contributions.inc()
-        self._c_tuples.inc(len(block))
         await self._close_when_complete(tds, client, envelope)
 
     async def _process_unit(

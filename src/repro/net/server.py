@@ -122,10 +122,6 @@ _CONNECTIONS_OPEN = obs_metrics.REGISTRY.gauge(
     "repro_ssi_connections_open",
     "Currently open SSI TCP connections.",
 )
-_CONNECTIONS_TOTAL = obs_metrics.REGISTRY.counter(
-    "repro_ssi_connections_total",
-    "SSI TCP connections accepted since process start.",
-)
 _INFLIGHT = obs_metrics.REGISTRY.gauge(
     "repro_ssi_inflight_requests",
     "Requests currently being handled across all connections.",
@@ -171,7 +167,6 @@ _c_frames_out = _FRAMES.labels(direction="out")
 _c_bytes_in = _BYTES.labels(direction="in")
 _c_bytes_out = _BYTES.labels(direction="out")
 _g_connections = _CONNECTIONS_OPEN.labels()
-_c_connections = _CONNECTIONS_TOTAL.labels()
 _g_inflight = _INFLIGHT.labels()
 _g_parked = _PARKED.labels()
 
@@ -844,7 +839,6 @@ class _Connection(asyncio.Protocol):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = cast(asyncio.Transport, transport)
         self._server._connections[self] = self._loop.create_future()
-        _c_connections.inc()
         _g_connections.inc()
         self._last_activity = self._loop.time()
         self._idle_timer = self._loop.call_later(

@@ -25,24 +25,7 @@ _CONNECTS = obs_metrics.REGISTRY.counter(
     "TCP connections established by client transports (first connect "
     "plus every reconnect-on-drop).",
 )
-_STREAM_FAILURES = obs_metrics.REGISTRY.counter(
-    "repro_transport_stream_failures_total",
-    "Client streams torn down (drop, EOF, framing violation, close).",
-)
-_LATE_RESPONSES = obs_metrics.REGISTRY.counter(
-    "repro_transport_late_responses_total",
-    "Responses dropped because their correlation id was already "
-    "abandoned by a timed-out request.",
-)
-_WINDOW_INUSE = obs_metrics.REGISTRY.gauge(
-    "repro_transport_window_inuse",
-    "Requests currently occupying client send-window slots.",
-)
-
 _c_connects = _CONNECTS.labels()
-_c_stream_failures = _STREAM_FAILURES.labels()
-_c_late_responses = _LATE_RESPONSES.labels()
-_g_window = _WINDOW_INUSE.labels()
 
 DispatchFn = Callable[[bytes], Awaitable[bytes]]
 
@@ -106,12 +89,10 @@ class _Connection(asyncio.Protocol):
         try:
             while (body := cutter.cut()) is not None:
                 future = pending.pop(frames.peek_correlation_id(body), None)
+                # no live waiter: the late response of a timed-out
+                # request, dropped, and the stream carries on undisturbed
                 if future is not None and not future.done():
                     future.set_result(body)
-                else:
-                    # the late response of a timed-out request: dropped,
-                    # and the stream carries on undisturbed
-                    _c_late_responses.inc()
         except ProtocolError as exc:
             # A framing violation in a response: the stream position can
             # no longer be trusted, so treat it like a drop.
@@ -187,7 +168,6 @@ class TCPTransport(Transport):
         connection = self._connection
         if connection is None or (owner is not None and owner is not connection):
             return
-        _c_stream_failures.inc()
         self._connection = None
         connection.transport.abort()
         pending, self._pending = self._pending, {}
@@ -204,35 +184,29 @@ class TCPTransport(Transport):
         if len(message) < frames.MIN_FRAME_BYTES:
             raise TransportError("runt frame")
         async with self._window_sem:  # bounded send window (backpressure)
-            _g_window.inc()
+            connection = self._connection
+            if connection is None:
+                connection = await self._connect()
+            corr = self._next_correlation_id()
+            future: asyncio.Future[bytes] = asyncio.get_running_loop().create_future()
+            self._pending[corr] = future
+            framed = bytearray(message)
+            framed[
+                frames.LENGTH_PREFIX_BYTES + 2 : frames.MIN_FRAME_BYTES
+            ] = corr.to_bytes(4, "big")
             try:
-                connection = self._connection
-                if connection is None:
-                    connection = await self._connect()
-                corr = self._next_correlation_id()
-                future: asyncio.Future[bytes] = (
-                    asyncio.get_running_loop().create_future()
-                )
-                self._pending[corr] = future
-                framed = bytearray(message)
-                framed[
-                    frames.LENGTH_PREFIX_BYTES + 2 : frames.MIN_FRAME_BYTES
-                ] = corr.to_bytes(4, "big")
-                try:
-                    # Never waits for the socket: every frame written is
-                    # one whose caller waits below, so the window bounds
-                    # what is buffered.  A failed write arrives as
-                    # connection_lost, which fails the future.
-                    connection.transport.write(framed)
-                    return await future
-                finally:
-                    # Covers success, stream failure *and* cancellation
-                    # (a request timeout): the correlation id is
-                    # forgotten, so a late response is dropped — the
-                    # stream is NOT reset.
-                    self._pending.pop(corr, None)
+                # Never waits for the socket: every frame written is
+                # one whose caller waits below, so the window bounds
+                # what is buffered.  A failed write arrives as
+                # connection_lost, which fails the future.
+                connection.transport.write(framed)
+                return await future
             finally:
-                _g_window.dec()
+                # Covers success, stream failure *and* cancellation
+                # (a request timeout): the correlation id is
+                # forgotten, so a late response is dropped — the
+                # stream is NOT reset.
+                self._pending.pop(corr, None)
 
     async def drop(self) -> None:
         """Abruptly abandon the current connection (failure injection:

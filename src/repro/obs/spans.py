@@ -174,7 +174,6 @@ class SpanRecorder:
         self._spans: Deque[Span] = deque()
         self._lock = threading.Lock()
         self._next_id = 0
-        self.enabled = True
 
     # -- id allocation -------------------------------------------------
 
@@ -209,13 +208,12 @@ class SpanRecorder:
             start=time.time() if at is None else at,
             attributes=sanitize_fields(attributes) if attributes else {},
         )
-        if self.enabled:
-            with self._lock:
-                self._spans.append(span)
-                while len(self._spans) > self.max_spans:
-                    self._spans.popleft()
-                    self.dropped += 1
-                    _SPANS_DROPPED.inc()
+        with self._lock:
+            self._spans.append(span)
+            while len(self._spans) > self.max_spans:
+                self._spans.popleft()
+                self.dropped += 1
+                _SPANS_DROPPED.inc()
         return _SpanHandle(self, span)
 
     def span(

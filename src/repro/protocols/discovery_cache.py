@@ -36,21 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
-from repro.obs import metrics as obs_metrics
 from repro.protocols.deployment import Deployment
 from repro.protocols.discovery import discover_distribution
 from repro.tds.histogram import EquiDepthHistogram
-
-_HITS = obs_metrics.REGISTRY.counter(
-    "repro_discovery_cache_hits_total",
-    "Discovery artifacts served from cache, by querier and artifact kind.",
-    ("querier", "artifact"),
-)
-_MISSES = obs_metrics.REGISTRY.counter(
-    "repro_discovery_cache_misses_total",
-    "Discovery artifacts computed on a cache miss, by querier and artifact.",
-    ("querier", "artifact"),
-)
 
 _T = TypeVar("_T")
 
@@ -77,11 +65,7 @@ class DiscoveryCache:
     def __init__(self) -> None:
         self._epoch = 0
         self._entries: dict[DiscoveryKey, Any] = {}
-        # pre-resolved metric children, one per (querier, artifact) seen
-        self._c_hits: dict[tuple[str, str], obs_metrics.CounterChild] = {}
-        self._c_misses: dict[tuple[str, str], obs_metrics.CounterChild] = {}
-        #: lifetime totals (cheap introspection for tests/benchmarks,
-        #: independent of the process-global metric registry)
+        #: lifetime totals
         self.hits = 0
         self.misses = 0
 
@@ -103,41 +87,16 @@ class DiscoveryCache:
         """A key bound to the cache's *current* epoch."""
         return DiscoveryKey(self._epoch, table, column, artifact, params)
 
-    def get_or_compute(
-        self, key: DiscoveryKey, compute: Callable[[], _T], subject: str = "discovery"
-    ) -> _T:
+    def get_or_compute(self, key: DiscoveryKey, compute: Callable[[], _T]) -> _T:
         """Serve *key* from cache, or run *compute* once and remember it.
         Keys from a bumped (stale) epoch never hit: the epoch is part of
         the key and the bump dropped their entries."""
         if key in self._entries:
             self.hits += 1
-            self._hit_child(subject, key.artifact).inc()
             return self._entries[key]
         self.misses += 1
-        self._miss_child(subject, key.artifact).inc()
         value = self._entries[key] = compute()
         return value
-
-    # ------------------------------------------------------------------ #
-    def _hit_child(
-        self, subject: str, artifact: str
-    ) -> obs_metrics.CounterChild:
-        child = self._c_hits.get((subject, artifact))
-        if child is None:
-            child = self._c_hits[(subject, artifact)] = _HITS.labels(
-                querier=subject, artifact=artifact
-            )
-        return child
-
-    def _miss_child(
-        self, subject: str, artifact: str
-    ) -> obs_metrics.CounterChild:
-        child = self._c_misses.get((subject, artifact))
-        if child is None:
-            child = self._c_misses[(subject, artifact)] = _MISSES.labels(
-                querier=subject, artifact=artifact
-            )
-        return child
 
 
 def cached_distribution(
@@ -158,7 +117,6 @@ def cached_distribution(
         lambda: discover_distribution(
             deployment, table, column, worker_fraction, subject, roles
         ),
-        subject,
     )
     return dict(value)
 
@@ -183,7 +141,7 @@ def cached_domain(
         )
         return sorted(distribution, key=lambda v: (str(type(v)), str(v)))
 
-    return list(cache.get_or_compute(key, compute, subject))
+    return list(cache.get_or_compute(key, compute))
 
 
 def cached_histogram(
@@ -206,4 +164,4 @@ def cached_histogram(
         )
         return EquiDepthHistogram.from_distribution(distribution, num_buckets)
 
-    return cache.get_or_compute(key, compute, subject)
+    return cache.get_or_compute(key, compute)

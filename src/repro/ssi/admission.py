@@ -28,24 +28,10 @@ from typing import Callable
 from repro.exceptions import AdmissionError
 from repro.obs import metrics as obs_metrics
 
-# --------------------------------------------------------------------- #
-# instruments (per-querier label children; children are resolved once per
-# subject and cached, PR 5's pre-resolved-child hot-path pattern)
-# --------------------------------------------------------------------- #
-_ACTIVE_QUERIES = obs_metrics.REGISTRY.gauge(
-    "repro_ssi_active_queries",
-    "Queries posted and not yet published, by querier subject.",
-    ("querier",),
-)
 _REJECTIONS = obs_metrics.REGISTRY.counter(
     "repro_ssi_admission_rejections_total",
     "Requests refused by admission control, by querier subject and quota.",
     ("querier", "reason"),
-)
-_PENDING_BYTES = obs_metrics.REGISTRY.gauge(
-    "repro_ssi_admission_pending_bytes",
-    "Ciphertext bytes of a querier's submissions being applied.",
-    ("querier",),
 )
 
 
@@ -83,38 +69,6 @@ class AdmissionController:
         self._queries: dict[str, set[str]] = {}
         #: subject -> bytes charged and not yet released
         self._pending_bytes: dict[str, int] = {}
-        # pre-resolved metric children, one per subject seen
-        self._g_active: dict[str, obs_metrics.GaugeChild] = {}
-        self._g_bytes: dict[str, obs_metrics.GaugeChild] = {}
-        self._c_rejected: dict[tuple[str, str], obs_metrics.CounterChild] = {}
-
-    # ------------------------------------------------------------------ #
-    # metric children
-    # ------------------------------------------------------------------ #
-    def _active_gauge(self, subject: str) -> obs_metrics.GaugeChild:
-        child = self._g_active.get(subject)
-        if child is None:
-            child = self._g_active[subject] = _ACTIVE_QUERIES.labels(
-                querier=subject
-            )
-        return child
-
-    def _bytes_gauge(self, subject: str) -> obs_metrics.GaugeChild:
-        child = self._g_bytes.get(subject)
-        if child is None:
-            child = self._g_bytes[subject] = _PENDING_BYTES.labels(
-                querier=subject
-            )
-        return child
-
-    def _rejected(self, subject: str, reason: str) -> obs_metrics.CounterChild:
-        key = (subject, reason)
-        child = self._c_rejected.get(key)
-        if child is None:
-            child = self._c_rejected[key] = _REJECTIONS.labels(
-                querier=subject, reason=reason
-            )
-        return child
 
     # ------------------------------------------------------------------ #
     # active-query quota
@@ -134,7 +88,7 @@ class AdmissionController:
             return
         active = self._prune(subject, result_ready)
         if active >= limit:
-            self._rejected(subject, "query_quota").inc()
+            _REJECTIONS.labels(querier=subject, reason="query_quota").inc()
             raise AdmissionError(
                 f"querier {subject!r} has {active} active queries "
                 f"(quota {limit}); retry after a result publishes",
@@ -144,9 +98,7 @@ class AdmissionController:
     def register_query(self, query_id: str, subject: str) -> None:
         """Record *query_id* as owned by *subject* (post succeeded)."""
         self._subjects[query_id] = subject
-        queries = self._queries.setdefault(subject, set())
-        queries.add(query_id)
-        self._active_gauge(subject).set(len(queries))
+        self._queries.setdefault(subject, set()).add(query_id)
 
     def _prune(
         self, subject: str, result_ready: Callable[[str], bool]
@@ -156,7 +108,6 @@ class AdmissionController:
             return 0
         finished = {qid for qid in queries if result_ready(qid)}
         queries -= finished
-        self._active_gauge(subject).set(len(queries))
         return len(queries)
 
     # ------------------------------------------------------------------ #
@@ -170,22 +121,21 @@ class AdmissionController:
         limit = self.policy.max_pending_bytes
         held = self._pending_bytes.get(subject, 0)
         if limit > 0 and held + nbytes > limit:
-            self._rejected(subject, "byte_quota").inc()
+            _REJECTIONS.labels(querier=subject, reason="byte_quota").inc()
             raise AdmissionError(
                 f"querier {subject!r} has {held} submission bytes in flight "
                 f"(+{nbytes} would exceed quota {limit}); back off",
                 retry_after=self.policy.retry_after,
             )
         self._pending_bytes[subject] = held + nbytes
-        self._bytes_gauge(subject).set(held + nbytes)
 
     def release(self, query_id: str, nbytes: int) -> None:
         """Return *nbytes* of quota once the charged submission was
         applied (or its apply raised)."""
         subject = self.subject_of(query_id)
-        held = max(0, self._pending_bytes.get(subject, 0) - nbytes)
-        self._pending_bytes[subject] = held
-        self._bytes_gauge(subject).set(held)
+        self._pending_bytes[subject] = max(
+            0, self._pending_bytes.get(subject, 0) - nbytes
+        )
 
     def pending_bytes(self, subject: str) -> int:
         return self._pending_bytes.get(subject, 0)

@@ -68,10 +68,6 @@ FSYNC_POLICIES = ("group", "batch", "none")
 # --------------------------------------------------------------------- #
 # instruments
 # --------------------------------------------------------------------- #
-_WAL_APPENDS = obs_metrics.REGISTRY.counter(
-    "repro_store_wal_appends_total",
-    "Records appended to the SSI write-ahead log.",
-)
 _WAL_BYTES = obs_metrics.REGISTRY.counter(
     "repro_store_wal_appended_bytes_total",
     "Record body bytes appended to the SSI write-ahead log.",
@@ -98,34 +94,13 @@ _SNAPSHOTS = obs_metrics.REGISTRY.counter(
     "repro_store_snapshots_total",
     "State snapshots written since process start.",
 )
-_RECOVERIES = obs_metrics.REGISTRY.counter(
-    "repro_store_recoveries_total",
-    "Store recoveries at startup, by outcome.",
-    ("outcome",),
-)
-_RECOVERED_RECORDS = obs_metrics.REGISTRY.counter(
-    "repro_store_recovered_records_total",
-    "WAL records replayed during recovery.",
-)
-_RECOVERY_TRUNCATED = obs_metrics.REGISTRY.counter(
-    "repro_store_recovery_truncated_bytes_total",
-    "Torn-tail bytes discarded from the WAL during recovery.",
-)
-_SNAPSHOT_FALLBACKS = obs_metrics.REGISTRY.counter(
-    "repro_store_snapshot_fallbacks_total",
-    "Recoveries that skipped a corrupt snapshot for an older one.",
-)
 
-_c_wal_appends = _WAL_APPENDS.labels()
 _c_wal_bytes = _WAL_BYTES.labels()
 _h_fsync = _WAL_FSYNC_SECONDS.labels()
 _h_fsync_covered = _FSYNC_COVERED.labels()
 _h_ack_wait = _ACK_WAIT_SECONDS.labels()
 _h_snapshot = _SNAPSHOT_SECONDS.labels()
 _c_snapshots = _SNAPSHOTS.labels()
-_c_recovered_records = _RECOVERED_RECORDS.labels()
-_c_truncated = _RECOVERY_TRUNCATED.labels()
-_c_fallbacks = _SNAPSHOT_FALLBACKS.labels()
 
 
 @dataclass
@@ -138,7 +113,10 @@ class RecoveredState:
     #: needed repair or replay
     clean: bool = False
     replayed_records: int = 0
+    #: torn-tail bytes cut from the WAL
     truncated_bytes: int = 0
+    #: retained snapshots skipped as corrupt for an older generation
+    snapshot_fallbacks: int = 0
     snapshot_seq: int = 0
 
 
@@ -244,6 +222,7 @@ class DurableStore:
 
         state = SnapshotState()
         snapshots = store_snapshot.list_snapshots(snap_dir)
+        fallbacks = 0
         loaded = False
         for _, path in reversed(snapshots):
             try:
@@ -252,7 +231,7 @@ class DurableStore:
                 # Fall back to the previous generation; the records
                 # between it and the corrupt snapshot are still in the
                 # WAL (GC only trims below the *oldest* retained one).
-                _c_fallbacks.inc()
+                fallbacks += 1
                 continue
             loaded = True
             break
@@ -270,6 +249,7 @@ class DurableStore:
             ssi=ssi,
             snapshot_seq=state.wal_seq,
             truncated_bytes=scan.truncated_bytes,
+            snapshot_fallbacks=fallbacks,
         )
         out.idempotency.restore(state.applied_seq, state.applied_ahead)
         _restore_snapshot(ssi, state)
@@ -308,9 +288,6 @@ class DurableStore:
             and scan.truncated_bytes == 0
             and scan.dropped_segments == 0
         )
-        _RECOVERIES.labels(outcome="clean" if out.clean else "recovered").inc()
-        _c_recovered_records.inc(out.replayed_records)
-        _c_truncated.inc(scan.truncated_bytes)
 
         writer = store_wal.WalWriter(
             wal_dir, next_seq=next_seq, segment_bytes=segment_bytes
@@ -344,7 +321,6 @@ class DurableStore:
         seq = self._wal.append(parts)
         self._chain.append_leaf(record_digest(seq, parts))
         self._appends_since_snapshot += 1
-        _c_wal_appends.inc()
         _c_wal_bytes.inc(sum(len(part) for part in parts))
         return seq
 

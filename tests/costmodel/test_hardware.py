@@ -45,7 +45,7 @@ class TestSoftwareCalibration:
         # the calibration measures the pure-Python one and puts the
         # selection back
         try:
-            for selected in ("auto", "ttable", "reference"):
+            for selected in ("auto", "ttable"):
                 before = cache.use_engine(selected)
                 calibration = calibrate_software_crypto(
                     sample_bytes=1024, repetitions=1

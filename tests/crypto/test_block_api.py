@@ -36,7 +36,7 @@ ENGINES = available_engines()
 
 
 @pytest.fixture(autouse=True)
-def restore_engine():
+def restore_engine(reference_engine):
     yield
     cache.use_engine("auto")
     cache.clear()

@@ -39,7 +39,19 @@ class TestSelection:
         assert cache.use_engine("ttable") == "ttable"
         assert isinstance(cache.aes_for_subkey(KEY, b"t"), AES128)
 
-    def test_explicit_reference(self):
+    @pytest.mark.parametrize("name", ["reference", "nope"])
+    def test_refused_engine_names_the_choices(self, name):
+        # the per-byte oracle is a test fixture, not an engine to run on
+        with pytest.raises(ConfigurationError) as refused:
+            cache.use_engine(name)
+        message = str(refused.value)
+        assert repr(name) in message
+        assert all(choice in message for choice in ("auto", "cryptography", "ttable"))
+        assert cache.ENGINE_CHOICES == ("auto", "cryptography", "ttable")
+
+    def test_explicit_reference(self, reference_engine):
+        # what the parity tests rely on: the fixture puts the oracle
+        # behind the cache
         assert cache.use_engine("reference") == "reference"
         assert isinstance(cache.aes_for_subkey(KEY, b"t"), ReferenceAES128)
 
@@ -53,9 +65,9 @@ class TestSelection:
             cache.use_engine("rot13")
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(cache.ENGINE_ENV, "reference")
-        assert cache.use_engine() == "reference"
-        assert cache.selected_engine() == "reference"
+        monkeypatch.setenv(cache.ENGINE_ENV, "ttable")
+        assert cache.use_engine() == "ttable"
+        assert cache.selected_engine() == "ttable"
 
     def test_selected_engine_resolves_lazily(self):
         resolved = cache.use_engine("ttable")
@@ -63,7 +75,7 @@ class TestSelection:
 
 
 class TestSwitchHygiene:
-    def test_switch_drops_cached_engines(self):
+    def test_switch_drops_cached_engines(self, reference_engine):
         cache.use_engine("ttable")
         cache.clear()
         cache.aes_for_subkey(KEY, b"a")
@@ -79,7 +91,7 @@ class TestSwitchHygiene:
         cache.use_engine("ttable")
         assert cache.cache_info()["entries"] == 1
 
-    def test_ciphertext_identical_across_switch(self):
+    def test_ciphertext_identical_across_switch(self, reference_engine):
         # The whole stack is engine-oblivious: switching engines must
         # never change bytes on the wire.
         cache.use_engine("ttable")

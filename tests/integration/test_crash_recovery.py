@@ -178,6 +178,8 @@ class TestGracefulShutdown:
             proc2, port2, banner2 = await start_server(data_dir)
             assert "clean start" in banner2
             assert "0 record(s) replayed" in banner2
+            assert "0 torn-tail byte(s) dropped" in banner2
+            assert "0 corrupt snapshot(s) skipped" in banner2
             client2 = AsyncSSIClient(TCPTransport("127.0.0.1", port2))
             try:
                 await client2.ping()

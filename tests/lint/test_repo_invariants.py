@@ -7,6 +7,7 @@ suite even before CI runs the standalone linter.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -286,3 +287,38 @@ def test_injected_plaintext_egress_trips_pl002():
     )
     findings = lint_source("src/repro/tds/node.py", source, production_manifest())
     assert "PL002" in {f.rule for f in findings}
+
+
+_FAMILY = re.compile(r'REGISTRY\.(?:counter|gauge|histogram)\(\s*"([a-z_]+)"')
+# Where a reader of a metric family may live: anything outside the
+# program that scrapes, asserts on or prints it.
+_READER_ROOTS = ("tests", "tools", "benchmarks", "examples")
+_READER_FILES = ("Makefile",)
+
+
+def _reader_texts():
+    this_file = Path(__file__).resolve()
+    paths = [REPO_ROOT / name for name in _READER_FILES]
+    for root in _READER_ROOTS:
+        paths += sorted((REPO_ROOT / root).rglob("*.py"))
+    paths += sorted((REPO_ROOT / ".github" / "workflows").glob("*.y*ml"))
+    for path in paths:
+        if path.resolve() != this_file and path.is_file():
+            yield path.read_text(encoding="utf-8")
+
+
+def test_every_metric_family_has_a_reader():
+    # An instrument nobody reads is a second record of some fact that can
+    # drift from the first; a family lands with the test, tool or
+    # benchmark that reads it, or not at all.
+    declared = {
+        name: path.relative_to(REPO_ROOT)
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for name in _FAMILY.findall(path.read_text(encoding="utf-8"))
+    }
+    assert declared, "no metric family found: the scan pattern is stale"
+    readers = "\n".join(_reader_texts())
+    unread = sorted(
+        f"{name} ({path})" for name, path in declared.items() if name not in readers
+    )
+    assert unread == [], "metric families nothing reads:\n" + "\n".join(unread)

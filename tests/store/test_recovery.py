@@ -198,6 +198,8 @@ class TestCrashRecovery:
         reopened = DurableStore.open(tmp_path)
         assert reopened.recovered.clean
         assert reopened.recovered.replayed_records == 0
+        assert reopened.recovered.truncated_bytes == 0
+        assert reopened.recovered.snapshot_fallbacks == 0
         assert len(reopened.recovered.ssi.covering_result("q1")) == 2
         assert reopened.commitment() == store.commitment()
         reopened.close()
@@ -279,6 +281,7 @@ class TestSnapshotsAndGc:
 
         reopened = DurableStore.open(tmp_path)
         # Fallback to the older snapshot; WAL records past it replayed.
+        assert reopened.recovered.snapshot_fallbacks == 1
         assert "q1" in reopened.recovered.ssi.storage_map()
         assert reopened.commitment() == store.commitment()
         reopened.close()

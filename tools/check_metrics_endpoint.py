@@ -40,6 +40,9 @@ REQUIRED_FAMILIES = (
     # the durable ack path: what an ack waited, what an fsync covered
     "repro_store_ack_wait_seconds",
     "repro_store_fsync_covered_records",
+    # the store's two disk stalls: a WAL fsync and a snapshot write
+    "repro_store_wal_fsync_seconds",
+    "repro_store_snapshot_seconds",
 )
 
 

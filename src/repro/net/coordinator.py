@@ -19,12 +19,17 @@ TDSs are connected, reassigns timed-out ones and publishes the result).
 The row is chosen by the cleartext protocol name in the query's
 :class:`~repro.net.frames.QueryMeta`, knowledge the paper's SSI holds by
 construction.
+
+The coordinator is also the one record of a query's phases: it opens the
+``query`` root and each ``phase:*`` span at its own stage transitions.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
+from typing import Any
 
 from repro.core.messages import EncryptedTupleBlock, Partition
 from repro.core.trace import ProtocolStats
@@ -40,6 +45,7 @@ from repro.net.frames import (
     QueryMeta,
     WorkUnit,
 )
+from repro.obs import spans as obs_spans
 from repro.ssi.partitioner import RandomPartitioner, TagPartitioner
 from repro.ssi.server import SupportingServerInfrastructure
 from repro.ssi.storage import PartitionTracker
@@ -87,12 +93,28 @@ class QueryCoordinator:
         #: the current round's partial blocks, until it advances
         self._outputs: list[EncryptedTupleBlock] = []
         self._partition_ids = itertools.count()
+        self._rounds = itertools.count()
+        #: the query's root span and the phase in progress
+        self._root = obs_spans.RECORDER.start(
+            "query",
+            trace_id=obs_spans.derive_trace_id(query_id),
+            query_id=query_id,
+            protocol=meta.protocol,
+        )
+        self._phase = self._start_phase("phase:collection", self._root.span.start)
 
     # ------------------------------------------------------------------ #
     # scheduling interface
     # ------------------------------------------------------------------ #
     def done(self) -> bool:
         return self._position == len(self._stages)
+
+    def adopt(self, context: obs_spans.TraceContext) -> None:
+        """Link the query's spans to a wire-propagated querier span: the
+        first context that arrives while collecting wins."""
+        if self._position < 0 and self._root.span.parent_id == 0:
+            self._root.span.parent_id = context.span_id
+            self._root.span.trace_id = self._phase.span.trace_id = context.trace_id
 
     def assignable(self, now: float) -> int:
         """How many partitions :meth:`next_work` could hand out right
@@ -104,6 +126,7 @@ class QueryCoordinator:
                 return 0
             block = self.ssi.covering_result(self.query_id)
             self.stats.tuples_collected = len(block)
+            self._phase.annotate(count=len(block))
             self._open(0, block)
         self._advance()
         if self._tracker is None:
@@ -198,6 +221,7 @@ class QueryCoordinator:
             self.ssi.publish_result(self.query_id)
             self._position = len(self._stages)
             self._tracker = None
+            self._next_phase(None)
             return
         self._position = position
         stage = self._stages[position]
@@ -216,3 +240,26 @@ class QueryCoordinator:
             for part in partitioner.partition(block)
         ]
         self._tracker = PartitionTracker(partitions, self.partition_timeout)
+        if RESULT_OF[stage.kind] == RESULT_PARTIALS:
+            self._next_phase(
+                "phase:aggregation", round=next(self._rounds), count=len(block)
+            )
+        else:
+            self._next_phase("phase:filtering", count=len(block))
+
+    def _start_phase(self, name: str, at: float, **attributes: Any) -> Any:
+        root = self._root.span
+        return obs_spans.RECORDER.start(
+            name, trace_id=root.trace_id, parent_id=root.span_id, at=at, **attributes
+        )
+
+    def _next_phase(self, name: str | None, **attributes: Any) -> None:
+        """End the phase in progress and start *name* at the same
+        instant, so the phases tile the query; ``None`` ends the root
+        instead: the result is published."""
+        now = time.time()
+        self._phase.finish(at=now)
+        if name is None:
+            self._root.finish(at=now)
+        else:
+            self._phase = self._start_phase(name, now, **attributes)

@@ -467,10 +467,10 @@ class SSIDispatcher:
                 elapsed -= held.parked
             _req_seconds(name).observe(elapsed)
         _req_ok(name).inc()
-        if trace is not None and query_id is not None:
+        if trace is not None and query_id in self.coordinators:
             # Exact cross-process parent link for wire-propagated traces;
             # clients without a trace context get the derived trace id.
-            self.ssi.lifecycle.adopt(query_id, trace)
+            self.coordinators[query_id].adopt(trace)
         extensions: tuple[tuple[int, bytes], ...] = ()
         if store is not None and op.durable:
             # The two kinds of durable ack (``ops.Op``): a journaled

@@ -2,13 +2,15 @@
 
 A *span* is a named, timed interval with scalar attributes, grouped by
 a 64-bit ``trace_id``.  The protocol phases of the paper map onto a
-small span vocabulary used consistently on every process:
+small span vocabulary used consistently on every process (on the SSI,
+:class:`~repro.net.coordinator.QueryCoordinator` records the root and
+the phases at its own stage transitions):
 
 * ``query``                      — root, one per query per process
 * ``phase:collection``          — tuple collection window
 * ``phase:aggregation`` (+``round``) — one span per aggregation round k
 * ``phase:filtering``           — the final filtering step
-* ``rpc:<op>`` / ``contribution`` / ``partition`` — leaf work units
+* ``contribution`` / ``partition`` — a device's leaf work units
 
 Cross-process correlation works two ways, by design:
 
@@ -55,7 +57,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "TraceContext",
-    "QueryLifecycle",
     "derive_trace_id",
     "load_jsonl",
     "merge_timeline",
@@ -341,131 +342,6 @@ def merge_timeline(
     # Durations may be None: never let them participate in tie-breaks.
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows
-
-
-class QueryLifecycle:
-    """SSI-side phase spans driven by facade calls, one per query.
-
-    The coordinator and the dispatcher both talk to the
-    ``SupportingServerInfrastructure`` facade directly, so this is the
-    single choke point that sees every phase transition:
-
-    * ``opened``            → ``query`` root + ``phase:collection``
-    * ``collection_closed`` → end collection
-    * ``partials_submitted``→ open ``phase:aggregation`` round k on the
-      first submit after the previous ``take``
-    * ``partials_taken``    → close the current aggregation round
-    * ``result_stored``     → close aggregation, open ``phase:filtering``
-    * ``published``         → close filtering + the root
-
-    The trace id is :func:`derive_trace_id`'s hash of the query id
-    unless an exact wire-propagated context (`adopt`) overrides the
-    parent link.  All transitions are idempotent: out-of-order or
-    repeated facade calls (replays!) never raise from here.
-    """
-
-    def __init__(self, recorder: Optional[SpanRecorder] = None) -> None:
-        self._recorder = recorder if recorder is not None else RECORDER
-        self._roots: Dict[str, _SpanHandle] = {}
-        self._phases: Dict[str, _SpanHandle] = {}
-        self._rounds: Dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def _root(self, query_id: str) -> _SpanHandle:
-        handle = self._roots.get(query_id)
-        if handle is None:
-            trace_id = derive_trace_id(query_id)
-            handle = self._recorder.start(
-                "query", trace_id=trace_id, query_id=query_id
-            )
-            self._roots[query_id] = handle
-        return handle
-
-    def _open_phase(self, query_id: str, name: str, **attributes: Any) -> None:
-        root = self._root(query_id)
-        self._phases[query_id] = self._recorder.start(
-            name,
-            trace_id=root.span.trace_id,
-            parent_id=root.span.span_id,
-            **attributes,
-        )
-
-    def _close_phase(self, query_id: str) -> None:
-        handle = self._phases.pop(query_id, None)
-        if handle is not None:
-            handle.finish()
-
-    def _phase_name(self, query_id: str) -> Optional[str]:
-        handle = self._phases.get(query_id)
-        return handle.span.name if handle is not None else None
-
-    # -- transitions ---------------------------------------------------
-
-    def opened(self, query_id: str, *, protocol: Optional[str] = None) -> None:
-        with self._lock:
-            if query_id in self._roots:
-                return
-            root = self._root(query_id)
-            if protocol is not None:
-                root.annotate(protocol=protocol)
-            self._open_phase(query_id, "phase:collection")
-
-    def adopt(self, query_id: str, context: Optional[TraceContext]) -> None:
-        """Link the query root to a wire-propagated querier span."""
-        if context is None:
-            return
-        with self._lock:
-            root = self._roots.get(query_id)
-            if root is not None and root.span.parent_id == 0:
-                root.span.parent_id = context.span_id
-                root.span.trace_id = context.trace_id
-
-    def collection_closed(self, query_id: str, *, collected: int = 0) -> None:
-        with self._lock:
-            if self._phase_name(query_id) == "phase:collection":
-                handle = self._phases[query_id]
-                handle.annotate(count=collected)
-                self._close_phase(query_id)
-
-    def partials_submitted(self, query_id: str) -> None:
-        with self._lock:
-            if query_id not in self._roots:
-                return
-            name = self._phase_name(query_id)
-            if name == "phase:collection":
-                self._close_phase(query_id)
-                name = None
-            if name != "phase:aggregation":
-                round_index = self._rounds.get(query_id, 0)
-                self._open_phase(
-                    query_id, "phase:aggregation", round=round_index
-                )
-
-    def partials_taken(self, query_id: str, *, count: int = 0) -> None:
-        with self._lock:
-            if self._phase_name(query_id) == "phase:aggregation":
-                handle = self._phases[query_id]
-                handle.annotate(count=count)
-                self._close_phase(query_id)
-                self._rounds[query_id] = self._rounds.get(query_id, 0) + 1
-
-    def result_stored(self, query_id: str, *, rows: int = 0) -> None:
-        with self._lock:
-            if query_id not in self._roots:
-                return
-            name = self._phase_name(query_id)
-            if name in ("phase:collection", "phase:aggregation"):
-                self._close_phase(query_id)
-            if self._phase_name(query_id) != "phase:filtering":
-                self._open_phase(query_id, "phase:filtering", count=rows)
-
-    def published(self, query_id: str) -> None:
-        with self._lock:
-            self._close_phase(query_id)
-            root = self._roots.pop(query_id, None)
-            self._rounds.pop(query_id, None)
-            if root is not None:
-                root.finish()
 
 
 #: Process-wide recorder.  The process label defaults to "proc"; entry

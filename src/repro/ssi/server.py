@@ -24,7 +24,6 @@ from repro.exceptions import (
     ResultNotReadyError,
     UnknownQueryError,
 )
-from repro.obs.spans import QueryLifecycle
 from repro.ssi.observer import Observer
 from repro.ssi.storage import QueryStorage
 
@@ -61,11 +60,6 @@ class SupportingServerInfrastructure:
     def __init__(self, observer: Observer | None = None) -> None:
         self.observer = observer if observer is not None else Observer()
         self._storage: dict[str, QueryStorage] = {}
-        # Phase spans hang off the facade because both the dispatcher
-        # and the server-side coordinator call these methods directly —
-        # this is the one choke point that sees every phase transition.
-        # A lifecycle transition may record spans, never raise.
-        self.lifecycle = QueryLifecycle()
         #: durability journal (see :class:`StateJournal`); when set,
         #: every state mutation is written *ahead* of being applied.
         self.journal: StateJournal | None = None
@@ -87,7 +81,6 @@ class SupportingServerInfrastructure:
         if self.journal is not None:
             self.journal.record("post_query", envelope, tds_id, meta)
         self._storage[envelope.query_id] = QueryStorage(envelope, meta, tds_id)
-        self.lifecycle.opened(envelope.query_id)
 
     def active_queries(self) -> list[QueryEnvelope]:
         """The global querybox: crowd-directed queries still collecting."""
@@ -168,9 +161,6 @@ class SupportingServerInfrastructure:
         if self.journal is not None:
             self.journal.record("close_collection", query_id)
         storage.collection_closed = True
-        self.lifecycle.collection_closed(
-            query_id, collected=storage.collected_count()
-        )
 
     def collection_closed(self, query_id: str) -> bool:
         return self.query(query_id).collection_closed
@@ -195,7 +185,6 @@ class SupportingServerInfrastructure:
         storage = self.query(query_id)
         if self.journal is not None:
             self.journal.record("submit_partials", query_id, block, wire=wire)
-        self.lifecycle.partials_submitted(query_id)
         if block:  # an empty store stays empty: nothing to drain
             storage.partials.append(block)
         self.observer.record_block(query_id, "aggregation", block.offsets, block.tags)
@@ -209,7 +198,6 @@ class SupportingServerInfrastructure:
         if self.journal is not None:
             self.journal.record("take_partials", query_id)
         blocks, storage.partials = storage.partials, []
-        self.lifecycle.partials_taken(query_id, count=sum(map(len, blocks)))
         return blocks
 
     def partial_count(self, query_id: str) -> int:
@@ -237,7 +225,6 @@ class SupportingServerInfrastructure:
         if block:
             storage.result_rows.append(block)
         self.observer.record_block(query_id, "filtering", block.offsets, block.tags)
-        self.lifecycle.result_stored(query_id, rows=len(block))
 
     def publish_result(self, query_id: str) -> None:
         storage = self.query(query_id)
@@ -246,7 +233,6 @@ class SupportingServerInfrastructure:
         if self.journal is not None:
             self.journal.record("publish_result", query_id)
         storage.result_ready = True
-        self.lifecycle.published(query_id)
 
     def result_ready(self, query_id: str) -> bool:
         return self.query(query_id).result_ready

@@ -11,6 +11,7 @@ import pytest
 from repro.exceptions import ProtocolError
 from repro.net import frames
 from repro.net.client import AsyncSSIClient
+from repro.net.frames import QueryMeta
 from repro.net.server import SSIDispatcher
 from repro.net.transport import LoopbackTransport
 from repro.obs import metrics as obs_metrics
@@ -135,36 +136,45 @@ class TestGetStats:
 
 
 class TestTracePropagation:
+    """The query's coordinator records its root span on the SSI; a
+    query posted with a protocol row gets one."""
+
     def test_trace_context_rides_ext_and_links_lifecycle(self):
         dispatcher = SSIDispatcher()
         ctx = obs_spans.TraceContext(trace_id=0xDEADBEEF, span_id=0x1234)
+        obs_spans.RECORDER.reset()
 
         async def run():
             client = loopback_client(dispatcher)
             client.set_trace_context(ctx)
-            await client.post_query(make_envelope("q-traced"))
+            await client.post_query(
+                make_envelope("q-traced"), meta=QueryMeta("s_agg")
+            )
 
         run_async(run())
-        roots = [
-            s
-            for s in dispatcher.ssi.lifecycle._recorder.snapshot()
-            if s.name == "query"
-        ]
+        spans = obs_spans.RECORDER.snapshot()
+        roots = [s for s in spans if s.name == "query"]
         assert len(roots) == 1
         assert roots[0].trace_id == ctx.trace_id
         assert roots[0].parent_id == ctx.span_id
+        # the phase in progress moved to the querier's trace with it
+        assert {s.trace_id for s in spans} == {ctx.trace_id}
 
     def test_client_without_trace_context_still_gets_derived_trace(self):
         dispatcher = SSIDispatcher()
+        obs_spans.RECORDER.reset()
 
         async def run():
             client = loopback_client(dispatcher)  # no set_trace_context()
-            await client.post_query(make_envelope("q-derived"))
+            await client.post_query(
+                make_envelope("q-derived"), meta=QueryMeta("s_agg")
+            )
 
         run_async(run())
         trace = obs_spans.derive_trace_id("q-derived")
-        spans = dispatcher.ssi.lifecycle._recorder.by_trace(trace)
+        spans = obs_spans.RECORDER.by_trace(trace)
         assert [s.name for s in spans] == ["query", "phase:collection"]
+        assert spans[0].attributes["protocol"] == "s_agg"
 
 
 class TestInternalErrorContext:

@@ -6,8 +6,9 @@ import os
 
 import pytest
 
+from repro.net.frames import PROTOCOLS
 from repro.obs import attribution, spans as obs_spans
-from repro.obs.spans import QueryLifecycle, SpanRecorder, derive_trace_id
+from repro.obs.spans import SpanRecorder, derive_trace_id
 
 SPANS_MULTIQ = os.path.join(
     os.path.dirname(__file__), "..", "..", "benchmarks", "results",
@@ -22,21 +23,35 @@ def records_from(recorder):
     return list(obs_spans.load_jsonl(buffer))
 
 
-def run_lifecycle(recorder, query_id, protocol=None):
-    lc = QueryLifecycle(recorder)
-    lc.opened(query_id, protocol=protocol)
-    lc.collection_closed(query_id, collected=4)
-    lc.partials_submitted(query_id)
-    lc.partials_taken(query_id, count=2)
-    lc.result_stored(query_id, rows=2)
-    lc.published(query_id)
+def record_query(recorder, query_id, protocol="s_agg"):
+    """One query's spans as its coordinator records them: the root, and
+    collection, one aggregation round and filtering tiling it."""
+    trace = derive_trace_id(query_id)
+    root = recorder.start(
+        "query", trace_id=trace, at=2.0, query_id=query_id, protocol=protocol
+    )
+    phases = [
+        ("phase:collection", {"count": 4}),
+        ("phase:aggregation", {"round": 0, "count": 4}),
+        ("phase:filtering", {"count": 2}),
+    ]
+    for index, (name, attributes) in enumerate(phases):
+        span = recorder.start(
+            name,
+            trace_id=trace,
+            parent_id=root.span.span_id,
+            at=2.0 + index,
+            **attributes,
+        )
+        span.finish(at=3.0 + index)
+    root.finish(at=5.0)
 
 
 class TestBuildReport:
     def test_per_query_totals_reconcile_by_construction(self):
         rec = SpanRecorder(process="ssi")
-        run_lifecycle(rec, "q-a")
-        run_lifecycle(rec, "q-b")
+        record_query(rec, "q-a")
+        record_query(rec, "q-b")
         report = attribution.build_report(records_from(rec))
         assert report["totals"]["queries"] == 2
         for query in report["queries"]:
@@ -46,7 +61,7 @@ class TestBuildReport:
 
     def test_phases_link_by_parent_id(self):
         rec = SpanRecorder(process="ssi")
-        run_lifecycle(rec, "q-a")
+        record_query(rec, "q-a")
         report = attribution.build_report(records_from(rec))
         (query,) = report["queries"]
         assert query["query_id"] == "q-a"
@@ -71,7 +86,7 @@ class TestBuildReport:
 
     def test_protocol_attribute_adds_a_group(self):
         rec = SpanRecorder(process="ssi")
-        run_lifecycle(rec, "q-a", protocol="ed_hist")
+        record_query(rec, "q-a", protocol="ed_hist")
         report = attribution.build_report(records_from(rec))
         names = {g["name"] for g in report["groups"]}
         assert "query" in names
@@ -124,9 +139,13 @@ class TestAcceptance:
         )
 
     def test_multiq_reconciles_within_one_percent(self, report):
+        # "other" absorbs any gap, so reconciliation alone cannot fail:
+        # the phases themselves must cover the query, under its protocol
         assert report["totals"]["queries"] >= 1
         for query in report["queries"]:
             assert abs(query["reconciliation_pct"] - 100.0) <= 1.0
+            assert query["other_s"] <= 0.01 * query["wall_s"], query
+            assert query["protocol"] in PROTOCOLS, query
 
     def test_multiq_p99_buckets_list_exemplars(self, report):
         for group in report["groups"]:
@@ -136,7 +155,7 @@ class TestAcceptance:
 class TestRenderers:
     def make_report(self):
         rec = SpanRecorder(process="ssi")
-        run_lifecycle(rec, "q-a", protocol="s_agg")
+        record_query(rec, "q-a")
         return attribution.build_report(records_from(rec))
 
     def test_console_mentions_queries_and_groups(self):

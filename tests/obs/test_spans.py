@@ -1,10 +1,13 @@
-"""Span recorder, trace derivation, and the SSI query-lifecycle machine."""
+"""Span recorder, trace derivation, and a query's phases as its
+coordinator records them."""
 
 import io
 import json
 
+from repro.core.messages import EncryptedTuple, EncryptedTupleBlock
+from repro.net.coordinator import RESULT_OF, QueryCoordinator
+from repro.net.frames import RESULT_ROWS, WORK_FOLD, QueryMeta
 from repro.obs.spans import (
-    QueryLifecycle,
     RECORDER,
     SpanRecorder,
     TraceContext,
@@ -12,6 +15,9 @@ from repro.obs.spans import (
     load_jsonl,
     merge_timeline,
 )
+from repro.ssi.server import SupportingServerInfrastructure
+
+from ..net.golden.capture import envelope
 
 
 class TestDeriveTraceId:
@@ -256,89 +262,121 @@ class TestMergeTimeline:
         assert any(d == 1.0 for _, _, n, d in timeline if n == "bad-end")
 
 
+def block_of(count):
+    return EncryptedTupleBlock.from_tuples(
+        [EncryptedTuple(b"ct%d" % index, b"g") for index in range(count)]
+    )
+
+
+def run_query(protocol, tuples=12, *, duplicate=False):
+    """One query through its coordinator, built at the post as both
+    engines build it; every partition is answered with one opaque item
+    of the kind its stage expects (*duplicate*: and then answered again,
+    as a reassignment race does)."""
+    ssi = SupportingServerInfrastructure()
+    ssi.post_query(envelope("q"))
+    coordinator = QueryCoordinator(ssi, "q", QueryMeta(protocol))
+    ssi.submit_tuple_block("q", block_of(tuples))
+    ssi.close_collection("q")
+    while not coordinator.done():
+        unit = coordinator.next_work("tds-1", 0.0)
+        answer = (unit.partition_id, "tds-1", RESULT_OF[unit.kind], block_of(1))
+        coordinator.complete(*answer)
+        if duplicate:
+            coordinator.complete(*answer)
+    return coordinator
+
+
+def phases_of(spans):
+    return [
+        (s.name, s.attributes.get("round"), s.attributes.get("count"))
+        for s in spans
+        if s.name.startswith("phase:")
+    ]
+
+
 class TestQueryLifecycle:
-    def names(self, rec, qid):
-        return [s.name for s in rec.by_trace(derive_trace_id(qid))]
+    """A query's phases, as its :class:`QueryCoordinator` records them
+    at its own stage transitions."""
 
     def test_full_phase_sequence(self):
-        rec = SpanRecorder(process="ssi")
-        lc = QueryLifecycle(rec)
-        lc.opened("q")
-        lc.collection_closed("q", collected=12)
-        lc.partials_submitted("q")
-        lc.partials_taken("q", count=4)
-        lc.partials_submitted("q")
-        lc.partials_taken("q", count=2)
-        lc.result_stored("q", rows=2)
-        lc.published("q")
-        spans = rec.by_trace(derive_trace_id("q"))
+        coordinator = run_query("s_agg", tuples=12)
+        spans = RECORDER.by_trace(derive_trace_id("q"))
         assert all(s.end is not None for s in spans)
-        by_name = {}
-        for s in spans:
-            by_name.setdefault(s.name, []).append(s)
-        assert len(by_name["query"]) == 1
-        assert len(by_name["phase:collection"]) == 1
-        assert by_name["phase:collection"][0].attributes["count"] == 12
-        rounds = [s.attributes["round"] for s in by_name["phase:aggregation"]]
-        assert rounds == [0, 1]
-        assert len(by_name["phase:filtering"]) == 1
-        root = by_name["query"][0]
-        for s in spans:
-            if s is not root:
-                assert s.parent_id == root.span_id
+        root, *phases = spans
+        assert root.name == "query"
+        assert root.attributes == {"query_id": "q", "protocol": "s_agg"}
+        # alpha 3.6 cuts partitions of 4: 12 items, then 3, then finalize
+        assert phases_of(phases) == [
+            ("phase:collection", None, 12),
+            ("phase:aggregation", 0, 12),
+            ("phase:aggregation", 1, 3),
+            ("phase:filtering", None, 1),
+        ]
+        assert coordinator.stats.aggregation_rounds == 2
+        assert all(s.parent_id == root.span_id for s in phases)
+        # the phases tile the root: each starts where the last ended
+        assert phases[0].start == root.start and phases[-1].end == root.end
+        for before, after in zip(phases, phases[1:]):
+            assert after.start == before.end
 
     def test_transitions_are_idempotent_and_replay_safe(self):
-        rec = SpanRecorder(process="ssi")
-        lc = QueryLifecycle(rec)
-        lc.opened("q")
-        lc.opened("q")  # duplicate post (replay)
-        lc.collection_closed("q", collected=1)
-        lc.collection_closed("q", collected=1)
-        lc.partials_taken("q")  # take with no aggregation open: no-op
-        lc.result_stored("q")
-        lc.result_stored("q")
-        lc.published("q")
-        lc.published("q")
-        lc.partials_submitted("q")  # after publish: query is gone, no-op
-        spans = rec.by_trace(derive_trace_id("q"))
-        assert sorted(s.name for s in spans) == [
-            "phase:collection",
-            "phase:filtering",
-            "query",
-        ]
+        run_query("s_agg", duplicate=True)
+        raced = phases_of(RECORDER.snapshot())
+        RECORDER.reset()
+        coordinator = run_query("s_agg")
+        assert raced == phases_of(RECORDER.snapshot())
+        # asking again after the publish, or a stale answer, records nothing
+        recorded = len(RECORDER.snapshot())
+        assert coordinator.next_work("tds-1", 0.0) is None
+        coordinator.complete(0, "tds-1", RESULT_OF[WORK_FOLD], block_of(1))
+        assert len(RECORDER.snapshot()) == recorded
 
     def test_unknown_query_transitions_never_raise(self):
-        lc = QueryLifecycle(SpanRecorder())
-        lc.collection_closed("ghost")
-        lc.partials_submitted("ghost")
-        lc.partials_taken("ghost")
-        lc.result_stored("ghost")
-        lc.published("ghost")
+        # The facade's mutations record nothing: a query no coordinator
+        # schedules (posted without a protocol row, or replayed from a
+        # log) has no spans, whatever happens to it.
+        ssi = SupportingServerInfrastructure()
+        ssi.post_query(envelope("q"))
+        ssi.submit_tuple_block("q", block_of(3))
+        ssi.close_collection("q")
+        ssi.submit_partials("q", block_of(1))
+        ssi.take_partials("q")
+        ssi.store_result_rows("q", block_of(1))
+        ssi.publish_result("q")
+        assert RECORDER.snapshot() == []
 
     def test_skip_aggregation_protocols(self):
         # basic SELECT...WHERE: collection straight to filtering.
-        rec = SpanRecorder()
-        lc = QueryLifecycle(rec)
-        lc.opened("q")
-        lc.result_stored("q", rows=5)
-        lc.published("q")
-        names = sorted(s.name for s in rec.by_trace(derive_trace_id("q")))
-        assert names == ["phase:collection", "phase:filtering", "query"]
+        coordinator = run_query("basic", tuples=5)
+        assert phases_of(RECORDER.snapshot()) == [
+            ("phase:collection", None, 5),
+            ("phase:filtering", None, 5),
+        ]
+        assert coordinator.stats.aggregation_rounds == 0
 
     def test_adopt_links_wire_context(self):
-        rec = SpanRecorder()
-        lc = QueryLifecycle(rec)
-        lc.opened("q")
+        ssi = SupportingServerInfrastructure()
+        ssi.post_query(envelope("q"))
+        coordinator = QueryCoordinator(ssi, "q", QueryMeta("basic"))
         ctx = TraceContext(trace_id=999, span_id=1234)
-        lc.adopt("q", ctx)
-        lc.adopt("q", TraceContext(trace_id=5, span_id=6))  # first wins
-        lc.published("q")
-        root = [s for s in rec.snapshot() if s.name == "query"][0]
-        assert root.trace_id == 999
+        coordinator.adopt(ctx)
+        coordinator.adopt(TraceContext(trace_id=5, span_id=6))  # first wins
+        ssi.submit_tuple_block("q", block_of(2))
+        ssi.close_collection("q")
+        unit = coordinator.next_work("tds-1", 0.0)
+        coordinator.complete(unit.partition_id, "tds-1", RESULT_ROWS, block_of(2))
+        spans = RECORDER.snapshot()
+        root = [s for s in spans if s.name == "query"][0]
         assert root.parent_id == 1234
-        lc.adopt("gone", ctx)  # unknown query: no-op
-        lc.adopt("q", None)  # absent context: no-op
+        # every span of the query, the phase open at the adopt included
+        assert {s.trace_id for s in spans} == {999}
+        assert len(spans) == 3 and all(s.end is not None for s in spans)
 
     def test_default_recorder_is_module_singleton(self):
-        lc = QueryLifecycle()
-        assert lc._recorder is RECORDER
+        ssi = SupportingServerInfrastructure()
+        ssi.post_query(envelope("q"))
+        QueryCoordinator(ssi, "q", QueryMeta("ed_hist"))
+        spans = RECORDER.snapshot()
+        assert [s.name for s in spans] == ["query", "phase:collection"]
+        assert all(s.end is None for s in spans)  # collecting

@@ -65,9 +65,10 @@ class CipherEngine:
     primitives of :mod:`repro.crypto.modes`: :meth:`ctr_many` and
     :meth:`cbc_mac_many`.  The batch primitives default to per-block
     loops over :meth:`encrypt_block`; an engine overrides them with what
-    it does better: OpenSSL loops its native per-message contexts, the
-    T-table engine fuses a whole batch into one numpy pass.  A single
-    message is a batch of one.
+    it does better: the T-table engine fuses a whole batch into one numpy
+    pass, OpenSSL runs a large equal-length batch in lockstep on one ECB
+    context and loops its native per-message contexts otherwise.  A
+    single message is a batch of one.
     """
 
     __slots__ = ()

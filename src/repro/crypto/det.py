@@ -14,7 +14,8 @@ the CTR nonce and as the authentication tag.
 Subkey derivation and key-schedule expansion go through the process-wide
 cipher cache (:mod:`repro.crypto.cache`).  As in ``nDet_Enc``, the six
 public calls are adapters over one private kernel per direction, which
-hands the whole batch to the engine.
+hands the whole batch to the engine: fused (T-tables), or in lockstep
+when its messages share one length and looped otherwise (OpenSSL).
 """
 
 from __future__ import annotations

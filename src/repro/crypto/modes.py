@@ -12,10 +12,12 @@ Two modes are provided, each as one batch call:
 
 A single message is a batch of one.  This module owns what is the mode's
 and not the engine's: argument checks, the MAC framing (length prefix +
-PKCS#7 pad, built in one copy) and the packed-buffer convention the
-ciphers' ``*_block`` adapters slice by.  The AES work is a method of the
+PKCS#7 pad, built in one copy, or one join for an equal-length batch)
+and the packed-buffer convention the ciphers' ``*_block`` adapters slice
+by.  The AES work is a method of the
 :class:`~repro.crypto.aes.CipherEngine` handed in, which decides for
-itself whether a batch is fused (T-tables) or looped (OpenSSL).  The
+itself whether a batch is fused (T-tables), run in lockstep or looped
+(OpenSSL).  The
 seed's per-byte loops survive in :mod:`repro.crypto.reference` as the
 benchmark baseline.
 """
@@ -30,6 +32,10 @@ from repro.crypto.aes import BLOCK_SIZE, CipherEngine
 
 #: PKCS#7 tails by pad length (index 0 unused)
 _PADS = tuple(bytes([n]) * n for n in range(BLOCK_SIZE + 1))
+
+#: from this many equal-length messages, framing the batch in one join
+#: beats one join per message
+_JOINED_FRAMING = 8
 
 
 def ctr_many(
@@ -63,8 +69,19 @@ def cbc_mac_many(
     cipher: CipherEngine, datas: Sequence[bytes | memoryview]
 ) -> list[bytes]:
     """CBC-MAC of each message (length-prefixed to avoid extension
-    ambiguities between messages of different lengths)."""
-    return cipher.cbc_mac_many([_mac_message(data) for data in datas])
+    ambiguities between messages of different lengths).  Equal-length
+    messages share one prefix and one pad, so their framing is one join
+    over the batch."""
+    if len(datas) < _JOINED_FRAMING or len(set(map(len, datas))) != 1:
+        return cipher.cbc_mac_many([_mac_message(data) for data in datas])
+    size = len(datas[0])
+    prefix = size.to_bytes(8, "big")
+    pad = _PADS[BLOCK_SIZE - (size + 8) % BLOCK_SIZE]
+    framed = b"".join((prefix, (pad + prefix).join(datas), pad))
+    step = 8 + size + len(pad)
+    return cipher.cbc_mac_many(
+        [framed[start : start + step] for start in range(0, len(framed), step)]
+    )
 
 
 # ---------------------------------------------------------------------- #

@@ -15,8 +15,9 @@ cheap enough to do per call — key rotation is picked up for free.
 
 All six public calls (one message, a list, a packed buffer + offsets;
 each direction) are adapters over one private kernel per direction,
-which hands the whole batch to the engine: it fuses it (T-tables) or
-loops its native per-message call (OpenSSL).  Protocol hot paths should
+which hands the whole batch to the engine: it fuses it (T-tables), or
+runs it in lockstep when its messages share one length and loops its
+native per-message call otherwise (OpenSSL).  Protocol hot paths should
 hand over whole batches rather than call per tuple.
 
 A seedable :class:`random.Random` may be injected for reproducible

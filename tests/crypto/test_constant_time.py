@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.crypto import cache
 from repro.crypto.det import DeterministicCipher
 from repro.crypto.ndet import NonDeterministicCipher
 from repro.exceptions import DecryptionError
@@ -86,3 +87,70 @@ class TestDet:
         with pytest.raises(DecryptionError):
             cipher.decrypt_block(tamper(ct), ct_offsets)
         assert len(spy) == 3
+
+
+def _engines() -> list[str]:
+    try:
+        from repro.crypto import openssl  # noqa: F401
+    except ImportError:  # pragma: no cover - environment without cryptography
+        return ["ttable"]
+    return ["ttable", "cryptography"]
+
+
+LOCKSTEP_BATCH = 64
+
+
+@pytest.fixture(params=_engines())
+def engine(request, monkeypatch):
+    """Each engine in turn; on OpenSSL, counts the lockstep CBC-MAC passes
+    so a test can tell the 64-item batch really ran in lockstep."""
+    cache.use_engine(request.param)
+    cache.clear()
+    passes = []
+    if request.param == "cryptography":
+        from repro.crypto import openssl
+
+        real = openssl.OpenSSLAES128._cbc_mac_lockstep
+
+        def counting(self, messages):
+            passes.append(len(messages))
+            return real(self, messages)
+
+        monkeypatch.setattr(openssl.OpenSSLAES128, "_cbc_mac_lockstep", counting)
+    yield request.param, passes
+    cache.use_engine("auto")
+    cache.clear()
+
+
+@pytest.mark.parametrize("where", [0, LOCKSTEP_BATCH // 2, LOCKSTEP_BATCH - 1])
+@pytest.mark.parametrize("scheme", [NonDeterministicCipher, DeterministicCipher])
+class TestLockstepSizeBatches:
+    """A batch large enough for the OpenSSL engine's lockstep: a flipped
+    byte anywhere, or a truncated item (which makes the batch ragged), is
+    rejected after every tag was compared."""
+
+    def batch(self, scheme):
+        cipher = scheme(KEY)
+        items = [bytes([i]) * 48 for i in range(LOCKSTEP_BATCH)]
+        return cipher, cipher.encrypt_many(items)
+
+    def test_flipped_byte(self, spy, engine, scheme, where):
+        name, passes = engine
+        cipher, batch = self.batch(scheme)
+        batch[where] = tamper(batch[where], len(batch[where]) // 2)
+        del spy[:], passes[:]
+        with pytest.raises(DecryptionError):
+            cipher.decrypt_many(batch)
+        assert len(spy) == LOCKSTEP_BATCH
+        if name == "cryptography":
+            assert passes == [LOCKSTEP_BATCH]
+
+    def test_truncated_item(self, spy, engine, scheme, where):
+        # the short item's CTR pass loops; whether its MAC pass does
+        # depends on the framing's padding, and neither may matter
+        cipher, batch = self.batch(scheme)
+        batch[where] = batch[where][:-1]
+        del spy[:]
+        with pytest.raises(DecryptionError):
+            cipher.decrypt_many(batch)
+        assert len(spy) == LOCKSTEP_BATCH

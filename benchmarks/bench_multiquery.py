@@ -1,4 +1,4 @@
-"""Multi-query engine throughput: overlap and discovery caching measured.
+"""Multi-query engine throughput: overlap and discovery-once measured.
 
 Two claims of the multi-query engine, measured instead of asserted:
 
@@ -8,11 +8,12 @@ Two claims of the multi-query engine, measured instead of asserted:
   per-query latency for each level.  Serial fleet-mode spends most of
   its wall clock waiting (poll intervals, wire round trips), which is
   exactly what overlapping queries reclaims — even on one core.
-* **discovery caching** — repeated ED_Hist and C_Noise driver-mode
-  queries with and without a :class:`~repro.protocols.DiscoveryCache`;
-  with the cache, the §4.3/§4.4 discovery phase (a full COUNT GROUP BY
-  sweep over the fleet) runs once per dataset epoch instead of once per
-  query.
+* **discovery once** — repeated ED_Hist and C_Noise driver-mode
+  queries that either re-run the §4.3/§4.4 discovery phase (a full
+  COUNT GROUP BY sweep over the fleet) before every query, or run it
+  once and hold the histogram for all of them.  The JSON keeps its
+  ``discovery_cache.cache_off`` / ``cache_on`` names so older baselines
+  stay comparable.
 
 Running the module directly writes ``BENCH_multiq.json`` at the repo
 root (BENCH_crypto-style schema) and publishes a table under
@@ -38,13 +39,7 @@ from repro.net.fleet import FleetRunner
 from repro.net.multiquery import MultiQueryRunner, QuerySpec
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import TCPTransport
-from repro.protocols import (
-    Deployment,
-    DiscoveryCache,
-    ProtocolDriver,
-    build_histogram,
-    cached_histogram,
-)
+from repro.protocols import Deployment, ProtocolDriver, build_histogram
 from repro.sql.schema import Database, schema
 from repro.tds.histogram import EquiDepthHistogram
 
@@ -57,7 +52,7 @@ SPAN_EXPORT_PATH = os.path.join(
 QUERY_SQL = "SELECT district, COUNT(*) AS n FROM Consumer GROUP BY district"
 BATCH = 16
 LEVELS = (1, 4, 16)
-CACHE_REPEATS = 5
+DISCOVERY_REPEATS = 5
 NUM_TDS = 16
 
 
@@ -152,7 +147,7 @@ def measure_concurrency(batch=BATCH, levels=LEVELS):
 
 
 # --------------------------------------------------------------------- #
-# discovery cache: repeated ED_Hist / C_Noise driver-mode queries
+# discovery once: repeated ED_Hist / C_Noise driver-mode queries
 # --------------------------------------------------------------------- #
 def _drive(deployment, protocol, histogram):
     querier = deployment.make_querier()
@@ -173,31 +168,25 @@ def _drive(deployment, protocol, histogram):
     assert rows
 
 
-def _cache_run(use_cache, repeats=CACHE_REPEATS):
+def _discovery_run(once, repeats=DISCOVERY_REPEATS):
     """Wall clock of *repeats* ED_Hist + C_Noise queries each, with the
-    per-query discovery sweep either cached per epoch or re-run."""
+    discovery sweep either run once and held, or re-run per repeat."""
     dep = _deployment()
-    cache = DiscoveryCache() if use_cache else None
     start = time.perf_counter()
+    histogram = None
     for __ in range(repeats):
-        if cache is not None:
-            histogram = cached_histogram(cache, dep, "Consumer", "district", 2)
-        else:
+        if histogram is None or not once:
             histogram = build_histogram(dep, "Consumer", "district", 2)
         # one discovered distribution: ED_Hist's buckets, C_Noise's domain
         _drive(dep, "ed_hist", histogram)
         _drive(dep, "c_noise", histogram)
     elapsed = time.perf_counter() - start
-    result = {"seconds": elapsed, "queries": repeats * 2}
-    if cache is not None:
-        result["cache_hits"] = cache.hits
-        result["cache_misses"] = cache.misses
-    return result
+    return {"seconds": elapsed, "queries": repeats * 2}
 
 
-def measure_discovery_cache(repeats=CACHE_REPEATS):
-    off = _cache_run(use_cache=False, repeats=repeats)
-    on = _cache_run(use_cache=True, repeats=repeats)
+def measure_discovery_once(repeats=DISCOVERY_REPEATS):
+    off = _discovery_run(once=False, repeats=repeats)
+    on = _discovery_run(once=True, repeats=repeats)
     return {
         "cache_off": off,
         "cache_on": on,
@@ -218,7 +207,7 @@ def environment():
     }
 
 
-def _render(levels, cache):
+def _render(levels, discovery):
     rows = [
         [
             f"fleet batch={row['batch']} conc={row['concurrency']}",
@@ -237,19 +226,19 @@ def _render(levels, cache):
         )
     rows.append(
         [
-            "driver discovery cache off",
-            f"{cache['cache_off']['seconds']:.3f}s "
-            f"({cache['cache_off']['queries']} queries)",
+            "driver discovery per repeat",
+            f"{discovery['cache_off']['seconds']:.3f}s "
+            f"({discovery['cache_off']['queries']} queries)",
         ]
     )
     rows.append(
         [
-            "driver discovery cache on",
-            f"{cache['cache_on']['seconds']:.3f}s "
-            f"(hits={cache['cache_on']['cache_hits']})",
+            "driver discovery once",
+            f"{discovery['cache_on']['seconds']:.3f}s "
+            f"({discovery['cache_on']['queries']} queries)",
         ]
     )
-    rows.append(["speedup discovery cache", f"{cache['speedup']:.2f}x"])
+    rows.append(["speedup discovery once", f"{discovery['speedup']:.2f}x"])
     return render_table("repro multi-query engine", ["metric", "value"], rows)
 
 
@@ -281,8 +270,8 @@ def main(argv):
     if "--smoke" in argv:
         return smoke()
     levels = measure_concurrency()
-    cache = measure_discovery_cache()
-    table = _render(levels, cache)
+    discovery = measure_discovery_once()
+    table = _render(levels, discovery)
     print(table)
     publish("multiquery", table)
     serial = levels[0]["queries_per_s"]
@@ -298,7 +287,8 @@ def main(argv):
     payload = {
         "description": (
             "multi-query engine: fleet-mode batch throughput at "
-            "increasing concurrency, and driver-mode discovery caching"
+            "increasing concurrency, and driver-mode discovery run once "
+            "per batch vs once per repeat"
         ),
         "environment": environment(),
         "concurrency": [
@@ -309,13 +299,13 @@ def main(argv):
         "discovery_cache": {
             "cache_off": {
                 k: round(v, 3) if isinstance(v, float) else v
-                for k, v in cache["cache_off"].items()
+                for k, v in discovery["cache_off"].items()
             },
             "cache_on": {
                 k: round(v, 3) if isinstance(v, float) else v
-                for k, v in cache["cache_on"].items()
+                for k, v in discovery["cache_on"].items()
             },
-            "speedup": round(cache["speedup"], 3),
+            "speedup": round(discovery["speedup"], 3),
         },
         "notes": notes,
     }

@@ -58,7 +58,6 @@ from repro.protocols import (
     Querier,
     build_histogram,
     discover_distribution,
-    discover_domain,
 )
 from repro.simulation import run_simulated
 from repro.sql import Database, execute, parse, schema
@@ -87,7 +86,6 @@ __all__ = [
     "SchemaError",
     "build_histogram",
     "discover_distribution",
-    "discover_domain",
     "execute",
     "parse",
     "pcehr_factory",

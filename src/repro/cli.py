@@ -47,13 +47,11 @@ from repro.exceptions import ProtocolError
 from repro.net.frames import SUPPORTED_PROTOCOLS, QueryMeta
 from repro.protocols import (
     Deployment,
-    DiscoveryCache,
     PCEHR_TOKEN_PRIORITIES,
     Priorities,
     ProtocolDriver,
     SMART_METER_PRIORITIES,
     build_histogram,
-    cached_histogram,
     recommend_protocol,
 )
 from repro.sql.parser import parse
@@ -81,22 +79,10 @@ def _mismatched(args: argparse.Namespace) -> bool:
     return False
 
 
-def _build_driver(name, deployment, workers, rng, nf, cache=None):
-    """The driver for protocol *name*, with the discovered distribution
+def _build_driver(name, deployment, workers, rng, nf, histogram):
+    """The driver for protocol *name*, with the discovered *histogram*
     its devices collect by (ED_Hist's buckets, the noise protocols'
-    domain) when they need one.  With a
-    :class:`~repro.protocols.DiscoveryCache`, repeated builds reuse one
-    discovery run per dataset epoch instead of re-running S_Agg."""
-    histogram = None
-    if name in ("rnf_noise", "c_noise", "ed_hist"):
-        if cache is not None:
-            histogram = cached_histogram(
-                cache, deployment, "Consumer", "district", num_buckets=2
-            )
-        else:
-            histogram = build_histogram(
-                deployment, "Consumer", "district", num_buckets=2
-            )
+    domain), or None when they need none."""
     return ProtocolDriver(
         deployment.ssi,
         collectors=deployment.tds_list,
@@ -119,28 +105,21 @@ def cmd_demo(args: argparse.Namespace) -> int:
     querier = deployment.make_querier()
     rng = random.Random(args.seed + 1)
     workers = deployment.connected_tds(args.availability)
-    cache = DiscoveryCache() if args.discovery_cache else None
-    rows: list = []
-    for _ in range(max(1, args.repeat)):
-        envelope = querier.make_envelope(args.query)
-        deployment.ssi.post_query(envelope)
-        driver = _build_driver(
-            args.protocol, deployment, workers, rng, args.nf, cache
+    histogram = None
+    if args.protocol in ("rnf_noise", "c_noise", "ed_hist"):
+        histogram = build_histogram(
+            deployment, "Consumer", "district", num_buckets=2
         )
-        driver.execute(envelope)
-        rows = querier.decrypt_result(
-            deployment.ssi.fetch_result(envelope.query_id)
-        )
+    envelope = querier.make_envelope(args.query)
+    deployment.ssi.post_query(envelope)
+    driver = _build_driver(
+        args.protocol, deployment, workers, rng, args.nf, histogram
+    )
+    driver.execute(envelope)
+    rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))
 
     print(f"protocol : {driver.meta.protocol}")
     print(f"query    : {args.query}")
-    if args.repeat > 1:
-        print(f"repeat   : {args.repeat} run(s)")
-    if cache is not None:
-        print(
-            f"discovery: cache {cache.hits} hit(s) / {cache.misses} miss(es) "
-            f"(epoch {cache.epoch})"
-        )
     print(f"result   : {len(rows)} row(s)")
     for row in sorted(rows, key=str):
         print(f"  {row}")
@@ -415,6 +394,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         index, count = parse_shard(args.shard)
     except ProtocolError as exc:
         print(f"fleet: {exc}", file=sys.stderr)
+        return 2
+    if args.buckets < 1:
+        print(f"fleet: --buckets must be >= 1, got {args.buckets}", file=sys.stderr)
         return 2
     crypto_cache.use_engine(args.crypto_engine)
     deployment = _fleet_deployment(args)
@@ -696,16 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--availability", type=float, default=0.5)
     demo.add_argument("--nf", type=int, default=2, help="fakes per tuple (rnf_noise)")
     demo.add_argument("--seed", type=int, default=0)
-    demo.add_argument(
-        "--repeat", type=int, default=1,
-        help="run the query this many times (discovery repeats too "
-        "unless cached)",
-    )
-    demo.add_argument(
-        "--discovery-cache", action="store_true",
-        help="share one discovery run across repeats (§4.4: 'done only "
-        "once and refreshed from time to time')",
-    )
     demo.set_defaults(func=cmd_demo)
 
     figures = sub.add_parser("figures", help="print paper figure series")

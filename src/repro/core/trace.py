@@ -86,7 +86,7 @@ class ProtocolStats:
       TDSs across all phases (≈ LoadQ); charged by the in-process driver,
       which sees both directions of every transfer;
     * ``tuples_collected`` — Covering Result size, including dummies/fakes;
-    * ``per_tds_bytes`` — per-TDS byte totals (max/mean ≈ Tlocal shape).
+    * ``per_tds_bytes`` — per-TDS byte totals.
     """
 
     participants: set[str] = field(default_factory=set)
@@ -101,11 +101,3 @@ class ProtocolStats:
         self.participants.add(tds_id)
         self.bytes_processed += num_bytes
         self.per_tds_bytes[tds_id] = self.per_tds_bytes.get(tds_id, 0) + num_bytes
-
-    def max_tds_bytes(self) -> int:
-        return max(self.per_tds_bytes.values(), default=0)
-
-    def mean_tds_bytes(self) -> float:
-        if not self.per_tds_bytes:
-            return 0.0
-        return sum(self.per_tds_bytes.values()) / len(self.per_tds_bytes)

@@ -42,6 +42,7 @@ from repro.net import frames, ops
 from repro.net.frames import Reader, Writer
 from repro.net.transport import Transport
 from repro.obs import metrics as obs_metrics
+from repro.obs.health import HealthVerdict
 from repro.obs.spans import TraceContext
 from repro.store.commitment import Commitment
 
@@ -276,12 +277,7 @@ class AsyncSSIClient:
         status, lag, window, reasons = verdict or (0, 0.0, 0.0, [])
         return {
             "monitored": verdict is not None,
-            "status": {0: "ok", 1: "degraded", 2: "critical"}.get(
-                status, "critical"
-            ),
-            "reasons": reasons,
-            "eventloop_lag_seconds": lag,
-            "window_seconds": window,
+            **HealthVerdict(status, reasons, lag, window).to_dict(),
         }
 
     async def get_commitment(

@@ -8,23 +8,13 @@ One :class:`ProtocolDriver` runs every row of
 * ``rnf_noise`` / ``c_noise`` — noise-based (§4.3);
 * ``ed_hist`` — equi-depth histograms (§4.4);
 
-plus the discovery protocols for domains and distributions (§4.3/§4.4).
+plus discovery (§4.3/§4.4): :func:`build_histogram` gives ED_Hist's
+buckets, whose ``values()`` are the noise protocols' domain.
 """
 
 from repro.protocols.base import FailureInjector, ProtocolDriver, ProtocolStats, Querier
 from repro.protocols.deployment import Deployment
-from repro.protocols.discovery import (
-    build_histogram,
-    discover_distribution,
-    discover_domain,
-)
-from repro.protocols.discovery_cache import (
-    DiscoveryCache,
-    DiscoveryKey,
-    cached_distribution,
-    cached_domain,
-    cached_histogram,
-)
+from repro.protocols.discovery import build_histogram, discover_distribution
 from repro.protocols.selector import (
     PCEHR_TOKEN_PRIORITIES,
     Priorities,
@@ -41,8 +31,6 @@ from repro.protocols.verification import SpotChecker, verify_partition
 
 __all__ = [
     "Deployment",
-    "DiscoveryCache",
-    "DiscoveryKey",
     "FailureInjector",
     "ProtocolDriver",
     "ProtocolStats",
@@ -56,11 +44,7 @@ __all__ = [
     "WindowedQueryRunner",
     "append_feed",
     "build_histogram",
-    "cached_distribution",
-    "cached_domain",
-    "cached_histogram",
     "discover_distribution",
-    "discover_domain",
     "recommend_protocol",
     "verify_partition",
 ]

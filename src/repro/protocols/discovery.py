@@ -11,8 +11,10 @@ introduced above."
 We implement it exactly that way: a ``SELECT AG, COUNT(*) GROUP BY AG``
 run through **S_Agg** (the protocol needing no prior knowledge — the
 bootstrap of the whole scheme).  The discovered table is then used to
-build :class:`~repro.tds.histogram.EquiDepthHistogram` objects for ED_Hist
-or domain lists for C_Noise.
+build an :class:`~repro.tds.histogram.EquiDepthHistogram`: ED_Hist's
+buckets, and through its ``values()`` the noise protocols' domain.
+Discovery runs once; its caller holds the histogram and passes it to
+every query it drives.
 """
 
 from __future__ import annotations
@@ -54,21 +56,6 @@ def discover_distribution(
     driver.execute(envelope)
     rows = querier.decrypt_result(deployment.ssi.fetch_result(envelope.query_id))
     return {row[column]: row["n"] for row in rows}
-
-
-def discover_domain(
-    deployment: Deployment,
-    table: str,
-    column: str,
-    worker_fraction: float = 1.0,
-    roles: tuple[str, ...] = ("public",),
-) -> list[Any]:
-    """Cardinality discovery for C_Noise: the distinct values of *column*
-    (sorted for determinism)."""
-    distribution = discover_distribution(
-        deployment, table, column, worker_fraction, roles=roles
-    )
-    return sorted(distribution, key=lambda v: (str(type(v)), str(v)))
 
 
 def build_histogram(

@@ -68,8 +68,8 @@ class ComplementaryNoise(NoiseStrategy):
 
     Requires prior knowledge of the domain cardinality; "if the domain
     cardinality is not readily available, a cardinality discovering
-    algorithm must be launched beforehand" (§4.3) — see
-    :func:`repro.protocols.discovery.discover_domain`.
+    algorithm must be launched beforehand" (§4.3) — the domain is the
+    ``values()`` of :func:`repro.protocols.discovery.build_histogram`.
     """
 
     def __init__(self, domain: Sequence[Any]) -> None:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import _fleet_deployment, build_parser, main, parse_shard, shard_rng
 from repro.exceptions import ProtocolError
 from repro.net import fleet as net_fleet
@@ -142,6 +143,23 @@ class TestWhatAShardProcessRuns:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("fleet: --shard")
+        assert runners == []
+
+    @pytest.mark.parametrize("buckets", ["0", "-1"])
+    def test_bad_bucket_count_refused_before_building_a_deployment(
+        self, runners, capsys, monkeypatch, buckets
+    ):
+        def build(*args, **kwargs):
+            raise AssertionError("a deployment was built")
+
+        monkeypatch.setattr(cli, "_fleet_deployment", build)
+        argv = fleet_argv(closed_port(), "0/1", "--buckets", buckets)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"fleet: --buckets must be >= 1, got {buckets}"
+        ]
         assert runners == []
 
 

@@ -150,6 +150,8 @@ class TestInjectedStallAcceptance:
                 assert status == 503
                 assert body["status"] == "degraded"
                 assert "eventloop_lag" in body["reasons"]
+                # one verdict payload: the wire adds only ``monitored``
+                assert wire.keys() - {"monitored"} == body.keys()
                 await client.close()
             finally:
                 await monitor.stop()

@@ -1,6 +1,6 @@
 """Discovery protocol tests (§4.3 cardinality / §4.4 distribution)."""
 
-from repro.protocols import build_histogram, discover_distribution, discover_domain
+from repro.protocols import build_histogram, discover_distribution
 
 from .conftest import DISTRICTS
 
@@ -17,13 +17,24 @@ class TestDiscoverDistribution:
 
 
 class TestDiscoverDomain:
+    """The noise protocols' domain is the discovered histogram's values."""
+
     def test_sorted_distinct_values(self, deployment):
-        domain = discover_domain(deployment, "Consumer", "district")
+        domain = build_histogram(deployment, "Consumer", "district", 2).values()
         assert domain == sorted(DISTRICTS)
 
     def test_domain_cardinality(self, deployment):
-        domain = discover_domain(deployment, "Consumer", "accomodation")
+        domain = build_histogram(deployment, "Consumer", "accomodation", 2).values()
         assert len(domain) == 2
+
+    def test_values_in_discovered_order(self, deployment):
+        # one order every process agrees on: by type name, then by str()
+        for column in ("district", "cid"):
+            distribution = discover_distribution(deployment, "Consumer", column)
+            histogram = build_histogram(deployment, "Consumer", column, 2)
+            assert histogram.values() == sorted(
+                distribution, key=lambda v: (str(type(v)), str(v))
+            )
 
 
 class TestBuildHistogram:

@@ -72,6 +72,15 @@ def offsets_ascend(offsets: Sequence[int]) -> bool:
     return all(map(operator.le, offsets, itertools.islice(offsets, 1, None)))
 
 
+def offsets_stride(offsets: Sequence[int]) -> int:
+    """The one length of the messages an offsets table spans, or -1."""
+    stride = offsets[1] - offsets[0] if len(offsets) > 1 else 0
+    if stride <= 0:
+        return -1
+    spaced = range(offsets[0], offsets[0] + stride * len(offsets), stride)
+    return stride if tuple(offsets) == tuple(spaced) else -1
+
+
 @dataclass(frozen=True, slots=True)
 class EncryptedTupleBlock:
     """A columnar batch of encrypted items: one shared payload buffer

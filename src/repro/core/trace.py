@@ -85,8 +85,7 @@ class ProtocolStats:
     * ``bytes_processed`` — total payload bytes downloaded+uploaded by all
       TDSs across all phases (≈ LoadQ); charged by the in-process driver,
       which sees both directions of every transfer;
-    * ``tuples_collected`` — Covering Result size, including dummies/fakes;
-    * ``per_tds_bytes`` — per-TDS byte totals.
+    * ``tuples_collected`` — Covering Result size, including dummies/fakes.
     """
 
     participants: set[str] = field(default_factory=set)
@@ -95,9 +94,7 @@ class ProtocolStats:
     tuples_collected: int = 0
     partitions_processed: int = 0
     reassigned_partitions: int = 0
-    per_tds_bytes: dict[str, int] = field(default_factory=dict)
 
     def charge(self, tds_id: str, num_bytes: int) -> None:
         self.participants.add(tds_id)
         self.bytes_processed += num_bytes
-        self.per_tds_bytes[tds_id] = self.per_tds_bytes.get(tds_id, 0) + num_bytes

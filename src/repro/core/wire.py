@@ -15,20 +15,19 @@ re-opening the inference channel the dummies exist to close.
 
 from __future__ import annotations
 
+import functools
+import struct
+from itertools import accumulate, repeat
 from typing import Any, Iterable, Sequence
 
-from repro.core.codec import (
-    CodecError,
-    DictTemplate,
-    decode,
-    dict_header,
-    encode,
-    list_header,
-    read_scalar,
-    template_for,
-)
-from repro.core.messages import TupleContent
+from repro.core.codec import CodecError, decode, dict_header, encode, list_header
+from repro.core.messages import TupleContent, offsets_stride
 from repro.exceptions import ProtocolError
+
+try:  # optional: a uniform tuple block is written and read as one array
+    import numpy as _np
+except ImportError:  # pragma: no cover - environment without numpy
+    _np = None
 
 #: payload sizes are rounded up to a multiple of this many bytes
 SIZE_QUANTUM = 64
@@ -44,6 +43,10 @@ MAX_INNER_LENGTH = 16 * 1024 * 1024
 #: could tell them apart by length and dummies would be pointless
 TUPLE_FRAME_QUANTUM = 256
 
+#: from this many frames a block of one layout is one array, column by
+#: column (2-column rows, 2-core host: writing wins from 5, reading 10-16)
+_COLUMN_FRAMES = 8
+
 _FRAME_TUPLE = "t"
 _FRAME_PARTIAL = "p"
 
@@ -52,10 +55,16 @@ _FRAME_PARTIAL = "p"
 # sort by encoded key, and encode("row") < encode("kind") (shorter).
 _TUPLE_HEAD = list_header(2) + encode(_FRAME_TUPLE) + dict_header(2) + encode("row")
 _TUPLE_MID = encode("kind")
-_ENCODED_KINDS = {
-    kind: encode(kind)
-    for kind in (TupleContent.KIND_DATA, TupleContent.KIND_DUMMY, TupleContent.KIND_FAKE)
-}
+
+# the codec's type tags of the values a column holds, and per tag the
+# bytes before the value's payload: a length prefix for str, bytes and int
+_FLOAT, _STR, _BYTES, _INT = (encode(value)[0] for value in (0.0, "", b"", 0))
+_HEADS = {encode(value)[0]: 1 for value in (0.0, None, False, True)}
+_HEADS.update(dict.fromkeys((_STR, _BYTES, _INT), 5))
+#: how a value's payload bytes read back, by type tag
+_READ = {_FLOAT: lambda raw: struct.unpack(">d", raw)[0], _BYTES: bytes}
+_READ[_STR] = lambda raw: raw.decode("utf-8")
+_READ[_INT] = lambda raw: int.from_bytes(raw, "big", signed=True)
 
 
 def _pad(data: bytes, quantum: int = SIZE_QUANTUM) -> bytes:
@@ -83,33 +92,96 @@ def _unpad(data: bytes) -> bytes:
     return data[4 : 4 + length]
 
 
+def _layout(content: TupleContent, quantum: int) -> tuple | None:
+    """*content*'s tuple frame, its row's keys in wire order, its values (the
+    row's, then the kind) and where each sits: type tag, payload offset and
+    width (0: None, a bool, "" or b""; one value per layout); or None."""
+    row, kind = content.row, content.kind
+    if type(row) is not dict or type(kind) is not str:
+        return None
+    keys = tuple(row)
+    keys, prefixes, head = (
+        _wire_keys if set(map(type, keys)) <= {str} else _wire_keys.__wrapped__
+    )(keys)
+    values = [row[key] for key in keys] + [kind]
+    out = bytearray(head)
+    spans = []
+    for prefix, value in zip(prefixes, values):
+        out += prefix
+        at = len(out)
+        out += encode(value)
+        head = _HEADS.get(out[at])
+        if head is None:
+            return None  # a list, dict or set: no column
+        spans.append((out[at], at + head, len(out) - at - head))
+    out[:4] = (len(out) - 4).to_bytes(4, "big")
+    out += bytes(-len(out) % quantum)
+    return bytes(out), keys, values, spans
+
+
+@functools.lru_cache(maxsize=64)
+def _wire_keys(keys: tuple[str, ...]) -> tuple[tuple, tuple[bytes, ...], bytes]:
+    """A key set in wire order, its values' prefixes (each key's encoding,
+    then the kind's) and the frame head; cached for str keys only."""
+    entries = sorted((encode(key), key) for key in keys)
+    prefixes = tuple(encoded for encoded, __ in entries) + (_TUPLE_MID,)
+    head = bytes(4) + _TUPLE_HEAD + dict_header(len(keys))
+    return tuple(key for __, key in entries), prefixes, head
+
+
+def _encode_columns(contents: list[TupleContent], quantum: int) -> bytes | None:
+    """The frames of *contents* as one buffer when every row has the first
+    one's layout: that frame in each row, then each value column."""
+    layout = _layout(contents[0], quantum)
+    rows = [content.row for content in contents]
+    if layout is None or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(layout[1])}:
+        return None
+    frame, keys, values, spans = layout
+    try:
+        columns = [[row[key] for row in rows] for key in keys]
+    except KeyError:
+        return None
+    columns.append([content.kind for content in contents])
+    block = _np.tile(_np.frombuffer(frame, dtype=_np.uint8), (len(rows), 1))
+    for (tag, at, width), value, column in zip(spans, values, columns):
+        if set(map(type, column)) != {type(value)}:
+            return None
+        if tag == _FLOAT:
+            block[:, at : at + 8] = _np.array(column, dtype=">f8")[:, None].view(_np.uint8)
+            continue
+        if tag == _STR:
+            column = [text.encode("utf-8") for text in column]
+        elif tag == _INT:
+            column = [n.to_bytes((n.bit_length() + 8) // 8, "big", signed=True) for n in column]
+        elif not width:  # None, a bool or b"": the tag and length are the value
+            column = [b"" for item in column if item == value]
+        if set(map(len, column)) != {width} or len(column) != len(rows):
+            return None
+        cells = _np.frombuffer(b"".join(column), dtype=_np.uint8)
+        block[:, at : at + width] = cells.reshape(len(rows), width)
+    return block.tobytes()
+
+
 def encode_tuple_frames(
     contents: Iterable[TupleContent], quantum: int = TUPLE_FRAME_QUANTUM
-) -> list[bytes]:
-    """Serialize tuple contents, each padded to the tuple-frame quantum.
-
-    Byte for byte ``_pad(encode([_FRAME_TUPLE, content.to_portable()]))``,
-    but rows that share a key set — the rows of one contribution do —
-    share one :class:`~repro.core.codec.DictTemplate`, so only their
-    values are encoded per row."""
-    frames: list[bytes] = []
-    template: DictTemplate | None = None
-    for content in contents:
-        row = content.row
-        if type(row) is not dict:
-            frames.append(_pad(encode([_FRAME_TUPLE, content.to_portable()]), quantum))
-            continue
-        out = bytearray(4)  # the length prefix, known once the body is
-        out += _TUPLE_HEAD
-        if template is None or not template.encode_into(row, out):
-            template = template_for(tuple(row))
-            template.encode_into(row, out)
-        out += _TUPLE_MID
-        out += _ENCODED_KINDS.get(content.kind) or encode(content.kind)
-        out[:4] = (len(out) - 4).to_bytes(4, "big")
-        out += bytes(-len(out) % quantum)
-        frames.append(bytes(out))
-    return frames
+) -> tuple[bytes, tuple[int, ...]]:
+    """Serialize tuple contents, each padded to the tuple-frame quantum,
+    into one buffer plus its offsets table: byte for byte the join of
+    ``_pad(encode([_FRAME_TUPLE, content.to_portable()]))``.  From
+    ``_COLUMN_FRAMES`` contents whose rows share one key set and value
+    layout (the rows of one contribution do), one fixed-stride array
+    written column by column (:func:`_encode_columns`)."""
+    contents = list(contents)
+    if _np is not None and len(contents) >= _COLUMN_FRAMES:
+        block = _encode_columns(contents, quantum)
+        if block is not None:
+            return block, tuple(range(0, len(block) + 1, len(block) // len(contents)))
+    layouts = [_layout(content, quantum) for content in contents]
+    frames = [
+        layout[0] if layout else _pad(encode([_FRAME_TUPLE, content.to_portable()]), quantum)
+        for content, layout in zip(contents, layouts)
+    ]
+    return b"".join(frames), tuple(accumulate(map(len, frames), initial=0))
 
 
 def encode_tuple_frame(content: TupleContent, quantum: int = TUPLE_FRAME_QUANTUM) -> bytes:
@@ -122,9 +194,9 @@ def encode_partial_frame(portable: list[Any], quantum: int = SIZE_QUANTUM) -> by
     return _pad(encode([_FRAME_PARTIAL, portable]), quantum)
 
 
-def decode_frames(plaintexts: Sequence[bytes]) -> list[tuple[str, Any]]:
-    """Decode frames into ``("tuple", TupleContent)`` or
-    ``("partial", portable)`` pairs.
+def decode_frames(payloads: bytes, offsets: Sequence[int]) -> list[tuple[str, Any]]:
+    """Decode the frames packed in *payloads* + *offsets* into
+    ``("tuple", TupleContent)`` or ``("partial", portable)`` pairs.
 
     Every malformation — truncated or oversized length prefixes, codec
     corruption, invalid UTF-8, structurally wrong bodies, unknown frame
@@ -132,58 +204,76 @@ def decode_frames(plaintexts: Sequence[bytes]) -> list[tuple[str, Any]]:
     level (``IndexError``, ``UnicodeDecodeError``, ``TypeError``...) may
     cross this boundary, because frames arrive from the network.
 
-    The generic decoder judges every frame that is not, byte for byte,
-    a canonical tuple frame over the key set of the tuple frame before
-    it (so the first one, partial frames, and all malformed ones); the
-    tuple frames of one partition, which are, have their values read in
-    place."""
-    decoded: list[tuple[str, Any]] = []
-    template: DictTemplate | None = None
-    for data in plaintexts:
-        content = None if template is None else _read_tuple_frame(data, template)
-        if content is not None:
-            decoded.append(("tuple", content))
-            continue
-        kind, body = _decode_any_frame(data)
-        if kind == "tuple":
-            template = template_for(tuple(body.row))
-        decoded.append((kind, body))
+    A first frame that is a canonical tuple frame of scalars sets the layout
+    the others are read against in place (``_COLUMN_FRAMES`` or more of one
+    stride column by column); :func:`decode_frame` judges every other frame."""
+    if len(offsets) < 2:
+        return []
+    count, stride, start = len(offsets) - 1, offsets_stride(offsets), offsets[0]
+    first = decode_frame(payloads[start : offsets[1]])
+    layout = _layout(first[1], offsets[1] - start) if count > 1 and first[0] == "tuple" else None
+    if layout is None or layout[0] != payloads[start : offsets[1]]:
+        return [first] + [decode_frame(payloads[a:b]) for a, b in zip(offsets[1:], offsets[2:])]
+    if _np is not None and count >= _COLUMN_FRAMES and stride > 0:
+        decoded = _decode_columns(payloads, start, count, stride, layout)
+        if decoded is not None:
+            return decoded
+    return [first] + [_read_frame(payloads[a:b], layout) for a, b in zip(offsets[1:], offsets[2:])]
+
+
+def _read_frame(frame: bytes, layout: tuple) -> tuple[str, Any]:
+    """Decode *frame*, in place when it is the layout's frame outside its
+    values; :func:`decode_frame` judges any other."""
+    template, keys, values, spans = layout
+    read, start = [], 0
+    try:
+        for (tag, at, width), value in zip(spans, values):
+            if frame[start:at] != template[start:at]:
+                return decode_frame(frame)
+            read.append(_READ[tag](frame[at : at + width]) if width else value)
+            start = at + width
+    except UnicodeDecodeError:
+        return decode_frame(frame)
+    if frame[start:] != template[start:]:
+        return decode_frame(frame)
+    return "tuple", TupleContent(read.pop(), dict(zip(keys, read)))
+
+
+def _decode_columns(
+    payloads: bytes, start: int, count: int, stride: int, layout: tuple
+) -> list[tuple[str, Any]] | None:
+    frame, keys, values, spans = layout
+    block = _np.frombuffer(payloads, _np.uint8, count * stride, start).reshape(count, stride)
+    mask = _np.full(stride, 0xFF, dtype=_np.uint8)  # the bytes outside the values
+    columns: list[list[Any]] = []
+    try:
+        for (tag, at, width), value in zip(spans, values):
+            mask[at : at + width] = 0
+            cells = block[:, at : at + width]
+            if not width:
+                columns.append([value] * count)
+            elif tag == _FLOAT:
+                columns.append(cells.view(">f8").ravel().tolist())
+            else:
+                raw = cells.view((_np.void, width)).ravel().tolist()
+                columns.append(list(map(_READ[tag], raw)))
+    except UnicodeDecodeError:
+        return None
+    unit = _np.uint64 if stride % 8 == 0 else _np.uint8
+    template = _np.frombuffer(frame, dtype=_np.uint8).view(unit)
+    odd = ((block.view(unit) ^ template) & mask.view(unit)).any(axis=1)
+    *value_columns, kinds = columns
+    row_values = zip(*value_columns) if value_columns else repeat((), count)
+    rows = map(dict, map(zip, repeat(keys), row_values))
+    decoded = [("tuple", TupleContent(kind, row)) for kind, row in zip(kinds, rows)]
+    for index in odd.nonzero()[0].tolist():
+        at = start + index * stride
+        decoded[index] = decode_frame(payloads[at : at + stride])
     return decoded
 
 
 def decode_frame(data: bytes) -> tuple[str, Any]:
     """Decode one frame (see :func:`decode_frames`)."""
-    return decode_frames((data,))[0]
-
-
-def _read_tuple_frame(data: bytes, template: DictTemplate) -> TupleContent | None:
-    """The content of *data* when it is a well-formed tuple frame of
-    *template*'s shape, None for anything else."""
-    size = len(data)
-    if size < 4:
-        return None
-    length = int.from_bytes(data[:4], "big")
-    end = 4 + length
-    if (
-        length > MAX_INNER_LENGTH
-        or end > size
-        or data.count(0, end) != size - end
-        or not data.startswith(_TUPLE_HEAD, 4)
-    ):
-        return None
-    try:
-        row, pos = template.decode_from(data, 4 + len(_TUPLE_HEAD), end)
-        if not data.startswith(_TUPLE_MID, pos):
-            return None
-        kind, pos = read_scalar(data, pos + len(_TUPLE_MID), end)
-    except (CodecError, UnicodeDecodeError):
-        return None
-    if pos != end:
-        return None
-    return TupleContent(kind, row)
-
-
-def _decode_any_frame(data: bytes) -> tuple[str, Any]:
     try:
         decoded = decode(_unpad(data))
     except ProtocolError:

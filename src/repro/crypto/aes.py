@@ -79,6 +79,10 @@ class CipherEngine:
     def decrypt_block(self, block: bytes) -> bytes:
         raise NotImplementedError
 
+    def _lockstep(self, lanes: int, size: int) -> bool:
+        """Whether *lanes* messages of *size* bytes run as one array."""
+        return False
+
     def ctr_many(
         self,
         nonces: Sequence[bytes | memoryview],

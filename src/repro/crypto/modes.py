@@ -12,12 +12,10 @@ Two modes are provided, each as one batch call:
 
 A single message is a batch of one.  This module owns what is the mode's
 and not the engine's: argument checks, the MAC framing (length prefix +
-PKCS#7 pad, built in one copy, or one join for an equal-length batch)
+PKCS#7 pad, per message, or as columns of one array for a uniform batch)
 and the packed-buffer convention the ciphers' ``*_block`` adapters slice
-by.  The AES work is a method of the
-:class:`~repro.crypto.aes.CipherEngine` handed in, which decides for
-itself whether a batch is fused (T-tables), run in lockstep or looped
-(OpenSSL).  The
+by.  The AES work is a method of the :class:`~repro.crypto.aes.CipherEngine`
+handed in: fused (T-tables), run in lockstep or looped (OpenSSL).  The
 seed's per-byte loops survive in :mod:`repro.crypto.reference` as the
 benchmark baseline.
 """
@@ -25,17 +23,13 @@ benchmark baseline.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.messages import offsets_ascend
-from repro.crypto.aes import BLOCK_SIZE, CipherEngine
+from repro.crypto.aes import BLOCK_SIZE, CipherEngine, _np
 
 #: PKCS#7 tails by pad length (index 0 unused)
 _PADS = tuple(bytes([n]) * n for n in range(BLOCK_SIZE + 1))
-
-#: from this many equal-length messages, framing the batch in one join
-#: beats one join per message
-_JOINED_FRAMING = 8
 
 
 def ctr_many(
@@ -65,23 +59,21 @@ def _mac_message(data: bytes | memoryview) -> bytes:
     )
 
 
+def _frame_lanes(lanes: int, size: int) -> Any:
+    """The MAC framing of *lanes* *size*-byte messages, ``[:, 8 : 8 + size]`` left."""
+    pad = _PADS[BLOCK_SIZE - (size + 8) % BLOCK_SIZE]
+    framed = _np.empty((lanes, 8 + size + len(pad)), dtype=_np.uint8)
+    framed[:, :8] = _np.frombuffer(size.to_bytes(8, "big"), dtype=_np.uint8)
+    framed[:, 8 + size :] = _np.frombuffer(pad, dtype=_np.uint8)
+    return framed
+
+
 def cbc_mac_many(
     cipher: CipherEngine, datas: Sequence[bytes | memoryview]
 ) -> list[bytes]:
     """CBC-MAC of each message (length-prefixed to avoid extension
-    ambiguities between messages of different lengths).  Equal-length
-    messages share one prefix and one pad, so their framing is one join
-    over the batch."""
-    if len(datas) < _JOINED_FRAMING or len(set(map(len, datas))) != 1:
-        return cipher.cbc_mac_many([_mac_message(data) for data in datas])
-    size = len(datas[0])
-    prefix = size.to_bytes(8, "big")
-    pad = _PADS[BLOCK_SIZE - (size + 8) % BLOCK_SIZE]
-    framed = b"".join((prefix, (pad + prefix).join(datas), pad))
-    step = 8 + size + len(pad)
-    return cipher.cbc_mac_many(
-        [framed[start : start + step] for start in range(0, len(framed), step)]
-    )
+    ambiguities between messages of different lengths)."""
+    return cipher.cbc_mac_many([_mac_message(data) for data in datas])
 
 
 # ---------------------------------------------------------------------- #
@@ -104,3 +96,9 @@ def _segments(
 def _packed(messages: list[bytes]) -> tuple[bytes, tuple[int, ...]]:
     """Join *messages* into one buffer plus its offsets table."""
     return b"".join(messages), tuple(accumulate(map(len, messages), initial=0))
+
+
+def _lanes(buffer: bytes | bytearray, lanes: int, size: int, start: int = 0) -> Any:
+    """The *lanes* *size*-byte messages packed in *buffer* from *start*, as an array."""
+    array = _np.frombuffer(buffer, dtype=_np.uint8, count=lanes * size, offset=start)
+    return array.reshape(lanes, size)

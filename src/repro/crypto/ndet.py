@@ -14,11 +14,11 @@ cache (:mod:`repro.crypto.cache`), so constructing one of these objects is
 cheap enough to do per call — key rotation is picked up for free.
 
 All six public calls (one message, a list, a packed buffer + offsets;
-each direction) are adapters over one private kernel per direction,
-which hands the whole batch to the engine: it fuses it (T-tables), or
-runs it in lockstep when its messages share one length and loops its
-native per-message call otherwise (OpenSSL).  Protocol hot paths should
-hand over whole batches rather than call per tuple.
+each direction) are adapters over one private list kernel per direction,
+which hands the whole batch to the engine: fused (T-tables), or in
+lockstep or a native call per message (OpenSSL).  A packed block of one
+stride past the engine's crossover skips the lists: it is sealed or
+opened as one ``(lanes, size)`` array (``_seal_lanes`` / ``_open_lanes``).
 
 A seedable :class:`random.Random` may be injected for reproducible
 simulations; by default nonces come from :mod:`secrets`.
@@ -29,10 +29,11 @@ from __future__ import annotations
 import hmac
 import random
 import secrets
-from typing import Sequence
+from typing import Any, Sequence
 
+from repro.core.messages import offsets_stride
 from repro.crypto import cache
-from repro.crypto.modes import _packed, _segments, cbc_mac_many, ctr_many
+from repro.crypto.modes import _frame_lanes, _lanes, _packed, _segments, cbc_mac_many, ctr_many
 from repro.exceptions import DecryptionError
 
 _NONCE_SIZE = 8
@@ -59,22 +60,23 @@ class NonDeterministicCipher:
         self._mac = cache.aes_for_subkey(key, b"nDet/mac")
         self._rng = rng
 
-    def _fresh_nonce(self) -> bytes:
-        if self._rng is not None:
-            return self._rng.getrandbits(64).to_bytes(8, "big")
-        return secrets.token_bytes(_NONCE_SIZE)
+    def _nonces(self, count: int) -> bytes:
+        """*count* fresh 8-byte CTR nonces, from one call: ``getrandbits(64 * n)``
+        holds n ``getrandbits(64)`` draws as little-endian words, so written
+        big-endian and reversed word-wise, each draw's big-endian bytes in order."""
+        if self._rng is None:
+            return secrets.token_bytes(_NONCE_SIZE * count)
+        pool = self._rng.getrandbits(64 * count).to_bytes(_NONCE_SIZE * count, "big")
+        return pool if count < 2 else memoryview(pool).cast("Q")[::-1].tobytes()
 
     def fresh_nonces(self, count: int) -> list[bytes]:
-        """*count* fresh CTR nonces (one :mod:`secrets` call, not *count*)."""
-        if self._rng is not None:
-            return [self._fresh_nonce() for __ in range(count)]
-        pool = secrets.token_bytes(_NONCE_SIZE * count)
-        return [
-            pool[i * _NONCE_SIZE : (i + 1) * _NONCE_SIZE] for i in range(count)
-        ]
+        """*count* fresh CTR nonces (one rng or :mod:`secrets` call)."""
+        pool = self._nonces(count)
+        return [pool[i : i + _NONCE_SIZE] for i in range(0, len(pool), _NONCE_SIZE)]
 
     # ------------------------------------------------------------------ #
-    # the kernel: one seal and one open, each over a list of messages
+    # the kernels: a seal and an open over a list of messages, and over a
+    # (lanes, size) array of equal-length ones
     # ------------------------------------------------------------------ #
     def _seal(
         self,
@@ -112,12 +114,38 @@ class NonDeterministicCipher:
             [message[_NONCE_SIZE:] for message in sealed],
         )
 
+    def _seal_lanes(self, plaintexts: Any) -> bytearray:
+        """Seal the rows of an array into one buffer, CTR into the MAC framing."""
+        lanes, size = plaintexts.shape
+        nonces = _lanes(self._nonces(lanes), lanes, _NONCE_SIZE)
+        framed = _frame_lanes(lanes, _NONCE_SIZE + size)
+        framed[:, 8:16] = nonces
+        self._enc._ctr_lockstep(nonces, plaintexts, framed[:, 16 : 16 + size])
+        out = bytearray(lanes * (size + _OVERHEAD))
+        sealed = _lanes(out, lanes, size + _OVERHEAD)
+        sealed[:, : _NONCE_SIZE + size] = framed[:, 8 : 16 + size]
+        sealed[:, _NONCE_SIZE + size :] = self._mac._cbc_mac_lockstep(framed)
+        return out
+
+    def _open_lanes(self, ciphertexts: Any) -> bytearray:
+        """Open the rows of an array into one buffer, all tags in one comparison."""
+        lanes, size = ciphertexts.shape
+        framed = _frame_lanes(lanes, size - _TAG_SIZE)
+        framed[:, 8 : size - 8] = ciphertexts[:, :-_TAG_SIZE]
+        want = self._mac._cbc_mac_lockstep(framed)
+        if not hmac.compare_digest(ciphertexts[:, -_TAG_SIZE:].tobytes(), want.tobytes()):
+            raise DecryptionError("nDet_Enc authentication tag mismatch")
+        out = bytearray(lanes * (size - _OVERHEAD))
+        nonces, bodies = ciphertexts[:, :_NONCE_SIZE], ciphertexts[:, _NONCE_SIZE:-_TAG_SIZE]
+        self._enc._ctr_lockstep(nonces, bodies, _lanes(out, lanes, size - _OVERHEAD))
+        return out
+
     # ------------------------------------------------------------------ #
     # the call shapes: a message, a list, a packed buffer + offsets
     # ------------------------------------------------------------------ #
     def encrypt(self, plaintext: bytes) -> bytes:
         """Encrypt *plaintext* under a fresh nonce."""
-        return self._seal([plaintext], [self._fresh_nonce()])[0]
+        return self._seal([plaintext], [self._nonces(1)])[0]
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """Decrypt and authenticate; raises :class:`DecryptionError` on
@@ -144,6 +172,10 @@ class NonDeterministicCipher:
         packed ciphertexts and their offsets; each message grows by
         :meth:`ciphertext_overhead` bytes.  Explicit *nonces* make the
         output reproducible."""
+        lanes, size = len(offsets) - 1, offsets_stride(offsets)
+        if nonces is None and self._enc._lockstep(lanes, size):
+            sealed = self._seal_lanes(_lanes(payloads, lanes, size, offsets[0]))
+            return bytes(sealed), tuple(range(0, len(sealed) + 1, size + _OVERHEAD))
         segments = _segments(payloads, offsets)
         if nonces is None:
             nonces = self.fresh_nonces(len(segments))
@@ -156,6 +188,10 @@ class NonDeterministicCipher:
     ) -> tuple[bytes, tuple[int, ...]]:
         """Authenticate then decrypt packed ciphertexts (one trust
         decision), returning the packed plaintexts and their offsets."""
+        lanes, size = len(offsets) - 1, offsets_stride(offsets)
+        if self._enc._lockstep(lanes, size - _OVERHEAD):
+            opened = self._open_lanes(_lanes(payloads, lanes, size, offsets[0]))
+            return bytes(opened), tuple(range(0, len(opened) + 1, size - _OVERHEAD))
         return _packed(self._open(_segments(payloads, offsets)))
 
     def ciphertext_overhead(self) -> int:

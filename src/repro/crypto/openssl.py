@@ -23,16 +23,13 @@ fixed number of native calls (the lockstep) or one per message (the loop).
   with no context built per call.
 
 **Lockstep.**  A native call is ~0.05 µs of AES on a 256-byte tuple and
-~2 µs of interpreter around it, so a batch of equal-length messages runs
-on one ECB encryptor instead, its lanes side by side in numpy: CTR is one
-ECB pass over every counter block of the batch and one XOR; CBC-MAC
-is one ECB ``update_into`` per block index, ``state = E(state ^ block_j)``
-across all lanes (the T-table engine's lockstep, with the AES native).
-The rule is a property of the batch alone: its messages share one length
-of at most ``_MAX_LANE_BYTES``, and a pass has more lanes than
-``_SETUP_LANES`` plus its ECB steps (1 for CTR, the block count for
-CBC-MAC) — see :func:`_lockstep_lanes`.  Small or ragged batches, and
-every batch without numpy, loop.
+~2 µs of interpreter around it, so equal-length messages run as one
+``(lanes, size)`` numpy array on one ECB encryptor: CTR is one ECB pass
+over every counter block and one XOR (:meth:`_ctr_lockstep`), CBC-MAC one
+``update_into`` per block index, ``state = E(state ^ block_j)`` across all
+lanes (:meth:`_cbc_mac_lockstep`).  ``NonDeterministicCipher`` hands such an
+array over past :meth:`_lockstep`, the list calls past :func:`_lockstep_lanes`.
+Small or ragged batches, and every batch without numpy, loop.
 
 Contexts are **per thread** (``MultiQueryRunner`` decrypts results on
 ``asyncio.to_thread`` while the loop thread's fleet uses the same cached
@@ -58,14 +55,11 @@ from repro.crypto.aes import (
     KEY_SIZE,
     CipherEngine,
     _check_aligned,
+    _np,
     blocks_in,
 )
+from repro.crypto.modes import _lanes
 from repro.exceptions import InvalidKeyError
-
-try:  # optional: lockstep batches; without numpy every batch loops
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
 
 #: the first ``cryptography`` release whose CTR contexts have ``reset_nonce``
 MIN_CRYPTOGRAPHY = "43"
@@ -80,6 +74,13 @@ _ZERO_COUNTER = bytes(8)
 #: at 12 lanes and wins from 16; a 2-block CBC-MAC wins from 8-10 lanes,
 #: an 18-block one loses at 16 and wins from 20-24
 _SETUP_LANES = 12
+
+#: the array seal's and open's fixed cost in messages' worth of the loop:
+#: they take a uniform batch with more lanes than this plus a quarter of
+#: a message's blocks.  Measured crossovers of seal + open, interleaved
+#: best-of runs on a 2-core x86-64 host: 48 B from 8 lanes, 256 B from 12,
+#: 1 KiB from 24
+_ARRAY_SETUP = 6
 
 #: the longest message the lockstep takes: past it the loop's per-message
 #: overhead is small next to the message's bytes, while the lockstep's
@@ -145,14 +146,10 @@ class OpenSSLAES128(CipherEngine):
         """CTR-transform each message: a lockstep batch in one ECB pass
         per ``_PASS_BYTES``, any other by one ``reset_nonce`` and one
         ``update`` per message on this thread's CTR context."""
-        lanes = len(messages) > _SETUP_LANES and _lockstep_lanes(messages, mac=False)
-        if lanes:
-            out: list[bytes] = []
-            for start in range(0, len(messages), lanes):
-                out += self._ctr_lockstep(
-                    nonces[start : start + lanes], messages[start : start + lanes]
-                )
-            return out
+        if len(messages) > _SETUP_LANES and _lockstep_lanes(messages, mac=False):
+            data = _lanes(bytearray(b"".join(messages)), len(messages), len(messages[0]))
+            self._ctr_lockstep(_lanes(b"".join(nonces), len(nonces), 8), data, data)
+            return _rows(data)
         local = self._local
         try:
             context = local.ctr
@@ -161,7 +158,7 @@ class OpenSSLAES128(CipherEngine):
                 self._cipher, _ossl_modes.CTR(_ZERO_IV)
             ).encryptor()
         reset, update = context.reset_nonce, context.update
-        out = []
+        out: list[bytes] = []
         try:
             for nonce, message in zip(nonces, messages):
                 reset(b"".join((nonce, _ZERO_COUNTER)))
@@ -176,12 +173,9 @@ class OpenSSLAES128(CipherEngine):
         batch in one ECB pass per block index, any other on this thread's
         CBC context, cancelling the carried chain per message."""
         _check_aligned(messages)
-        lanes = len(messages) > _SETUP_LANES and _lockstep_lanes(messages, mac=True)
-        if lanes:
-            tags: list[bytes] = []
-            for start in range(0, len(messages), lanes):
-                tags += self._cbc_mac_lockstep(messages[start : start + lanes])
-            return tags
+        if len(messages) > _SETUP_LANES and _lockstep_lanes(messages, mac=True):
+            framed = _lanes(b"".join(messages), len(messages), len(messages[0]))
+            return _rows(self._cbc_mac_lockstep(framed))
         local = self._local
         try:
             context = local.cbc
@@ -191,7 +185,7 @@ class OpenSSLAES128(CipherEngine):
             ).encryptor()
             local.chain = 0
         chain = local.chain
-        tags = []
+        tags: list[bytes] = []
         try:
             for message in messages:
                 if not message:
@@ -210,8 +204,14 @@ class OpenSSLAES128(CipherEngine):
         return tags
 
     # ------------------------------------------------------------------ #
-    # one lockstep pass over equal-length messages
+    # the lockstep: a (lanes, size) uint8 array, one ECB pass per step
     # ------------------------------------------------------------------ #
+    def _lockstep(self, lanes: int, size: int) -> bool:
+        """Past ``_ARRAY_SETUP``, up to ``_MAX_LANE_BYTES``, with numpy."""
+        if _np is None or not 0 < size <= _MAX_LANE_BYTES:
+            return False
+        return lanes > _ARRAY_SETUP + blocks_in(size) // 4
+
     def _ecb(self) -> CipherContext:
         """This thread's ECB encryptor.  It is only ever handed whole
         blocks, so it carries nothing from one call to the next."""
@@ -222,98 +222,91 @@ class OpenSSLAES128(CipherEngine):
             local.ecb = Cipher(self._cipher, _ossl_modes.ECB()).encryptor()
             return local.ecb
 
-    def _ctr_lockstep(
-        self,
-        nonces: Sequence[bytes | memoryview],
-        messages: Sequence[bytes | memoryview],
-    ) -> list[bytes]:
-        """The counter blocks ``nonce || i`` of every message through one
-        ECB ``update_into``, XOR-ed with the joined messages in one go."""
-        lanes, size = len(messages), len(messages[0])
+    def _ctr_lockstep(self, nonces: Any, data: Any, out: Any) -> None:
+        """CTR-transform each row of *data* under the 8-byte row of
+        *nonces* into *out*: per ``_PASS_BYTES``, the counter blocks
+        ``nonce || i`` of every lane through one ECB ``update_into``,
+        XOR-ed with the data in one go."""
+        lanes, size = data.shape
         blocks = blocks_in(size)
-        if not blocks:
-            return [b""] * lanes
         # a counter block as two 64-bit words: the nonce's bytes as they
         # come, then the big-endian block index
-        counters = _np.empty((lanes, blocks, 2), dtype=_np.uint64)
-        counters[:, :, 0] = _np.frombuffer(
-            b"".join(nonces), dtype=_np.uint64
-        ).reshape(lanes, 1)
-        counters[:, :, 1] = _np.arange(blocks, dtype=">u8").view(_np.uint64)
-        width = lanes * blocks * BLOCK_SIZE
-        # update_into wants room for one block more than it writes
-        stream = bytearray(width + BLOCK_SIZE - 1)
-        ecb = self._ecb()
-        try:
-            ecb.update_into(counters.view(_np.uint8), stream)
-        except BaseException:
-            del self._local.ecb
-            raise
+        index = _np.arange(blocks, dtype=">u8").view(_np.uint64)
         unit = _np.uint64 if size % 8 == 0 else _np.uint8
-        keystream = _np.frombuffer(
-            stream, dtype=unit, count=width // _np.dtype(unit).itemsize
-        ).reshape(lanes, -1)
-        bodies = _np.frombuffer(b"".join(messages), dtype=unit).reshape(lanes, -1)
-        return _rows(bodies ^ keystream[:, : bodies.shape[1]], size)
+        step = _pass_lanes(lanes, size)
+        for start in range(0, lanes if blocks else 0, step):
+            part = nonces[start : start + step].view(_np.uint64)
+            counters = _np.empty((len(part), blocks, 2), dtype=_np.uint64)
+            counters[:, :, 0] = part
+            counters[:, :, 1] = index
+            # update_into wants room for one block more than it writes
+            stream = _np.empty(counters.nbytes + BLOCK_SIZE - 1, dtype=_np.uint8)
+            try:
+                self._ecb().update_into(counters.view(_np.uint8), stream)
+            except BaseException:
+                del self._local.ecb
+                raise
+            keystream = stream[: counters.nbytes].reshape(len(part), -1)[:, :size]
+            _np.bitwise_xor(
+                data[start : start + step].view(unit),
+                keystream.view(unit),
+                out=out[start : start + step].view(unit),
+            )
 
-    def _cbc_mac_lockstep(self, messages: Sequence[bytes]) -> list[bytes]:
-        """Block *j* of every lane in one ECB ``update_into``:
-        ``state = E(state ^ block_j)``, the lanes transposed once."""
-        lanes, blocks = len(messages), len(messages[0]) // BLOCK_SIZE
-        if not blocks:
-            return [_ZERO_IV] * lanes
-        # transposed as whole 16-byte blocks: column j is block j of every lane
-        columns = (
-            _np.frombuffer(b"".join(messages), dtype=(_np.void, BLOCK_SIZE))
-            .reshape(lanes, blocks)
-            .T.copy()
-            .view(_np.uint8)
-            .reshape(blocks, lanes, BLOCK_SIZE)
-        )
-        width = lanes * BLOCK_SIZE
-        out = bytearray(width + BLOCK_SIZE - 1)
-        state = _np.frombuffer(out, dtype=_np.uint8, count=width).reshape(
-            lanes, BLOCK_SIZE
-        )
-        mixed = _np.empty((lanes, BLOCK_SIZE), dtype=_np.uint8)
-        into = self._ecb().update_into
-        try:
-            into(columns[0], out)  # the zero IV: E(0 ^ block_0)
-            for column in columns[1:]:
-                _np.bitwise_xor(state, column, out=mixed)
-                into(mixed, out)
-        except BaseException:
-            del self._local.ecb
-            raise
-        return _rows(state, BLOCK_SIZE)
+    def _cbc_mac_lockstep(self, framed: Any) -> Any:
+        """CBC-MAC cores (zero IV) of the block-aligned rows of *framed*:
+        block *j* of every lane of a pass in one ECB ``update_into``."""
+        lanes, size = framed.shape
+        tags = _np.zeros((lanes, BLOCK_SIZE), dtype=_np.uint8)
+        step = _pass_lanes(lanes, size)
+        for start in range(0, lanes if size else 0, step):
+            # transposed as whole 16-byte blocks, then read as 64-bit
+            # words: row j is block j of every lane of the pass
+            part = framed[start : start + step].view((_np.void, BLOCK_SIZE))
+            columns = part.T.copy().view(_np.uint64)
+            width = len(part) * BLOCK_SIZE
+            out = _np.empty(width + BLOCK_SIZE - 1, dtype=_np.uint8)
+            state = out[:width].view(_np.uint64)
+            mixed = columns[0]  # the zero IV: E(0 ^ block_0)
+            raw = mixed.view(_np.uint8)  # what the native call reads
+            into = self._ecb().update_into
+            try:
+                into(raw, out)
+                for column in columns[1:]:
+                    _np.bitwise_xor(state, column, out=mixed)
+                    into(raw, out)
+            except BaseException:
+                del self._local.ecb
+                raise
+            tags[start : start + step] = out[:width].reshape(-1, BLOCK_SIZE)
+        return tags
 
 
-def _rows(array: Any, size: int) -> list[bytes]:
-    """Each *size*-byte row of a C-contiguous array as its own ``bytes``
-    (one C-level pass, ~5x cheaper than slicing a joined copy)."""
+def _rows(array: Any) -> list[bytes]:
+    """Each row of a C-contiguous ``(lanes, size)`` uint8 array as ``bytes``."""
+    lanes, size = array.shape
+    if not size:
+        return [b""] * lanes
     return array.view(_np.dtype((_np.void, size))).ravel().tolist()
 
 
-def _lockstep_lanes(messages: Sequence[bytes | memoryview], *, mac: bool) -> int:
-    """Lanes per lockstep pass for *messages*, or 0 when the batch loops.
+def _pass_lanes(count: int, size: int) -> int:
+    """Lanes per lockstep pass over *count* messages of *size* bytes: a
+    batch over ``_PASS_BYTES`` is cut into passes of equal lane counts."""
+    passes = max(1, -(-count * blocks_in(size) * BLOCK_SIZE // _PASS_BYTES))
+    return max(1, -(-count // passes))
 
-    A batch runs in lockstep when its messages share one length of at
-    most ``_MAX_LANE_BYTES`` and each pass has more lanes than
-    ``_SETUP_LANES`` plus the pass's ECB steps (CTR: 1; CBC-MAC: one per
-    block).  A batch over ``_PASS_BYTES`` is cut into passes of equal
-    lane counts.  Without numpy it is always 0.
-    """
-    if _np is None:
-        return 0
+
+def _lockstep_lanes(messages: Sequence[bytes | memoryview], *, mac: bool) -> int:
+    """Lanes per lockstep pass for *messages*, or 0 when the batch loops:
+    it runs in lockstep when its messages share one length of at most
+    ``_MAX_LANE_BYTES`` and a pass has more lanes than ``_SETUP_LANES`` plus
+    its ECB steps (CTR: 1; CBC-MAC: one per block), never without numpy."""
     size = len(messages[0])
-    if size > _MAX_LANE_BYTES:
+    if _np is None or size > _MAX_LANE_BYTES:
         return 0
-    for message in messages:
-        if len(message) != size:
-            return 0
-    blocks = blocks_in(size)
-    count = len(messages)
-    passes = max(1, -(-count * blocks * BLOCK_SIZE // _PASS_BYTES))
-    lanes = -(-count // passes)
-    steps = blocks if mac else 1
+    if any(len(message) != size for message in messages):
+        return 0
+    steps = blocks_in(size) if mac else 1
+    lanes = _pass_lanes(len(messages), size)
     return lanes if lanes > _SETUP_LANES + steps else 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from repro.core.codec import encode, encode_packed
@@ -35,7 +36,6 @@ from repro.core.messages import (
 from repro.core.wire import (
     decode_frames,
     encode_partial_frame,
-    encode_tuple_frame,
     encode_tuple_frames,
 )
 from repro.crypto.det import DeterministicCipher
@@ -96,22 +96,11 @@ class TupleFrameBlock:
 
     @classmethod
     def from_frames(
-        cls,
-        frames: Sequence[bytes],
-        tags: Sequence[bytes | None] | None = None,
+        cls, frames: Sequence[bytes], tags: Sequence[bytes | None] | None = None
     ) -> "TupleFrameBlock":
-        offsets = [0]
-        total = 0
-        for frame in frames:
-            total += len(frame)
-            offsets.append(total)
-        if tags is None:
-            tags = [None] * len(frames)
-        return cls(
-            frames=b"".join(frames),
-            offsets=tuple(offsets),
-            tags=tuple(tags),
-        )
+        offsets = tuple(accumulate(map(len, frames), initial=0))
+        tags = (None,) * len(frames) if tags is None else tuple(tags)
+        return cls(b"".join(frames), offsets, tags)
 
 
 class TrustedDataServer:
@@ -241,16 +230,14 @@ class TrustedDataServer:
         if not rows:
             # the fully encrypted dataflows hide an empty answer behind a
             # dummy; the tagged ones contribute nothing
-            dummies = [self._dummy_frame()] if protocol in ("basic", "s_agg") else []
-            return TupleFrameBlock.from_frames(dummies)
+            dummy = TupleContent(TupleContent.KIND_DUMMY)
+            dummies = [dummy] if protocol in ("basic", "s_agg") else []
+            return TupleFrameBlock(*encode_tuple_frames(dummies), (None,) * len(dummies))
         plan = plan_of(statement)
-        data = TupleContent.KIND_DATA
-        if protocol == "basic":
-            contents = [TupleContent(data, plan.project(row)) for row in rows]
-            return TupleFrameBlock.from_frames(encode_tuple_frames(contents))
-        contents = [TupleContent(data, plan.reduce(row)) for row in rows]
-        if protocol == "s_agg":
-            return TupleFrameBlock.from_frames(encode_tuple_frames(contents))
+        shape = plan.project if protocol == "basic" else plan.reduce
+        contents = [TupleContent(TupleContent.KIND_DATA, shape(row)) for row in rows]
+        if protocol in ("basic", "s_agg"):
+            return TupleFrameBlock(*encode_tuple_frames(contents), (None,) * len(contents))
         assert histogram is not None
         keys = [plan.group_key(row) for row in rows]
         if protocol == "ed_hist":
@@ -263,7 +250,7 @@ class TrustedDataServer:
                 if tag is None:
                     tag = tag_of[bucket_id] = hasher.hash_bucket(bucket_id)
                 hash_tags.append(tag)
-            return TupleFrameBlock.from_frames(encode_tuple_frames(contents), hash_tags)
+            return TupleFrameBlock(*encode_tuple_frames(contents), tuple(hash_tags))
         domain = [v if isinstance(v, tuple) else (v,) for v in histogram.values()]
         noise: NoiseStrategy = (
             RandomNoise(domain, int(meta.param("nf")), self._rng)
@@ -279,7 +266,7 @@ class TrustedDataServer:
                 noisy.append(fake_content)
                 tag_plaintexts.append(encode(list(fake_value)))
         tags = self._k2_det_cipher().encrypt_many(tag_plaintexts)
-        return TupleFrameBlock.from_frames(encode_tuple_frames(noisy), tags)
+        return TupleFrameBlock(*encode_tuple_frames(noisy), tuple(tags))
 
     def seal_frames(self, frames: TupleFrameBlock) -> EncryptedTupleBlock:
         """nDet-encrypt a frame block under k2 in one packed pass — the
@@ -312,9 +299,6 @@ class TrustedDataServer:
             )
         )
 
-    def _dummy_frame(self) -> bytes:
-        return encode_tuple_frame(TupleContent(TupleContent.KIND_DUMMY))
-
     # ------------------------------------------------------------------ #
     # serving a handed-out partition (steps 6-12)
     # ------------------------------------------------------------------ #
@@ -342,11 +326,10 @@ class TrustedDataServer:
     # ------------------------------------------------------------------ #
     # aggregation phase (steps 6-8)
     # ------------------------------------------------------------------ #
-    def _decrypt_partition(self, partition: Partition) -> list[bytes]:
-        """Authenticate-then-decrypt a partition's payloads as one batch
-        (one keystream pass, one MAC batch), straight off the views into
-        its block."""
-        return self._k2_cipher().decrypt_many(partition.block.segments())
+    def _decrypt_partition(self, partition: Partition) -> tuple[bytes, tuple[int, ...]]:
+        """The packed plaintexts of a partition's block, opened as one batch."""
+        block = partition.block
+        return self._k2_cipher().decrypt_block(block.payloads, block.offsets)
 
     def aggregate_partition(
         self, statement: SelectStatement, partition: Partition
@@ -384,7 +367,7 @@ class TrustedDataServer:
         device's RAM, otherwise :class:`ResourceExhaustedError`."""
         partial = PartialAggregation(statement)
         max_slots = self.device.ram_bytes // SLOT_BYTES
-        for kind, body in decode_frames(self._decrypt_partition(partition)):
+        for kind, body in decode_frames(*self._decrypt_partition(partition)):
             if kind == "tuple":
                 if body.is_real():
                     partial.add_row(body.row)
@@ -405,7 +388,7 @@ class TrustedDataServer:
         """Basic protocol filtering: drop dummies, re-encrypt true rows
         under k1 for the querier."""
         rows: list[Row] = []
-        for kind, body in decode_frames(self._decrypt_partition(partition)):
+        for kind, body in decode_frames(*self._decrypt_partition(partition)):
             if kind != "tuple":
                 raise ProtocolError("filtering phase expects tuple frames")
             if body.is_real():
@@ -418,7 +401,7 @@ class TrustedDataServer:
         """Aggregation filtering: merge final partials, evaluate HAVING and
         the SELECT projection, re-encrypt result rows under k1."""
         partial = PartialAggregation(statement)
-        for kind, body in decode_frames(self._decrypt_partition(partition)):
+        for kind, body in decode_frames(*self._decrypt_partition(partition)):
             if kind != "partial":
                 raise ProtocolError("finalization expects partial frames")
             partial.merge(PartialAggregation.from_portable(statement, body))

@@ -1,15 +1,18 @@
 """The block forms of the tuple-frame codec against the generic codec.
 
 ``encode_tuple_frames`` / ``decode_frames`` take a shortcut through the
-format for rows that share a key set.  The generic codec is the
-definition of the format and the reference here: the shortcut must write
-the same bytes, read the same values and reject the same inputs, with
-the same error.
+format for a block whose rows share a key set and value layout: one
+fixed-stride array, written and read column by column.  The generic
+codec is the definition of the format and the reference here: the
+shortcut must write the same bytes, read the same values and reject the
+same inputs, with the same error.
 
 The work unit that carries a partition to a TDS is a block too: a
 count, one lengths vector and one payload buffer.  It must give back
 exactly the payloads it was given, whatever their number and sizes.
 """
+
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -64,6 +67,19 @@ def reference_frame(content: TupleContent, quantum: int = TUPLE_FRAME_QUANTUM) -
     return wire._pad(encode(["t", content.to_portable()]), quantum)
 
 
+def packed(frames: list[bytes]) -> tuple[bytes, tuple[int, ...]]:
+    """Frames as one buffer plus its offsets table."""
+    return b"".join(frames), tuple(accumulate(map(len, frames), initial=0))
+
+
+def decode_block(frames: list[bytes]):
+    return decode_frames(*packed(frames))
+
+
+#: enough frames of one stride for the column reader
+COLUMN = wire._COLUMN_FRAMES
+
+
 def outcome(decode, *args):
     """What a decode did: its value, or the ProtocolError it raised.
     Anything else propagates and fails the test."""
@@ -77,9 +93,9 @@ class TestEncode:
     @settings(max_examples=300, deadline=None)
     @given(blocks(), st.sampled_from([64, TUPLE_FRAME_QUANTUM]))
     def test_bytes_are_the_generic_codecs(self, contents, quantum):
-        assert encode_tuple_frames(contents, quantum) == [
-            reference_frame(content, quantum) for content in contents
-        ]
+        assert encode_tuple_frames(contents, quantum) == packed(
+            [reference_frame(content, quantum) for content in contents]
+        )
 
     def test_one_frame_is_the_one_element_block(self):
         content = TupleContent(TupleContent.KIND_DATA, {"g": "nørth", "x": 1.5})
@@ -90,13 +106,13 @@ class TestEncode:
         assert encode("row") < encode("kind")
 
     def test_dummy_and_data_still_share_a_size_class(self):
-        frames = encode_tuple_frames(
+        __, offsets = encode_tuple_frames(
             [
                 TupleContent(TupleContent.KIND_DUMMY),
                 TupleContent(TupleContent.KIND_DATA, {"district": "north", "cons": 512.5}),
             ]
         )
-        assert {len(frame) for frame in frames} == {TUPLE_FRAME_QUANTUM}
+        assert offsets == (0, TUPLE_FRAME_QUANTUM, 2 * TUPLE_FRAME_QUANTUM)
 
 
 class TestDecode:
@@ -107,7 +123,7 @@ class TestDecode:
         # a partial frame among tuple frames, as in a later S_Agg round
         at = data.draw(st.integers(min_value=0, max_value=len(frames)))
         frames.insert(at, encode_partial_frame([[["g"], [{"kind": "count", "count": 3}]]]))
-        decoded = decode_frames(frames)
+        decoded = decode_block(frames)
         assert decoded == [decode_frame(frame) for frame in frames]
         for (kind, body), frame in zip(decoded, frames):
             if kind == "tuple":  # dict equality ignores order; the wire does not
@@ -126,7 +142,8 @@ class TestDecode:
         )
         odd = wire._pad(inner, TUPLE_FRAME_QUANTUM)
         assert decode_frame(odd) == ("tuple", TupleContent("data", {"g": "b"}))
-        assert decode_frames([good, odd])[1] == decode_frame(odd)
+        assert decode_block([good, odd])[1] == decode_frame(odd)
+        assert decode_block([good] * COLUMN + [odd])[-1] == decode_frame(odd)
 
 
 def _inner(frame: bytes) -> bytes:
@@ -135,7 +152,7 @@ def _inner(frame: bytes) -> bytes:
 
 def _corpus() -> dict[str, bytes]:
     """The malformations of test_wire_adversarial.py, shaped so that each
-    would reach the template reader (a tuple frame precedes it)."""
+    would reach the column reader (a block of tuple frames precedes it)."""
     good = reference_frame(TupleContent(TupleContent.KIND_DATA, {"g": "north", "x": 42}))
     inner = _inner(good)
     over_long = bytearray(good)
@@ -173,8 +190,9 @@ class TestAdversarial:
         bad = _corpus()[name]
         alone = outcome(decode_frame, bad)
         assert alone[0] == "error", name
-        assert outcome(decode_frames, [good, bad]) == alone
-        assert outcome(decode_frames, [good, good, bad, good]) == alone
+        assert outcome(decode_block, [good, bad]) == alone
+        assert outcome(decode_block, [good, good, bad, good]) == alone
+        assert outcome(decode_block, [good] * COLUMN + [bad, good]) == alone
 
     @settings(max_examples=500, deadline=None)
     @given(st.binary(max_size=64), st.integers(min_value=0, max_value=255))
@@ -184,11 +202,11 @@ class TestAdversarial:
         for i, byte in enumerate(noise):
             frame[(position + i) % len(frame)] ^= byte
         alone = outcome(decode_frame, bytes(frame))
-        after_a_good_one = outcome(decode_frames, [good, bytes(frame)])
+        after_good_ones = outcome(decode_block, [good] * COLUMN + [bytes(frame)])
         if alone[0] == "error":
-            assert after_a_good_one == alone
+            assert after_good_ones == alone
         else:
-            assert after_a_good_one == ("value", [decode_frame(good), alone[1]])
+            assert after_good_ones == ("value", [decode_frame(good)] * COLUMN + [alone[1]])
 
 
 class TestWorkUnitRoundTrip:

@@ -60,12 +60,6 @@ class TestLoadQMatchesTrace:
         assert all(e.bytes_down > 0 for e in events)
         assert all(e.bytes_up > 0 for e in events)
 
-    def test_per_tds_bytes_sum_to_total(self, deployment):
-        __, driver = run_protocol(deployment, "s_agg", GROUP_SQL)
-        assert sum(driver.stats.per_tds_bytes.values()) == (
-            driver.stats.bytes_processed
-        )
-
 
 class TestSizeSeconds:
     """SIZE n SECONDS runs on the drivers' logical collection clock:

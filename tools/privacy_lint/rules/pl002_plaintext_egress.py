@@ -9,9 +9,10 @@ takes and the ``submit_partition_result`` one every partial and result
 row takes back included — and flags *syntactic* evidence of plaintext
 flowing in:
 
-* producer calls: ``encode`` / ``encode_tuple_frame`` / ``encode_partial_frame``
-  / ``decode`` / ``decrypt`` / ``decrypt_many`` / ``to_portable`` — all yield
-  cleartext bytes or structures;
+* producer calls: ``encode`` / ``encode_tuple_frame`` / ``encode_tuple_frames``
+  / ``encode_partial_frame`` / ``decode`` / ``decrypt`` / ``decrypt_many`` /
+  ``decrypt_block`` / ``to_portable`` — all yield cleartext bytes or
+  structures;
 * the plaintext constructor ``TupleContent(...)``;
 * identifiers whose name admits plaintext (``*plain*``, ``*cleartext*``,
   ``*decrypted*``, ``*decoded*``);
@@ -47,10 +48,12 @@ _SINK_METHODS = {
 _PLAINTEXT_PRODUCERS = {
     "encode",
     "encode_tuple_frame",
+    "encode_tuple_frames",
     "encode_partial_frame",
     "decode",
     "decrypt",
     "decrypt_many",
+    "decrypt_block",
     "to_portable",
 }
 _PLAINTEXT_CONSTRUCTORS = {"TupleContent"}

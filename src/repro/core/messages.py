@@ -75,10 +75,8 @@ def offsets_ascend(offsets: Sequence[int]) -> bool:
 def offsets_stride(offsets: Sequence[int]) -> int:
     """The one length of the messages an offsets table spans, or -1."""
     stride = offsets[1] - offsets[0] if len(offsets) > 1 else 0
-    if stride <= 0:
-        return -1
-    spaced = range(offsets[0], offsets[0] + stride * len(offsets), stride)
-    return stride if tuple(offsets) == tuple(spaced) else -1
+    spaced = stride > 0 and tuple(range(offsets[0], offsets[-1] + 1, stride))
+    return stride if spaced == tuple(offsets) else -1
 
 
 @dataclass(frozen=True, slots=True)

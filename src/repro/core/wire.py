@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import functools
 import struct
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Any, Iterable, Sequence
 
-from repro.core.codec import CodecError, decode, dict_header, encode, list_header
+from repro.core.codec import CodecError, _encode_into, decode, dict_header, encode, list_header
 from repro.core.messages import TupleContent, offsets_stride
 from repro.exceptions import ProtocolError
 
@@ -97,19 +97,17 @@ def _layout(content: TupleContent, quantum: int) -> tuple | None:
     row's, then the kind) and where each sits: type tag, payload offset and
     width (0: None, a bool, "" or b""; one value per layout); or None."""
     row, kind = content.row, content.kind
-    if type(row) is not dict or type(kind) is not str:
+    wire = _wire_keys(tuple(row)) if type(row) is dict and type(kind) is str else None
+    if wire is None:
         return None
-    keys = tuple(row)
-    keys, prefixes, head = (
-        _wire_keys if set(map(type, keys)) <= {str} else _wire_keys.__wrapped__
-    )(keys)
+    keys, prefixes, head = wire
     values = [row[key] for key in keys] + [kind]
     out = bytearray(head)
     spans = []
     for prefix, value in zip(prefixes, values):
         out += prefix
         at = len(out)
-        out += encode(value)
+        _encode_into(value, out)
         head = _HEADS.get(out[at])
         if head is None:
             return None  # a list, dict or set: no column
@@ -120,34 +118,53 @@ def _layout(content: TupleContent, quantum: int) -> tuple | None:
 
 
 @functools.lru_cache(maxsize=64)
-def _wire_keys(keys: tuple[str, ...]) -> tuple[tuple, tuple[bytes, ...], bytes]:
+def _wire_keys(keys: tuple[str, ...]) -> tuple[tuple, tuple[bytes, ...], bytes] | None:
     """A key set in wire order, its values' prefixes (each key's encoding,
-    then the kind's) and the frame head; cached for str keys only."""
+    then the kind's) and the frame head; None unless every key is a str."""
+    if any(type(key) is not str for key in keys):
+        return None
     entries = sorted((encode(key), key) for key in keys)
     prefixes = tuple(encoded for encoded, __ in entries) + (_TUPLE_MID,)
     head = bytes(4) + _TUPLE_HEAD + dict_header(len(keys))
     return tuple(key for __, key in entries), prefixes, head
 
 
-def _encode_columns(contents: list[TupleContent], quantum: int) -> bytes | None:
-    """The frames of *contents* as one buffer when every row has the first
-    one's layout: that frame in each row, then each value column."""
-    layout = _layout(contents[0], quantum)
-    rows = [content.row for content in contents]
-    if layout is None or set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(layout[1])}:
-        return None
+def encode_tuple_frame(content: TupleContent, quantum: int = TUPLE_FRAME_QUANTUM) -> bytes:
+    """Serialize one tuple content, padded to the tuple-frame quantum: the
+    key set's cached head and key encodings, each value encoded in place."""
+    row = content.row
+    wire = _wire_keys(tuple(row)) if type(row) is dict else None
+    if wire is None:
+        return _pad(encode([_FRAME_TUPLE, content.to_portable()]), quantum)
+    keys, prefixes, out = wire
+    out = bytearray(out)
+    for prefix, key in zip(prefixes, keys):
+        out += prefix
+        _encode_into(row[key], out)
+    out += _TUPLE_MID
+    _encode_into(content.kind, out)
+    out[:4] = (len(out) - 4).to_bytes(4, "big")
+    out += bytes(-len(out) % quantum)
+    return bytes(out)
+
+
+def _encode_columns(contents: list[TupleContent], layout: tuple) -> bytes | None:
+    """The frames of *contents* as one buffer when every row has *layout*:
+    each column checked and encoded, then written over the tiled frame."""
     frame, keys, values, spans = layout
+    rows = [content.row for content in contents]
+    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
+        return None
     try:
-        columns = [[row[key] for row in rows] for key in keys]
+        columns = [[row[key] for row in rows] for key in keys] + [[c.kind for c in contents]]
     except KeyError:
         return None
-    columns.append([content.kind for content in contents])
-    block = _np.tile(_np.frombuffer(frame, dtype=_np.uint8), (len(rows), 1))
-    for (tag, at, width), value, column in zip(spans, values, columns):
+    cells = []
+    for (tag, __, width), value, column in zip(spans, values, columns):
         if set(map(type, column)) != {type(value)}:
             return None
         if tag == _FLOAT:
-            block[:, at : at + 8] = _np.array(column, dtype=">f8")[:, None].view(_np.uint8)
+            cells.append(_np.array(column, dtype=">f8").view(_np.uint8))
             continue
         if tag == _STR:
             column = [text.encode("utf-8") for text in column]
@@ -157,8 +174,10 @@ def _encode_columns(contents: list[TupleContent], quantum: int) -> bytes | None:
             column = [b"" for item in column if item == value]
         if set(map(len, column)) != {width} or len(column) != len(rows):
             return None
-        cells = _np.frombuffer(b"".join(column), dtype=_np.uint8)
-        block[:, at : at + width] = cells.reshape(len(rows), width)
+        cells.append(_np.frombuffer(b"".join(column), dtype=_np.uint8))
+    block = _np.tile(_np.frombuffer(frame, dtype=_np.uint8), (len(rows), 1))
+    for (__, at, width), column in zip(spans, cells):
+        block[:, at : at + width] = column.reshape(len(rows), width)
     return block.tobytes()
 
 
@@ -166,27 +185,20 @@ def encode_tuple_frames(
     contents: Iterable[TupleContent], quantum: int = TUPLE_FRAME_QUANTUM
 ) -> tuple[bytes, tuple[int, ...]]:
     """Serialize tuple contents, each padded to the tuple-frame quantum,
-    into one buffer plus its offsets table: byte for byte the join of
-    ``_pad(encode([_FRAME_TUPLE, content.to_portable()]))``.  From
-    ``_COLUMN_FRAMES`` contents whose rows share one key set and value
-    layout (the rows of one contribution do), one fixed-stride array
-    written column by column (:func:`_encode_columns`)."""
-    contents = list(contents)
+    into one buffer plus its offsets table, byte for byte the generic
+    codec's frames: from ``_COLUMN_FRAMES`` rows of one key set and value
+    layout one array, column by column (:func:`_encode_columns`), else
+    frame by frame (:func:`encode_tuple_frame`)."""
+    contents, frames = list(contents), []
     if _np is not None and len(contents) >= _COLUMN_FRAMES:
-        block = _encode_columns(contents, quantum)
-        if block is not None:
-            return block, tuple(range(0, len(block) + 1, len(block) // len(contents)))
-    layouts = [_layout(content, quantum) for content in contents]
-    frames = [
-        layout[0] if layout else _pad(encode([_FRAME_TUPLE, content.to_portable()]), quantum)
-        for content, layout in zip(contents, layouts)
-    ]
+        layout = _layout(contents[0], quantum)
+        if layout is not None:
+            block = _encode_columns(contents, layout)
+            if block is not None:
+                return block, tuple(range(0, len(block) + 1, len(block) // len(contents)))
+            frames.append(layout[0])
+    frames += [encode_tuple_frame(content, quantum) for content in contents[len(frames) :]]
     return b"".join(frames), tuple(accumulate(map(len, frames), initial=0))
-
-
-def encode_tuple_frame(content: TupleContent, quantum: int = TUPLE_FRAME_QUANTUM) -> bytes:
-    """Serialize one tuple content, padded to the tuple-frame quantum."""
-    return encode_tuple_frames((content,), quantum)[0]
 
 
 def encode_partial_frame(portable: list[Any], quantum: int = SIZE_QUANTUM) -> bytes:
@@ -209,15 +221,15 @@ def decode_frames(payloads: bytes, offsets: Sequence[int]) -> list[tuple[str, An
     stride column by column); :func:`decode_frame` judges every other frame."""
     if len(offsets) < 2:
         return []
-    count, stride, start = len(offsets) - 1, offsets_stride(offsets), offsets[0]
+    count, start = len(offsets) - 1, offsets[0]
     first = decode_frame(payloads[start : offsets[1]])
     layout = _layout(first[1], offsets[1] - start) if count > 1 and first[0] == "tuple" else None
     if layout is None or layout[0] != payloads[start : offsets[1]]:
         return [first] + [decode_frame(payloads[a:b]) for a, b in zip(offsets[1:], offsets[2:])]
-    if _np is not None and count >= _COLUMN_FRAMES and stride > 0:
-        decoded = _decode_columns(payloads, start, count, stride, layout)
-        if decoded is not None:
-            return decoded
+    stride = offsets_stride(offsets) if _np is not None and count >= _COLUMN_FRAMES else -1
+    decoded = _decode_columns(payloads, start, count, stride, layout) if stride > 0 else None
+    if decoded is not None:
+        return decoded
     return [first] + [_read_frame(payloads[a:b], layout) for a, b in zip(offsets[1:], offsets[2:])]
 
 
@@ -249,23 +261,20 @@ def _decode_columns(
     try:
         for (tag, at, width), value in zip(spans, values):
             mask[at : at + width] = 0
-            cells = block[:, at : at + width]
             if not width:
                 columns.append([value] * count)
             elif tag == _FLOAT:
-                columns.append(cells.view(">f8").ravel().tolist())
+                columns.append(block[:, at : at + 8].view(">f8").ravel().tolist())
             else:
-                raw = cells.view((_np.void, width)).ravel().tolist()
+                raw = block[:, at : at + width].view((_np.void, width)).ravel().tolist()
                 columns.append(list(map(_READ[tag], raw)))
     except UnicodeDecodeError:
         return None
     unit = _np.uint64 if stride % 8 == 0 else _np.uint8
     template = _np.frombuffer(frame, dtype=_np.uint8).view(unit)
     odd = ((block.view(unit) ^ template) & mask.view(unit)).any(axis=1)
-    *value_columns, kinds = columns
-    row_values = zip(*value_columns) if value_columns else repeat((), count)
-    rows = map(dict, map(zip, repeat(keys), row_values))
-    decoded = [("tuple", TupleContent(kind, row)) for kind, row in zip(kinds, rows)]
+    # zip(keys, row) stops before the row's last value, its kind
+    decoded = [("tuple", TupleContent(row[-1], dict(zip(keys, row)))) for row in zip(*columns)]
     for index in odd.nonzero()[0].tolist():
         at = start + index * stride
         decoded[index] = decode_frame(payloads[at : at + stride])

@@ -13,12 +13,10 @@ Derivation and key-schedule expansion go through the process-wide cipher
 cache (:mod:`repro.crypto.cache`), so constructing one of these objects is
 cheap enough to do per call — key rotation is picked up for free.
 
-All six public calls (one message, a list, a packed buffer + offsets;
-each direction) are adapters over one private list kernel per direction,
-which hands the whole batch to the engine: fused (T-tables), or in
-lockstep or a native call per message (OpenSSL).  A packed block of one
-stride past the engine's crossover skips the lists: it is sealed or
-opened as one ``(lanes, size)`` array (``_seal_lanes`` / ``_open_lanes``).
+All six public calls (a message, a list, a packed buffer + offsets; each
+direction) hand the batch to the engine through one list kernel per
+direction, except a packed block of one stride past the engine's
+crossover: one ``(lanes, size)`` array (``_seal_lanes`` / ``_open_lanes``).
 
 A seedable :class:`random.Random` may be injected for reproducible
 simulations; by default nonces come from :mod:`secrets`.
@@ -114,8 +112,8 @@ class NonDeterministicCipher:
             [message[_NONCE_SIZE:] for message in sealed],
         )
 
-    def _seal_lanes(self, plaintexts: Any) -> bytearray:
-        """Seal the rows of an array into one buffer, CTR into the MAC framing."""
+    def _seal_lanes(self, plaintexts: Any) -> tuple[bytes, tuple[int, ...]]:
+        """Seal the rows of an array into one packed buffer, CTR into the MAC framing."""
         lanes, size = plaintexts.shape
         nonces = _lanes(self._nonces(lanes), lanes, _NONCE_SIZE)
         framed = _frame_lanes(lanes, _NONCE_SIZE + size)
@@ -125,10 +123,10 @@ class NonDeterministicCipher:
         sealed = _lanes(out, lanes, size + _OVERHEAD)
         sealed[:, : _NONCE_SIZE + size] = framed[:, 8 : 16 + size]
         sealed[:, _NONCE_SIZE + size :] = self._mac._cbc_mac_lockstep(framed)
-        return out
+        return bytes(out), tuple(range(0, len(out) + 1, size + _OVERHEAD))
 
-    def _open_lanes(self, ciphertexts: Any) -> bytearray:
-        """Open the rows of an array into one buffer, all tags in one comparison."""
+    def _open_lanes(self, ciphertexts: Any) -> tuple[bytes, tuple[int, ...]]:
+        """Open the rows of an array into one packed buffer, all tags in one comparison."""
         lanes, size = ciphertexts.shape
         framed = _frame_lanes(lanes, size - _TAG_SIZE)
         framed[:, 8 : size - 8] = ciphertexts[:, :-_TAG_SIZE]
@@ -138,7 +136,7 @@ class NonDeterministicCipher:
         out = bytearray(lanes * (size - _OVERHEAD))
         nonces, bodies = ciphertexts[:, :_NONCE_SIZE], ciphertexts[:, _NONCE_SIZE:-_TAG_SIZE]
         self._enc._ctr_lockstep(nonces, bodies, _lanes(out, lanes, size - _OVERHEAD))
-        return out
+        return bytes(out), tuple(range(0, len(out) + 1, size - _OVERHEAD))
 
     # ------------------------------------------------------------------ #
     # the call shapes: a message, a list, a packed buffer + offsets
@@ -172,10 +170,9 @@ class NonDeterministicCipher:
         packed ciphertexts and their offsets; each message grows by
         :meth:`ciphertext_overhead` bytes.  Explicit *nonces* make the
         output reproducible."""
-        lanes, size = len(offsets) - 1, offsets_stride(offsets)
-        if nonces is None and self._enc._lockstep(lanes, size):
-            sealed = self._seal_lanes(_lanes(payloads, lanes, size, offsets[0]))
-            return bytes(sealed), tuple(range(0, len(sealed) + 1, size + _OVERHEAD))
+        lanes, size = len(offsets) - 1, (offsets[1] - offsets[0] if len(offsets) > 1 else 0)
+        if nonces is None and self._enc._lockstep(lanes, size) and offsets_stride(offsets) == size:
+            return self._seal_lanes(_lanes(payloads, lanes, size, offsets[0]))
         segments = _segments(payloads, offsets)
         if nonces is None:
             nonces = self.fresh_nonces(len(segments))
@@ -188,10 +185,9 @@ class NonDeterministicCipher:
     ) -> tuple[bytes, tuple[int, ...]]:
         """Authenticate then decrypt packed ciphertexts (one trust
         decision), returning the packed plaintexts and their offsets."""
-        lanes, size = len(offsets) - 1, offsets_stride(offsets)
-        if self._enc._lockstep(lanes, size - _OVERHEAD):
-            opened = self._open_lanes(_lanes(payloads, lanes, size, offsets[0]))
-            return bytes(opened), tuple(range(0, len(opened) + 1, size - _OVERHEAD))
+        lanes, size = len(offsets) - 1, (offsets[1] - offsets[0] if len(offsets) > 1 else 0)
+        if self._enc._lockstep(lanes, size - _OVERHEAD) and offsets_stride(offsets) == size:
+            return self._open_lanes(_lanes(payloads, lanes, size, offsets[0]))
         return _packed(self._open(_segments(payloads, offsets)))
 
     def ciphertext_overhead(self) -> int:

@@ -24,12 +24,9 @@ fixed number of native calls (the lockstep) or one per message (the loop).
 
 **Lockstep.**  A native call is ~0.05 µs of AES on a 256-byte tuple and
 ~2 µs of interpreter around it, so equal-length messages run as one
-``(lanes, size)`` numpy array on one ECB encryptor: CTR is one ECB pass
-over every counter block and one XOR (:meth:`_ctr_lockstep`), CBC-MAC one
-``update_into`` per block index, ``state = E(state ^ block_j)`` across all
-lanes (:meth:`_cbc_mac_lockstep`).  ``NonDeterministicCipher`` hands such an
-array over past :meth:`_lockstep`, the list calls past :func:`_lockstep_lanes`.
-Small or ragged batches, and every batch without numpy, loop.
+``(lanes, size)`` numpy array on one ECB encryptor (:meth:`_ctr_lockstep`,
+:meth:`_cbc_mac_lockstep`): arrays past :meth:`_lockstep`, lists past
+:func:`_lockstep_lanes`.  Small or ragged batches, and all without numpy, loop.
 
 Contexts are **per thread** (``MultiQueryRunner`` decrypts results on
 ``asyncio.to_thread`` while the loop thread's fleet uses the same cached

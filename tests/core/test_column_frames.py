@@ -132,9 +132,10 @@ class TestEncodeParity:
     def test_a_contribution_takes_the_column_path(self):
         rows = [{"C.district": "district-003", "P.cons": 0.25 * i} for i in range(250)]
         contents = [TupleContent("data", row) for row in rows]
-        block = wire._encode_columns(contents, TUPLE_FRAME_QUANTUM)
+        layout = wire._layout(contents[0], TUPLE_FRAME_QUANTUM)
+        block = wire._encode_columns(contents, layout)
         assert block == b"".join(reference_frame(content) for content in contents)
-        assert wire._encode_columns(contents[:1] + [TupleContent("data", {})], 256) is None
+        assert wire._encode_columns(contents[:1] + [TupleContent("data", {})], layout) is None
 
 
 class TestDecodeParity:

@@ -97,6 +97,13 @@ class TestEncode:
             [reference_frame(content, quantum) for content in contents]
         )
 
+    @pytest.mark.parametrize("count", [1, 2, COLUMN])
+    def test_keys_other_than_str_take_the_generic_codec(self, count):
+        contents = [TupleContent(TupleContent.KIND_DATA, {1: "a", "b": 2.5, None: 3})] * count
+        frames = [reference_frame(content) for content in contents]
+        assert encode_tuple_frames(contents) == packed(frames)
+        assert decode_block(frames) == [decode_frame(frame) for frame in frames]
+
     def test_one_frame_is_the_one_element_block(self):
         content = TupleContent(TupleContent.KIND_DATA, {"g": "nørth", "x": 1.5})
         assert encode_tuple_frame(content) == reference_frame(content)
@@ -202,11 +209,14 @@ class TestAdversarial:
         for i, byte in enumerate(noise):
             frame[(position + i) % len(frame)] ^= byte
         alone = outcome(decode_frame, bytes(frame))
-        after_good_ones = outcome(decode_block, [good] * COLUMN + [bytes(frame)])
-        if alone[0] == "error":
-            assert after_good_ones == alone
-        else:
-            assert after_good_ones == ("value", [decode_frame(good)] * COLUMN + [alone[1]])
+        # after one good frame the frame-by-frame reader judges it, after
+        # _COLUMN_FRAMES of them the column reader
+        for count in (1, COLUMN):
+            after_good_ones = outcome(decode_block, [good] * count + [bytes(frame)])
+            if alone[0] == "error":
+                assert after_good_ones == alone
+            else:
+                assert after_good_ones == ("value", [decode_frame(good)] * count + [alone[1]])
 
 
 class TestWorkUnitRoundTrip:

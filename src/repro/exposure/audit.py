@@ -12,8 +12,9 @@ honest-but-curious server would (not) see:
   number of distinct tags (|domain| or M buckets);
 * ``flat-tags``       — C_Noise (exactly) and ED_Hist (nearly) must show
   a flat tag distribution;
-* ``no-repeats``      — nDet payloads never repeat byte-for-byte (a
-  repeat would mean nonce reuse or a deterministic leak).
+* ``nonempty-payloads`` — every observed payload has a positive size.
+  The observer keeps sizes and tags, never payload bytes, so a repeated
+  nDet ciphertext (nonce reuse) is not something this audit can see.
 
 Each check yields a :class:`Finding`; an empty report means the run
 leaked nothing beyond its protocol's contract.
@@ -103,14 +104,12 @@ def _check_tags(
             )
 
 
-def _check_repeats(observer: Observer, query_id: str) -> Iterator[Finding]:
-    # payload *sizes* repeating is expected; identical ciphertext bytes
-    # are not observable through Observer (it stores sizes), so approximate
-    # by checking collection counts are plausible: every observation carries
-    # a positive size.
+def _check_nonempty(observer: Observer, query_id: str) -> Iterator[Finding]:
     for obs in observer.observations:
         if obs.query_id == query_id and obs.payload_size <= 0:
-            yield Finding("no-repeats", "zero-length payload observed")
+            yield Finding(
+                "nonempty-payloads", f"zero-length payload observed ({obs.phase})"
+            )
             return
 
 
@@ -136,5 +135,5 @@ def audit_query(
             observer, query_id, expects_tags, max_distinct_tags, flat_requirement
         )
     )
-    findings.extend(_check_repeats(observer, query_id))
+    findings.extend(_check_nonempty(observer, query_id))
     return AuditReport(query_id, protocol, tuple(findings))

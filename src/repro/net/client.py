@@ -208,11 +208,7 @@ class AsyncSSIClient:
             code = reader.u8()
             message = reader.text()
             if code == frames.ERR_ADMISSION:
-                # Optional trailing backoff hint (older servers omit it;
-                # error payloads are the one shape never expect_end()ed,
-                # so the extension is compatible both ways).
-                retry_after = reader.f64() if reader.remaining() >= 8 else 0.0
-                raise AdmissionError(message, retry_after=retry_after)
+                raise AdmissionError(message, retry_after=reader.f64())
             raise frames.ERROR_TYPES.get(code, ProtocolError)(message)
         raise ProtocolError(f"unexpected response type 0x{msg_type:02x}")
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, islice
+from operator import itemgetter, sub
 from typing import Mapping
 
 from repro.core.messages import (  # noqa: F401 - re-exports the WORK_*/RESULT_* kinds
@@ -68,8 +68,10 @@ from repro.exceptions import (
 #: pipelined RPC, and tuples may travel as columnar
 #: MSG_SUBMIT_TUPLES_BATCH blocks; v4: an extension block follows the
 #: fixed header — trace context, durable commitments — plus
-#: MSG_GET_STATS)
-PROTOCOL_VERSION = 4
+#: MSG_GET_STATS; v5: partials, work units, result rows and results are
+#: columnar tuple blocks too, and ERR_ADMISSION always carries its
+#: retry-after hint)
+PROTOCOL_VERSION = 5
 
 #: bytes of the length prefix preceding every frame body
 LENGTH_PREFIX_BYTES = 4
@@ -167,12 +169,6 @@ ERROR_TYPES: dict[int, type[ProtocolError]] = {
 # work-unit kinds (WORK_*) and partition-result kinds (RESULT_*) travel as
 # u8 and are declared beside Partition in repro.core.messages, where the
 # TDS that serves them can name them without importing the wire layer
-
-#: the kind byte heading each item of a per-item list: the collected
-#: tuples of the read-only record 2, and the partials a TDS sends back
-ITEM_TUPLE = 0
-ITEM_PARTIAL = 1
-_ITEM_NAMES = {ITEM_TUPLE: "tuple", ITEM_PARTIAL: "partial"}
 
 
 # --------------------------------------------------------------------- #
@@ -479,11 +475,6 @@ class Reader:
             raise ProtocolError(f"count {value} exceeds the limit of {limit}")
         return value
 
-    def remaining(self) -> int:
-        """Bytes not yet consumed — lets a decoder probe for optional
-        trailing fields (e.g. the retry-after hint on ERR_ADMISSION)."""
-        return len(self._data) - self._pos
-
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise ProtocolError(
@@ -693,61 +684,14 @@ def read_meta(r: Reader) -> QueryMeta:
     return QueryMeta(protocol=protocol, params=params)
 
 
-def write_item_block(w: Writer, block: EncryptedTupleBlock, kind: int) -> None:
-    """*block* laid out per item: a count, then per item the *kind*
-    byte, a payload blob and an optional tag — the layout partials
-    travel and rest in (request, record 4, snapshot partials)."""
-    if len(block) > MAX_ITEMS:
-        raise ProtocolError(f"{len(block)} items exceed the per-message limit")
-    w.u32(len(block))
-    payloads, offsets = block.payloads, block.offsets
-    for i, tag in enumerate(block.tags):
-        w.u8(kind)
-        w.blob(payloads[offsets[i] : offsets[i + 1]])
-        w.opt_blob(tag)
-
-
-def read_item_block(r: Reader, kind: int) -> EncryptedTupleBlock:
-    """Read what :func:`write_item_block` wrote into one block; an item
-    of any kind but *kind* is a :class:`ProtocolError`."""
-    payloads: list[bytes] = []
-    tags: list[bytes | None] = []
-    for _ in range(r.count()):
-        item_kind = r.u8()
-        if item_kind != kind:
-            raise ProtocolError(
-                f"expected {_ITEM_NAMES[kind]} items, got item kind 0x{item_kind:02x}"
-            )
-        payloads.append(r.blob())
-        tags.append(r.opt_blob())
-    return EncryptedTupleBlock.joined(payloads, tags)
-
-
-def write_rows(w: Writer, block: EncryptedTupleBlock) -> None:
-    """Result rows: a count, then one blob per row (rows are untagged)."""
-    if len(block) > MAX_ITEMS:
-        raise ProtocolError(f"{len(block)} rows exceed the per-message limit")
-    w.u32(len(block))
-    payloads, offsets = block.payloads, block.offsets
-    for i in range(len(block)):
-        w.blob(payloads[offsets[i] : offsets[i + 1]])
-
-
-def read_rows(r: Reader) -> EncryptedTupleBlock:
-    rows = [r.blob() for _ in range(r.count())]
-    return EncryptedTupleBlock.joined(rows, (None,) * len(rows))
-
-
 def write_work_unit(w: Writer, unit: WorkUnit) -> None:
     """A partition as the block it is: query id, kind, partition id,
-    then a count, one u32 lengths vector and one payload buffer.  No
-    per-item kind byte (the TDS reads tuple vs. partial off the frame
-    inside the plaintext) and no tags (it never reads them)."""
+    then the block, untagged (the TDS reads tuple vs. partial off the
+    frame inside the plaintext, and never reads a tag)."""
     w.text(unit.query_id)
     w.u8(unit.kind)
     w.i64(unit.partition_id)
-    _write_lengths(w, unit.block.offsets)
-    w.blob(unit.block.payloads)
+    write_tuple_block(w, unit.block, tagged=False)
 
 
 def read_work_unit(r: Reader) -> WorkUnit:
@@ -756,49 +700,29 @@ def read_work_unit(r: Reader) -> WorkUnit:
     if kind not in (WORK_FOLD, WORK_FOLD_PER_GROUP, WORK_FINALIZE, WORK_FILTER):
         raise ProtocolError(f"unknown work-unit kind 0x{kind:02x}")
     partition_id = r.i64()
-    lengths = _read_lengths(r)
-    payloads = r.blob()
-    block = EncryptedTupleBlock(
-        payloads=payloads,
-        offsets=_offsets_spanning(lengths, payloads),
-        tags=(None,) * len(lengths),
-    )
-    return WorkUnit(query_id, kind, partition_id, block)
+    return WorkUnit(query_id, kind, partition_id, read_tuple_block(r, tagged=False))
 
 
 def write_result(w: Writer, result: QueryResult) -> None:
     w.text(result.query_id)
-    write_rows(w, result.block)
+    write_tuple_block(w, result.block, tagged=False)
 
 
 def read_result(r: Reader) -> QueryResult:
     query_id = r.text()
-    return QueryResult(query_id, read_rows(r))
+    return QueryResult(query_id, read_tuple_block(r, tagged=False))
 
 
 # --------------------------------------------------------------------- #
-# columnar blocks: contributions in, partitions out
+# the block codec: every ciphertext list on the wire and at rest
 # --------------------------------------------------------------------- #
 #: tag-length sentinel marking "no group tag" in the tag-lengths vector
 _NO_TAG = 0xFFFFFFFF
+_NO_TAG_BYTES = struct.pack(">I", _NO_TAG)
 _FIRST = itemgetter(0)
 
 
-def _write_lengths(w: Writer, offsets: tuple[int, ...]) -> None:
-    """The item count and the u32 lengths vector of the items *offsets*
-    bounds — the head every columnar block on the wire opens with."""
-    count = len(offsets) - 1
-    if count > MAX_ITEMS:
-        raise ProtocolError(f"{count} items exceed the per-message limit")
-    w.u32(count)
-    w.blob(
-        struct.pack(
-            f">{count}I", *[offsets[i + 1] - offsets[i] for i in range(count)]
-        )
-    )
-
-
-def _read_u32_vector(r: Reader, count: int, what: str) -> tuple[int, ...]:
+def _u32_vector(r: Reader, count: int, what: str) -> tuple[int, ...]:
     raw = r.blob()
     if len(raw) != 4 * count:
         raise ProtocolError(
@@ -807,49 +731,61 @@ def _read_u32_vector(r: Reader, count: int, what: str) -> tuple[int, ...]:
     return struct.unpack(f">{count}I", raw)
 
 
-def _read_lengths(r: Reader) -> tuple[int, ...]:
-    """Read what :func:`_write_lengths` wrote: a count within
-    :data:`MAX_ITEMS` and a lengths vector of exactly that many u32s."""
-    return _read_u32_vector(r, r.count(), "lengths")
+def _refuse_tags(count: int, untagged: int) -> None:
+    if untagged != count:
+        raise ProtocolError(
+            f"{count - untagged} tagged items in a block that carries no tags"
+        )
 
 
-def _offsets_spanning(lengths: tuple[int, ...], payloads: bytes) -> tuple[int, ...]:
-    """The offsets table of *lengths*, which must sum exactly to the
-    payload buffer."""
+def write_tuple_block(
+    w: Writer, block: EncryptedTupleBlock, tagged: bool = True
+) -> None:
+    """Columnar encoding of a block: a count, one u32 lengths vector, one
+    u32 tag-lengths vector (``0xFFFFFFFF`` = no tag), one payload buffer
+    and one tag buffer — four blobs, however many items.  A field that
+    carries no tags (``tagged=False``: rows, units, results) refuses a
+    block with any."""
+    offsets, tags = block.offsets, block.tags
+    count = len(tags)
+    if count > MAX_ITEMS:
+        raise ProtocolError(f"{count} items exceed the per-message limit")
+    untagged = tags.count(None)
+    if not tagged:
+        _refuse_tags(count, untagged)
+    if untagged == count:
+        tag_lengths, tag_buffer = _NO_TAG_BYTES * count, b""
+    else:
+        tag_lengths = struct.pack(
+            f">{count}I", *[_NO_TAG if tag is None else len(tag) for tag in tags]
+        )
+        tag_buffer = b"".join([tag for tag in tags if tag is not None])
+    w.u32(count)
+    w.blob(struct.pack(f">{count}I", *map(sub, islice(offsets, 1, None), offsets)))
+    w.blob(tag_lengths)
+    w.blob(block.payloads)
+    w.blob(tag_buffer)
+
+
+def read_tuple_block(r: Reader, tagged: bool = True) -> EncryptedTupleBlock:
+    """Decode what :func:`write_tuple_block` wrote.  The payload buffer
+    is kept whole (no per-item copies); the lengths must sum exactly to
+    it, and the tag column is checked in two C-level passes and cut out
+    of the tag buffer in one more, in C when every tag has one width."""
+    lengths = _u32_vector(r, r.count(), "lengths")
+    count = len(lengths)
+    tag_lengths = _u32_vector(r, count, "tag-lengths")
+    payloads = r.blob()
+    tags_raw = r.blob()
     offsets = tuple(accumulate(lengths, initial=0))
     if offsets[-1] != len(payloads):
         raise ProtocolError(
             f"payload buffer of {len(payloads)} bytes does not match the "
             f"declared {offsets[-1]}"
         )
-    return offsets
-
-
-def write_tuple_block(w: Writer, block: EncryptedTupleBlock) -> None:
-    """Columnar encoding of a tuple batch: one lengths vector, one tag-
-    lengths vector (``0xFFFFFFFF`` = no tag), one payload buffer and one
-    tag buffer — four blobs total, independent of the tuple count."""
-    _write_lengths(w, block.offsets)
-    tag_lengths = [
-        _NO_TAG if tag is None else len(tag) for tag in block.tags
-    ]
-    w.blob(struct.pack(f">{len(tag_lengths)}I", *tag_lengths))
-    w.blob(block.payloads)
-    w.blob(b"".join(tag for tag in block.tags if tag is not None))
-
-
-def read_tuple_block(r: Reader) -> EncryptedTupleBlock:
-    """Decode a columnar tuple batch.  The payload buffer is kept whole
-    (no per-tuple copies); the tag column is checked in two C-level
-    passes and cut out of the tag buffer in one more, in C when every
-    tag has one width."""
-    lengths = _read_lengths(r)
-    count = len(lengths)
-    tag_lengths = _read_u32_vector(r, count, "tag-lengths")
-    payloads = r.blob()
-    tags_raw = r.blob()
-    offsets = _offsets_spanning(lengths, payloads)
     untagged = tag_lengths.count(_NO_TAG)
+    if not tagged:
+        _refuse_tags(count, untagged)
     declared = sum(tag_lengths) - untagged * _NO_TAG
     if declared > len(tags_raw):
         raise ProtocolError("tag buffer shorter than its declared lengths")
@@ -883,14 +819,11 @@ def pack_error(
     code: int,
     message: str,
     correlation_id: int = 0,
-    retry_after: float | None = None,
+    retry_after: float = 0.0,
 ) -> bytes:
     w = Writer()
     w.u8(code)
     w.text(message)
-    if retry_after is not None:
-        # Optional trailing hint (currently only on ERR_ADMISSION).
-        # Trailing-field extension is safe here: error payloads are the
-        # one message clients never expect_end() on.
-        w.f64(retry_after)
+    if code == ERR_ADMISSION:
+        w.f64(retry_after)  # the backoff hint every ERR_ADMISSION carries
     return pack_frame(MSG_ERROR, w.getvalue(), correlation_id)

@@ -129,24 +129,18 @@ def _tagged(name: str, variants: dict[int, Field[Any]]) -> Field[tuple[int, Any]
     return Field(name, write, read)
 
 
-def _items(name: str, kind: int) -> Field[EncryptedTupleBlock]:
-    """A block laid out per item, every item headed by the *kind* byte."""
+def _block(name: str, tagged: bool) -> Field[EncryptedTupleBlock]:
+    """A block in the one block codec; *tagged* False refuses tags."""
 
-    def write(w: Writer, block: EncryptedTupleBlock) -> None:
-        frames.write_item_block(w, block, kind)
+    def write(w: Writer, block: Iterable[EncryptedTuple] | EncryptedTupleBlock) -> None:
+        if not isinstance(block, EncryptedTupleBlock):
+            block = EncryptedTupleBlock.from_tuples(list(block))
+        frames.write_tuple_block(w, block, tagged)
 
     def read(r: Reader) -> EncryptedTupleBlock:
-        return frames.read_item_block(r, kind)
+        return frames.read_tuple_block(r, tagged)
 
     return Field(name, write, read)
-
-
-def _write_block(
-    w: Writer, tuples: Iterable[EncryptedTuple] | EncryptedTupleBlock
-) -> None:
-    if not isinstance(tuples, EncryptedTupleBlock):
-        tuples = EncryptedTupleBlock.from_tuples(list(tuples))
-    frames.write_tuple_block(w, tuples)
 
 
 def _write_idem(w: Writer, key: tuple[str, int]) -> None:
@@ -192,10 +186,9 @@ ENVELOPE: Field[QueryEnvelope] = Field(
 )
 META: Field[QueryMeta] = Field("meta", _write_meta, frames.read_meta, default=None)
 QUERY = _struct("query", ENVELOPE, META)
-TUPLES = _items("tuples", frames.ITEM_TUPLE)
-TUPLE_BLOCK = Field("tuples", _write_block, frames.read_tuple_block)
-PARTIALS = _items("partials", frames.ITEM_PARTIAL)
-ROWS = Field("rows", frames.write_rows, frames.read_rows)
+TUPLE_BLOCK = _block("tuples", tagged=True)
+PARTIALS = _block("partials", tagged=True)
+ROWS = _block("rows", tagged=False)
 RESULT: Field[QueryResult] = Field("result", frames.write_result, frames.read_result)
 UNIT = Field("unit", frames.write_work_unit, frames.read_work_unit)
 #: seconds the SSI may park a request it has no answer for; always the
@@ -424,12 +417,4 @@ PUBLISH_RESULT = register(Op(
 RESET_AGGREGATION = register(Op(
     None, "reset_aggregation", (QUERY_ID,), NOTHING,
     durable=True, record=9, method="reset_aggregation",
-))
-#: read-only: what the retired per-item submission (opcode 0x04) wrote.
-#: Nothing writes it any more; logs written before the block row became
-#: the one contribution shape still verify and replay it, through the
-#: facade adapter that stores the tuples as one block.
-SUBMIT_TUPLES = register(Op(
-    None, "submit_tuples", (QUERY_ID, TUPLES), NOTHING,
-    record=2, method="submit_tuples", tds_bytes=True,
 ))

@@ -435,7 +435,7 @@ class SSIDispatcher:
                 code,
                 str(exc),
                 corr,
-                retry_after=getattr(exc, "retry_after", None),
+                retry_after=getattr(exc, "retry_after", 0.0),
             )
         except ProtocolError as exc:
             # Includes payload-decoding failures: report them as malformed

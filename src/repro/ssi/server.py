@@ -106,8 +106,7 @@ class SupportingServerInfrastructure:
     def submit_tuples(
         self, query_id: str, tuples: EncryptedTupleBlock | Iterable[EncryptedTuple]
     ) -> None:
-        """The tuples as one block.  No live caller: replay runs it for
-        the per-item records of older logs (read as a block), and it
+        """The tuples as one block.  Nothing in the SSI calls it; it
         stays a method only because ``benchmarks/e2e/layers.py`` wraps it
         by name."""
         if not isinstance(tuples, EncryptedTupleBlock):

@@ -224,22 +224,24 @@ class DurableStore:
         snapshots = store_snapshot.list_snapshots(snap_dir)
         fallbacks = 0
         loaded = False
+        failure: CorruptLogError | None = None
         for _, path in reversed(snapshots):
             try:
                 state = store_snapshot.load_snapshot(path)
-            except CorruptLogError:
+            except CorruptLogError as exc:
                 # Fall back to the previous generation; the records
                 # between it and the corrupt snapshot are still in the
                 # WAL (GC only trims below the *oldest* retained one).
                 fallbacks += 1
+                failure = failure or exc
                 continue
             loaded = True
             break
         if snapshots and not loaded:
             raise CorruptLogError(
-                "every retained snapshot failed verification; refusing to "
-                "restart from an empty state (the WAL alone may not reach "
-                "back far enough)"
+                f"every retained snapshot failed verification (newest: "
+                f"{failure}); refusing to restart from an empty state (the "
+                "WAL alone may not reach back far enough)"
             )
 
         scan = store_wal.scan_segments(wal_dir, mode="repair")

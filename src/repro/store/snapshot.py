@@ -40,7 +40,9 @@ from repro.ssi.storage import QueryStorage
 from repro.store.commitment import DIGEST_BYTES
 
 MAGIC = b"RSNP"
-SNAPSHOT_VERSION = 1
+#: v2: partials and result rows are block lists like the collected
+#: blocks, and the per-tuple lane is gone; a v1 snapshot is refused
+SNAPSHOT_VERSION = 2
 
 _PREFIX = "snapshot-"
 _SUFFIX = ".snap"
@@ -90,6 +92,16 @@ def list_snapshots(directory: Path) -> list[tuple[int, Path]]:
 # --------------------------------------------------------------------- #
 # encoding
 # --------------------------------------------------------------------- #
+def _write_blocks(w: Writer, blocks: list[EncryptedTupleBlock], tagged: bool) -> None:
+    w.u32(len(blocks))
+    for block in blocks:
+        frames.write_tuple_block(w, block, tagged)
+
+
+def _read_blocks(r: Reader, tagged: bool) -> list[EncryptedTupleBlock]:
+    return [frames.read_tuple_block(r, tagged) for _ in range(r.count(limit=100_000))]
+
+
 def _write_query(w: Writer, q: QueryStorage) -> None:
     w.text(q.envelope.query_id)
     frames.write_envelope(w, q.envelope)
@@ -97,14 +109,9 @@ def _write_query(w: Writer, q: QueryStorage) -> None:
     w.opt_text(q.tds_id)
     w.boolean(q.collection_closed)
     w.boolean(q.result_ready)
-    w.u32(0)  # the per-tuple lane of older builds, always empty now
-    w.u32(len(q.collected_blocks))
-    for block in q.collected_blocks:
-        frames.write_tuple_block(w, block)
-    # partials and rows keep their per-item lanes: one list each, however
-    # many blocks they are held as
-    frames.write_item_block(w, EncryptedTupleBlock.concat(q.partials), frames.ITEM_PARTIAL)
-    frames.write_rows(w, EncryptedTupleBlock.concat(q.result_rows))
+    _write_blocks(w, q.collected_blocks, tagged=True)
+    _write_blocks(w, q.partials, tagged=True)
+    _write_blocks(w, q.result_rows, tagged=False)
 
 
 def _read_query(r: Reader) -> QueryStorage:
@@ -118,21 +125,15 @@ def _read_query(r: Reader) -> QueryStorage:
     tds_id = r.opt_text()
     closed = r.boolean()
     ready = r.boolean()
-    # An older build's per-tuple lane: it served those tuples first.
-    lane = frames.read_item_block(r, frames.ITEM_TUPLE)
-    blocks = [lane] if lane else []
-    blocks += [frames.read_tuple_block(r) for _ in range(r.count(limit=100_000))]
-    partials = frames.read_item_block(r, frames.ITEM_PARTIAL)
-    rows = frames.read_rows(r)
     return QueryStorage(
         envelope=envelope,
         meta=meta,
         tds_id=tds_id,
         collection_closed=closed,
         result_ready=ready,
-        collected_blocks=blocks,
-        partials=[partials] if partials else [],
-        result_rows=[rows] if rows else [],
+        collected_blocks=_read_blocks(r, tagged=True),
+        partials=_read_blocks(r, tagged=True),
+        result_rows=_read_blocks(r, tagged=False),
     )
 
 
@@ -168,7 +169,10 @@ def decode_snapshot(data: bytes) -> SnapshotState:
         raise CorruptLogError("bad snapshot magic")
     version = data[len(MAGIC)]
     if version != SNAPSHOT_VERSION:
-        raise CorruptLogError(f"unsupported snapshot version {version}")
+        raise CorruptLogError(
+            f"unsupported snapshot version {version} (this build reads "
+            f"{SNAPSHOT_VERSION})"
+        )
     (crc,) = struct.unpack(">I", data[-4:])
     if zlib.crc32(data[:-4]) & 0xFFFFFFFF != crc:
         raise CorruptLogError("snapshot CRC mismatch")

@@ -25,10 +25,14 @@ silently double-applying.
 
 Two read modes:
 
-* ``repair`` (startup): the log is trusted up to the first bad byte —
+* ``repair`` (startup): the log is trusted up to the first bad record —
   the bad record and everything after it (including later segments) is
-  discarded, mirroring a torn write at crash time.  Recovery always
-  yields a *prefix* of the appended history.
+  discarded, mirroring a torn write at crash time, and so is a last
+  segment whose header was never completed.  Recovery always yields a
+  *prefix* of the appended history.  A complete segment header it cannot
+  read (bad magic, another format version), or a segment with nothing
+  valid before a later one, is not a torn tail: it raises
+  :class:`~repro.exceptions.CorruptLogError` and nothing is modified.
 * ``verify`` (``repro verify-log``): any violation raises
   :class:`~repro.exceptions.CorruptLogError` — nothing is modified.
 
@@ -52,7 +56,9 @@ from typing import Sequence
 from repro.exceptions import CorruptLogError, StoreError
 
 MAGIC = b"RWAL"
-WAL_VERSION = 1
+#: v2: records 4 and 7 carry their blocks in the block codec, and
+#: record 2 (the per-item submission) is gone
+WAL_VERSION = 2
 HEADER_BYTES = len(MAGIC) + 1 + 8  # magic + version + base seq
 RECORD_HEADER_BYTES = 4 + 4 + 8  # body len + crc + seq
 _RECORD_HEADER = struct.Struct(">IIQ")
@@ -125,12 +131,14 @@ class ScanResult:
 
 
 class _Corruption(Exception):
-    """Internal scan signal: (reason, valid_bytes_in_current_segment)."""
+    """Internal scan signal: (reason, valid_bytes_in_current_segment);
+    ``torn`` is False for a complete header repair must not cut."""
 
-    def __init__(self, reason: str, valid_bytes: int) -> None:
+    def __init__(self, reason: str, valid_bytes: int, torn: bool = True) -> None:
         super().__init__(reason)
         self.reason = reason
         self.valid_bytes = valid_bytes
+        self.torn = torn
 
 
 def _scan_segment(
@@ -142,10 +150,13 @@ def _scan_segment(
     if len(data) < HEADER_BYTES:
         raise _Corruption("segment shorter than its header", 0)
     if data[: len(MAGIC)] != MAGIC:
-        raise _Corruption("bad segment magic", 0)
+        raise _Corruption("bad segment magic", 0, torn=False)
     version = data[len(MAGIC)]
     if version != WAL_VERSION:
-        raise _Corruption(f"unsupported WAL segment version {version}", 0)
+        raise _Corruption(
+            f"unsupported WAL segment version {version} (this build reads "
+            f"{WAL_VERSION})", 0, torn=False,
+        )
     (base_seq,) = struct.unpack(">Q", data[len(MAGIC) + 1 : HEADER_BYTES])
     if expected_seq is not None and base_seq != expected_seq:
         raise _Corruption(
@@ -183,9 +194,10 @@ def _scan_segment(
 def scan_segments(directory: Path, mode: str = "repair") -> ScanResult:
     """Read every record from a WAL directory.
 
-    ``mode="repair"`` truncates the log at the first bad byte (and
-    unlinks any segments after it); ``mode="verify"`` raises
-    :class:`CorruptLogError` and modifies nothing.
+    ``mode="repair"`` truncates a torn tail (and unlinks any segments
+    after it) and raises :class:`CorruptLogError` on anything else;
+    ``mode="verify"`` raises on any violation.  Neither modifies a log
+    it raises on.
     """
     if mode not in ("repair", "verify"):
         raise StoreError(f"unknown WAL scan mode {mode!r}")
@@ -197,10 +209,10 @@ def scan_segments(directory: Path, mode: str = "repair") -> ScanResult:
         try:
             records, next_seq = _scan_segment(data, expected)
         except _Corruption as exc:
-            if mode == "verify":
-                raise CorruptLogError(
-                    f"{path.name}: {exc.reason}"
-                ) from None
+            # a segment with nothing valid is a torn tail only when last
+            torn = exc.torn and (exc.valid_bytes > 0 or index + 1 == len(segments))
+            if mode == "verify" or not torn:
+                raise CorruptLogError(f"{path.name}: {exc.reason}") from None
             # Torn-tail repair: keep the valid prefix of this segment,
             # drop the rest of it and every later segment.
             result.truncated_bytes += len(data) - exc.valid_bytes

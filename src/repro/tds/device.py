@@ -75,24 +75,6 @@ class DeviceProfile:
     # ------------------------------------------------------------------ #
     # composite costs
     # ------------------------------------------------------------------ #
-    def partition_processing_time(
-        self, download_bytes: int, upload_bytes: int
-    ) -> float:
-        """End-to-end time to handle one partition: download, decrypt,
-        process, encrypt the (smaller) result, upload.
-
-        Matches the unit-test decomposition of Fig. 9b; download is managed
-        in streaming so the total is a plain sum of the four components
-        (the paper notes decrypt+filter < download, which makes the
-        streaming overlap negligible — we keep the conservative sum)."""
-        return (
-            self.transfer_time(download_bytes)
-            + self.crypto_time(download_bytes)
-            + self.cpu_time(download_bytes)
-            + self.crypto_time(upload_bytes)
-            + self.transfer_time(upload_bytes)
-        )
-
     def tuple_time(self, tuple_bytes: int) -> float:
         """The cost model's Tt: time for one TDS to fully process one
         encrypted tuple of *tuple_bytes* (transfer + crypto + CPU)."""

@@ -139,7 +139,12 @@ def _unit_head() -> Writer:
 
 
 def _unit(count: int, lengths: bytes, payloads: bytes) -> bytes:
-    return _unit_head().u32(count).blob(lengths).blob(payloads).getvalue()
+    """A unit's block as the block codec lays it out: *count* untagged
+    items, no tag bytes."""
+    untagged = b"\xff\xff\xff\xff" * count
+    return (
+        _unit_head().u32(count).blob(lengths).blob(untagged).blob(payloads).blob(b"")
+    ).getvalue()
 
 
 def _good_unit() -> bytes:

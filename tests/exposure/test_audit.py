@@ -115,3 +115,17 @@ class TestViolationsDetected:
         assert isinstance(report, AuditReport)
         assert report.ok()
         assert report.protocol == "s_agg"
+
+    def test_a_zero_length_payload_is_flagged(self):
+        """The one thing ``nonempty-payloads`` checks: the observer keeps
+        sizes, not bytes, so a size of 0 is all it can find."""
+        observer = Observer()
+        observer.record("q", "collection", 256, None)
+        observer.record("q", "aggregation", 0, None)
+        report = audit_query(observer, "q", "s_agg")
+        assert [f.check for f in report.findings] == ["nonempty-payloads"]
+        assert "aggregation" in report.findings[0].detail
+        observer.record("q", "collection", 0, None)
+        checks = [f.check for f in audit_query(observer, "q", "s_agg").findings]
+        assert checks.count("nonempty-payloads") == 1  # one finding per query
+        assert audit_query(observer, "other", "s_agg").ok()

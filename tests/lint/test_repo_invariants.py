@@ -71,7 +71,9 @@ def test_pl004_transfer_methods_are_the_op_table_rows_that_move_tds_bytes():
     flagged = {
         name for op in ops.TABLE if op.tds_bytes for name in (op.name, op.method)
     }
-    assert production_manifest().transfer_methods == flagged
+    # plus the facade's submit_tuples: an adapter onto submit_tuple_block
+    # with no row of its own, still a transfer endpoint
+    assert production_manifest().transfer_methods == flagged | {"submit_tuples"}
 
 
 def test_tds_side_packages_never_serialise_out_of_the_process():

@@ -4,14 +4,13 @@ Run against the commit whose bytes are the reference::
 
     PYTHONPATH=<checkout>/src python tests/net/golden/capture.py
 
-rewrites the ``in_memory`` / ``durable_requests`` / ``wal`` /
-``commitment`` sections of ``ops_v4.json`` and nothing else:
-``--await-only`` rewrites the ``await`` section instead (its own
-dispatcher and client), and ``parent_data_dir`` with its
-``parent_data_dir_commitment`` stays what the parent of the op-table
-change wrote — a log whose aggregation records (types 4 and 7) still
-carry the idempotency keys of the wire rows that commit had, and whose
-per-item submission record (type 2) no later build writes.
+rewrites ``ops_v5.json``: the ``in_memory`` / ``durable_requests`` /
+``wal`` / ``commitment`` sections from :func:`scenario` and the
+``await`` section from :func:`await_scenario` (its own dispatcher and
+client).  ``parent_data_dir`` is not captured: it is a data dir an
+older build wrote (snapshot and WAL version 1, per-item partials and
+rows, a per-item submission record of type 2), kept as the fixture
+that this build refuses it untouched.
 
 :func:`scenario` touches every wire operation once through the public
 client API only, so the same calls can be replayed against any later
@@ -43,7 +42,7 @@ from repro.net.transport import LoopbackTransport
 from repro.store import DurableStore, scan_segments
 
 HERE = Path(__file__).parent
-WIRE_FILE = HERE / "ops_v4.json"
+WIRE_FILE = HERE / "ops_v5.json"
 DATA_DIR = HERE / "parent_data_dir"
 
 CLIENT_SEED = 7
@@ -138,11 +137,10 @@ async def interrupted(client: AsyncSSIClient) -> None:
 
 
 async def await_scenario(client: AsyncSSIClient) -> None:
-    """The two long-poll rows in their own ``await`` section, captured
-    when they were added and not since: a hold, the empty answer, an
-    answer naming a new query, answers carrying a unit, finished ids,
-    and ``await_result`` with and without a result.  Holds are zero
-    where the answer would otherwise park."""
+    """The two long-poll rows in their own ``await`` section: a hold,
+    the empty answer, an answer naming a new query, answers carrying a
+    unit, finished ids, and ``await_result`` with and without a result.
+    Holds are zero where the answer would otherwise park."""
     assert tuple(await client.await_work("tds-a", [], 0.0)) == ([], None, [])
     await client.post_query(
         envelope("q-await"), meta=QueryMeta("s_agg", {"alpha": 2.0})
@@ -192,19 +190,10 @@ async def record(
     return transport.exchanges
 
 
-async def capture_await() -> None:
-    """Write only the ``await`` section; every other entry of the file
-    stays the parent's, byte for byte."""
-    transport = RecordingTransport(SSIDispatcher(clock=lambda: 0.0).dispatch)
-    await await_scenario(AsyncSSIClient(transport, rng=random.Random(CLIENT_SEED)))
-    golden = json.loads(WIRE_FILE.read_text())
-    golden["await"] = [[q.hex(), a.hex()] for q, a in transport.exchanges]
-    WIRE_FILE.write_text(json.dumps(golden, indent=1) + "\n")
-    print(f"{len(transport.exchanges)} await exchanges")
-
-
 async def main() -> None:
     in_memory = await record(SSIDispatcher(clock=lambda: 0.0))
+    transport = RecordingTransport(SSIDispatcher(clock=lambda: 0.0).dispatch)
+    await await_scenario(AsyncSSIClient(transport, rng=random.Random(CLIENT_SEED)))
 
     with tempfile.TemporaryDirectory() as scratch:
         data_dir = Path(scratch)
@@ -222,23 +211,20 @@ async def main() -> None:
         store.close()
         records = scan_segments(data_dir / "wal", mode="verify").records
 
-    golden = json.loads(WIRE_FILE.read_text())
-    golden.update(
-        {
-            # the last exchange is get_stats: keep its request only
-            "in_memory": [[q.hex(), a.hex()] for q, a in in_memory[:-1]]
-            + [[in_memory[-1][0].hex(), None]],
-            "durable_requests": [q.hex() for q, _ in durable],
-            "wal": [[seq, bytes(body).hex()] for seq, body in records],
-            "commitment": [head.count, head.head.hex()],
-        }
-    )
+    golden = {
+        "client_seed": CLIENT_SEED,
+        # the last exchange is get_stats: keep its request only
+        "in_memory": [[q.hex(), a.hex()] for q, a in in_memory[:-1]]
+        + [[in_memory[-1][0].hex(), None]],
+        "durable_requests": [q.hex() for q, _ in durable],
+        "wal": [[seq, bytes(body).hex()] for seq, body in records],
+        "commitment": [head.count, head.head.hex()],
+        "await": [[q.hex(), a.hex()] for q, a in transport.exchanges],
+    }
     WIRE_FILE.write_text(json.dumps(golden, indent=1) + "\n")
-    print(f"{len(in_memory)} exchanges, {len(records)} WAL records, "
-          f"chain at {head.count}")
+    print(f"{len(in_memory)} exchanges, {len(transport.exchanges)} await "
+          f"exchanges, {len(records)} WAL records, chain at {head.count}")
 
 
 if __name__ == "__main__":
-    import sys
-
-    asyncio.run(capture_await() if "--await-only" in sys.argv else main())
+    asyncio.run(main())

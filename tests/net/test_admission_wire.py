@@ -17,7 +17,9 @@ import pytest
 
 from repro.core.messages import Credential, EncryptedTuple, QueryEnvelope
 from repro.exceptions import AdmissionError, ProtocolError
+from repro.net import frames
 from repro.net.client import AsyncSSIClient, QuerierClient, RetryPolicy
+from repro.net.frames import Writer
 from repro.net.server import SSIDispatcher, SSIServer
 from repro.net.transport import LoopbackTransport, TCPTransport
 from repro.ssi.admission import AdmissionPolicy
@@ -52,6 +54,33 @@ def loopback_client(dispatcher, policy=NO_RETRY, sleep=None):
         rng=random.Random(_CLIENT_SEED[0]),
         **kwargs,
     )
+
+
+class TestTheHintIsPartOfTheError:
+    def test_an_admission_error_without_its_hint_is_a_protocol_error(self):
+        """Every dispatcher writes the retry-after hint, so an
+        ERR_ADMISSION without it is malformed, not a zero backoff."""
+
+        def answer(hint):
+            payload = Writer().u8(frames.ERR_ADMISSION).text("over quota")
+            if hint is not None:
+                payload.f64(hint)
+            frame = frames.pack_frame(frames.MSG_ERROR, payload.getvalue())
+
+            async def peer(body):
+                return frame
+
+            return AsyncSSIClient(LoopbackTransport(peer), NO_RETRY, rng=random.Random(1))
+
+        async def run():
+            with pytest.raises(AdmissionError) as excinfo:
+                await answer(0.25).ping()
+            assert excinfo.value.retry_after == 0.25
+            with pytest.raises(ProtocolError, match="truncated") as excinfo:
+                await answer(None).ping()
+            assert not isinstance(excinfo.value, AdmissionError)
+
+        run_async(run())
 
 
 class TestQueryQuotaOverTheWire:

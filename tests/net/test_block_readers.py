@@ -1,8 +1,9 @@
-"""The block readers read in C-level passes, and nothing else changed.
+"""The one block codec reads in C-level passes, and nothing else changed.
 
-The reference below is a frozen copy of the parent build's payload
-``Reader`` and of its ``read_tuple_block`` / ``read_item_block`` /
-``read_rows``: a Python step per tag, a fresh ``bytes`` per scalar.  For
+The reference below is a Python-step-per-tag copy of the payload
+``Reader`` and of ``read_tuple_block``, in both of its variants: the
+tagged field (contributions, partials) and the untagged one (result
+rows, work units, results), which refuses a block with any tag.  For
 any valid encoding — no items or up to 64, tags all ``None``, all
 ``b""``, all of one length, of several lengths, or mixed lengths with
 ``None`` among them —
@@ -16,17 +17,18 @@ message or return the same value; neither may leak an ``IndexError``,
 import itertools
 import struct
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import EncryptedTupleBlock, offsets_ascend
 from repro.exceptions import ProtocolError
-from repro.net import frames
+from repro.net import frames, ops
 from repro.net.frames import MAX_FIELD_BYTES, MAX_ITEMS, Reader, Writer
 
 
 # --------------------------------------------------------------------- #
-# the reference: the parent build's readers, frozen
+# the reference: a Python step per tag, a fresh bytes per scalar
 # --------------------------------------------------------------------- #
 class ReferenceReader:
     def __init__(self, data):
@@ -91,9 +93,6 @@ class ReferenceReader:
             raise ProtocolError(f"count {value} exceeds the limit of {limit}")
         return value
 
-    def remaining(self):
-        return len(self._data) - self._pos
-
     def expect_end(self):
         if self._pos != len(self._data):
             raise ProtocolError(
@@ -102,7 +101,6 @@ class ReferenceReader:
 
 
 _NO_TAG = 0xFFFFFFFF
-_ITEM_NAMES = {frames.ITEM_TUPLE: "tuple", frames.ITEM_PARTIAL: "partial"}
 
 
 def _reference_u32_vector(r, count, what):
@@ -124,13 +122,16 @@ def _reference_offsets_spanning(lengths, payloads):
     return offsets
 
 
-def reference_read_tuple_block(r):
+def reference_read_tuple_block(r, tagged=True):
     lengths = _reference_u32_vector(r, r.count(), "lengths")
     count = len(lengths)
     tag_lengths = _reference_u32_vector(r, count, "tag-lengths")
     payloads = r.blob()
     tags_raw = r.blob()
     offsets = _reference_offsets_spanning(lengths, payloads)
+    carrying = sum(1 for n in tag_lengths if n != _NO_TAG)
+    if not tagged and carrying:
+        raise ProtocolError(f"{carrying} tagged items in a block that carries no tags")
     tags = [None] * count
     tag_view = memoryview(tags_raw)
     tag_pos = 0
@@ -148,43 +149,19 @@ def reference_read_tuple_block(r):
     return EncryptedTupleBlock(payloads=payloads, offsets=offsets, tags=tuple(tags))
 
 
-def reference_read_item_block(r, kind):
-    payloads = []
-    tags = []
-    for _ in range(r.count()):
-        item_kind = r.u8()
-        if item_kind != kind:
-            raise ProtocolError(
-                f"expected {_ITEM_NAMES[kind]} items, got item kind 0x{item_kind:02x}"
-            )
-        payloads.append(r.blob())
-        tags.append(r.opt_blob())
-    return EncryptedTupleBlock.joined(payloads, tags)
-
-
-def reference_read_rows(r):
-    rows = [r.blob() for _ in range(r.count())]
-    return EncryptedTupleBlock.joined(rows, (None,) * len(rows))
-
-
 # --------------------------------------------------------------------- #
 # the pairs under test: (writer, new reader, reference reader)
 # --------------------------------------------------------------------- #
 CODECS = {
-    "tuple_block": (
+    "tagged": (
         frames.write_tuple_block,
         frames.read_tuple_block,
         reference_read_tuple_block,
     ),
-    "partials": (
-        lambda w, block: frames.write_item_block(w, block, frames.ITEM_PARTIAL),
-        lambda r: frames.read_item_block(r, frames.ITEM_PARTIAL),
-        lambda r: reference_read_item_block(r, frames.ITEM_PARTIAL),
-    ),
-    "rows": (
-        frames.write_rows,
-        frames.read_rows,
-        reference_read_rows,
+    "untagged": (
+        lambda w, block: frames.write_tuple_block(w, block, tagged=False),
+        lambda r: frames.read_tuple_block(r, tagged=False),
+        lambda r: reference_read_tuple_block(r, tagged=False),
     ),
 }
 
@@ -247,16 +224,16 @@ WIDEST = EncryptedTupleBlock.joined(
 
 
 def for_codec(name, block):
-    """Rows are untagged on the wire: read them back as such."""
-    if name == "rows":
+    """The untagged field is written untagged: strip the tags."""
+    if name == "untagged":
         return EncryptedTupleBlock(block.payloads, block.offsets, (None,) * len(block))
     return block
 
 
 @settings(max_examples=300, deadline=None)
 @given(block=blocks(), name=st.sampled_from(sorted(CODECS)))
-@example(block=WIDEST, name="tuple_block")
-@example(block=WIDEST, name="partials")
+@example(block=WIDEST, name="tagged")
+@example(block=WIDEST, name="untagged")
 def test_valid_encodings_read_back_the_same_block_on_both_sides(block, name):
     block = for_codec(name, block)
     data = encoded(name, block)
@@ -272,9 +249,8 @@ FLIPS = (0x01, 0x80, 0xFF)
 
 @settings(max_examples=40, deadline=None)
 @given(block=blocks(), name=st.sampled_from(sorted(CODECS)))
-@example(block=WIDEST, name="tuple_block")
-@example(block=WIDEST, name="partials")
-@example(block=WIDEST, name="rows")
+@example(block=WIDEST, name="tagged")
+@example(block=WIDEST, name="untagged")
 def test_every_truncation_and_byte_flip_gets_the_same_answer(block, name):
     data = encoded(name, for_codec(name, block))
     for end in range(len(data)):
@@ -302,9 +278,9 @@ def test_an_all_empty_tag_block_keeps_its_empty_tags():
     """Every tag length 0: a step-0 cut of the tag buffer is the
     obvious bug, and b"" must not turn into None."""
     block = EncryptedTupleBlock.joined([b"a", b"bc", b""], [b"", b"", b""])
-    data = encoded("tuple_block", block)
+    data = encoded("tagged", block)
     assert outcome(Reader, frames.read_tuple_block, data) == ("read", block)
-    assert_same_outcome("tuple_block", data)
+    assert_same_outcome("tagged", data)
 
 
 def test_tags_of_several_widths_are_not_cut_as_one():
@@ -312,9 +288,9 @@ def test_tags_of_several_widths_are_not_cut_as_one():
     a one-width one."""
     for tags in ([b"long", b"ab"], [b"ab", b"ab", b""], [b"", b"x"]):
         block = EncryptedTupleBlock.joined([b"p"] * len(tags), tags)
-        data = encoded("tuple_block", block)
+        data = encoded("tagged", block)
         assert outcome(Reader, frames.read_tuple_block, data) == ("read", block)
-        assert_same_outcome("tuple_block", data)
+        assert_same_outcome("tagged", data)
 
 
 def test_a_huge_tag_length_over_a_short_buffer_is_refused_alike():
@@ -328,7 +304,7 @@ def test_a_huge_tag_length_over_a_short_buffer_is_refused_alike():
     assert outcome(Reader, frames.read_tuple_block, data) == (
         "refused", ProtocolError, "tag buffer shorter than its declared lengths"
     )
-    assert_same_outcome("tuple_block", data)
+    assert_same_outcome("tagged", data)
 
 
 def test_trailing_tag_bytes_are_refused_alike():
@@ -342,7 +318,7 @@ def test_trailing_tag_bytes_are_refused_alike():
     assert outcome(Reader, frames.read_tuple_block, data) == (
         "refused", ProtocolError, "1 trailing bytes in the tag buffer"
     )
-    assert_same_outcome("tuple_block", data)
+    assert_same_outcome("tagged", data)
 
 
 def test_a_sentinel_beside_a_huge_tag_length_is_refused_alike():
@@ -352,7 +328,30 @@ def test_a_sentinel_beside_a_huge_tag_length_is_refused_alike():
     w.blob(struct.pack(">2I", _NO_TAG, 0xFFFFFFFE))
     w.blob(b"ab")
     w.blob(b"")
-    assert_same_outcome("tuple_block", w.getvalue())
+    assert_same_outcome("tagged", w.getvalue())
+
+
+def test_tagged_rows_and_tagged_units_are_refused():
+    """The one codec, read by a field that carries no tags: a tagged
+    block is refused there and read as sent where tags belong."""
+    block = EncryptedTupleBlock.joined([b"r1", b"r2", b"r3"], [None, b"g", b""])
+    data = encoded("tagged", block)
+    assert outcome(Reader, CODECS["untagged"][1], data) == (
+        "refused", ProtocolError, "2 tagged items in a block that carries no tags"
+    )
+    assert_same_outcome("untagged", data)
+    result = ops.PARTITION_RESULT
+    assert result.read(Reader(bytes([frames.RESULT_PARTIALS]) + data)) == (
+        frames.RESULT_PARTIALS, block,
+    )
+    with pytest.raises(ProtocolError, match="carries no tags"):
+        result.read(Reader(bytes([frames.RESULT_ROWS]) + data))
+    unit = Writer().text("q").u8(frames.WORK_FOLD).i64(1).getvalue() + data
+    with pytest.raises(ProtocolError, match="carries no tags"):
+        frames.read_work_unit(Reader(unit))
+    answer = Writer().u32(0).boolean(True).getvalue() + unit + Writer().u32(0).getvalue()
+    with pytest.raises(ProtocolError, match="carries no tags"):
+        ops.AWAIT_WORK.response.read(Reader(answer))
 
 
 # --------------------------------------------------------------------- #
@@ -377,7 +376,7 @@ def _walk(reader, fields):
         except ProtocolError as exc:
             trail.append(("refused", str(exc)))
             break
-        trail.append(("at", reader.mark(), reader.remaining()))
+        trail.append(("at", reader.mark()))
     return trail
 
 

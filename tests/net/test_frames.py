@@ -12,7 +12,7 @@ from repro.core.messages import (
     QueryResult,
 )
 from repro.exceptions import FrameTooLargeError, ProtocolError
-from repro.net import frames
+from repro.net import frames, ops
 from repro.net.frames import QueryMeta, Reader, WorkUnit, Writer
 
 
@@ -241,31 +241,49 @@ class TestComposites:
         assert got.param("missing", 1.25) == 1.25
 
     def test_items_roundtrip_preserves_kind(self):
-        block = EncryptedTupleBlock.from_tuples(
-            [EncryptedTuple(b"ct1", None), EncryptedTuple(b"", b"tag"),
-             EncryptedTuple(b"cp", b"tag2")]
+        """A partition result's items come back as the kind they were
+        sent as: partials (tags kept) or rows."""
+        partials = EncryptedTupleBlock.from_tuples(
+            [EncryptedTuple(b"cp", b"tag"), EncryptedTuple(b"", None)]
         )
-        for kind in (frames.ITEM_TUPLE, frames.ITEM_PARTIAL):
+        for kind, block in (
+            (frames.RESULT_PARTIALS, partials),
+            (frames.RESULT_ROWS, _one(b"row")),
+        ):
             w = Writer()
-            frames.write_item_block(w, block, kind)
-            assert frames.read_item_block(Reader(w.getvalue()), kind) == block
-
-    def test_reading_tuples_rejects_partials(self):
-        w = Writer()
-        frames.write_item_block(w, _one(b"cp"), frames.ITEM_PARTIAL)
-        with pytest.raises(ProtocolError, match="expected tuple"):
-            frames.read_item_block(Reader(w.getvalue()), frames.ITEM_TUPLE)
-
-    def test_reading_partials_rejects_tuples(self):
-        w = Writer()
-        frames.write_item_block(w, _one(b"ct"), frames.ITEM_TUPLE)
-        with pytest.raises(ProtocolError, match="expected partial"):
-            frames.read_item_block(Reader(w.getvalue()), frames.ITEM_PARTIAL)
+            ops.PARTITION_RESULT.write(w, (kind, block))
+            assert ops.PARTITION_RESULT.read(Reader(w.getvalue())) == (kind, block)
 
     def test_unknown_item_kind(self):
-        payload = Writer().u32(1).u8(9).blob(b"x").boolean(False).getvalue()
-        with pytest.raises(ProtocolError, match="item kind"):
-            frames.read_item_block(Reader(payload), frames.ITEM_PARTIAL)
+        payload = Writer().u8(9)
+        frames.write_tuple_block(payload, _one(b"x"))
+        with pytest.raises(ProtocolError, match="unknown result kind 0x09"):
+            ops.PARTITION_RESULT.read(Reader(payload.getvalue()))
+
+    def test_a_block_keeps_its_tags_and_an_untagged_field_refuses_them(self):
+        block = EncryptedTupleBlock.from_tuples(
+            [EncryptedTuple(b"ct1", None), EncryptedTuple(b"", b"tag"),
+             EncryptedTuple(b"cp", b"")]
+        )
+        w = Writer()
+        frames.write_tuple_block(w, block)
+        data = w.getvalue()
+        assert frames.read_tuple_block(Reader(data)) == block
+        with pytest.raises(ProtocolError, match="2 tagged items"):
+            frames.read_tuple_block(Reader(data), tagged=False)
+        with pytest.raises(ProtocolError, match="2 tagged items"):
+            frames.write_tuple_block(Writer(), block, tagged=False)
+
+    def test_a_tagged_unit_or_result_is_refused_both_ways(self):
+        tagged = EncryptedTupleBlock.from_tuples([EncryptedTuple(b"c", b"t")])
+        with pytest.raises(ProtocolError, match="carries no tags"):
+            frames.write_work_unit(Writer(), WorkUnit("q9", frames.WORK_FOLD, 3, tagged))
+        with pytest.raises(ProtocolError, match="carries no tags"):
+            frames.write_result(Writer(), QueryResult("q1", tagged))
+        w = Writer().text("q1")
+        frames.write_tuple_block(w, tagged)
+        with pytest.raises(ProtocolError, match="carries no tags"):
+            frames.read_result(Reader(w.getvalue()))
 
     def test_work_unit_roundtrip(self):
         block = _one(b"c")
@@ -279,7 +297,7 @@ class TestComposites:
         w.text("q9")
         w.u8(0x7F)
         w.i64(0)
-        w.u32(0).blob(b"").blob(b"")
+        w.u32(0).blob(b"").blob(b"").blob(b"").blob(b"")
         with pytest.raises(ProtocolError, match="work-unit kind"):
             frames.read_work_unit(Reader(w.getvalue()))
 
@@ -299,8 +317,8 @@ class TestFuzz:
         for parse in (
             frames.read_envelope,
             frames.read_meta,
-            lambda r: frames.read_item_block(r, frames.ITEM_PARTIAL),
-            frames.read_rows,
+            frames.read_tuple_block,
+            lambda r: frames.read_tuple_block(r, tagged=False),
             frames.read_work_unit,
             frames.read_result,
         ):

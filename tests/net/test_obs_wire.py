@@ -47,7 +47,7 @@ class TestFrameExtensions:
             extensions=((frames.EXT_TRACE, b"\x01" * 16), (0x7F, b"xy")),
         )[frames.LENGTH_PREFIX_BYTES :]
         msg_type, corr, exts, reader = frames.unpack_frame_ext(body)
-        assert (body[0], msg_type, corr) == (4, frames.MSG_PING, 7)
+        assert (body[0], msg_type, corr) == (frames.PROTOCOL_VERSION, frames.MSG_PING, 7)
         assert exts == {frames.EXT_TRACE: b"\x01" * 16, 0x7F: b"xy"}
         # The payload reader starts exactly after the extension block.
         assert reader.blob() == b"payload"

@@ -3,12 +3,11 @@
 * every request opcode has exactly one row, and every row has the
   surfaces derived from it: a dispatcher handler and a client proxy
   (wire rows) and a WAL record (journaled rows); the rows without an
-  opcode — the SSI's own steps, and the read-only record of the retired
-  per-item submission — cannot be sent;
-* the table-driven encoders produce the bytes ``golden/ops_v4.json``
+  opcode — the SSI's own steps — cannot be sent;
+* the table-driven encoders produce the bytes ``golden/ops_v5.json``
   holds — request frames, response frames and WAL records captured by
-  ``golden/capture.py`` — and a data directory written by the commit
-  before the table existed still recovers, replays and verifies;
+  ``golden/capture.py`` — and a data directory written by an older
+  build, whose blocks are laid out otherwise, is refused untouched;
 * registering one more row is all a new operation takes.
 """
 
@@ -21,7 +20,8 @@ import shutil
 import pytest
 
 from repro.core.messages import EncryptedTuple, EncryptedTupleBlock
-from repro.exceptions import ProtocolError, UnknownQueryError
+from repro.exceptions import CorruptLogError, ProtocolError, UnknownQueryError
+from repro import cli
 from repro.net import client as client_mod
 from repro.net import frames, ops
 from repro.net.client import AsyncSSIClient
@@ -77,12 +77,11 @@ class TestCompleteness:
             "await_result",
         ]
         assert len(ops.BY_OPCODE) == 12
-        # the SSI's own steps: journaled, replayed, never callable — and
-        # the record the retired per-item submission wrote, read only
+        # the SSI's own steps: journaled, replayed, never callable
         assert [(op.name, op.record) for op in JOURNAL_ONLY] == [
             ("submit_partials", 4), ("take_partials", 6),
             ("store_result_rows", 7), ("publish_result", 8),
-            ("reset_aggregation", 9), ("submit_tuples", 2),
+            ("reset_aggregation", 9),
         ]
         for op in JOURNAL_ONLY:  # (durable: which records acks wait for)
             assert not (op.idem or op.handler), op.name
@@ -91,7 +90,8 @@ class TestCompleteness:
 
     def test_journaled_rows_cover_the_record_types(self):
         journaled = [op for op in ops.TABLE if op.record]
-        assert sorted(op.record for op in journaled) == list(range(1, 10))
+        # 2 was the retired per-item submission's record: never reused
+        assert sorted(op.record for op in journaled) == [1, 3, 4, 5, 6, 7, 8, 9]
         assert ops.BY_RECORD == {op.record: op for op in journaled}
         assert ops.JOURNALED == {op.method: op for op in journaled}
         for op in journaled:
@@ -160,16 +160,15 @@ class TestCompleteness:
             "submit_partials", "take_partials", "store_result_rows",
             "reset_aggregation", "publish_result",
         ]
-        # post_query is journaled by the dispatcher (it holds the meta);
-        # the per-item record is only read, from logs older than the row
-        assert set(ops.JOURNALED) - set(recorded) == {"post_query", "submit_tuples"}
+        # post_query is journaled by the dispatcher (it holds the meta)
+        assert set(ops.JOURNALED) - set(recorded) == {"post_query"}
 
     def test_register_refuses_clashing_rows(self):
         for clash in (
             ops.Op(frames.MSG_PING, "ping_again", (), ops.NOTHING),
             ops.Op(0x3E, "ping", (), ops.NOTHING),
             ops.Op(frames.MSG_OK, "not_a_request", (), ops.NOTHING),
-            ops.Op(0x3E, "rejournaled", (), ops.NOTHING, record=2, method="submit_tuples"),
+            ops.Op(0x3E, "rejournaled", (), ops.NOTHING, record=3, method="submit_tuples"),
             ops.Op(0x3E, "journaled_nowhere", (), ops.NOTHING, record=99),
         ):
             with pytest.raises(ValueError):
@@ -223,9 +222,8 @@ class TestGoldenBytes:
         run_async(run())
 
     def test_the_long_poll_rows_encode_their_pinned_bytes(self):
-        """``await``: the section of the two parking rows, untouched
-        since they were added — hold, empty answer, answers with a
-        query, a unit, finished ids, a result."""
+        """``await``: the section of the two parking rows — hold, empty
+        answer, answers with a query, a unit, finished ids, a result."""
         transport = ReplayTransport(GOLDEN["await"])
         client = AsyncSSIClient(
             transport, rng=random.Random(GOLDEN["client_seed"])
@@ -255,14 +253,8 @@ class TestGoldenBytes:
         assert {bytes.fromhex(q)[5] for q, _ in GOLDEN["await"]} >= {
             frames.MSG_AWAIT_WORK, frames.MSG_AWAIT_RESULT,
         }
-        # A live dispatcher writes every record type but one: type 2,
-        # the retired per-item submission's, is read only — pinned by
-        # the parent data dir, whose log holds one.
-        written = {bytes.fromhex(body)[0] for _, body in GOLDEN["wal"]}
-        read_only = {ops.SUBMIT_TUPLES.record}
-        assert written == set(ops.BY_RECORD) - read_only
-        parent_log = scan_segments(capture.DATA_DIR / "wal", mode="verify").records
-        assert {body[0] for _, body in parent_log} >= read_only
+        # a live dispatcher writes every record type
+        assert {bytes.fromhex(body)[0] for _, body in GOLDEN["wal"]} == set(ops.BY_RECORD)
 
     def test_wal_records_and_chain_match_the_golden_bytes(self, tmp_path):
         """Also the attach rule: an ack carries EXT_COMMITMENT exactly
@@ -303,58 +295,30 @@ class TestGoldenBytes:
         assert [[seq, bytes(body).hex()] for seq, body in records] == GOLDEN["wal"]
         assert [head.count, head.head.hex()] == GOLDEN["commitment"]
 
-    def test_a_data_dir_written_by_the_parent_commit_recovers(self, tmp_path):
+    def test_a_data_dir_written_by_an_older_build_is_refused_untouched(self, tmp_path):
+        """``parent_data_dir``: snapshots of version 1 and a WAL of version
+        1 holding per-item partials and rows, and a record 2.  Opening
+        it, verifying it, and opening its log alone (no snapshot to
+        refuse first) each raise a typed error naming the version, and
+        no file of it is cut, dropped or rewritten."""
         data_dir = tmp_path / "data"
         shutil.copytree(capture.DATA_DIR, data_dir)
-        count, head = GOLDEN["parent_data_dir_commitment"]
-        report = verify_data_dir(data_dir)
-        assert report["commitment_count"] == count
-        assert report["commitment_head"] == head
 
-        async def run():
-            store = DurableStore.open(data_dir)
-            assert store.recovered.replayed_records == 1  # the reset record
-            dispatcher = SSIDispatcher.with_store(store)
-            client = AsyncSSIClient(LoopbackTransport(dispatcher.dispatch))
-            result = await client.await_result("q-driver", 0.0)
-            assert capture.rows_of(result) == [b"row-1", b"row-2"]
-            # its snapshot's per-tuple lane is read as the leading block
-            assert await client.collected_count("q-driver") == 4
-            assert await client.collected_count("q-crashed") == 4
-            assert dispatcher.ssi.partial_count("q-crashed") == 0  # reset
-            assert not dispatcher.ssi.result_ready("q-crashed")
-            # the parent client's keys are still recognised as applied
-            parent_id = f"{random.Random(GOLDEN['client_seed']).getrandbits(64):016x}"
-            assert dispatcher.idempotency.seen(parent_id, 1)
-            current = await client.get_commitment(
-                Commitment(count, bytes.fromhex(head))
-            )
-            assert current.count == count
-            store.close(dispatcher.capture_state())
+        def files():
+            return {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
 
-        run_async(run())
-        assert verify_data_dir(data_dir)["clean"] is True
-
-    def test_the_parent_logs_per_item_record_replays(self, tmp_path):
-        """Record type 2 is read, never written: the parent's log holds
-        one (seq 3, q-driver's per-item submission), and without the
-        snapshots that cover it recovery replays all 25 records."""
-        data_dir = tmp_path / "data"
-        shutil.copytree(capture.DATA_DIR, data_dir)
+        before = files()
+        with pytest.raises(CorruptLogError, match="unsupported snapshot version 1"):
+            DurableStore.open(data_dir)
+        with pytest.raises(CorruptLogError, match="unsupported WAL segment version 1"):
+            verify_data_dir(data_dir)
+        assert files() == before
         shutil.rmtree(data_dir / "snapshots")
-        records = scan_segments(data_dir / "wal", mode="verify").records
-        assert [body[0] for _, body in records].count(ops.SUBMIT_TUPLES.record) == 1
-        assert verify_data_dir(data_dir)["commitment_count"] == 25
-        store = DurableStore.open(data_dir)
-        try:
-            assert store.recovered.replayed_records == 25
-            ssi = store.recovered.ssi
-            assert [t.payload for t in ssi.covering_result("q-driver").tuples()] == [
-                b"ct-1", b"ct-2", b"ct-3", b"ct-4",
-            ]
-            assert ssi.result_ready("q-driver") and ssi.result_ready("q-fleet")
-        finally:
-            store.close()
+        before = files()
+        with pytest.raises(CorruptLogError, match="unsupported WAL segment version 1"):
+            DurableStore.open(data_dir)
+        assert files() == before
+        assert cli.main(["verify-log", "--data-dir", str(data_dir)]) == 1
 
 
 # ---------------------------------------------------------------------- #

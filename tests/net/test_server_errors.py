@@ -248,6 +248,23 @@ class TestWireDiscipline:
 
         run_async(run())
 
+    def test_a_v4_frame_is_answered_unsupported_version(self):
+        """v4 had this header, extension block included, and laid out
+        partials, rows, units and results per item: its frames are
+        refused at the version byte, before any payload is read."""
+        frame = bytearray(frames.pack_frame(frames.MSG_PING, b"", correlation_id=7))
+        assert frame[frames.LENGTH_PREFIX_BYTES] == frames.PROTOCOL_VERSION == 5
+        frame[frames.LENGTH_PREFIX_BYTES] = 4
+
+        async def run():
+            response = await SSIDispatcher().dispatch(bytes(frame[4:]))
+            msg_type, corr, _exts, reader = frames.unpack_frame_ext(response[4:])
+            assert (msg_type, corr) == (frames.MSG_ERROR, 7)
+            assert reader.u8() == frames.ERR_UNSUPPORTED_VERSION
+            assert "unsupported protocol version 4" in reader.text()
+
+        run_async(run())
+
     def test_oversized_frame_over_tcp_answered_then_disconnected(self):
         async def run():
             server = SSIServer(SSIDispatcher())
@@ -413,7 +430,8 @@ class TestBackpressureAndRetry:
 
 #: retired opcode -> the request frame the last build that served it
 #: sent (its golden conversation: client seed 7, queries "q-driver" and
-#: "q-fleet"), the state-changing ones first
+#: "q-fleet"), the state-changing ones first.  Each is sent with this
+#: build's version byte, so that it reaches the opcode lookup.
 RETIRED_REQUESTS = {
     # the per-item submission: ct-1 and ct-2 (tagged) into q-driver
     0x04: (
@@ -504,8 +522,10 @@ class TestRetiredOpcodes:
                     before = state(dispatcher, store)
                     stranger = connect()
                     for opcode, request in RETIRED_REQUESTS.items():
-                        sent = bytes.fromhex(request)
+                        sent = bytearray.fromhex(request)
                         assert sent[5] == opcode
+                        sent[4] = frames.PROTOCOL_VERSION
+                        sent = bytes(sent)
                         response = await stranger.request(sent)
                         msg_type, _, _, reader = frames.unpack_frame_ext(response)
                         assert msg_type == frames.MSG_ERROR, hex(opcode)

@@ -70,19 +70,26 @@ PARTIAL_SHAPES = [
     EncryptedTupleBlock.joined([b"p-0", b"p-1", b"p-2"], [b"g0", None, b""]),
     EncryptedTupleBlock.joined([b"p-3"], [None]),
 ]
+#: result rows of two filtering partitions: untagged, of mixed lengths
+ROW_SHAPES = [
+    EncryptedTupleBlock.joined([b"r-0", b"", b"row-2"], [None, None, None]),
+    EncryptedTupleBlock.joined([b"r-3"], [None]),
+]
 
 
 #: records a store holds halfway through :func:`submit_tag_shapes` after
 #: ``populate(store, tuples=1)``: post, one tuple, two contributions, a
-#: partial — the ``snapshot_every`` that snapshots exactly there
-HALFWAY = 5
+#: partial, a block of rows — the ``snapshot_every`` that snapshots
+#: exactly there
+HALFWAY = 6
 
 
 def submit_tag_shapes(store, snapshot=False):
     """After :func:`populate`: a durable dispatcher takes every
     :data:`TAG_SHAPES` contribution over the wire and holds every
-    :data:`PARTIAL_SHAPES` block, snapshotting halfway when asked (the
-    store must then be opened with ``snapshot_every=HALFWAY``)."""
+    :data:`PARTIAL_SHAPES` and :data:`ROW_SHAPES` block, snapshotting
+    halfway when asked (the store must then be opened with
+    ``snapshot_every=HALFWAY``)."""
     dispatcher = SSIDispatcher.with_store(store)
     client = AsyncSSIClient(
         LoopbackTransport(dispatcher.dispatch), rng=random.Random(1)
@@ -93,6 +100,7 @@ def submit_tag_shapes(store, snapshot=False):
             for block in TAG_SHAPES[2 * half : 2 * half + 2]:
                 await client.submit_tuples_batch("q1", block)
             dispatcher.ssi.submit_partials("q1", PARTIAL_SHAPES[half])
+            dispatcher.ssi.store_result_rows("q1", ROW_SHAPES[half])
             if snapshot and not half:
                 assert await store.maybe_snapshot(dispatcher.capture_state)
         await store.sync(store.last_seq)
@@ -113,7 +121,7 @@ class TestCrashRecovery:
 
         reopened = DurableStore.open(tmp_path)
         assert not reopened.recovered.clean
-        shapes = len(TAG_SHAPES) + len(PARTIAL_SHAPES)
+        shapes = len(TAG_SHAPES) + len(PARTIAL_SHAPES) + len(ROW_SHAPES)
         assert reopened.recovered.replayed_records == 4 + shapes
         ssi = reopened.recovered.ssi
         assert "q1" in ssi.storage_map()
@@ -139,6 +147,7 @@ class TestCrashRecovery:
         live = dispatcher.ssi.storage_map()["q1"]
         assert live.collected_blocks == [first, *TAG_SHAPES]
         assert live.partials == PARTIAL_SHAPES
+        assert live.result_rows == ROW_SHAPES
         head_before = store.commitment()
         store._wal.close()
 
@@ -149,8 +158,8 @@ class TestCrashRecovery:
         )
         stored = reopened.recovered.ssi.storage_map()["q1"]
         for got, want in zip(
-            stored.collected_blocks + stored.partials,
-            [first, *TAG_SHAPES, *PARTIAL_SHAPES],
+            stored.collected_blocks + stored.partials + stored.result_rows,
+            [first, *TAG_SHAPES, *PARTIAL_SHAPES, *ROW_SHAPES],
             strict=True,
         ):
             assert (got.payloads, got.offsets, got.tags) == (
@@ -341,6 +350,28 @@ class TestVerifyDataDir:
         path.write_bytes(rewritten)
         with pytest.raises(CorruptLogError, match="disagrees|chain"):
             verify_data_dir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "at, match",
+        [(0, "bad segment magic"), (len(store_wal.MAGIC), "unsupported WAL segment version")],
+        ids=["magic", "version"],
+    )
+    def test_open_refuses_a_log_it_cannot_read_and_keeps_it(self, tmp_path, at, match):
+        """A segment header flipped in place: ``open`` raises instead of
+        taking the log for a torn tail, and every file stays on disk."""
+        store = DurableStore.open(tmp_path)
+        populate(store, tuples=2)
+        store.close()
+        (_, path), = store_wal.list_segments(tmp_path / WAL_SUBDIR)
+        data = bytearray(path.read_bytes())
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(CorruptLogError, match=match):
+            DurableStore.open(tmp_path)
+        with pytest.raises(CorruptLogError, match=match):
+            verify_data_dir(tmp_path)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
     def test_fsync_policy_validation(self, tmp_path):
         with pytest.raises(StoreError, match="fsync"):

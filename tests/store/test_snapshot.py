@@ -85,25 +85,18 @@ class TestCodec:
         assert q.result_rows == [items(b"row1", b"row2")]
 
     def test_the_encoding_of_a_block_only_state_is_pinned(self):
-        # captured before the per-tuple lane left the SSI: the lane is
-        # still written, as an empty list, so the bytes did not move
+        # SNAPSHOT_VERSION 2: collected blocks, partials and result rows
+        # are three lists of blocks in the one block codec
         assert hashlib.sha256(snapshot.encode_snapshot(make_state())).hexdigest() == (
-            "0c5b42b75980ebcd8142dd30cca3ce39788141af345312169e16131f0fa2dde3"
+            "9b0a7cc6eb488d21dd75ec9832f3c21bccec6725f4ef7c03bf9504a5a2d8c0b2"
         )
 
-    def test_an_older_builds_per_tuple_lane_leads_the_blocks(self):
-        # the parent data dir's q-driver: one per-item submission of two
-        # tuples, then a block of two — served in that order back then
-        path = PARENT_SNAPSHOTS / snapshot.snapshot_name(24)
-        queries = {q.envelope.query_id: q for q in snapshot.load_snapshot(path).queries}
-        lane, block = queries["q-driver"].collected_blocks
-        assert list(lane.tuples()) == [
-            EncryptedTuple(b"ct-1", None), EncryptedTuple(b"ct-2", b"tag"),
-        ]
-        assert list(block.tuples()) == [
-            EncryptedTuple(b"ct-3", b"g1"), EncryptedTuple(b"ct-4", None),
-        ]
-        assert len(queries["q-fleet"].collected_blocks) == 1  # no lane: no block
+    def test_an_older_builds_snapshot_is_refused_by_its_version(self):
+        # the parent data dir's: version 1, with a per-tuple lane and
+        # per-item partials and rows this build no longer reads
+        for _, path in snapshot.list_snapshots(PARENT_SNAPSHOTS):
+            with pytest.raises(CorruptLogError, match="unsupported snapshot version 1"):
+                snapshot.load_snapshot(path)
 
     def test_crc_detects_any_flip(self):
         data = bytearray(snapshot.encode_snapshot(make_state()))
@@ -117,6 +110,10 @@ class TestCodec:
             snapshot.decode_snapshot(b"XXXX" + data[4:])
         with pytest.raises(CorruptLogError, match="truncated|framing|shorter"):
             snapshot.decode_snapshot(data[:3])
+        older = data[:4] + bytes([snapshot.SNAPSHOT_VERSION - 1]) + data[5:-4]
+        older += struct.pack(">I", zlib.crc32(older))
+        with pytest.raises(CorruptLogError, match="unsupported snapshot version"):
+            snapshot.decode_snapshot(older)
 
     def test_head_count_must_match_wal_seq(self):
         state = make_state()

@@ -112,16 +112,41 @@ class TestRepair:
             wal.scan_segments(tmp_path, mode="verify")
         assert path.stat().st_size == size
 
-    def test_bad_magic_drops_segment(self, tmp_path):
-        write_log(tmp_path, [b"a"])
-        (_, path), = wal.list_segments(tmp_path)
-        data = bytearray(path.read_bytes())
-        data[0] ^= 0xFF
-        path.write_bytes(bytes(data))
+    @pytest.mark.parametrize(
+        "at, match", [(0, "bad segment magic"), (len(wal.MAGIC), "unsupported WAL segment version")],
+        ids=["magic", "version"],
+    )
+    def test_an_unreadable_header_is_refused_and_kept(self, tmp_path, at, match):
+        """A complete header repair cannot read is not a torn tail: it
+        raises, and neither that segment nor a later one is touched."""
+        write_log(tmp_path, [bytes(64) for _ in range(10)], segment_bytes=256)
+        segments = wal.list_segments(tmp_path)
+        assert len(segments) >= 3
+        _, victim = segments[1]
+        data = bytearray(victim.read_bytes())
+        data[at] ^= 0x01
+        victim.write_bytes(bytes(data))
+        before = {path: path.read_bytes() for _, path in segments}
+        for mode in ("repair", "verify"):
+            with pytest.raises(CorruptLogError, match=match):
+                wal.scan_segments(tmp_path, mode=mode)
+        assert {path: path.read_bytes() for _, path in wal.list_segments(tmp_path)} == before
+
+    def test_a_short_last_segment_is_a_torn_tail(self, tmp_path):
+        write_log(tmp_path, [b"a", b"b"])
+        torn = tmp_path / wal.segment_name(3)
+        torn.write_bytes(wal.encode_header(3)[:-2])  # a crash mid-rotation
         scan = wal.scan_segments(tmp_path, mode="repair")
-        assert scan.records == []
-        assert scan.dropped_segments == 1
-        assert not path.exists()
+        assert [body for _, body in scan.records] == [b"a", b"b"]
+        assert scan.dropped_segments == 1 and not torn.exists()
+
+    def test_a_short_segment_before_another_is_refused(self, tmp_path):
+        write_log(tmp_path, [bytes(64) for _ in range(10)], segment_bytes=256)
+        (_, victim), *_ = wal.list_segments(tmp_path)[1:]
+        victim.write_bytes(victim.read_bytes()[: wal.HEADER_BYTES - 1])
+        with pytest.raises(CorruptLogError, match="shorter than its header"):
+            wal.scan_segments(tmp_path, mode="repair")
+        assert victim.stat().st_size == wal.HEADER_BYTES - 1
 
 
 class TestFsyncAndGc:

@@ -1,11 +1,15 @@
-"""Property-based fuzzing of the WAL reader (satellite requirement).
+"""Property-based fuzzing of the WAL reader.
 
 For any append history and any single corruption — truncation at an
 arbitrary byte, a bit flip anywhere, or a duplicated record frame — the
 repair scan must return a clean *prefix* of the history (never garbage,
 never an unhandled exception), and the repaired directory must then
-pass a strict verify scan.  The verify scan itself must either accept
-the log or raise :class:`CorruptLogError`, nothing else.
+pass a strict verify scan.  The one exception is a flip inside a
+segment header: one in the magic or version bytes must make repair
+raise :class:`CorruptLogError` (a header it cannot read is not a torn
+tail), one in the base sequence may, and a raising repair modifies
+nothing.  The verify scan itself must either accept the log or raise
+:class:`CorruptLogError`, nothing else.
 """
 
 import shutil
@@ -29,7 +33,8 @@ def build_log(directory: Path, bodies, segment_bytes=160):
 
 
 def corrupt(directory: Path, kind: str, position: int, bit: int, bodies):
-    """Apply one corruption to the on-disk segment byte stream."""
+    """Apply one corruption to the on-disk segment byte stream; a flip
+    returns its offset inside the segment it hit."""
     segments = wal.list_segments(directory)
     sizes = [path.stat().st_size for _, path in segments]
     total = sum(sizes)
@@ -40,7 +45,7 @@ def corrupt(directory: Path, kind: str, position: int, bit: int, bodies):
                 data = bytearray(path.read_bytes())
                 data[offset] ^= 1 << (bit % 8)
                 path.write_bytes(bytes(data))
-                return
+                return offset
             offset -= size
     elif kind == "truncate":
         # Model a crash losing an arbitrary tail of the byte stream.
@@ -70,7 +75,7 @@ def test_repair_always_recovers_a_clean_prefix(bodies, kind, position, bit):
     workdir = Path(tempfile.mkdtemp(prefix="walfuzz-"))
     try:
         build_log(workdir, bodies)
-        corrupt(workdir, kind, position, bit, bodies)
+        flipped = corrupt(workdir, kind, position, bit, bodies)
 
         # Verify mode: accepts or raises CorruptLogError — never crashes,
         # never modifies.
@@ -85,7 +90,15 @@ def test_repair_always_recovers_a_clean_prefix(bodies, kind, position, bit):
 
         # Repair mode: the surviving records are a contiguous prefix of
         # the appended history, byte-for-byte.
-        scan = wal.scan_segments(workdir, mode="repair")
+        try:
+            scan = wal.scan_segments(workdir, mode="repair")
+        except CorruptLogError:
+            assert flipped is not None and flipped < wal.HEADER_BYTES
+            assert sizes == {
+                p: p.stat().st_size for _, p in wal.list_segments(workdir)
+            }
+            return
+        assert flipped is None or flipped > len(wal.MAGIC)
         recovered = [body for _, body in scan.records]
         assert recovered == bodies[: len(recovered)]
         assert [seq for seq, _ in scan.records] == list(

@@ -46,17 +46,6 @@ class TestFig9bHierarchy:
         encrypt = SECURE_TOKEN.crypto_time(self.RESULT)
         assert encrypt < decrypt / 10
 
-    def test_partition_processing_time_is_sum(self):
-        total = SECURE_TOKEN.partition_processing_time(self.PARTITION, self.RESULT)
-        parts = (
-            SECURE_TOKEN.transfer_time(self.PARTITION)
-            + SECURE_TOKEN.crypto_time(self.PARTITION)
-            + SECURE_TOKEN.cpu_time(self.PARTITION)
-            + SECURE_TOKEN.crypto_time(self.RESULT)
-            + SECURE_TOKEN.transfer_time(self.RESULT)
-        )
-        assert total == pytest.approx(parts)
-
     def test_tuple_time_near_paper_constant(self):
         # The paper uses Tt = 16 µs for st = 16 B; our model (which also
         # charges CPU conversion work) lands in the same range.

@@ -295,30 +295,41 @@ class TestGoldenBytes:
         assert [[seq, bytes(body).hex()] for seq, body in records] == GOLDEN["wal"]
         assert [head.count, head.head.hex()] == GOLDEN["commitment"]
 
-    def test_a_data_dir_written_by_an_older_build_is_refused_untouched(self, tmp_path):
-        """``parent_data_dir``: snapshots of version 1 and a WAL of version
-        1 holding per-item partials and rows, and a record 2.  Opening
-        it, verifying it, and opening its log alone (no snapshot to
-        refuse first) each raise a typed error naming the version, and
-        no file of it is cut, dropped or rewritten."""
+    @staticmethod
+    def _copy_of_parent_data_dir(tmp_path):
         data_dir = tmp_path / "data"
         shutil.copytree(capture.DATA_DIR, data_dir)
+        return data_dir
 
-        def files():
-            return {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
+    @staticmethod
+    def _files(data_dir):
+        return {p: p.read_bytes() for p in data_dir.rglob("*") if p.is_file()}
 
-        before = files()
+    def test_an_older_builds_data_dir_is_refused_untouched(self, tmp_path):
+        """``parent_data_dir``: snapshots of version 1 and a WAL of version
+        1 holding per-item partials and rows, and a record 2.  Opening
+        it and verifying it each raise a typed error naming the version,
+        and no file of it is cut, dropped or rewritten."""
+        data_dir = self._copy_of_parent_data_dir(tmp_path)
+        before = self._files(data_dir)
         with pytest.raises(CorruptLogError, match="unsupported snapshot version 1"):
             DurableStore.open(data_dir)
         with pytest.raises(CorruptLogError, match="unsupported WAL segment version 1"):
             verify_data_dir(data_dir)
-        assert files() == before
+        assert self._files(data_dir) == before
+
+    def test_an_older_builds_log_alone_is_refused_untouched(self, tmp_path):
+        """The same log without its snapshots, so no snapshot is refused
+        first: the WAL header's version is, by ``open`` and by
+        ``repro verify-log``, and the log is not cut or dropped."""
+        data_dir = self._copy_of_parent_data_dir(tmp_path)
         shutil.rmtree(data_dir / "snapshots")
-        before = files()
+        before = self._files(data_dir)
         with pytest.raises(CorruptLogError, match="unsupported WAL segment version 1"):
             DurableStore.open(data_dir)
-        assert files() == before
+        assert self._files(data_dir) == before
         assert cli.main(["verify-log", "--data-dir", str(data_dir)]) == 1
+        assert self._files(data_dir) == before
 
 
 # ---------------------------------------------------------------------- #

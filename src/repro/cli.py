@@ -233,14 +233,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
         retry_after=args.admission_retry_after,
     )
 
-    async def _serve() -> None:
-        store = None
-        if args.data_dir is not None:
-            from repro.store import DurableStore
+    store = None
+    if args.data_dir is not None:
+        from repro.exceptions import StoreError
+        from repro.store import DurableStore
 
-            store = DurableStore.open(
-                args.data_dir, fsync_policy=args.fsync_policy
-            )
+        try:
+            store = DurableStore.open(args.data_dir, fsync_policy=args.fsync_policy)
+        except StoreError as exc:
+            # Refused in one line, before any port is bound.
+            print(f"serve FAILED: {exc}", file=sys.stderr)
+            return 1
+
+    async def _serve() -> None:
+        if store is not None:
             recovered = store.recovered
             dispatcher = SSIDispatcher.with_store(
                 store,

@@ -172,14 +172,7 @@ class AsyncSSIClient:
                 return self._unwrap(body)
             except (TransportError, TimeoutError, AdmissionError) as exc:
                 if isinstance(exc, TimeoutError):
-                    # The request was abandoned mid-flight.  On the
-                    # pipelined TCP transport the timed-out correlation
-                    # id is already dropped and the stream stays up, so
-                    # reset() is a no-op; transports without response
-                    # routing use it to discard connection state so the
-                    # retry starts on a clean stream.
                     _c_timeouts.inc()
-                    await self.transport.reset()
                 if attempt >= self.policy.max_retries:
                     raise
                 delay = self.policy.delay(attempt, self._rng)

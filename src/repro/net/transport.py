@@ -36,12 +36,6 @@ class Transport:
     async def request(self, message: bytes) -> bytes:
         raise NotImplementedError
 
-    async def reset(self) -> None:
-        """Discard any connection state so the next request starts on a
-        clean stream.  Called by the client after a request is abandoned
-        mid-flight (timeout); stateless transports need do nothing."""
-        return None
-
     async def close(self) -> None:  # pragma: no cover - trivial default
         return None
 
@@ -212,13 +206,6 @@ class TCPTransport(Transport):
         """Abruptly abandon the current connection (failure injection:
         'the TDS went offline mid-request')."""
         self._stream_failed("connection dropped")
-
-    async def reset(self) -> None:
-        """After a request timeout the pipelined stream is still healthy —
-        the timed-out correlation id was already dropped — so a reset is
-        deliberately a no-op.  Stream-level failures tear the connection
-        down from the connection's own callbacks instead."""
-        return None
 
     async def close(self) -> None:
         self._stream_failed("transport closed")

@@ -146,6 +146,14 @@ class CommitmentChain:
             return GENESIS_HEAD
         return self._heads[count - 1]
 
+    def commits_to(self, seq: int, body: bytes | Sequence[bytes]) -> bool:
+        """Whether this chain's record *seq* is *body*: the head after it
+        is the step from the head before it with this record's leaf."""
+        if not 1 <= seq <= len(self._heads):
+            return False
+        prev = self._heads[seq - 2] if seq > 1 else GENESIS_HEAD
+        return chain_step(prev, record_digest(seq, body)) == self._heads[seq - 1]
+
     def commitment(self) -> Commitment:
         return Commitment(count=self.count, head=self.head)
 

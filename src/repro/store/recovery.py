@@ -2,10 +2,12 @@
 
 Startup sequence (``DurableStore.open``):
 
-1. load the newest retained snapshot that passes verification (the
-   previous generation is the fallback — snapshots are written
-   atomically, but the disk the untrusted operator runs may not be);
-2. scan the WAL in *repair* mode (torn tails truncated, prefix kept);
+1. load the newest retained snapshot that passes verification, the
+   sequence in its file name included (the previous generation is the
+   fallback — snapshots are written atomically, but the disk the
+   untrusted operator runs may not be);
+2. scan the WAL in *repair* mode (a torn tail of the last segment cut,
+   a fault anywhere else refused);
 3. rebuild a fresh :class:`SupportingServerInfrastructure` from the
    snapshot, then replay every WAL record past the snapshot's sequence
    through the normal SSI methods with journaling disabled — replay is
@@ -13,8 +15,12 @@ Startup sequence (``DurableStore.open``):
    idempotent (closed-collection drops, transition-only close/publish,
    the journaled watermark/ahead dedup state);
 4. extend the commitment chain restored from the snapshot with the
-   replayed records and check it is contiguous — a WAL that skips
+   records past it (:func:`_chain_past_snapshot`) — a WAL that skips
    records the chain covers is corruption, not recoverable state.
+
+``verify_data_dir`` (``repro verify-log``) reads a data dir through the
+same snapshot loader and the same chain walk, so it cannot pass a dir
+``open`` would refuse.
 
 Recovery invariants:
 
@@ -50,13 +56,7 @@ from repro.ssi.server import SupportingServerInfrastructure
 from repro.store import records as store_records
 from repro.store import snapshot as store_snapshot
 from repro.store import wal as store_wal
-from repro.store.commitment import (
-    GENESIS_HEAD,
-    Commitment,
-    CommitmentChain,
-    chain_step,
-    record_digest,
-)
+from repro.store.commitment import Commitment, CommitmentChain, record_digest
 from repro.store.records import StoreJournal, WalRecord
 from repro.store.snapshot import SnapshotState
 
@@ -134,6 +134,24 @@ def _restore_snapshot(
             ssi.close_collection(query_id)
         if q.result_ready:
             ssi.publish_result(query_id)
+
+
+def _chain_past_snapshot(
+    chain: CommitmentChain, scan: store_wal.ScanResult
+) -> list[tuple[int, bytes]]:
+    """Extend *chain*, restored from a snapshot, with the scanned records
+    past its end, and return them.  The log must continue the chain
+    with no gap; the records the snapshot covers are skipped unread."""
+    past = [(seq, body) for seq, body in scan.records if seq > chain.count]
+    resume = past[0][0] if past else scan.next_seq
+    if resume > chain.count + 1:
+        raise CorruptLogError(
+            f"WAL resumes at seq {resume} but the snapshot chain ends at "
+            f"{chain.count}: records are missing in between"
+        )
+    for seq, body in past:
+        chain.append(seq, body)
+    return past
 
 
 def _apply_record(
@@ -222,77 +240,53 @@ class DurableStore:
 
         state = SnapshotState()
         snapshots = store_snapshot.list_snapshots(snap_dir)
-        fallbacks = 0
-        loaded = False
-        failure: CorruptLogError | None = None
+        failures: list[CorruptLogError] = []
         for _, path in reversed(snapshots):
             try:
                 state = store_snapshot.load_snapshot(path)
+                break
             except CorruptLogError as exc:
                 # Fall back to the previous generation; the records
                 # between it and the corrupt snapshot are still in the
                 # WAL (GC only trims below the *oldest* retained one).
-                fallbacks += 1
-                failure = failure or exc
-                continue
-            loaded = True
-            break
-        if snapshots and not loaded:
+                failures.append(exc)
+        if snapshots and len(failures) == len(snapshots):
             raise CorruptLogError(
                 f"every retained snapshot failed verification (newest: "
-                f"{failure}); refusing to restart from an empty state (the "
+                f"{failures[0]}); refusing to restart from an empty state (the "
                 "WAL alone may not reach back far enough)"
             )
 
         scan = store_wal.scan_segments(wal_dir, mode="repair")
         chain = CommitmentChain(state.chain_heads)
+        past = _chain_past_snapshot(chain, scan)
         ssi = SupportingServerInfrastructure()
         out = RecoveredState(
             ssi=ssi,
+            replayed_records=len(past),
             snapshot_seq=state.wal_seq,
             truncated_bytes=scan.truncated_bytes,
-            snapshot_fallbacks=fallbacks,
+            snapshot_fallbacks=len(failures),
         )
         out.idempotency.restore(state.applied_seq, state.applied_ahead)
         _restore_snapshot(ssi, state)
-        for seq, body in scan.records:
-            if seq <= state.wal_seq:
-                continue
-            if seq != chain.count + 1:
-                raise CorruptLogError(
-                    f"WAL resumes at seq {seq} but the snapshot chain ends "
-                    f"at {chain.count}: records are missing in between"
-                )
-            chain.append(seq, body)
+        for _, body in past:
             _apply_record(ssi, store_records.decode_record(body), out)
-            out.replayed_records += 1
 
-        last_wal_seq = scan.next_seq - 1
-        if last_wal_seq < state.wal_seq:
+        if scan.next_seq - 1 < state.wal_seq:
             # Snapshot is ahead of every surviving WAL record (segments
             # GC'd, or a torn tail ate acked-but-snapshotted records).
             # The stale segments are fully covered by the snapshot;
             # remove them so the writer's next segment stays contiguous.
             for path in scan.segments:
                 path.unlink()
-        next_seq = max(scan.next_seq, state.wal_seq + 1)
-        if chain.count != next_seq - 1:
-            raise CorruptLogError(
-                f"commitment chain covers {chain.count} records but the "
-                f"next WAL sequence is {next_seq}"
-            )
 
         # A brand-new directory is a clean start, not a recovery.
-        fresh = not snapshots and not scan.segments and not scan.records
-        out.clean = (
-            (state.clean or fresh)
-            and out.replayed_records == 0
-            and scan.truncated_bytes == 0
-            and scan.dropped_segments == 0
-        )
+        fresh = not snapshots and not scan.segments
+        out.clean = (state.clean or fresh) and not past and not scan.repaired
 
         writer = store_wal.WalWriter(
-            wal_dir, next_seq=next_seq, segment_bytes=segment_bytes
+            wal_dir, next_seq=chain.count + 1, segment_bytes=segment_bytes
         )
         return cls(
             data_dir,
@@ -459,52 +453,32 @@ def verify_data_dir(data_dir: str | Path) -> dict[str, object]:
     """Strict integrity check of a data directory; raises
     :class:`CorruptLogError` on the first violation, modifies nothing.
 
-    Checks: WAL framing/CRC/contiguity, record decodability, snapshot
-    framing/CRC for *every* retained snapshot, and that the WAL records
-    agree byte-for-byte with the newest snapshot's commitment chain
-    (overlapping records must reproduce the persisted heads; records
-    past the snapshot must extend the chain contiguously)."""
+    Checks what ``open`` checks, with the same snapshot loader and chain
+    walk — WAL framing/CRC/contiguity and records past the newest
+    snapshot extending its chain with no gap — and more: *every*
+    retained snapshot must load, every record must decode, and the
+    records the newest snapshot covers must reproduce its heads."""
     data_dir = Path(data_dir)
     scan = store_wal.scan_segments(data_dir / WAL_SUBDIR, mode="verify")
     snapshots = store_snapshot.list_snapshots(data_dir / SNAPSHOT_SUBDIR)
-    latest: SnapshotState | None = None
-    for file_seq, path in snapshots:
-        state = store_snapshot.load_snapshot(path)
-        if state.wal_seq != file_seq:
-            raise CorruptLogError(
-                f"{path.name} claims WAL seq {state.wal_seq} in its payload"
-            )
-        latest = state
-    heads = latest.chain_heads if latest is not None else []
-    snap_seq = latest.wal_seq if latest is not None else 0
-    count = snap_seq
-    head = heads[-1] if heads else GENESIS_HEAD
-    first_unseen = snap_seq + 1
+    latest = SnapshotState()
+    for _, path in snapshots:
+        latest = store_snapshot.load_snapshot(path)
+    chain = CommitmentChain(latest.chain_heads)
     for seq, body in scan.records:
         store_records.decode_record(body)
-        leaf = record_digest(seq, body)
-        if seq <= snap_seq:
-            prev = heads[seq - 2] if seq >= 2 else GENESIS_HEAD
-            if chain_step(prev, leaf) != heads[seq - 1]:
-                raise CorruptLogError(
-                    f"WAL record {seq} disagrees with the snapshot's "
-                    "commitment chain"
-                )
-        else:
-            if seq != first_unseen:
-                raise CorruptLogError(
-                    f"WAL resumes at seq {seq} but the snapshot chain ends "
-                    f"at {first_unseen - 1}"
-                )
-            head = chain_step(head, leaf)
-            count += 1
-            first_unseen += 1
+        if seq <= latest.wal_seq and not chain.commits_to(seq, body):
+            raise CorruptLogError(
+                f"WAL record {seq} disagrees with the snapshot's "
+                "commitment chain"
+            )
+    _chain_past_snapshot(chain, scan)
     return {
         "wal_segments": len(scan.segments),
         "wal_records": len(scan.records),
         "snapshots": len(snapshots),
-        "snapshot_seq": snap_seq,
-        "commitment_count": count,
-        "commitment_head": head.hex(),
-        "clean": bool(latest.clean) if latest is not None else False,
+        "snapshot_seq": latest.wal_seq,
+        "commitment_count": chain.count,
+        "commitment_head": chain.head.hex(),
+        "clean": latest.clean,
     }

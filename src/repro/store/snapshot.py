@@ -38,6 +38,7 @@ from repro.net import frames
 from repro.net.frames import QueryMeta, Reader, Writer
 from repro.ssi.storage import QueryStorage
 from repro.store.commitment import DIGEST_BYTES
+from repro.store.wal import list_numbered, numbered_file
 
 MAGIC = b"RSNP"
 #: v2: partials and result rows are block lists like the collected
@@ -76,17 +77,7 @@ def snapshot_name(wal_seq: int) -> str:
 
 def list_snapshots(directory: Path) -> list[tuple[int, Path]]:
     """(wal_seq, path) for every snapshot file, oldest first."""
-    found = []
-    if directory.is_dir():
-        for path in directory.iterdir():
-            name = path.name
-            if not (name.startswith(_PREFIX) and name.endswith(_SUFFIX)):
-                continue
-            digits = name[len(_PREFIX) : -len(_SUFFIX)]
-            if digits.isdigit():
-                found.append((int(digits), path))
-    found.sort()
-    return found
+    return list_numbered(directory, _PREFIX, _SUFFIX)
 
 
 # --------------------------------------------------------------------- #
@@ -243,7 +234,15 @@ def write_snapshot(directory: Path, state: SnapshotState) -> Path:
 
 
 def load_snapshot(path: Path) -> SnapshotState:
-    return decode_snapshot(path.read_bytes())
+    """Read and check one snapshot file, its name included: WAL GC
+    trusts the sequence in the name, so it must be the payload's."""
+    try:
+        state = decode_snapshot(path.read_bytes())
+    except CorruptLogError as exc:
+        raise CorruptLogError(f"{path.name}: {exc}") from None
+    if state.wal_seq != numbered_file(path, _PREFIX, _SUFFIX):
+        raise CorruptLogError(f"{path.name} claims WAL seq {state.wal_seq} in its payload")
+    return state
 
 
 def prune_snapshots(directory: Path, keep: int = KEEP_SNAPSHOTS) -> int:

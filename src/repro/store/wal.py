@@ -23,18 +23,17 @@ frame means a byte-duplicated record (a valid frame repeated by a
 buggy disk layer or an attacker) fails the contiguity check instead of
 silently double-applying.
 
-Two read modes:
-
-* ``repair`` (startup): the log is trusted up to the first bad record —
-  the bad record and everything after it (including later segments) is
-  discarded, mirroring a torn write at crash time, and so is a last
-  segment whose header was never completed.  Recovery always yields a
-  *prefix* of the appended history.  A complete segment header it cannot
-  read (bad magic, another format version), or a segment with nothing
-  valid before a later one, is not a torn tail: it raises
-  :class:`~repro.exceptions.CorruptLogError` and nothing is modified.
-* ``verify`` (``repro verify-log``): any violation raises
-  :class:`~repro.exceptions.CorruptLogError` — nothing is modified.
+One repair rule: a crash can only damage the end of the log, so only
+the last segment can hold a torn tail.  ``repair`` (startup) truncates
+the last segment at its first bad record, or removes it when it is
+shorter than its header (a crash mid-rotation); recovery therefore
+always yields a *prefix* of the appended history.  Any other fault —
+a bad record or header in an earlier segment, or a complete header
+repair cannot read (bad magic, another format version, a base sequence
+other than its file name's or the previous segment's end) — raises :class:`~repro.exceptions.CorruptLogError`
+and modifies nothing: a damaged older segment stops the start instead
+of costing every acknowledged record after it.  ``verify``
+(``repro verify-log``) raises on any fault and modifies nothing.
 
 Write path: segments are raw unbuffered :class:`io.FileIO` streams, so
 ``write()`` from the event-loop thread and ``os.fsync()`` from an
@@ -78,26 +77,27 @@ def segment_name(base_seq: int) -> str:
     return f"{_SEGMENT_PREFIX}{base_seq:016d}{_SEGMENT_SUFFIX}"
 
 
-def _segment_base(path: Path) -> int | None:
+def numbered_file(path: Path, prefix: str, suffix: str) -> int | None:
+    """The number in a ``<prefix><digits><suffix>`` file name, else None."""
     name = path.name
-    if not (name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)):
-        return None
-    digits = name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
-    if not digits.isdigit():
-        return None
-    return int(digits)
+    digits = name[len(prefix) : -len(suffix)]
+    if name.startswith(prefix) and name.endswith(suffix) and digits.isdigit():
+        return int(digits)
+    return None
+
+
+def list_numbered(directory: Path, prefix: str, suffix: str) -> list[tuple[int, Path]]:
+    """(number, path) for every ``<prefix><digits><suffix>`` file in
+    *directory*, in number order — WAL segments and snapshots alike."""
+    if not directory.is_dir():
+        return []
+    found = [(numbered_file(path, prefix, suffix), path) for path in directory.iterdir()]
+    return sorted((number, path) for number, path in found if number is not None)
 
 
 def list_segments(directory: Path) -> list[tuple[int, Path]]:
     """(base_seq, path) for every segment file, in sequence order."""
-    found = []
-    if directory.is_dir():
-        for path in directory.iterdir():
-            base = _segment_base(path)
-            if base is not None:
-                found.append((base, path))
-    found.sort()
-    return found
+    return list_numbered(directory, _SEGMENT_PREFIX, _SEGMENT_SUFFIX)
 
 
 def encode_record(seq: int, body: bytes) -> bytes:
@@ -124,15 +124,15 @@ class ScanResult:
     next_seq: int = 1
     #: bytes discarded by torn-tail repair (0 under ``verify``)
     truncated_bytes: int = 0
-    #: segment files dropped entirely by repair
-    dropped_segments: int = 0
+    #: whether repair cut the last segment or removed it
+    repaired: bool = False
     #: segment files that survived the scan, in order
     segments: list[Path] = field(default_factory=list)
 
 
 class _Corruption(Exception):
     """Internal scan signal: (reason, valid_bytes_in_current_segment);
-    ``torn`` is False for a complete header repair must not cut."""
+    ``torn`` is False for a complete header, which no crash leaves."""
 
     def __init__(self, reason: str, valid_bytes: int, torn: bool = True) -> None:
         super().__init__(reason)
@@ -142,7 +142,7 @@ class _Corruption(Exception):
 
 
 def _scan_segment(
-    data: bytes, expected_seq: int | None
+    data: bytes, expected_seq: int
 ) -> tuple[list[tuple[int, bytes]], int]:
     """Parse one segment's bytes; returns (records, next expected seq).
     Raises :class:`_Corruption` at the first violation, reporting how
@@ -158,9 +158,9 @@ def _scan_segment(
             f"{WAL_VERSION})", 0, torn=False,
         )
     (base_seq,) = struct.unpack(">Q", data[len(MAGIC) + 1 : HEADER_BYTES])
-    if expected_seq is not None and base_seq != expected_seq:
+    if base_seq != expected_seq:
         raise _Corruption(
-            f"segment base seq {base_seq}, expected {expected_seq}", 0
+            f"segment base seq {base_seq}, expected {expected_seq}", 0, torn=False
         )
     seq = base_seq
     pos = HEADER_BYTES
@@ -194,45 +194,35 @@ def _scan_segment(
 def scan_segments(directory: Path, mode: str = "repair") -> ScanResult:
     """Read every record from a WAL directory.
 
-    ``mode="repair"`` truncates a torn tail (and unlinks any segments
-    after it) and raises :class:`CorruptLogError` on anything else;
-    ``mode="verify"`` raises on any violation.  Neither modifies a log
-    it raises on.
+    ``mode="repair"`` cuts a torn tail from the last segment — at its
+    first bad record, or the whole file when it is shorter than its
+    header — and raises :class:`CorruptLogError` on a fault anywhere
+    else; ``mode="verify"`` raises on any fault.  Neither modifies a
+    log it raises on.
     """
     if mode not in ("repair", "verify"):
         raise StoreError(f"unknown WAL scan mode {mode!r}")
     result = ScanResult()
     segments = list_segments(directory)
-    expected: int | None = None
-    for index, (base, path) in enumerate(segments):
+    # The first segment's header carries the base its name was made from;
+    # each later one starts where the one before it ended.
+    expected = segments[0][0] if segments else 1
+    for index, (_, path) in enumerate(segments):
         data = path.read_bytes()
         try:
             records, next_seq = _scan_segment(data, expected)
         except _Corruption as exc:
-            # a segment with nothing valid is a torn tail only when last
-            torn = exc.torn and (exc.valid_bytes > 0 or index + 1 == len(segments))
-            if mode == "verify" or not torn:
+            if mode == "verify" or not exc.torn or index + 1 < len(segments):
                 raise CorruptLogError(f"{path.name}: {exc.reason}") from None
-            # Torn-tail repair: keep the valid prefix of this segment,
-            # drop the rest of it and every later segment.
-            result.truncated_bytes += len(data) - exc.valid_bytes
+            # Torn-tail repair: keep the valid prefix of the last segment.
+            result.truncated_bytes = len(data) - exc.valid_bytes
+            result.repaired = True
             if exc.valid_bytes == 0:
                 path.unlink()
-                result.dropped_segments += 1
-            else:
-                with open(path, "r+b") as fh:
-                    fh.truncate(exc.valid_bytes)
-                result.segments.append(path)
-                partial, next_seq = _scan_segment(
-                    data[: exc.valid_bytes], expected
-                )
-                result.records.extend(partial)
-                result.next_seq = next_seq
-            for _, later in segments[index + 1 :]:
-                result.truncated_bytes += later.stat().st_size
-                later.unlink()
-                result.dropped_segments += 1
-            return result
+                break
+            with open(path, "r+b") as fh:
+                fh.truncate(exc.valid_bytes)
+            records, next_seq = _scan_segment(data[: exc.valid_bytes], expected)
         result.records.extend(records)
         result.segments.append(path)
         result.next_seq = next_seq

@@ -32,6 +32,7 @@ from repro.obs import metrics as obs_metrics
 from repro.ssi.server import SupportingServerInfrastructure
 from repro.store import DurableStore, scan_segments, verify_data_dir
 from repro.store.commitment import Commitment
+from tests.store.test_wal import serve_refusal
 
 from .conftest import run_async
 from .golden import capture
@@ -329,6 +330,15 @@ class TestGoldenBytes:
             DurableStore.open(data_dir)
         assert self._files(data_dir) == before
         assert cli.main(["verify-log", "--data-dir", str(data_dir)]) == 1
+        assert self._files(data_dir) == before
+
+    def test_serve_refuses_an_older_builds_dir_in_one_line(self, tmp_path):
+        """``repro serve`` on the same dir prints one ``serve FAILED``
+        line naming the snapshot version and exits 1, before binding a
+        port and without touching a file."""
+        data_dir = self._copy_of_parent_data_dir(tmp_path)
+        before = self._files(data_dir)
+        assert "unsupported snapshot version 1" in serve_refusal(data_dir)
         assert self._files(data_dir) == before
 
 

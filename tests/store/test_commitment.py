@@ -82,6 +82,15 @@ class TestChain:
             head = chain_step(head, record_digest(seq, body))
             assert chain.append(seq, body) == head
 
+    def test_a_restored_chain_commits_to_its_records_only(self):
+        """What ``verify-log`` checks the records a snapshot covers by."""
+        chain = CommitmentChain(build_chain().heads())
+        for seq, body in RECORDS:
+            assert chain.commits_to(seq, body)
+            assert not chain.commits_to(seq, body + b"\x00")
+        assert not chain.commits_to(0, b"")
+        assert not chain.commits_to(len(RECORDS) + 1, b"")
+
 
 class TestWire:
     def test_roundtrip(self):

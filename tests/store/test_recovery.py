@@ -257,7 +257,10 @@ class TestSnapshotsAndGc:
         assert reopened_after.commitment() == head_before
         reopened_after.close()
 
-    def test_corrupt_newest_snapshot_falls_back(self, tmp_path):
+    @staticmethod
+    def _two_snapshots(tmp_path):
+        """A store whose WAL holds every record, behind two snapshots;
+        returns it (closed) and the snapshot files, oldest first."""
         store = DurableStore.open(tmp_path, snapshot_every=1)
         populate(store, tuples=2)
 
@@ -283,7 +286,10 @@ class TestSnapshotsAndGc:
 
         snaps = store_snapshot.list_snapshots(tmp_path / SNAPSHOT_SUBDIR)
         assert len(snaps) == 2
-        newest = snaps[-1][1]
+        return store, [path for _, path in snaps]
+
+    def test_corrupt_newest_snapshot_falls_back(self, tmp_path):
+        store, (_, newest) = self._two_snapshots(tmp_path)
         data = bytearray(newest.read_bytes())
         data[len(data) // 2] ^= 0x01
         newest.write_bytes(bytes(data))
@@ -291,6 +297,23 @@ class TestSnapshotsAndGc:
         reopened = DurableStore.open(tmp_path)
         # Fallback to the older snapshot; WAL records past it replayed.
         assert reopened.recovered.snapshot_fallbacks == 1
+        assert "q1" in reopened.recovered.ssi.storage_map()
+        assert reopened.commitment() == store.commitment()
+        reopened.close()
+
+    def test_a_snapshot_named_for_another_seq_is_a_fallback(self, tmp_path):
+        """WAL GC trusts the sequence in a snapshot's file name, so one
+        whose name disagrees with its payload is not loaded: ``open``
+        falls back a generation and ``verify_data_dir`` refuses."""
+        store, (_, newest) = self._two_snapshots(tmp_path)
+        renamed = newest.with_name(store_snapshot.snapshot_name(store.last_seq + 5))
+        newest.rename(renamed)
+
+        with pytest.raises(CorruptLogError, match=f"{renamed.name} claims WAL seq"):
+            verify_data_dir(tmp_path)
+        reopened = DurableStore.open(tmp_path)
+        assert reopened.recovered.snapshot_fallbacks == 1
+        assert reopened.recovered.replayed_records > 0
         assert "q1" in reopened.recovered.ssi.storage_map()
         assert reopened.commitment() == store.commitment()
         reopened.close()

@@ -1,12 +1,45 @@
 """WAL framing, rotation, torn-tail repair and segment GC."""
 
+import hashlib
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.exceptions import CorruptLogError, StoreError
-from repro.store import wal
+from repro.store import DurableStore, verify_data_dir, wal
+from repro.store.recovery import WAL_SUBDIR
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def serve_refusal(data_dir):
+    """Run ``repro serve --data-dir`` on a dir it must refuse; returns
+    its one stderr line after checking it exited 1 without listening."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--data-dir", str(data_dir)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 1
+    assert "listening" not in proc.stdout
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("serve FAILED: ")
+    return line
+
+
+def file_hashes(directory):
+    return {
+        path: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in directory.rglob("*")
+        if path.is_file()
+    }
 
 
 def write_log(directory, bodies, segment_bytes=wal.DEFAULT_SEGMENT_BYTES):
@@ -72,23 +105,32 @@ class TestRepair:
         # Repair leaves a log that verifies clean.
         wal.scan_segments(tmp_path, mode="verify")
 
-    def test_bit_flip_drops_suffix_and_later_segments(self, tmp_path):
-        write_log(tmp_path, [bytes(64) for _ in range(50)], segment_bytes=256)
-        segments = wal.list_segments(tmp_path)
+    def test_a_flip_in_an_older_segment_is_refused_untouched(self, tmp_path):
+        """Only the last segment can hold a torn tail: one flipped byte in
+        segment 2 of many is refused by both scan modes, by ``open``, by
+        ``verify_data_dir`` and by ``repro verify-log`` and ``serve``,
+        each naming the segment, and no file is cut, dropped or
+        rewritten."""
+        wal_dir = tmp_path / WAL_SUBDIR
+        write_log(wal_dir, [bytes(64) for _ in range(50)], segment_bytes=256)
+        segments = wal.list_segments(wal_dir)
         assert len(segments) >= 3
         _, victim = segments[1]
         data = bytearray(victim.read_bytes())
-        data[wal.HEADER_BYTES + 12] ^= 0xFF  # first record's body
+        data[wal.HEADER_BYTES + 20] ^= 0xFF  # first record's body
         victim.write_bytes(bytes(data))
-
-        scan = wal.scan_segments(tmp_path, mode="repair")
-        # Everything before the flipped record survives, nothing after.
-        assert scan.records
-        assert scan.next_seq == segments[1][0]
-        # The victim keeps its valid header (truncated in place); every
-        # later segment is dropped outright.
-        assert scan.dropped_segments == len(segments) - 2
-        wal.scan_segments(tmp_path, mode="verify")
+        before = file_hashes(tmp_path)
+        match = f"{victim.name}: CRC mismatch"
+        for mode in ("repair", "verify"):
+            with pytest.raises(CorruptLogError, match=match):
+                wal.scan_segments(wal_dir, mode=mode)
+        with pytest.raises(CorruptLogError, match=match):
+            DurableStore.open(tmp_path)
+        with pytest.raises(CorruptLogError, match=match):
+            verify_data_dir(tmp_path)
+        assert cli.main(["verify-log", "--data-dir", str(tmp_path)]) == 1
+        assert f"{victim.name}: CRC mismatch" in serve_refusal(tmp_path)
+        assert file_hashes(tmp_path) == before
 
     def test_duplicated_record_breaks_contiguity(self, tmp_path):
         write_log(tmp_path, [b"alpha", b"beta"])
@@ -132,13 +174,39 @@ class TestRepair:
                 wal.scan_segments(tmp_path, mode=mode)
         assert {path: path.read_bytes() for _, path in wal.list_segments(tmp_path)} == before
 
+    def test_a_first_segment_whose_base_is_not_its_name_is_refused(self, tmp_path):
+        """A flipped base sequence in the first (here the only) segment
+        is a complete header no crash writes, not a contiguity break at
+        its first record to cut there: its file name gives the base."""
+        write_log(tmp_path, [b"a", b"b"])
+        (_, path), = wal.list_segments(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[wal.HEADER_BYTES - 1] ^= 0x01  # base seq 1 -> 0
+        path.write_bytes(bytes(data))
+        for mode in ("repair", "verify"):
+            with pytest.raises(CorruptLogError, match="base seq 0, expected 1"):
+                wal.scan_segments(tmp_path, mode=mode)
+        assert path.read_bytes() == bytes(data)
+
     def test_a_short_last_segment_is_a_torn_tail(self, tmp_path):
         write_log(tmp_path, [b"a", b"b"])
         torn = tmp_path / wal.segment_name(3)
         torn.write_bytes(wal.encode_header(3)[:-2])  # a crash mid-rotation
         scan = wal.scan_segments(tmp_path, mode="repair")
         assert [body for _, body in scan.records] == [b"a", b"b"]
-        assert scan.dropped_segments == 1 and not torn.exists()
+        assert scan.repaired and not torn.exists()
+
+    @pytest.mark.parametrize("size", [0, wal.HEADER_BYTES - 1])
+    def test_removing_a_short_segment_is_no_clean_start(self, tmp_path, size):
+        """A crash right after the first segment was created leaves no
+        record, yet the start that removes the file is not clean — an
+        empty file included, which cuts no byte."""
+        torn = tmp_path / WAL_SUBDIR / wal.segment_name(1)
+        torn.parent.mkdir()
+        torn.write_bytes(wal.encode_header(1)[:size])
+        store = DurableStore.open(tmp_path)
+        assert not store.recovered.clean and not torn.exists()
+        store.close()
 
     def test_a_short_segment_before_another_is_refused(self, tmp_path):
         write_log(tmp_path, [bytes(64) for _ in range(10)], segment_bytes=256)

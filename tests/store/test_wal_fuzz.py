@@ -1,15 +1,18 @@
 """Property-based fuzzing of the WAL reader.
 
-For any append history and any single corruption — truncation at an
-arbitrary byte, a bit flip anywhere, or a duplicated record frame — the
-repair scan must return a clean *prefix* of the history (never garbage,
-never an unhandled exception), and the repaired directory must then
-pass a strict verify scan.  The one exception is a flip inside a
-segment header: one in the magic or version bytes must make repair
-raise :class:`CorruptLogError` (a header it cannot read is not a torn
-tail), one in the base sequence may, and a raising repair modifies
-nothing.  The verify scan itself must either accept the log or raise
-:class:`CorruptLogError`, nothing else.
+A crash can only damage the end of the log.  For any append history and
+any single corruption of its last segment — truncation at an arbitrary
+byte, a bit flip, or a duplicated record frame — the repair scan must
+return a clean *prefix* of the history (never garbage, never an
+unhandled exception), and the repaired directory must then pass a
+strict verify scan.  The exception is a flip in a segment header: it
+must make repair raise :class:`CorruptLogError` (a complete header it
+cannot read, or whose base sequence is not the one its file name or the
+segment before it gives, is not a torn tail).  A flip in any earlier
+segment must make repair raise too, and a raising repair modifies
+nothing.  The verify
+scan itself must either accept the log or raise :class:`CorruptLogError`,
+nothing else.
 """
 
 import shutil
@@ -33,8 +36,9 @@ def build_log(directory: Path, bodies, segment_bytes=160):
 
 
 def corrupt(directory: Path, kind: str, position: int, bit: int, bodies):
-    """Apply one corruption to the on-disk segment byte stream; a flip
-    returns its offset inside the segment it hit."""
+    """Apply one corruption to the on-disk segment byte stream; returns
+    a flip's offset inside the segment it hit (None for the other
+    kinds) and whether the damage is in the last segment."""
     segments = wal.list_segments(directory)
     sizes = [path.stat().st_size for _, path in segments]
     total = sum(sizes)
@@ -45,7 +49,7 @@ def corrupt(directory: Path, kind: str, position: int, bit: int, bodies):
                 data = bytearray(path.read_bytes())
                 data[offset] ^= 1 << (bit % 8)
                 path.write_bytes(bytes(data))
-                return offset
+                return offset, path == segments[-1][1]
             offset -= size
     elif kind == "truncate":
         # Model a crash losing an arbitrary tail of the byte stream.
@@ -62,6 +66,7 @@ def corrupt(directory: Path, kind: str, position: int, bit: int, bodies):
         seq = position % len(bodies) + 1
         with open(segments[-1][1], "ab") as fh:
             fh.write(wal.encode_record(seq, bodies[seq - 1]))
+    return None, True
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,30 +80,28 @@ def test_repair_always_recovers_a_clean_prefix(bodies, kind, position, bit):
     workdir = Path(tempfile.mkdtemp(prefix="walfuzz-"))
     try:
         build_log(workdir, bodies)
-        flipped = corrupt(workdir, kind, position, bit, bodies)
+        flipped, in_last = corrupt(workdir, kind, position, bit, bodies)
 
         # Verify mode: accepts or raises CorruptLogError — never crashes,
         # never modifies.
-        sizes = {p: p.stat().st_size for _, p in wal.list_segments(workdir)}
+        files = {p: p.read_bytes() for _, p in wal.list_segments(workdir)}
         try:
             wal.scan_segments(workdir, mode="verify")
         except CorruptLogError:
             pass
-        assert sizes == {
-            p: p.stat().st_size for _, p in wal.list_segments(workdir)
-        }
+        assert files == {p: p.read_bytes() for _, p in wal.list_segments(workdir)}
 
         # Repair mode: the surviving records are a contiguous prefix of
         # the appended history, byte-for-byte.
         try:
             scan = wal.scan_segments(workdir, mode="repair")
         except CorruptLogError:
-            assert flipped is not None and flipped < wal.HEADER_BYTES
-            assert sizes == {
-                p: p.stat().st_size for _, p in wal.list_segments(workdir)
-            }
+            assert flipped is not None
+            assert not in_last or flipped < wal.HEADER_BYTES
+            assert files == {p: p.read_bytes() for _, p in wal.list_segments(workdir)}
             return
-        assert flipped is None or flipped > len(wal.MAGIC)
+        assert in_last, "a flip outside the last segment was repaired"
+        assert flipped is None or flipped >= wal.HEADER_BYTES
         recovered = [body for _, body in scan.records]
         assert recovered == bodies[: len(recovered)]
         assert [seq for seq, _ in scan.records] == list(

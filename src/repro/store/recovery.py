@@ -342,7 +342,8 @@ class DurableStore:
         * ``batch``: returns immediately; a background flusher fsyncs on
           an interval.  Acks may precede durability by up to that
           interval — the documented weaker guarantee.
-        * ``none``: never fsyncs (benchmark baseline; page cache only).
+        * ``none``: no ack waits for an fsync (benchmark baseline; page
+          cache only); WAL rotation still syncs each retired segment.
         """
         if self.fsync_policy == "none":
             return

@@ -28,18 +28,21 @@ the last segment can hold a torn tail.  ``repair`` (startup) truncates
 the last segment at its first bad record, or removes it when it is
 shorter than its header (a crash mid-rotation); recovery therefore
 always yields a *prefix* of the appended history.  Any other fault —
-a bad record or header in an earlier segment, or a complete header
+a bad record or header in an earlier segment, a segment named for
+another sequence than the previous segment's end, or a complete header
 repair cannot read (bad magic, another format version, a base sequence
-other than its file name's or the previous segment's end) — raises :class:`~repro.exceptions.CorruptLogError`
+other than its file name's) — raises :class:`~repro.exceptions.CorruptLogError`
 and modifies nothing: a damaged older segment stops the start instead
 of costing every acknowledged record after it.  ``verify``
 (``repro verify-log``) raises on any fault and modifies nothing.
 
 Write path: segments are raw unbuffered :class:`io.FileIO` streams, so
 ``write()`` from the event-loop thread and ``os.fsync()`` from an
-executor thread never race over Python-level buffers.  Rotation keeps
-retired file objects open until the next fsync so a group commit covers
-every byte appended before it, whichever segment the bytes landed in.
+executor thread never race over Python-level buffers.  The repair rule
+holds only if a later segment implies that every earlier one is
+complete, so rotation fsyncs the segment it retires — or, on the first
+append after a restart, the log's last segment — before it creates the
+next one: one fsync per segment, whatever the fsync policy.
 """
 
 from __future__ import annotations
@@ -204,10 +207,14 @@ def scan_segments(directory: Path, mode: str = "repair") -> ScanResult:
         raise StoreError(f"unknown WAL scan mode {mode!r}")
     result = ScanResult()
     segments = list_segments(directory)
-    # The first segment's header carries the base its name was made from;
-    # each later one starts where the one before it ended.
+    # Each segment is named for its base sequence, and each after the
+    # first starts where the one before it ended.
     expected = segments[0][0] if segments else 1
-    for index, (_, path) in enumerate(segments):
+    for index, (name_base, path) in enumerate(segments):
+        if name_base != expected:
+            raise CorruptLogError(
+                f"{path.name}: segment named for seq {name_base}, expected {expected}"
+            )
         data = path.read_bytes()
         try:
             records, next_seq = _scan_segment(data, expected)
@@ -236,8 +243,8 @@ class WalWriter:
     Not itself thread-safe for concurrent ``append`` calls — the SSI
     dispatcher appends from the event-loop thread only.  ``fsync`` *is*
     safe to call from another thread (the group-commit executor): it
-    synchronizes with rotation over an internal lock and flushes every
-    segment that received bytes since the previous fsync.
+    synchronizes with rotation over an internal lock and flushes the
+    active segment; rotation itself synced every segment it retired.
     """
 
     def __init__(
@@ -256,8 +263,9 @@ class WalWriter:
         self._raw = None  # active io.FileIO
         self._raw_path: Path | None = None
         self._written = 0
-        #: retired segment FileIOs awaiting their covering fsync
-        self._dirty_retired: list = []
+        #: retired (already synced) segment FileIOs, closed by the next
+        #: fsync: an executor thread may still be syncing one
+        self._retired: list = []
         self._lock = threading.Lock()
         #: whether the active segment has unsynced bytes
         self._active_dirty = False
@@ -316,6 +324,18 @@ class WalWriter:
         return seq
 
     def _rotate(self, base_seq: int) -> None:
+        # Sync the segment that ends before base_seq before a later one
+        # can exist (the repair rule in scan_segments).
+        if self._raw is not None:
+            os.fsync(self._raw.fileno())
+        else:
+            segments = list_segments(self.directory)
+            if segments:
+                fd = os.open(segments[-1][1], os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
         path = self.directory / segment_name(base_seq)
         existing = path.stat().st_size if path.exists() else 0
         raw = open(path, "ab", buffering=0)
@@ -323,10 +343,8 @@ class WalWriter:
             raw.write(encode_header(base_seq))
             existing = HEADER_BYTES
         with self._lock:
-            if self._raw is not None and self._active_dirty:
-                self._dirty_retired.append(self._raw)
-            elif self._raw is not None:
-                self._raw.close()
+            if self._raw is not None:
+                self._retired.append(self._raw)
             self._raw = raw
             self._raw_path = path
             self._written = existing
@@ -338,11 +356,10 @@ class WalWriter:
         records appended *during* the fsync are simply covered by the
         next one."""
         with self._lock:
-            retired, self._dirty_retired = self._dirty_retired, []
+            retired, self._retired = self._retired, []
             active = self._raw if self._active_dirty else None
             self._active_dirty = False
         for raw in retired:
-            os.fsync(raw.fileno())
             raw.close()
         if active is not None:
             try:

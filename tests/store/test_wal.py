@@ -188,6 +188,24 @@ class TestRepair:
                 wal.scan_segments(tmp_path, mode=mode)
         assert path.read_bytes() == bytes(data)
 
+    @pytest.mark.parametrize("index", [1, -1], ids=["middle", "last"])
+    def test_a_segment_named_for_another_seq_is_refused(self, tmp_path, index):
+        """GC unlinks segments by the base in their names, so a later
+        segment's name is checked against where the one before it ended,
+        the last segment's too: no crash renames a file."""
+        write_log(tmp_path, [bytes(64) for _ in range(10)], segment_bytes=256)
+        segments = wal.list_segments(tmp_path)
+        assert len(segments) >= 3
+        base, victim = segments[index]
+        renamed = victim.with_name(wal.segment_name(base + 1))
+        victim.rename(renamed)
+        before = file_hashes(tmp_path)
+        match = f"{renamed.name}: segment named for seq {base + 1}, expected {base}"
+        for mode in ("repair", "verify"):
+            with pytest.raises(CorruptLogError, match=match):
+                wal.scan_segments(tmp_path, mode=mode)
+        assert file_hashes(tmp_path) == before
+
     def test_a_short_last_segment_is_a_torn_tail(self, tmp_path):
         write_log(tmp_path, [b"a", b"b"])
         torn = tmp_path / wal.segment_name(3)
@@ -225,6 +243,50 @@ class TestFsyncAndGc:
         writer.fsync()  # must flush retired + active without error
         writer.close()
         assert wal.scan_segments(tmp_path, mode="verify").next_seq == 11
+
+    @staticmethod
+    def record_fsyncs(monkeypatch, directory):
+        """Wrap ``os.fsync`` to log (inode synced, segment names that
+        existed at that moment) for every call."""
+        real = os.fsync
+        calls = []
+
+        def fsync(fd):
+            names = {path.name for _, path in wal.list_segments(directory)}
+            calls.append((os.fstat(fd).st_ino, names))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return calls
+
+    def test_rotation_syncs_the_retired_segment_first(self, tmp_path, monkeypatch):
+        """The repair rule trusts every segment before the last: rotation
+        fsyncs the segment it retires before the next one exists, with
+        no ``fsync()`` call between the appends."""
+        calls = self.record_fsyncs(monkeypatch, tmp_path)
+        writer = wal.WalWriter(tmp_path, segment_bytes=128)
+        for _ in range(5):  # two 64-byte records fill a 128-byte segment
+            writer.append(bytes(64))
+        segments = [path for _, path in wal.list_segments(tmp_path)]
+        assert len(segments) == 3
+        assert calls == [
+            (segments[0].stat().st_ino, {segments[0].name}),
+            (segments[1].stat().st_ino, {segments[0].name, segments[1].name}),
+        ]
+        writer.close()
+
+    def test_a_restarted_writer_syncs_the_last_segment_first(self, tmp_path, monkeypatch):
+        """After a restart the last segment may hold bytes a killed
+        process never synced, or a repair's cut: the first append syncs
+        it before it opens the next segment."""
+        write_log(tmp_path, [b"a", b"b"])
+        (_, last), = wal.list_segments(tmp_path)
+        calls = self.record_fsyncs(monkeypatch, tmp_path)
+        writer = wal.WalWriter(tmp_path, next_seq=3)
+        writer.append(b"c")
+        assert calls == [(last.stat().st_ino, {last.name})]
+        writer.close()
+        assert wal.scan_segments(tmp_path, mode="verify").next_seq == 4
 
     def test_gc_keeps_active_and_uncovered_segments(self, tmp_path):
         writer = wal.WalWriter(tmp_path, segment_bytes=128)
